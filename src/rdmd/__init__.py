@@ -30,7 +30,6 @@ from .dmd import (
     eigen_match_error,
     low_dim_operator,
     reconstruct,
-    recover_modes,
     run_dmd,
     split_snapshots,
 )

@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .datasets import (
     read_sms,
     sms_shape,
     synth_linear_dynamics,
+    write_atomic,
     write_complex_csv,
     write_complex_matrix,
     write_sms,
@@ -41,6 +42,7 @@ from .dmd import (
 )
 from .errors import RdmdError
 from .linalg import economic_svd
+from .memguard import stage
 from .rng import derive_seed
 from .sketch import SketchConfig, expected_error_bound, randomized_qb
 
@@ -49,6 +51,7 @@ _METHOD_FLAGS = {
     "rdmd": "randomized",
     "cdmd": "compressed",
 }
+_SAMPLING_FLAGS = {"uniform": "uniform_rows", "gaussian": "gaussian"}
 
 
 def _default_seed(value):
@@ -58,20 +61,7 @@ def _default_seed(value):
 
 
 def _write_json(path, payload) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, path)
-
-
-def _write_csv(path, header: str, rows) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(str(c) for c in row) + "\n")
-    os.replace(tmp, path)
+    write_atomic(path, (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8"))
 
 
 def _complex_pairs(values) -> list:
@@ -101,29 +91,18 @@ def _parse_modes(text: str) -> list[ModeSpec]:
     return specs
 
 
-def _reconstruction_error_full(x: np.ndarray, result: DmdResult) -> float:
-    approx = reconstruct(result, x.shape[1])
-    return float(np.linalg.norm(x - approx) / np.linalg.norm(x))
-
-
-def _reconstruction_error_blocked(source, result: DmdResult) -> float:
-    """Streaming relative error: one block of data plus one block of the
-    reconstruction resident at a time."""
-    steps = source.cols
-    scaled = result.amplitudes[:, None] * (
-        result.eigenvalues[:, None] ** np.arange(steps)[None, :]
-    )
-    num = 0.0
-    den = 0.0
-    for i in range(source.block_count):
-        start, count = source.block_ranges[i]
-        block = source.read_block(i)
-        w = result.modes[start : start + count]
-        memguard.note(count * steps * 8)
-        approx = w.real @ scaled.real - w.imag @ scaled.imag
-        num += float(np.sum((block - approx) ** 2))
-        den += float(np.sum(block**2))
-    return float(np.sqrt(num / den)) if den > 0 else 0.0
+def _reconstruction_error(blocks, result: DmdResult) -> float:
+    """Relative Frobenius error of the reconstruction over (start, block)
+    row blocks of the data: one block and its reconstruction are resident
+    at a time."""
+    num = den = 0.0
+    for start, block in blocks:
+        part = replace(result, modes=result.modes[start : start + block.shape[0]])
+        residual = reconstruct(part, block.shape[1])
+        np.subtract(block, residual, out=residual)  # in place: no second buffer
+        num += float(np.vdot(residual, residual))
+        den += float(np.vdot(block, block))
+    return float(np.sqrt(num) / np.sqrt(den)) if den > 0 else 0.0
 
 
 def _load_truth(path):
@@ -165,27 +144,22 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _build_config(args, rows: int) -> DmdConfig:
-    seed = _default_seed(args.seed)
-    method = _METHOD_FLAGS[args.method]
-    oversample = args.oversample if args.oversample is not None else 10
-    power_iters = args.power_iters if args.power_iters is not None else 2
-    sketch = SketchConfig(
+def _sketch_config(args, seed: int) -> SketchConfig:
+    return SketchConfig(
         target_rank=args.rank,
-        oversampling=oversample,
-        power_iters=power_iters,
+        oversampling=args.oversample if args.oversample is not None else 10,
+        power_iters=args.power_iters if args.power_iters is not None else 2,
         seed=seed,
     )
-    compress_dim = args.compress_dim
-    if method == "compressed" and compress_dim is None:
-        compress_dim = min(rows, 10 * args.rank)
-    sampling = {"uniform": "uniform_rows", "gaussian": "gaussian"}[args.sampling]
+
+
+def _build_config(args, method: str, seed: int, compress_dim: int | None) -> DmdConfig:
     return DmdConfig(
         target_rank=args.rank,
-        method=method,
-        sketch=sketch,
+        method=_METHOD_FLAGS[method],
+        sketch=_sketch_config(args, seed),
         compress_dim=compress_dim,
-        sampling=sampling,
+        sampling=_SAMPLING_FLAGS[args.sampling],
     )
 
 
@@ -195,29 +169,32 @@ def _cmd_decompose(args) -> int:
         return 2
     os.makedirs(args.out, exist_ok=True)
     rows, cols = sms_shape(args.input)
-    cfg = _build_config(args, rows)
+    compress_dim = args.compress_dim
+    if args.method == "cdmd" and compress_dim is None:
+        compress_dim = min(rows, 10 * args.rank)
+    cfg = _build_config(args, args.method, _default_seed(args.seed), compress_dim)
 
     timings = {}
     with memguard.session(cap_bytes=args.memory_cap) as guard:
-        t0 = time.perf_counter()
         if args.blocks > 1:
-            source = open_row_blocks(args.input, args.blocks)
-            timings["load"] = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            result = dmd_randomized_blocked(source, cfg)
-            timings["decompose"] = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            recon_error = _reconstruction_error_blocked(source, result)
-            source.close()
+            with stage(timings, "load"):
+                source = open_row_blocks(args.input, args.blocks)
+            with source:
+                with stage(timings, "decompose"):
+                    result = dmd_randomized_blocked(source, cfg)
+                with stage(timings, "diagnostics"):
+                    blocks = (
+                        (start, source.read_block(i))
+                        for i, (start, _) in enumerate(source.block_ranges)
+                    )
+                    recon_error = _reconstruction_error(blocks, result)
         else:
-            data = read_sms(args.input)
-            timings["load"] = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            result = run_dmd(data, cfg)
-            timings["decompose"] = time.perf_counter() - t0
-            t0 = time.perf_counter()
-            recon_error = _reconstruction_error_full(data, result)
-        timings["diagnostics"] = time.perf_counter() - t0
+            with stage(timings, "load"):
+                data = read_sms(args.input)
+            with stage(timings, "decompose"):
+                result = run_dmd(data, cfg)
+            with stage(timings, "diagnostics"):
+                recon_error = _reconstruction_error([(0, data)], result)
 
         match_error = None
         if args.truth:
@@ -225,11 +202,10 @@ def _cmd_decompose(args) -> int:
                 eigen_match_error(_load_truth(args.truth), result.eigenvalues)
             )
 
-        t0 = time.perf_counter()
-        write_complex_csv(os.path.join(args.out, "eigenvalues.csv"), result.eigenvalues)
-        write_complex_csv(os.path.join(args.out, "amplitudes.csv"), result.amplitudes)
-        write_complex_matrix(args.out, "modes", result.modes)
-        timings["write"] = time.perf_counter() - t0
+        with stage(timings, "write"):
+            write_complex_csv(os.path.join(args.out, "eigenvalues.csv"), result.eigenvalues)
+            write_complex_csv(os.path.join(args.out, "amplitudes.csv"), result.amplitudes)
+            write_complex_matrix(args.out, "modes", result.modes)
 
         report = {
             "method": args.method,
@@ -267,31 +243,25 @@ def _cmd_bench(args) -> int:
     data = read_sms(args.input)
     truth = _load_truth(args.truth) if args.truth else None
     seed0 = _default_seed(args.seed)
-    oversample = args.oversample if args.oversample is not None else 10
-    power_iters = args.power_iters if args.power_iters is not None else 2
+    sketch = _sketch_config(args, seed0)
+    # An equal-sketch-size comparison: cdmd compresses to k + p rows unless told.
     compress_dim = (
         args.compress_dim
         if args.compress_dim is not None
-        else min(data.shape[0], args.rank + oversample)
+        else min(data.shape[0], sketch.sketch_size)
     )
 
     rows = []
     summary = {}
+    timing = {}
     for method in ("dmd", "rdmd", "cdmd"):
         match_errors, recon_errors, elapsed = [], [], []
         for trial in range(args.seeds):
-            seed = derive_seed(seed0, trial)
-            cfg = DmdConfig(
-                target_rank=args.rank,
-                method=_METHOD_FLAGS[method],
-                sketch=SketchConfig(args.rank, oversample, power_iters, seed),
-                compress_dim=compress_dim,
-                sampling="uniform_rows" if args.sampling == "uniform" else "gaussian",
-            )
-            t0 = time.perf_counter()
-            result = run_dmd(data, cfg)
-            dt = time.perf_counter() - t0
-            recon = _reconstruction_error_full(data, result)
+            cfg = _build_config(args, method, derive_seed(seed0, trial), compress_dim)
+            with stage(timing, "run"):
+                result = run_dmd(data, cfg)
+            dt = timing["run"]
+            recon = _reconstruction_error([(0, data)], result)
             match = (
                 float(eigen_match_error(truth, result.eigenvalues))
                 if truth is not None
@@ -323,8 +293,8 @@ def _cmd_bench(args) -> int:
             "input": args.input,
             "rank": args.rank,
             "seeds": args.seeds,
-            "oversample": oversample,
-            "power_iters": power_iters,
+            "oversample": sketch.oversampling,
+            "power_iters": sketch.power_iters,
             "compress_dim": compress_dim,
             "sampling": args.sampling,
             "seed": seed0,
@@ -332,11 +302,9 @@ def _cmd_bench(args) -> int:
         "methods": summary,
     }
     _write_json(os.path.join(args.out, "bench_report.json"), report)
-    _write_csv(
-        os.path.join(args.out, "bench_runs.csv"),
-        "method,trial,eigen_match_error,reconstruction_error,time_s",
-        rows,
-    )
+    header = "method,trial,eigen_match_error,reconstruction_error,time_s\n"
+    lines = "".join(",".join(str(c) for c in row) + "\n" for row in rows)
+    write_atomic(os.path.join(args.out, "bench_runs.csv"), (header + lines).encode("utf-8"))
     for method in ("dmd", "rdmd", "cdmd"):
         stats = summary[method]
         mean_match = stats["eigen_match_error"]["mean"]
@@ -351,34 +319,32 @@ def _cmd_bench(args) -> int:
 
 def _cmd_qb(args) -> int:
     data = read_sms(args.input)
-    seed = _default_seed(args.seed)
-    oversample = args.oversample if args.oversample is not None else 10
-    power_iters = args.power_iters if args.power_iters is not None else 2
-    cfg = SketchConfig(args.rank, oversample, power_iters, seed)
-    t0 = time.perf_counter()
-    qb = randomized_qb(data, cfg)
-    elapsed = time.perf_counter() - t0
+    cfg = _sketch_config(args, _default_seed(args.seed))
+    timing = {}
+    with stage(timing, "qb"):
+        qb = randomized_qb(data, cfg)
     rel_error = float(
         np.linalg.norm(data - qb.q @ qb.b) / np.linalg.norm(data)
     )
     sigma = economic_svd(data).singular_values
     sigma_next = float(sigma[args.rank]) if args.rank < sigma.size else 0.0
     bound = None
-    if oversample >= 2:
+    if cfg.oversampling >= 2:
         bound = expected_error_bound(
-            args.rank, oversample, power_iters, data.shape[1], data.shape[0], sigma_next
+            args.rank, cfg.oversampling, cfg.power_iters, data.shape[1], data.shape[0],
+            sigma_next,
         ) / float(np.linalg.norm(data))
     report = {
         "rows": data.shape[0],
         "cols": data.shape[1],
         "rank": args.rank,
-        "oversample": oversample,
-        "power_iters": power_iters,
-        "seed": seed,
+        "oversample": cfg.oversampling,
+        "power_iters": cfg.power_iters,
+        "seed": cfg.seed,
         "relative_error": rel_error,
         "expected_error_bound_relative": bound,
         "sigma_next": sigma_next,
-        "time_s": elapsed,
+        "time_s": timing["qb"],
     }
     print(json.dumps(report, indent=2, sort_keys=True))
     if args.out:

@@ -17,6 +17,7 @@ bytes, which is what the blocked out-of-core reader relies on.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 from dataclasses import dataclass
@@ -186,24 +187,29 @@ def add_noise(x, snr: float, seed: int) -> np.ndarray:
 # --- SMS read/write ---------------------------------------------------------
 
 
+def write_atomic(path, *chunks) -> None:
+    """Write the byte chunks to `path` through `<path>.tmp.<pid>` and a
+    rename, so no reader sees a partial file. On any OSError the temp file
+    is removed and IoFailure raised."""
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise IoFailure(f"writing {path}: {exc}") from exc
+
+
 def write_sms(x, path) -> None:
     """Write a matrix to `path` in SMS format (atomic: temp file + rename)."""
     a = np.ascontiguousarray(_as_matrix(x), dtype=np.float64)
     if not np.all(np.isfinite(a)):
         raise ValueError("refusing to write non-finite values")
     header = _HEADER.pack(SMS_MAGIC, SMS_VERSION, a.shape[0], a.shape[1], SMS_DTYPE_F64)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(header)
-            fh.write(a.astype("<f8", copy=False).tobytes(order="C"))
-        os.replace(tmp, path)
-    except OSError as exc:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise IoFailure(f"writing {path}: {exc}") from exc
+    write_atomic(path, header, a.astype("<f8", copy=False).tobytes(order="C"))
 
 
 def _read_header(fh, path) -> tuple[int, int]:
@@ -323,15 +329,8 @@ def open_row_blocks(path, block_count: int) -> SmsRowBlockSource:
 def write_complex_csv(path, values) -> None:
     """One `re,im` row per value, 17 significant digits (float64 round-trip)."""
     v = np.asarray(values, dtype=np.complex128).ravel()
-    tmp = f"{path}.tmp.{os.getpid()}"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write("re,im\n")
-            for z in v:
-                fh.write(f"{z.real:.17g},{z.imag:.17g}\n")
-        os.replace(tmp, path)
-    except OSError as exc:
-        raise IoFailure(f"writing {path}: {exc}") from exc
+    rows = "".join(f"{z.real:.17g},{z.imag:.17g}\n" for z in v)
+    write_atomic(path, f"re,im\n{rows}".encode("utf-8"))
 
 
 def read_complex_csv(path) -> np.ndarray:
@@ -343,9 +342,12 @@ def read_complex_csv(path) -> np.ndarray:
     if not lines or lines[0].strip() != "re,im":
         raise IoFailure(f"{path}: expected a 're,im' header")
     out = []
-    for line in lines[1:]:
-        re_s, im_s = line.split(",")
-        out.append(complex(float(re_s), float(im_s)))
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
+            re_s, im_s = line.split(",")
+            out.append(complex(float(re_s), float(im_s)))
+        except ValueError as exc:
+            raise IoFailure(f"{path}, line {lineno}: malformed value {line!r}") from exc
     return np.array(out, dtype=np.complex128)
 
 

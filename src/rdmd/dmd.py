@@ -26,8 +26,8 @@ comparisons are well-defined.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -45,11 +45,14 @@ from .linalg import (
     FilterSpec,
     _as_matrix,
     default_rank_tol,
+    divide_where,
     eig_dense,
     filter_factors,
+    normalize_phase_factors,
     sort_eigenpairs,
     truncated_svd,
 )
+from .memguard import stage
 from .sketch import (
     SamplingOperator,
     SketchConfig,
@@ -166,7 +169,7 @@ def low_dim_operator(
     tol = default_rank_tol(left.shape, s[0])
     spec = regularization if regularization is not None else FilterSpec.tsvd(k)
     f = filter_factors(s, spec)
-    inv_s = np.where(s > tol, np.divide(f, s, where=s > 0), 0.0)
+    inv_s = divide_where(f, s, s > tol)
     right_projected = (right @ factors.v) * inv_s
     operator = factors.u.T @ right_projected
     return LowDimOperator(
@@ -177,58 +180,6 @@ def low_dim_operator(
         inv_singular=inv_s,
         right_projected=right_projected,
     )
-
-
-def _normalize_with_factors(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-norm, phase-pinned columns plus the complex factor applied to
-    each (so low-dimensional stand-ins can be scaled consistently)."""
-    out = np.array(w, dtype=np.complex128, copy=True)
-    factors = np.ones(out.shape[1], dtype=np.complex128)
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        nrm = np.linalg.norm(col)
-        if nrm == 0:
-            continue
-        pivot = col[np.argmax(np.abs(col))]
-        scale = abs(pivot) * nrm
-        # conjugate first so the pivot comes out exactly real and positive
-        out[:, j] = (col * pivot.conjugate()) / scale
-        factors[j] = pivot.conjugate() / scale
-    return out, factors
-
-
-def recover_modes(q_basis, right, v, sigma, eigvecs, inv_sigma=None) -> np.ndarray:
-    """Lift low-dimensional eigenvectors to state space.
-
-    Computes Q @ D_R @ V @ S^{-1} @ W (Q omitted when None) and returns the
-    columns unit-normalized with pinned phase. ``inv_sigma`` overrides the
-    default pseudoinverse treatment of S.
-    """
-    right = np.asarray(right)
-    v = np.asarray(v)
-    sigma = np.asarray(sigma, dtype=np.float64)
-    eigvecs = np.asarray(eigvecs, dtype=np.complex128)
-    if right.shape[1] != v.shape[0] or v.shape[1] != sigma.size:
-        raise ShapeMismatch(
-            f"inconsistent shapes: right {right.shape}, v {v.shape}, "
-            f"sigma {sigma.shape}"
-        )
-    if eigvecs.shape[0] != sigma.size:
-        raise ShapeMismatch(
-            f"eigvecs {eigvecs.shape} incompatible with {sigma.size} singular values"
-        )
-    if inv_sigma is None:
-        tol = default_rank_tol(right.shape, sigma[0] if sigma.size else 0.0)
-        inv_sigma = np.where(sigma > tol, np.divide(1.0, sigma, where=sigma > 0), 0.0)
-    lifted = ((right @ v) * inv_sigma) @ eigvecs
-    if q_basis is not None:
-        q_basis = np.asarray(q_basis)
-        if q_basis.shape[1] != lifted.shape[0]:
-            raise ShapeMismatch(
-                f"basis {q_basis.shape} incompatible with lift {lifted.shape}"
-            )
-        lifted = q_basis @ lifted
-    return _normalize_with_factors(lifted)[0]
 
 
 def _fit_amplitudes(modes: np.ndarray, x0: np.ndarray) -> np.ndarray:
@@ -304,6 +255,44 @@ def _config_echo(cfg: DmdConfig, sketch: SketchConfig | None, blocks: int) -> di
     }
 
 
+# Bases the low-dimensional eigenvectors multiply: U_k for projected modes,
+# D_R V_k S_k^{-1} for exact ones.
+_projected_basis = attrgetter("left_vectors")
+_exact_basis = attrgetter("right_projected")
+
+
+def _pipeline(split, cfg, timings, config, *, method, basis, x0, lift=None):
+    """Low-dimensional DMD of `split`, shared by every variant.
+
+    The variants differ only in the split (X, S X or the sketch B), in
+    `basis(op)`, the matrix the low-dimensional eigenvectors multiply, and
+    in `lift`, which maps that product through the orthonormal sketch basis
+    Q to the state space (omitted when it is already there). Amplitudes are
+    fitted against x0, the first snapshot in the space the product lives in.
+    """
+    with stage(timings, "svd"):
+        op = low_dim_operator(split, cfg.target_rank, cfg.regularization)
+    with stage(timings, "eig"):
+        pairs = eig_dense(op.operator)
+    with stage(timings, "modes"):
+        small = basis(op) @ pairs.eigenvectors
+        modes, factors = normalize_phase_factors(small if lift is None else lift(small))
+    with stage(timings, "amplitudes"):
+        # With Q orthonormal, fitting the modes against the first snapshot
+        # equals fitting Q^T modes = small * factors against its projection
+        # B[:, 0] (the x0 a lifted variant passes); this avoids another pass
+        # over the state dimension.
+        amp = _fit_amplitudes(modes if lift is None else small * factors, x0)
+    return DmdResult(
+        eigenvalues=pairs.eigenvalues,
+        modes=modes,
+        low_dim_eigvecs=pairs.eigenvectors,
+        amplitudes=amp,
+        method=method,
+        diagnostics={"timings": timings, "config": config},
+    )
+
+
 def dmd_deterministic(x, cfg: DmdConfig) -> DmdResult:
     """Deterministic decomposition from the full snapshot sequence.
 
@@ -312,89 +301,20 @@ def dmd_deterministic(x, cfg: DmdConfig) -> DmdResult:
     snapshots.
     """
     a = _as_matrix(x)
-    split = split_snapshots(a)
-    k = cfg.target_rank
-    if k > min(split.left.shape):
+    basis = _exact_basis if cfg.method == "deterministic_exact" else _projected_basis
+    return _pipeline(
+        split_snapshots(a), cfg, {}, _config_echo(cfg, None, 1),
+        method=cfg.method, basis=basis, x0=a[:, 0],
+    )
+
+
+def _checked_sketch(cfg: DmdConfig) -> SketchConfig:
+    sketch = cfg.sketch_or_default()
+    if sketch.target_rank != cfg.target_rank:
         raise RankOutOfRange(
-            f"rank {k} exceeds min{split.left.shape} of the snapshot split"
+            f"sketch target_rank {sketch.target_rank} != config rank {cfg.target_rank}"
         )
-    timings = {}
-    t0 = time.perf_counter()
-    op = low_dim_operator(split, k, cfg.regularization)
-    timings["svd"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    pairs = eig_dense(op.operator)
-    timings["eig"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    if cfg.method == "deterministic_exact":
-        raw = op.right_projected @ pairs.eigenvectors
-    else:
-        raw = op.left_vectors @ pairs.eigenvectors
-    modes, _ = _normalize_with_factors(raw)
-    timings["modes"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    amp = _fit_amplitudes(modes, a[:, 0])
-    timings["amplitudes"] = time.perf_counter() - t0
-
-    return DmdResult(
-        eigenvalues=pairs.eigenvalues,
-        modes=modes,
-        low_dim_eigvecs=pairs.eigenvectors,
-        amplitudes=amp,
-        method=cfg.method,
-        diagnostics={"timings": timings, "config": _config_echo(cfg, None, 1)},
-    )
-
-
-def _sketched_pipeline(
-    b_matrix: np.ndarray,
-    lift,
-    cfg: DmdConfig,
-    sketch: SketchConfig,
-    blocks: int,
-    timings: dict,
-) -> DmdResult:
-    """Shared tail of the randomized variants: low-dimensional DMD of the
-    sketch B plus mode recovery through the sketch basis.
-
-    `lift` maps an l x k matrix to the n x k state-space lift Q @ M; the
-    blocked and in-memory paths supply different implementations but share
-    everything else, so a single-block run is bit-identical to the
-    unblocked one.
-    """
-    split = split_snapshots(b_matrix)
-    k = cfg.target_rank
-    t0 = time.perf_counter()
-    op = low_dim_operator(split, k, cfg.regularization)
-    timings["svd"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    pairs = eig_dense(op.operator)
-    timings["eig"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    lift_small = op.right_projected @ pairs.eigenvectors
-    modes, factors = _normalize_with_factors(lift(lift_small))
-    timings["modes"] = time.perf_counter() - t0
-
-    # Amplitudes in the sketched basis: with Q orthonormal, the least-squares
-    # fit against x0 equals the fit of (Q^T W) against Q^T x0 = B[:, 0];
-    # this avoids another pass over the state dimension.
-    t0 = time.perf_counter()
-    amp = _fit_amplitudes(lift_small * factors, b_matrix[:, 0])
-    timings["amplitudes"] = time.perf_counter() - t0
-
-    return DmdResult(
-        eigenvalues=pairs.eigenvalues,
-        modes=modes,
-        low_dim_eigvecs=pairs.eigenvectors,
-        amplitudes=amp,
-        method="randomized",
-        diagnostics={"timings": timings, "config": _config_echo(cfg, sketch, blocks)},
-    )
+    return sketch
 
 
 def dmd_randomized(x, cfg: DmdConfig) -> DmdResult:
@@ -402,21 +322,19 @@ def dmd_randomized(x, cfg: DmdConfig) -> DmdResult:
     a = _as_matrix(x)
     if a.shape[1] < 2:
         raise TooFewSnapshots(f"need at least 2 snapshot columns, got {a.shape[1]}")
-    sketch = cfg.sketch_or_default()
-    if sketch.target_rank != cfg.target_rank:
-        raise RankOutOfRange(
-            f"sketch target_rank {sketch.target_rank} != config rank {cfg.target_rank}"
-        )
+    sketch = _checked_sketch(cfg)
     if sketch.sketch_size > min(a.shape[0], a.shape[1] - 1):
         raise RankOutOfRange(
             f"sketch size {sketch.sketch_size} exceeds "
             f"min(n, snapshots-1) = {min(a.shape[0], a.shape[1] - 1)}"
         )
     timings = {}
-    t0 = time.perf_counter()
-    qb = randomized_qb(a, sketch)
-    timings["sketch"] = time.perf_counter() - t0
-    return _sketched_pipeline(qb.b, lambda m: qb.q @ m, cfg, sketch, 1, timings)
+    with stage(timings, "sketch"):
+        qb = randomized_qb(a, sketch)
+    return _pipeline(
+        split_snapshots(qb.b), cfg, timings, _config_echo(cfg, sketch, 1),
+        method="randomized", basis=_exact_basis, x0=qb.b[:, 0], lift=lambda m: qb.q @ m,
+    )
 
 
 def dmd_randomized_blocked(source, cfg: DmdConfig) -> DmdResult:
@@ -424,23 +342,18 @@ def dmd_randomized_blocked(source, cfg: DmdConfig) -> DmdResult:
 
     Consumes the source through the blocked QB; mode recovery streams
     through the per-block bases, so no n x m buffer is ever materialized.
+    The pipeline is the in-memory one, so a single-block run is
+    bit-identical to `dmd_randomized`.
     """
-    sketch = cfg.sketch_or_default()
-    if sketch.target_rank != cfg.target_rank:
-        raise RankOutOfRange(
-            f"sketch target_rank {sketch.target_rank} != config rank {cfg.target_rank}"
-        )
+    sketch = _checked_sketch(cfg)
     timings = {}
-    t0 = time.perf_counter()
-    blocked = blocked_randomized_qb(source, sketch)
-    timings["sketch"] = time.perf_counter() - t0
-    result = _sketched_pipeline(
-        blocked.b,
-        lambda m: apply_q(blocked, m),
-        cfg,
-        sketch,
-        blocked.block_count,
-        timings,
+    with stage(timings, "sketch"):
+        blocked = blocked_randomized_qb(source, sketch)
+    result = _pipeline(
+        split_snapshots(blocked.b), cfg, timings,
+        _config_echo(cfg, sketch, blocked.block_count),
+        method="randomized", basis=_exact_basis, x0=blocked.b[:, 0],
+        lift=lambda m: apply_q(blocked, m),
     )
     result.diagnostics["blocked"] = True
     return result
@@ -461,59 +374,34 @@ def dmd_compressed(x, cfg: DmdConfig, operator=None) -> DmdResult:
     sketch = cfg.sketch_or_default()
     timings = {}
 
-    t0 = time.perf_counter()
-    if operator is None:
-        l = cfg.compress_dim if cfg.compress_dim is not None else min(n, 10 * k)
-        if l < k:
-            raise RankOutOfRange(f"compress_dim {l} below target rank {k}")
-        if cfg.sampling == "uniform_rows":
-            if l > n:
-                raise RankOutOfRange(
-                    f"uniform row sampling needs compress_dim <= {n}, got {l}"
-                )
-            operator = uniform_sampling_operator(n, l, sketch.seed)
+    with stage(timings, "compress"):
+        if operator is None:
+            l = cfg.compress_dim if cfg.compress_dim is not None else min(n, 10 * k)
+            if l < k:
+                raise RankOutOfRange(f"compress_dim {l} below target rank {k}")
+            if cfg.sampling == "uniform_rows":
+                if l > n:
+                    raise RankOutOfRange(
+                        f"uniform row sampling needs compress_dim <= {n}, got {l}"
+                    )
+                operator = uniform_sampling_operator(n, l, sketch.seed)
+            else:
+                operator = gaussian_test_matrix(l, n, sketch.seed)
+        if isinstance(operator, SamplingOperator):
+            compressed = apply_sampling(operator, a)
         else:
-            operator = gaussian_test_matrix(l, n, sketch.seed)
-    if isinstance(operator, SamplingOperator):
-        compressed = apply_sampling(operator, a)
-    else:
-        operator = np.asarray(operator, dtype=np.float64)
-        if operator.shape[1] != n:
-            raise ShapeMismatch(
-                f"compression operator has {operator.shape[1]} columns, data has {n} rows"
-            )
-        compressed = operator @ a
-    timings["compress"] = time.perf_counter() - t0
+            operator = np.asarray(operator, dtype=np.float64)
+            if operator.shape[1] != n:
+                raise ShapeMismatch(
+                    f"compression operator has {operator.shape[1]} columns, data has {n} rows"
+                )
+            compressed = operator @ a
 
-    csplit = split_snapshots(compressed)
-    if k > min(csplit.left.shape):
-        raise RankOutOfRange(f"rank {k} exceeds min{csplit.left.shape} of the sketch")
-    t0 = time.perf_counter()
-    op = low_dim_operator(csplit, k, cfg.regularization)
-    timings["svd"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    pairs = eig_dense(op.operator)
-    timings["eig"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    raw = (split.right @ op.right_vectors * op.inv_singular) @ pairs.eigenvectors
-    modes, _ = _normalize_with_factors(raw)
-    timings["modes"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    amp = _fit_amplitudes(modes, a[:, 0])
-    timings["amplitudes"] = time.perf_counter() - t0
-
-    cfg_echo = _config_echo(cfg, sketch, 1)
-    cfg_echo["compress_dim"] = int(compressed.shape[0])
-    return DmdResult(
-        eigenvalues=pairs.eigenvalues,
-        modes=modes,
-        low_dim_eigvecs=pairs.eigenvectors,
-        amplitudes=amp,
-        method="compressed",
-        diagnostics={"timings": timings, "config": cfg_echo},
+    config = _config_echo(cfg, sketch, 1)
+    config["compress_dim"] = int(compressed.shape[0])
+    return _pipeline(
+        split_snapshots(compressed), cfg, timings, config, method="compressed",
+        basis=lambda op: (split.right @ op.right_vectors) * op.inv_singular, x0=a[:, 0],
     )
 
 

@@ -109,6 +109,12 @@ def default_rank_tol(shape: tuple[int, int], sigma_max: float) -> float:
     return float(np.finfo(np.float64).eps * max(shape) * sigma_max)
 
 
+def divide_where(num, den: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """num / den where mask holds and 0 elsewhere; masked-out entries are
+    never divided, so zero or tiny denominators there raise no warning."""
+    return np.divide(num, den, out=np.zeros_like(den), where=mask)
+
+
 def pseudoinverse(x, rank_tol: float | None = None) -> np.ndarray:
     """Moore-Penrose pseudoinverse via the SVD.
 
@@ -122,7 +128,7 @@ def pseudoinverse(x, rank_tol: float | None = None) -> np.ndarray:
         rank_tol = default_rank_tol(a.shape, s[0] if s.size else 0.0)
     if rank_tol < 0:
         raise ValueError("rank_tol must be nonnegative")
-    inv = np.where(s > rank_tol, np.divide(1.0, s, where=s > 0), 0.0)
+    inv = divide_where(1.0, s, s > rank_tol)
     return (f.v * inv) @ f.u.T
 
 
@@ -139,7 +145,7 @@ def tikhonov_inverse(x, lam: float) -> np.ndarray:
     f = economic_svd(a)
     s = f.singular_values
     denom = s * s + lam * lam
-    inv = np.where(denom > 0, np.divide(s, denom, where=denom > 0), 0.0)
+    inv = divide_where(s, denom, denom > 0)
     return (f.v * inv) @ f.u.T
 
 
@@ -159,7 +165,7 @@ def filter_factors(sigma, spec: FilterSpec) -> np.ndarray:
     if spec.kind == "tikhonov":
         lam = spec.parameter
         denom = s * s + lam * lam
-        return np.where(denom > 0, np.divide(s * s, denom, where=denom > 0), 0.0)
+        return divide_where(s * s, denom, denom > 0)
     k = int(spec.parameter)
     if k > s.size:
         raise RankOutOfRange(f"tsvd rank {k} exceeds {s.size} singular values")
@@ -181,17 +187,27 @@ def sort_eigenpairs(
 def normalize_phase(vectors: np.ndarray) -> np.ndarray:
     """Unit 2-norm columns with the largest-magnitude entry rotated to be
     real and positive; removes the scale/phase ambiguity of eigenvectors."""
+    return normalize_phase_factors(vectors)[0]
+
+
+def normalize_phase_factors(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`normalize_phase` plus the complex factor each column was scaled by,
+    so a low-dimensional stand-in of the vectors can be scaled the same way."""
     w = np.array(vectors, dtype=np.complex128, copy=True)
+    factors = np.ones(w.shape[1], dtype=np.complex128)
     for j in range(w.shape[1]):
         col = w[:, j]
         nrm = np.linalg.norm(col)
         if nrm == 0:
             continue
         pivot = col[np.argmax(np.abs(col))]
+        scale = abs(pivot) * nrm
         # multiply by the conjugate first so the pivot's imaginary part
-        # cancels exactly, then scale by the (real) magnitude and norm
-        w[:, j] = (col * pivot.conjugate()) / (abs(pivot) * nrm)
-    return w
+        # cancels (to rounding where the complex multiply uses fused
+        # multiply-add), then scale by the (real) magnitude and norm
+        w[:, j] = (col * pivot.conjugate()) / scale
+        factors[j] = pivot.conjugate() / scale
+    return w, factors
 
 
 def eig_dense(a) -> ComplexEigenPairs:

@@ -10,10 +10,13 @@ allocating. Outside a session `note` is free.
 The guard covers buffers this library allocates deliberately, not numpy's
 internal temporaries; the blocked routines are written so those stay at or
 below block scale as well.
+
+`stage` is the one wall-clock timer of the library and the CLI.
 """
 
 from __future__ import annotations
 
+import time
 from contextlib import contextmanager
 
 from .errors import MemoryCapExceeded
@@ -53,3 +56,11 @@ def session(cap_bytes: int | None = None):
         yield current
     finally:
         _session = previous
+
+
+@contextmanager
+def stage(timings: dict, name: str):
+    """Record the wall time of the `with` body in timings[name] (seconds)."""
+    start = time.perf_counter()
+    yield
+    timings[name] = time.perf_counter() - start

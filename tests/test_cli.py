@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import rdmd
+from rdmd import cli
 from rdmd.datasets import read_complex_csv, read_complex_matrix
 
 
@@ -168,6 +169,25 @@ class TestErrors:
         assert res.returncode == 1
         assert "RankOutOfRange" in res.stderr
 
+    def test_failed_blocked_run_closes_its_source(self, workspace, tmp_path,
+                                                   monkeypatch, capsys):
+        opened = []
+
+        def open_and_record(path, block_count):
+            source = rdmd.open_row_blocks(path, block_count)
+            opened.append(source)
+            return source
+
+        monkeypatch.setattr(cli, "open_row_blocks", open_and_record)
+        # 30 blocks of 10 rows cannot hold a sketch of 5 + 10 columns
+        code = cli.main([
+            "decompose", "--input", str(workspace / "x.sms"), "--method", "rdmd",
+            "--rank", "5", "--blocks", "30", "--out", str(tmp_path / "o"),
+        ])
+        assert code == 1
+        assert "RankOutOfRange" in capsys.readouterr().err
+        assert len(opened) == 1 and opened[0]._fh.closed
+
 
 class TestBench:
     def test_bench_outputs(self, workspace, tmp_path):
@@ -255,3 +275,19 @@ class TestReconstruct:
         approx = rdmd.read_sms(tmp_path / "rec.sms")
         assert approx.shape == data.shape
         assert np.linalg.norm(data - approx) <= 1e-6 * np.linalg.norm(data)
+
+    def test_malformed_amplitudes_is_runtime_error(self, workspace, tmp_path):
+        dec = tmp_path / "dec"
+        res = run_cli(
+            "decompose", "--input", str(workspace / "x.sms"), "--method", "dmd",
+            "--rank", "5", "--out", str(dec),
+        )
+        assert res.returncode == 0, res.stderr
+        with open(dec / "amplitudes.csv", "a", encoding="utf-8") as fh:
+            fh.write("0.5;oops\n")
+        res = run_cli(
+            "reconstruct", "--modes", str(dec), "--steps", "80",
+            "--out", str(tmp_path / "rec.sms"),
+        )
+        assert res.returncode == 1
+        assert "IoFailure" in res.stderr and "line 7" in res.stderr

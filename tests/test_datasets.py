@@ -20,10 +20,17 @@ from rdmd.datasets import (
     read_complex_csv,
     read_complex_matrix,
     sms_shape,
+    write_atomic,
     write_complex_csv,
     write_complex_matrix,
 )
-from rdmd.errors import BadMagic, TooManyModes, TruncatedPayload, UnsupportedVersion
+from rdmd.errors import (
+    BadMagic,
+    IoFailure,
+    TooManyModes,
+    TruncatedPayload,
+    UnsupportedVersion,
+)
 from rdmd.rng import normal_matrix
 
 
@@ -217,3 +224,19 @@ class TestExporters:
         w = normal_matrix(6, 3, seed=18) + 1j * normal_matrix(6, 3, seed=19)
         write_complex_matrix(tmp_path, "modes", w)
         assert np.array_equal(read_complex_matrix(tmp_path, "modes"), w)
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda path: write_atomic(path, b"payload"),
+            lambda path: write_sms(np.eye(2), path),
+            lambda path: write_complex_csv(path, [1.0 + 1.0j]),
+        ],
+        ids=["write_atomic", "write_sms", "write_complex_csv"],
+    )
+    def test_failed_write_raises_io_failure_and_leaves_no_temp(self, tmp_path, write):
+        target = tmp_path / "taken"
+        target.mkdir()
+        with pytest.raises(IoFailure):
+            write(target)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
