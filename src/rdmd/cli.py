@@ -41,7 +41,7 @@ from .dmd import (
     run_dmd,
 )
 from .errors import RdmdError
-from .linalg import economic_svd
+from .linalg import truncated_svd
 from .memguard import stage
 from .rng import derive_seed
 from .sketch import SketchConfig, expected_error_bound, randomized_qb
@@ -52,6 +52,9 @@ _METHOD_FLAGS = {
     "cdmd": "compressed",
 }
 _SAMPLING_FLAGS = {"uniform": "uniform_rows", "gaussian": "gaussian"}
+# Rows per chunk of the in-memory reconstruction-error pass: the chunk's
+# reconstruction, not an n x m one, is what it holds beside the data.
+_DIAGNOSTIC_CHUNK_ROWS = 4096
 
 
 def _default_seed(value):
@@ -103,6 +106,12 @@ def _reconstruction_error(blocks, result: DmdResult) -> float:
         num += float(np.vdot(residual, residual))
         den += float(np.vdot(block, block))
     return float(np.sqrt(num) / np.sqrt(den)) if den > 0 else 0.0
+
+
+def _row_chunks(data: np.ndarray):
+    """(start, rows) views of an in-memory matrix for `_reconstruction_error`."""
+    for start in range(0, data.shape[0], _DIAGNOSTIC_CHUNK_ROWS):
+        yield start, data[start : start + _DIAGNOSTIC_CHUNK_ROWS]
 
 
 def _load_truth(path):
@@ -194,7 +203,7 @@ def _cmd_decompose(args) -> int:
             with stage(timings, "decompose"):
                 result = run_dmd(data, cfg)
             with stage(timings, "diagnostics"):
-                recon_error = _reconstruction_error([(0, data)], result)
+                recon_error = _reconstruction_error(_row_chunks(data), result)
 
         match_error = None
         if args.truth:
@@ -261,7 +270,7 @@ def _cmd_bench(args) -> int:
             with stage(timing, "run"):
                 result = run_dmd(data, cfg)
             dt = timing["run"]
-            recon = _reconstruction_error([(0, data)], result)
+            recon = _reconstruction_error(_row_chunks(data), result)
             match = (
                 float(eigen_match_error(truth, result.eigenvalues))
                 if truth is not None
@@ -326,8 +335,11 @@ def _cmd_qb(args) -> int:
     rel_error = float(
         np.linalg.norm(data - qb.q @ qb.b) / np.linalg.norm(data)
     )
-    sigma = economic_svd(data).singular_values
-    sigma_next = float(sigma[args.rank]) if args.rank < sigma.size else 0.0
+    sigma_next = (
+        float(truncated_svd(data, args.rank + 1).singular_values[args.rank])
+        if args.rank < min(data.shape)
+        else 0.0
+    )
     bound = None
     if cfg.oversampling >= 2:
         bound = expected_error_bound(

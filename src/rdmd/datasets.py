@@ -226,22 +226,31 @@ def _read_header(fh, path) -> tuple[int, int]:
     return rows, cols
 
 
+def _read_payload(fh, rows: int, cols: int, what: str) -> np.ndarray:
+    """Read rows x cols little-endian float64 values at the handle's position
+    straight into one new array (no intermediate bytes object). `what`
+    names the file or block in error messages."""
+    nbytes = rows * cols * 8
+    memguard.note(nbytes)
+    data = np.empty((rows, cols), dtype="<f8")
+    try:
+        got = fh.readinto(data)
+    except OSError as exc:
+        raise IoFailure(f"reading {what}: {exc}") from exc
+    if got < nbytes:
+        raise TruncatedPayload(f"{what}: payload is {got} bytes, expected {nbytes}")
+    # a no-op on little-endian hosts; a byte-swapping copy elsewhere
+    return data.astype(np.float64, copy=False)
+
+
 def read_sms(path) -> np.ndarray:
     """Read a whole SMS file into memory."""
     try:
         with open(path, "rb") as fh:
             rows, cols = _read_header(fh, path)
-            expected = rows * cols * 8
-            memguard.note(expected)
-            payload = fh.read(expected)
+            return _read_payload(fh, rows, cols, str(path))
     except OSError as exc:
         raise IoFailure(f"reading {path}: {exc}") from exc
-    if len(payload) < expected:
-        raise TruncatedPayload(
-            f"{path}: payload is {len(payload)} bytes, expected {expected}"
-        )
-    data = np.frombuffer(payload, dtype="<f8").astype(np.float64, copy=False)
-    return data.reshape(rows, cols).copy()
 
 
 def sms_shape(path) -> tuple[int, int]:
@@ -282,31 +291,27 @@ class SmsRowBlockSource:
     def __init__(self, path, block_count: int):
         self._path = path
         try:
-            self._fh = open(path, "rb")
-            self.rows, self.cols = _read_header(self._fh, path)
-            size = self._fh.seek(0, os.SEEK_END)
+            with contextlib.ExitStack() as on_error:
+                self._fh = on_error.enter_context(open(path, "rb"))
+                self.rows, self.cols = _read_header(self._fh, path)
+                size = self._fh.seek(0, os.SEEK_END)
+                expected = SMS_HEADER_BYTES + self.rows * self.cols * 8
+                if size < expected:
+                    raise TruncatedPayload(f"{path}: {size} bytes, expected {expected}")
+                on_error.pop_all()  # header accepted: close() owns the handle
         except OSError as exc:
             raise IoFailure(f"opening {path}: {exc}") from exc
-        expected = SMS_HEADER_BYTES + self.rows * self.cols * 8
-        if size < expected:
-            self._fh.close()
-            raise TruncatedPayload(f"{path}: {size} bytes, expected {expected}")
         self.block_count = block_count
         self.block_ranges = partition_rows(self.rows, block_count)
 
     def read_block(self, i: int) -> np.ndarray:
         start, count = self.block_ranges[i]
-        nbytes = count * self.cols * 8
-        memguard.note(nbytes)
+        what = f"block {i} of {self._path}"
         try:
             self._fh.seek(SMS_HEADER_BYTES + start * self.cols * 8)
-            payload = self._fh.read(nbytes)
         except OSError as exc:
-            raise IoFailure(f"reading block {i} of {self._path}: {exc}") from exc
-        if len(payload) < nbytes:
-            raise TruncatedPayload(f"{self._path}: short read on block {i}")
-        data = np.frombuffer(payload, dtype="<f8").astype(np.float64, copy=False)
-        return data.reshape(count, self.cols).copy()
+            raise IoFailure(f"reading {what}: {exc}") from exc
+        return _read_payload(self._fh, count, self.cols, what)
 
     def close(self) -> None:
         self._fh.close()

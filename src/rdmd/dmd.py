@@ -48,7 +48,7 @@ from .linalg import (
     divide_where,
     eig_dense,
     filter_factors,
-    normalize_phase_factors,
+    normalize_phase_in_place,
     sort_eigenpairs,
     truncated_svd,
 )
@@ -276,7 +276,11 @@ def _pipeline(split, cfg, timings, config, *, method, basis, x0, lift=None):
         pairs = eig_dense(op.operator)
     with stage(timings, "modes"):
         small = basis(op) @ pairs.eigenvectors
-        modes, factors = normalize_phase_factors(small if lift is None else lift(small))
+        # the modes are a fresh complex array (`small` or its lift), so they
+        # are normalized in place rather than copied; `small` is read again
+        # below only when it was lifted and so left as it is
+        modes = small if lift is None else lift(small)
+        factors = normalize_phase_in_place(modes)
     with stage(timings, "amplitudes"):
         # With Q orthonormal, fitting the modes against the first snapshot
         # equals fitting Q^T modes = small * factors against its projection

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import memguard
 from .errors import (
     ConvergenceFailure,
     NegativeLambda,
@@ -83,13 +84,57 @@ def economic_svd(x) -> SvdFactors:
     return SvdFactors(u=u, singular_values=s, v=vh.T)
 
 
+def _cholesky_qr2_svd(a: np.ndarray, k: int) -> SvdFactors | None:
+    """First k singular triplets of a tall matrix by CholeskyQR2 (Fukaya et
+    al., 2014) and the SVD of its small R factor, or None where that is not
+    accurate.
+
+    R1 = chol(A^T A), Q1 = A R1^-1, R2 = chol(Q1^T Q1); then with
+    U_R S V^T = svd(R2 R1), U_k = Q1 (R2^-1 U_R[:, :k]). The second pass
+    restores orthogonality to rounding level as long as Q1 is not far from
+    orthonormal, i.e. for condition numbers up to about 1e8. A failed
+    Cholesky factorization or ||Q1^T Q1 - I||_2 > 1/2 (rank-deficient or
+    worse-conditioned input) yields None. The triangular factors are only
+    cols x cols, so they are inverted rather than solved against.
+    """
+    n, c = a.shape
+    try:
+        # Entries near the float64 range limits overflow A^T A; the checks
+        # below then reject the fast path, so the overflow is not reported.
+        with np.errstate(over="ignore", invalid="ignore"):
+            r1 = np.linalg.cholesky(a.T @ a).T
+            memguard.note(n * c * 8)
+            q1 = a @ np.linalg.inv(r1)
+            gram = q1.T @ q1
+        r2 = np.linalg.cholesky(gram).T
+        gram[np.diag_indices(c)] -= 1.0
+        # written so that a NaN distance also rejects the fast path
+        if not np.linalg.norm(gram, 2) <= 0.5:
+            return None
+        u_r, s, vh = np.linalg.svd(r2 @ r1)
+    except np.linalg.LinAlgError:
+        return None
+    u = q1 @ (np.linalg.inv(r2) @ u_r[:, :k])
+    return SvdFactors(u, s[:k], vh[:k].T)
+
+
 def truncated_svd(x, k: int) -> SvdFactors:
-    """First k singular triplets of the economic SVD."""
+    """First k singular triplets of the economic SVD.
+
+    Tall inputs (rows >= 2 * cols) go through CholeskyQR2 and the SVD of
+    the cols x cols R factor, which forms only the k kept left vectors; when
+    that path is inaccurate (see `_cholesky_qr2_svd`) and for every other
+    shape, the result is the slice of `economic_svd`.
+    """
     a = _as_matrix(x)
     if not 1 <= k <= min(a.shape):
         raise RankOutOfRange(
             f"rank {k} outside [1, {min(a.shape)}] for shape {a.shape}"
         )
+    if a.shape[0] >= 2 * a.shape[1]:
+        fast = _cholesky_qr2_svd(a, k)
+        if fast is not None:
+            return fast
     f = economic_svd(a)
     return SvdFactors(f.u[:, :k], f.singular_values[:k], f.v[:, :k])
 
@@ -187,13 +232,16 @@ def sort_eigenpairs(
 def normalize_phase(vectors: np.ndarray) -> np.ndarray:
     """Unit 2-norm columns with the largest-magnitude entry rotated to be
     real and positive; removes the scale/phase ambiguity of eigenvectors."""
-    return normalize_phase_factors(vectors)[0]
-
-
-def normalize_phase_factors(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`normalize_phase` plus the complex factor each column was scaled by,
-    so a low-dimensional stand-in of the vectors can be scaled the same way."""
     w = np.array(vectors, dtype=np.complex128, copy=True)
+    normalize_phase_in_place(w)
+    return w
+
+
+def normalize_phase_in_place(w: np.ndarray) -> np.ndarray:
+    """`normalize_phase` overwriting the columns of the complex128 array
+    `w`, which saves a copy of a state-dimension-sized mode matrix.
+    Returns the complex factor each column was scaled by, so a
+    low-dimensional stand-in of the vectors can be scaled the same way."""
     factors = np.ones(w.shape[1], dtype=np.complex128)
     for j in range(w.shape[1]):
         col = w[:, j]
@@ -207,7 +255,7 @@ def normalize_phase_factors(vectors: np.ndarray) -> tuple[np.ndarray, np.ndarray
         # multiply-add), then scale by the (real) magnitude and norm
         w[:, j] = (col * pivot.conjugate()) / scale
         factors[j] = pivot.conjugate() / scale
-    return w, factors
+    return factors
 
 
 def eig_dense(a) -> ComplexEigenPairs:

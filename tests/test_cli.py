@@ -245,7 +245,8 @@ class TestQb:
         report = json.loads(res.stdout)
         assert report["relative_error"] <= 1e-8  # exact rank-5 data
         assert report["expected_error_bound_relative"] is not None
-        assert report["sigma_next"] >= 0
+        sigma = rdmd.economic_svd(rdmd.read_sms(workspace / "x.sms")).singular_values
+        assert abs(report["sigma_next"] - sigma[5]) <= 1e-12 * sigma[0]
 
     def test_bound_omitted_below_minimum_oversampling(self, workspace):
         res = run_cli(

@@ -195,6 +195,32 @@ class TestRowBlocks:
         with pytest.raises(IoFailure):
             read_sms(tmp_path / "absent.sms")
 
+    @pytest.mark.parametrize(
+        "offset,byte,error", [(0, ord("N"), BadMagic), (4, 99, UnsupportedVersion)]
+    )
+    def test_rejected_header_closes_the_file(self, tmp_path, monkeypatch,
+                                             offset, byte, error):
+        import builtins
+
+        import rdmd.datasets
+
+        path = tmp_path / "x.sms"
+        write_sms(np.eye(2), path)
+        raw = bytearray(path.read_bytes())
+        raw[offset] = byte
+        path.write_bytes(bytes(raw))
+        opened = []
+
+        def open_and_record(*args, **kwargs):
+            fh = builtins.open(*args, **kwargs)
+            opened.append(fh)
+            return fh
+
+        monkeypatch.setattr(rdmd.datasets, "open", open_and_record, raising=False)
+        with pytest.raises(error):
+            open_row_blocks(path, 1)
+        assert len(opened) == 1 and opened[0].closed
+
     def test_file_and_memory_sources_agree_bitwise(self, tmp_path):
         x = normal_matrix(64, 24, seed=16)
         path = tmp_path / "x.sms"

@@ -91,6 +91,31 @@ class TestDeterministic:
         resid = np.linalg.norm(lifted - result.modes * result.eigenvalues)
         assert resid <= 1e-6 * np.linalg.norm(split.right)
 
+    @pytest.mark.parametrize("method", ["deterministic_projected", "deterministic_exact"])
+    def test_tall_noisy_input_matches_economic_svd_run(self, method, monkeypatch):
+        import rdmd.dmd
+        from rdmd.linalg import SvdFactors, _cholesky_qr2_svd, economic_svd
+
+        specs = [ModeSpec(0.99 * np.exp(0.3j)), ModeSpec(0.9), ModeSpec(0.8 * np.exp(1.2j))]
+        truth = synth_linear_dynamics(2000, 40, specs, seed=38)
+        x = add_noise(truth.clean_data, 10.0, seed=39)
+        assert _cholesky_qr2_svd(split_snapshots(x).left, 5) is not None
+        cfg = DmdConfig(target_rank=5, method=method)
+        fast = dmd_deterministic(x, cfg)
+
+        def economic_slice(a, k):
+            f = economic_svd(a)
+            return SvdFactors(f.u[:, :k], f.singular_values[:k], f.v[:, :k])
+
+        monkeypatch.setattr(rdmd.dmd, "truncated_svd", economic_slice)
+        ref = dmd_deterministic(x, cfg)
+        scale = np.abs(ref.eigenvalues)
+        assert np.max(np.abs(fast.eigenvalues - ref.eigenvalues) / scale) <= 1e-10
+        assert np.max(np.abs(fast.modes - ref.modes)) <= 1e-10
+        assert np.max(
+            np.abs(fast.amplitudes - ref.amplitudes) / np.abs(ref.amplitudes)
+        ) <= 1e-10
+
     def test_projected_and_exact_agree_on_spectrum(self):
         x = rotation_sequence(40, 30, theta=0.3, seed=4)
         proj = dmd_deterministic(x, DmdConfig(target_rank=2))

@@ -100,6 +100,38 @@ class TestTruncatedSvd:
             assert err >= sigma[k] - 1e-10
             assert err <= np.sqrt(np.sum(sigma[k:] ** 2)) + 1e-10
 
+    def test_tall_well_conditioned_matches_economic(self, monkeypatch):
+        import rdmd.linalg
+
+        x = matrix_with_spectrum(1500, 50, np.linspace(1.0, 1e-3, 50), seed=10)
+        ref = economic_svd(x)
+        # the fallback must not run, so the comparison checks CholeskyQR2
+        monkeypatch.setattr(rdmd.linalg, "economic_svd", None)
+        # k = 50 also covers the trailing directions, where the first
+        # Cholesky pass alone leaves a 1e-11 orthogonality error
+        for k in (8, 50):
+            f = truncated_svd(x, k)
+            assert np.max(np.abs(f.singular_values - ref.singular_values[:k])) <= 1e-12
+            signs = np.sign(np.sum(f.u * ref.u[:, :k], axis=0))
+            assert np.max(np.abs(f.u * signs - ref.u[:, :k])) <= 1e-12
+            assert np.max(np.abs(f.v * signs - ref.v[:, :k])) <= 1e-12
+            assert np.linalg.norm(f.u.T @ f.u - np.eye(k), 2) <= 1e-12
+
+    @pytest.mark.parametrize("case", ["rank_deficient", "kappa_3e8", "kappa_1e12"])
+    def test_tall_fallback_is_the_economic_slice(self, case):
+        if case == "rank_deficient":
+            x = normal_matrix(1500, 6, seed=11) @ normal_matrix(6, 50, seed=12)
+        elif case == "kappa_3e8":
+            # both Cholesky factorizations succeed, but ||Q1^T Q1 - I||_2 ~ 1
+            x = matrix_with_spectrum(1500, 50, np.logspace(0, np.log10(1 / 3e8), 50), seed=13)
+        else:
+            x = matrix_with_spectrum(1500, 50, np.logspace(0, -12, 50), seed=13)
+        ref = economic_svd(x)
+        f = truncated_svd(x, 5)
+        assert np.array_equal(f.singular_values, ref.singular_values[:5])
+        assert np.array_equal(f.u, ref.u[:, :5])
+        assert np.array_equal(f.v, ref.v[:, :5])
+
 
 class TestThinQr:
     def test_orthonormal_input(self):
