@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import memguard
-from .errors import InvalidBlockCount, RankOutOfRange
+from .errors import InvalidBlockCount, NonFiniteInput, RankOutOfRange
 from .rng import derive_seed
 from .sketch import SketchConfig, randomized_qb
 
@@ -66,7 +66,8 @@ def blocked_randomized_qb(source, cfg: SketchConfig) -> BlockedQB:
     merge stage uses derive_seed(cfg.seed, b). With b = 1 the merge stage is
     skipped (merge basis = identity), so a single-block run reproduces the
     unblocked factorization bit for bit. Blocks narrower than the sketch
-    size are a hard error rather than a silent rank reduction.
+    size are a hard error rather than a silent rank reduction. NaN or Inf
+    in a block raises NonFiniteInput naming the block and the global row.
     """
     l = cfg.sketch_size
     b = source.block_count
@@ -85,7 +86,13 @@ def blocked_randomized_qb(source, cfg: SketchConfig) -> BlockedQB:
             power_iters=cfg.power_iters,
             seed=derive_seed(cfg.seed, i),
         )
-        qb = randomized_qb(block, block_cfg)
+        try:
+            qb = randomized_qb(block, block_cfg)
+        except NonFiniteInput as exc:
+            if exc.row is None:
+                raise
+            row = source.block_ranges[i][0] + exc.row
+            raise NonFiniteInput(f"block {i}: {exc}; global row {row}", row=row) from exc
         bases.append(qb.q)
         projections.append(qb.b)
         del block

@@ -41,7 +41,7 @@ from .dmd import (
     run_dmd,
 )
 from .errors import RdmdError
-from .linalg import truncated_svd
+from .linalg import singular_values_of_rows
 from .memguard import stage
 from .rng import derive_seed
 from .sketch import SketchConfig, expected_error_bound, randomized_qb
@@ -52,8 +52,9 @@ _METHOD_FLAGS = {
     "cdmd": "compressed",
 }
 _SAMPLING_FLAGS = {"uniform": "uniform_rows", "gaussian": "gaussian"}
-# Rows per chunk of the in-memory reconstruction-error pass: the chunk's
-# reconstruction, not an n x m one, is what it holds beside the data.
+# Rows per chunk of the in-memory error passes (`decompose`, `bench`, `qb`):
+# the chunk's approximation, not an n x m one, is what they hold beside the
+# data.
 _DIAGNOSTIC_CHUNK_ROWS = 4096
 
 
@@ -94,22 +95,32 @@ def _parse_modes(text: str) -> list[ModeSpec]:
     return specs
 
 
-def _reconstruction_error(blocks, result: DmdResult) -> float:
-    """Relative Frobenius error of the reconstruction over (start, block)
-    row blocks of the data: one block and its reconstruction are resident
-    at a time."""
+def _relative_residual(blocks, approximate) -> float:
+    """Relative Frobenius error ||X - A|| / ||X|| over (start, block) row
+    blocks of the data X, where approximate(start, block) returns a fresh
+    array holding the rows of A: one block and its approximation are
+    resident at a time."""
     num = den = 0.0
     for start, block in blocks:
-        part = replace(result, modes=result.modes[start : start + block.shape[0]])
-        residual = reconstruct(part, block.shape[1])
+        residual = approximate(start, block)
         np.subtract(block, residual, out=residual)  # in place: no second buffer
         num += float(np.vdot(residual, residual))
         den += float(np.vdot(block, block))
+        del residual  # before the next block's approximation is formed
     return float(np.sqrt(num) / np.sqrt(den)) if den > 0 else 0.0
 
 
+def _reconstruction_error(blocks, result: DmdResult) -> float:
+    """`_relative_residual` of the DMD reconstruction of `result`."""
+    def approximate(start, block):
+        part = replace(result, modes=result.modes[start : start + block.shape[0]])
+        return reconstruct(part, block.shape[1])
+
+    return _relative_residual(blocks, approximate)
+
+
 def _row_chunks(data: np.ndarray):
-    """(start, rows) views of an in-memory matrix for `_reconstruction_error`."""
+    """(start, rows) views of an in-memory matrix for `_relative_residual`."""
     for start in range(0, data.shape[0], _DIAGNOSTIC_CHUNK_ROWS):
         yield start, data[start : start + _DIAGNOSTIC_CHUNK_ROWS]
 
@@ -266,16 +277,19 @@ def _cmd_bench(args) -> int:
     for method in ("dmd", "rdmd", "cdmd"):
         match_errors, recon_errors, elapsed = [], [], []
         for trial in range(args.seeds):
-            cfg = _build_config(args, method, derive_seed(seed0, trial), compress_dim)
-            with stage(timing, "run"):
-                result = run_dmd(data, cfg)
-            dt = timing["run"]
-            recon = _reconstruction_error(_row_chunks(data), result)
-            match = (
-                float(eigen_match_error(truth, result.eigenvalues))
-                if truth is not None
-                else None
-            )
+            # the deterministic method ignores the seed, so its first run
+            # stands for every trial
+            if method != "dmd" or trial == 0:
+                cfg = _build_config(args, method, derive_seed(seed0, trial), compress_dim)
+                with stage(timing, "run"):
+                    result = run_dmd(data, cfg)
+                dt = timing["run"]
+                recon = _reconstruction_error(_row_chunks(data), result)
+                match = (
+                    float(eigen_match_error(truth, result.eigenvalues))
+                    if truth is not None
+                    else None
+                )
             match_text = "" if match is None else f"{match:.17g}"
             rows.append([method, trial, match_text, f"{recon:.17g}", f"{dt:.6f}"])
             if match is not None:
@@ -332,14 +346,12 @@ def _cmd_qb(args) -> int:
     timing = {}
     with stage(timing, "qb"):
         qb = randomized_qb(data, cfg)
-    rel_error = float(
-        np.linalg.norm(data - qb.q @ qb.b) / np.linalg.norm(data)
+    rel_error = _relative_residual(
+        _row_chunks(data), lambda start, block: qb.q[start : start + block.shape[0]] @ qb.b
     )
-    sigma_next = (
-        float(truncated_svd(data, args.rank + 1).singular_values[args.rank])
-        if args.rank < min(data.shape)
-        else 0.0
-    )
+    # sigma_{k+1} from the R factors of the row chunks: no n x m buffer
+    sigma = singular_values_of_rows(block for _, block in _row_chunks(data))
+    sigma_next = float(sigma[args.rank]) if args.rank < sigma.size else 0.0
     bound = None
     if cfg.oversampling >= 2:
         bound = expected_error_bound(

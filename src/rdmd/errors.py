@@ -54,6 +54,15 @@ class EmptyInput(RdmdError):
     pass
 
 
+class NonFiniteInput(RdmdError):
+    """NaN or Inf in the data. `row` is the first input row holding one, or
+    None when the data is finite and a product of it overflowed."""
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
+
+
 class MemoryCapExceeded(RdmdError):
     pass
 

@@ -19,6 +19,10 @@ from .errors import (
     ShapeMismatch,
 )
 
+# Row-block height of the blocked QR in `thin_qr_q`: a 8192 x l block of a
+# tall-skinny sketch (l ~ 15) stays in cache while LAPACK factors it.
+_TSQR_ROWS = 8192
+
 
 @dataclass(frozen=True)
 class SvdFactors:
@@ -84,23 +88,22 @@ def economic_svd(x) -> SvdFactors:
     return SvdFactors(u=u, singular_values=s, v=vh.T)
 
 
-def _cholesky_qr2_svd(a: np.ndarray, k: int) -> SvdFactors | None:
-    """First k singular triplets of a tall matrix by CholeskyQR2 (Fukaya et
-    al., 2014) and the SVD of its small R factor, or None where that is not
-    accurate.
+def _cholesky_qr2(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """CholeskyQR2 factors (Fukaya et al., 2014) of a tall matrix, or None
+    where they are not accurate.
 
-    R1 = chol(A^T A), Q1 = A R1^-1, R2 = chol(Q1^T Q1); then with
-    U_R S V^T = svd(R2 R1), U_k = Q1 (R2^-1 U_R[:, :k]). The second pass
-    restores orthogonality to rounding level as long as Q1 is not far from
+    R1 = chol(A^T A), Q1 = A R1^-1, R2 = chol(Q1^T Q1); returns (Q1, R1, R2),
+    so that A = Q1 R1 and Q1 R2^-1 is orthonormal. The second pass restores
+    orthogonality to rounding level as long as Q1 is not far from
     orthonormal, i.e. for condition numbers up to about 1e8. A failed
     Cholesky factorization or ||Q1^T Q1 - I||_2 > 1/2 (rank-deficient or
     worse-conditioned input) yields None. The triangular factors are only
-    cols x cols, so they are inverted rather than solved against.
+    cols x cols, so callers invert them rather than solve against them.
     """
     n, c = a.shape
     try:
         # Entries near the float64 range limits overflow A^T A; the checks
-        # below then reject the fast path, so the overflow is not reported.
+        # below then reject the factors, so the overflow is not reported.
         with np.errstate(over="ignore", invalid="ignore"):
             r1 = np.linalg.cholesky(a.T @ a).T
             memguard.note(n * c * 8)
@@ -108,9 +111,26 @@ def _cholesky_qr2_svd(a: np.ndarray, k: int) -> SvdFactors | None:
             gram = q1.T @ q1
         r2 = np.linalg.cholesky(gram).T
         gram[np.diag_indices(c)] -= 1.0
-        # written so that a NaN distance also rejects the fast path
+        # written so that a NaN distance also rejects the factors
         if not np.linalg.norm(gram, 2) <= 0.5:
             return None
+    except np.linalg.LinAlgError:
+        return None
+    return q1, r1, r2
+
+
+def _cholesky_qr2_svd(a: np.ndarray, k: int) -> SvdFactors | None:
+    """First k singular triplets of a tall matrix from its CholeskyQR2
+    factors and the SVD of the small R factor, or None where
+    `_cholesky_qr2` rejects the input.
+
+    With U_R S V^T = svd(R2 R1), U_k = Q1 (R2^-1 U_R[:, :k]).
+    """
+    factors = _cholesky_qr2(a)
+    if factors is None:
+        return None
+    q1, r1, r2 = factors
+    try:
         u_r, s, vh = np.linalg.svd(r2 @ r1)
     except np.linalg.LinAlgError:
         return None
@@ -140,13 +160,48 @@ def truncated_svd(x, k: int) -> SvdFactors:
 
 
 def thin_qr_q(x) -> np.ndarray:
-    """Orthonormal factor Q of the thin QR decomposition (rows >= cols)."""
+    """Orthonormal factor Q of the thin QR decomposition (rows >= cols).
+
+    Tall-skinny inputs (rows >= 2 * _TSQR_ROWS, cols <= _TSQR_ROWS) run a
+    blocked Householder QR, TSQR (Demmel, Grigori, Hoemmen & Langou, 2012):
+    each row block of _TSQR_ROWS rows (the last one also takes the
+    remainder) is factored Q_i R_i while it is cache-resident, the stacked
+    R_i are factored Q_hat R, and Q = diag(Q_i) Q_hat, a product of
+    orthonormal factors. Every other input is one LAPACK call.
+    """
     a = _as_matrix(x)
-    if a.shape[0] < a.shape[1]:
+    n, c = a.shape
+    if n < c:
         raise ShapeMismatch(
             f"thin QR needs rows >= cols, got shape {a.shape}"
         )
-    return np.linalg.qr(a, mode="reduced")[0]
+    memguard.note(n * c * 8)
+    if n < 2 * _TSQR_ROWS or c > _TSQR_ROWS:
+        return np.linalg.qr(a, mode="reduced")[0]
+    edges = [i * _TSQR_ROWS for i in range(n // _TSQR_ROWS)] + [n]
+    q = np.empty((n, c))
+    r_factors = []
+    for start, stop in zip(edges, edges[1:]):
+        q[start:stop], r = np.linalg.qr(a[start:stop], mode="reduced")
+        r_factors.append(r)
+    q_hat = np.linalg.qr(np.vstack(r_factors), mode="reduced")[0]
+    for i, (start, stop) in enumerate(zip(edges, edges[1:])):
+        # in place: numpy buffers an operand that overlaps `out`, one block
+        # at a time, so no second n x c array is formed
+        np.matmul(q[start:stop], q_hat[i * c : (i + 1) * c], out=q[start:stop])
+    return q
+
+
+def singular_values_of_rows(blocks) -> np.ndarray:
+    """Singular values of the matrix whose row blocks, top to bottom, are
+    `blocks`, at the accuracy of a Householder QR.
+
+    X = diag(Q_i) [R_1; ...; R_b] for the Householder factors X_i = Q_i R_i
+    of the blocks, so X has the singular values of the stacked R_i; one
+    block's factorization is resident at a time.
+    """
+    r = np.vstack([np.linalg.qr(_as_matrix(block), mode="r") for block in blocks])
+    return np.linalg.svd(r, compute_uv=False)
 
 
 def default_rank_tol(shape: tuple[int, int], sigma_max: float) -> float:

@@ -8,6 +8,7 @@ import pytest
 import rdmd
 from rdmd import cli
 from rdmd.datasets import read_complex_csv, read_complex_matrix
+from rdmd.rng import normal_matrix
 
 
 def run_cli(*args, env=None):
@@ -189,7 +190,55 @@ class TestErrors:
         assert len(opened) == 1 and opened[0]._fh.closed
 
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("blocks", ["1", "3"])
+    def test_non_finite_input_is_runtime_error(self, workspace, tmp_path, value, blocks):
+        from rdmd.datasets import SMS_HEADER_BYTES
+
+        data = rdmd.read_sms(workspace / "x.sms")
+        path = tmp_path / "bad.sms"
+        rdmd.write_sms(data, path)
+        # write_sms refuses non-finite values, so patch one into the payload
+        row, col = 250, 11
+        with open(path, "r+b") as fh:
+            fh.seek(SMS_HEADER_BYTES + 8 * (row * data.shape[1] + col))
+            fh.write(np.array([value], "<f8").tobytes())
+        res = run_cli(
+            "decompose", "--input", str(path), "--method", "rdmd", "--rank", "5",
+            "--blocks", blocks, "--out", str(tmp_path / "o"),
+        )
+        assert res.returncode == 1
+        assert "NonFiniteInput" in res.stderr
+        assert f"column {col} is {value}" in res.stderr
+        assert ("block 2: row 50" if blocks == "3" else f"row {row}") in res.stderr
+        assert not (tmp_path / "o" / "report.json").exists()
+
+
 class TestBench:
+    def test_deterministic_method_runs_once(self, workspace, tmp_path, monkeypatch, capsys):
+        import rdmd.dmd
+
+        calls = []
+        inner = rdmd.dmd.dmd_deterministic
+
+        def counting(x, cfg):
+            calls.append(cfg.sketch_or_default().seed)
+            return inner(x, cfg)
+
+        monkeypatch.setattr(rdmd.dmd, "dmd_deterministic", counting)
+        out = tmp_path / "bench-once"
+        assert cli.main([
+            "bench", "--input", str(workspace / "x.sms"), "--rank", "5",
+            "--seeds", "3", "--truth", str(workspace / "truth.json"), "--out", str(out),
+        ]) == 0
+        assert len(calls) == 1
+        lines = (out / "bench_runs.csv").read_text().strip().splitlines()
+        dmd_rows = [line.split(",") for line in lines[1:] if line.startswith("dmd,")]
+        assert [row[1] for row in dmd_rows] == ["0", "1", "2"]
+        assert len({tuple(row[2:]) for row in dmd_rows}) == 1
+        report = json.loads((out / "bench_report.json").read_text())
+        assert report["methods"]["dmd"]["time_s"]["std"] == 0.0
+
     def test_bench_outputs(self, workspace, tmp_path):
         out = tmp_path / "bench"
         res = run_cli(
@@ -247,6 +296,30 @@ class TestQb:
         assert report["expected_error_bound_relative"] is not None
         sigma = rdmd.economic_svd(rdmd.read_sms(workspace / "x.sms")).singular_values
         assert abs(report["sigma_next"] - sigma[5]) <= 1e-12 * sigma[0]
+
+    def test_relative_error_matches_dense_without_n_by_m_temporaries(
+        self, tmp_path, capsys
+    ):
+        import tracemalloc
+
+        x = normal_matrix(20000, 5, seed=40) @ normal_matrix(5, 201, seed=41)
+        x += 0.1 * normal_matrix(20000, 201, seed=42)
+        path = tmp_path / "noisy.sms"
+        rdmd.write_sms(x, path)
+        args = ["qb", "--input", str(path), "--rank", "5", "--seed", "3"]
+        tracemalloc.start()
+        try:
+            assert cli.main(args) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        report = json.loads(capsys.readouterr().out)
+        assert peak <= 1.5 * x.nbytes
+        qb = rdmd.randomized_qb(x, rdmd.SketchConfig(5, 10, 2, seed=3))
+        dense = np.linalg.norm(x - qb.q @ qb.b) / np.linalg.norm(x)
+        assert report["relative_error"] == pytest.approx(dense, rel=1e-12)
+        sigma = rdmd.economic_svd(x).singular_values
+        assert report["sigma_next"] == pytest.approx(sigma[5], rel=1e-12)
 
     def test_bound_omitted_below_minimum_oversampling(self, workspace):
         res = run_cli(

@@ -154,6 +154,55 @@ class TestThinQr:
         with pytest.raises(ShapeMismatch):
             thin_qr_q(normal_matrix(3, 5, seed=12))
 
+    def test_below_tsqr_threshold_is_one_lapack_call(self):
+        from rdmd.linalg import _TSQR_ROWS
+
+        x = normal_matrix(2 * _TSQR_ROWS - 1, 6, seed=13)
+        assert np.array_equal(thin_qr_q(x), np.linalg.qr(x, mode="reduced")[0])
+
+    @pytest.mark.parametrize("case", ["well_conditioned", "rank_deficient", "kappa_1e12"])
+    def test_tsqr_orthonormal_and_spanning(self, case, monkeypatch):
+        from rdmd.linalg import _TSQR_ROWS
+
+        # three row blocks, the last one ragged (_TSQR_ROWS + 1234 rows)
+        n, l = 3 * _TSQR_ROWS + 1234, 12
+        if case == "well_conditioned":
+            x = normal_matrix(n, l, seed=14)
+        elif case == "rank_deficient":
+            x = normal_matrix(n, 4, seed=15) @ normal_matrix(4, l, seed=16)
+        else:
+            x = matrix_with_spectrum(n, l, np.logspace(0, -12, l), seed=17)
+        calls = []
+        qr = np.linalg.qr
+
+        def counting_qr(a, mode="reduced"):
+            calls.append(a.shape)
+            return qr(a, mode=mode)
+
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        q = thin_qr_q(x)
+        monkeypatch.undo()
+        assert [rows for rows, _ in calls] == [_TSQR_ROWS, _TSQR_ROWS, _TSQR_ROWS + 1234, 3 * l]
+        assert q.shape == (n, l)
+        assert np.linalg.norm(q.T @ q - np.eye(l)) <= 1e-10 * np.sqrt(l)
+        assert np.linalg.norm(x - q @ (q.T @ x)) <= 1e-12 * np.linalg.norm(x)
+        if case == "well_conditioned":
+            # the same factor as one Householder QR, up to column signs
+            ref = np.linalg.qr(x, mode="reduced")[0]
+            signs = np.sign(np.sum(q * ref, axis=0))
+            assert np.max(np.abs(q * signs - ref)) <= 1e-12
+
+
+class TestSingularValuesOfRows:
+    @pytest.mark.parametrize("rows", [7, 40, 300])
+    def test_matches_economic_svd(self, rows):
+        from rdmd.linalg import singular_values_of_rows
+
+        x = matrix_with_spectrum(300, 20, np.logspace(0, -10, 20), seed=18)
+        blocks = (x[i : i + rows] for i in range(0, 300, rows))
+        ref = economic_svd(x).singular_values
+        assert np.max(np.abs(singular_values_of_rows(blocks) - ref)) <= 1e-14
+
 
 class TestPseudoinverse:
     def test_diagonal(self):

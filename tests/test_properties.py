@@ -1,0 +1,35 @@
+"""Property-based checks (hypothesis), bounded to a few dozen examples."""
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from rdmd import SketchConfig, randomized_qb
+from rdmd.linalg import _TSQR_ROWS
+from rdmd.rng import normal_matrix
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(
+    rows=st.integers(min_value=20, max_value=3 * _TSQR_ROWS),
+    cols=st.integers(min_value=20, max_value=40),
+    rank=st.integers(min_value=1, max_value=5),
+    oversampling=st.integers(min_value=0, max_value=15),
+    power_iters=st.integers(min_value=0, max_value=2),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+# both sides of the threshold where the final basis switches to blocked QR
+@example(rows=2 * _TSQR_ROWS - 1, cols=30, rank=5, oversampling=10, power_iters=2, seed=1)
+@example(rows=2 * _TSQR_ROWS, cols=30, rank=5, oversampling=10, power_iters=2, seed=1)
+def test_randomized_qb_basis_is_orthonormal(rows, cols, rank, oversampling, power_iters, seed):
+    # low rank plus small noise, so the CholeskyQR2 steps and their
+    # Householder fallback both occur across examples
+    x = normal_matrix(rows, rank, seed) @ normal_matrix(rank, cols, seed + 1)
+    x += 1e-8 * normal_matrix(rows, cols, seed + 2)
+    qb = randomized_qb(x, SketchConfig(rank, oversampling, power_iters, seed=seed))
+    l = rank + oversampling
+    assert qb.q.shape == (rows, l)
+    assert np.linalg.norm(qb.q.T @ qb.q - np.eye(l)) <= 1e-10 * np.sqrt(l)

@@ -17,6 +17,7 @@ from rdmd import (
 from rdmd.errors import (
     InvalidDistribution,
     InvalidOversampling,
+    NonFiniteInput,
     RankOutOfRange,
     ShapeMismatch,
 )
@@ -120,6 +121,82 @@ class TestRandomizedQb:
             errs = [mean_error(p, q) for q in (0, 1, 2)]
             assert errs[1] <= errs[0] * 1.05
             assert errs[2] <= errs[1] * 1.05
+
+
+class TestPowerIterationOrthonormalization:
+    @staticmethod
+    def spy_cholesky_qr2(monkeypatch):
+        import rdmd.sketch
+
+        returned = []
+        inner = rdmd.sketch._cholesky_qr2
+
+        def spy(y):
+            factors = inner(y)
+            returned.append(factors)
+            return factors
+
+        monkeypatch.setattr(rdmd.sketch, "_cholesky_qr2", spy)
+        return returned
+
+    @pytest.mark.parametrize("case", ["kappa_1e6", "rank_deficient"])
+    def test_power_step_basis_is_orthonormal(self, case, monkeypatch):
+        from rdmd.sketch import _power_step_basis
+
+        returned = self.spy_cholesky_qr2(monkeypatch)
+        if case == "kappa_1e6":
+            # CholeskyQR2 path; one Cholesky pass alone leaves ~1e-4 here
+            y = matrix_with_spectrum(3000, 15, np.logspace(0, -6, 15), seed=43)
+        else:
+            y = normal_matrix(3000, 5, seed=44) @ normal_matrix(5, 15, seed=45)
+        q = _power_step_basis(y)
+        assert (returned[0] is None) == (case == "rank_deficient")
+        assert np.linalg.norm(q.T @ q - np.eye(15)) <= 1e-10 * np.sqrt(15)
+        assert np.linalg.norm(y - q @ (q.T @ y)) <= 1e-12 * np.linalg.norm(y)
+
+    @pytest.mark.parametrize("q", [1, 2])
+    def test_rank_deficient_sketch_falls_back_to_householder(self, q, monkeypatch):
+        returned = self.spy_cholesky_qr2(monkeypatch)
+        # noise-free rank 5 with l = 15: the first sketch Y = X Omega has 10
+        # numerically zero directions, so its Cholesky step must be rejected
+        # (later sketches hold rounding noise there and may pass the guard)
+        x = normal_matrix(3000, 5, seed=30) @ normal_matrix(5, 60, seed=31)
+        qb = randomized_qb(x, SketchConfig(5, 10, q, seed=32))
+        assert len(returned) == q and returned[0] is None
+        assert np.linalg.norm(qb.q.T @ qb.q - np.eye(15)) <= 1e-10 * np.sqrt(15)
+        assert np.linalg.norm(x - qb.q @ qb.b) <= 1e-10 * np.linalg.norm(x)
+
+    def test_cholesky_qr2_steps_match_householder_steps(self, monkeypatch):
+        import rdmd.sketch
+
+        x = matrix_with_spectrum(3000, 60, 0.9 ** np.arange(60), seed=33)
+        cfg = SketchConfig(5, 10, 2, seed=34)
+        returned = self.spy_cholesky_qr2(monkeypatch)
+        fast = randomized_qb(x, cfg)
+        assert len(returned) == 2 and all(f is not None for f in returned)
+        monkeypatch.setattr(rdmd.sketch, "_cholesky_qr2", lambda y: None)
+        ref = randomized_qb(x, cfg)
+        signs = np.sign(np.sum(fast.q * ref.q, axis=0))
+        assert np.max(np.abs(fast.q * signs - ref.q)) <= 1e-10
+        assert np.max(np.abs(fast.b * signs[:, None] - ref.b)) <= 1e-10 * np.abs(ref.b).max()
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_names_the_first_bad_row(self, value):
+        x = normal_matrix(500, 30, seed=35)
+        x[321, 7] = value
+        x[400, 2] = value
+        with pytest.raises(NonFiniteInput, match=f"row 321, column 7 is {value}") as info:
+            randomized_qb(x, SketchConfig(3, 3, 1, seed=36))
+        assert info.value.row == 321
+
+    def test_finite_overflow_names_no_row(self):
+        x = normal_matrix(500, 30, seed=37)
+        x[:, :] = 1e308
+        with pytest.raises(NonFiniteInput, match="overflowed") as info:
+            randomized_qb(x, SketchConfig(3, 3, 1, seed=38))
+        assert info.value.row is None
 
 
 class TestExpectedErrorBound:
