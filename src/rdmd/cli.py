@@ -189,10 +189,7 @@ def _cmd_decompose(args) -> int:
         return 2
     os.makedirs(args.out, exist_ok=True)
     rows, cols = sms_shape(args.input)
-    compress_dim = args.compress_dim
-    if args.method == "cdmd" and compress_dim is None:
-        compress_dim = min(rows, 10 * args.rank)
-    cfg = _build_config(args, args.method, _default_seed(args.seed), compress_dim)
+    cfg = _build_config(args, args.method, _default_seed(args.seed), args.compress_dim)
 
     timings = {}
     with memguard.session(cap_bytes=args.memory_cap) as guard:
@@ -235,7 +232,7 @@ def _cmd_decompose(args) -> int:
                 "oversample": cfg.sketch.oversampling,
                 "power_iters": cfg.sketch.power_iters,
                 "sketch_size": cfg.sketch.sketch_size,
-                "compress_dim": cfg.compress_dim,
+                "compress_dim": result.diagnostics["config"]["compress_dim"],
                 "sampling": args.sampling if args.method == "cdmd" else None,
                 "blocks": args.blocks,
                 "seed": cfg.sketch.seed,

@@ -44,6 +44,7 @@ from .errors import (
 from .linalg import (
     FilterSpec,
     _as_matrix,
+    _require_finite,
     default_rank_tol,
     divide_where,
     eig_dense,
@@ -261,21 +262,29 @@ _projected_basis = attrgetter("left_vectors")
 _exact_basis = attrgetter("right_projected")
 
 
-def _pipeline(split, cfg, timings, config, *, method, basis, x0, lift=None):
+def _pipeline(split, cfg, timings, config, *, method, basis, data, lift=None):
     """Low-dimensional DMD of `split`, shared by every variant.
 
     The variants differ only in the split (X, S X or the sketch B), in
     `basis(op)`, the matrix the low-dimensional eigenvectors multiply, and
     in `lift`, which maps that product through the orthonormal sketch basis
-    Q to the state space (omitted when it is already there). Amplitudes are
-    fitted against x0, the first snapshot in the space the product lives in.
+    Q to the state space (omitted when it is already there). `data` holds
+    the snapshots in the space the product lives in (X, or B where it is
+    lifted); amplitudes are fitted against its first column x0. NaN or Inf
+    in the low-dimensional operator, the product or x0 raises
+    NonFiniteInput naming the first such entry of `data`.
     """
+    x0 = data[:, 0]
     with stage(timings, "svd"):
-        op = low_dim_operator(split, cfg.target_rank, cfg.regularization)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked right below
+            op = low_dim_operator(split, cfg.target_rank, cfg.regularization)
+        _require_finite(data, op.operator)
     with stage(timings, "eig"):
         pairs = eig_dense(op.operator)
     with stage(timings, "modes"):
-        small = basis(op) @ pairs.eigenvectors
+        with np.errstate(over="ignore", invalid="ignore"):  # checked right below
+            small = basis(op) @ pairs.eigenvectors
+        _require_finite(data, small, x0)
         # the modes are a fresh complex array (`small` or its lift), so they
         # are normalized in place rather than copied; `small` is read again
         # below only when it was lifted and so left as it is
@@ -284,7 +293,7 @@ def _pipeline(split, cfg, timings, config, *, method, basis, x0, lift=None):
     with stage(timings, "amplitudes"):
         # With Q orthonormal, fitting the modes against the first snapshot
         # equals fitting Q^T modes = small * factors against its projection
-        # B[:, 0] (the x0 a lifted variant passes); this avoids another pass
+        # B[:, 0], the x0 of a lifted variant; this avoids another pass
         # over the state dimension.
         amp = _fit_amplitudes(modes if lift is None else small * factors, x0)
     return DmdResult(
@@ -308,7 +317,7 @@ def dmd_deterministic(x, cfg: DmdConfig) -> DmdResult:
     basis = _exact_basis if cfg.method == "deterministic_exact" else _projected_basis
     return _pipeline(
         split_snapshots(a), cfg, {}, _config_echo(cfg, None, 1),
-        method=cfg.method, basis=basis, x0=a[:, 0],
+        method=cfg.method, basis=basis, data=a,
     )
 
 
@@ -337,7 +346,7 @@ def dmd_randomized(x, cfg: DmdConfig) -> DmdResult:
         qb = randomized_qb(a, sketch)
     return _pipeline(
         split_snapshots(qb.b), cfg, timings, _config_echo(cfg, sketch, 1),
-        method="randomized", basis=_exact_basis, x0=qb.b[:, 0], lift=lambda m: qb.q @ m,
+        method="randomized", basis=_exact_basis, data=qb.b, lift=lambda m: qb.q @ m,
     )
 
 
@@ -356,7 +365,7 @@ def dmd_randomized_blocked(source, cfg: DmdConfig) -> DmdResult:
     result = _pipeline(
         split_snapshots(blocked.b), cfg, timings,
         _config_echo(cfg, sketch, blocked.block_count),
-        method="randomized", basis=_exact_basis, x0=blocked.b[:, 0],
+        method="randomized", basis=_exact_basis, data=blocked.b,
         lift=lambda m: apply_q(blocked, m),
     )
     result.diagnostics["blocked"] = True
@@ -400,12 +409,13 @@ def dmd_compressed(x, cfg: DmdConfig, operator=None) -> DmdResult:
                     f"compression operator has {operator.shape[1]} columns, data has {n} rows"
                 )
             compressed = operator @ a
+        _require_finite(a, compressed)
 
     config = _config_echo(cfg, sketch, 1)
     config["compress_dim"] = int(compressed.shape[0])
     return _pipeline(
         split_snapshots(compressed), cfg, timings, config, method="compressed",
-        basis=lambda op: (split.right @ op.right_vectors) * op.inv_singular, x0=a[:, 0],
+        basis=lambda op: (split.right @ op.right_vectors) * op.inv_singular, data=a,
     )
 
 

@@ -15,13 +15,10 @@ from . import memguard
 from .errors import (
     ConvergenceFailure,
     NegativeLambda,
+    NonFiniteInput,
     RankOutOfRange,
     ShapeMismatch,
 )
-
-# Row-block height of the blocked QR in `thin_qr_q`: a 8192 x l block of a
-# tall-skinny sketch (l ~ 15) stays in cache while LAPACK factors it.
-_TSQR_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -88,6 +85,27 @@ def economic_svd(x) -> SvdFactors:
     return SvdFactors(u=u, singular_values=s, v=vh.T)
 
 
+def _non_finite_error(a: np.ndarray) -> NonFiniteInput:
+    """The error for a NaN or Inf in a buffer formed from `a`: names the
+    first entry of `a` that is NaN or Inf, scanning a few thousand rows at a
+    time, or, with `row` None, says that a product of the finite `a`
+    overflowed."""
+    step = 4096
+    for start in range(0, a.shape[0], step):
+        bad = np.argwhere(~np.isfinite(a[start : start + step]))
+        if bad.size:
+            row, col = start + int(bad[0, 0]), int(bad[0, 1])
+            return NonFiniteInput(f"row {row}, column {col} is {a[row, col]}", row=row)
+    return NonFiniteInput("a product of the finite input overflowed")
+
+
+def _require_finite(data: np.ndarray, *buffers: np.ndarray) -> None:
+    """Raise `_non_finite_error(data)` when one of `buffers`, formed from
+    `data`, holds NaN or Inf; `data` itself is read only then."""
+    if not all(np.isfinite(b).all() for b in buffers):
+        raise _non_finite_error(data)
+
+
 def _cholesky_qr2(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """CholeskyQR2 factors (Fukaya et al., 2014) of a tall matrix, or None
     where they are not accurate.
@@ -99,13 +117,22 @@ def _cholesky_qr2(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | 
     Cholesky factorization or ||Q1^T Q1 - I||_2 > 1/2 (rank-deficient or
     worse-conditioned input) yields None. The triangular factors are only
     cols x cols, so callers invert them rather than solve against them.
+
+    A NaN or Inf in A shows in A^T A, which then raises NonFiniteInput
+    naming the first such entry of A; a finite A whose A^T A overflowed
+    yields None.
     """
     n, c = a.shape
     try:
         # Entries near the float64 range limits overflow A^T A; the checks
         # below then reject the factors, so the overflow is not reported.
         with np.errstate(over="ignore", invalid="ignore"):
-            r1 = np.linalg.cholesky(a.T @ a).T
+            gram = a.T @ a
+            if not np.isfinite(gram).all():
+                error = _non_finite_error(a)
+                if error.row is not None:
+                    raise error
+            r1 = np.linalg.cholesky(gram).T
             memguard.note(n * c * 8)
             q1 = a @ np.linalg.inv(r1)
             gram = q1.T @ q1
@@ -145,6 +172,10 @@ def truncated_svd(x, k: int) -> SvdFactors:
     the cols x cols R factor, which forms only the k kept left vectors; when
     that path is inaccurate (see `_cholesky_qr2_svd`) and for every other
     shape, the result is the slice of `economic_svd`.
+
+    NaN or Inf in the input raises NonFiniteInput naming its first such
+    entry: tall inputs show it in the Gram matrix of CholeskyQR2, every
+    other shape is checked before LAPACK runs.
     """
     a = _as_matrix(x)
     if not 1 <= k <= min(a.shape):
@@ -155,6 +186,8 @@ def truncated_svd(x, k: int) -> SvdFactors:
         fast = _cholesky_qr2_svd(a, k)
         if fast is not None:
             return fast
+    elif not np.isfinite(a).all():
+        raise _non_finite_error(a)
     f = economic_svd(a)
     return SvdFactors(f.u[:, :k], f.singular_values[:k], f.v[:, :k])
 
@@ -162,12 +195,12 @@ def truncated_svd(x, k: int) -> SvdFactors:
 def thin_qr_q(x) -> np.ndarray:
     """Orthonormal factor Q of the thin QR decomposition (rows >= cols).
 
-    Tall-skinny inputs (rows >= 2 * _TSQR_ROWS, cols <= _TSQR_ROWS) run a
-    blocked Householder QR, TSQR (Demmel, Grigori, Hoemmen & Langou, 2012):
-    each row block of _TSQR_ROWS rows (the last one also takes the
-    remainder) is factored Q_i R_i while it is cache-resident, the stacked
-    R_i are factored Q_hat R, and Q = diag(Q_i) Q_hat, a product of
-    orthonormal factors. Every other input is one LAPACK call.
+    Inputs with rows >= 2 * cols run guarded CholeskyQR2 and return
+    Q1 R2^-1 (see `_cholesky_qr2`): the guard ||Q1^T Q1 - I||_2 <= 1/2
+    keeps the second pass's input within kappa <= sqrt(3), where CholeskyQR2
+    is orthogonal to the order of rounding, as Householder QR is (Yamamoto,
+    Nakatsukasa, Yanagisawa & Fukaya, 2015). Every other input, and every
+    input the guard rejects, is one LAPACK Householder call.
     """
     a = _as_matrix(x)
     n, c = a.shape
@@ -175,21 +208,14 @@ def thin_qr_q(x) -> np.ndarray:
         raise ShapeMismatch(
             f"thin QR needs rows >= cols, got shape {a.shape}"
         )
+    if n >= 2 * c:
+        factors = _cholesky_qr2(a)
+        if factors is not None:
+            q1, _, r2 = factors
+            memguard.note(n * c * 8)
+            return q1 @ np.linalg.inv(r2)
     memguard.note(n * c * 8)
-    if n < 2 * _TSQR_ROWS or c > _TSQR_ROWS:
-        return np.linalg.qr(a, mode="reduced")[0]
-    edges = [i * _TSQR_ROWS for i in range(n // _TSQR_ROWS)] + [n]
-    q = np.empty((n, c))
-    r_factors = []
-    for start, stop in zip(edges, edges[1:]):
-        q[start:stop], r = np.linalg.qr(a[start:stop], mode="reduced")
-        r_factors.append(r)
-    q_hat = np.linalg.qr(np.vstack(r_factors), mode="reduced")[0]
-    for i, (start, stop) in enumerate(zip(edges, edges[1:])):
-        # in place: numpy buffers an operand that overlaps `out`, one block
-        # at a time, so no second n x c array is formed
-        np.matmul(q[start:stop], q_hat[i * c : (i + 1) * c], out=q[start:stop])
-    return q
+    return np.linalg.qr(a, mode="reduced")[0]
 
 
 def singular_values_of_rows(blocks) -> np.ndarray:
@@ -284,19 +310,13 @@ def sort_eigenpairs(
     return v[order], np.asarray(vectors, dtype=np.complex128)[:, order]
 
 
-def normalize_phase(vectors: np.ndarray) -> np.ndarray:
-    """Unit 2-norm columns with the largest-magnitude entry rotated to be
-    real and positive; removes the scale/phase ambiguity of eigenvectors."""
-    w = np.array(vectors, dtype=np.complex128, copy=True)
-    normalize_phase_in_place(w)
-    return w
-
-
 def normalize_phase_in_place(w: np.ndarray) -> np.ndarray:
-    """`normalize_phase` overwriting the columns of the complex128 array
-    `w`, which saves a copy of a state-dimension-sized mode matrix.
-    Returns the complex factor each column was scaled by, so a
-    low-dimensional stand-in of the vectors can be scaled the same way."""
+    """Scale the columns of the complex128 array `w` in place to unit
+    2-norm with the largest-magnitude entry real and positive, which
+    removes the scale/phase ambiguity of eigenvectors without a copy of a
+    state-dimension-sized mode matrix. Returns the complex factor each
+    column was scaled by, so a low-dimensional stand-in of the vectors can
+    be scaled the same way."""
     factors = np.ones(w.shape[1], dtype=np.complex128)
     for j in range(w.shape[1]):
         col = w[:, j]
@@ -322,5 +342,7 @@ def eig_dense(a) -> ComplexEigenPairs:
         values, vectors = np.linalg.eig(m)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigendecomposition failed: {exc}") from exc
+    # sort_eigenpairs returns a fresh array, so it is normalized in place
     values, vectors = sort_eigenpairs(values, vectors)
-    return ComplexEigenPairs(values, normalize_phase(vectors))
+    normalize_phase_in_place(vectors)
+    return ComplexEigenPairs(values, vectors)

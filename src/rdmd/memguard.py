@@ -28,10 +28,8 @@ class Session:
     def __init__(self, cap_bytes: int | None):
         self.cap_bytes = cap_bytes
         self.largest_bytes = 0
-        self.count = 0
 
     def note(self, nbytes: int) -> None:
-        self.count += 1
         if nbytes > self.largest_bytes:
             self.largest_bytes = nbytes
         if self.cap_bytes is not None and nbytes > self.cap_bytes:

@@ -19,11 +19,10 @@ from . import memguard
 from .errors import (
     InvalidDistribution,
     InvalidOversampling,
-    NonFiniteInput,
     RankOutOfRange,
     ShapeMismatch,
 )
-from .linalg import _as_matrix, _cholesky_qr2, thin_qr_q
+from .linalg import _as_matrix, _require_finite, thin_qr_q
 from .rng import normal_matrix, uniforms
 
 
@@ -88,31 +87,6 @@ def gaussian_test_matrix(rows: int, cols: int, seed: int) -> np.ndarray:
     return normal_matrix(rows, cols, seed)
 
 
-def _non_finite_error(a: np.ndarray) -> NonFiniteInput:
-    """The error for a non-finite sketch of `a`: names the first entry of
-    `a` that is NaN or Inf, scanning a few thousand rows at a time, or says
-    that the sketch overflowed when `a` is finite."""
-    step = 4096
-    for start in range(0, a.shape[0], step):
-        bad = np.argwhere(~np.isfinite(a[start : start + step]))
-        if bad.size:
-            row, col = start + int(bad[0, 0]), int(bad[0, 1])
-            return NonFiniteInput(f"row {row}, column {col} is {a[row, col]}", row=row)
-    return NonFiniteInput("the sketch X Omega overflowed on finite input")
-
-
-def _power_step_basis(y: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the sketch inside a power iteration: CholeskyQR2
-    Q1 R2^-1, or the Householder `thin_qr_q` where `_cholesky_qr2` rejects
-    y (numerically rank-deficient or kappa >~ 1e8)."""
-    factors = _cholesky_qr2(y)
-    if factors is None:
-        return thin_qr_q(y)
-    q1, _, r2 = factors
-    memguard.note(q1.nbytes)
-    return q1 @ np.linalg.inv(r2)
-
-
 def randomized_qb(x, cfg: SketchConfig) -> QBFactorization:
     """Randomized QB factorization with oversampling and power iterations.
 
@@ -120,11 +94,7 @@ def randomized_qb(x, cfg: SketchConfig) -> QBFactorization:
     cfg.power_iters stabilized power iterations (each re-orthonormalizes Y,
     orthonormalizes X^T Q, and resamples Y = X Z; the naive (X X^T)^q X
     product is numerically unstable), then orthonormalizes once more and
-    projects B = Q^T X. Halko, Martinsson & Tropp (2011, sec. 4.5) only ask
-    the intermediate steps to be stable, so the n x l sketches inside the
-    power iterations go through guarded CholeskyQR2; the final basis is
-    always Householder (`thin_qr_q`), so the returned Q satisfies the
-    orthonormality contract unconditionally.
+    projects B = Q^T X. All 2q + 1 orthonormalizations are `thin_qr_q`.
 
     A sketch holding NaN or Inf raises NonFiniteInput naming the first bad
     entry of X before any orthonormalization; on finite data that check
@@ -145,10 +115,9 @@ def randomized_qb(x, cfg: SketchConfig) -> QBFactorization:
     memguard.note(n * l * 8)
     with np.errstate(over="ignore", invalid="ignore"):  # checked right below
         y = (omega.T @ a.T).T
-    if not np.isfinite(y).all():
-        raise _non_finite_error(a)
+    _require_finite(a, y)
     for _ in range(cfg.power_iters):
-        z = thin_qr_q((_power_step_basis(y).T @ a).T)
+        z = thin_qr_q((thin_qr_q(y).T @ a).T)
         memguard.note(n * l * 8)
         y = (z.T @ a.T).T
     q = thin_qr_q(y)

@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
 
-from rdmd import thin_qr_q
 from rdmd.rng import normal_matrix
 
 
 def matrix_with_spectrum(n: int, m: int, sigmas, seed: int) -> np.ndarray:
-    """U diag(sigmas) V^T with seeded random orthonormal factors."""
+    """U diag(sigmas) V^T with seeded random orthonormal factors.
+
+    The factors come from LAPACK's Householder QR, not from the library's
+    `thin_qr_q`, so the test matrices do not move with the code under test.
+    """
     sigmas = np.asarray(sigmas, dtype=np.float64)
     r = sigmas.size
-    u = thin_qr_q(normal_matrix(n, r, seed))
-    v = thin_qr_q(normal_matrix(m, r, seed + 1))
+    u = np.linalg.qr(normal_matrix(n, r, seed))[0]
+    v = np.linalg.qr(normal_matrix(m, r, seed + 1))[0]
     return (u * sigmas) @ v.T
 
 

@@ -67,26 +67,6 @@ class TestBlockedQb:
         assert np.array_equal(blocked.b, plain.b)
         assert np.array_equal(assemble_q(blocked), plain.q)
 
-    def test_single_block_bit_identical_on_the_tsqr_branch(self):
-        from rdmd import DmdConfig, dmd_randomized, dmd_randomized_blocked
-        from rdmd.linalg import _TSQR_ROWS
-
-        # at >= 2 * _TSQR_ROWS rows the final basis runs the blocked QR
-        x = normal_matrix(2 * _TSQR_ROWS + 777, 4, seed=23) @ normal_matrix(
-            4, 41, seed=24
-        ) + 1e-3 * normal_matrix(2 * _TSQR_ROWS + 777, 41, seed=25)
-        cfg = SketchConfig(4, 6, 2, seed=26)
-        blocked = blocked_randomized_qb(ArrayRowBlockSource(x, 1), cfg)
-        plain = randomized_qb(x, cfg)
-        assert np.array_equal(blocked.b, plain.b)
-        assert np.array_equal(assemble_q(blocked), plain.q)
-        dmd_cfg = DmdConfig(target_rank=4, method="randomized", sketch=cfg)
-        single = dmd_randomized_blocked(ArrayRowBlockSource(x, 1), dmd_cfg)
-        unblocked = dmd_randomized(x, dmd_cfg)
-        assert np.array_equal(single.eigenvalues, unblocked.eigenvalues)
-        assert np.array_equal(single.modes, unblocked.modes)
-        assert np.array_equal(single.amplitudes, unblocked.amplitudes)
-
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_names_block_and_global_row(self, value):
         x = normal_matrix(90, 20, seed=27)

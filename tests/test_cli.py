@@ -191,8 +191,18 @@ class TestErrors:
 
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("blocks", ["1", "3"])
-    def test_non_finite_input_is_runtime_error(self, workspace, tmp_path, value, blocks):
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--method", "rdmd", "--blocks", "1"],
+            ["--method", "rdmd", "--blocks", "3"],
+            ["--method", "dmd"],
+            ["--method", "cdmd", "--sampling", "gaussian"],
+            ["--method", "cdmd", "--sampling", "uniform"],
+        ],
+        ids=["1", "3", "dmd", "cdmd-gaussian", "cdmd-uniform"],
+    )
+    def test_non_finite_input_is_runtime_error(self, workspace, tmp_path, value, flags):
         from rdmd.datasets import SMS_HEADER_BYTES
 
         data = rdmd.read_sms(workspace / "x.sms")
@@ -204,13 +214,14 @@ class TestErrors:
             fh.seek(SMS_HEADER_BYTES + 8 * (row * data.shape[1] + col))
             fh.write(np.array([value], "<f8").tobytes())
         res = run_cli(
-            "decompose", "--input", str(path), "--method", "rdmd", "--rank", "5",
-            "--blocks", blocks, "--out", str(tmp_path / "o"),
+            "decompose", "--input", str(path), *flags, "--rank", "5",
+            "--out", str(tmp_path / "o"),
         )
         assert res.returncode == 1
         assert "NonFiniteInput" in res.stderr
+        assert "Traceback" not in res.stderr
         assert f"column {col} is {value}" in res.stderr
-        assert ("block 2: row 50" if blocks == "3" else f"row {row}") in res.stderr
+        assert ("block 2: row 50" if flags[-1] == "3" else f"row {row}") in res.stderr
         assert not (tmp_path / "o" / "report.json").exists()
 
 
@@ -283,6 +294,20 @@ class TestCompressedCli:
         assert report["config"]["compress_dim"] == 40
         # uniform sampling on noise-free exact-rank data still recovers exactly
         assert report["eigen_match_error"] <= 1e-6
+
+    def test_default_compress_dim_is_reported(self, workspace, tmp_path):
+        outs = {}
+        for name, extra in (("default", []), ("explicit", ["--compress-dim", "50"])):
+            outs[name] = tmp_path / name
+            res = run_cli(
+                "decompose", "--input", str(workspace / "x.sms"), "--method", "cdmd",
+                "--rank", "5", "--seed", "4", *extra, "--out", str(outs[name]),
+            )
+            assert res.returncode == 0, res.stderr
+        report = json.loads((outs["default"] / "report.json").read_text())
+        assert report["config"]["compress_dim"] == min(300, 10 * 5)
+        for name in ("eigenvalues.csv", "amplitudes.csv", "modes_re.sms", "modes_im.sms"):
+            assert (outs["default"] / name).read_bytes() == (outs["explicit"] / name).read_bytes()
 
 
 class TestQb:

@@ -24,12 +24,14 @@ from rdmd import (
     split_snapshots,
     synth_linear_dynamics,
     truncated_svd,
+    uniform_sampling_operator,
 )
 from rdmd.dmd import DmdResult, SnapshotSplit
 from rdmd.errors import (
     DegenerateData,
     EmptyInput,
     MissingAmplitudes,
+    NonFiniteInput,
     RankOutOfRange,
     TooFewSnapshots,
 )
@@ -313,6 +315,40 @@ class TestCompressed:
             dmd_compressed(
                 x, DmdConfig(target_rank=4, method="compressed", compress_dim=2)
             )
+
+
+class TestNonFiniteInput:
+    # 200 x 30 snapshots are tall, so the deterministic SVD sees a bad entry
+    # in the Gram matrix of X_L; 60 x 40 ones are not, so their SVD input is
+    # checked directly. cdmd keeps 40 rows, and the uniform sampler of seed
+    # 9 either draws the bad row or skips it.
+    METHODS = {
+        "projected": ("deterministic_projected", "gaussian", (200, 30)),
+        "projected_wide": ("deterministic_projected", "gaussian", (60, 40)),
+        "exact": ("deterministic_exact", "gaussian", (200, 30)),
+        "compressed_gaussian": ("compressed", "gaussian", (200, 30)),
+        "compressed_uniform_sampled": ("compressed", "uniform_rows", (200, 30)),
+        "compressed_uniform_skipped": ("compressed", "uniform_rows", (200, 30)),
+    }
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["first_column", "interior", "last_column"])
+    @pytest.mark.parametrize("case", sorted(METHODS))
+    def test_names_the_bad_entry(self, case, where, value):
+        method, sampling, (n, m) = self.METHODS[case]
+        sampled = uniform_sampling_operator(n, 40, seed=9).indices
+        rows = np.setdiff1d(np.arange(n), sampled) if case.endswith("skipped") else sampled
+        row = int(rows[len(rows) // 2])
+        col = {"first_column": 0, "interior": m // 2, "last_column": m - 1}[where]
+        x = normal_matrix(n, m, seed=52)
+        x[row, col] = value
+        cfg = DmdConfig(
+            target_rank=4, method=method, compress_dim=40, sampling=sampling,
+            sketch=SketchConfig(4, seed=9),
+        )
+        with pytest.raises(NonFiniteInput, match=f"^row {row}, column {col} is {value}$") as info:
+            run_dmd(x, cfg)
+        assert info.value.row == row
 
 
 class TestAmplitudesAndReconstruct:

@@ -16,7 +16,7 @@ from rdmd.errors import (
     RankOutOfRange,
     ShapeMismatch,
 )
-from rdmd.linalg import normalize_phase, sort_eigenpairs
+from rdmd.linalg import normalize_phase_in_place, sort_eigenpairs
 from rdmd.rng import normal_matrix
 
 from conftest import matrix_with_spectrum
@@ -154,43 +154,44 @@ class TestThinQr:
         with pytest.raises(ShapeMismatch):
             thin_qr_q(normal_matrix(3, 5, seed=12))
 
-    def test_below_tsqr_threshold_is_one_lapack_call(self):
-        from rdmd.linalg import _TSQR_ROWS
+    @pytest.mark.parametrize(
+        "case",
+        ["well_conditioned", "kappa_1e6", "rank_deficient", "kappa_1e12", "rows_below_2_cols"],
+    )
+    def test_cholesky_qr2_or_one_householder_call(self, case, monkeypatch):
+        import rdmd.linalg
 
-        x = normal_matrix(2 * _TSQR_ROWS - 1, 6, seed=13)
-        assert np.array_equal(thin_qr_q(x), np.linalg.qr(x, mode="reduced")[0])
-
-    @pytest.mark.parametrize("case", ["well_conditioned", "rank_deficient", "kappa_1e12"])
-    def test_tsqr_orthonormal_and_spanning(self, case, monkeypatch):
-        from rdmd.linalg import _TSQR_ROWS
-
-        # three row blocks, the last one ragged (_TSQR_ROWS + 1234 rows)
-        n, l = 3 * _TSQR_ROWS + 1234, 12
+        n, l = 3000, 15
         if case == "well_conditioned":
             x = normal_matrix(n, l, seed=14)
+        elif case == "kappa_1e6":
+            # one Cholesky pass alone leaves ~1e-4 here
+            x = matrix_with_spectrum(n, l, np.logspace(0, -6, l), seed=43)
         elif case == "rank_deficient":
-            x = normal_matrix(n, 4, seed=15) @ normal_matrix(4, l, seed=16)
-        else:
+            x = normal_matrix(n, 5, seed=44) @ normal_matrix(5, l, seed=45)
+        elif case == "kappa_1e12":
             x = matrix_with_spectrum(n, l, np.logspace(0, -12, l), seed=17)
-        calls = []
-        qr = np.linalg.qr
+        else:
+            x = normal_matrix(2 * l - 1, l, seed=13)
+        returned = []
+        inner = rdmd.linalg._cholesky_qr2
 
-        def counting_qr(a, mode="reduced"):
-            calls.append(a.shape)
-            return qr(a, mode=mode)
+        def spy(a):
+            returned.append(inner(a))
+            return returned[-1]
 
-        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        monkeypatch.setattr(rdmd.linalg, "_cholesky_qr2", spy)
         q = thin_qr_q(x)
-        monkeypatch.undo()
-        assert [rows for rows, _ in calls] == [_TSQR_ROWS, _TSQR_ROWS, _TSQR_ROWS + 1234, 3 * l]
-        assert q.shape == (n, l)
+        ref = np.linalg.qr(x, mode="reduced")[0]
         assert np.linalg.norm(q.T @ q - np.eye(l)) <= 1e-10 * np.sqrt(l)
-        assert np.linalg.norm(x - q @ (q.T @ x)) <= 1e-12 * np.linalg.norm(x)
-        if case == "well_conditioned":
-            # the same factor as one Householder QR, up to column signs
-            ref = np.linalg.qr(x, mode="reduced")[0]
+        if case in ("well_conditioned", "kappa_1e6"):
+            assert len(returned) == 1 and returned[0] is not None
+            # the same factor as the Householder QR, up to column signs
             signs = np.sign(np.sum(q * ref, axis=0))
-            assert np.max(np.abs(q * signs - ref)) <= 1e-12
+            assert np.max(np.abs(q * signs - ref)) <= 1e-9
+        else:
+            assert returned == ([] if case == "rows_below_2_cols" else [None])
+            assert np.array_equal(q, ref)
 
 
 class TestSingularValuesOfRows:
@@ -319,9 +320,9 @@ class TestEigDense:
 
 def test_normalize_phase_pins_largest_entry():
     w = np.array([[1.0 + 1.0j, 0.3], [2.0 - 1.0j, -0.9]])
-    out = normalize_phase(w)
+    normalize_phase_in_place(w)
     for j in range(2):
-        col = out[:, j]
+        col = w[:, j]
         assert abs(np.linalg.norm(col) - 1.0) < 1e-14
         pivot = col[np.argmax(np.abs(col))]
         assert pivot.imag == 0.0

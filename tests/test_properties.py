@@ -8,22 +8,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rdmd import SketchConfig, randomized_qb
-from rdmd.linalg import _TSQR_ROWS
 from rdmd.rng import normal_matrix
 
 
 @settings(max_examples=20, deadline=None, database=None)
 @given(
-    rows=st.integers(min_value=20, max_value=3 * _TSQR_ROWS),
+    rows=st.integers(min_value=20, max_value=20_000),
     cols=st.integers(min_value=20, max_value=40),
     rank=st.integers(min_value=1, max_value=5),
     oversampling=st.integers(min_value=0, max_value=15),
     power_iters=st.integers(min_value=0, max_value=2),
     seed=st.integers(min_value=0, max_value=2**31 - 1),
 )
-# both sides of the threshold where the final basis switches to blocked QR
-@example(rows=2 * _TSQR_ROWS - 1, cols=30, rank=5, oversampling=10, power_iters=2, seed=1)
-@example(rows=2 * _TSQR_ROWS, cols=30, rank=5, oversampling=10, power_iters=2, seed=1)
+# both sides of rows = 2 l, where the n x l bases switch from one Householder
+# call to CholeskyQR2
+@example(rows=29, cols=30, rank=5, oversampling=10, power_iters=2, seed=1)
+@example(rows=30, cols=30, rank=5, oversampling=10, power_iters=2, seed=1)
 def test_randomized_qb_basis_is_orthonormal(rows, cols, rank, oversampling, power_iters, seed):
     # low rank plus small noise, so the CholeskyQR2 steps and their
     # Householder fallback both occur across examples

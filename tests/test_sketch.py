@@ -126,22 +126,22 @@ class TestRandomizedQb:
 class TestPowerIterationOrthonormalization:
     @staticmethod
     def spy_cholesky_qr2(monkeypatch):
-        import rdmd.sketch
+        import rdmd.linalg
 
         returned = []
-        inner = rdmd.sketch._cholesky_qr2
+        inner = rdmd.linalg._cholesky_qr2
 
         def spy(y):
             factors = inner(y)
             returned.append(factors)
             return factors
 
-        monkeypatch.setattr(rdmd.sketch, "_cholesky_qr2", spy)
+        monkeypatch.setattr(rdmd.linalg, "_cholesky_qr2", spy)
         return returned
 
     @pytest.mark.parametrize("case", ["kappa_1e6", "rank_deficient"])
     def test_power_step_basis_is_orthonormal(self, case, monkeypatch):
-        from rdmd.sketch import _power_step_basis
+        from rdmd import thin_qr_q
 
         returned = self.spy_cholesky_qr2(monkeypatch)
         if case == "kappa_1e6":
@@ -149,7 +149,7 @@ class TestPowerIterationOrthonormalization:
             y = matrix_with_spectrum(3000, 15, np.logspace(0, -6, 15), seed=43)
         else:
             y = normal_matrix(3000, 5, seed=44) @ normal_matrix(5, 15, seed=45)
-        q = _power_step_basis(y)
+        q = thin_qr_q(y)
         assert (returned[0] is None) == (case == "rank_deficient")
         assert np.linalg.norm(q.T @ q - np.eye(15)) <= 1e-10 * np.sqrt(15)
         assert np.linalg.norm(y - q @ (q.T @ y)) <= 1e-12 * np.linalg.norm(y)
@@ -162,19 +162,20 @@ class TestPowerIterationOrthonormalization:
         # (later sketches hold rounding noise there and may pass the guard)
         x = normal_matrix(3000, 5, seed=30) @ normal_matrix(5, 60, seed=31)
         qb = randomized_qb(x, SketchConfig(5, 10, q, seed=32))
-        assert len(returned) == q and returned[0] is None
+        # every one of the 2q + 1 orthonormalizations tries CholeskyQR2
+        assert len(returned) == 2 * q + 1 and returned[0] is None
         assert np.linalg.norm(qb.q.T @ qb.q - np.eye(15)) <= 1e-10 * np.sqrt(15)
         assert np.linalg.norm(x - qb.q @ qb.b) <= 1e-10 * np.linalg.norm(x)
 
     def test_cholesky_qr2_steps_match_householder_steps(self, monkeypatch):
-        import rdmd.sketch
+        import rdmd.linalg
 
         x = matrix_with_spectrum(3000, 60, 0.9 ** np.arange(60), seed=33)
         cfg = SketchConfig(5, 10, 2, seed=34)
         returned = self.spy_cholesky_qr2(monkeypatch)
         fast = randomized_qb(x, cfg)
-        assert len(returned) == 2 and all(f is not None for f in returned)
-        monkeypatch.setattr(rdmd.sketch, "_cholesky_qr2", lambda y: None)
+        assert len(returned) == 5 and all(f is not None for f in returned)
+        monkeypatch.setattr(rdmd.linalg, "_cholesky_qr2", lambda y: None)
         ref = randomized_qb(x, cfg)
         signs = np.sign(np.sum(fast.q * ref.q, axis=0))
         assert np.max(np.abs(fast.q * signs - ref.q)) <= 1e-10
