@@ -13,7 +13,7 @@ keeps both the pass count and the memory footprint at one block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -80,14 +80,8 @@ def blocked_randomized_qb(source, cfg: SketchConfig) -> BlockedQB:
             raise RankOutOfRange(
                 f"sketch size {l} exceeds block {i} of shape {block.shape}"
             )
-        block_cfg = SketchConfig(
-            target_rank=cfg.target_rank,
-            oversampling=cfg.oversampling,
-            power_iters=cfg.power_iters,
-            seed=derive_seed(cfg.seed, i),
-        )
         try:
-            qb = randomized_qb(block, block_cfg)
+            qb = randomized_qb(block, replace(cfg, seed=derive_seed(cfg.seed, i)))
         except NonFiniteInput as exc:
             if exc.row is None:
                 raise
@@ -107,13 +101,7 @@ def blocked_randomized_qb(source, cfg: SketchConfig) -> BlockedQB:
 
     memguard.note(b * l * m * 8)
     stacked = np.vstack(projections)
-    merge_cfg = SketchConfig(
-        target_rank=cfg.target_rank,
-        oversampling=cfg.oversampling,
-        power_iters=cfg.power_iters,
-        seed=derive_seed(cfg.seed, b),
-    )
-    merged = randomized_qb(stacked, merge_cfg)
+    merged = randomized_qb(stacked, replace(cfg, seed=derive_seed(cfg.seed, b)))
     return BlockedQB(
         block_bases=bases,
         merge_basis=merged.q,
@@ -135,16 +123,12 @@ def assemble_q(result: BlockedQB) -> np.ndarray:
 
 
 def apply_q(result: BlockedQB, v) -> np.ndarray:
-    """Compute Q @ v block-row by block-row without materializing Q."""
+    """Compute Q @ v for an l x c matrix v block-row by block-row without
+    materializing Q."""
     v = np.asarray(v)
-    if v.ndim == 1:
-        v = v[:, None]
-        squeeze = True
-    else:
-        squeeze = False
     l = result.sketch_size
-    if v.shape[0] != l:
-        raise ValueError(f"expected {l} rows, got {v.shape[0]}")
+    if v.ndim != 2 or v.shape[0] != l:
+        raise ValueError(f"expected an {l} x c matrix, got shape {v.shape}")
     n = sum(count for _, count in result.block_ranges)
     out_dtype = np.result_type(np.float64, v.dtype)
     memguard.note(n * v.shape[1] * out_dtype.itemsize)
@@ -152,4 +136,4 @@ def apply_q(result: BlockedQB, v) -> np.ndarray:
     for i, (start, count) in enumerate(result.block_ranges):
         rows = result.merge_basis[i * l : (i + 1) * l]
         out[start : start + count] = result.block_bases[i] @ (rows @ v)
-    return out[:, 0] if squeeze else out
+    return out

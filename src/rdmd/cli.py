@@ -25,7 +25,6 @@ from .datasets import (
     read_complex_csv,
     read_complex_matrix,
     read_sms,
-    sms_shape,
     synth_linear_dynamics,
     write_atomic,
     write_complex_csv,
@@ -44,7 +43,7 @@ from .errors import RdmdError
 from .linalg import singular_values_of_rows
 from .memguard import stage
 from .rng import derive_seed
-from .sketch import SketchConfig, expected_error_bound, randomized_qb
+from .sketch import expected_error_bound, randomized_qb
 
 _METHOD_FLAGS = {
     "dmd": "deterministic_projected",
@@ -164,22 +163,17 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _sketch_config(args, seed: int) -> SketchConfig:
-    return SketchConfig(
-        target_rank=args.rank,
-        oversampling=args.oversample if args.oversample is not None else 10,
-        power_iters=args.power_iters if args.power_iters is not None else 2,
-        seed=seed,
-    )
-
-
-def _build_config(args, method: str, seed: int, compress_dim: int | None) -> DmdConfig:
+def _build_config(args, method: str, seed: int, compress_dim: int | None = None) -> DmdConfig:
+    """The run configuration of `decompose`, `bench` and `qb`; a sketch flag
+    left unset keeps DmdConfig's default."""
+    sketch_flags = {"oversampling": args.oversample, "power_iters": args.power_iters}
     return DmdConfig(
         target_rank=args.rank,
         method=_METHOD_FLAGS[method],
-        sketch=_sketch_config(args, seed),
+        seed=seed,
         compress_dim=compress_dim,
         sampling=_SAMPLING_FLAGS[args.sampling],
+        **{name: value for name, value in sketch_flags.items() if value is not None},
     )
 
 
@@ -188,7 +182,6 @@ def _cmd_decompose(args) -> int:
         print("error: --blocks > 1 requires --method rdmd", file=sys.stderr)
         return 2
     os.makedirs(args.out, exist_ok=True)
-    rows, cols = sms_shape(args.input)
     cfg = _build_config(args, args.method, _default_seed(args.seed), args.compress_dim)
 
     timings = {}
@@ -196,6 +189,7 @@ def _cmd_decompose(args) -> int:
         if args.blocks > 1:
             with stage(timings, "load"):
                 source = open_row_blocks(args.input, args.blocks)
+            rows, cols = source.rows, source.cols
             with source:
                 with stage(timings, "decompose"):
                     result = dmd_randomized_blocked(source, cfg)
@@ -208,6 +202,7 @@ def _cmd_decompose(args) -> int:
         else:
             with stage(timings, "load"):
                 data = read_sms(args.input)
+            rows, cols = data.shape
             with stage(timings, "decompose"):
                 result = run_dmd(data, cfg)
             with stage(timings, "diagnostics"):
@@ -228,16 +223,8 @@ def _cmd_decompose(args) -> int:
             "method": args.method,
             "config": {
                 "input": args.input,
-                "rank": cfg.target_rank,
-                "oversample": cfg.sketch.oversampling,
-                "power_iters": cfg.sketch.power_iters,
-                "sketch_size": cfg.sketch.sketch_size,
-                "compress_dim": result.diagnostics["config"]["compress_dim"],
-                "sampling": args.sampling if args.method == "cdmd" else None,
-                "blocks": args.blocks,
-                "seed": cfg.sketch.seed,
-                "snr": None,
                 "memory_cap": args.memory_cap,
+                **result.diagnostics["config"],
             },
             "rows": rows,
             "cols": cols,
@@ -260,12 +247,12 @@ def _cmd_bench(args) -> int:
     data = read_sms(args.input)
     truth = _load_truth(args.truth) if args.truth else None
     seed0 = _default_seed(args.seed)
-    sketch = _sketch_config(args, seed0)
+    base = _build_config(args, "rdmd", seed0)
     # An equal-sketch-size comparison: cdmd compresses to k + p rows unless told.
     compress_dim = (
         args.compress_dim
         if args.compress_dim is not None
-        else min(data.shape[0], sketch.sketch_size)
+        else min(data.shape[0], base.sketch.sketch_size)
     )
 
     rows = []
@@ -313,8 +300,8 @@ def _cmd_bench(args) -> int:
             "input": args.input,
             "rank": args.rank,
             "seeds": args.seeds,
-            "oversample": sketch.oversampling,
-            "power_iters": sketch.power_iters,
+            "oversample": base.oversampling,
+            "power_iters": base.power_iters,
             "compress_dim": compress_dim,
             "sampling": args.sampling,
             "seed": seed0,
@@ -339,7 +326,7 @@ def _cmd_bench(args) -> int:
 
 def _cmd_qb(args) -> int:
     data = read_sms(args.input)
-    cfg = _sketch_config(args, _default_seed(args.seed))
+    cfg = _build_config(args, "rdmd", _default_seed(args.seed)).sketch
     timing = {}
     with stage(timing, "qb"):
         qb = randomized_qb(data, cfg)
@@ -448,7 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--power-iters", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_qb)
+    # qb has no --sampling flag; `_build_config` reads the library default
+    p.set_defaults(func=_cmd_qb, sampling="gaussian")
 
     p = sub.add_parser("reconstruct", help="replay modes into a snapshot file")
     p.add_argument("--modes", required=True,

@@ -62,7 +62,6 @@ class ModeSpec:
     amplitude: complex = 1.0 + 0.0j
     profile: str = "smooth"
     frequency: float | None = None
-    profile_seed: int | None = None
 
     def __post_init__(self):
         if self.profile not in ("smooth", "harmonic"):
@@ -99,10 +98,9 @@ def _mode_profile(n: int, spec: ModeSpec, is_complex: bool, stream: CounterStrea
         if is_complex:
             return np.cos(phase) + 1j * np.sin(phase)
         return np.sin(phase)
-    s = CounterStream(spec.profile_seed) if spec.profile_seed is not None else stream
     if is_complex:
-        return _smooth_field(n, s) + 1j * _smooth_field(n, s)
-    return _smooth_field(n, s)
+        return _smooth_field(n, stream) + 1j * _smooth_field(n, stream)
+    return _smooth_field(n, stream)
 
 
 def synth_linear_dynamics(

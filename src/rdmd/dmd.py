@@ -99,31 +99,36 @@ class LowDimOperator:
 class DmdConfig:
     """What to run and how.
 
-    sketch configures the randomized variant (and supplies the seed for the
-    compressed one); compress_dim/sampling configure the compressed variant;
-    regularization replaces the default hard rank-k truncation with a
-    smooth Tikhonov filter when set.
+    target_rank is the rank k every method keeps. oversampling, power_iters
+    and seed configure the randomized variant's sketch (see `sketch`), and
+    seed also draws the compressed variant's operator; compress_dim and
+    sampling configure the compressed variant; regularization replaces the
+    default hard rank-k truncation with a smooth Tikhonov filter when set.
+    The sketch defaults are SketchConfig's.
     """
 
     target_rank: int
     method: str = "deterministic_projected"
-    sketch: SketchConfig | None = None
+    oversampling: int = SketchConfig.oversampling
+    power_iters: int = SketchConfig.power_iters
+    seed: int = SketchConfig.seed
     compress_dim: int | None = None
     sampling: str = "gaussian"
     regularization: FilterSpec | None = None
 
     def __post_init__(self):
-        if self.target_rank < 1:
-            raise RankOutOfRange(f"target_rank must be >= 1, got {self.target_rank}")
+        self.sketch  # validates target_rank, oversampling and power_iters
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
         if self.sampling not in ("gaussian", "uniform_rows"):
             raise ValueError(f"unknown sampling kind {self.sampling!r}")
 
-    def sketch_or_default(self) -> SketchConfig:
-        if self.sketch is not None:
-            return self.sketch
-        return SketchConfig(target_rank=self.target_rank)
+    @property
+    def sketch(self) -> SketchConfig:
+        """The range-finder parameters of the randomized variant."""
+        return SketchConfig(
+            self.target_rank, self.oversampling, self.power_iters, self.seed
+        )
 
 
 @dataclass
@@ -238,17 +243,21 @@ def eigen_match_error(reference, test) -> float:
     return worst
 
 
-def _config_echo(cfg: DmdConfig, sketch: SketchConfig | None, blocks: int) -> dict:
+def _config_echo(cfg: DmdConfig, blocks: int = 1, compress_dim: int | None = None) -> dict:
+    """The description of a run: the parameters cfg.method reads, None for
+    the rest; compress_dim is the compressed variant's effective l."""
+    randomized = cfg.method == "randomized"
+    compressed = cfg.method == "compressed"
     reg = cfg.regularization
     return {
         "method": cfg.method,
         "target_rank": cfg.target_rank,
-        "oversampling": sketch.oversampling if sketch else None,
-        "power_iters": sketch.power_iters if sketch else None,
-        "sketch_size": sketch.sketch_size if sketch else None,
-        "compress_dim": cfg.compress_dim,
-        "sampling": cfg.sampling if cfg.method == "compressed" else None,
-        "seed": sketch.seed if sketch else None,
+        "oversampling": cfg.oversampling if randomized else None,
+        "power_iters": cfg.power_iters if randomized else None,
+        "sketch_size": cfg.sketch.sketch_size if randomized else None,
+        "compress_dim": compress_dim,
+        "sampling": cfg.sampling if compressed else None,
+        "seed": cfg.seed if randomized or compressed else None,
         "blocks": blocks,
         "regularization": (
             {"kind": reg.kind, "parameter": reg.parameter} if reg else None
@@ -316,18 +325,9 @@ def dmd_deterministic(x, cfg: DmdConfig) -> DmdResult:
     a = _as_matrix(x)
     basis = _exact_basis if cfg.method == "deterministic_exact" else _projected_basis
     return _pipeline(
-        split_snapshots(a), cfg, {}, _config_echo(cfg, None, 1),
+        split_snapshots(a), cfg, {}, _config_echo(cfg),
         method=cfg.method, basis=basis, data=a,
     )
-
-
-def _checked_sketch(cfg: DmdConfig) -> SketchConfig:
-    sketch = cfg.sketch_or_default()
-    if sketch.target_rank != cfg.target_rank:
-        raise RankOutOfRange(
-            f"sketch target_rank {sketch.target_rank} != config rank {cfg.target_rank}"
-        )
-    return sketch
 
 
 def dmd_randomized(x, cfg: DmdConfig) -> DmdResult:
@@ -335,7 +335,7 @@ def dmd_randomized(x, cfg: DmdConfig) -> DmdResult:
     a = _as_matrix(x)
     if a.shape[1] < 2:
         raise TooFewSnapshots(f"need at least 2 snapshot columns, got {a.shape[1]}")
-    sketch = _checked_sketch(cfg)
+    sketch = cfg.sketch
     if sketch.sketch_size > min(a.shape[0], a.shape[1] - 1):
         raise RankOutOfRange(
             f"sketch size {sketch.sketch_size} exceeds "
@@ -345,7 +345,7 @@ def dmd_randomized(x, cfg: DmdConfig) -> DmdResult:
     with stage(timings, "sketch"):
         qb = randomized_qb(a, sketch)
     return _pipeline(
-        split_snapshots(qb.b), cfg, timings, _config_echo(cfg, sketch, 1),
+        split_snapshots(qb.b), cfg, timings, _config_echo(cfg),
         method="randomized", basis=_exact_basis, data=qb.b, lift=lambda m: qb.q @ m,
     )
 
@@ -358,33 +358,29 @@ def dmd_randomized_blocked(source, cfg: DmdConfig) -> DmdResult:
     The pipeline is the in-memory one, so a single-block run is
     bit-identical to `dmd_randomized`.
     """
-    sketch = _checked_sketch(cfg)
     timings = {}
     with stage(timings, "sketch"):
-        blocked = blocked_randomized_qb(source, sketch)
-    result = _pipeline(
+        blocked = blocked_randomized_qb(source, cfg.sketch)
+    return _pipeline(
         split_snapshots(blocked.b), cfg, timings,
-        _config_echo(cfg, sketch, blocked.block_count),
+        _config_echo(cfg, blocks=blocked.block_count),
         method="randomized", basis=_exact_basis, data=blocked.b,
         lift=lambda m: apply_q(blocked, m),
     )
-    result.diagnostics["blocked"] = True
-    return result
 
 
-def dmd_compressed(x, cfg: DmdConfig, operator=None) -> DmdResult:
+def dmd_compressed(x, cfg: DmdConfig, operator: SamplingOperator | None = None) -> DmdResult:
     """Compressed decomposition: DMD of S @ X for a random l x n mixer S.
 
     S is a Gaussian test matrix or a rescaled uniform row sampler per
-    cfg.sampling; pass `operator` (a SamplingOperator or explicit matrix) to
-    pin it, e.g. the identity sampler for an exactness check. Modes are
+    cfg.sampling, drawn from cfg.seed; pass a SamplingOperator as `operator`
+    to pin it, e.g. the identity sampler for an exactness check. Modes are
     lifted from the uncompressed right snapshots.
     """
     a = _as_matrix(x)
     split = split_snapshots(a)
     n = a.shape[0]
     k = cfg.target_rank
-    sketch = cfg.sketch_or_default()
     timings = {}
 
     with stage(timings, "compress"):
@@ -397,24 +393,16 @@ def dmd_compressed(x, cfg: DmdConfig, operator=None) -> DmdResult:
                     raise RankOutOfRange(
                         f"uniform row sampling needs compress_dim <= {n}, got {l}"
                     )
-                operator = uniform_sampling_operator(n, l, sketch.seed)
-            else:
-                operator = gaussian_test_matrix(l, n, sketch.seed)
-        if isinstance(operator, SamplingOperator):
+                operator = uniform_sampling_operator(n, l, cfg.seed)
+        if operator is not None:
             compressed = apply_sampling(operator, a)
         else:
-            operator = np.asarray(operator, dtype=np.float64)
-            if operator.shape[1] != n:
-                raise ShapeMismatch(
-                    f"compression operator has {operator.shape[1]} columns, data has {n} rows"
-                )
-            compressed = operator @ a
+            compressed = gaussian_test_matrix(l, n, cfg.seed) @ a
         _require_finite(a, compressed)
 
-    config = _config_echo(cfg, sketch, 1)
-    config["compress_dim"] = int(compressed.shape[0])
     return _pipeline(
-        split_snapshots(compressed), cfg, timings, config, method="compressed",
+        split_snapshots(compressed), cfg, timings,
+        _config_echo(cfg, compress_dim=compressed.shape[0]), method="compressed",
         basis=lambda op: (split.right @ op.right_vectors) * op.inv_singular, data=a,
     )
 

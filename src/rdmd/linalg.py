@@ -201,6 +201,10 @@ def thin_qr_q(x) -> np.ndarray:
     is orthogonal to the order of rounding, as Householder QR is (Yamamoto,
     Nakatsukasa, Yanagisawa & Fukaya, 2015). Every other input, and every
     input the guard rejects, is one LAPACK Householder call.
+
+    NaN or Inf in the input raises NonFiniteInput naming its first such
+    entry: tall inputs show it in the Gram matrix of CholeskyQR2, every
+    other shape in the Householder Q.
     """
     a = _as_matrix(x)
     n, c = a.shape
@@ -215,7 +219,10 @@ def thin_qr_q(x) -> np.ndarray:
             memguard.note(n * c * 8)
             return q1 @ np.linalg.inv(r2)
     memguard.note(n * c * 8)
-    return np.linalg.qr(a, mode="reduced")[0]
+    q = np.linalg.qr(a, mode="reduced")[0]
+    if n < 2 * c:  # a tall input has passed the Gram check of `_cholesky_qr2`
+        _require_finite(a, q)
+    return q
 
 
 def singular_values_of_rows(blocks) -> np.ndarray:

@@ -55,7 +55,9 @@ def uniforms(seed: int, start: int, count: int) -> np.ndarray:
 def normals(seed: int, start: int, count: int) -> np.ndarray:
     """i.i.d. standard normals via Box-Muller on uniform pairs.
 
-    Consumes ``2 * ceil(count / 2)`` uniform draws beginning at ``start``.
+    Consumes ``2 * ceil(count / 2)`` uniform draws beginning at ``start``,
+    so ``normals(seed, s, n)`` equals ``normals(seed, 0, s + n)[s:]`` for an
+    even ``s``; an odd ``s`` pairs different uniforms and gives other values.
     """
     if count == 0:
         return np.empty(0)

@@ -33,7 +33,6 @@ class SketchConfig:
     target_rank is the rank the downstream decomposition keeps; the sketch
     itself carries sketch_size = target_rank + oversampling columns, and the
     surplus is only discarded at the downstream truncated SVD.
-    Defaults: oversampling 10, power_iters 2.
     """
 
     target_rank: int

@@ -83,7 +83,7 @@ def test_c1_exact_recovery_oracle():
             DmdConfig(
                 target_rank=5,
                 method="randomized",
-                sketch=SketchConfig(5, 10, 2, seed=101),
+                oversampling=10, power_iters=2, seed=101,
             ),
         )
         cmp_res = dmd_compressed(
@@ -93,7 +93,7 @@ def test_c1_exact_recovery_oracle():
                 method="compressed",
                 compress_dim=50,
                 sampling="gaussian",
-                sketch=SketchConfig(5, seed=102),
+                seed=102,
             ),
         )
         for result in (det, rnd, cmp_res):
@@ -142,7 +142,7 @@ def test_c4_noise_robustness_ordering():
                 DmdConfig(
                     target_rank=5,
                     method="randomized",
-                    sketch=SketchConfig(5, 20, 2, seed=100 + s),  # sketch size 25
+                    oversampling=20, power_iters=2, seed=100 + s,  # sketch size 25
                 ),
             )
             cmp_res = dmd_compressed(
@@ -152,7 +152,7 @@ def test_c4_noise_robustness_ordering():
                     method="compressed",
                     compress_dim=25,
                     sampling="uniform_rows",
-                    sketch=SketchConfig(5, seed=100 + s),
+                    seed=100 + s,
                 ),
             )
             det_errors.append(eigen_match_error(truth.eigenvalues, det.eigenvalues))
@@ -171,7 +171,7 @@ def test_c5_blocked_equivalence(tmp_path):
         cfg = DmdConfig(
             target_rank=5,
             method="randomized",
-            sketch=SketchConfig(5, 10, 2, seed=777),
+            oversampling=10, power_iters=2, seed=777,
         )
         for b in (2, 4, 8):
             with open_row_blocks(path, b) as source:

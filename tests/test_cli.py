@@ -88,8 +88,41 @@ class TestDecompose:
         )
         assert res.returncode == 0, res.stderr
         report = json.loads((out / "report.json").read_text())
-        assert report["config"]["oversample"] == 10
+        assert report["config"]["oversampling"] == 10
         assert report["config"]["power_iters"] == 2
+
+    @pytest.mark.parametrize(
+        "flags, read",
+        [
+            (["--method", "dmd"], {"method": "deterministic_projected"}),
+            (
+                ["--method", "cdmd", "--compress-dim", "40", "--sampling", "uniform"],
+                {"method": "compressed", "seed": 6, "compress_dim": 40,
+                 "sampling": "uniform_rows"},
+            ),
+            (
+                ["--method", "rdmd", "--oversample", "4"],
+                {"method": "randomized", "oversampling": 4, "power_iters": 2,
+                 "sketch_size": 9, "seed": 6},
+            ),
+        ],
+        ids=["dmd", "cdmd", "rdmd"],
+    )
+    def test_config_is_the_library_description(self, workspace, tmp_path, flags, read):
+        # the library's field names; None where the method reads no value
+        out = tmp_path / "cfg"
+        assert cli.main([
+            "decompose", "--input", str(workspace / "x.sms"), "--rank", "5",
+            "--seed", "6", *flags, "--out", str(out),
+        ]) == 0
+        config = json.loads((out / "report.json").read_text())["config"]
+        unread = dict.fromkeys(
+            ("oversampling", "power_iters", "sketch_size", "seed", "compress_dim", "sampling")
+        )
+        assert config == {
+            "input": str(workspace / "x.sms"), "memory_cap": None, "target_rank": 5,
+            "blocks": 1, "regularization": None, **unread, **read,
+        }
 
     def test_report_fidelity_against_emitted_files(self, workspace, tmp_path):
         out = tmp_path / "fid"
@@ -233,7 +266,7 @@ class TestBench:
         inner = rdmd.dmd.dmd_deterministic
 
         def counting(x, cfg):
-            calls.append(cfg.sketch_or_default().seed)
+            calls.append(cfg.seed)
             return inner(x, cfg)
 
         monkeypatch.setattr(rdmd.dmd, "dmd_deterministic", counting)
@@ -290,7 +323,7 @@ class TestCompressedCli:
         )
         assert res.returncode == 0, res.stderr
         report = json.loads((out / "report.json").read_text())
-        assert report["config"]["sampling"] == "uniform"
+        assert report["config"]["sampling"] == "uniform_rows"
         assert report["config"]["compress_dim"] == 40
         # uniform sampling on noise-free exact-rank data still recovers exactly
         assert report["eigen_match_error"] <= 1e-6

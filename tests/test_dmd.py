@@ -30,6 +30,7 @@ from rdmd.dmd import DmdResult, SnapshotSplit
 from rdmd.errors import (
     DegenerateData,
     EmptyInput,
+    InvalidOversampling,
     MissingAmplitudes,
     NonFiniteInput,
     RankOutOfRange,
@@ -38,6 +39,16 @@ from rdmd.errors import (
 from rdmd.rng import normal_matrix
 
 from conftest import rotation_sequence
+
+
+class TestDmdConfig:
+    def test_sketch_is_built_from_the_one_rank(self):
+        cfg = DmdConfig(target_rank=3, method="randomized", power_iters=1, seed=4)
+        assert cfg.sketch == SketchConfig(3, 10, 1, seed=4)
+
+    def test_invalid_oversampling_rejected_at_construction(self):
+        with pytest.raises(InvalidOversampling):
+            DmdConfig(target_rank=3, oversampling=-1)
 
 
 class TestSplitSnapshots:
@@ -166,7 +177,7 @@ class TestLowDimOperator:
 
 
 _RANDOMIZED = DmdConfig(
-    target_rank=3, method="randomized", sketch=SketchConfig(3, 5, 1, seed=13)
+    target_rank=3, method="randomized", oversampling=5, power_iters=1, seed=13
 )
 _MODES_BY_METHOD = {
     "projected": lambda x: dmd_deterministic(x, DmdConfig(target_rank=3)),
@@ -176,12 +187,12 @@ _MODES_BY_METHOD = {
     "compressed-gaussian": lambda x: dmd_compressed(
         x,
         DmdConfig(target_rank=3, method="compressed", compress_dim=30,
-                  sketch=SketchConfig(3, seed=12)),
+                  seed=12),
     ),
     "compressed-uniform": lambda x: dmd_compressed(
         x,
         DmdConfig(target_rank=3, method="compressed", compress_dim=30,
-                  sampling="uniform_rows", sketch=SketchConfig(3, seed=12)),
+                  sampling="uniform_rows", seed=12),
     ),
     "randomized": lambda x: dmd_randomized(x, _RANDOMIZED),
     "blocked-3": lambda x: dmd_randomized_blocked(ArrayRowBlockSource(x, 3), _RANDOMIZED),
@@ -231,7 +242,7 @@ class TestRandomized:
             DmdConfig(
                 target_rank=2,
                 method="randomized",
-                sketch=SketchConfig(2, 10, 2, seed=seed),
+                oversampling=10, power_iters=2, seed=seed,
             ),
         )
         assert eigen_match_error(det.eigenvalues, rnd.eigenvalues) <= 1e-6
@@ -256,7 +267,7 @@ class TestRandomized:
             DmdConfig(
                 target_rank=15,
                 method="randomized",
-                sketch=SketchConfig(15, 10, 0, seed=17),
+                oversampling=10, power_iters=0, seed=17,
             ),
         )
         vals = result.eigenvalues
@@ -268,7 +279,7 @@ class TestRandomized:
     def test_determinism(self):
         x = rotation_sequence(60, 30, theta=0.7, seed=18)
         cfg = DmdConfig(
-            target_rank=2, method="randomized", sketch=SketchConfig(2, 5, 1, seed=19)
+            target_rank=2, method="randomized", oversampling=5, power_iters=1, seed=19
         )
         a = dmd_randomized(x, cfg)
         b = dmd_randomized(x, cfg)
@@ -295,7 +306,7 @@ class TestCompressed:
                 target_rank=2,
                 method="compressed",
                 compress_dim=50,
-                sketch=SketchConfig(2, seed=22),
+                seed=22,
             ),
         )
         expected = [np.exp(0.5j), np.exp(-0.5j)]
@@ -344,7 +355,7 @@ class TestNonFiniteInput:
         x[row, col] = value
         cfg = DmdConfig(
             target_rank=4, method=method, compress_dim=40, sampling=sampling,
-            sketch=SketchConfig(4, seed=9),
+            seed=9,
         )
         with pytest.raises(NonFiniteInput, match=f"^row {row}, column {col} is {value}$") as info:
             run_dmd(x, cfg)
@@ -467,7 +478,7 @@ class TestCrossMethodInvariants:
         rnd = dmd_randomized(
             x,
             DmdConfig(
-                target_rank=3, method="randomized", sketch=SketchConfig(3, 10, 2, seed=32)
+                target_rank=3, method="randomized", oversampling=10, power_iters=2, seed=32
             ),
         )
         cmp_res = dmd_compressed(
@@ -486,13 +497,13 @@ class TestCrossMethodInvariants:
             DmdConfig(target_rank=3),
             DmdConfig(target_rank=3, method="deterministic_exact"),
             DmdConfig(
-                target_rank=3, method="randomized", sketch=SketchConfig(3, 5, 1, seed=35)
+                target_rank=3, method="randomized", oversampling=5, power_iters=1, seed=35
             ),
             DmdConfig(
                 target_rank=3,
                 method="compressed",
                 compress_dim=40,
-                sketch=SketchConfig(3, seed=36),
+                seed=36,
             ),
         ]
         for cfg in configs:

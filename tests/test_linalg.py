@@ -13,6 +13,7 @@ from rdmd import (
 )
 from rdmd.errors import (
     NegativeLambda,
+    NonFiniteInput,
     RankOutOfRange,
     ShapeMismatch,
 )
@@ -153,6 +154,16 @@ class TestThinQr:
     def test_wide_input_rejected(self):
         with pytest.raises(ShapeMismatch):
             thin_qr_q(normal_matrix(3, 5, seed=12))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_raises_below_2_cols(self, value):
+        # rows < 2 cols skips CholeskyQR2, whose Gram check catches it on
+        # tall inputs; LAPACK alone returns NaN columns
+        x = normal_matrix(5, 4, seed=18)
+        x[2, 1] = value
+        with pytest.raises(NonFiniteInput, match=r"row 2, column 1 is") as info:
+            thin_qr_q(x)
+        assert info.value.row == 2
 
     @pytest.mark.parametrize(
         "case",

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rdmd import SketchConfig, randomized_qb
-from rdmd.rng import normal_matrix
+from rdmd.rng import normal_matrix, normals
 
 
 @settings(max_examples=20, deadline=None, database=None)
@@ -33,3 +33,15 @@ def test_randomized_qb_basis_is_orthonormal(rows, cols, rank, oversampling, powe
     l = rank + oversampling
     assert qb.q.shape == (rows, l)
     assert np.linalg.norm(qb.q.T @ qb.q - np.eye(l)) <= 1e-10 * np.sqrt(l)
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    pairs=st.integers(min_value=0, max_value=5000),
+    count=st.integers(min_value=0, max_value=300),
+)
+def test_normals_sub_range_matches_the_whole_stream(seed, pairs, count):
+    # an even start keeps the Box-Muller pairs of the stream from draw 0
+    start = 2 * pairs
+    assert np.array_equal(normals(seed, start, count), normals(seed, 0, start + count)[start:])
