@@ -21,6 +21,7 @@ from .datasets import (
 from .dmd import (
     DmdConfig,
     DmdResult,
+    SketchFit,
     SnapshotSplit,
     amplitudes,
     dmd_compressed,

@@ -8,7 +8,9 @@ orthonormal factors; peak working memory stays at one row block plus K.
 
 Each block is read from the source exactly once and held in memory for the
 duration of its own QB (the power iterations run in-core), which is what
-keeps both the pass count and the memory footprint at one block.
+keeps both the pass count and the memory footprint at one block. The same
+pass sums ||X||_F^2, from which the reconstruction error follows without
+reading the blocks again (see `DmdResult.sketch`).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 
 from . import memguard
 from .errors import InvalidBlockCount, NonFiniteInput, RankOutOfRange
+from .linalg import frobenius_sq
 from .rng import derive_seed
 from .sketch import SketchConfig, randomized_qb
 
@@ -43,12 +46,14 @@ def partition_rows(n: int, b: int) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class BlockedQB:
-    """Blocked factorization: x ~ diag(*block_bases) @ merge_basis @ b."""
+    """Blocked factorization: x ~ diag(*block_bases) @ merge_basis @ b;
+    data_sq_norm is ||x||_F^2, summed over the blocks as they were read."""
 
     block_bases: list
     merge_basis: np.ndarray
     b: np.ndarray
     block_ranges: list
+    data_sq_norm: float
 
     @property
     def block_count(self) -> int:
@@ -74,6 +79,7 @@ def blocked_randomized_qb(source, cfg: SketchConfig) -> BlockedQB:
     m = source.cols
     bases = []
     projections = []
+    data_sq_norm = 0.0
     for i in range(b):
         block = source.read_block(i)
         if l > min(block.shape):
@@ -89,6 +95,7 @@ def blocked_randomized_qb(source, cfg: SketchConfig) -> BlockedQB:
             raise NonFiniteInput(f"block {i}: {exc}; global row {row}", row=row) from exc
         bases.append(qb.q)
         projections.append(qb.b)
+        data_sq_norm += frobenius_sq(block)
         del block
 
     if b == 1:
@@ -97,6 +104,7 @@ def blocked_randomized_qb(source, cfg: SketchConfig) -> BlockedQB:
             merge_basis=np.eye(l),
             b=projections[0],
             block_ranges=list(source.block_ranges),
+            data_sq_norm=data_sq_norm,
         )
 
     memguard.note(b * l * m * 8)
@@ -107,6 +115,7 @@ def blocked_randomized_qb(source, cfg: SketchConfig) -> BlockedQB:
         merge_basis=merged.q,
         b=merged.b,
         block_ranges=list(source.block_ranges),
+        data_sq_norm=data_sq_norm,
     )
 
 

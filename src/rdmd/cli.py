@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -40,7 +41,7 @@ from .dmd import (
     run_dmd,
 )
 from .errors import RdmdError
-from .linalg import singular_values_of_rows
+from .linalg import frobenius_sq, singular_values_of_rows
 from .memguard import stage
 from .rng import derive_seed
 from .sketch import expected_error_bound, randomized_qb
@@ -55,6 +56,11 @@ _SAMPLING_FLAGS = {"uniform": "uniform_rows", "gaussian": "gaussian"}
 # the chunk's approximation, not an n x m one, is what they hold beside the
 # data.
 _DIAGNOSTIC_CHUNK_ROWS = 4096
+# Smallest relative reconstruction error taken from the sketch identity. Its
+# difference ||X||^2 - ||B||^2 cancels as the error shrinks: the identity
+# departs from the streamed pass by about 1.3e-15 / error^2 relative, so
+# 1e-3 keeps the two within 1e-8 (1e-4 would not).
+_IDENTITY_MIN_ERROR = 1e-3
 
 
 def _default_seed(value):
@@ -109,13 +115,38 @@ def _relative_residual(blocks, approximate) -> float:
     return float(np.sqrt(num) / np.sqrt(den)) if den > 0 else 0.0
 
 
-def _reconstruction_error(blocks, result: DmdResult) -> float:
-    """`_relative_residual` of the DMD reconstruction of `result`."""
+def _reconstruction_error(result: DmdResult, blocks) -> tuple[float, float | None, float | None]:
+    """Relative error of the DMD reconstruction of `result` against the data
+    X, with the sketch residual and the dynamics misfit it splits into, each
+    relative to ||X||_F.
+
+    A randomized result's error comes from its `SketchFit` in sketch
+    coordinates, and the (start, block) row blocks of X in `blocks` are not
+    read. Every other result, and a randomized one whose error is below
+    _IDENTITY_MIN_ERROR or whose sketch residual cancelled below zero, takes
+    the streamed `_relative_residual` over `blocks`, which has no split to
+    report (None, None).
+    """
+    fit = result.sketch
+    if fit is not None:
+        residual_sq = fit.data_sq_norm - frobenius_sq(fit.data)
+        misfit_sq = frobenius_sq(
+            fit.data - reconstruct(replace(result, modes=fit.modes), fit.data.shape[1])
+        )
+        if residual_sq >= 0:
+            error = math.sqrt((residual_sq + misfit_sq) / fit.data_sq_norm)
+            if error >= _IDENTITY_MIN_ERROR:
+                return (
+                    error,
+                    math.sqrt(residual_sq / fit.data_sq_norm),
+                    math.sqrt(misfit_sq / fit.data_sq_norm),
+                )
+
     def approximate(start, block):
         part = replace(result, modes=result.modes[start : start + block.shape[0]])
         return reconstruct(part, block.shape[1])
 
-    return _relative_residual(blocks, approximate)
+    return _relative_residual(blocks, approximate), None, None
 
 
 def _row_chunks(data: np.ndarray):
@@ -194,11 +225,12 @@ def _cmd_decompose(args) -> int:
                 with stage(timings, "decompose"):
                     result = dmd_randomized_blocked(source, cfg)
                 with stage(timings, "diagnostics"):
+                    # lazy: the blocks are read again only by a streamed pass
                     blocks = (
                         (start, source.read_block(i))
                         for i, (start, _) in enumerate(source.block_ranges)
                     )
-                    recon_error = _reconstruction_error(blocks, result)
+                    errors = _reconstruction_error(result, blocks)
         else:
             with stage(timings, "load"):
                 data = read_sms(args.input)
@@ -206,7 +238,8 @@ def _cmd_decompose(args) -> int:
             with stage(timings, "decompose"):
                 result = run_dmd(data, cfg)
             with stage(timings, "diagnostics"):
-                recon_error = _reconstruction_error(_row_chunks(data), result)
+                errors = _reconstruction_error(result, _row_chunks(data))
+        recon_error, sketch_residual, dynamics_misfit = errors
 
         match_error = None
         if args.truth:
@@ -230,6 +263,9 @@ def _cmd_decompose(args) -> int:
             "cols": cols,
             "eigenvalues": _complex_pairs(result.eigenvalues),
             "relative_reconstruction_error": recon_error,
+            "sketch_residual": sketch_residual,
+            "dynamics_misfit": dynamics_misfit,
+            "eigenpair_residual": result.diagnostics["eigenpair_residual"],
             "eigen_match_error": match_error,
             "timings": {**timings, "stages": result.diagnostics.get("timings", {})},
             "peak_alloc_bytes": guard.largest_bytes,
@@ -268,7 +304,7 @@ def _cmd_bench(args) -> int:
                 with stage(timing, "run"):
                     result = run_dmd(data, cfg)
                 dt = timing["run"]
-                recon = _reconstruction_error(_row_chunks(data), result)
+                recon = _reconstruction_error(result, _row_chunks(data))[0]
                 match = (
                     float(eigen_match_error(truth, result.eigenvalues))
                     if truth is not None

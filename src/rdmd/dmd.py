@@ -49,6 +49,7 @@ from .linalg import (
     divide_where,
     eig_dense,
     filter_factors,
+    frobenius_sq,
     normalize_phase_in_place,
     sort_eigenpairs,
     truncated_svd,
@@ -131,9 +132,35 @@ class DmdConfig:
         )
 
 
+@dataclass(frozen=True)
+class SketchFit:
+    """What a randomized result keeps of its sketch.
+
+    The result's modes are Q @ modes for the orthonormal sketch basis Q,
+    data is B = Q^T X (the snapshots in sketch coordinates) and data_sq_norm
+    is ||X||_F^2. With C the reconstruction from `modes` in sketch
+    coordinates, the reconstruction Q C of X therefore has
+
+        ||X - Q C||_F^2 = (||X||_F^2 - ||B||_F^2) + ||B - C||_F^2,
+
+    the sketch residual plus the dynamics misfit, an l x (m+1) computation
+    (Halko, Martinsson & Tropp, 2011, sec. 4).
+    """
+
+    modes: np.ndarray
+    data: np.ndarray
+    data_sq_norm: float
+
+
 @dataclass
 class DmdResult:
-    """Decomposition output plus reproducibility metadata."""
+    """Decomposition output plus reproducibility metadata.
+
+    diagnostics holds the run's "config" (see `_config_echo`), its stage
+    "timings" and "eigenpair_residual", max_j ||A_tilde w_j - lambda_j w_j||_2
+    over the unit-norm low-dimensional eigenvectors w_j. sketch is set on
+    the randomized variants only.
+    """
 
     eigenvalues: np.ndarray
     modes: np.ndarray
@@ -141,6 +168,7 @@ class DmdResult:
     amplitudes: np.ndarray | None
     method: str
     diagnostics: dict = field(default_factory=dict)
+    sketch: SketchFit | None = None
 
 
 def split_snapshots(x) -> SnapshotSplit:
@@ -271,7 +299,8 @@ _projected_basis = attrgetter("left_vectors")
 _exact_basis = attrgetter("right_projected")
 
 
-def _pipeline(split, cfg, timings, config, *, method, basis, data, lift=None):
+def _pipeline(split, cfg, timings, config, *, method, basis, data, lift=None,
+              data_sq_norm=None):
     """Low-dimensional DMD of `split`, shared by every variant.
 
     The variants differ only in the split (X, S X or the sketch B), in
@@ -279,9 +308,11 @@ def _pipeline(split, cfg, timings, config, *, method, basis, data, lift=None):
     in `lift`, which maps that product through the orthonormal sketch basis
     Q to the state space (omitted when it is already there). `data` holds
     the snapshots in the space the product lives in (X, or B where it is
-    lifted); amplitudes are fitted against its first column x0. NaN or Inf
-    in the low-dimensional operator, the product or x0 raises
-    NonFiniteInput naming the first such entry of `data`.
+    lifted); amplitudes are fitted against its first column x0. A lifted
+    result keeps its `SketchFit`, for which a lifted variant passes
+    data_sq_norm = ||X||_F^2. NaN or Inf in the low-dimensional operator,
+    the product or x0 raises NonFiniteInput naming the first such entry of
+    `data`.
     """
     x0 = data[:, 0]
     with stage(timings, "svd"):
@@ -290,6 +321,10 @@ def _pipeline(split, cfg, timings, config, *, method, basis, data, lift=None):
         _require_finite(data, op.operator)
     with stage(timings, "eig"):
         pairs = eig_dense(op.operator)
+        w = pairs.eigenvectors
+        eigenpair_residual = float(
+            np.linalg.norm(op.operator @ w - w * pairs.eigenvalues, axis=0).max()
+        )
     with stage(timings, "modes"):
         with np.errstate(over="ignore", invalid="ignore"):  # checked right below
             small = basis(op) @ pairs.eigenvectors
@@ -304,14 +339,20 @@ def _pipeline(split, cfg, timings, config, *, method, basis, data, lift=None):
         # equals fitting Q^T modes = small * factors against its projection
         # B[:, 0], the x0 of a lifted variant; this avoids another pass
         # over the state dimension.
-        amp = _fit_amplitudes(modes if lift is None else small * factors, x0)
+        sketch = None if lift is None else SketchFit(small * factors, data, data_sq_norm)
+        amp = _fit_amplitudes(modes if sketch is None else sketch.modes, x0)
     return DmdResult(
         eigenvalues=pairs.eigenvalues,
         modes=modes,
         low_dim_eigvecs=pairs.eigenvectors,
         amplitudes=amp,
         method=method,
-        diagnostics={"timings": timings, "config": config},
+        diagnostics={
+            "timings": timings,
+            "config": config,
+            "eigenpair_residual": eigenpair_residual,
+        },
+        sketch=sketch,
     )
 
 
@@ -344,9 +385,11 @@ def dmd_randomized(x, cfg: DmdConfig) -> DmdResult:
     timings = {}
     with stage(timings, "sketch"):
         qb = randomized_qb(a, sketch)
+        data_sq_norm = frobenius_sq(a)
     return _pipeline(
         split_snapshots(qb.b), cfg, timings, _config_echo(cfg),
         method="randomized", basis=_exact_basis, data=qb.b, lift=lambda m: qb.q @ m,
+        data_sq_norm=data_sq_norm,
     )
 
 
@@ -365,7 +408,7 @@ def dmd_randomized_blocked(source, cfg: DmdConfig) -> DmdResult:
         split_snapshots(blocked.b), cfg, timings,
         _config_echo(cfg, blocks=blocked.block_count),
         method="randomized", basis=_exact_basis, data=blocked.b,
-        lift=lambda m: apply_q(blocked, m),
+        lift=lambda m: apply_q(blocked, m), data_sq_norm=blocked.data_sq_norm,
     )
 
 

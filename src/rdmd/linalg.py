@@ -106,6 +106,13 @@ def _require_finite(data: np.ndarray, *buffers: np.ndarray) -> None:
         raise _non_finite_error(data)
 
 
+def frobenius_sq(a: np.ndarray) -> float:
+    """||a||_F^2 as one dot product in the array's memory order, so a C- or
+    Fortran-ordered matrix is not copied."""
+    flat = a.ravel(order="K")
+    return float(np.dot(flat, flat))
+
+
 def _cholesky_qr2(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """CholeskyQR2 factors (Fukaya et al., 2014) of a tall matrix, or None
     where they are not accurate.
@@ -323,19 +330,22 @@ def normalize_phase_in_place(w: np.ndarray) -> np.ndarray:
     removes the scale/phase ambiguity of eigenvectors without a copy of a
     state-dimension-sized mode matrix. Returns the complex factor each
     column was scaled by, so a low-dimensional stand-in of the vectors can
-    be scaled the same way."""
+    be scaled the same way. The pivot is exactly real after the call."""
     factors = np.ones(w.shape[1], dtype=np.complex128)
     for j in range(w.shape[1]):
         col = w[:, j]
         nrm = np.linalg.norm(col)
         if nrm == 0:
             continue
-        pivot = col[np.argmax(np.abs(col))]
+        at = np.argmax(np.abs(col))
+        pivot = col[at]
         scale = abs(pivot) * nrm
         # multiply by the conjugate first so the pivot's imaginary part
-        # cancels (to rounding where the complex multiply uses fused
-        # multiply-add), then scale by the (real) magnitude and norm
+        # cancels, then scale by the (real) magnitude and norm; where the
+        # complex multiply uses fused multiply-add the cancellation leaves
+        # a rounding-level imaginary part, which is dropped
         w[:, j] = (col * pivot.conjugate()) / scale
+        w[at, j] = w[at, j].real
         factors[j] = pivot.conjugate() / scale
     return factors
 

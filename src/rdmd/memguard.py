@@ -11,6 +11,10 @@ The guard covers buffers this library allocates deliberately, not numpy's
 internal temporaries; the blocked routines are written so those stay at or
 below block scale as well.
 
+The open session is context-local (a `contextvars.ContextVar`): a session
+opened in one thread or asyncio task is not seen by `note` in another, and
+nested sessions restore the outer one on exit.
+
 `stage` is the one wall-clock timer of the library and the CLI.
 """
 
@@ -18,10 +22,9 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
+from contextvars import ContextVar
 
 from .errors import MemoryCapExceeded
-
-_session = None
 
 
 class Session:
@@ -38,22 +41,24 @@ class Session:
             )
 
 
+_session: ContextVar[Session | None] = ContextVar("rdmd_memguard_session", default=None)
+
+
 def note(nbytes: int) -> None:
-    if _session is not None:
-        _session.note(int(nbytes))
+    current = _session.get()
+    if current is not None:
+        current.note(int(nbytes))
 
 
 @contextmanager
 def session(cap_bytes: int | None = None):
     """Track (and optionally cap) the library's buffer allocations."""
-    global _session
-    previous = _session
     current = Session(cap_bytes)
-    _session = current
+    token = _session.set(current)
     try:
         yield current
     finally:
-        _session = previous
+        _session.reset(token)
 
 
 @contextmanager

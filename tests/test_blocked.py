@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -97,14 +99,12 @@ class TestBlockedQb:
         cfg = SketchConfig(3, 2, 0, seed=8)
         result = blocked_randomized_qb(ArrayRowBlockSource(x, 3), cfg)
         q = assemble_q(result)
-        zeroed = type(result)(
+        zeroed = replace(
+            result,
             block_bases=[
                 b if i == 1 else np.zeros_like(b)
                 for i, b in enumerate(result.block_bases)
             ],
-            merge_basis=result.merge_basis,
-            b=result.b,
-            block_ranges=result.block_ranges,
         )
         q_zeroed = assemble_q(zeroed)
         start, count = result.block_ranges[1]

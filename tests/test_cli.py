@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,6 +35,19 @@ def workspace(tmp_path_factory):
         "--seed", "5",
         "--out", str(root / "x.sms"),
         "--truth", str(root / "truth.json"),
+    )
+    assert res.returncode == 0, res.stderr
+    return root
+
+
+@pytest.fixture(scope="module")
+def noisy_workspace(tmp_path_factory):
+    """The workspace data with noise at SNR 10: its randomized reconstruction
+    error is far above the threshold of the sketch identity."""
+    root = tmp_path_factory.mktemp("cli-noisy")
+    res = run_cli(
+        "synth", "--rows", "300", "--snapshots", "80", "--modes", MODES,
+        "--seed", "5", "--snr", "10", "--out", str(root / "x.sms"),
     )
     assert res.returncode == 0, res.stderr
     return root
@@ -124,22 +138,24 @@ class TestDecompose:
             "blocks": 1, "regularization": None, **unread, **read,
         }
 
-    def test_report_fidelity_against_emitted_files(self, workspace, tmp_path):
-        out = tmp_path / "fid"
-        res = run_cli(
-            "decompose", "--input", str(workspace / "x.sms"), "--method", "rdmd",
-            "--rank", "5", "--seed", "9", "--out", str(out),
-        )
-        assert res.returncode == 0, res.stderr
-        report = json.loads((out / "report.json").read_text())
-        data = rdmd.read_sms(workspace / "x.sms")
-        modes = read_complex_matrix(out, "modes")
-        eigenvalues = read_complex_csv(out / "eigenvalues.csv")
-        amps = read_complex_csv(out / "amplitudes.csv")
-        powers = eigenvalues[:, None] ** np.arange(data.shape[1])[None, :]
-        approx = np.real(modes @ (amps[:, None] * powers))
-        recomputed = np.linalg.norm(data - approx) / np.linalg.norm(data)
-        assert abs(recomputed - report["relative_reconstruction_error"]) <= 1e-12
+    def test_report_fidelity_against_emitted_files(self, workspace, noisy_workspace, tmp_path):
+        # the clean input takes the streamed pass, the noisy one the identity
+        for root in (workspace, noisy_workspace):
+            out = tmp_path / root.name
+            res = run_cli(
+                "decompose", "--input", str(root / "x.sms"), "--method", "rdmd",
+                "--rank", "5", "--seed", "9", "--out", str(out),
+            )
+            assert res.returncode == 0, res.stderr
+            report = json.loads((out / "report.json").read_text())
+            data = rdmd.read_sms(root / "x.sms")
+            modes = read_complex_matrix(out, "modes")
+            eigenvalues = read_complex_csv(out / "eigenvalues.csv")
+            amps = read_complex_csv(out / "amplitudes.csv")
+            powers = eigenvalues[:, None] ** np.arange(data.shape[1])[None, :]
+            approx = np.real(modes @ (amps[:, None] * powers))
+            recomputed = np.linalg.norm(data - approx) / np.linalg.norm(data)
+            assert abs(recomputed - report["relative_reconstruction_error"]) <= 1e-12
 
     def test_blocked_requires_rdmd(self, workspace, tmp_path):
         res = run_cli(
@@ -256,6 +272,93 @@ class TestErrors:
         assert f"column {col} is {value}" in res.stderr
         assert ("block 2: row 50" if flags[-1] == "3" else f"row {row}") in res.stderr
         assert not (tmp_path / "o" / "report.json").exists()
+
+
+class TestReconstructionError:
+    """`cli._reconstruction_error`: the sketch identity on randomized
+    results, the streamed pass otherwise and as its fallback."""
+
+    CFG = rdmd.DmdConfig(target_rank=5, method="randomized", seed=9)
+
+    @staticmethod
+    def streamed(result, data):
+        return cli._reconstruction_error(replace(result, sketch=None), cli._row_chunks(data))[0]
+
+    @staticmethod
+    def unread():
+        raise AssertionError("the data was read again")
+        yield
+
+    @pytest.mark.parametrize("blocks", [1, 4])
+    def test_identity_matches_streamed_pass(self, noisy_workspace, blocks):
+        data = rdmd.read_sms(noisy_workspace / "x.sms")
+        if blocks == 1:
+            result = rdmd.run_dmd(data, self.CFG)
+        else:
+            result = rdmd.dmd_randomized_blocked(
+                rdmd.ArrayRowBlockSource(data, blocks), self.CFG
+            )
+        error, residual, misfit = cli._reconstruction_error(result, self.unread())
+        streamed = self.streamed(result, data)
+        assert streamed >= 1e-3
+        assert error == pytest.approx(streamed, rel=1e-8)
+        assert error == pytest.approx(np.hypot(residual, misfit), rel=1e-14)
+        assert residual > 0 and misfit > 0
+
+    def test_fallback_on_clean_data(self, workspace):
+        data = rdmd.read_sms(workspace / "x.sms")
+        result = rdmd.run_dmd(data, self.CFG)
+        assert result.sketch is not None
+        streamed = self.streamed(result, data)
+        assert streamed < 1e-3
+        assert cli._reconstruction_error(result, cli._row_chunks(data)) == (
+            streamed, None, None,
+        )
+
+    def test_fallback_on_negative_sketch_residual(self, noisy_workspace):
+        data = rdmd.read_sms(noisy_workspace / "x.sms")
+        result = rdmd.run_dmd(data, self.CFG)
+        b_sq = float(np.vdot(result.sketch.data, result.sketch.data))
+        cancelled = replace(result, sketch=replace(result.sketch, data_sq_norm=0.5 * b_sq))
+        assert cli._reconstruction_error(cancelled, cli._row_chunks(data)) == (
+            self.streamed(result, data), None, None,
+        )
+
+    @pytest.mark.parametrize("noisy, reads", [(True, 4), (False, 8)], ids=["noisy", "clean"])
+    def test_blocked_decompose_reads_blocks_again_only_on_fallback(
+        self, workspace, noisy_workspace, tmp_path, monkeypatch, noisy, reads
+    ):
+        calls = []
+        inner = rdmd.SmsRowBlockSource.read_block
+
+        def counting(source, i):
+            calls.append(i)
+            return inner(source, i)
+
+        monkeypatch.setattr(rdmd.SmsRowBlockSource, "read_block", counting)
+        root = noisy_workspace if noisy else workspace
+        assert cli.main([
+            "decompose", "--input", str(root / "x.sms"), "--method", "rdmd",
+            "--rank", "5", "--blocks", "4", "--seed", "9", "--out", str(tmp_path / "o"),
+        ]) == 0
+        assert len(calls) == reads
+
+    @pytest.mark.parametrize("method", ["rdmd", "dmd", "cdmd"])
+    def test_health_fields_in_report(self, noisy_workspace, tmp_path, method):
+        out = tmp_path / method
+        assert cli.main([
+            "decompose", "--input", str(noisy_workspace / "x.sms"), "--method", method,
+            "--rank", "5", "--seed", "9", "--out", str(out),
+        ]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert 0.0 <= report["eigenpair_residual"] <= 1e-12
+        if method == "rdmd":
+            assert report["relative_reconstruction_error"] == pytest.approx(
+                np.hypot(report["sketch_residual"], report["dynamics_misfit"]), rel=1e-14
+            )
+        else:
+            assert report["sketch_residual"] is None
+            assert report["dynamics_misfit"] is None
 
 
 class TestBench:

@@ -19,6 +19,7 @@ from rdmd import (
     identity_sampling_operator,
     low_dim_operator,
     pseudoinverse,
+    randomized_qb,
     reconstruct,
     run_dmd,
     split_snapshots,
@@ -227,9 +228,40 @@ class TestRecoverModes:
             col = w[:, j]
             assert abs(np.linalg.norm(col) - 1.0) <= 1e-12
             pivot = col[np.argmax(np.abs(col))]
-            # p * conj(p) keeps a rounding-level imaginary part where numpy's
-            # complex multiply uses fused multiply-add
-            assert abs(pivot.imag) <= 1e-15 * pivot.real and pivot.real > 0.0
+            assert pivot.imag == 0.0 and pivot.real > 0.0
+
+    @staticmethod
+    def noisy_three_modes():
+        specs = [ModeSpec(0.98), ModeSpec(0.95 * np.exp(0.6j), amplitude=0.5)]
+        return add_noise(synth_linear_dynamics(90, 40, specs, seed=10).clean_data, 10.0, seed=11)
+
+    @pytest.mark.parametrize("method", list(_MODES_BY_METHOD))
+    def test_eigenpair_residual_is_recorded(self, method):
+        x = self.noisy_three_modes()
+        result = _MODES_BY_METHOD[method](x)
+        residual = result.diagnostics["eigenpair_residual"]
+        assert 0.0 <= residual <= 1e-12
+        if method == "projected":
+            op = low_dim_operator(split_snapshots(x), 3).operator
+            w = result.low_dim_eigvecs
+            expected = np.linalg.norm(op @ w - w * result.eigenvalues, axis=0).max()
+            assert residual == expected
+
+    @pytest.mark.parametrize("method", list(_MODES_BY_METHOD))
+    def test_sketch_fit_only_on_randomized_results(self, method):
+        x = self.noisy_three_modes()
+        result = _MODES_BY_METHOD[method](x)
+        if method not in ("randomized", "blocked-3"):
+            assert result.sketch is None
+            return
+        fit = result.sketch
+        l = _RANDOMIZED.sketch.sketch_size
+        assert fit.modes.shape == (l, 3) and fit.data.shape == (l, 41)
+        assert fit.data_sq_norm == pytest.approx(np.sum(x * x), rel=1e-13)
+        if method == "randomized":
+            qb = randomized_qb(x, _RANDOMIZED.sketch)
+            assert np.array_equal(fit.data, qb.b)
+            assert np.abs(qb.q @ fit.modes - result.modes).max() <= 1e-14
 
 
 class TestRandomized:

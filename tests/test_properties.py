@@ -1,13 +1,17 @@
 """Property-based checks (hypothesis), bounded to a few dozen examples."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from rdmd import SketchConfig, randomized_qb
+from rdmd import SketchConfig, partition_rows, randomized_qb, read_sms, write_sms
 from rdmd.rng import normal_matrix, normals
 
 
@@ -45,3 +49,38 @@ def test_normals_sub_range_matches_the_whole_stream(seed, pairs, count):
     # an even start keeps the Box-Muller pairs of the stream from draw 0
     start = 2 * pairs
     assert np.array_equal(normals(seed, start, count), normals(seed, 0, start + count)[start:])
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(n=st.integers(min_value=1, max_value=100_000), data=st.data())
+def test_partition_rows_covers_in_order_and_balanced(n, data):
+    b = data.draw(st.integers(min_value=1, max_value=min(n, 5000)), label="b")
+    ranges = partition_rows(n, b)
+    assert len(ranges) == b
+    end = 0
+    for start, count in ranges:
+        assert start == end and count >= 1
+        end = start + count
+    assert end == n
+    counts = [count for _, count in ranges]
+    assert max(counts) - min(counts) <= 1
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(
+    x=hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=12),
+        elements=st.floats(allow_nan=False, allow_infinity=False),
+    ),
+    fortran=st.booleans(),
+)
+def test_sms_round_trip_is_bit_exact(x, fortran):
+    if fortran:
+        x = np.asfortranarray(x)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "x.sms")
+        write_sms(x, path)
+        y = read_sms(path)
+    assert y.dtype == np.float64 and y.shape == x.shape
+    assert y.tobytes() == x.tobytes(order="C")
