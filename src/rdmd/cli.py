@@ -115,6 +115,17 @@ def _relative_residual(blocks, approximate) -> float:
     return float(np.sqrt(num) / np.sqrt(den)) if den > 0 else 0.0
 
 
+def _identity_error(data_sq_norm: float, residual_sq: float, misfit_sq: float = 0.0):
+    """sqrt((residual_sq + misfit_sq) / data_sq_norm), the relative error of
+    the sketch identity, or None where it is not trusted: a sketch residual
+    ||X||^2 - ||B||^2 that cancelled below zero, or an error below
+    _IDENTITY_MIN_ERROR."""
+    if residual_sq < 0 or not data_sq_norm > 0:
+        return None
+    error = math.sqrt((residual_sq + misfit_sq) / data_sq_norm)
+    return error if error >= _IDENTITY_MIN_ERROR else None
+
+
 def _reconstruction_error(result: DmdResult, blocks) -> tuple[float, float | None, float | None]:
     """Relative error of the DMD reconstruction of `result` against the data
     X, with the sketch residual and the dynamics misfit it splits into, each
@@ -133,14 +144,13 @@ def _reconstruction_error(result: DmdResult, blocks) -> tuple[float, float | Non
         misfit_sq = frobenius_sq(
             fit.data - reconstruct(replace(result, modes=fit.modes), fit.data.shape[1])
         )
-        if residual_sq >= 0:
-            error = math.sqrt((residual_sq + misfit_sq) / fit.data_sq_norm)
-            if error >= _IDENTITY_MIN_ERROR:
-                return (
-                    error,
-                    math.sqrt(residual_sq / fit.data_sq_norm),
-                    math.sqrt(misfit_sq / fit.data_sq_norm),
-                )
+        error = _identity_error(fit.data_sq_norm, residual_sq, misfit_sq)
+        if error is not None:
+            return (
+                error,
+                math.sqrt(residual_sq / fit.data_sq_norm),
+                math.sqrt(misfit_sq / fit.data_sq_norm),
+            )
 
     def approximate(start, block):
         part = replace(result, modes=result.modes[start : start + block.shape[0]])
@@ -366,9 +376,14 @@ def _cmd_qb(args) -> int:
     timing = {}
     with stage(timing, "qb"):
         qb = randomized_qb(data, cfg)
-    rel_error = _relative_residual(
-        _row_chunks(data), lambda start, block: qb.q[start : start + block.shape[0]] @ qb.b
-    )
+    # ||X - QB||^2 = ||X||^2 - ||B||^2, the sketch residual; the streamed pass
+    # over the data only where that identity is not trusted
+    data_sq_norm = frobenius_sq(data)
+    rel_error = _identity_error(data_sq_norm, data_sq_norm - frobenius_sq(qb.b))
+    if rel_error is None:
+        rel_error = _relative_residual(
+            _row_chunks(data), lambda start, block: qb.q[start : start + block.shape[0]] @ qb.b
+        )
     # sigma_{k+1} from the R factors of the row chunks: no n x m buffer
     sigma = singular_values_of_rows(block for _, block in _row_chunks(data))
     sigma_next = float(sigma[args.rank]) if args.rank < sigma.size else 0.0

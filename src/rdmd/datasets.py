@@ -178,8 +178,11 @@ def add_noise(x, snr: float, seed: int) -> np.ndarray:
         raise ValueError(f"snr must be positive, got {snr}")
     sigma = np.sqrt(np.var(a) / snr)
     memguard.note(a.size * 8)
-    noise = normals(seed, 0, a.size).reshape(a.shape)
-    return a + sigma * noise
+    # built in place in the noise buffer, the one n x m array this allocates
+    noisy = normals(seed, 0, a.size).reshape(a.shape)
+    noisy *= sigma
+    noisy += a
+    return noisy
 
 
 # --- SMS read/write ---------------------------------------------------------

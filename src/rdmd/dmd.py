@@ -59,7 +59,7 @@ from .sketch import (
     SamplingOperator,
     SketchConfig,
     apply_sampling,
-    gaussian_test_matrix,
+    gaussian_compress,
     randomized_qb,
     uniform_sampling_operator,
 )
@@ -440,7 +440,7 @@ def dmd_compressed(x, cfg: DmdConfig, operator: SamplingOperator | None = None) 
         if operator is not None:
             compressed = apply_sampling(operator, a)
         else:
-            compressed = gaussian_test_matrix(l, n, cfg.seed) @ a
+            compressed = gaussian_compress(a, l, cfg.seed)
         _require_finite(a, compressed)
 
     return _pipeline(

@@ -23,7 +23,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .linalg import _as_matrix, _require_finite, thin_qr_q
-from .rng import normal_matrix, uniforms
+from .rng import normal_columns_into, normal_matrix, uniforms
 
 
 @dataclass(frozen=True)
@@ -78,12 +78,41 @@ class SamplingOperator:
     scale_factors: np.ndarray
 
 
+# Rows of X per tile of `gaussian_compress`: at l = 50 its block of S is
+# 6.6 MB, and each row's draw call is long enough to amortize its overhead.
+_COMPRESS_TILE_ROWS = 16384
+
+
 def gaussian_test_matrix(rows: int, cols: int, seed: int) -> np.ndarray:
     """Seeded i.i.d. standard-normal matrix; same seed, same matrix."""
     if rows < 1 or cols < 1:
         raise ShapeMismatch(f"test matrix needs positive dims, got {rows}x{cols}")
     memguard.note(rows * cols * 8)
     return normal_matrix(rows, cols, seed)
+
+
+def gaussian_compress(x, rows: int, seed: int) -> np.ndarray:
+    """S @ x for S = gaussian_test_matrix(rows, n, seed), without forming S.
+
+    Sums S[:, tile] @ x[tile] over row tiles of x, drawing each tile's
+    columns of S into one reused rows x tile buffer, so S costs that buffer
+    rather than rows x n. The sum equals the one-GEMM product to rounding.
+    NaN or Inf in x propagates to the result silently; the caller checks.
+    """
+    a = _as_matrix(x)
+    n, m = a.shape
+    if rows < 1:
+        raise ShapeMismatch(f"test matrix needs positive dims, got {rows}x{n}")
+    tile = min(n, _COMPRESS_TILE_ROWS)
+    memguard.note(rows * tile * 8)
+    block = np.empty((rows, tile))
+    out = np.zeros((rows, m))
+    with np.errstate(over="ignore", invalid="ignore"):  # the caller checks
+        for start in range(0, n, tile):
+            stop = min(n, start + tile)
+            s = normal_columns_into(block[:, : stop - start], n, start, seed)
+            out += s @ a[start:stop]
+    return out
 
 
 def randomized_qb(x, cfg: SketchConfig) -> QBFactorization:

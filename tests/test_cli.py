@@ -482,6 +482,33 @@ class TestQb:
         sigma = rdmd.economic_svd(x).singular_values
         assert report["sigma_next"] == pytest.approx(sigma[5], rel=1e-12)
 
+    @pytest.mark.parametrize("noisy", [True, False], ids=["noisy", "clean"])
+    def test_relative_error_from_the_sketch_identity_or_streamed(
+        self, workspace, noisy_workspace, monkeypatch, capsys, noisy
+    ):
+        # ||X - QB||^2 = ||X||^2 - ||B||^2 on noisy data; the streamed pass
+        # only on noise-free data, whose error is below the identity's floor
+        streamed_calls = []
+        inner = cli._relative_residual
+
+        def counting(blocks, approximate):
+            streamed_calls.append(1)
+            return inner(blocks, approximate)
+
+        monkeypatch.setattr(cli, "_relative_residual", counting)
+        path = (noisy_workspace if noisy else workspace) / "x.sms"
+        assert cli.main(["qb", "--input", str(path), "--rank", "5", "--seed", "3"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        x = rdmd.read_sms(path)
+        qb = rdmd.randomized_qb(x, rdmd.SketchConfig(5, 10, 2, seed=3))
+        streamed = inner(cli._row_chunks(x), lambda s, b: qb.q[s : s + b.shape[0]] @ qb.b)
+        assert len(streamed_calls) == (0 if noisy else 1)
+        if noisy:
+            assert streamed >= cli._IDENTITY_MIN_ERROR
+            assert report["relative_error"] == pytest.approx(streamed, rel=1e-8)
+        else:
+            assert report["relative_error"] == streamed < cli._IDENTITY_MIN_ERROR
+
     def test_bound_omitted_below_minimum_oversampling(self, workspace):
         res = run_cli(
             "qb", "--input", str(workspace / "x.sms"), "--rank", "5",

@@ -344,6 +344,22 @@ class TestCompressed:
         expected = [np.exp(0.5j), np.exp(-0.5j)]
         assert eigen_match_error(expected, result.eigenvalues) <= 1e-6
 
+    def test_gaussian_compression_peak_memory_stays_near_the_input(self):
+        # S (50 x n) is drawn a tile at a time, so the peak is the pipeline's
+        # n x k buffers, not the 50 x n mixer and its draw temporaries
+        import tracemalloc
+
+        x = normal_matrix(100_000, 3, seed=34) @ normal_matrix(3, 41, seed=35)
+        x += 0.1 * normal_matrix(100_000, 41, seed=36)
+        cfg = DmdConfig(target_rank=3, method="compressed", compress_dim=50, seed=37)
+        tracemalloc.start()
+        try:
+            dmd_compressed(x, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.3 * x.nbytes
+
     def test_uniform_sampling_dimension_check(self):
         x = rotation_sequence(10, 8, theta=0.5, seed=23)
         cfg = DmdConfig(

@@ -11,7 +11,20 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from rdmd import SketchConfig, partition_rows, randomized_qb, read_sms, write_sms
+from rdmd import (
+    ArrayRowBlockSource,
+    DmdConfig,
+    ModeSpec,
+    SketchConfig,
+    dmd_randomized,
+    dmd_randomized_blocked,
+    eigen_match_error,
+    partition_rows,
+    randomized_qb,
+    read_sms,
+    synth_linear_dynamics,
+    write_sms,
+)
 from rdmd.rng import normal_matrix, normals
 
 
@@ -49,6 +62,31 @@ def test_normals_sub_range_matches_the_whole_stream(seed, pairs, count):
     # an even start keeps the Box-Muller pairs of the stream from draw 0
     start = 2 * pairs
     assert np.array_equal(normals(seed, start, count), normals(seed, 0, start + count)[start:])
+
+
+# noise-free rank 5 after conjugate completion
+_RANK5 = synth_linear_dynamics(
+    400, 60,
+    [ModeSpec(1.0), ModeSpec(0.995 + 0.2j, 0.5), ModeSpec(0.97 + 0.35j, 0.25)],
+    seed=5,
+)
+
+
+@settings(max_examples=12, deadline=None, database=None)
+@given(
+    blocks=st.integers(min_value=1, max_value=8),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+@example(blocks=1, seed=0)
+def test_blocked_randomized_dmd_recovers_the_spectrum_for_any_block_count(blocks, seed):
+    x = _RANK5.clean_data
+    cfg = DmdConfig(target_rank=5, method="randomized", seed=seed)
+    blocked = dmd_randomized_blocked(ArrayRowBlockSource(x, blocks), cfg)
+    assert eigen_match_error(_RANK5.eigenvalues, blocked.eigenvalues) <= 1e-6
+    if blocks == 1:
+        plain = dmd_randomized(x, cfg)
+        for name in ("eigenvalues", "modes", "amplitudes"):
+            assert getattr(blocked, name).tobytes() == getattr(plain, name).tobytes()
 
 
 @settings(max_examples=50, deadline=None, database=None)

@@ -1,8 +1,11 @@
 import numpy as np
+import pytest
 
+from rdmd import rng
 from rdmd.rng import (
     CounterStream,
     derive_seed,
+    normal_columns_into,
     normal_matrix,
     normals,
     raw_stream,
@@ -100,3 +103,62 @@ def test_counter_stream_tracks_offsets():
     second = s.uniforms(2)
     assert np.array_equal(first, normals(17, 0, 3))
     assert np.array_equal(second, uniforms(17, 4, 2))
+
+
+class TestChunkedKernel:
+    """The chunked in-place kernel against the unchunked textbook formulas."""
+
+    @staticmethod
+    def reference_uniforms(seed, start, count):
+        ctr = np.arange(count, dtype=np.uint64) + np.uint64((start + 1) & _MASK)
+        z = np.uint64(seed & _MASK) + ctr * np.uint64(0x9E3779B97F4A7C15)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        z = z ^ (z >> np.uint64(31))
+        return ((z >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+
+    @classmethod
+    def reference_normals(cls, seed, start, count):
+        pairs = (count + 1) // 2
+        u = cls.reference_uniforms(seed, start, 2 * pairs)
+        radius = np.sqrt(-2.0 * np.log(u[0::2]))
+        angle = (2.0 * np.pi) * u[1::2]
+        out = np.empty(2 * pairs)
+        out[0::2] = radius * np.cos(angle)
+        out[1::2] = radius * np.sin(angle)
+        return out[:count]
+
+    CHUNK = 2 * rng._CHUNK_PAIRS  # uniforms per chunk
+    COUNTS = [0, 1, 2, CHUNK - 1, CHUNK, CHUNK + 1, 3 * rng._CHUNK_PAIRS + 7]
+
+    @pytest.mark.parametrize("start", [0, 1, 6, 2**40 + 3])
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_bit_identical_to_unchunked_reference(self, start, count):
+        seed = 2**63 + 11
+        got_u, got_z = uniforms(seed, start, count), normals(seed, start, count)
+        assert got_u.shape == got_z.shape == (count,)
+        assert got_u.tobytes() == self.reference_uniforms(seed, start, count).tobytes()
+        assert got_z.tobytes() == self.reference_normals(seed, start, count).tobytes()
+
+    def test_raw_stream_across_chunks_matches_scalar_reference(self):
+        got = raw_stream(5, self.CHUNK - 3, 6)
+        assert [int(v) for v in got] == [_reference_raw(5, self.CHUNK - 3 + i) for i in range(6)]
+
+    @pytest.mark.parametrize("rows, cols", [(3, 7), (4, 2 * rng._CHUNK_PAIRS + 5)])
+    @pytest.mark.parametrize("first, width", [(0, None), (1, None), (3, 2), (-1, 1)])
+    def test_normal_columns_into_is_a_column_block(self, rows, cols, first, width):
+        # odd cols puts every other row start at an odd draw of the pairing
+        first %= cols
+        width = cols - first if width is None else width
+        out = np.empty((rows, width))
+        normal_columns_into(out, cols, first, seed=9)
+        assert out.tobytes() == normal_matrix(rows, cols, 9)[:, first : first + width].tobytes()
+
+    def test_normal_columns_into_rejects_columns_outside_the_matrix(self):
+        with pytest.raises(ValueError):
+            normal_columns_into(np.empty((2, 3)), 4, 2, seed=1)
+
+    def test_negative_count_is_rejected(self):
+        for draw in (raw_stream, uniforms, normals):
+            with pytest.raises(ValueError):
+                draw(1, 0, -1)

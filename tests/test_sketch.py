@@ -21,7 +21,9 @@ from rdmd.errors import (
     RankOutOfRange,
     ShapeMismatch,
 )
+from rdmd import sketch
 from rdmd.rng import normal_matrix
+from rdmd.sketch import gaussian_compress
 
 from conftest import matrix_with_spectrum
 
@@ -41,6 +43,31 @@ class TestGaussianTestMatrix:
         a = gaussian_test_matrix(4, 4, seed=1)
         b = gaussian_test_matrix(4, 4, seed=2)
         assert np.any(a != b)
+
+
+class TestGaussianCompress:
+    TILE = sketch._COMPRESS_TILE_ROWS
+
+    # odd n puts every other row of S at an odd draw of the Box-Muller pairing
+    @pytest.mark.parametrize(
+        "n", [101, TILE - 1, 2 * TILE, 2 * TILE + 1],
+        ids=["odd", "below_one_tile", "two_tiles", "two_tiles_plus_one"],
+    )
+    def test_equals_the_test_matrix_product(self, n):
+        x = normal_matrix(n, 4, seed=30)
+        expected = gaussian_test_matrix(7, n, seed=31) @ x
+        np.testing.assert_allclose(gaussian_compress(x, 7, seed=31), expected, rtol=1e-12)
+
+    def test_notes_one_tile_not_the_whole_matrix(self):
+        from rdmd import memguard
+
+        with memguard.session() as guard:
+            gaussian_compress(normal_matrix(3 * self.TILE, 2, seed=32), 5, seed=33)
+        assert guard.largest_bytes == 5 * self.TILE * 8
+
+    def test_rejects_empty_sketch(self):
+        with pytest.raises(ShapeMismatch):
+            gaussian_compress(np.ones((4, 2)), 0, seed=1)
 
 
 class TestRandomizedQb:
