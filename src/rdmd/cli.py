@@ -126,37 +126,41 @@ def _identity_error(data_sq_norm: float, residual_sq: float, misfit_sq: float = 
     return error if error >= _IDENTITY_MIN_ERROR else None
 
 
-def _reconstruction_error(result: DmdResult, blocks) -> tuple[float, float | None, float | None]:
+def _streamed_error(result: DmdResult, blocks) -> float:
     """Relative error of the DMD reconstruction of `result` against the data
-    X, with the sketch residual and the dynamics misfit it splits into, each
-    relative to ||X||_F.
-
-    A randomized result's error comes from its `SketchFit` in sketch
-    coordinates, and the (start, block) row blocks of X in `blocks` are not
-    read. Every other result, and a randomized one whose error is below
-    _IDENTITY_MIN_ERROR or whose sketch residual cancelled below zero, takes
-    the streamed `_relative_residual` over `blocks`, which has no split to
-    report (None, None).
-    """
-    fit = result.sketch
-    if fit is not None:
-        residual_sq = fit.data_sq_norm - frobenius_sq(fit.data)
-        misfit_sq = frobenius_sq(
-            fit.data - reconstruct(replace(result, modes=fit.modes), fit.data.shape[1])
-        )
-        error = _identity_error(fit.data_sq_norm, residual_sq, misfit_sq)
-        if error is not None:
-            return (
-                error,
-                math.sqrt(residual_sq / fit.data_sq_norm),
-                math.sqrt(misfit_sq / fit.data_sq_norm),
-            )
+    X, streamed over the (start, block) row blocks of X in `blocks`."""
 
     def approximate(start, block):
         part = replace(result, modes=result.modes[start : start + block.shape[0]])
         return reconstruct(part, block.shape[1])
 
-    return _relative_residual(blocks, approximate), None, None
+    return _relative_residual(blocks, approximate)
+
+
+def _reconstruction_error(result: DmdResult, blocks) -> tuple[float, float | None, float | None]:
+    """Relative error of the DMD reconstruction of `result` against the data
+    X, with the sketch residual and the dynamics misfit it splits into, each
+    relative to ||X||_F.
+
+    The error comes from the result's `SketchFit` in its l-dimensional
+    coordinates, and the (start, block) row blocks of X in `blocks` are not
+    read. Where that error is below _IDENTITY_MIN_ERROR or the sketch
+    residual cancelled below zero, `_streamed_error` over `blocks` takes its
+    place, with no split to report (None, None).
+    """
+    fit = result.sketch
+    residual_sq = fit.data_sq_norm - frobenius_sq(fit.data)
+    misfit_sq = frobenius_sq(
+        fit.data - reconstruct(replace(result, modes=fit.modes), fit.data.shape[1])
+    )
+    error = _identity_error(fit.data_sq_norm, residual_sq, misfit_sq)
+    if error is None:
+        return _streamed_error(result, blocks), None, None
+    return (
+        error,
+        math.sqrt(residual_sq / fit.data_sq_norm),
+        math.sqrt(misfit_sq / fit.data_sq_norm),
+    )
 
 
 def _row_chunks(data: np.ndarray):

@@ -254,15 +254,6 @@ def read_sms(path) -> np.ndarray:
         raise IoFailure(f"reading {path}: {exc}") from exc
 
 
-def sms_shape(path) -> tuple[int, int]:
-    """Read only the header and return (rows, cols)."""
-    try:
-        with open(path, "rb") as fh:
-            return _read_header(fh, path)
-    except OSError as exc:
-        raise IoFailure(f"reading {path}: {exc}") from exc
-
-
 # --- row-block sources ------------------------------------------------------
 
 

@@ -18,6 +18,11 @@ eigenvectors are lifted back to the full state space:
 * compressed: D = (S X_L, S X_R) for a random row-mixing/sampling S;
   modes are lifted exact-style from the uncompressed X_R.
 
+Each variant's modes lie in the span of an orthonormal basis Q (U_k, the
+sketch basis, or the thin QR factor of the exact-style basis), so every
+variant fits its amplitudes and keeps its reconstruction data in Q's
+k- or l-dimensional coordinates.
+
 Every result carries eigenvalues sorted by descending magnitude, modes with
 unit norm and phase pinned (largest entry real positive), and amplitudes
 fitted to the first snapshot, so reconstruction and cross-method
@@ -27,7 +32,6 @@ comparisons are well-defined.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 import numpy as np
 
@@ -52,6 +56,7 @@ from .linalg import (
     frobenius_sq,
     normalize_phase_in_place,
     sort_eigenpairs,
+    thin_qr_q,
     truncated_svd,
 )
 from .memguard import stage
@@ -134,12 +139,14 @@ class DmdConfig:
 
 @dataclass(frozen=True)
 class SketchFit:
-    """What a randomized result keeps of its sketch.
+    """A result in the coordinates of the orthonormal basis its modes lie in.
 
-    The result's modes are Q @ modes for the orthonormal sketch basis Q,
-    data is B = Q^T X (the snapshots in sketch coordinates) and data_sq_norm
-    is ||X||_F^2. With C the reconstruction from `modes` in sketch
-    coordinates, the reconstruction Q C of X therefore has
+    Every variant's modes are Q @ modes for an orthonormal n x l basis Q:
+    the randomized sketch basis, U_k for projected modes, and the thin QR
+    factor of the exact or compressed modes' basis. data is B = Q^T X (the
+    snapshots in those coordinates) and data_sq_norm is ||X||_F^2. With C
+    the reconstruction from `modes` in coordinates, the reconstruction Q C
+    of X therefore has
 
         ||X - Q C||_F^2 = (||X||_F^2 - ||B||_F^2) + ||B - C||_F^2,
 
@@ -158,8 +165,8 @@ class DmdResult:
 
     diagnostics holds the run's "config" (see `_config_echo`), its stage
     "timings" and "eigenpair_residual", max_j ||A_tilde w_j - lambda_j w_j||_2
-    over the unit-norm low-dimensional eigenvectors w_j. sketch is set on
-    the randomized variants only.
+    over the unit-norm low-dimensional eigenvectors w_j. Every variant sets
+    sketch; it is None only on a result built by hand.
     """
 
     eigenvalues: np.ndarray
@@ -187,9 +194,9 @@ def low_dim_operator(
     """Projected propagator U_k^T D_R V_k S_k^{-1} from a snapshot split.
 
     The inverted singular values carry the regularization filter: the
-    default is plain truncation at k (filter factors all one); a Tikhonov
-    spec replaces 1/s_i by s_i / (s_i^2 + lambda^2). Exact zeros and values
-    at numerical-rank level invert to zero.
+    default is plain truncation at k (1/s_i on the k values kept); a
+    Tikhonov spec replaces 1/s_i by s_i / (s_i^2 + lambda^2). Exact zeros
+    and values at numerical-rank level invert to zero.
     """
     left, right = split.left, split.right
     if left.shape != right.shape:
@@ -201,8 +208,7 @@ def low_dim_operator(
     factors = truncated_svd(left, k)
     s = factors.singular_values
     tol = default_rank_tol(left.shape, s[0])
-    spec = regularization if regularization is not None else FilterSpec.tsvd(k)
-    f = filter_factors(s, spec)
+    f = 1.0 if regularization is None else filter_factors(s, regularization)
     inv_s = divide_where(f, s, s > tol)
     right_projected = (right @ factors.v) * inv_s
     operator = factors.u.T @ right_projected
@@ -216,10 +222,6 @@ def low_dim_operator(
     )
 
 
-def _fit_amplitudes(modes: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    return np.linalg.pinv(modes) @ x0
-
-
 def amplitudes(result: DmdResult, x0) -> np.ndarray:
     """Least-squares mode amplitudes for an initial state: modes @ a ~ x0."""
     x0 = np.asarray(x0, dtype=np.complex128).ravel()
@@ -227,7 +229,7 @@ def amplitudes(result: DmdResult, x0) -> np.ndarray:
         raise ShapeMismatch(
             f"x0 has {x0.size} entries, modes have {result.modes.shape[0]} rows"
         )
-    return _fit_amplitudes(result.modes, x0)
+    return np.linalg.pinv(result.modes) @ x0
 
 
 def reconstruct(result: DmdResult, steps: int) -> np.ndarray:
@@ -271,14 +273,15 @@ def eigen_match_error(reference, test) -> float:
     return worst
 
 
-def _config_echo(cfg: DmdConfig, blocks: int = 1, compress_dim: int | None = None) -> dict:
-    """The description of a run: the parameters cfg.method reads, None for
-    the rest; compress_dim is the compressed variant's effective l."""
-    randomized = cfg.method == "randomized"
-    compressed = cfg.method == "compressed"
+def _config_echo(cfg: DmdConfig, method: str, blocks: int = 1,
+                 compress_dim: int | None = None) -> dict:
+    """The description of a run of `method`: the parameters it reads, None
+    for the rest; compress_dim is the compressed variant's effective l."""
+    randomized = method == "randomized"
+    compressed = method == "compressed"
     reg = cfg.regularization
     return {
-        "method": cfg.method,
+        "method": method,
         "target_rank": cfg.target_rank,
         "oversampling": cfg.oversampling if randomized else None,
         "power_iters": cfg.power_iters if randomized else None,
@@ -293,32 +296,40 @@ def _config_echo(cfg: DmdConfig, blocks: int = 1, compress_dim: int | None = Non
     }
 
 
-# Bases the low-dimensional eigenvectors multiply: U_k for projected modes,
-# D_R V_k S_k^{-1} for exact ones.
-_projected_basis = attrgetter("left_vectors")
-_exact_basis = attrgetter("right_projected")
+def _frame(a, q, coords):
+    """The orthonormal frame of an in-memory variant whose modes are
+    q @ coords @ W for the n x k orthonormal q: the lift through q, the
+    coordinates, B = q^T a and ||a||_F^2."""
+    return (lambda m: q @ m), coords, q.T @ a, frobenius_sq(a)
 
 
-def _pipeline(split, cfg, timings, config, *, method, basis, data, lift=None,
-              data_sq_norm=None):
+def _span_frame(a, basis):
+    """`_frame` of modes basis @ W for an n x k basis that is not
+    orthonormal: q = thin_qr_q(basis), coordinates q^T basis. A NaN or Inf
+    in the basis names the first such entry of `a`."""
+    _require_finite(a, basis)
+    q = thin_qr_q(basis)
+    return _frame(a, q, q.T @ basis)
+
+
+def _pipeline(split, cfg, method, timings, source, frame, **echo):
     """Low-dimensional DMD of `split`, shared by every variant.
 
-    The variants differ only in the split (X, S X or the sketch B), in
-    `basis(op)`, the matrix the low-dimensional eigenvectors multiply, and
-    in `lift`, which maps that product through the orthonormal sketch basis
-    Q to the state space (omitted when it is already there). `data` holds
-    the snapshots in the space the product lives in (X, or B where it is
-    lifted); amplitudes are fitted against its first column x0. A lifted
-    result keeps its `SketchFit`, for which a lifted variant passes
-    data_sq_norm = ||X||_F^2. NaN or Inf in the low-dimensional operator,
-    the product or x0 raises NonFiniteInput naming the first such entry of
-    `data`.
+    The variants differ only in the split (X, S X or the sketch B) and in
+    `frame(op)`, which returns (lift, M, B, ||X||_F^2): the modes are
+    lift(M @ W) for the low-dimensional eigenvectors W, where lift maps
+    coordinates through an orthonormal n x l basis Q to the state space and
+    B = Q^T X holds the snapshots in those coordinates. Since
+    pinv(Q N) = pinv(N) Q^T, the amplitudes are fitted in coordinates,
+    against B[:, 0], and the result keeps (M W, B, ||X||_F^2) as its
+    `SketchFit`. NaN or Inf in the low-dimensional operator, M W or B[:, 0]
+    raises NonFiniteInput naming the first such entry of `source`. `echo`
+    is passed on to `_config_echo`.
     """
-    x0 = data[:, 0]
     with stage(timings, "svd"):
         with np.errstate(over="ignore", invalid="ignore"):  # checked right below
             op = low_dim_operator(split, cfg.target_rank, cfg.regularization)
-        _require_finite(data, op.operator)
+        _require_finite(source, op.operator)
     with stage(timings, "eig"):
         pairs = eig_dense(op.operator)
         w = pairs.eigenvectors
@@ -327,29 +338,25 @@ def _pipeline(split, cfg, timings, config, *, method, basis, data, lift=None,
         )
     with stage(timings, "modes"):
         with np.errstate(over="ignore", invalid="ignore"):  # checked right below
-            small = basis(op) @ pairs.eigenvectors
-        _require_finite(data, small, x0)
-        # the modes are a fresh complex array (`small` or its lift), so they
-        # are normalized in place rather than copied; `small` is read again
-        # below only when it was lifted and so left as it is
-        modes = small if lift is None else lift(small)
+            lift, coords, data, data_sq_norm = frame(op)
+            small = coords @ w
+        _require_finite(source, small, data[:, 0])
+        # the lift is a fresh complex array, so it is normalized in place;
+        # `small` is scaled by the same factors into the coordinates
+        modes = lift(small)
         factors = normalize_phase_in_place(modes)
     with stage(timings, "amplitudes"):
-        # With Q orthonormal, fitting the modes against the first snapshot
-        # equals fitting Q^T modes = small * factors against its projection
-        # B[:, 0], the x0 of a lifted variant; this avoids another pass
-        # over the state dimension.
-        sketch = None if lift is None else SketchFit(small * factors, data, data_sq_norm)
-        amp = _fit_amplitudes(modes if sketch is None else sketch.modes, x0)
+        sketch = SketchFit(small * factors, data, data_sq_norm)
+        amp = np.linalg.pinv(sketch.modes) @ data[:, 0]
     return DmdResult(
         eigenvalues=pairs.eigenvalues,
         modes=modes,
-        low_dim_eigvecs=pairs.eigenvectors,
+        low_dim_eigvecs=w,
         amplitudes=amp,
         method=method,
         diagnostics={
             "timings": timings,
-            "config": config,
+            "config": _config_echo(cfg, method, **echo),
             "eigenpair_residual": eigenpair_residual,
         },
         sketch=sketch,
@@ -359,15 +366,19 @@ def _pipeline(split, cfg, timings, config, *, method, basis, data, lift=None,
 def dmd_deterministic(x, cfg: DmdConfig) -> DmdResult:
     """Deterministic decomposition from the full snapshot sequence.
 
-    cfg.method picks the mode formula: "deterministic_projected" lifts with
-    the left singular vectors, "deterministic_exact" with the right
-    snapshots.
+    cfg.method "deterministic_exact" lifts exact modes X_R V_k S_k^{-1} W
+    through their orthonormal span; any other method runs the projected
+    modes U_k W, whose frame is U_k itself.
     """
     a = _as_matrix(x)
-    basis = _exact_basis if cfg.method == "deterministic_exact" else _projected_basis
+    if cfg.method == "deterministic_exact":
+        return _pipeline(
+            split_snapshots(a), cfg, cfg.method, {}, a,
+            lambda op: _span_frame(a, op.right_projected),
+        )
     return _pipeline(
-        split_snapshots(a), cfg, {}, _config_echo(cfg),
-        method=cfg.method, basis=basis, data=a,
+        split_snapshots(a), cfg, "deterministic_projected", {}, a,
+        lambda op: _frame(a, op.left_vectors, np.eye(cfg.target_rank)),
     )
 
 
@@ -387,9 +398,8 @@ def dmd_randomized(x, cfg: DmdConfig) -> DmdResult:
         qb = randomized_qb(a, sketch)
         data_sq_norm = frobenius_sq(a)
     return _pipeline(
-        split_snapshots(qb.b), cfg, timings, _config_echo(cfg),
-        method="randomized", basis=_exact_basis, data=qb.b, lift=lambda m: qb.q @ m,
-        data_sq_norm=data_sq_norm,
+        split_snapshots(qb.b), cfg, "randomized", timings, qb.b,
+        lambda op: ((lambda m: qb.q @ m), op.right_projected, qb.b, data_sq_norm),
     )
 
 
@@ -405,10 +415,12 @@ def dmd_randomized_blocked(source, cfg: DmdConfig) -> DmdResult:
     with stage(timings, "sketch"):
         blocked = blocked_randomized_qb(source, cfg.sketch)
     return _pipeline(
-        split_snapshots(blocked.b), cfg, timings,
-        _config_echo(cfg, blocks=blocked.block_count),
-        method="randomized", basis=_exact_basis, data=blocked.b,
-        lift=lambda m: apply_q(blocked, m), data_sq_norm=blocked.data_sq_norm,
+        split_snapshots(blocked.b), cfg, "randomized", timings, blocked.b,
+        lambda op: (
+            (lambda m: apply_q(blocked, m)), op.right_projected, blocked.b,
+            blocked.data_sq_norm,
+        ),
+        blocks=blocked.block_count,
     )
 
 
@@ -418,7 +430,7 @@ def dmd_compressed(x, cfg: DmdConfig, operator: SamplingOperator | None = None) 
     S is a Gaussian test matrix or a rescaled uniform row sampler per
     cfg.sampling, drawn from cfg.seed; pass a SamplingOperator as `operator`
     to pin it, e.g. the identity sampler for an exactness check. Modes are
-    lifted from the uncompressed right snapshots.
+    lifted exact-style from the uncompressed right snapshots.
     """
     a = _as_matrix(x)
     split = split_snapshots(a)
@@ -444,9 +456,9 @@ def dmd_compressed(x, cfg: DmdConfig, operator: SamplingOperator | None = None) 
         _require_finite(a, compressed)
 
     return _pipeline(
-        split_snapshots(compressed), cfg, timings,
-        _config_echo(cfg, compress_dim=compressed.shape[0]), method="compressed",
-        basis=lambda op: (split.right @ op.right_vectors) * op.inv_singular, data=a,
+        split_snapshots(compressed), cfg, "compressed", timings, a,
+        lambda op: _span_frame(a, (split.right @ op.right_vectors) * op.inv_singular),
+        compress_dim=compressed.shape[0],
     )
 
 

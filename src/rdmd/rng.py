@@ -200,11 +200,6 @@ class CounterStream:
         self.seed = seed & _MASK
         self.offset = 0
 
-    def uniforms(self, count: int) -> np.ndarray:
-        out = uniforms(self.seed, self.offset, count)
-        self.offset += count
-        return out
-
     def normals(self, count: int) -> np.ndarray:
         out = normals(self.seed, self.offset, count)
         self.offset += 2 * ((count + 1) // 2)

@@ -275,29 +275,38 @@ class TestErrors:
 
 
 class TestReconstructionError:
-    """`cli._reconstruction_error`: the sketch identity on randomized
-    results, the streamed pass otherwise and as its fallback."""
+    """`cli._reconstruction_error`: the identity in every result's sketch
+    coordinates, the streamed pass only as its fallback."""
 
     CFG = rdmd.DmdConfig(target_rank=5, method="randomized", seed=9)
+    VARIANTS = {
+        "projected": {"method": "deterministic_projected"},
+        "exact": {"method": "deterministic_exact"},
+        "compressed-gaussian": {"method": "compressed"},
+        "compressed-uniform": {"method": "compressed", "sampling": "uniform_rows"},
+        "randomized": {},
+        "blocked": {},
+    }
 
     @staticmethod
     def streamed(result, data):
-        return cli._reconstruction_error(replace(result, sketch=None), cli._row_chunks(data))[0]
+        return cli._streamed_error(result, cli._row_chunks(data))
 
     @staticmethod
     def unread():
         raise AssertionError("the data was read again")
         yield
 
-    @pytest.mark.parametrize("blocks", [1, 4])
-    def test_identity_matches_streamed_pass(self, noisy_workspace, blocks):
+    @classmethod
+    def decompose(cls, data, variant):
+        if variant == "blocked":
+            return rdmd.dmd_randomized_blocked(rdmd.ArrayRowBlockSource(data, 4), cls.CFG)
+        return rdmd.run_dmd(data, replace(cls.CFG, **cls.VARIANTS[variant]))
+
+    @pytest.mark.parametrize("variant", list(VARIANTS))
+    def test_identity_matches_streamed_pass(self, noisy_workspace, variant):
         data = rdmd.read_sms(noisy_workspace / "x.sms")
-        if blocks == 1:
-            result = rdmd.run_dmd(data, self.CFG)
-        else:
-            result = rdmd.dmd_randomized_blocked(
-                rdmd.ArrayRowBlockSource(data, blocks), self.CFG
-            )
+        result = self.decompose(data, variant)
         error, residual, misfit = cli._reconstruction_error(result, self.unread())
         streamed = self.streamed(result, data)
         assert streamed >= 1e-3
@@ -307,13 +316,13 @@ class TestReconstructionError:
 
     def test_fallback_on_clean_data(self, workspace):
         data = rdmd.read_sms(workspace / "x.sms")
-        result = rdmd.run_dmd(data, self.CFG)
-        assert result.sketch is not None
-        streamed = self.streamed(result, data)
-        assert streamed < 1e-3
-        assert cli._reconstruction_error(result, cli._row_chunks(data)) == (
-            streamed, None, None,
-        )
+        for variant in ("randomized", "projected"):
+            result = self.decompose(data, variant)
+            streamed = self.streamed(result, data)
+            assert streamed < 1e-3
+            assert cli._reconstruction_error(result, cli._row_chunks(data)) == (
+                streamed, None, None,
+            )
 
     def test_fallback_on_negative_sketch_residual(self, noisy_workspace):
         data = rdmd.read_sms(noisy_workspace / "x.sms")
@@ -352,13 +361,10 @@ class TestReconstructionError:
         ]) == 0
         report = json.loads((out / "report.json").read_text())
         assert 0.0 <= report["eigenpair_residual"] <= 1e-12
-        if method == "rdmd":
-            assert report["relative_reconstruction_error"] == pytest.approx(
-                np.hypot(report["sketch_residual"], report["dynamics_misfit"]), rel=1e-14
-            )
-        else:
-            assert report["sketch_residual"] is None
-            assert report["dynamics_misfit"] is None
+        assert report["sketch_residual"] > 0 and report["dynamics_misfit"] > 0
+        assert report["relative_reconstruction_error"] == pytest.approx(
+            np.hypot(report["sketch_residual"], report["dynamics_misfit"]), rel=1e-14
+        )
 
 
 class TestBench:

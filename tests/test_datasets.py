@@ -19,7 +19,6 @@ from rdmd.datasets import (
     SMS_HEADER_BYTES,
     read_complex_csv,
     read_complex_matrix,
-    sms_shape,
     write_atomic,
     write_complex_csv,
     write_complex_matrix,
@@ -112,7 +111,6 @@ class TestSmsFormat:
         path = tmp_path / "x.sms"
         write_sms(x, path)
         assert np.array_equal(read_sms(path), x)
-        assert sms_shape(path) == (7, 5)
 
     def test_header_layout(self, tmp_path):
         x = np.arange(6.0).reshape(2, 3)

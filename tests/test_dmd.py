@@ -249,19 +249,71 @@ class TestRecoverModes:
 
     @pytest.mark.parametrize("method", list(_MODES_BY_METHOD))
     def test_sketch_fit_only_on_randomized_results(self, method):
+        # every result carries a SketchFit; only a randomized one's is the
+        # l-row QB sketch, the others' have the k rows of U_k or of the thin
+        # QR factor of the exact-style basis
         x = self.noisy_three_modes()
         result = _MODES_BY_METHOD[method](x)
-        if method not in ("randomized", "blocked-3"):
-            assert result.sketch is None
-            return
         fit = result.sketch
-        l = _RANDOMIZED.sketch.sketch_size
+        randomized = method in ("randomized", "blocked-3")
+        l = _RANDOMIZED.sketch.sketch_size if randomized else 3
         assert fit.modes.shape == (l, 3) and fit.data.shape == (l, 41)
         assert fit.data_sq_norm == pytest.approx(np.sum(x * x), rel=1e-13)
+        # an orthonormal lift keeps the unit norm of the modes, and the
+        # coordinate fit of the amplitudes equals the full-space one
+        assert np.abs(np.linalg.norm(fit.modes, axis=0) - 1.0).max() <= 1e-13
+        np.testing.assert_allclose(result.amplitudes, amplitudes(result, x[:, 0]), rtol=1e-10)
+        if method == "projected":
+            u = truncated_svd(x[:, :-1], 3).u
+            assert np.array_equal(fit.data, u.T @ x)
+            assert np.abs(u @ fit.modes - result.modes).max() <= 1e-14
         if method == "randomized":
             qb = randomized_qb(x, _RANDOMIZED.sketch)
             assert np.array_equal(fit.data, qb.b)
             assert np.abs(qb.q @ fit.modes - result.modes).max() <= 1e-14
+
+    def test_no_state_dimension_pinv(self, monkeypatch):
+        # amplitudes are fitted in coordinates: no variant hands np.linalg.pinv
+        # a matrix with the n rows of the state space
+        x = self.noisy_three_modes()
+        inner = np.linalg.pinv
+        rows = []
+
+        def spy(a, *args, **kwargs):
+            rows.append(np.shape(a)[0])
+            return inner(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "pinv", spy)
+        for run in _MODES_BY_METHOD.values():
+            run(x)
+        assert len(rows) == len(_MODES_BY_METHOD)
+        assert x.shape[0] not in rows
+
+
+class TestMethodLabel:
+    """A result and its config echo name the variant that ran, not cfg.method."""
+
+    X = normal_matrix(60, 41, seed=70)
+
+    @pytest.mark.parametrize("run, cfg, method", [
+        (dmd_randomized, DmdConfig(target_rank=3), "randomized"),
+        (lambda x, cfg: dmd_randomized_blocked(ArrayRowBlockSource(x, 2), cfg),
+         DmdConfig(target_rank=3), "randomized"),
+        (dmd_compressed, DmdConfig(target_rank=3, compress_dim=30), "compressed"),
+        (dmd_deterministic, DmdConfig(target_rank=3, method="randomized"),
+         "deterministic_projected"),
+        (dmd_deterministic, DmdConfig(target_rank=3, method="compressed"),
+         "deterministic_projected"),
+    ], ids=["randomized", "blocked", "compressed", "deterministic", "deterministic-cdmd"])
+    def test_label_is_the_variant_that_ran(self, run, cfg, method):
+        result = run(self.X, cfg)
+        echo = result.diagnostics["config"]
+        assert result.method == echo["method"] == method
+        randomized = method == "randomized"
+        assert (echo["sketch_size"] == 13) is randomized
+        assert (echo["oversampling"] == 10) is randomized
+        assert (echo["sampling"] == "gaussian") is (method == "compressed")
+        assert (echo["seed"] == 0) is (method != "deterministic_projected")
 
 
 class TestRandomized:

@@ -100,9 +100,9 @@ def test_derive_seed_decorrelates():
 def test_counter_stream_tracks_offsets():
     s = CounterStream(17)
     first = s.normals(3)   # consumes 4 uniforms
-    second = s.uniforms(2)
+    second = s.normals(2)
     assert np.array_equal(first, normals(17, 0, 3))
-    assert np.array_equal(second, uniforms(17, 4, 2))
+    assert np.array_equal(second, normals(17, 4, 2))
 
 
 class TestChunkedKernel:
