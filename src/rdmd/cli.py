@@ -4,7 +4,7 @@ Subcommands: synth (generate data), decompose (run one method), bench
 (compare all three), qb (range finder only), reconstruct (replay modes).
 Reports are JSON, series are CSV; every output is written atomically.
 Exit codes: 0 success, 1 runtime failure (error class named on stderr),
-2 usage error.
+2 usage error, which includes every numeric flag out of its range.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -40,11 +41,11 @@ from .dmd import (
     reconstruct,
     run_dmd,
 )
-from .errors import RdmdError
+from .errors import IoFailure, RdmdError
 from .linalg import frobenius_sq, singular_values_of_rows
 from .memguard import stage
 from .rng import derive_seed
-from .sketch import expected_error_bound, randomized_qb
+from .sketch import SketchConfig, expected_error_bound, randomized_qb
 
 _METHOD_FLAGS = {
     "dmd": "deterministic_projected",
@@ -61,12 +62,6 @@ _DIAGNOSTIC_CHUNK_ROWS = 4096
 # departs from the streamed pass by about 1.3e-15 / error^2 relative, so
 # 1e-3 keeps the two within 1e-8 (1e-4 would not).
 _IDENTITY_MIN_ERROR = 1e-3
-
-
-def _default_seed(value):
-    if value is not None:
-        return value
-    return int(os.environ.get("RDMD_SEED", "0"))
 
 
 def _write_json(path, payload) -> None:
@@ -100,6 +95,20 @@ def _parse_modes(text: str) -> list[ModeSpec]:
     return specs
 
 
+def _ranged(kind, low, strict=False):
+    """argparse type: a `kind` value >= low, or > low when strict. Any other
+    value is a usage error that names the flag."""
+
+    def parse(text):
+        value = kind(text)  # a ValueError reads "invalid int value: 'text'"
+        if not (value > low if strict else value >= low):
+            raise argparse.ArgumentTypeError(f"must be {'>' if strict else '>='} {low}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__
+    return parse
+
+
 def _relative_residual(blocks, approximate) -> float:
     """Relative Frobenius error ||X - A|| / ||X|| over (start, block) row
     blocks of the data X, where approximate(start, block) returns a fresh
@@ -115,51 +124,52 @@ def _relative_residual(blocks, approximate) -> float:
     return float(np.sqrt(num) / np.sqrt(den)) if den > 0 else 0.0
 
 
-def _identity_error(data_sq_norm: float, residual_sq: float, misfit_sq: float = 0.0):
-    """sqrt((residual_sq + misfit_sq) / data_sq_norm), the relative error of
-    the sketch identity, or None where it is not trusted: a sketch residual
-    ||X||^2 - ||B||^2 that cancelled below zero, or an error below
-    _IDENTITY_MIN_ERROR."""
-    if residual_sq < 0 or not data_sq_norm > 0:
-        return None
-    error = math.sqrt((residual_sq + misfit_sq) / data_sq_norm)
-    return error if error >= _IDENTITY_MIN_ERROR else None
+def _identity_or_streamed(data_sq_norm, residual_sq, misfit_sq, blocks, approximate):
+    """Relative error sqrt((residual_sq + misfit_sq) / data_sq_norm) of an
+    approximation Q C of X from the sketch identity, with the sketch
+    residual and the misfit it splits into, each relative to ||X||_F.
+
+    The identity is not trusted where the residual ||X||^2 - ||B||^2
+    cancelled below zero or the error is below _IDENTITY_MIN_ERROR; the
+    streamed pass `_relative_residual(blocks, approximate)` takes its place
+    there, with no split to report (None, None).
+    """
+    if residual_sq >= 0 and data_sq_norm > 0:
+        parts = residual_sq + misfit_sq, residual_sq, misfit_sq
+        error, residual, misfit = (math.sqrt(sq / data_sq_norm) for sq in parts)
+        if error >= _IDENTITY_MIN_ERROR:
+            return error, residual, misfit
+    return _relative_residual(blocks, approximate), None, None
+
+
+def _approximate(result: DmdResult, start: int, block) -> np.ndarray:
+    """Rows start.. of the DMD reconstruction of `result`, for a row block of
+    the data."""
+    part = replace(result, modes=result.modes[start : start + block.shape[0]])
+    return reconstruct(part, block.shape[1])
 
 
 def _streamed_error(result: DmdResult, blocks) -> float:
     """Relative error of the DMD reconstruction of `result` against the data
     X, streamed over the (start, block) row blocks of X in `blocks`."""
-
-    def approximate(start, block):
-        part = replace(result, modes=result.modes[start : start + block.shape[0]])
-        return reconstruct(part, block.shape[1])
-
-    return _relative_residual(blocks, approximate)
+    return _relative_residual(blocks, partial(_approximate, result))
 
 
 def _reconstruction_error(result: DmdResult, blocks) -> tuple[float, float | None, float | None]:
     """Relative error of the DMD reconstruction of `result` against the data
-    X, with the sketch residual and the dynamics misfit it splits into, each
-    relative to ||X||_F.
+    X, with the sketch residual and the dynamics misfit it splits into.
 
     The error comes from the result's `SketchFit` in its l-dimensional
-    coordinates, and the (start, block) row blocks of X in `blocks` are not
-    read. Where that error is below _IDENTITY_MIN_ERROR or the sketch
-    residual cancelled below zero, `_streamed_error` over `blocks` takes its
-    place, with no split to report (None, None).
+    coordinates, and the (start, block) row blocks of X in `blocks` are
+    read only where `_identity_or_streamed` falls back to the streamed pass.
     """
     fit = result.sketch
-    residual_sq = fit.data_sq_norm - frobenius_sq(fit.data)
     misfit_sq = frobenius_sq(
         fit.data - reconstruct(replace(result, modes=fit.modes), fit.data.shape[1])
     )
-    error = _identity_error(fit.data_sq_norm, residual_sq, misfit_sq)
-    if error is None:
-        return _streamed_error(result, blocks), None, None
-    return (
-        error,
-        math.sqrt(residual_sq / fit.data_sq_norm),
-        math.sqrt(misfit_sq / fit.data_sq_norm),
+    return _identity_or_streamed(
+        fit.data_sq_norm, fit.data_sq_norm - frobenius_sq(fit.data), misfit_sq,
+        blocks, partial(_approximate, result),
     )
 
 
@@ -170,8 +180,6 @@ def _row_chunks(data: np.ndarray):
 
 
 def _load_truth(path):
-    from .errors import IoFailure
-
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -180,17 +188,34 @@ def _load_truth(path):
         raise IoFailure(f"reading truth file {path}: {exc}") from exc
 
 
+def _run(decompose, blocks, truth, timings):
+    """One decomposition as `decompose` and `bench` run it: `decompose()`,
+    then its reconstruction error over the row blocks of the data (see
+    `_reconstruction_error`) and, given truth eigenvalues, its eigen-match
+    error. Returns (result, errors, match error or None)."""
+    with stage(timings, "decompose"):
+        result = decompose()
+    with stage(timings, "diagnostics"):
+        errors = _reconstruction_error(result, blocks)
+        match = None if truth is None else float(eigen_match_error(truth, result.eigenvalues))
+    return result, errors, match
+
+
+def _mean_std(values) -> dict:
+    """Mean and standard deviation of `values`, None for both if empty."""
+    if not values:
+        return {"mean": None, "std": None}
+    return {"mean": float(np.mean(values)), "std": float(np.std(values))}
+
+
 # --- subcommands -------------------------------------------------------------
 
 
 def _cmd_synth(args) -> int:
-    seed = _default_seed(args.seed)
-    if args.snapshots < 2:
-        raise RdmdError(f"need at least 2 snapshots, got {args.snapshots}")
-    truth = synth_linear_dynamics(args.rows, args.snapshots - 1, args.modes, seed)
+    truth = synth_linear_dynamics(args.rows, args.snapshots - 1, args.modes, args.seed)
     data = truth.clean_data
     if args.snr is not None:
-        data = add_noise(data, args.snr, derive_seed(seed, 2**32))
+        data = add_noise(data, args.snr, derive_seed(args.seed, 2**32))
     write_sms(data, args.out)
     if args.truth:
         _write_json(
@@ -200,7 +225,7 @@ def _cmd_synth(args) -> int:
                 "amplitudes": _complex_pairs(truth.amplitudes),
                 "rows": args.rows,
                 "snapshots": args.snapshots,
-                "seed": seed,
+                "seed": args.seed,
                 "snr": args.snr,
             },
         )
@@ -208,17 +233,16 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _build_config(args, method: str, seed: int, compress_dim: int | None = None) -> DmdConfig:
-    """The run configuration of `decompose`, `bench` and `qb`; a sketch flag
-    left unset keeps DmdConfig's default."""
-    sketch_flags = {"oversampling": args.oversample, "power_iters": args.power_iters}
+def _build_config(args, method: str) -> DmdConfig:
+    """The run configuration of `decompose` and `bench`."""
     return DmdConfig(
         target_rank=args.rank,
         method=_METHOD_FLAGS[method],
-        seed=seed,
-        compress_dim=compress_dim,
+        oversampling=args.oversample,
+        power_iters=args.power_iters,
+        seed=args.seed,
+        compress_dim=args.compress_dim,
         sampling=_SAMPLING_FLAGS[args.sampling],
-        **{name: value for name, value in sketch_flags.items() if value is not None},
     )
 
 
@@ -227,7 +251,8 @@ def _cmd_decompose(args) -> int:
         print("error: --blocks > 1 requires --method rdmd", file=sys.stderr)
         return 2
     os.makedirs(args.out, exist_ok=True)
-    cfg = _build_config(args, args.method, _default_seed(args.seed), args.compress_dim)
+    cfg = _build_config(args, args.method)
+    truth = _load_truth(args.truth) if args.truth else None
 
     timings = {}
     with memguard.session(cap_bytes=args.memory_cap) as guard:
@@ -236,30 +261,22 @@ def _cmd_decompose(args) -> int:
                 source = open_row_blocks(args.input, args.blocks)
             rows, cols = source.rows, source.cols
             with source:
-                with stage(timings, "decompose"):
-                    result = dmd_randomized_blocked(source, cfg)
-                with stage(timings, "diagnostics"):
-                    # lazy: the blocks are read again only by a streamed pass
-                    blocks = (
-                        (start, source.read_block(i))
-                        for i, (start, _) in enumerate(source.block_ranges)
-                    )
-                    errors = _reconstruction_error(result, blocks)
+                # lazy: the blocks are read again only by a streamed pass
+                blocks = (
+                    (start, source.read_block(i))
+                    for i, (start, _) in enumerate(source.block_ranges)
+                )
+                result, errors, match_error = _run(
+                    lambda: dmd_randomized_blocked(source, cfg), blocks, truth, timings
+                )
         else:
             with stage(timings, "load"):
                 data = read_sms(args.input)
             rows, cols = data.shape
-            with stage(timings, "decompose"):
-                result = run_dmd(data, cfg)
-            with stage(timings, "diagnostics"):
-                errors = _reconstruction_error(result, _row_chunks(data))
-        recon_error, sketch_residual, dynamics_misfit = errors
-
-        match_error = None
-        if args.truth:
-            match_error = float(
-                eigen_match_error(_load_truth(args.truth), result.eigenvalues)
+            result, errors, match_error = _run(
+                lambda: run_dmd(data, cfg), _row_chunks(data), truth, timings
             )
+        recon_error, sketch_residual, dynamics_misfit = errors
 
         with stage(timings, "write"):
             write_complex_csv(os.path.join(args.out, "eigenvalues.csv"), result.eigenvalues)
@@ -296,8 +313,7 @@ def _cmd_bench(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     data = read_sms(args.input)
     truth = _load_truth(args.truth) if args.truth else None
-    seed0 = _default_seed(args.seed)
-    base = _build_config(args, "rdmd", seed0)
+    base = _build_config(args, "rdmd")
     # An equal-sketch-size comparison: cdmd compresses to k + p rows unless told.
     compress_dim = (
         args.compress_dim
@@ -309,40 +325,26 @@ def _cmd_bench(args) -> int:
     summary = {}
     timing = {}
     for method in ("dmd", "rdmd", "cdmd"):
-        match_errors, recon_errors, elapsed = [], [], []
+        runs = []
         for trial in range(args.seeds):
             # the deterministic method ignores the seed, so its first run
             # stands for every trial
             if method != "dmd" or trial == 0:
-                cfg = _build_config(args, method, derive_seed(seed0, trial), compress_dim)
-                with stage(timing, "run"):
-                    result = run_dmd(data, cfg)
-                dt = timing["run"]
-                recon = _reconstruction_error(result, _row_chunks(data))[0]
-                match = (
-                    float(eigen_match_error(truth, result.eigenvalues))
-                    if truth is not None
-                    else None
+                cfg = replace(
+                    base, method=_METHOD_FLAGS[method],
+                    seed=derive_seed(args.seed, trial), compress_dim=compress_dim,
                 )
+                _, (recon, _, _), match = _run(
+                    lambda: run_dmd(data, cfg), _row_chunks(data), truth, timing
+                )
+                dt = timing["decompose"]
             match_text = "" if match is None else f"{match:.17g}"
             rows.append([method, trial, match_text, f"{recon:.17g}", f"{dt:.6f}"])
-            if match is not None:
-                match_errors.append(match)
-            recon_errors.append(recon)
-            elapsed.append(dt)
+            runs.append((match, recon, dt))
         summary[method] = {
-            "eigen_match_error": {
-                "mean": float(np.mean(match_errors)) if match_errors else None,
-                "std": float(np.std(match_errors)) if match_errors else None,
-            },
-            "reconstruction_error": {
-                "mean": float(np.mean(recon_errors)),
-                "std": float(np.std(recon_errors)),
-            },
-            "time_s": {
-                "mean": float(np.mean(elapsed)),
-                "std": float(np.std(elapsed)),
-            },
+            "eigen_match_error": _mean_std([r[0] for r in runs if r[0] is not None]),
+            "reconstruction_error": _mean_std([r[1] for r in runs]),
+            "time_s": _mean_std([r[2] for r in runs]),
         }
 
     report = {
@@ -350,11 +352,11 @@ def _cmd_bench(args) -> int:
             "input": args.input,
             "rank": args.rank,
             "seeds": args.seeds,
-            "oversample": base.oversampling,
-            "power_iters": base.power_iters,
+            "oversample": args.oversample,
+            "power_iters": args.power_iters,
             "compress_dim": compress_dim,
             "sampling": args.sampling,
-            "seed": seed0,
+            "seed": args.seed,
         },
         "methods": summary,
     }
@@ -376,18 +378,16 @@ def _cmd_bench(args) -> int:
 
 def _cmd_qb(args) -> int:
     data = read_sms(args.input)
-    cfg = _build_config(args, "rdmd", _default_seed(args.seed)).sketch
+    cfg = SketchConfig(args.rank, args.oversample, args.power_iters, args.seed)
     timing = {}
     with stage(timing, "qb"):
         qb = randomized_qb(data, cfg)
-    # ||X - QB||^2 = ||X||^2 - ||B||^2, the sketch residual; the streamed pass
-    # over the data only where that identity is not trusted
+    # ||X - QB||^2 = ||X||^2 - ||B||^2, the sketch residual
     data_sq_norm = frobenius_sq(data)
-    rel_error = _identity_error(data_sq_norm, data_sq_norm - frobenius_sq(qb.b))
-    if rel_error is None:
-        rel_error = _relative_residual(
-            _row_chunks(data), lambda start, block: qb.q[start : start + block.shape[0]] @ qb.b
-        )
+    rel_error = _identity_or_streamed(
+        data_sq_norm, data_sq_norm - frobenius_sq(qb.b), 0.0, _row_chunks(data),
+        lambda start, block: qb.q[start : start + block.shape[0]] @ qb.b,
+    )[0]
     # sigma_{k+1} from the R factors of the row chunks: no n x m buffer
     sigma = singular_values_of_rows(block for _, block in _row_chunks(data))
     sigma_next = float(sigma[args.rank]) if args.rank < sigma.size else 0.0
@@ -441,62 +441,63 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate synthetic snapshot data")
-    p.add_argument("--rows", type=int, required=True)
-    p.add_argument("--snapshots", type=int, required=True,
+    # Flags shared by several subcommands, each declared once, in parent
+    # parsers. A string default is parsed like a command-line value, so a
+    # bad RDMD_SEED is a usage error.
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=os.environ.get("RDMD_SEED", "0"),
+                        help="master seed (default: $RDMD_SEED, else 0)")
+    sketched = argparse.ArgumentParser(add_help=False, parents=[seeded])
+    sketched.add_argument("--input", required=True)
+    sketched.add_argument("--rank", type=int, required=True)
+    sketched.add_argument("--oversample", type=_ranged(int, 0),
+                          default=SketchConfig.oversampling)
+    sketched.add_argument("--power-iters", type=_ranged(int, 0),
+                          default=SketchConfig.power_iters)
+
+    def compared(sampling: str) -> argparse.ArgumentParser:
+        # one parser per default of --sampling: parents share their actions
+        p = argparse.ArgumentParser(add_help=False, parents=[sketched])
+        p.add_argument("--compress-dim", type=int, default=None)
+        p.add_argument("--sampling", choices=("uniform", "gaussian"), default=sampling)
+        p.add_argument("--truth", default=None, help="ground truth JSON from synth")
+        return p
+
+    p = sub.add_parser("synth", parents=[seeded], help="generate synthetic snapshot data")
+    p.add_argument("--rows", type=_ranged(int, 1), required=True)
+    p.add_argument("--snapshots", type=_ranged(int, 2), required=True,
                    help="total snapshot count (columns of the output)")
     p.add_argument("--modes", type=_parse_modes, required=True,
                    help="comma-separated EIG[:AMP] complex literals")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--snr", type=float, default=None,
+    p.add_argument("--snr", type=_ranged(float, 0, strict=True), default=None,
                    help="variance-ratio SNR; omit for noise-free data")
     p.add_argument("--out", required=True)
     p.add_argument("--truth", default=None, help="write ground truth JSON here")
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("decompose", help="run one decomposition method")
-    p.add_argument("--input", required=True)
+    p = sub.add_parser("decompose", parents=[compared("gaussian")],
+                       help="run one decomposition method")
     p.add_argument("--method", choices=sorted(_METHOD_FLAGS), required=True)
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--oversample", type=int, default=None)
-    p.add_argument("--power-iters", type=int, default=None)
-    p.add_argument("--blocks", type=int, default=1)
-    p.add_argument("--compress-dim", type=int, default=None)
-    p.add_argument("--sampling", choices=("uniform", "gaussian"), default="gaussian")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--truth", default=None)
+    p.add_argument("--blocks", type=_ranged(int, 1), default=1)
     p.add_argument("--memory-cap", type=int, default=None,
                    help="fail if any single tracked allocation exceeds this many bytes")
     p.add_argument("--out", default="rdmd-out")
     p.set_defaults(func=_cmd_decompose)
 
-    p = sub.add_parser("bench", help="compare all three methods")
-    p.add_argument("--input", required=True)
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--seeds", type=int, default=20)
-    p.add_argument("--truth", default=None)
-    p.add_argument("--oversample", type=int, default=None)
-    p.add_argument("--power-iters", type=int, default=None)
-    p.add_argument("--compress-dim", type=int, default=None)
-    p.add_argument("--sampling", choices=("uniform", "gaussian"), default="uniform")
-    p.add_argument("--seed", type=int, default=None)
+    p = sub.add_parser("bench", parents=[compared("uniform")],
+                       help="compare all three methods")
+    p.add_argument("--seeds", type=_ranged(int, 1), default=20)
     p.add_argument("--out", default="rdmd-bench")
     p.set_defaults(func=_cmd_bench)
 
-    p = sub.add_parser("qb", help="randomized QB factorization only")
-    p.add_argument("--input", required=True)
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--oversample", type=int, default=None)
-    p.add_argument("--power-iters", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p = sub.add_parser("qb", parents=[sketched], help="randomized QB factorization only")
     p.add_argument("--out", default=None)
-    # qb has no --sampling flag; `_build_config` reads the library default
-    p.set_defaults(func=_cmd_qb, sampling="gaussian")
+    p.set_defaults(func=_cmd_qb)
 
     p = sub.add_parser("reconstruct", help="replay modes into a snapshot file")
     p.add_argument("--modes", required=True,
                    help="directory holding modes_{re,im}.sms, eigenvalues.csv, amplitudes.csv")
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=_ranged(int, 1), required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_reconstruct)
 

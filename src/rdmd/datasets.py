@@ -34,7 +34,7 @@ from .errors import (
     TruncatedPayload,
     UnsupportedVersion,
 )
-from .linalg import _as_matrix
+from .linalg import _as_matrix, _real_product
 from .rng import CounterStream, derive_seed, normals
 
 SMS_MAGIC = b"RDMD"
@@ -156,9 +156,8 @@ def synth_linear_dynamics(
 
     powers = eigenvalues[:, None] ** np.arange(m + 1)[None, :]
     memguard.note(n * (m + 1) * 8)
-    # ascontiguousarray: np.real on a complex product is a strided view, and
-    # the row-major layout is part of the data contract.
-    clean = np.ascontiguousarray(np.real(modes @ (amplitudes[:, None] * powers)))
+    # _real_product returns a fresh row-major array, as the data contract needs
+    clean = _real_product(modes, amplitudes[:, None] * powers)
     return SyntheticTruth(
         eigenvalues=eigenvalues,
         modes=modes,
@@ -189,9 +188,10 @@ def add_noise(x, snr: float, seed: int) -> np.ndarray:
 
 
 def write_atomic(path, *chunks) -> None:
-    """Write the byte chunks to `path` through `<path>.tmp.<pid>` and a
-    rename, so no reader sees a partial file. On any OSError the temp file
-    is removed and IoFailure raised."""
+    """Write the chunks (bytes, or C-contiguous arrays, written from their
+    own buffer) to `path` through `<path>.tmp.<pid>` and a rename, so no
+    reader sees a partial file. On any OSError the temp file is removed and
+    IoFailure raised."""
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "wb") as fh:
@@ -210,7 +210,8 @@ def write_sms(x, path) -> None:
     if not np.all(np.isfinite(a)):
         raise ValueError("refusing to write non-finite values")
     header = _HEADER.pack(SMS_MAGIC, SMS_VERSION, a.shape[0], a.shape[1], SMS_DTYPE_F64)
-    write_atomic(path, header, a.astype("<f8", copy=False).tobytes(order="C"))
+    # the array's own buffer is written: no bytes copy of the payload
+    write_atomic(path, header, a.astype("<f8", copy=False))
 
 
 def _read_header(fh, path) -> tuple[int, int]:

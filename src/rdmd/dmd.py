@@ -48,6 +48,7 @@ from .errors import (
 from .linalg import (
     FilterSpec,
     _as_matrix,
+    _real_product,
     _require_finite,
     default_rank_tol,
     divide_where,
@@ -178,13 +179,18 @@ class DmdResult:
     sketch: SketchFit | None = None
 
 
+def _require_snapshots(cols: int) -> None:
+    """TooFewSnapshots unless a sequence has the 2 columns a split needs;
+    the randomized paths check it before their sketch, so the in-memory
+    and blocked ones fail alike."""
+    if cols < 2:
+        raise TooFewSnapshots(f"need at least 2 snapshot columns, got {cols}")
+
+
 def split_snapshots(x) -> SnapshotSplit:
     """Split a d x (m+1) sequence into overlapping left/right d x m halves."""
     a = _as_matrix(x)
-    if a.shape[1] < 2:
-        raise TooFewSnapshots(
-            f"need at least 2 snapshot columns, got {a.shape[1]}"
-        )
+    _require_snapshots(a.shape[1])
     return SnapshotSplit(left=a[:, :-1], right=a[:, 1:])
 
 
@@ -243,8 +249,7 @@ def reconstruct(result: DmdResult, steps: int) -> np.ndarray:
     )
     n = result.modes.shape[0]
     memguard.note(n * steps * 8)
-    # Re(W @ P) via two real GEMMs keeps the largest buffer real-sized.
-    return result.modes.real @ scaled.real - result.modes.imag @ scaled.imag
+    return _real_product(result.modes, scaled)
 
 
 def eigen_match_error(reference, test) -> float:
@@ -385,17 +390,10 @@ def dmd_deterministic(x, cfg: DmdConfig) -> DmdResult:
 def dmd_randomized(x, cfg: DmdConfig) -> DmdResult:
     """Randomized decomposition: QB sketch, low-dimensional DMD, recovery."""
     a = _as_matrix(x)
-    if a.shape[1] < 2:
-        raise TooFewSnapshots(f"need at least 2 snapshot columns, got {a.shape[1]}")
-    sketch = cfg.sketch
-    if sketch.sketch_size > min(a.shape[0], a.shape[1] - 1):
-        raise RankOutOfRange(
-            f"sketch size {sketch.sketch_size} exceeds "
-            f"min(n, snapshots-1) = {min(a.shape[0], a.shape[1] - 1)}"
-        )
+    _require_snapshots(a.shape[1])
     timings = {}
     with stage(timings, "sketch"):
-        qb = randomized_qb(a, sketch)
+        qb = randomized_qb(a, cfg.sketch)
         data_sq_norm = frobenius_sq(a)
     return _pipeline(
         split_snapshots(qb.b), cfg, "randomized", timings, qb.b,
@@ -411,6 +409,7 @@ def dmd_randomized_blocked(source, cfg: DmdConfig) -> DmdResult:
     The pipeline is the in-memory one, so a single-block run is
     bit-identical to `dmd_randomized`.
     """
+    _require_snapshots(source.cols)
     timings = {}
     with stage(timings, "sketch"):
         blocked = blocked_randomized_qb(source, cfg.sketch)

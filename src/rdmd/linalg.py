@@ -113,6 +113,15 @@ def frobenius_sq(a: np.ndarray) -> float:
     return float(np.dot(flat, flat))
 
 
+def _real_product(w: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Re(w @ p) for complex w and p as two real GEMMs, Re w @ Re p minus
+    Im w @ Im p subtracted in place: besides the real result it holds one
+    temporary of the result's size, and never the complex product."""
+    out = w.real @ p.real
+    out -= w.imag @ p.imag
+    return out
+
+
 def _cholesky_qr2(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """CholeskyQR2 factors (Fukaya et al., 2014) of a tall matrix, or None
     where they are not accurate.

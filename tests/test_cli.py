@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -272,6 +273,104 @@ class TestErrors:
         assert f"column {col} is {value}" in res.stderr
         assert ("block 2: row 50" if flags[-1] == "3" else f"row {row}") in res.stderr
         assert not (tmp_path / "o" / "report.json").exists()
+
+
+class TestUsageErrors:
+    """Numeric flags are checked where they are parsed: a bad value exits 2
+    with the usage line and the flag's name, before any file is read."""
+
+    RUN = {
+        "synth": ["--rows", "40", "--snapshots", "10", "--modes", "0.9"],
+        "decompose": ["--method", "rdmd", "--rank", "5"],
+        "bench": ["--rank", "5"],
+        "qb": ["--rank", "5"],
+        "reconstruct": ["--modes", "no-such-dir"],
+    }
+
+    CASES = [
+        ("decompose", ["--blocks", "0"], None),
+        ("decompose", ["--blocks", "-3"], None),
+        ("bench", ["--seeds", "0"], None),
+        ("decompose", ["--power-iters", "-1"], None),
+        ("qb", ["--power-iters", "-1"], None),
+        ("reconstruct", ["--steps", "0"], None),
+        ("synth", ["--snr", "0"], None),
+        ("synth", ["--snapshots", "1"], None),
+        ("synth", ["--rows", "0"], None),
+        ("decompose", ["--oversample", "-1"], None),
+        ("bench", ["--oversample", "-1"], None),
+        ("qb", ["--oversample", "-1"], None),
+        ("synth", [], "abc"),
+        ("decompose", [], "abc"),
+        ("bench", [], "abc"),
+        ("qb", [], "abc"),
+    ]
+
+    @pytest.mark.parametrize(
+        "command, flags, env_seed",
+        [
+            pytest.param(command, flags, env_seed, id=f"{command}{'='.join(flags)}"
+                         if flags else f"{command}-RDMD_SEED={env_seed}")
+            for command, flags, env_seed in CASES
+        ],
+    )
+    def test_bad_value_is_usage_error(self, workspace, tmp_path, command, flags, env_seed):
+        import os
+
+        env = dict(os.environ)
+        env.pop("RDMD_SEED", None)
+        if env_seed is not None:
+            env["RDMD_SEED"] = env_seed
+        io = ["--out", str(tmp_path / "o")]
+        if command in ("decompose", "bench", "qb"):
+            io = ["--input", str(workspace / "x.sms"), *io]
+        if command == "reconstruct":
+            io += ["--steps", "5"]
+        res = run_cli(command, *self.RUN[command], *io, *flags, env=env)
+        assert res.returncode == 2
+        assert "usage" in res.stderr.lower()
+        assert (flags[0] if flags else "--seed") in res.stderr
+        assert "Traceback" not in res.stderr
+        assert not (tmp_path / "o").exists()
+
+    SHARED = {"--seed", "--input", "--rank", "--oversample", "--power-iters"}
+    COMPARED = SHARED | {"--compress-dim", "--sampling", "--truth"}
+    FLAGS = {
+        "synth": {"--seed", "--rows", "--snapshots", "--modes", "--snr", "--out", "--truth"},
+        "decompose": COMPARED | {"--method", "--blocks", "--memory-cap", "--out"},
+        "bench": COMPARED | {"--seeds", "--out"},
+        "qb": SHARED | {"--out"},
+        "reconstruct": {"--modes", "--steps", "--out"},
+    }
+
+    @pytest.mark.parametrize("command", list(FLAGS))
+    def test_help_lists_the_shared_flags(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([command, "--help"])
+        assert exit_info.value.code == 0
+        listed = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
+        assert listed == self.FLAGS[command]
+
+    @pytest.mark.parametrize(
+        "command, defaults",
+        [
+            ("decompose", {"sampling": "gaussian", "compress_dim": None, "truth": None,
+                           "blocks": 1}),
+            ("bench", {"sampling": "uniform", "compress_dim": None, "truth": None,
+                       "seeds": 20}),
+            ("qb", {"out": None}),
+        ],
+        ids=["decompose", "bench", "qb"],
+    )
+    def test_shared_flag_defaults(self, command, defaults, monkeypatch):
+        # the shared parsers' defaults, and each subcommand's own --sampling
+        monkeypatch.delenv("RDMD_SEED", raising=False)
+        method = ["--method", "rdmd"] if command == "decompose" else []
+        args = vars(cli.build_parser().parse_args(
+            [command, "--input", "x.sms", "--rank", "3", *method]
+        ))
+        expected = {"seed": 0, "oversample": 10, "power_iters": 2, **defaults}
+        assert {name: args[name] for name in expected} == expected
 
 
 class TestReconstructionError:

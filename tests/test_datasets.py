@@ -69,6 +69,21 @@ class TestSynth:
             col = truth.clean_data[:, j + 1]
             assert np.linalg.norm(advanced - col) <= 1e-12 * max(np.linalg.norm(col), 1.0)
 
+    def test_evolution_peak_memory(self):
+        # Re(W P) as two real GEMMs, the second subtracted in place: the
+        # output and one temporary of its size, no complex n x (m+1) product
+        import tracemalloc
+
+        specs = [ModeSpec(0.98 * np.exp(0.3j)), ModeSpec(0.9, amplitude=2.0)]
+        tracemalloc.start()
+        try:
+            truth = synth_linear_dynamics(20000, 200, specs, seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert truth.clean_data.flags.c_contiguous
+        assert peak <= 2.2 * truth.clean_data.nbytes
+
     def test_harmonic_profiles(self):
         specs = [
             ModeSpec(np.exp(0.2j), profile="harmonic", frequency=1.0),
@@ -111,6 +126,20 @@ class TestSmsFormat:
         path = tmp_path / "x.sms"
         write_sms(x, path)
         assert np.array_equal(read_sms(path), x)
+
+    def test_write_holds_no_copy_of_the_payload(self, tmp_path):
+        import tracemalloc
+
+        x = normal_matrix(20000, 50, seed=13)
+        path = tmp_path / "x.sms"
+        tracemalloc.start()
+        try:
+            write_sms(x, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * x.nbytes
+        assert read_sms(path).tobytes() == x.tobytes()
 
     def test_header_layout(self, tmp_path):
         x = np.arange(6.0).reshape(2, 3)

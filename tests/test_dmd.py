@@ -35,6 +35,7 @@ from rdmd.errors import (
     MissingAmplitudes,
     NonFiniteInput,
     RankOutOfRange,
+    RdmdError,
     TooFewSnapshots,
 )
 from rdmd.rng import normal_matrix
@@ -369,6 +370,41 @@ class TestRandomized:
         b = dmd_randomized(x, cfg)
         assert np.array_equal(a.eigenvalues, b.eigenvalues)
         assert np.array_equal(a.modes, b.modes)
+
+
+    @pytest.mark.parametrize(
+        "shape, k, p",
+        [
+            ((300, 40), 5, 10),
+            ((300, 16), 3, 13),  # l = m: fits the QB, one column over the split
+            ((300, 16), 3, 14),
+            ((10, 40), 3, 10),
+            ((300, 2), 1, 0),
+            ((300, 1), 1, 2),
+            ((300, 1), 1, 0),
+        ],
+        ids=["fits", "l-equals-m", "l-above-m", "l-above-n", "two-columns",
+             "one-column", "one-column-p0"],
+    )
+    def test_in_memory_and_single_block_agree(self, shape, k, p):
+        # the two paths give bit-identical results or raise the same class
+        x = normal_matrix(*shape, seed=20)
+        cfg = DmdConfig(target_rank=k, method="randomized", oversampling=p, seed=21)
+        outcomes = []
+        for run in (
+            lambda: dmd_randomized(x, cfg),
+            lambda: dmd_randomized_blocked(ArrayRowBlockSource(x, 1), cfg),
+        ):
+            try:
+                outcomes.append(run())
+            except RdmdError as exc:
+                outcomes.append(type(exc))
+        memory, blocked = outcomes
+        if isinstance(memory, type) or isinstance(blocked, type):
+            assert memory is blocked
+            return
+        for name in ("eigenvalues", "modes", "amplitudes"):
+            assert getattr(memory, name).tobytes() == getattr(blocked, name).tobytes()
 
 
 class TestCompressed:
