@@ -21,7 +21,7 @@ import numpy as np
 
 from . import memguard
 from .errors import InvalidBlockCount, NonFiniteInput, RankOutOfRange
-from .linalg import frobenius_sq
+from .linalg import _lift, frobenius_sq
 from .rng import derive_seed
 from .sketch import SketchConfig, randomized_qb
 
@@ -133,7 +133,10 @@ def assemble_q(result: BlockedQB) -> np.ndarray:
 
 def apply_q(result: BlockedQB, v) -> np.ndarray:
     """Compute Q @ v for an l x c matrix v block-row by block-row without
-    materializing Q."""
+    materializing Q: block i of the result is `_lift(Q_i, M_i v)` for its
+    rows M_i of the merge basis, written into the one n x c output, so no
+    block basis is cast to complex and a single-block run lifts exactly as
+    the in-memory path does."""
     v = np.asarray(v)
     l = result.sketch_size
     if v.ndim != 2 or v.shape[0] != l:
@@ -144,5 +147,5 @@ def apply_q(result: BlockedQB, v) -> np.ndarray:
     out = np.empty((n, v.shape[1]), dtype=out_dtype)
     for i, (start, count) in enumerate(result.block_ranges):
         rows = result.merge_basis[i * l : (i + 1) * l]
-        out[start : start + count] = result.block_bases[i] @ (rows @ v)
+        _lift(result.block_bases[i], rows @ v, out=out[start : start + count])
     return out

@@ -48,6 +48,7 @@ from .errors import (
 from .linalg import (
     FilterSpec,
     _as_matrix,
+    _lift,
     _real_product,
     _require_finite,
     default_rank_tol,
@@ -304,8 +305,9 @@ def _config_echo(cfg: DmdConfig, method: str, blocks: int = 1,
 def _frame(a, q, coords):
     """The orthonormal frame of an in-memory variant whose modes are
     q @ coords @ W for the n x k orthonormal q: the lift through q, the
-    coordinates, B = q^T a and ||a||_F^2."""
-    return (lambda m: q @ m), coords, q.T @ a, frobenius_sq(a)
+    coordinates, B = q^T a and ||a||_F^2. The lift is `_lift`, so q is never
+    cast to complex."""
+    return (lambda m: _lift(q, m)), coords, q.T @ a, frobenius_sq(a)
 
 
 def _span_frame(a, basis):
@@ -397,7 +399,7 @@ def dmd_randomized(x, cfg: DmdConfig) -> DmdResult:
         data_sq_norm = frobenius_sq(a)
     return _pipeline(
         split_snapshots(qb.b), cfg, "randomized", timings, qb.b,
-        lambda op: ((lambda m: qb.q @ m), op.right_projected, qb.b, data_sq_norm),
+        lambda op: ((lambda m: _lift(qb.q, m)), op.right_projected, qb.b, data_sq_norm),
     )
 
 

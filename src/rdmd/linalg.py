@@ -85,12 +85,18 @@ def economic_svd(x) -> SvdFactors:
     return SvdFactors(u=u, singular_values=s, v=vh.T)
 
 
+# Rows per chunk of the passes that walk a tall matrix a few thousand rows
+# at a time (`_row_products`, `_non_finite_error`): at 200 columns one chunk
+# is 6.6 MB.
+_CHUNK_ROWS = 4096
+
+
 def _non_finite_error(a: np.ndarray) -> NonFiniteInput:
     """The error for a NaN or Inf in a buffer formed from `a`: names the
     first entry of `a` that is NaN or Inf, scanning a few thousand rows at a
     time, or, with `row` None, says that a product of the finite `a`
     overflowed."""
-    step = 4096
+    step = _CHUNK_ROWS
     for start in range(0, a.shape[0], step):
         bad = np.argwhere(~np.isfinite(a[start : start + step]))
         if bad.size:
@@ -122,13 +128,47 @@ def _real_product(w: np.ndarray, p: np.ndarray) -> np.ndarray:
     return out
 
 
+def _row_products(a: np.ndarray, m: np.ndarray):
+    """Yield (rows, a[rows] @ m) for consecutive `_CHUNK_ROWS`-row slices of
+    `a`, each product written into one reused buffer, so the n-row product
+    a @ m is never formed. A yielded product is overwritten by the next."""
+    n = a.shape[0]
+    step = min(n, _CHUNK_ROWS)
+    memguard.note(step * m.shape[1] * 8)
+    buf = np.empty((step, m.shape[1]))
+    for start in range(0, n, step):
+        stop = min(n, start + step)
+        yield slice(start, stop), np.matmul(a[start:stop], m, out=buf[: stop - start])
+
+
+def _lift(q: np.ndarray, m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """q @ m for a real n x l q and a real or complex l x c m, written into
+    `out` (a fresh n x c array of m's result type when None) without casting
+    q to complex. The real view of a complex n x c array is n x 2c with the
+    real and imaginary part of each column side by side, so one real GEMM of
+    q with the same interleave of m fills it: per entry, q @ m.real and
+    q @ m.imag."""
+    if out is None:
+        dtype = np.result_type(np.float64, m.dtype)
+        memguard.note(q.shape[0] * m.shape[1] * dtype.itemsize)
+        out = np.empty((q.shape[0], m.shape[1]), dtype=dtype)
+    if np.iscomplexobj(out):
+        pairs = np.stack([m.real, m.imag], axis=-1).reshape(m.shape[0], -1)
+        np.matmul(q, pairs, out=out.view(np.float64))
+    else:
+        np.matmul(q, m, out=out)
+    return out
+
+
 def _cholesky_qr2(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """CholeskyQR2 factors (Fukaya et al., 2014) of a tall matrix, or None
     where they are not accurate.
 
-    R1 = chol(A^T A), Q1 = A R1^-1, R2 = chol(Q1^T Q1); returns (Q1, R1, R2),
-    so that A = Q1 R1 and Q1 R2^-1 is orthonormal. The second pass restores
-    orthogonality to rounding level as long as Q1 is not far from
+    R1 = chol(A^T A) and R2 = chol(Q1^T Q1) for Q1 = A R1^-1; returns
+    (R1, R1^-1, R2), so that A = Q R2 R1 with Q = Q1 R2^-1 orthonormal. Q1
+    itself is never formed: Q1^T Q1 is summed over `_CHUNK_ROWS`-row chunks
+    A_i R1^-1, held one at a time in one reused buffer. The second pass
+    restores orthogonality to rounding level as long as Q1 is not far from
     orthonormal, i.e. for condition numbers up to about 1e8. A failed
     Cholesky factorization or ||Q1^T Q1 - I||_2 > 1/2 (rank-deficient or
     worse-conditioned input) yields None. The triangular factors are only
@@ -138,7 +178,7 @@ def _cholesky_qr2(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | 
     naming the first such entry of A; a finite A whose A^T A overflowed
     yields None.
     """
-    n, c = a.shape
+    c = a.shape[1]
     try:
         # Entries near the float64 range limits overflow A^T A; the checks
         # below then reject the factors, so the overflow is not reported.
@@ -149,9 +189,10 @@ def _cholesky_qr2(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | 
                 if error.row is not None:
                     raise error
             r1 = np.linalg.cholesky(gram).T
-            memguard.note(n * c * 8)
-            q1 = a @ np.linalg.inv(r1)
-            gram = q1.T @ q1
+            r1_inv = np.linalg.inv(r1)
+            gram = np.zeros((c, c))
+            for _, q1 in _row_products(a, r1_inv):
+                gram += q1.T @ q1
         r2 = np.linalg.cholesky(gram).T
         gram[np.diag_indices(c)] -= 1.0
         # written so that a NaN distance also rejects the factors
@@ -159,7 +200,7 @@ def _cholesky_qr2(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | 
             return None
     except np.linalg.LinAlgError:
         return None
-    return q1, r1, r2
+    return r1, r1_inv, r2
 
 
 def _cholesky_qr2_svd(a: np.ndarray, k: int) -> SvdFactors | None:
@@ -167,17 +208,27 @@ def _cholesky_qr2_svd(a: np.ndarray, k: int) -> SvdFactors | None:
     factors and the SVD of the small R factor, or None where
     `_cholesky_qr2` rejects the input.
 
-    With U_R S V^T = svd(R2 R1), U_k = Q1 (R2^-1 U_R[:, :k]).
+    With U_R S V^T = svd(R2 R1), U_k = A (R1^-1 R2^-1 U_R[:, :k]), one
+    n x cols x k product, so no n x cols buffer is formed. Folding both
+    inverses into one cols x k factor costs orthogonality in proportion to
+    the condition number (~3e-10 at 3000 x 50, kappa = 1e7), so one k x k
+    CholeskyQR step, U_k <- U_k chol(U_k^T U_k)^-1 applied row chunk by row
+    chunk in place, restores it to rounding level; where that Cholesky
+    factorization fails the result is None as well.
     """
     factors = _cholesky_qr2(a)
     if factors is None:
         return None
-    q1, r1, r2 = factors
+    r1, r1_inv, r2 = factors
     try:
         u_r, s, vh = np.linalg.svd(r2 @ r1)
+        memguard.note(a.shape[0] * k * 8)
+        u = a @ (r1_inv @ (np.linalg.inv(r2) @ u_r[:, :k]))
+        step = np.linalg.inv(np.linalg.cholesky(u.T @ u).T)
     except np.linalg.LinAlgError:
         return None
-    u = q1 @ (np.linalg.inv(r2) @ u_r[:, :k])
+    for rows, chunk in _row_products(u, step):
+        u[rows] = chunk
     return SvdFactors(u, s[:k], vh[:k].T)
 
 
@@ -185,9 +236,10 @@ def truncated_svd(x, k: int) -> SvdFactors:
     """First k singular triplets of the economic SVD.
 
     Tall inputs (rows >= 2 * cols) go through CholeskyQR2 and the SVD of
-    the cols x cols R factor, which forms only the k kept left vectors; when
-    that path is inaccurate (see `_cholesky_qr2_svd`) and for every other
-    shape, the result is the slice of `economic_svd`.
+    the cols x cols R factor, which forms only the k kept left vectors and,
+    besides them, one `_CHUNK_ROWS` x cols chunk (see `_cholesky_qr2_svd`);
+    when that path is inaccurate and for every other shape, the result is
+    the slice of `economic_svd`.
 
     NaN or Inf in the input raises NonFiniteInput naming its first such
     entry: tall inputs show it in the Gram matrix of CholeskyQR2, every
@@ -211,10 +263,12 @@ def truncated_svd(x, k: int) -> SvdFactors:
 def thin_qr_q(x) -> np.ndarray:
     """Orthonormal factor Q of the thin QR decomposition (rows >= cols).
 
-    Inputs with rows >= 2 * cols run guarded CholeskyQR2 and return
-    Q1 R2^-1 (see `_cholesky_qr2`): the guard ||Q1^T Q1 - I||_2 <= 1/2
-    keeps the second pass's input within kappa <= sqrt(3), where CholeskyQR2
-    is orthogonal to the order of rounding, as Householder QR is (Yamamoto,
+    Inputs with rows >= 2 * cols run guarded CholeskyQR2 (see
+    `_cholesky_qr2`) and write Q = (A_i R1^-1) R2^-1 into the n x cols
+    output one `_CHUNK_ROWS`-row chunk A_i at a time, so the only other
+    n-row buffer is the input: the guard ||Q1^T Q1 - I||_2 <= 1/2 keeps the
+    second pass's input within kappa <= sqrt(3), where CholeskyQR2 is
+    orthogonal to the order of rounding, as Householder QR is (Yamamoto,
     Nakatsukasa, Yanagisawa & Fukaya, 2015). Every other input, and every
     input the guard rejects, is one LAPACK Householder call.
 
@@ -228,13 +282,16 @@ def thin_qr_q(x) -> np.ndarray:
         raise ShapeMismatch(
             f"thin QR needs rows >= cols, got shape {a.shape}"
         )
+    memguard.note(n * c * 8)  # the returned Q, on either path
     if n >= 2 * c:
         factors = _cholesky_qr2(a)
         if factors is not None:
-            q1, _, r2 = factors
-            memguard.note(n * c * 8)
-            return q1 @ np.linalg.inv(r2)
-    memguard.note(n * c * 8)
+            _, r1_inv, r2 = factors
+            r2_inv = np.linalg.inv(r2)
+            q = np.empty((n, c))
+            for rows, q1 in _row_products(a, r1_inv):
+                np.matmul(q1, r2_inv, out=q[rows])
+            return q
     q = np.linalg.qr(a, mode="reduced")[0]
     if n < 2 * c:  # a tall input has passed the Gram check of `_cholesky_qr2`
         _require_finite(a, q)

@@ -679,3 +679,35 @@ class TestCrossMethodInvariants:
         )
         expected = [np.exp(0.4j), np.exp(-0.4j)]
         assert eigen_match_error(expected, result.eigenvalues) <= 1e-4
+
+
+class TestTallPeakMemory:
+    # 20000 x 100: an n x c intermediate (16 MB) would dwarf what the tall
+    # paths need, the n x k result, one 4096-row chunk and c x c factors
+    N, C, K = 20_000, 100, 5
+
+    @staticmethod
+    def traced_peak(run) -> int:
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_truncated_svd_holds_one_chunk_besides_u_k(self):
+        x = normal_matrix(self.N, self.C, seed=52)
+        peak = self.traced_peak(lambda: truncated_svd(x, self.K))
+        assert peak < 1.5 * (self.N * self.K + 4096 * self.C + self.C**2) * 8
+
+    @pytest.mark.parametrize("method", ["deterministic_projected", "randomized"])
+    def test_dmd_forms_no_n_by_c_buffer(self, method):
+        x = normal_matrix(self.N, self.C, seed=53)
+        cfg = DmdConfig(target_rank=self.K, method=method)
+        peak = self.traced_peak(lambda: run_dmd(x, cfg))
+        assert peak < x.nbytes
+        if method == "randomized":
+            # the n x l sketch buffers, and no complex copy of the basis Q
+            assert peak < 3 * self.N * cfg.sketch.sketch_size * 8

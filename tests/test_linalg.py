@@ -118,6 +118,24 @@ class TestTruncatedSvd:
             assert np.max(np.abs(f.v * signs - ref.v[:, :k])) <= 1e-12
             assert np.linalg.norm(f.u.T @ f.u - np.eye(k), 2) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "n,c,kappa,k", [(3000, 50, 1e7, 10), (3000, 50, 1e7, 50), (4000, 100, 3e7, 100)]
+    )
+    def test_tall_ill_conditioned_stays_orthonormal(self, n, c, kappa, k, monkeypatch):
+        import rdmd.linalg
+
+        x = matrix_with_spectrum(n, c, np.logspace(0, -np.log10(kappa), c), seed=19)
+        ref = economic_svd(x)
+        monkeypatch.setattr(rdmd.linalg, "economic_svd", None)
+        f = truncated_svd(x, k)
+        # U_k = X (R1^-1 R2^-1 U_R[:, :k]) alone is orthogonal only to ~1e-10
+        # here; the k x k CholeskyQR step brings it to rounding level
+        assert np.linalg.norm(f.u.T @ f.u - np.eye(k), 2) <= 1e-13
+        resid = np.linalg.norm(x @ f.v - f.u * f.singular_values)
+        assert resid <= 1e-13 * np.linalg.norm(x)
+        signs = np.sign(np.sum(f.u[:, :5] * ref.u[:, :5], axis=0))
+        assert np.max(np.abs(f.u[:, :5] * signs - ref.u[:, :5])) <= 1e-14
+
     @pytest.mark.parametrize("case", ["rank_deficient", "kappa_3e8", "kappa_1e12"])
     def test_tall_fallback_is_the_economic_slice(self, case):
         if case == "rank_deficient":
@@ -165,6 +183,22 @@ class TestThinQr:
             thin_qr_q(x)
         assert info.value.row == 2
 
+    def test_memory_guard_sees_the_chunk_and_the_output(self):
+        from rdmd import memguard
+        from rdmd.linalg import _cholesky_qr2
+
+        x = normal_matrix(10_000, 20, seed=54)
+        chunk_bytes = 4096 * 20 * 8
+        # the n x c factor A R1^-1 is never allocated, so never noted
+        for run, largest in [
+            (lambda: _cholesky_qr2(x), chunk_bytes),
+            (lambda: truncated_svd(x, 3), chunk_bytes),
+            (lambda: thin_qr_q(x), x.nbytes),
+        ]:
+            with memguard.session() as guard:
+                run()
+            assert guard.largest_bytes == largest
+
     @pytest.mark.parametrize(
         "case",
         ["well_conditioned", "kappa_1e6", "rank_deficient", "kappa_1e12", "rows_below_2_cols"],
@@ -203,6 +237,35 @@ class TestThinQr:
         else:
             assert returned == ([] if case == "rows_below_2_cols" else [None])
             assert np.array_equal(q, ref)
+
+
+class TestLift:
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_equals_the_product(self, kind):
+        from rdmd.linalg import _lift
+
+        q = normal_matrix(300, 7, seed=46)
+        m = normal_matrix(7, 4, seed=47)
+        if kind == "complex":
+            m = m + 1j * normal_matrix(7, 4, seed=48)
+        got = _lift(q, m)
+        ref = q @ m
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_out_slice_holds_the_fresh_bytes(self, kind):
+        from rdmd.linalg import _lift
+
+        q = normal_matrix(120, 6, seed=49)
+        m = normal_matrix(6, 3, seed=50)
+        if kind == "complex":
+            m = m + 1j * normal_matrix(6, 3, seed=51)
+        out = np.zeros((200, 3), dtype=m.dtype)
+        returned = _lift(q, m, out=out[40:160])
+        assert np.shares_memory(returned, out)
+        assert out[40:160].tobytes() == _lift(q, m).tobytes()
+        assert not out[:40].any() and not out[160:].any()
 
 
 class TestSingularValuesOfRows:
