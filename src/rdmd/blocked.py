@@ -69,10 +69,12 @@ def blocked_randomized_qb(source, cfg: SketchConfig) -> BlockedQB:
 
     Block i runs `randomized_qb` with seed derive_seed(cfg.seed, i); the
     merge stage uses derive_seed(cfg.seed, b). With b = 1 the merge stage is
-    skipped (merge basis = identity), so a single-block run reproduces the
-    unblocked factorization bit for bit. Blocks narrower than the sketch
-    size are a hard error rather than a silent rank reduction. NaN or Inf
-    in a block raises NonFiniteInput naming the block and the global row.
+    skipped (merge basis = identity), so a single-block run is the unblocked
+    factorization, bit for bit. `randomized_qb`'s sketch-size check is the
+    one rule, so a block narrower than the sketch is a hard error rather
+    than a silent rank reduction. With b > 1 an error of a block's QB names
+    the block, and a NonFiniteInput also the global row; with b = 1 it is
+    raised as `randomized_qb` raised it.
     """
     l = cfg.sketch_size
     b = source.block_count
@@ -82,17 +84,15 @@ def blocked_randomized_qb(source, cfg: SketchConfig) -> BlockedQB:
     data_sq_norm = 0.0
     for i in range(b):
         block = source.read_block(i)
-        if l > min(block.shape):
-            raise RankOutOfRange(
-                f"sketch size {l} exceeds block {i} of shape {block.shape}"
-            )
         try:
             qb = randomized_qb(block, replace(cfg, seed=derive_seed(cfg.seed, i)))
-        except NonFiniteInput as exc:
-            if exc.row is None:
+        except (NonFiniteInput, RankOutOfRange) as exc:
+            if b == 1:
                 raise
-            row = source.block_ranges[i][0] + exc.row
-            raise NonFiniteInput(f"block {i}: {exc}; global row {row}", row=row) from exc
+            if isinstance(exc, NonFiniteInput) and exc.row is not None:
+                row = source.block_ranges[i][0] + exc.row
+                raise NonFiniteInput(f"block {i}: {exc}; global row {row}", row=row) from exc
+            raise type(exc)(f"block {i}: {exc}") from exc
         bases.append(qb.q)
         projections.append(qb.b)
         data_sq_norm += frobenius_sq(block)
@@ -135,8 +135,7 @@ def apply_q(result: BlockedQB, v) -> np.ndarray:
     """Compute Q @ v for an l x c matrix v block-row by block-row without
     materializing Q: block i of the result is `_lift(Q_i, M_i v)` for its
     rows M_i of the merge basis, written into the one n x c output, so no
-    block basis is cast to complex and a single-block run lifts exactly as
-    the in-memory path does."""
+    block basis is cast to complex."""
     v = np.asarray(v)
     l = result.sketch_size
     if v.ndim != 2 or v.shape[0] != l:

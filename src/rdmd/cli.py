@@ -42,7 +42,7 @@ from .dmd import (
     run_dmd,
 )
 from .errors import IoFailure, RdmdError
-from .linalg import frobenius_sq, singular_values_of_rows
+from .linalg import _CHUNK_ROWS, frobenius_sq, singular_values_of_rows
 from .memguard import stage
 from .rng import derive_seed
 from .sketch import SketchConfig, expected_error_bound, randomized_qb
@@ -53,10 +53,6 @@ _METHOD_FLAGS = {
     "cdmd": "compressed",
 }
 _SAMPLING_FLAGS = {"uniform": "uniform_rows", "gaussian": "gaussian"}
-# Rows per chunk of the in-memory error passes (`decompose`, `bench`, `qb`):
-# the chunk's approximation, not an n x m one, is what they hold beside the
-# data.
-_DIAGNOSTIC_CHUNK_ROWS = 4096
 # Smallest relative reconstruction error taken from the sketch identity. Its
 # difference ||X||^2 - ||B||^2 cancels as the error shrinks: the identity
 # departs from the streamed pass by about 1.3e-15 / error^2 relative, so
@@ -149,12 +145,6 @@ def _approximate(result: DmdResult, start: int, block) -> np.ndarray:
     return reconstruct(part, block.shape[1])
 
 
-def _streamed_error(result: DmdResult, blocks) -> float:
-    """Relative error of the DMD reconstruction of `result` against the data
-    X, streamed over the (start, block) row blocks of X in `blocks`."""
-    return _relative_residual(blocks, partial(_approximate, result))
-
-
 def _reconstruction_error(result: DmdResult, blocks) -> tuple[float, float | None, float | None]:
     """Relative error of the DMD reconstruction of `result` against the data
     X, with the sketch residual and the dynamics misfit it splits into.
@@ -174,9 +164,11 @@ def _reconstruction_error(result: DmdResult, blocks) -> tuple[float, float | Non
 
 
 def _row_chunks(data: np.ndarray):
-    """(start, rows) views of an in-memory matrix for `_relative_residual`."""
-    for start in range(0, data.shape[0], _DIAGNOSTIC_CHUNK_ROWS):
-        yield start, data[start : start + _DIAGNOSTIC_CHUNK_ROWS]
+    """(start, rows) views of an in-memory matrix for `_relative_residual`:
+    the error passes of `decompose`, `bench` and `qb` hold one chunk's
+    approximation beside the data, not an n x m one."""
+    for start in range(0, data.shape[0], _CHUNK_ROWS):
+        yield start, data[start : start + _CHUNK_ROWS]
 
 
 def _load_truth(path):

@@ -215,6 +215,9 @@ def write_sms(x, path) -> None:
 
 
 def _read_header(fh, path) -> tuple[int, int]:
+    """(rows, cols) of an SMS file open at offset 0, read and validated. The
+    file must hold the payload the header claims, so no reader allocates
+    for a size that is not there."""
     raw = fh.read(SMS_HEADER_BYTES)
     if len(raw) < SMS_HEADER_BYTES:
         raise TruncatedPayload(f"{path}: file shorter than the {SMS_HEADER_BYTES}-byte header")
@@ -225,6 +228,10 @@ def _read_header(fh, path) -> tuple[int, int]:
         raise UnsupportedVersion(f"{path}: version {version}, expected {SMS_VERSION}")
     if dtype_code != SMS_DTYPE_F64:
         raise UnsupportedVersion(f"{path}: dtype code {dtype_code}, expected {SMS_DTYPE_F64}")
+    size = os.fstat(fh.fileno()).st_size
+    expected = SMS_HEADER_BYTES + rows * cols * 8
+    if size < expected:
+        raise TruncatedPayload(f"{path}: {size} bytes, expected {expected}")
     return rows, cols
 
 
@@ -259,12 +266,12 @@ def read_sms(path) -> np.ndarray:
 
 
 class ArrayRowBlockSource:
-    """Row-block view over an in-memory matrix (reference source for tests
-    and for running the blocked pipeline without a file)."""
+    """Row-block view over an in-memory matrix: its single-block run is the
+    in-memory randomized path. Blocks are views in the matrix's own memory
+    order, so a Fortran-ordered matrix is not copied."""
 
     def __init__(self, x, block_count: int):
-        # Row-major canonical so block views match what a file source yields.
-        self._x = np.ascontiguousarray(_as_matrix(x))
+        self._x = _as_matrix(x)
         self.rows, self.cols = self._x.shape
         self.block_count = block_count
         self.block_ranges = partition_rows(self.rows, block_count)
@@ -287,10 +294,6 @@ class SmsRowBlockSource:
             with contextlib.ExitStack() as on_error:
                 self._fh = on_error.enter_context(open(path, "rb"))
                 self.rows, self.cols = _read_header(self._fh, path)
-                size = self._fh.seek(0, os.SEEK_END)
-                expected = SMS_HEADER_BYTES + self.rows * self.cols * 8
-                if size < expected:
-                    raise TruncatedPayload(f"{path}: {size} bytes, expected {expected}")
                 on_error.pop_all()  # header accepted: close() owns the handle
         except OSError as exc:
             raise IoFailure(f"opening {path}: {exc}") from exc

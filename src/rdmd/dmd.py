@@ -37,6 +37,7 @@ import numpy as np
 
 from . import memguard
 from .blocked import apply_q, blocked_randomized_qb
+from .datasets import ArrayRowBlockSource
 from .errors import (
     DegenerateData,
     EmptyInput,
@@ -67,7 +68,6 @@ from .sketch import (
     SketchConfig,
     apply_sampling,
     gaussian_compress,
-    randomized_qb,
     uniform_sampling_operator,
 )
 
@@ -390,17 +390,12 @@ def dmd_deterministic(x, cfg: DmdConfig) -> DmdResult:
 
 
 def dmd_randomized(x, cfg: DmdConfig) -> DmdResult:
-    """Randomized decomposition: QB sketch, low-dimensional DMD, recovery."""
-    a = _as_matrix(x)
-    _require_snapshots(a.shape[1])
-    timings = {}
-    with stage(timings, "sketch"):
-        qb = randomized_qb(a, cfg.sketch)
-        data_sq_norm = frobenius_sq(a)
-    return _pipeline(
-        split_snapshots(qb.b), cfg, "randomized", timings, qb.b,
-        lambda op: ((lambda m: _lift(qb.q, m)), op.right_projected, qb.b, data_sq_norm),
-    )
+    """Randomized decomposition: QB sketch, low-dimensional DMD, recovery.
+
+    This is the single-block run of `dmd_randomized_blocked`: the one block
+    is a view of x, not a copy.
+    """
+    return dmd_randomized_blocked(ArrayRowBlockSource(x, 1), cfg)
 
 
 def dmd_randomized_blocked(source, cfg: DmdConfig) -> DmdResult:
@@ -408,8 +403,7 @@ def dmd_randomized_blocked(source, cfg: DmdConfig) -> DmdResult:
 
     Consumes the source through the blocked QB; mode recovery streams
     through the per-block bases, so no n x m buffer is ever materialized.
-    The pipeline is the in-memory one, so a single-block run is
-    bit-identical to `dmd_randomized`.
+    With one block this is `dmd_randomized`.
     """
     _require_snapshots(source.cols)
     timings = {}

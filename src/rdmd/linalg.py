@@ -86,8 +86,8 @@ def economic_svd(x) -> SvdFactors:
 
 
 # Rows per chunk of the passes that walk a tall matrix a few thousand rows
-# at a time (`_row_products`, `_non_finite_error`): at 200 columns one chunk
-# is 6.6 MB.
+# at a time (`_row_products`, `_non_finite_error`, and the CLI's error
+# passes): at 200 columns one chunk is 6.6 MB.
 _CHUNK_ROWS = 4096
 
 

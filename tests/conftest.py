@@ -35,6 +35,22 @@ def rotation_sequence(n: int, steps: int, theta: float, seed: int) -> np.ndarray
     return np.column_stack(cols)
 
 
+# Header shapes whose payload could not be allocated: 8e18 bytes, which
+# numpy refuses with a MemoryError, and 2^73 bytes, which it refuses as
+# "array is too big".
+OVERSIZED_SHAPES = [(10**9, 10**9), (2**40, 2**30)]
+
+
+def write_oversized_sms(path, rows: int, cols: int) -> None:
+    """A 92-byte SMS file: a valid header claiming rows x cols, then 8
+    values."""
+    from rdmd.datasets import _HEADER, SMS_DTYPE_F64, SMS_MAGIC, SMS_VERSION
+
+    header = _HEADER.pack(SMS_MAGIC, SMS_VERSION, rows, cols, SMS_DTYPE_F64)
+    with open(path, "wb") as fh:
+        fh.write(header + np.zeros(8).tobytes())
+
+
 @pytest.fixture
 def dyadic_spectrum_matrix():
     """100 x 80 test matrix with singular values 2^-1 ... 2^-80."""

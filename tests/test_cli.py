@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ import rdmd
 from rdmd import cli
 from rdmd.datasets import read_complex_csv, read_complex_matrix
 from rdmd.rng import normal_matrix
+
+from conftest import OVERSIZED_SHAPES, write_oversized_sms
 
 
 def run_cli(*args, env=None):
@@ -212,6 +215,29 @@ class TestErrors:
         assert res.returncode == 1
         assert "IoFailure" in res.stderr
 
+    @pytest.mark.parametrize("shape", OVERSIZED_SHAPES, ids=["1e9x1e9", "2^40x2^30"])
+    @pytest.mark.parametrize("command", ["decompose", "reconstruct"])
+    def test_header_larger_than_the_file_is_runtime_error(self, workspace, tmp_path,
+                                                          command, shape):
+        if command == "decompose":
+            write_oversized_sms(tmp_path / "x.sms", *shape)
+            args = ["--input", str(tmp_path / "x.sms"), "--method", "rdmd", "--rank", "5"]
+        else:
+            res = run_cli(
+                "decompose", "--input", str(workspace / "x.sms"), "--method", "dmd",
+                "--rank", "5", "--out", str(tmp_path / "dec"),
+            )
+            assert res.returncode == 0, res.stderr
+            write_oversized_sms(tmp_path / "dec" / "modes_re.sms", *shape)
+            args = ["--modes", str(tmp_path / "dec"), "--steps", "80"]
+        res = run_cli(command, *args, "--out", str(tmp_path / "o"))
+        assert res.returncode == 1
+        assert res.stderr.startswith("TruncatedPayload: ")
+        assert "Traceback" not in res.stderr
+        # decompose's output directory, or reconstruct's output file
+        assert not (tmp_path / "o").is_file()
+        assert not (tmp_path / "o" / "report.json").exists()
+
     def test_rank_error_is_runtime_error(self, workspace, tmp_path):
         res = run_cli(
             "decompose", "--input", str(workspace / "x.sms"), "--method", "dmd",
@@ -270,8 +296,10 @@ class TestErrors:
         assert res.returncode == 1
         assert "NonFiniteInput" in res.stderr
         assert "Traceback" not in res.stderr
-        assert f"column {col} is {value}" in res.stderr
-        assert ("block 2: row 50" if flags[-1] == "3" else f"row {row}") in res.stderr
+        message = f"row {row}, column {col} is {value}"
+        if flags[-1] == "3":  # rows 200..299 are block 2
+            message = f"block 2: row 50, column {col} is {value}; global row {row}"
+        assert res.stderr == f"NonFiniteInput: {message}\n"
         assert not (tmp_path / "o" / "report.json").exists()
 
 
@@ -389,7 +417,9 @@ class TestReconstructionError:
 
     @staticmethod
     def streamed(result, data):
-        return cli._streamed_error(result, cli._row_chunks(data))
+        return cli._relative_residual(
+            cli._row_chunks(data), partial(cli._approximate, result)
+        )
 
     @staticmethod
     def unread():

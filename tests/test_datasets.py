@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,8 @@ from rdmd.errors import (
     UnsupportedVersion,
 )
 from rdmd.rng import normal_matrix
+
+from conftest import OVERSIZED_SHAPES, write_oversized_sms
 
 
 class TestSynth:
@@ -179,6 +183,21 @@ class TestSmsFormat:
         path.write_bytes(raw[: len(raw) - 8])
         with pytest.raises(TruncatedPayload):
             read_sms(path)
+
+    @pytest.mark.parametrize("shape", OVERSIZED_SHAPES, ids=["1e9x1e9", "2^40x2^30"])
+    @pytest.mark.parametrize("reader", ["read_sms", "open_row_blocks"])
+    def test_header_larger_than_the_file(self, tmp_path, reader, shape):
+        # checked against the file size before the payload is allocated
+        path = tmp_path / "x.sms"
+        write_oversized_sms(path, *shape)
+        assert path.stat().st_size == 92
+        rows, cols = shape
+        expected = f"{path}: 92 bytes, expected {SMS_HEADER_BYTES + rows * cols * 8}"
+        with pytest.raises(TruncatedPayload, match=f"^{re.escape(expected)}$"):
+            if reader == "read_sms":
+                read_sms(path)
+            else:
+                open_row_blocks(path, 1)
 
     def test_rejects_nonfinite(self, tmp_path):
         x = np.eye(2)

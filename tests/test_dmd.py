@@ -387,7 +387,8 @@ class TestRandomized:
              "one-column", "one-column-p0"],
     )
     def test_in_memory_and_single_block_agree(self, shape, k, p):
-        # the two paths give bit-identical results or raise the same class
+        # the two paths give bit-identical results or raise the same error,
+        # class and message
         x = normal_matrix(*shape, seed=20)
         cfg = DmdConfig(target_rank=k, method="randomized", oversampling=p, seed=21)
         outcomes = []
@@ -398,10 +399,10 @@ class TestRandomized:
             try:
                 outcomes.append(run())
             except RdmdError as exc:
-                outcomes.append(type(exc))
+                outcomes.append((type(exc), str(exc)))
         memory, blocked = outcomes
-        if isinstance(memory, type) or isinstance(blocked, type):
-            assert memory is blocked
+        if isinstance(memory, tuple) or isinstance(blocked, tuple):
+            assert memory == blocked
             return
         for name in ("eigenvalues", "modes", "amplitudes"):
             assert getattr(memory, name).tobytes() == getattr(blocked, name).tobytes()
@@ -468,8 +469,10 @@ class TestNonFiniteInput:
     # 200 x 30 snapshots are tall, so the deterministic SVD sees a bad entry
     # in the Gram matrix of X_L; 60 x 40 ones are not, so their SVD input is
     # checked directly. cdmd keeps 40 rows, and the uniform sampler of seed
-    # 9 either draws the bad row or skips it.
+    # 9 either draws the bad row or skips it. The in-memory rdmd sees it in
+    # the sketch X Omega.
     METHODS = {
+        "randomized": ("randomized", "gaussian", (200, 30)),
         "projected": ("deterministic_projected", "gaussian", (200, 30)),
         "projected_wide": ("deterministic_projected", "gaussian", (60, 40)),
         "exact": ("deterministic_exact", "gaussian", (200, 30)),
@@ -702,9 +705,14 @@ class TestTallPeakMemory:
         peak = self.traced_peak(lambda: truncated_svd(x, self.K))
         assert peak < 1.5 * (self.N * self.K + 4096 * self.C + self.C**2) * 8
 
-    @pytest.mark.parametrize("method", ["deterministic_projected", "randomized"])
-    def test_dmd_forms_no_n_by_c_buffer(self, method):
-        x = normal_matrix(self.N, self.C, seed=53)
+    # a Fortran-ordered input is not copied on its way to the sketch
+    @pytest.mark.parametrize(
+        "method, order",
+        [("deterministic_projected", "C"), ("randomized", "C"), ("randomized", "F")],
+        ids=["deterministic_projected", "randomized", "randomized-fortran"],
+    )
+    def test_dmd_forms_no_n_by_c_buffer(self, method, order):
+        x = np.asarray(normal_matrix(self.N, self.C, seed=53), order=order)
         cfg = DmdConfig(target_rank=self.K, method=method)
         peak = self.traced_peak(lambda: run_dmd(x, cfg))
         assert peak < x.nbytes

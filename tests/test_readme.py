@@ -1,8 +1,10 @@
-"""The README's CLI walkthrough runs as written.
+"""The README's CLI walkthrough and library examples run as written.
 
 Every `rdmd ...` command of the "CLI walkthrough" block is run in order,
 in one scratch directory, and must exit 0, so a renamed flag, a changed
 default or a new parse-time check that the walkthrough trips shows here.
+The Python blocks of the "Library" section then run in order, in one
+namespace, in the same directory, where the walkthrough left `flow.sms`.
 """
 
 import os
@@ -17,15 +19,23 @@ import rdmd
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
-def walkthrough_commands() -> list[list[str]]:
+def _section(title: str) -> str:
+    """The README text from the `## title` heading to the next heading."""
     text = README.read_text(encoding="utf-8")
-    section = text.split("## CLI walkthrough", 1)[1]
-    block = re.search(r"```bash\n(.*?)```", section, re.S).group(1)
+    return text.split(f"## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def walkthrough_commands() -> list[list[str]]:
+    block = re.search(r"```bash\n(.*?)```", _section("CLI walkthrough"), re.S).group(1)
     joined = re.sub(r"\\\n\s*", " ", block)  # backslash continuations
     return [shlex.split(line) for line in joined.splitlines() if line.startswith("rdmd ")]
 
 
-def test_walkthrough_runs(tmp_path):
+def library_blocks() -> list[str]:
+    return re.findall(r"```python\n(.*?)```", _section("Library"), re.S)
+
+
+def test_walkthrough_runs(tmp_path, monkeypatch):
     commands = walkthrough_commands()
     assert [c[1] for c in commands] == [
         "synth", "decompose", "decompose", "decompose", "decompose", "bench", "qb",
@@ -43,3 +53,10 @@ def test_walkthrough_runs(tmp_path):
             cwd=tmp_path, env=env, capture_output=True, text=True,
         )
         assert res.returncode == 0, f"{shlex.join(command)}\n{res.stderr}"
+
+    blocks = library_blocks()
+    assert len(blocks) == 2
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, README.name, "exec"), namespace)
