@@ -42,7 +42,7 @@ from .dmd import (
     run_dmd,
 )
 from .errors import IoFailure, RdmdError
-from .linalg import _CHUNK_ROWS, frobenius_sq, singular_values_of_rows
+from .linalg import _CHUNK_ROWS, _require_finite, frobenius_sq, singular_values_of_rows
 from .memguard import stage
 from .rng import derive_seed
 from .sketch import SketchConfig, expected_error_bound, randomized_qb
@@ -376,6 +376,7 @@ def _cmd_qb(args) -> int:
         qb = randomized_qb(data, cfg)
     # ||X - QB||^2 = ||X||^2 - ||B||^2, the sketch residual
     data_sq_norm = frobenius_sq(data)
+    _require_finite(data, data_sq_norm)
     rel_error = _identity_or_streamed(
         data_sq_norm, data_sq_norm - frobenius_sq(qb.b), 0.0, _row_chunks(data),
         lambda start, block: qb.q[start : start + block.shape[0]] @ qb.b,

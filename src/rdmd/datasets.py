@@ -5,11 +5,16 @@ host byte order:
 
     offset  size  field
     0       4     magic  b"RDMD"
-    4       4     format version (uint32), currently 1
+    4       4     format version (uint32), 2 (1 is still read)
     8       8     rows (uint64)
     16      8     cols (uint64)
     24      4     dtype code (uint32), 1 = float64
-    28      -     payload: rows*cols float64 values, row-major
+    28      4     zero padding (version 2 only)
+    32      -     payload: rows*cols float64 values, row-major
+
+Version 1 has no padding, so its payload starts at byte 28. Version 2's
+payload is 8-byte aligned, so `read_sms` maps it read-only and returns a
+view of the map; a version 1 payload is read into a new array.
 
 Row-major payloads make a contiguous range of rows a contiguous range of
 bytes, which is what the blocked out-of-core reader relies on.
@@ -18,6 +23,7 @@ bytes, which is what the blocked out-of-core reader relies on.
 from __future__ import annotations
 
 import contextlib
+import mmap
 import os
 import struct
 from dataclasses import dataclass
@@ -38,10 +44,12 @@ from .linalg import _as_matrix, _real_product
 from .rng import CounterStream, derive_seed, normals
 
 SMS_MAGIC = b"RDMD"
-SMS_VERSION = 1
+SMS_VERSION = 2
 SMS_DTYPE_F64 = 1
-_HEADER = struct.Struct("<4sIQQI")
-SMS_HEADER_BYTES = _HEADER.size  # 28
+_HEADER = struct.Struct("<4sIQQI")  # the fields every version shares
+# payload offset by version: version 2 pads the 28 header bytes to 32
+_PAYLOAD_OFFSET = {1: _HEADER.size, 2: 32}
+SMS_HEADER_BYTES = _PAYLOAD_OFFSET[SMS_VERSION]  # 32
 
 
 @dataclass(frozen=True)
@@ -204,35 +212,42 @@ def write_atomic(path, *chunks) -> None:
         raise IoFailure(f"writing {path}: {exc}") from exc
 
 
+def _sms_header(rows: int, cols: int) -> bytes:
+    """The header `write_sms` writes: version 2, zero-padded to
+    SMS_HEADER_BYTES."""
+    fields = _HEADER.pack(SMS_MAGIC, SMS_VERSION, rows, cols, SMS_DTYPE_F64)
+    return fields.ljust(SMS_HEADER_BYTES, b"\0")
+
+
 def write_sms(x, path) -> None:
     """Write a matrix to `path` in SMS format (atomic: temp file + rename)."""
     a = np.ascontiguousarray(_as_matrix(x), dtype=np.float64)
     if not np.all(np.isfinite(a)):
         raise ValueError("refusing to write non-finite values")
-    header = _HEADER.pack(SMS_MAGIC, SMS_VERSION, a.shape[0], a.shape[1], SMS_DTYPE_F64)
     # the array's own buffer is written: no bytes copy of the payload
-    write_atomic(path, header, a.astype("<f8", copy=False))
+    write_atomic(path, _sms_header(*a.shape), a.astype("<f8", copy=False))
 
 
-def _read_header(fh, path) -> tuple[int, int]:
-    """(rows, cols) of an SMS file open at offset 0, read and validated. The
-    file must hold the payload the header claims, so no reader allocates
-    for a size that is not there."""
-    raw = fh.read(SMS_HEADER_BYTES)
-    if len(raw) < SMS_HEADER_BYTES:
-        raise TruncatedPayload(f"{path}: file shorter than the {SMS_HEADER_BYTES}-byte header")
+def _read_header(fh, path) -> tuple[int, int, int]:
+    """(rows, cols, payload offset) of an SMS file open at offset 0, read
+    and validated. The file must hold the payload the header claims, so no
+    reader maps or allocates for a size that is not there."""
+    raw = fh.read(_HEADER.size)
+    if len(raw) < _HEADER.size:
+        raise TruncatedPayload(f"{path}: file shorter than the {_HEADER.size}-byte header")
     magic, version, rows, cols, dtype_code = _HEADER.unpack(raw)
     if magic != SMS_MAGIC:
         raise BadMagic(f"{path}: bad magic {magic!r}")
-    if version != SMS_VERSION:
-        raise UnsupportedVersion(f"{path}: version {version}, expected {SMS_VERSION}")
+    if version not in _PAYLOAD_OFFSET:
+        raise UnsupportedVersion(f"{path}: version {version}, expected 1 or {SMS_VERSION}")
     if dtype_code != SMS_DTYPE_F64:
         raise UnsupportedVersion(f"{path}: dtype code {dtype_code}, expected {SMS_DTYPE_F64}")
+    offset = _PAYLOAD_OFFSET[version]
     size = os.fstat(fh.fileno()).st_size
-    expected = SMS_HEADER_BYTES + rows * cols * 8
+    expected = offset + rows * cols * 8
     if size < expected:
         raise TruncatedPayload(f"{path}: {size} bytes, expected {expected}")
-    return rows, cols
+    return rows, cols, offset
 
 
 def _read_payload(fh, rows: int, cols: int, what: str) -> np.ndarray:
@@ -253,13 +268,25 @@ def _read_payload(fh, rows: int, cols: int, what: str) -> np.ndarray:
 
 
 def read_sms(path) -> np.ndarray:
-    """Read a whole SMS file into memory."""
+    """Read a whole SMS file.
+
+    A version 2 file is mapped read-only and the matrix returned is a
+    read-only view of the map (`.copy()` it for a writable array). A
+    version 1 payload sits at a misaligned offset, so it is read into a new
+    array instead.
+    """
     try:
         with open(path, "rb") as fh:
-            rows, cols = _read_header(fh, path)
-            return _read_payload(fh, rows, cols, str(path))
+            rows, cols, offset = _read_header(fh, path)
+            if offset % 8:  # version 1: the handle stands at its payload
+                return _read_payload(fh, rows, cols, str(path))
+            memguard.note(rows * cols * 8)
+            mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
     except OSError as exc:
         raise IoFailure(f"reading {path}: {exc}") from exc
+    data = np.frombuffer(mapped, dtype="<f8", count=rows * cols, offset=offset)
+    # a no-op on little-endian hosts; a byte-swapping copy elsewhere
+    return data.reshape(rows, cols).astype(np.float64, copy=False)
 
 
 # --- row-block sources ------------------------------------------------------
@@ -293,7 +320,7 @@ class SmsRowBlockSource:
         try:
             with contextlib.ExitStack() as on_error:
                 self._fh = on_error.enter_context(open(path, "rb"))
-                self.rows, self.cols = _read_header(self._fh, path)
+                self.rows, self.cols, self._offset = _read_header(self._fh, path)
                 on_error.pop_all()  # header accepted: close() owns the handle
         except OSError as exc:
             raise IoFailure(f"opening {path}: {exc}") from exc
@@ -304,7 +331,7 @@ class SmsRowBlockSource:
         start, count = self.block_ranges[i]
         what = f"block {i} of {self._path}"
         try:
-            self._fh.seek(SMS_HEADER_BYTES + start * self.cols * 8)
+            self._fh.seek(self._offset + start * self.cols * 8)
         except OSError as exc:
             raise IoFailure(f"reading {what}: {exc}") from exc
         return _read_payload(self._fh, count, self.cols, what)

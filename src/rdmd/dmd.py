@@ -329,9 +329,10 @@ def _pipeline(split, cfg, method, timings, source, frame, **echo):
     B = Q^T X holds the snapshots in those coordinates. Since
     pinv(Q N) = pinv(N) Q^T, the amplitudes are fitted in coordinates,
     against B[:, 0], and the result keeps (M W, B, ||X||_F^2) as its
-    `SketchFit`. NaN or Inf in the low-dimensional operator, M W or B[:, 0]
-    raises NonFiniteInput naming the first such entry of `source`. `echo`
-    is passed on to `_config_echo`.
+    `SketchFit`. NaN or Inf in the low-dimensional operator, M W, B[:, 0]
+    or ||X||_F^2 raises NonFiniteInput naming the first such entry of
+    `source`, or saying that a product of the finite input overflowed.
+    `echo` is passed on to `_config_echo`.
     """
     with stage(timings, "svd"):
         with np.errstate(over="ignore", invalid="ignore"):  # checked right below
@@ -347,7 +348,7 @@ def _pipeline(split, cfg, method, timings, source, frame, **echo):
         with np.errstate(over="ignore", invalid="ignore"):  # checked right below
             lift, coords, data, data_sq_norm = frame(op)
             small = coords @ w
-        _require_finite(source, small, data[:, 0])
+        _require_finite(source, small, data[:, 0], data_sq_norm)
         # the lift is a fresh complex array, so it is normalized in place;
         # `small` is scaled by the same factors into the coordinates
         modes = lift(small)

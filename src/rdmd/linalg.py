@@ -106,17 +106,20 @@ def _non_finite_error(a: np.ndarray) -> NonFiniteInput:
 
 
 def _require_finite(data: np.ndarray, *buffers: np.ndarray) -> None:
-    """Raise `_non_finite_error(data)` when one of `buffers`, formed from
-    `data`, holds NaN or Inf; `data` itself is read only then."""
+    """Raise `_non_finite_error(data)` when one of `buffers` (arrays or
+    scalars formed from `data`) holds NaN or Inf; `data` itself is read
+    only then."""
     if not all(np.isfinite(b).all() for b in buffers):
         raise _non_finite_error(data)
 
 
 def frobenius_sq(a: np.ndarray) -> float:
     """||a||_F^2 as one dot product in the array's memory order, so a C- or
-    Fortran-ordered matrix is not copied."""
+    Fortran-ordered matrix is not copied. A sum that overflows is inf,
+    without a warning; the caller decides whether that is an error."""
     flat = a.ravel(order="K")
-    return float(np.dot(flat, flat))
+    with np.errstate(over="ignore"):
+        return float(np.dot(flat, flat))
 
 
 def _real_product(w: np.ndarray, p: np.ndarray) -> np.ndarray:

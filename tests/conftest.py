@@ -42,13 +42,22 @@ OVERSIZED_SHAPES = [(10**9, 10**9), (2**40, 2**30)]
 
 
 def write_oversized_sms(path, rows: int, cols: int) -> None:
-    """A 92-byte SMS file: a valid header claiming rows x cols, then 8
-    values."""
-    from rdmd.datasets import _HEADER, SMS_DTYPE_F64, SMS_MAGIC, SMS_VERSION
+    """A 92-byte SMS file: the header `write_sms` writes, claiming
+    rows x cols, then zero bytes."""
+    from rdmd.datasets import _sms_header
 
-    header = _HEADER.pack(SMS_MAGIC, SMS_VERSION, rows, cols, SMS_DTYPE_F64)
     with open(path, "wb") as fh:
-        fh.write(header + np.zeros(8).tobytes())
+        fh.write(_sms_header(rows, cols).ljust(92, b"\0"))
+
+
+def write_v1_sms(path, x) -> None:
+    """`x` as a version 1 SMS file: the 28-byte header, then the payload."""
+    from rdmd.datasets import _HEADER, SMS_DTYPE_F64, SMS_MAGIC
+
+    a = np.ascontiguousarray(x, dtype="<f8")
+    header = _HEADER.pack(SMS_MAGIC, 1, a.shape[0], a.shape[1], SMS_DTYPE_F64)
+    with open(path, "wb") as fh:
+        fh.write(header + a.tobytes())
 
 
 @pytest.fixture

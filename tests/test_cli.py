@@ -13,7 +13,7 @@ from rdmd import cli
 from rdmd.datasets import read_complex_csv, read_complex_matrix
 from rdmd.rng import normal_matrix
 
-from conftest import OVERSIZED_SHAPES, write_oversized_sms
+from conftest import OVERSIZED_SHAPES, write_oversized_sms, write_v1_sms
 
 
 def run_cli(*args, env=None):
@@ -301,6 +301,63 @@ class TestErrors:
             message = f"block 2: row 50, column {col} is {value}; global row {row}"
         assert res.stderr == f"NonFiniteInput: {message}\n"
         assert not (tmp_path / "o" / "report.json").exists()
+
+
+    @pytest.mark.parametrize("flags", [
+        ["decompose", "--method", "dmd"],
+        ["decompose", "--method", "rdmd", "--oversample", "2"],
+        ["decompose", "--method", "rdmd", "--oversample", "2", "--blocks", "2"],
+        ["decompose", "--method", "cdmd", "--compress-dim", "10"],
+        ["qb"],
+    ], ids=["dmd", "rdmd", "rdmd-blocked", "cdmd", "qb"])
+    def test_overflowed_norm_of_finite_input_is_runtime_error(self, tmp_path, flags):
+        # every entry is finite, but ||X||_F^2 is above the float64 range
+        path = tmp_path / "big.sms"
+        rdmd.write_sms(1e300 * np.tile(np.linspace(1.0, 2.0, 20), (50, 1)), path)
+        out = ["--out", str(tmp_path / "o")] if flags[0] == "decompose" else []
+        res = run_cli(*flags, "--input", str(path), "--rank", "2", *out)
+        assert res.returncode == 1
+        assert res.stderr == "NonFiniteInput: a product of the finite input overflowed\n"
+        assert not (tmp_path / "o" / "report.json").exists()
+
+
+class TestVersion1Files:
+    """SMS files written before the padded version 2 header still work."""
+
+    @pytest.mark.parametrize("flags", [
+        ["--method", "rdmd"], ["--method", "rdmd", "--blocks", "3"], ["--method", "dmd"],
+    ], ids=["rdmd", "rdmd-blocked", "dmd"])
+    def test_decompose_version_1_input(self, workspace, tmp_path, flags):
+        write_v1_sms(tmp_path / "v1.sms", rdmd.read_sms(workspace / "x.sms"))
+        for name, path in (("v1", tmp_path / "v1.sms"), ("v2", workspace / "x.sms")):
+            res = run_cli(
+                "decompose", "--input", str(path), *flags, "--rank", "5",
+                "--out", str(tmp_path / name),
+            )
+            assert res.returncode == 0, res.stderr
+        for name in ("eigenvalues.csv", "amplitudes.csv", "modes_re.sms", "modes_im.sms"):
+            assert (tmp_path / "v1" / name).read_bytes() == (tmp_path / "v2" / name).read_bytes()
+
+    def test_reconstruct_version_1_modes(self, workspace, tmp_path):
+        dec = tmp_path / "dec"
+        res = run_cli(
+            "decompose", "--input", str(workspace / "x.sms"), "--method", "dmd",
+            "--rank", "5", "--out", str(dec),
+        )
+        assert res.returncode == 0, res.stderr
+        outputs = []
+        for name in ("v2", "v1"):
+            if name == "v1":
+                for part in ("re", "im"):
+                    path = dec / f"modes_{part}.sms"
+                    write_v1_sms(path, rdmd.read_sms(path).copy())
+            res = run_cli(
+                "reconstruct", "--modes", str(dec), "--steps", "80",
+                "--out", str(tmp_path / f"{name}.sms"),
+            )
+            assert res.returncode == 0, res.stderr
+            outputs.append((tmp_path / f"{name}.sms").read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestUsageErrors:

@@ -34,7 +34,7 @@ from rdmd.errors import (
 )
 from rdmd.rng import normal_matrix
 
-from conftest import OVERSIZED_SHAPES, write_oversized_sms
+from conftest import OVERSIZED_SHAPES, write_oversized_sms, write_v1_sms
 
 
 class TestSynth:
@@ -151,12 +151,67 @@ class TestSmsFormat:
         write_sms(x, path)
         raw = path.read_bytes()
         assert raw[:4] == b"RDMD"
-        assert int.from_bytes(raw[4:8], "little") == 1
+        assert int.from_bytes(raw[4:8], "little") == 2
         assert int.from_bytes(raw[8:16], "little") == 2
         assert int.from_bytes(raw[16:24], "little") == 3
         assert int.from_bytes(raw[24:28], "little") == 1
-        assert len(raw) == SMS_HEADER_BYTES + 6 * 8
-        assert raw[28:36] == np.float64(0.0).tobytes()
+        assert raw[28:32] == bytes(4)
+        assert SMS_HEADER_BYTES == 32
+        assert len(raw) == 32 + 6 * 8
+        assert raw[32:] == x.tobytes()
+
+    def test_read_maps_the_payload(self, tmp_path):
+        import tracemalloc
+
+        x = normal_matrix(20000, 50, seed=13)
+        path = tmp_path / "x.sms"
+        write_sms(x, path)
+        tracemalloc.start()
+        try:
+            data = read_sms(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * x.nbytes
+        assert not data.flags.writeable and not data.flags.owndata
+        assert data.ctypes.data % 8 == 0
+        assert data.flags.c_contiguous and data.dtype == np.float64
+        assert np.array_equal(data, x)
+
+    def test_mapped_read_keeps_its_view_when_the_file_is_replaced(self, tmp_path):
+        x = normal_matrix(30, 4, seed=13)
+        path = tmp_path / "x.sms"
+        write_sms(x, path)
+        data = read_sms(path)
+        write_sms(2.0 * x, path)
+        assert np.array_equal(data, x)
+        assert np.array_equal(read_sms(path), 2.0 * x)
+
+    def test_version_1_file_is_read_by_copy(self, tmp_path):
+        x = normal_matrix(13, 6, seed=14)
+        path = tmp_path / "x.sms"
+        write_v1_sms(path, x)
+        assert path.stat().st_size == 28 + x.nbytes
+        data = read_sms(path)
+        assert data.flags.writeable and data.flags.owndata
+        assert data.tobytes() == x.tobytes()
+        with open_row_blocks(path, 4) as src:
+            assert (src.rows, src.cols) == x.shape
+            cat = np.vstack([src.read_block(i) for i in range(4)])
+        assert cat.tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("reader", ["read_sms", "open_row_blocks"])
+    def test_version_3_is_unsupported(self, tmp_path, reader):
+        path = tmp_path / "x.sms"
+        write_sms(np.eye(2), path)
+        data = bytearray(path.read_bytes())
+        data[4] = 3
+        path.write_bytes(bytes(data))
+        with pytest.raises(UnsupportedVersion, match="version 3, expected 1 or 2$"):
+            if reader == "read_sms":
+                read_sms(path)
+            else:
+                open_row_blocks(path, 1)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.sms"

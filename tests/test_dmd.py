@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from rdmd import (
     truncated_svd,
     uniform_sampling_operator,
 )
-from rdmd.dmd import DmdResult, SnapshotSplit
+from rdmd.dmd import METHODS, DmdResult, SnapshotSplit
 from rdmd.errors import (
     DegenerateData,
     EmptyInput,
@@ -499,6 +500,42 @@ class TestNonFiniteInput:
         with pytest.raises(NonFiniteInput, match=f"^row {row}, column {col} is {value}$") as info:
             run_dmd(x, cfg)
         assert info.value.row == row
+
+
+    @pytest.mark.parametrize("method", [
+        "deterministic_projected", "deterministic_exact", "randomized", "compressed",
+    ])
+    def test_overflowed_norm_of_finite_input(self, method):
+        # every entry is finite, but ||X||_F^2 is above the float64 range
+        x = 1e300 * np.tile(np.linspace(1.0, 2.0, 20), (50, 1))
+        cfg = DmdConfig(target_rank=2, method=method, compress_dim=10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                NonFiniteInput, match="^a product of the finite input overflowed$"
+            ) as info:
+                run_dmd(x, cfg)
+        assert info.value.row is None
+
+
+class TestReadOnlyInput:
+    """No variant writes into its input: a mapped SMS file is read-only."""
+
+    X = add_noise(rotation_sequence(120, 41, theta=0.4, seed=71), snr=20.0, seed=72)
+
+    @pytest.mark.parametrize("method", [*METHODS, "blocked"])
+    def test_outputs_equal_those_of_a_writable_copy(self, method):
+        def run(x):
+            if method == "blocked":
+                return dmd_randomized_blocked(ArrayRowBlockSource(x, 3), DmdConfig(target_rank=2))
+            return run_dmd(x, DmdConfig(target_rank=2, method=method, compress_dim=30))
+
+        frozen = self.X.copy()
+        frozen.setflags(write=False)
+        got, want = run(frozen), run(self.X.copy())
+        for name in ("eigenvalues", "modes", "amplitudes"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert np.array_equal(frozen, self.X)
 
 
 class TestAmplitudesAndReconstruct:
