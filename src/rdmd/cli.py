@@ -207,7 +207,8 @@ def _cmd_synth(args) -> int:
     truth = synth_linear_dynamics(args.rows, args.snapshots - 1, args.modes, args.seed)
     data = truth.clean_data
     if args.snr is not None:
-        data = add_noise(data, args.snr, derive_seed(args.seed, 2**32))
+        # the clean matrix is not read again: the noise goes into it in place
+        data = add_noise(data, args.snr, derive_seed(args.seed, 2**32), out=data)
     write_sms(data, args.out)
     if args.truth:
         _write_json(

@@ -35,13 +35,14 @@ from .blocked import partition_rows
 from .errors import (
     BadMagic,
     IoFailure,
+    NonFiniteInput,
     ShapeMismatch,
     TooManyModes,
     TruncatedPayload,
     UnsupportedVersion,
 )
-from .linalg import _as_matrix, _real_product
-from .rng import CounterStream, derive_seed, normals
+from .linalg import _as_matrix, _non_finite_error, _real_product
+from .rng import CounterStream, add_normals_into, derive_seed, parallel_map
 
 SMS_MAGIC = b"RDMD"
 SMS_VERSION = 2
@@ -88,18 +89,27 @@ class SyntheticTruth:
     clean_data: np.ndarray
 
 
-def _smooth_field(n: int, stream: CounterStream, harmonics: int = 8) -> np.ndarray:
-    """Random smooth profile: low-frequency Fourier series with 1/f decay."""
+def _harmonics(n: int, count: int = 8) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(cos, sin) of 2 pi f t on the grid t = i / n for f = 1 .. count: the
+    basis of every smooth profile, evaluated once per synth call."""
     t = np.arange(n) / n
-    coeffs = stream.normals(2 * harmonics)
-    field = np.zeros(n)
-    for f in range(1, harmonics + 1):
+    return [
+        (np.cos(2.0 * np.pi * f * t), np.sin(2.0 * np.pi * f * t))
+        for f in range(1, count + 1)
+    ]
+
+
+def _smooth_field(harmonics, stream: CounterStream) -> np.ndarray:
+    """Random smooth profile: low-frequency Fourier series with 1/f decay."""
+    coeffs = stream.normals(2 * len(harmonics))
+    field = np.zeros(harmonics[0][0].size)
+    for f, (cos, sin) in enumerate(harmonics, start=1):
         a, b = coeffs[2 * f - 2], coeffs[2 * f - 1]
-        field += (a * np.cos(2.0 * np.pi * f * t) + b * np.sin(2.0 * np.pi * f * t)) / f
+        field += (a * cos + b * sin) / f
     return field
 
 
-def _mode_profile(n: int, spec: ModeSpec, is_complex: bool, stream: CounterStream):
+def _mode_profile(n: int, spec: ModeSpec, is_complex: bool, stream: CounterStream, harmonics):
     if spec.profile == "harmonic":
         t = (np.arange(n) + 0.5) / n
         phase = 2.0 * np.pi * spec.frequency * t
@@ -107,8 +117,32 @@ def _mode_profile(n: int, spec: ModeSpec, is_complex: bool, stream: CounterStrea
             return np.cos(phase) + 1j * np.sin(phase)
         return np.sin(phase)
     if is_complex:
-        return _smooth_field(n, stream) + 1j * _smooth_field(n, stream)
-    return _smooth_field(n, stream)
+        return _smooth_field(harmonics, stream) + 1j * _smooth_field(harmonics, stream)
+    return _smooth_field(harmonics, stream)
+
+
+def _draw_modes(n: int, specs: list[ModeSpec], count: int, seed: int) -> np.ndarray:
+    """The n x count unit-norm mode matrix, profiles redrawn from the stream
+    until they are not near-collinear."""
+    stream = CounterStream(derive_seed(seed, 1))
+    harmonics = _harmonics(n) if any(s.profile == "smooth" for s in specs) else None
+    for _attempt in range(64):
+        columns = []
+        for s in specs:
+            is_complex = abs(complex(s.eigenvalue).imag) != 0
+            phi = _mode_profile(n, s, is_complex, stream, harmonics)
+            nrm = np.linalg.norm(phi)
+            if nrm == 0:
+                continue
+            phi = phi / nrm
+            columns.append(phi.astype(np.complex128))
+            if is_complex:
+                columns.append(phi.conjugate())
+        if len(columns) == count:
+            modes = np.column_stack(columns)
+            if np.linalg.svd(modes, compute_uv=False)[-1] >= 1e-6:
+                return modes
+    raise TooManyModes("could not draw linearly independent mode profiles")
 
 
 def synth_linear_dynamics(
@@ -142,30 +176,23 @@ def synth_linear_dynamics(
     eigenvalues = np.array(eigenvalues, dtype=np.complex128)
     amplitudes = np.array(amplitudes, dtype=np.complex128)
 
-    stream = CounterStream(derive_seed(seed, 1))
-    for _attempt in range(64):
-        columns = []
-        for s in specs:
-            is_complex = abs(complex(s.eigenvalue).imag) != 0
-            phi = _mode_profile(n, s, is_complex, stream)
-            nrm = np.linalg.norm(phi)
-            if nrm == 0:
-                continue
-            phi = phi / nrm
-            columns.append(phi.astype(np.complex128))
-            if is_complex:
-                columns.append(phi.conjugate())
-        if len(columns) == count:
-            modes = np.column_stack(columns)
-            if np.linalg.svd(modes, compute_uv=False)[-1] >= 1e-6:
-                break
-    else:
-        raise TooManyModes("could not draw linearly independent mode profiles")
+    # Mode columns have unit norm, so no entry of the n-row product exceeds
+    # its weight column's sum of moduli: a finite sum rules out overflow
+    # before the n x (m+1) product is formed.
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = eigenvalues[:, None] ** np.arange(m + 1)[None, :]
+        weights = amplitudes[:, None] * powers
+        bound = np.abs(weights).sum(axis=0)
+    if not np.isfinite(bound).all():
+        raise NonFiniteInput(
+            f"the dynamics overflow float64 within {m} steps "
+            f"(largest |eigenvalue| {np.abs(eigenvalues).max():.6g})"
+        )
 
-    powers = eigenvalues[:, None] ** np.arange(m + 1)[None, :]
+    modes = _draw_modes(n, specs, count, seed)
     memguard.note(n * (m + 1) * 8)
     # _real_product returns a fresh row-major array, as the data contract needs
-    clean = _real_product(modes, amplitudes[:, None] * powers)
+    clean = _real_product(modes, weights)
     return SyntheticTruth(
         eigenvalues=eigenvalues,
         modes=modes,
@@ -174,22 +201,51 @@ def synth_linear_dynamics(
     )
 
 
-def add_noise(x, snr: float, seed: int) -> np.ndarray:
+# Values per job of `add_noise`: even, so every job starts a Box-Muller pair,
+# and 32 chunks of the stream kernel, so a job's ufunc calls are large
+# enough for the threads to scale.
+_NOISE_JOB = 1 << 20
+
+
+def add_noise(x, snr: float, seed: int, out=None) -> np.ndarray:
     """Additive white Gaussian noise at the given signal-to-noise ratio.
 
     SNR is the variance ratio var(X)/var(E): noise entries are i.i.d.
-    N(0, var(X)/snr) with var(X) the elementwise variance of the data.
+    N(0, var(X)/snr) with var(X) the elementwise variance of the data. The
+    result is x + sigma * normals(seed, 0, x.size) in row-major order,
+    written into `out` (a writable C-contiguous float64 array of x's shape,
+    which may be x itself) or, when None, into a new array. The noise is drawn on
+    every CPU in the affinity mask (`rng.parallel_map`), in even-aligned
+    ranges of the flattened output, with the same bytes for any number of
+    workers.
     """
     a = _as_matrix(x)
     if not snr > 0:
         raise ValueError(f"snr must be positive, got {snr}")
-    sigma = np.sqrt(np.var(a) / snr)
-    memguard.note(a.size * 8)
-    # built in place in the noise buffer, the one n x m array this allocates
-    noisy = normals(seed, 0, a.size).reshape(a.shape)
-    noisy *= sigma
-    noisy += a
-    return noisy
+    if out is not None and (
+        out.shape != a.shape
+        or out.dtype != np.float64
+        or not (out.flags.c_contiguous and out.flags.writeable)
+    ):
+        raise ShapeMismatch(
+            f"out must be a writable C-contiguous float64 {a.shape} array, "
+            f"got {out.dtype} {out.shape}"
+        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma = np.sqrt(np.var(a) / snr)
+    if not np.isfinite(sigma):
+        raise NonFiniteInput(f"the noise scale overflows: sqrt(var(X) / snr) = {sigma}")
+    if out is None:
+        memguard.note(a.size * 8)
+        out = np.array(a, order="C")
+    elif out is not a:
+        out[...] = a
+    flat = out.reshape(-1)
+    parallel_map(
+        lambda lo: add_normals_into(flat[lo : lo + _NOISE_JOB], sigma, seed, lo),
+        range(0, flat.size, _NOISE_JOB),
+    )
+    return out
 
 
 # --- SMS read/write ---------------------------------------------------------
@@ -223,7 +279,8 @@ def write_sms(x, path) -> None:
     """Write a matrix to `path` in SMS format (atomic: temp file + rename)."""
     a = np.ascontiguousarray(_as_matrix(x), dtype=np.float64)
     if not np.all(np.isfinite(a)):
-        raise ValueError("refusing to write non-finite values")
+        err = _non_finite_error(a)
+        raise NonFiniteInput(f"refusing to write non-finite values: {err}", row=err.row)
     # the array's own buffer is written: no bytes copy of the payload
     write_atomic(path, _sms_header(*a.shape), a.astype("<f8", copy=False))
 

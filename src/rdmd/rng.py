@@ -8,7 +8,10 @@ generator) evaluated in counter form: draw ``i`` of the stream keyed by
 * the same seed yields the same bits on every platform and numpy version,
   since only integer arithmetic modulo 2**64 is involved;
 * any sub-range of a stream can be generated without generating its prefix,
-  which lets block workers and retry loops address disjoint counter ranges;
+  which lets workers draw disjoint counter ranges of one stream at once
+  (`rdmd synth` adds its noise in even-aligned ranges on every CPU through
+  `parallel_map`, and `normal_columns_into` draws a column block of a normal
+  matrix alone);
 * child streams for indexed sub-tasks come from `derive_seed`, with index 0
   mapping to the parent seed itself so a single-block run consumes exactly
   the stream the unblocked code path would.
@@ -19,12 +22,14 @@ draws consumed is a deterministic function of the output count.
 
 One in-place kernel serves every draw: it works through the stream in
 cache-sized chunks with preallocated buffers, in the operation order of the
-textbook formulas, so the values do not depend on the chunking.
-`normal_columns_into` uses the sub-range addressing to draw a column block
-of a normal matrix without the rest of it.
+textbook formulas, so the values do not depend on the chunking, nor on
+how a draw is split between workers.
 """
 
 from __future__ import annotations
+
+import os
+import threading
 
 import numpy as np
 
@@ -102,9 +107,12 @@ def uniforms(seed: int, start: int, count: int) -> np.ndarray:
     return out
 
 
-def _normals_into(seed: int, start: int, out: np.ndarray, skip: int = 0) -> np.ndarray:
+def _normals_into(
+    seed: int, start: int, out: np.ndarray, skip: int = 0, scale: float | None = None
+) -> np.ndarray:
     """out[:] = Box-Muller normals of the uniform pairs (start, start+1),
-    (start+2, start+3), ..., less the first `skip` (0 or 1) of them.
+    (start+2, start+3), ..., less the first `skip` (0 or 1) of them; with a
+    `scale`, out += scale * those normals instead.
 
     Works through the pairs in chunks of _CHUNK_PAIRS with the operations of
     the textbook form, so every value is bit-identical to it: radius
@@ -137,7 +145,12 @@ def _normals_into(seed: int, start: int, out: np.ndarray, skip: int = 0) -> np.n
         lo = max(0, skip - 2 * first)
         dst = 2 * first + lo - skip
         size = min(w, out.size - dst + lo) - lo
-        out[dst : dst + size] = values[lo : lo + size]
+        chunk = values[lo : lo + size]
+        if scale is None:
+            out[dst : dst + size] = chunk
+        else:  # scaled and added while the chunk is still in cache
+            chunk *= scale
+            out[dst : dst + size] += chunk
     return out
 
 
@@ -151,6 +164,12 @@ def normals(seed: int, start: int, count: int) -> np.ndarray:
     if count < 0:
         raise ValueError("count must be nonnegative")
     return _normals_into(seed, start, np.empty(count))
+
+
+def add_normals_into(out: np.ndarray, scale: float, seed: int, start: int) -> np.ndarray:
+    """out += scale * normals(seed, start, out.size) for a 1-D out, in place
+    and with the bits of that expression; the serial kernel of one range."""
+    return _normals_into(seed, start, out, scale=scale)
 
 
 def normal_matrix(rows: int, cols: int, seed: int) -> np.ndarray:
@@ -173,6 +192,56 @@ def normal_columns_into(out: np.ndarray, cols: int, first_col: int, seed: int) -
         draw = i * cols + first_col
         _normals_into(seed, draw - (draw & 1), out[i], skip=draw & 1)
     return out
+
+
+# (pid, executor) of `parallel_map`, created on its first parallel call. A
+# forked child makes its own: the parent's threads do not exist in it.
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _worker_count() -> int:
+    """CPUs this process may run on: its affinity mask, or the CPU count
+    where the platform has no affinity call."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _make_pool(workers: int):
+    # Imported here, not at module level: only synth's noise runs in
+    # parallel, and the import costs a decompose run about 7 ms.
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(workers, thread_name_prefix="rdmd-rng")
+
+
+def parallel_map(fn, jobs) -> list:
+    """[fn(job) for job in jobs], run on a pool of threads, one per CPU in
+    the process's affinity mask.
+
+    The pool is created by the first call that has two jobs and two CPUs,
+    and kept for the process; with one job or one CPU the jobs run in the
+    caller. numpy's ufuncs release the interpreter lock, so jobs of a few
+    large array operations run on every CPU. Every job has ended when this
+    returns or raises; the exception of the first failed job, in job order,
+    is raised.
+    """
+    global _pool
+    jobs = list(jobs)
+    workers = _worker_count()
+    if workers < 2 or len(jobs) < 2:
+        return [fn(job) for job in jobs]
+    with _pool_lock:
+        if _pool is None or _pool[0] != os.getpid():
+            _pool = (os.getpid(), _make_pool(workers))
+        pool = _pool[1]
+    from concurrent.futures import wait
+
+    futures = [pool.submit(fn, job) for job in jobs]
+    wait(futures)
+    return [f.result() for f in futures]
 
 
 def derive_seed(seed: int, index: int) -> int:

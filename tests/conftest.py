@@ -1,7 +1,25 @@
 import numpy as np
 import pytest
 
+from rdmd import rng
 from rdmd.rng import normal_matrix
+
+
+@pytest.fixture
+def use_workers(monkeypatch):
+    """use_workers(n): run `rng.parallel_map` on n workers, through a fresh
+    pool that is shut down when the test ends."""
+
+    used = []
+
+    def use(n: int) -> None:
+        monkeypatch.setattr(rng, "_worker_count", lambda: n)
+        monkeypatch.setattr(rng, "_pool", None)
+        used.append(n)
+
+    yield use
+    if used and rng._pool is not None:
+        rng._pool[1].shutdown()
 
 
 def matrix_with_spectrum(n: int, m: int, sigmas, seed: int) -> np.ndarray:

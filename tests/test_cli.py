@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -319,6 +320,29 @@ class TestErrors:
         assert res.returncode == 1
         assert res.stderr == "NonFiniteInput: a product of the finite input overflowed\n"
         assert not (tmp_path / "o" / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--modes", "100:1"], "the dynamics overflow float64 within 200 steps "
+             "(largest |eigenvalue| 100)"),
+            (["--modes", "30:1", "--snr", "10"], "the noise scale overflows: "
+             "sqrt(var(X) / snr) = inf"),
+        ],
+        ids=["dynamics", "noise-scale"],
+    )
+    def test_overflowing_synth_is_runtime_error(self, tmp_path, flags, message):
+        # warnings are errors in the child, so one that escapes shows as a
+        # traceback or an extra stderr line
+        env = dict(os.environ, PYTHONWARNINGS="error")
+        out = tmp_path / "x.sms"
+        res = run_cli(
+            "synth", "--rows", "10", "--snapshots", "201", *flags, "--out", str(out),
+            env=env,
+        )
+        assert res.returncode == 1
+        assert res.stderr == f"NonFiniteInput: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestVersion1Files:

@@ -25,14 +25,17 @@ from rdmd.datasets import (
     write_complex_csv,
     write_complex_matrix,
 )
+from rdmd import datasets, rng
 from rdmd.errors import (
     BadMagic,
     IoFailure,
+    NonFiniteInput,
+    ShapeMismatch,
     TooManyModes,
     TruncatedPayload,
     UnsupportedVersion,
 )
-from rdmd.rng import normal_matrix
+from rdmd.rng import CounterStream, normal_matrix, normals
 
 from conftest import OVERSIZED_SHAPES, write_oversized_sms, write_v1_sms
 
@@ -107,6 +110,27 @@ class TestSynth:
         b = synth_linear_dynamics(20, 10, specs, seed=7)
         assert np.array_equal(a.clean_data, b.clean_data)
 
+    def test_smooth_field_is_the_fourier_series(self):
+        # the harmonics shared by a synth call give each field the bytes of
+        # evaluating its series term by term
+        n = 257
+        t = np.arange(n) / n
+        coeffs = CounterStream(3).normals(16)
+        expected = np.zeros(n)
+        for f in range(1, 9):
+            a, b = coeffs[2 * f - 2], coeffs[2 * f - 1]
+            expected += (a * np.cos(2.0 * np.pi * f * t) + b * np.sin(2.0 * np.pi * f * t)) / f
+        field = datasets._smooth_field(datasets._harmonics(n), CounterStream(3))
+        assert field.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "specs", [[ModeSpec(100.0)], [ModeSpec(0.9), ModeSpec(60.0 * np.exp(0.3j))]],
+        ids=["real", "complex"],
+    )
+    def test_overflowing_dynamics_are_non_finite_input(self, specs):
+        with pytest.raises(NonFiniteInput, match="overflow float64 within 200 steps"):
+            synth_linear_dynamics(10, 200, specs, seed=1)
+
 
 class TestAddNoise:
     def test_variance_ratio(self):
@@ -122,6 +146,72 @@ class TestAddNoise:
     def test_rejects_nonpositive_snr(self):
         with pytest.raises(ValueError):
             add_noise(np.eye(3), 0.0, seed=0)
+
+    @staticmethod
+    def _serial(x, snr, seed):
+        """The noise as one serial draw: x + sigma * normals(seed, 0, x.size)."""
+        noisy = normals(seed, 0, x.size).reshape(x.shape)
+        noisy *= np.sqrt(np.var(x) / snr)
+        noisy += x
+        return noisy
+
+    @pytest.mark.parametrize("workers", [1, 2, 5])
+    @pytest.mark.parametrize(
+        "shape, job",
+        [
+            ((7, 9), 8),  # odd count, several jobs, the last one short
+            ((3, 5), None),  # smaller than one job
+            ((11, 13), 6),  # odd count, not a multiple of the job size
+            ((6, 4), 6),  # a multiple of the job size
+            ((1031, 1021), None),  # odd count just over one job: a short second job
+        ],
+    )
+    def test_bytes_equal_the_serial_draw(self, monkeypatch, use_workers, workers, shape, job):
+        # job None keeps the module's job size
+        use_workers(workers)
+        if job is not None:
+            monkeypatch.setattr(datasets, "_NOISE_JOB", job)
+        x = normal_matrix(*shape, seed=21) * 2.5
+        assert add_noise(x, 4.0, seed=22).tobytes() == self._serial(x, 4.0, 22).tobytes()
+
+    def test_input_unchanged_and_out_is_x_gives_the_same_bytes(self, monkeypatch, use_workers):
+        use_workers(3)
+        monkeypatch.setattr(datasets, "_NOISE_JOB", 10)
+        x = normal_matrix(9, 7, seed=23)
+        before = x.copy()
+        fresh = add_noise(x, 2.0, seed=24)
+        assert np.array_equal(x, before)
+        in_place = add_noise(x, 2.0, seed=24, out=x)
+        assert in_place is x
+        assert in_place.tobytes() == fresh.tobytes()
+
+    def test_fortran_ordered_input(self):
+        x = normal_matrix(8, 5, seed=25)
+        noisy = add_noise(np.asfortranarray(x), 3.0, seed=26)
+        assert noisy.flags.c_contiguous
+        assert noisy.tobytes() == self._serial(x, 3.0, 26).tobytes()
+
+    @staticmethod
+    def _read_only(shape):
+        out = np.zeros(shape)
+        out.flags.writeable = False
+        return out
+
+    @pytest.mark.parametrize(
+        "out",
+        [np.empty((5, 4)), np.empty((4, 5), dtype=np.float32), np.empty((4, 5), order="F"),
+         _read_only((4, 5))],
+        ids=["shape", "dtype", "order", "read-only"],
+    )
+    def test_rejects_an_unusable_out(self, out):
+        with pytest.raises(ShapeMismatch):
+            add_noise(np.arange(20.0).reshape(4, 5), 1.0, seed=0, out=out)
+
+    def test_overflowing_noise_scale_is_non_finite_input(self):
+        # every entry is finite, but var(X) overflows float64
+        x = 1e300 * np.tile(np.linspace(-1.0, 1.0, 20), (5, 1))
+        with pytest.raises(NonFiniteInput, match="noise scale overflows"):
+            add_noise(x, 10.0, seed=0)
 
 
 class TestSmsFormat:
@@ -256,9 +346,11 @@ class TestSmsFormat:
 
     def test_rejects_nonfinite(self, tmp_path):
         x = np.eye(2)
-        x[0, 0] = np.nan
-        with pytest.raises(ValueError):
+        x[1, 0] = np.nan
+        with pytest.raises(NonFiniteInput, match="row 1, column 0 is nan") as err:
             write_sms(x, tmp_path / "bad.sms")
+        assert err.value.row == 1
+        assert not (tmp_path / "bad.sms").exists()
 
 
 class TestRowBlocks:

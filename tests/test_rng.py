@@ -1,13 +1,27 @@
+import importlib.util
+import json
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import rdmd
 from rdmd import rng
 from rdmd.rng import (
     CounterStream,
+    add_normals_into,
     derive_seed,
     normal_columns_into,
     normal_matrix,
     normals,
+    parallel_map,
     raw_stream,
     uniforms,
 )
@@ -162,3 +176,143 @@ class TestChunkedKernel:
         for draw in (raw_stream, uniforms, normals):
             with pytest.raises(ValueError):
                 draw(1, 0, -1)
+
+
+class TestAddNormalsInto:
+    @pytest.mark.parametrize("start", [0, 2, 2 * rng._CHUNK_PAIRS - 2])
+    @pytest.mark.parametrize("count", [1, 6, 2 * rng._CHUNK_PAIRS + 3])
+    def test_bytes_of_the_serial_expression(self, start, count):
+        base = normals(4, 0, count)
+        out = base.copy()
+        assert add_normals_into(out, 1.7, seed=12, start=start) is out
+        expected = normals(12, start, count)
+        expected *= 1.7
+        expected += base
+        assert out.tobytes() == expected.tobytes()
+
+
+class TestParallelMap:
+    @pytest.mark.parametrize("workers", [1, 2, 7])
+    def test_results_in_job_order(self, use_workers, workers):
+        use_workers(workers)
+        assert parallel_map(lambda j: j * j, range(20)) == [j * j for j in range(20)]
+
+    def test_one_worker_or_one_job_runs_in_the_caller(self, use_workers, monkeypatch):
+        def no_pool(workers):
+            raise AssertionError("pool created")
+
+        monkeypatch.setattr(rng, "_make_pool", no_pool)
+        threads = []
+        use_workers(1)
+        parallel_map(lambda j: threads.append(threading.get_ident()), range(5))
+        use_workers(4)
+        parallel_map(lambda j: threads.append(threading.get_ident()), [0])
+        assert threads == [threading.get_ident()] * 6
+
+    def test_a_job_exception_reaches_the_caller_once_every_job_ended(self, use_workers):
+        use_workers(3)
+        done = []
+
+        def job(j):
+            time.sleep(0.005)
+            if j == 2:
+                raise ValueError("job 2 failed")
+            done.append(j)
+
+        with pytest.raises(ValueError, match="job 2 failed"):
+            parallel_map(job, range(9))
+        assert sorted(done) == [0, 1, 3, 4, 5, 6, 7, 8]
+
+    def test_a_forked_child_makes_its_own_pool(self, use_workers):
+        use_workers(2)
+        # both of the parent's threads exist, and are idle by the fork
+        barrier = threading.Barrier(2, timeout=10.0)
+        parallel_map(lambda job: barrier.wait(), [0, 1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = 0 if parallel_map(abs, [-1, -2, -3]) == [1, 2, 3] else 1
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 20.0
+        while (status := os.waitpid(pid, os.WNOHANG))[0] == 0:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child waited on its parent's pool")
+            time.sleep(0.02)
+        assert os.waitstatus_to_exitcode(status[1]) == 0
+
+    def test_many_workers_on_disjoint_ranges_stress(self, use_workers):
+        # more workers than cores and a short switch interval: a range drawn
+        # twice, dropped or shifted would change the bytes
+        use_workers(8)
+        count, job = 40_001, 96
+        base = normals(3, 0, count)
+        expected = normals(5, 0, count)
+        expected *= 0.25
+        expected += base
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            deadline = time.monotonic() + 20.0
+            for _ in range(3):
+                out = base.copy()
+                parallel_map(
+                    lambda lo: add_normals_into(out[lo : lo + job], 0.25, 5, lo),
+                    range(0, count, job),
+                )
+                assert out.tobytes() == expected.tobytes()
+                assert time.monotonic() < deadline
+        finally:
+            sys.setswitchinterval(interval)
+
+
+_NO_POOL_SCRIPT = """
+import json, sys, threading
+from rdmd import cli, rng
+
+def no_pool(workers):
+    raise AssertionError("the rng pool was created")
+
+rng._make_pool = no_pool
+rng._worker_count = lambda: 4
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, argv
+assert "concurrent.futures" not in sys.modules
+assert threading.active_count() == 1, threading.enumerate()
+print("no pool")
+"""
+
+
+def test_decompose_qb_and_bench_start_no_pool(tmp_path):
+    """The parallel noise stays out of every decompose path: in one process
+    running the benchmark's four `decompose` flag sets, `qb` and `bench`,
+    the pool factory raises, `concurrent.futures` is never imported and no
+    thread is started."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    )
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    specs = [rdmd.ModeSpec(1.0), rdmd.ModeSpec(0.995 + 0.2j, 0.5), rdmd.ModeSpec(0.97 + 0.35j, 0.25)]
+    data = rdmd.synth_linear_dynamics(2000, 150, specs, seed=4).clean_data
+    path = str(tmp_path / "x.sms")
+    rdmd.write_sms(rdmd.add_noise(data, 10.0, seed=5), path)
+    runs = [
+        ["decompose", "--input", path, *flags, "--out", str(tmp_path / name)]
+        for name, flags in bench.WORKLOADS.items()
+    ]
+    runs += [
+        ["qb", "--input", path, "--rank", "5"],
+        ["bench", "--input", path, "--rank", "5", "--seeds", "2", "--out", str(tmp_path / "b")],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_POOL_SCRIPT, json.dumps(runs)],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    assert proc.stdout.splitlines()[-1] == "no pool"
