@@ -201,6 +201,37 @@ def synth_linear_dynamics(
     )
 
 
+# Values per leaf of `_variance`'s summation tree: a leaf's squared
+# deviations fill one reused 512 KB buffer and are summed by numpy.
+_VARIANCE_LEAF = 1 << 16
+
+
+def _variance(a: np.ndarray) -> np.float64:
+    """np.var(a), bit for bit, without np.var's temporary of a's size.
+
+    np.var sums the squared deviations from mu = sum(a) / N over a's memory
+    order with numpy's pairwise summation, which splits a run of n > 128
+    values after n // 2 values rounded down to a multiple of 8 and adds the
+    two halves' sums. This walks the same tree down to runs of at most
+    `_VARIANCE_LEAF` values, has numpy sum each run's squared deviations in
+    one reused buffer, and adds the runs' sums in the tree's order.
+    """
+    mu = np.add.reduce(a, axis=None) / a.size
+    # a view of a C- or Fortran-ordered a; any other a is copied, as np.var
+    # copies it into its temporary
+    flat = a.ravel(order="K")
+    buf = np.empty(min(flat.size, _VARIANCE_LEAF))
+
+    def tree_sum(lo, n):
+        if n <= _VARIANCE_LEAF:
+            d = np.subtract(flat[lo : lo + n], mu, out=buf[:n])
+            return np.add.reduce(np.multiply(d, d, out=d))
+        half = n // 2 - (n // 2) % 8
+        return tree_sum(lo, half) + tree_sum(lo + half, n - half)
+
+    return tree_sum(0, flat.size) / a.size
+
+
 # Values per job of `add_noise`: even, so every job starts a Box-Muller pair,
 # and 32 chunks of the stream kernel, so a job's ufunc calls are large
 # enough for the threads to scale.
@@ -211,7 +242,8 @@ def add_noise(x, snr: float, seed: int, out=None) -> np.ndarray:
     """Additive white Gaussian noise at the given signal-to-noise ratio.
 
     SNR is the variance ratio var(X)/var(E): noise entries are i.i.d.
-    N(0, var(X)/snr) with var(X) the elementwise variance of the data. The
+    N(0, var(X)/snr) with var(X) the elementwise variance of the data,
+    np.var's value streamed without a full-size temporary (`_variance`). The
     result is x + sigma * normals(seed, 0, x.size) in row-major order,
     written into `out` (a writable C-contiguous float64 array of x's shape,
     which may be x itself) or, when None, into a new array. The noise is drawn on
@@ -232,7 +264,7 @@ def add_noise(x, snr: float, seed: int, out=None) -> np.ndarray:
             f"got {out.dtype} {out.shape}"
         )
     with np.errstate(over="ignore", invalid="ignore"):
-        sigma = np.sqrt(np.var(a) / snr)
+        sigma = np.sqrt(_variance(a) / snr)
     if not np.isfinite(sigma):
         raise NonFiniteInput(f"the noise scale overflows: sqrt(var(X) / snr) = {sigma}")
     if out is None:
@@ -278,8 +310,9 @@ def _sms_header(rows: int, cols: int) -> bytes:
 def write_sms(x, path) -> None:
     """Write a matrix to `path` in SMS format (atomic: temp file + rename)."""
     a = np.ascontiguousarray(_as_matrix(x), dtype=np.float64)
-    if not np.all(np.isfinite(a)):
-        err = _non_finite_error(a)
+    # scanned a row chunk at a time, so no n x m bool array is formed
+    err = _non_finite_error(a)
+    if err.row is not None:
         raise NonFiniteInput(f"refusing to write non-finite values: {err}", row=err.row)
     # the array's own buffer is written: no bytes copy of the payload
     write_atomic(path, _sms_header(*a.shape), a.astype("<f8", copy=False))

@@ -52,6 +52,7 @@ from .linalg import (
     _lift,
     _real_product,
     _require_finite,
+    _tall_product,
     default_rank_tol,
     divide_where,
     eig_dense,
@@ -81,18 +82,25 @@ METHODS = (
 
 @dataclass(frozen=True)
 class SnapshotSplit:
-    """Time-shifted halves of a snapshot sequence: right ~ A @ left."""
+    """Time-shifted halves of a snapshot sequence: right ~ A @ left.
+
+    sequence is the d x (m+1) matrix D whose views the halves are, as
+    `split_snapshots` keeps it; None for a split built from two matrices.
+    """
 
     left: np.ndarray
     right: np.ndarray
+    sequence: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
 class LowDimOperator:
     """Rank-k projected propagator and the SVD factors behind it.
 
-    right_projected = right @ V_k @ S_k^{-1} is kept because both the
-    operator and the mode recovery reuse it.
+    projected is U_k^T D for the split's sequence D (U_k^T D_R for a split
+    without one): the operator is taken from its last m columns, and the
+    projected modes' frame keeps it as B = U_k^T X. right is the split's
+    D_R.
     """
 
     operator: np.ndarray
@@ -100,7 +108,21 @@ class LowDimOperator:
     singular_values: np.ndarray
     right_vectors: np.ndarray
     inv_singular: np.ndarray
-    right_projected: np.ndarray
+    right: np.ndarray
+    projected: np.ndarray
+
+    def exact_basis(self, right) -> np.ndarray:
+        """right V_k S_k^{-1} for right snapshots `right` (m columns), the
+        basis exact-style modes lift through; n x k for n-row snapshots."""
+        basis = _tall_product(right, self.right_vectors)
+        basis *= self.inv_singular
+        return basis
+
+    @property
+    def right_projected(self) -> np.ndarray:
+        """D_R V_k S_k^{-1}, formed on each access, so only the variants whose
+        modes lift through it read D_R."""
+        return self.exact_basis(self.right)
 
 
 @dataclass
@@ -192,40 +214,45 @@ def split_snapshots(x) -> SnapshotSplit:
     """Split a d x (m+1) sequence into overlapping left/right d x m halves."""
     a = _as_matrix(x)
     _require_snapshots(a.shape[1])
-    return SnapshotSplit(left=a[:, :-1], right=a[:, 1:])
+    return SnapshotSplit(left=a[:, :-1], right=a[:, 1:], sequence=a)
 
 
 def low_dim_operator(
     split: SnapshotSplit, k: int, regularization: FilterSpec | None = None
 ) -> LowDimOperator:
-    """Projected propagator U_k^T D_R V_k S_k^{-1} from a snapshot split.
+    """Projected propagator (U_k^T D_R V_k) S_k^{-1} from a snapshot split.
 
-    The inverted singular values carry the regularization filter: the
-    default is plain truncation at k (1/s_i on the k values kept); a
-    Tikhonov spec replaces 1/s_i by s_i / (s_i^2 + lambda^2). Exact zeros
-    and values at numerical-rank level invert to zero.
+    U_k^T D_R is the slice of the one k x (m+1) product U_k^T D with the
+    split's sequence, so no d x k product with D_R is formed (see
+    `LowDimOperator.right_projected`). The inverted singular values carry
+    the regularization filter: the default is plain truncation at k (1/s_i
+    on the k values kept); a Tikhonov spec replaces 1/s_i by
+    s_i / (s_i^2 + lambda^2). Exact zeros and values at numerical-rank level
+    invert to zero. The all-zero check reads D_L's first row, and the rest
+    only when that row is zero.
     """
     left, right = split.left, split.right
     if left.shape != right.shape:
         raise ShapeMismatch(f"left {left.shape} != right {right.shape}")
     if not 1 <= k <= min(left.shape):
         raise RankOutOfRange(f"rank {k} outside [1, {min(left.shape)}]")
-    if not np.any(left):
+    if not left[0].any() and not left.any():
         raise DegenerateData("left snapshot matrix is identically zero")
     factors = truncated_svd(left, k)
     s = factors.singular_values
     tol = default_rank_tol(left.shape, s[0])
     f = 1.0 if regularization is None else filter_factors(s, regularization)
     inv_s = divide_where(f, s, s > tol)
-    right_projected = (right @ factors.v) * inv_s
-    operator = factors.u.T @ right_projected
+    projected = factors.u.T @ (right if split.sequence is None else split.sequence)
+    operator = (projected[:, -right.shape[1]:] @ factors.v) * inv_s
     return LowDimOperator(
         operator=operator,
         left_vectors=factors.u,
         singular_values=s,
         right_vectors=factors.v,
         inv_singular=inv_s,
-        right_projected=right_projected,
+        right=right,
+        projected=projected,
     )
 
 
@@ -302,12 +329,12 @@ def _config_echo(cfg: DmdConfig, method: str, blocks: int = 1,
     }
 
 
-def _frame(a, q, coords):
+def _frame(q, coords, b, a):
     """The orthonormal frame of an in-memory variant whose modes are
     q @ coords @ W for the n x k orthonormal q: the lift through q, the
-    coordinates, B = q^T a and ||a||_F^2. The lift is `_lift`, so q is never
+    coordinates, b = q^T a and ||a||_F^2. The lift is `_lift`, so q is never
     cast to complex."""
-    return (lambda m: _lift(q, m)), coords, q.T @ a, frobenius_sq(a)
+    return (lambda m: _lift(q, m)), coords, b, frobenius_sq(a)
 
 
 def _span_frame(a, basis):
@@ -316,7 +343,7 @@ def _span_frame(a, basis):
     in the basis names the first such entry of `a`."""
     _require_finite(a, basis)
     q = thin_qr_q(basis)
-    return _frame(a, q, q.T @ basis)
+    return _frame(q, q.T @ basis, q.T @ a, a)
 
 
 def _pipeline(split, cfg, method, timings, source, frame, **echo):
@@ -376,7 +403,9 @@ def dmd_deterministic(x, cfg: DmdConfig) -> DmdResult:
 
     cfg.method "deterministic_exact" lifts exact modes X_R V_k S_k^{-1} W
     through their orthonormal span; any other method runs the projected
-    modes U_k W, whose frame is U_k itself.
+    modes U_k W, whose frame is U_k itself with B = U_k^T X the operator's
+    own product. The projected run reads X five times: the two Gram passes
+    and U_k of the truncated SVD, U_k^T X and ||X||_F^2.
     """
     a = _as_matrix(x)
     if cfg.method == "deterministic_exact":
@@ -386,7 +415,7 @@ def dmd_deterministic(x, cfg: DmdConfig) -> DmdResult:
         )
     return _pipeline(
         split_snapshots(a), cfg, "deterministic_projected", {}, a,
-        lambda op: _frame(a, op.left_vectors, np.eye(cfg.target_rank)),
+        lambda op: _frame(op.left_vectors, np.eye(cfg.target_rank), op.projected, a),
     )
 
 
@@ -453,7 +482,7 @@ def dmd_compressed(x, cfg: DmdConfig, operator: SamplingOperator | None = None) 
 
     return _pipeline(
         split_snapshots(compressed), cfg, "compressed", timings, a,
-        lambda op: _span_frame(a, (split.right @ op.right_vectors) * op.inv_singular),
+        lambda op: _span_frame(a, op.exact_basis(split.right)),
         compress_dim=compressed.shape[0],
     )
 

@@ -22,7 +22,7 @@ from .errors import (
     RankOutOfRange,
     ShapeMismatch,
 )
-from .linalg import _as_matrix, _require_finite, thin_qr_q
+from .linalg import _as_matrix, _require_finite, _tall_product, thin_qr_q
 from .rng import normal_columns_into, normal_matrix, uniforms
 
 
@@ -128,8 +128,8 @@ def randomized_qb(x, cfg: SketchConfig) -> QBFactorization:
     entry of X before any orthonormalization; on finite data that check
     reads only Y, not X.
 
-    The n x l products run as (Z^T X^T)^T and (Q^T X)^T, the faster BLAS
-    layout for a row-major X.
+    The n x l products X Omega and X Z run through `linalg._tall_product`,
+    and X^T Q as (Q^T X)^T: the faster BLAS layout for a row-major X.
     """
     a = _as_matrix(x)
     n, m = a.shape
@@ -142,12 +142,12 @@ def randomized_qb(x, cfg: SketchConfig) -> QBFactorization:
     omega = gaussian_test_matrix(m, l, cfg.seed)
     memguard.note(n * l * 8)
     with np.errstate(over="ignore", invalid="ignore"):  # checked right below
-        y = (omega.T @ a.T).T
+        y = _tall_product(a, omega)
     _require_finite(a, y)
     for _ in range(cfg.power_iters):
         z = thin_qr_q((thin_qr_q(y).T @ a).T)
         memguard.note(n * l * 8)
-        y = (z.T @ a.T).T
+        y = _tall_product(a, z)
     q = thin_qr_q(y)
     memguard.note(l * m * 8)
     b = q.T @ a

@@ -207,6 +207,21 @@ class TestAddNoise:
         with pytest.raises(ShapeMismatch):
             add_noise(np.arange(20.0).reshape(4, 5), 1.0, seed=0, out=out)
 
+    def test_variance_forms_no_full_size_temporary(self, use_workers):
+        import tracemalloc
+
+        use_workers(2)
+        x = normal_matrix(40000, 100, seed=27)
+        ref = self._serial(x, 10.0, 28)
+        tracemalloc.start()
+        try:
+            add_noise(x, 10.0, seed=28, out=x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * x.nbytes
+        assert x.tobytes() == ref.tobytes()
+
     def test_overflowing_noise_scale_is_non_finite_input(self):
         # every entry is finite, but var(X) overflows float64
         x = 1e300 * np.tile(np.linspace(-1.0, 1.0, 20), (5, 1))
@@ -234,6 +249,19 @@ class TestSmsFormat:
             tracemalloc.stop()
         assert peak <= 0.25 * x.nbytes
         assert read_sms(path).tobytes() == x.tobytes()
+
+    def test_finiteness_check_forms_no_full_size_mask(self, tmp_path):
+        import tracemalloc
+
+        x = normal_matrix(40000, 100, seed=14)
+        tracemalloc.start()
+        try:
+            write_sms(x, tmp_path / "x.sms")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # an n x m bool mask alone would be 0.125 x the payload
+        assert peak <= 0.06 * x.nbytes
 
     def test_header_layout(self, tmp_path):
         x = np.arange(6.0).reshape(2, 3)

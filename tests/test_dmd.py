@@ -756,3 +756,101 @@ class TestTallPeakMemory:
         if method == "randomized":
             # the n x l sketch buffers, and no complex copy of the basis Q
             assert peak < 3 * self.N * cfg.sketch.sketch_size * 8
+
+
+class _ReadCounter(np.ndarray):
+    """A view of X that logs, for each numpy call reading it, how many rows
+    of X the call reads (once per call, however many operands share X)."""
+
+    def __array_finalize__(self, obj):
+        self.log = getattr(obj, "log", None)
+        self.base_x = getattr(obj, "base_x", None)
+
+    def _rows(self) -> int:
+        x = self.base_x
+        start = self.__array_interface__["data"][0] - x.__array_interface__["data"][0]
+        last = start + sum((n - 1) * s for n, s in zip(self.shape, self.strides))
+        return (last // x.strides[0]) - (start // x.strides[0]) + 1
+
+    def _call(self, fn, args, kwargs):
+        counted = [a for a in args if isinstance(a, _ReadCounter)]
+        self.log.append(max(a._rows() for a in counted))
+        plain = [a.view(np.ndarray) if isinstance(a, _ReadCounter) else a for a in args]
+        return fn(*plain, **kwargs)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        return self._call(getattr(ufunc, method), inputs, kwargs)
+
+    def __array_function__(self, func, types, args, kwargs):
+        return self._call(func, args, kwargs)
+
+
+class TestPassesOverX:
+    """How often each variant reads the n-row data, and which n-row products
+    it forms."""
+
+    N, M = 10_000, 41
+
+    @staticmethod
+    def noisy(n, m):
+        specs = [ModeSpec(0.99 * np.exp(0.3j)), ModeSpec(0.9), ModeSpec(0.8 * np.exp(1.2j))]
+        return add_noise(synth_linear_dynamics(n, m - 1, specs, seed=72).clean_data, 10.0, seed=73)
+
+    def test_projected_deterministic_reads_x_five_times(self, monkeypatch):
+        # the Gram pass, the G2 pass and U_k of the truncated SVD, U_k^T X and
+        # ||X||_F^2; the all-zero check reads one row of X_L, and D_R V_k is
+        # not formed
+        import rdmd.dmd
+        import rdmd.linalg
+
+        x = self.noisy(self.N, self.M)
+        counted = x.view(_ReadCounter)
+        counted.log, counted.base_x = [], x
+        for module in (rdmd.dmd, rdmd.linalg):
+            monkeypatch.setattr(module, "_as_matrix", lambda a, name="matrix": a)
+        result = dmd_deterministic(counted, DmdConfig(target_rank=5))
+        assert sum(counted.log) == 5 * self.N + 1
+        monkeypatch.undo()
+        assert result.eigenvalues.tobytes() == dmd_deterministic(
+            x, DmdConfig(target_rank=5)
+        ).eigenvalues.tobytes()
+
+    @pytest.mark.parametrize("method, products", [
+        ("deterministic_projected", 1),  # U_k
+        ("deterministic_exact", 2),  # U_k and X_R V_k S_k^-1
+        ("compressed", 1),  # X_R V_k S_k^-1
+        ("randomized", 3),  # X Omega and X Z for each of q = 2 power iterations
+    ])
+    def test_tall_products_on_n_rows(self, monkeypatch, method, products):
+        import rdmd.dmd
+        import rdmd.linalg
+        import rdmd.sketch
+
+        x = self.noisy(2000, self.M)
+        inner = rdmd.linalg._tall_product
+        rows = []
+
+        def spy(a, w):
+            rows.append(a.shape[0])
+            return inner(a, w)
+
+        for module in (rdmd.dmd, rdmd.linalg, rdmd.sketch):
+            monkeypatch.setattr(module, "_tall_product", spy)
+        run_dmd(x, DmdConfig(target_rank=5, method=method, compress_dim=30, power_iters=2))
+        assert rows.count(x.shape[0]) == products
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_all_zero_input_is_degenerate(self, method):
+        cfg = DmdConfig(target_rank=3, method=method, compress_dim=20)
+        with pytest.raises(DegenerateData):
+            run_dmd(np.zeros((200, 30)), cfg)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_zero_first_row_still_decomposes(self, method):
+        # the all-zero check reads the first row and must then scan the rest
+        x = rotation_sequence(200, 30, theta=0.5, seed=74)
+        x[0] = 0.0
+        cfg = DmdConfig(target_rank=2, method=method, oversampling=5, compress_dim=20, seed=3)
+        result = run_dmd(x, cfg)
+        expected = [np.exp(0.5j), np.exp(-0.5j)]
+        assert eigen_match_error(expected, result.eigenvalues) <= 1e-8

@@ -268,6 +268,21 @@ class TestLift:
         assert not out[:40].any() and not out[160:].any()
 
 
+class TestTallProduct:
+    # X_L, the left half of a row-major snapshot matrix, is a strided view
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_equals_the_product(self, layout):
+        from rdmd.linalg import _tall_product
+
+        x = normal_matrix(5000, 41, seed=56)
+        a = {"C": x, "F": np.asfortranarray(x), "strided": x[:, :-1]}[layout]
+        w = normal_matrix(a.shape[1], 5, seed=57)
+        got = _tall_product(a, w)
+        ref = a @ w
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 class TestSingularValuesOfRows:
     @pytest.mark.parametrize("rows", [7, 40, 300])
     def test_matches_economic_svd(self, rows):

@@ -25,6 +25,7 @@ from rdmd import (
     synth_linear_dynamics,
     write_sms,
 )
+from rdmd.datasets import _VARIANCE_LEAF, _variance
 from rdmd.rng import normal_matrix, normals
 
 
@@ -122,3 +123,22 @@ def test_sms_round_trip_is_bit_exact(x, fortran):
         y = read_sms(path)
     assert y.dtype == np.float64 and y.shape == x.shape
     assert y.tobytes() == x.tobytes(order="C")
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    rows=st.integers(min_value=1, max_value=1200),
+    cols=st.integers(min_value=1, max_value=300),
+    fortran=st.booleans(),
+    offset=st.floats(min_value=-1e3, max_value=1e3),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+# one leaf exactly, one value over it, and a tree several levels deep
+@example(rows=256, cols=_VARIANCE_LEAF // 256, fortran=False, offset=0.0, seed=0)
+@example(rows=_VARIANCE_LEAF + 1, cols=1, fortran=True, offset=3.0, seed=1)
+@example(rows=1200, cols=300, fortran=False, offset=-7.5, seed=2)
+def test_streamed_variance_is_np_var_bit_for_bit(rows, cols, fortran, offset, seed):
+    x = normal_matrix(rows, cols, seed) * 2.5 + offset
+    if fortran:
+        x = np.asfortranarray(x)
+    assert _variance(x).tobytes() == np.var(x).tobytes()
