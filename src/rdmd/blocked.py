@@ -6,11 +6,18 @@ stacked into K ((b*l) x m), and a second QB of K merges them. The assembled
 basis Q = diag(Q_1, ..., Q_b) @ Q_hat is orthonormal as a product of
 orthonormal factors; peak working memory stays at one row block plus K.
 
-Each block is read from the source exactly once and held in memory for the
-duration of its own QB (the power iterations run in-core), which is what
-keeps both the pass count and the memory footprint at one block. The same
-pass sums ||X||_F^2, from which the reconstruction error follows without
-reading the blocks again (see `DmdResult.sketch`).
+Each block is read from the source exactly once and held for the duration
+of its own QB (the power iterations run in-core), which keeps the pass
+count at one. The same pass sums ||X||_F^2, from which the reconstruction
+error follows without reading the blocks again (see `DmdResult.sketch`).
+
+A source hands out blocks and takes them back with `release_block()`. An
+SMS file source (`datasets.SmsRowBlockSource`) maps a version 2 file and
+hands out read-only views of the map, not copies; reading the next block
+releases the pages of the one before, and the QB releases the last one
+before the merge. So the resident set is one block of file pages while
+the blocks are sketched, and no block-sized buffer while K is merged and
+the modes are lifted.
 """
 
 from __future__ import annotations
@@ -74,7 +81,8 @@ def blocked_randomized_qb(source, cfg: SketchConfig) -> BlockedQB:
     one rule, so a block narrower than the sketch is a hard error rather
     than a silent rank reduction. With b > 1 an error of a block's QB names
     the block, and a NonFiniteInput also the global row; with b = 1 it is
-    raised as `randomized_qb` raised it.
+    raised as `randomized_qb` raised it. The source's last block is
+    released (`source.release_block()`) before the merge.
     """
     l = cfg.sketch_size
     b = source.block_count
@@ -97,6 +105,7 @@ def blocked_randomized_qb(source, cfg: SketchConfig) -> BlockedQB:
         projections.append(qb.b)
         data_sq_norm += frobenius_sq(block)
         del block
+    source.release_block()
 
     if b == 1:
         return BlockedQB(

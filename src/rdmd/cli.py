@@ -390,7 +390,7 @@ def _cmd_qb(args) -> int:
         bound = expected_error_bound(
             args.rank, cfg.oversampling, cfg.power_iters, data.shape[1], data.shape[0],
             sigma_next,
-        ) / float(np.linalg.norm(data))
+        ) / math.sqrt(data_sq_norm)
     report = {
         "rows": data.shape[0],
         "cols": data.shape[1],

@@ -13,8 +13,9 @@ host byte order:
     32      -     payload: rows*cols float64 values, row-major
 
 Version 1 has no padding, so its payload starts at byte 28. Version 2's
-payload is 8-byte aligned, so `read_sms` maps it read-only and returns a
-view of the map; a version 1 payload is read into a new array.
+payload is 8-byte aligned, so `read_sms` and the row-block reader map it
+read-only and hand out views of the map; a version 1 payload is read into
+new arrays.
 
 Row-major payloads make a contiguous range of rows a contiguous range of
 bytes, which is what the blocked out-of-core reader relies on.
@@ -357,13 +358,24 @@ def _read_payload(fh, rows: int, cols: int, what: str) -> np.ndarray:
     return data.astype(np.float64, copy=False)
 
 
+def _map_payload(fh, rows: int, cols: int, offset: int) -> tuple[mmap.mmap, np.ndarray]:
+    """The file open as `fh` mapped read-only and shared, and the read-only
+    rows x cols little-endian float64 view of its payload at `offset`. The
+    map must be shared (`ACCESS_READ`): MADV_DONTNEED zero-fills the pages
+    of a private map, where a shared one reads them back from the file."""
+    mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    data = np.frombuffer(mapped, dtype="<f8", count=rows * cols, offset=offset)
+    return mapped, data.reshape(rows, cols)
+
+
 def read_sms(path) -> np.ndarray:
     """Read a whole SMS file.
 
     A version 2 file is mapped read-only and the matrix returned is a
     read-only view of the map (`.copy()` it for a writable array). A
     version 1 payload sits at a misaligned offset, so it is read into a new
-    array instead.
+    array instead. A mapped file must not be truncated in place while the
+    view is in use: touching a page past the new end raises SIGBUS.
     """
     try:
         with open(path, "rb") as fh:
@@ -371,12 +383,11 @@ def read_sms(path) -> np.ndarray:
             if offset % 8:  # version 1: the handle stands at its payload
                 return _read_payload(fh, rows, cols, str(path))
             memguard.note(rows * cols * 8)
-            mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+            _, data = _map_payload(fh, rows, cols, offset)
     except OSError as exc:
         raise IoFailure(f"reading {path}: {exc}") from exc
-    data = np.frombuffer(mapped, dtype="<f8", count=rows * cols, offset=offset)
     # a no-op on little-endian hosts; a byte-swapping copy elsewhere
-    return data.reshape(rows, cols).astype(np.float64, copy=False)
+    return data.astype(np.float64, copy=False)
 
 
 # --- row-block sources ------------------------------------------------------
@@ -397,36 +408,87 @@ class ArrayRowBlockSource:
         start, count = self.block_ranges[i]
         return self._x[start : start + count]
 
+    def release_block(self) -> None:
+        """Nothing to release: the matrix stays the caller's."""
+
+
+# MADV_DONTNEED drops a shared file map's pages from the process; where the
+# platform lacks it, a mapped block would stay resident, so blocks are copied
+_CAN_RELEASE = hasattr(mmap, "MADV_DONTNEED")
+
 
 class SmsRowBlockSource:
-    """Sequential row-block reader over an SMS file.
+    """Row-block reader over an SMS file.
 
     Each block is one contiguous byte range, readable in any order and
-    repeatedly. The handle is single-consumer (one seek/read at a time).
+    repeatedly. A version 2 file is mapped once, read-only and shared, and a
+    block is a read-only view of the map. Reading a block first releases
+    the pages of the block read before it (`release_block`), so the process
+    holds one block of file pages at a time; a released view stays valid
+    and reads its pages back from the file if touched again. A version 1
+    payload is misaligned, so there (and on a platform without
+    MADV_DONTNEED) each block is read into a new array through the one file
+    handle (one seek/read at a time).
+
+    As with `read_sms`, a mapped file must not be truncated in place while
+    the source or a view of it is in use: touching a page past the new end
+    raises SIGBUS.
     """
 
     def __init__(self, path, block_count: int):
         self._path = path
+        self._map = self._payload = None  # the map and its payload view
+        self._held = None  # the block whose mapped pages may be resident
         try:
             with contextlib.ExitStack() as on_error:
                 self._fh = on_error.enter_context(open(path, "rb"))
                 self.rows, self.cols, self._offset = _read_header(self._fh, path)
-                on_error.pop_all()  # header accepted: close() owns the handle
+                self.block_ranges = partition_rows(self.rows, block_count)
+                if self._offset % 8 == 0 and _CAN_RELEASE:
+                    self._map, self._payload = _map_payload(
+                        self._fh, self.rows, self.cols, self._offset
+                    )
+                on_error.pop_all()  # accepted and mapped: close() owns the handle
         except OSError as exc:
             raise IoFailure(f"opening {path}: {exc}") from exc
         self.block_count = block_count
-        self.block_ranges = partition_rows(self.rows, block_count)
 
     def read_block(self, i: int) -> np.ndarray:
         start, count = self.block_ranges[i]
-        what = f"block {i} of {self._path}"
-        try:
-            self._fh.seek(self._offset + start * self.cols * 8)
-        except OSError as exc:
-            raise IoFailure(f"reading {what}: {exc}") from exc
-        return _read_payload(self._fh, count, self.cols, what)
+        if self._payload is None:
+            what = f"block {i} of {self._path}"
+            try:
+                self._fh.seek(self._offset + start * self.cols * 8)
+            except OSError as exc:
+                raise IoFailure(f"reading {what}: {exc}") from exc
+            return _read_payload(self._fh, count, self.cols, what)
+        memguard.note(count * self.cols * 8)
+        self.release_block()
+        self._held = i
+        # a no-op on little-endian hosts; a byte-swapping copy elsewhere
+        return self._payload[start : start + count].astype(np.float64, copy=False)
+
+    def release_block(self) -> None:
+        """Drop the resident pages of the mapped block read last: the
+        page-aligned inside of its byte range, so the pages it shares with
+        its neighbours stay. A no-op for copied blocks."""
+        if self._held is None:
+            return
+        start, count = self.block_ranges[self._held]
+        self._held = None
+        row_bytes = self.cols * 8
+        page = mmap.PAGESIZE
+        lo = -(-(self._offset + start * row_bytes) // page) * page
+        hi = (self._offset + (start + count) * row_bytes) // page * page
+        if hi > lo:
+            self._map.madvise(mmap.MADV_DONTNEED, lo, hi - lo)
 
     def close(self) -> None:
+        """Release the last block and close the file. The map is dropped,
+        not closed, so views a caller still holds stay valid; it is
+        unmapped when the last of them goes."""
+        self.release_block()
+        self._map = self._payload = None
         self._fh.close()
 
     def __enter__(self):

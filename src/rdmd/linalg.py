@@ -411,23 +411,45 @@ def normalize_phase_in_place(w: np.ndarray) -> np.ndarray:
     removes the scale/phase ambiguity of eigenvectors without a copy of a
     state-dimension-sized mode matrix. Returns the complex factor each
     column was scaled by, so a low-dimensional stand-in of the vectors can
-    be scaled the same way. The pivot is exactly real after the call."""
-    factors = np.ones(w.shape[1], dtype=np.complex128)
-    for j in range(w.shape[1]):
-        col = w[:, j]
-        nrm = np.linalg.norm(col)
-        if nrm == 0:
-            continue
-        at = np.argmax(np.abs(col))
-        pivot = col[at]
-        scale = abs(pivot) * nrm
+    be scaled the same way. The pivot, the first entry of largest
+    magnitude, is exactly real after the call; a zero column is left as it
+    is.
+
+    Two passes over `_CHUNK_ROWS`-row chunks of all columns: the first sums
+    the columns' squared norms and finds their pivots, the second scales
+    each chunk in place, so the only temporaries are chunk-sized."""
+    n, k = w.shape
+    sq_norms = np.zeros(k)
+    peaks = np.full(k, -1.0)
+    at = np.zeros(k, dtype=np.intp)
+    for start in range(0, n, _CHUNK_ROWS):
+        mags = np.abs(w[start : start + _CHUNK_ROWS])
+        rows = np.argmax(mags, axis=0)
+        top = mags[rows, np.arange(k)]
+        # strictly larger only, so an earlier chunk keeps a tied pivot
+        later = top > peaks
+        peaks[later] = top[later]
+        at[later] = start + rows[later]
+        sq_norms += np.square(mags, out=mags).sum(axis=0)
+    cols = np.flatnonzero(sq_norms != 0)
+    at = at[cols]
+    conj = w[at, cols].conjugate()
+    scales = peaks[cols] * np.sqrt(sq_norms[cols])
+    whole = cols.size == k  # else the zero columns are left out of the pass
+    for start in range(0, n, _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        chunk = w[rows] if whole else w[rows, cols]
         # multiply by the conjugate first so the pivot's imaginary part
         # cancels, then scale by the (real) magnitude and norm; where the
         # complex multiply uses fused multiply-add the cancellation leaves
-        # a rounding-level imaginary part, which is dropped
-        w[:, j] = (col * pivot.conjugate()) / scale
-        w[at, j] = w[at, j].real
-        factors[j] = pivot.conjugate() / scale
+        # a rounding-level imaginary part, which is dropped below
+        chunk *= conj
+        chunk /= scales
+        if not whole:
+            w[rows, cols] = chunk
+    w[at, cols] = w[at, cols].real
+    factors = np.ones(k, dtype=np.complex128)
+    factors[cols] = conj / scales
     return factors
 
 

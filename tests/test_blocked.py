@@ -154,6 +154,28 @@ class TestBlockedQb:
         rel = np.linalg.norm(x - apply_q(res, res.b)) / np.linalg.norm(x)
         assert rel <= 1e-8
 
+    def test_last_block_is_released_before_the_merge(self, monkeypatch):
+        import rdmd.blocked
+
+        calls = []
+
+        class Recording(ArrayRowBlockSource):
+            def read_block(self, i):
+                calls.append(f"read {i}")
+                return super().read_block(i)
+
+            def release_block(self):
+                calls.append("release")
+
+        def recording_qb(a, cfg):
+            calls.append("qb")
+            return randomized_qb(a, cfg)
+
+        monkeypatch.setattr(rdmd.blocked, "randomized_qb", recording_qb)
+        blocked_randomized_qb(Recording(normal_matrix(60, 20, seed=23), 3),
+                              SketchConfig(3, 2, 1, seed=24))
+        assert calls == ["read 0", "qb", "read 1", "qb", "read 2", "qb", "release", "qb"]
+
     def test_determinism(self):
         x = normal_matrix(40, 18, seed=19)
         cfg = SketchConfig(4, 2, 1, seed=20)

@@ -670,9 +670,15 @@ class TestQb:
         assert res.returncode == 0, res.stderr
         report = json.loads(res.stdout)
         assert report["relative_error"] <= 1e-8  # exact rank-5 data
-        assert report["expected_error_bound_relative"] is not None
-        sigma = rdmd.economic_svd(rdmd.read_sms(workspace / "x.sms")).singular_values
+        data = rdmd.read_sms(workspace / "x.sms")
+        sigma = rdmd.economic_svd(data).singular_values
         assert abs(report["sigma_next"] - sigma[5]) <= 1e-12 * sigma[0]
+        bound = rdmd.expected_error_bound(
+            5, report["oversample"], report["power_iters"], data.shape[1], data.shape[0],
+            report["sigma_next"],
+        )
+        relative = bound / np.linalg.norm(data)
+        assert abs(report["expected_error_bound_relative"] - relative) <= 1e-14 * relative
 
     def test_relative_error_matches_dense_without_n_by_m_temporaries(
         self, tmp_path, capsys

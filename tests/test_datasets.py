@@ -1,3 +1,4 @@
+import os
 import re
 
 import numpy as np
@@ -11,6 +12,7 @@ from rdmd import (
     add_noise,
     blocked_randomized_qb,
     dmd_deterministic,
+    dmd_randomized_blocked,
     eigen_match_error,
     open_row_blocks,
     read_sms,
@@ -35,6 +37,7 @@ from rdmd.errors import (
     TruncatedPayload,
     UnsupportedVersion,
 )
+from rdmd.linalg import frobenius_sq
 from rdmd.rng import CounterStream, normal_matrix, normals
 
 from conftest import OVERSIZED_SHAPES, write_oversized_sms, write_v1_sms
@@ -416,20 +419,13 @@ class TestRowBlocks:
         with pytest.raises(IoFailure):
             read_sms(tmp_path / "absent.sms")
 
-    @pytest.mark.parametrize(
-        "offset,byte,error", [(0, ord("N"), BadMagic), (4, 99, UnsupportedVersion)]
-    )
-    def test_rejected_header_closes_the_file(self, tmp_path, monkeypatch,
-                                             offset, byte, error):
+    @staticmethod
+    def record_opens(monkeypatch) -> list:
+        """From here on, the handles the datasets module opens."""
         import builtins
 
         import rdmd.datasets
 
-        path = tmp_path / "x.sms"
-        write_sms(np.eye(2), path)
-        raw = bytearray(path.read_bytes())
-        raw[offset] = byte
-        path.write_bytes(bytes(raw))
         opened = []
 
         def open_and_record(*args, **kwargs):
@@ -438,8 +434,31 @@ class TestRowBlocks:
             return fh
 
         monkeypatch.setattr(rdmd.datasets, "open", open_and_record, raising=False)
+        return opened
+
+    @pytest.mark.parametrize(
+        "offset,byte,error", [(0, ord("N"), BadMagic), (4, 99, UnsupportedVersion)]
+    )
+    def test_rejected_header_closes_the_file(self, tmp_path, monkeypatch,
+                                             offset, byte, error):
+        path = tmp_path / "x.sms"
+        write_sms(np.eye(2), path)
+        raw = bytearray(path.read_bytes())
+        raw[offset] = byte
+        path.write_bytes(bytes(raw))
+        opened = self.record_opens(monkeypatch)
         with pytest.raises(error):
             open_row_blocks(path, 1)
+        assert len(opened) == 1 and opened[0].closed
+
+    def test_rejected_block_count_closes_the_file(self, tmp_path, monkeypatch):
+        from rdmd.errors import InvalidBlockCount
+
+        path = tmp_path / "x.sms"
+        write_sms(np.eye(2), path)
+        opened = self.record_opens(monkeypatch)
+        with pytest.raises(InvalidBlockCount):
+            open_row_blocks(path, 3)
         assert len(opened) == 1 and opened[0].closed
 
     def test_file_and_memory_sources_agree_bitwise(self, tmp_path):
@@ -455,6 +474,65 @@ class TestRowBlocks:
             np.array_equal(a, b)
             for a, b in zip(from_file.block_bases, from_memory.block_bases)
         )
+
+    def test_version_2_blocks_are_views_of_the_map(self, tmp_path):
+        import tracemalloc
+
+        x = normal_matrix(20000, 50, seed=13)
+        path = tmp_path / "x.sms"
+        write_sms(x, path)
+        with open_row_blocks(path, 2) as src:
+            tracemalloc.start()
+            try:
+                block = src.read_block(1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 0.25 * block.nbytes
+        assert not block.flags.writeable and not block.flags.owndata
+        assert block.flags.c_contiguous and block.dtype == np.float64
+        # closing the source leaves the view valid
+        assert np.array_equal(block, x[10000:])
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/status"), reason="reads RssFile from /proc"
+    )
+    def test_read_blocks_hold_at_most_two_blocks_of_file_pages(self, tmp_path):
+        def rss_file():
+            with open("/proc/self/status") as fh:
+                line = next(line for line in fh if line.startswith("RssFile:"))
+            return int(line.split()[1]) * 1024
+
+        x = normal_matrix(25000, 200, seed=21)  # 40 MB
+        path = tmp_path / "x.sms"
+        write_sms(x, path)
+        del x
+        with open_row_blocks(path, 8) as src:
+            block_bytes = src.block_ranges[0][1] * src.cols * 8
+            base = rss_file()
+            growth = []
+            for i in range(src.block_count):
+                assert np.isfinite(frobenius_sq(src.read_block(i)))
+                growth.append(rss_file() - base)
+            src.release_block()
+            released = rss_file() - base
+        assert max(growth) >= 0.5 * block_bytes  # the blocks were mapped
+        assert max(growth) <= 2 * block_bytes
+        assert released <= 0.5 * block_bytes
+
+    def test_version_1_and_2_blocked_runs_agree_bitwise(self, tmp_path):
+        x = normal_matrix(300, 40, seed=22)
+        write_v1_sms(tmp_path / "v1.sms", x)
+        write_sms(x, tmp_path / "v2.sms")
+        cfg = DmdConfig(target_rank=4, method="randomized", oversampling=4, power_iters=2, seed=23)
+        results = []
+        for name in ("v1.sms", "v2.sms"):
+            with open_row_blocks(tmp_path / name, 3) as src:
+                results.append(dmd_randomized_blocked(src, cfg))
+        v1, v2 = results
+        for field in ("eigenvalues", "modes", "amplitudes"):
+            assert getattr(v1, field).tobytes() == getattr(v2, field).tobytes()
+        assert v1.sketch.data.tobytes() == v2.sketch.data.tobytes()
 
 
 class TestExporters:

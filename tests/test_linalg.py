@@ -17,7 +17,7 @@ from rdmd.errors import (
     RankOutOfRange,
     ShapeMismatch,
 )
-from rdmd.linalg import normalize_phase_in_place, sort_eigenpairs
+from rdmd.linalg import _CHUNK_ROWS, normalize_phase_in_place, sort_eigenpairs
 from rdmd.rng import normal_matrix
 
 from conftest import matrix_with_spectrum
@@ -416,3 +416,53 @@ def test_normalize_phase_pins_largest_entry():
         pivot = col[np.argmax(np.abs(col))]
         assert pivot.imag == 0.0
         assert pivot.real > 0.0
+
+
+def _normalize_phase_by_column(w):
+    """Column-by-column reference of `normalize_phase_in_place`."""
+    factors = np.ones(w.shape[1], dtype=np.complex128)
+    for j in range(w.shape[1]):
+        col = w[:, j]
+        nrm = np.linalg.norm(col)
+        if nrm == 0:
+            continue
+        at = np.argmax(np.abs(col))
+        pivot = col[at]
+        scale = abs(pivot) * nrm
+        w[:, j] = (col * pivot.conjugate()) / scale
+        w[at, j] = w[at, j].real
+        factors[j] = pivot.conjugate() / scale
+    return factors
+
+
+@pytest.mark.parametrize("n", [7, _CHUNK_ROWS, 3 * _CHUNK_ROWS + 5])
+def test_normalize_phase_matches_the_column_reference(n):
+    w = normal_matrix(n, 4, seed=31) + 1j * normal_matrix(n, 4, seed=32)
+    w[:, 2] = 0.0
+    w[n // 2, 2] = -0.0
+    # equal magnitudes in the first and last chunk: the first one is the pivot
+    w[0, 1], w[n - 1, 1] = 40.0j, 40.0
+    expected = w.copy()
+    expected_factors = _normalize_phase_by_column(expected)
+    factors = normalize_phase_in_place(w)
+    # the column norms are summed in another order
+    assert np.abs(w - expected).max() <= 1e-14
+    assert np.abs(factors - expected_factors).max() <= 1e-14 * np.abs(factors).max()
+    assert w[0, 1].imag == 0.0 and w[0, 1].real > 0.0
+    assert w[:, 2].tobytes() == expected[:, 2].tobytes()  # the zero column, -0.0 kept
+    assert factors[2] == 1.0
+
+
+def test_normalize_phase_temporaries_are_chunk_sized():
+    import tracemalloc
+
+    n, k = 100_000, 4
+    w = normal_matrix(n, k, seed=33) + 1j * normal_matrix(n, k, seed=34)
+    tracemalloc.start()
+    try:
+        normalize_phase_in_place(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the magnitudes of one chunk and numpy's copy of them for the argmax
+    assert peak <= 3 * _CHUNK_ROWS * k * 8
