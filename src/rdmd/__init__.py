@@ -3,7 +3,6 @@
 from .blocked import (
     BlockedQB,
     apply_q,
-    assemble_q,
     blocked_randomized_qb,
     partition_rows,
 )

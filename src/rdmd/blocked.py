@@ -2,9 +2,9 @@
 
 The input is consumed as b contiguous row blocks: each block gets its own
 randomized QB with a per-block derived seed, the small projections B_i are
-stacked into K ((b*l) x m), and a second QB of K merges them. The assembled
-basis Q = diag(Q_1, ..., Q_b) @ Q_hat is orthonormal as a product of
-orthonormal factors; peak working memory stays at one row block plus K.
+stacked into K ((b*l) x m), and a second QB of K merges them. The basis
+Q = diag(Q_1, ..., Q_b) @ Q_hat is orthonormal as a product of orthonormal
+factors; the library applies it (`apply_q`) without forming it.
 
 Each block is read from the source exactly once and held for the duration
 of its own QB (the power iterations run in-core), which keeps the pass
@@ -15,9 +15,10 @@ A source hands out blocks and takes them back with `release_block()`. An
 SMS file source (`datasets.SmsRowBlockSource`) maps a version 2 file and
 hands out read-only views of the map, not copies; reading the next block
 releases the pages of the one before, and the QB releases the last one
-before the merge. So the resident set is one block of file pages while
-the blocks are sketched, and no block-sized buffer while K is merged and
-the modes are lifted.
+before the merge. So the resident set is one block of file pages and the
+n x l block bases while the blocks are sketched, and no block-sized buffer
+while K is merged and the modes are lifted. The CLI's reconstruction-error
+pass, where it runs, reads the blocks again in 4096-row chunks.
 """
 
 from __future__ import annotations
@@ -126,18 +127,6 @@ def blocked_randomized_qb(source, cfg: SketchConfig) -> BlockedQB:
         block_ranges=list(source.block_ranges),
         data_sq_norm=data_sq_norm,
     )
-
-
-def assemble_q(result: BlockedQB) -> np.ndarray:
-    """Materialize the n x l basis Q = diag(Q_1, ..., Q_b) @ merge_basis."""
-    l = result.sketch_size
-    n = sum(count for _, count in result.block_ranges)
-    memguard.note(n * l * 8)
-    out = np.empty((n, l))
-    for i, (start, count) in enumerate(result.block_ranges):
-        rows = result.merge_basis[i * l : (i + 1) * l]
-        out[start : start + count] = result.block_bases[i] @ rows
-    return out
 
 
 def apply_q(result: BlockedQB, v) -> np.ndarray:

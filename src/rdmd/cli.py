@@ -105,18 +105,26 @@ def _ranged(kind, low, strict=False):
     return parse
 
 
+def _row_chunks(data: np.ndarray):
+    """(start, rows) views of `data` in `_CHUNK_ROWS`-row chunks."""
+    for start in range(0, data.shape[0], _CHUNK_ROWS):
+        yield start, data[start : start + _CHUNK_ROWS]
+
+
 def _relative_residual(blocks, approximate) -> float:
     """Relative Frobenius error ||X - A|| / ||X|| over (start, block) row
-    blocks of the data X, where approximate(start, block) returns a fresh
-    array holding the rows of A: one block and its approximation are
-    resident at a time."""
+    blocks of the data X, where approximate(start, rows) returns a fresh
+    array holding those rows of A. Each block is walked in `_row_chunks`,
+    so one chunk's approximation is resident beside the data, whatever the
+    size of the blocks."""
     num = den = 0.0
-    for start, block in blocks:
-        residual = approximate(start, block)
-        np.subtract(block, residual, out=residual)  # in place: no second buffer
-        num += float(np.vdot(residual, residual))
-        den += float(np.vdot(block, block))
-        del residual  # before the next block's approximation is formed
+    for offset, block in blocks:
+        for start, chunk in _row_chunks(block):
+            residual = approximate(offset + start, chunk)
+            np.subtract(chunk, residual, out=residual)  # in place: no second buffer
+            num += float(np.vdot(residual, residual))
+            den += float(np.vdot(chunk, chunk))
+            del residual  # before the next chunk's approximation is formed
     return float(np.sqrt(num) / np.sqrt(den)) if den > 0 else 0.0
 
 
@@ -139,8 +147,8 @@ def _identity_or_streamed(data_sq_norm, residual_sq, misfit_sq, blocks, approxim
 
 
 def _approximate(result: DmdResult, start: int, block) -> np.ndarray:
-    """Rows start.. of the DMD reconstruction of `result`, for a row block of
-    the data."""
+    """Rows start.. of the DMD reconstruction of `result`, for a chunk of
+    rows of the data."""
     part = replace(result, modes=result.modes[start : start + block.shape[0]])
     return reconstruct(part, block.shape[1])
 
@@ -161,14 +169,6 @@ def _reconstruction_error(result: DmdResult, blocks) -> tuple[float, float | Non
         fit.data_sq_norm, fit.data_sq_norm - frobenius_sq(fit.data), misfit_sq,
         blocks, partial(_approximate, result),
     )
-
-
-def _row_chunks(data: np.ndarray):
-    """(start, rows) views of an in-memory matrix for `_relative_residual`:
-    the error passes of `decompose`, `bench` and `qb` hold one chunk's
-    approximation beside the data, not an n x m one."""
-    for start in range(0, data.shape[0], _CHUNK_ROWS):
-        yield start, data[start : start + _CHUNK_ROWS]
 
 
 def _load_truth(path):
@@ -249,26 +249,19 @@ def _cmd_decompose(args) -> int:
 
     timings = {}
     with memguard.session(cap_bytes=args.memory_cap) as guard:
-        if args.blocks > 1:
-            with stage(timings, "load"):
-                source = open_row_blocks(args.input, args.blocks)
-            rows, cols = source.rows, source.cols
-            with source:
-                # lazy: the blocks are read again only by a streamed pass
-                blocks = (
-                    (start, source.read_block(i))
-                    for i, (start, _) in enumerate(source.block_ranges)
-                )
-                result, errors, match_error = _run(
-                    lambda: dmd_randomized_blocked(source, cfg), blocks, truth, timings
-                )
-        else:
-            with stage(timings, "load"):
-                data = read_sms(args.input)
-            rows, cols = data.shape
-            result, errors, match_error = _run(
-                lambda: run_dmd(data, cfg), _row_chunks(data), truth, timings
+        with stage(timings, "load"):
+            source = open_row_blocks(args.input, args.blocks)
+        with source:
+            decompose = (
+                (lambda: dmd_randomized_blocked(source, cfg)) if args.method == "rdmd"
+                else (lambda: run_dmd(source.read_block(0), cfg))
             )
+            # lazy: the blocks are read again only by a streamed pass
+            blocks = (
+                (start, source.read_block(i))
+                for i, (start, _) in enumerate(source.block_ranges)
+            )
+            result, errors, match_error = _run(decompose, blocks, truth, timings)
         recon_error, sketch_residual, dynamics_misfit = errors
 
         with stage(timings, "write"):
@@ -283,8 +276,8 @@ def _cmd_decompose(args) -> int:
                 "memory_cap": args.memory_cap,
                 **result.diagnostics["config"],
             },
-            "rows": rows,
-            "cols": cols,
+            "rows": source.rows,
+            "cols": source.cols,
             "eigenvalues": _complex_pairs(result.eigenvalues),
             "relative_reconstruction_error": recon_error,
             "sketch_residual": sketch_residual,
@@ -328,7 +321,7 @@ def _cmd_bench(args) -> int:
                     seed=derive_seed(args.seed, trial), compress_dim=compress_dim,
                 )
                 _, (recon, _, _), match = _run(
-                    lambda: run_dmd(data, cfg), _row_chunks(data), truth, timing
+                    lambda: run_dmd(data, cfg), [(0, data)], truth, timing
                 )
                 dt = timing["decompose"]
             match_text = "" if match is None else f"{match:.17g}"
@@ -379,7 +372,7 @@ def _cmd_qb(args) -> int:
     data_sq_norm = frobenius_sq(data)
     _require_finite(data, data_sq_norm)
     rel_error = _identity_or_streamed(
-        data_sq_norm, data_sq_norm - frobenius_sq(qb.b), 0.0, _row_chunks(data),
+        data_sq_norm, data_sq_norm - frobenius_sq(qb.b), 0.0, [(0, data)],
         lambda start, block: qb.q[start : start + block.shape[0]] @ qb.b,
     )[0]
     # sigma_{k+1} from the R factors of the row chunks: no n x m buffer

@@ -13,12 +13,13 @@ host byte order:
     32      -     payload: rows*cols float64 values, row-major
 
 Version 1 has no padding, so its payload starts at byte 28. Version 2's
-payload is 8-byte aligned, so `read_sms` and the row-block reader map it
-read-only and hand out views of the map; a version 1 payload is read into
-new arrays.
+payload is 8-byte aligned, so it is mapped read-only and read as views of
+the map; a version 1 payload is read into new arrays.
 
-Row-major payloads make a contiguous range of rows a contiguous range of
-bytes, which is what the blocked out-of-core reader relies on.
+`SmsRowBlockSource` is the one reader: it parses the header, maps or
+copies the payload, and names the file in every error. `read_sms` is its
+one-block read. Row-major payloads make a contiguous range of rows a
+contiguous range of bytes, which is what the blocks rely on.
 """
 
 from __future__ import annotations
@@ -321,8 +322,8 @@ def write_sms(x, path) -> None:
 
 def _read_header(fh, path) -> tuple[int, int, int]:
     """(rows, cols, payload offset) of an SMS file open at offset 0, read
-    and validated. The file must hold the payload the header claims, so no
-    reader maps or allocates for a size that is not there."""
+    and validated. The payload must be nonempty and the file must hold it,
+    so nothing is mapped or allocated for a size that is not there."""
     raw = fh.read(_HEADER.size)
     if len(raw) < _HEADER.size:
         raise TruncatedPayload(f"{path}: file shorter than the {_HEADER.size}-byte header")
@@ -333,6 +334,8 @@ def _read_header(fh, path) -> tuple[int, int, int]:
         raise UnsupportedVersion(f"{path}: version {version}, expected 1 or {SMS_VERSION}")
     if dtype_code != SMS_DTYPE_F64:
         raise UnsupportedVersion(f"{path}: dtype code {dtype_code}, expected {SMS_DTYPE_F64}")
+    if rows == 0 or cols == 0:
+        raise ShapeMismatch(f"{path}: empty {rows} x {cols} payload")
     offset = _PAYLOAD_OFFSET[version]
     size = os.fstat(fh.fileno()).st_size
     expected = offset + rows * cols * 8
@@ -341,35 +344,8 @@ def _read_header(fh, path) -> tuple[int, int, int]:
     return rows, cols, offset
 
 
-def _read_payload(fh, rows: int, cols: int, what: str) -> np.ndarray:
-    """Read rows x cols little-endian float64 values at the handle's position
-    straight into one new array (no intermediate bytes object). `what`
-    names the file or block in error messages."""
-    nbytes = rows * cols * 8
-    memguard.note(nbytes)
-    data = np.empty((rows, cols), dtype="<f8")
-    try:
-        got = fh.readinto(data)
-    except OSError as exc:
-        raise IoFailure(f"reading {what}: {exc}") from exc
-    if got < nbytes:
-        raise TruncatedPayload(f"{what}: payload is {got} bytes, expected {nbytes}")
-    # a no-op on little-endian hosts; a byte-swapping copy elsewhere
-    return data.astype(np.float64, copy=False)
-
-
-def _map_payload(fh, rows: int, cols: int, offset: int) -> tuple[mmap.mmap, np.ndarray]:
-    """The file open as `fh` mapped read-only and shared, and the read-only
-    rows x cols little-endian float64 view of its payload at `offset`. The
-    map must be shared (`ACCESS_READ`): MADV_DONTNEED zero-fills the pages
-    of a private map, where a shared one reads them back from the file."""
-    mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-    data = np.frombuffer(mapped, dtype="<f8", count=rows * cols, offset=offset)
-    return mapped, data.reshape(rows, cols)
-
-
 def read_sms(path) -> np.ndarray:
-    """Read a whole SMS file.
+    """Read a whole SMS file: the one block of `SmsRowBlockSource(path, 1)`.
 
     A version 2 file is mapped read-only and the matrix returned is a
     read-only view of the map (`.copy()` it for a writable array). A
@@ -377,17 +353,8 @@ def read_sms(path) -> np.ndarray:
     array instead. A mapped file must not be truncated in place while the
     view is in use: touching a page past the new end raises SIGBUS.
     """
-    try:
-        with open(path, "rb") as fh:
-            rows, cols, offset = _read_header(fh, path)
-            if offset % 8:  # version 1: the handle stands at its payload
-                return _read_payload(fh, rows, cols, str(path))
-            memguard.note(rows * cols * 8)
-            _, data = _map_payload(fh, rows, cols, offset)
-    except OSError as exc:
-        raise IoFailure(f"reading {path}: {exc}") from exc
-    # a no-op on little-endian hosts; a byte-swapping copy elsewhere
-    return data.astype(np.float64, copy=False)
+    with SmsRowBlockSource(path, 1) as source:
+        return source.read_block(0)
 
 
 # --- row-block sources ------------------------------------------------------
@@ -413,12 +380,13 @@ class ArrayRowBlockSource:
 
 
 # MADV_DONTNEED drops a shared file map's pages from the process; where the
-# platform lacks it, a mapped block would stay resident, so blocks are copied
+# platform lacks it, a mapped block would stay resident, so blocks are
+# copied unless there is only one
 _CAN_RELEASE = hasattr(mmap, "MADV_DONTNEED")
 
 
 class SmsRowBlockSource:
-    """Row-block reader over an SMS file.
+    """Row-block reader over an SMS file, and the library's one SMS reader.
 
     Each block is one contiguous byte range, readable in any order and
     repeatedly. A version 2 file is mapped once, read-only and shared, and a
@@ -426,13 +394,12 @@ class SmsRowBlockSource:
     the pages of the block read before it (`release_block`), so the process
     holds one block of file pages at a time; a released view stays valid
     and reads its pages back from the file if touched again. A version 1
-    payload is misaligned, so there (and on a platform without
-    MADV_DONTNEED) each block is read into a new array through the one file
-    handle (one seek/read at a time).
+    payload is misaligned, so there (and, with more than one block, on a
+    platform without MADV_DONTNEED) each block is read into a new array
+    through the one file handle (one seek/read at a time).
 
-    As with `read_sms`, a mapped file must not be truncated in place while
-    the source or a view of it is in use: touching a page past the new end
-    raises SIGBUS.
+    A mapped file must not be truncated in place while the source or a view
+    of it is in use: touching a page past the new end raises SIGBUS.
     """
 
     def __init__(self, path, block_count: int):
@@ -444,10 +411,15 @@ class SmsRowBlockSource:
                 self._fh = on_error.enter_context(open(path, "rb"))
                 self.rows, self.cols, self._offset = _read_header(self._fh, path)
                 self.block_ranges = partition_rows(self.rows, block_count)
-                if self._offset % 8 == 0 and _CAN_RELEASE:
-                    self._map, self._payload = _map_payload(
-                        self._fh, self.rows, self.cols, self._offset
-                    )
+                if self._offset % 8 == 0 and (_CAN_RELEASE or block_count == 1):
+                    # shared (ACCESS_READ): MADV_DONTNEED zero-fills the
+                    # pages of a private map, where a shared one reads them
+                    # back from the file
+                    self._map = mmap.mmap(self._fh.fileno(), 0, access=mmap.ACCESS_READ)
+                    self._payload = np.frombuffer(
+                        self._map, dtype="<f8", count=self.rows * self.cols,
+                        offset=self._offset,
+                    ).reshape(self.rows, self.cols)
                 on_error.pop_all()  # accepted and mapped: close() owns the handle
         except OSError as exc:
             raise IoFailure(f"opening {path}: {exc}") from exc
@@ -455,18 +427,24 @@ class SmsRowBlockSource:
 
     def read_block(self, i: int) -> np.ndarray:
         start, count = self.block_ranges[i]
-        if self._payload is None:
+        memguard.note(count * self.cols * 8)
+        if self._payload is not None:
+            self.release_block()
+            self._held = i if _CAN_RELEASE else None
+            block = self._payload[start : start + count]
+        else:
+            # straight into one new array, with no intermediate bytes object
             what = f"block {i} of {self._path}"
+            block = np.empty((count, self.cols), dtype="<f8")
             try:
                 self._fh.seek(self._offset + start * self.cols * 8)
+                got = self._fh.readinto(block)
             except OSError as exc:
                 raise IoFailure(f"reading {what}: {exc}") from exc
-            return _read_payload(self._fh, count, self.cols, what)
-        memguard.note(count * self.cols * 8)
-        self.release_block()
-        self._held = i
+            if got < block.nbytes:
+                raise TruncatedPayload(f"{what}: payload is {got} bytes, expected {block.nbytes}")
         # a no-op on little-endian hosts; a byte-swapping copy elsewhere
-        return self._payload[start : start + count].astype(np.float64, copy=False)
+        return block.astype(np.float64, copy=False)
 
     def release_block(self) -> None:
         """Drop the resident pages of the mapped block read last: the

@@ -7,7 +7,6 @@ from rdmd import (
     ArrayRowBlockSource,
     SketchConfig,
     apply_q,
-    assemble_q,
     blocked_randomized_qb,
     partition_rows,
     randomized_qb,
@@ -32,6 +31,11 @@ class CountingSource:
     def read_block(self, i):
         self.reads[i] += 1
         return self.inner.read_block(i)
+
+
+def dense_q(result):
+    """The n x l basis of a blocked QB, formed as Q @ I."""
+    return apply_q(result, np.eye(result.sketch_size))
 
 
 class TestPartitionRows:
@@ -67,7 +71,7 @@ class TestBlockedQb:
         blocked = blocked_randomized_qb(ArrayRowBlockSource(x, 1), cfg)
         plain = randomized_qb(x, cfg)
         assert np.array_equal(blocked.b, plain.b)
-        assert np.array_equal(assemble_q(blocked), plain.q)
+        assert np.array_equal(dense_q(blocked), plain.q)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_names_block_and_global_row(self, value):
@@ -82,7 +86,7 @@ class TestBlockedQb:
         x = normal_matrix(200, 3, seed=2) @ normal_matrix(3, 40, seed=3)
         cfg = SketchConfig(3, 5, 1, seed=4)
         blocked = blocked_randomized_qb(ArrayRowBlockSource(x, 4), cfg)
-        q = assemble_q(blocked)
+        q = dense_q(blocked)
         rel = np.linalg.norm(x - q @ blocked.b) / np.linalg.norm(x)
         assert rel <= 1e-8
 
@@ -90,7 +94,7 @@ class TestBlockedQb:
     def test_assembled_orthonormality(self, b):
         x = normal_matrix(64, 20, seed=5)
         cfg = SketchConfig(4, 4, 1, seed=6)
-        q = assemble_q(blocked_randomized_qb(ArrayRowBlockSource(x, b), cfg))
+        q = dense_q(blocked_randomized_qb(ArrayRowBlockSource(x, b), cfg))
         l = cfg.sketch_size
         assert np.linalg.norm(q.T @ q - np.eye(l)) <= 1e-10 * np.sqrt(l)
 
@@ -98,7 +102,7 @@ class TestBlockedQb:
         x = normal_matrix(30, 12, seed=7)
         cfg = SketchConfig(3, 2, 0, seed=8)
         result = blocked_randomized_qb(ArrayRowBlockSource(x, 3), cfg)
-        q = assemble_q(result)
+        q = dense_q(result)
         zeroed = replace(
             result,
             block_bases=[
@@ -106,7 +110,7 @@ class TestBlockedQb:
                 for i, b in enumerate(result.block_bases)
             ],
         )
-        q_zeroed = assemble_q(zeroed)
+        q_zeroed = dense_q(zeroed)
         start, count = result.block_ranges[1]
         assert np.array_equal(q[start : start + count], q_zeroed[start : start + count])
 
@@ -114,7 +118,7 @@ class TestBlockedQb:
         x = normal_matrix(50, 14, seed=9)
         cfg = SketchConfig(3, 3, 1, seed=10)
         result = blocked_randomized_qb(ArrayRowBlockSource(x, 5), cfg)
-        q = assemble_q(result)
+        q = dense_q(result)
         resid_dense = np.linalg.norm(x - q @ result.b)
         resid_stream = np.linalg.norm(x - apply_q(result, result.b))
         assert abs(resid_dense - resid_stream) <= 1e-12

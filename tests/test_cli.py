@@ -247,6 +247,29 @@ class TestErrors:
         assert res.returncode == 1
         assert "RankOutOfRange" in res.stderr
 
+    @pytest.mark.parametrize("shape", [(0, 80), (300, 0)], ids=["no-rows", "no-columns"])
+    @pytest.mark.parametrize(
+        "flags",
+        [["--method", "rdmd", "--blocks", "1"], ["--method", "rdmd", "--blocks", "2"],
+         ["--method", "dmd", "--blocks", "1"]],
+        ids=["rdmd-1", "rdmd-2", "dmd-1"],
+    )
+    def test_empty_payload_is_shape_mismatch(self, tmp_path, capsys, shape, flags):
+        # --method dmd --blocks 2 is a usage error before the file is read
+        from rdmd.datasets import _sms_header
+
+        path = tmp_path / "empty.sms"
+        path.write_bytes(_sms_header(*shape))
+        code = cli.main([
+            "decompose", "--input", str(path), *flags, "--rank", "5",
+            "--out", str(tmp_path / "o"),
+        ])
+        assert code == 1
+        rows, cols = shape
+        assert capsys.readouterr().err == (
+            f"ShapeMismatch: {path}: empty {rows} x {cols} payload\n"
+        )
+
     def test_failed_blocked_run_closes_its_source(self, workspace, tmp_path,
                                                    monkeypatch, capsys):
         opened = []
@@ -542,6 +565,31 @@ class TestReconstructionError:
         assert cli._reconstruction_error(cancelled, cli._row_chunks(data)) == (
             self.streamed(result, data), None, None,
         )
+
+    def test_streamed_pass_is_chunk_scale_at_any_block_count(self):
+        import tracemalloc
+
+        # two blocks of ten chunks each: a block's approximation would be
+        # ten chunks' worth
+        n, m, r = 20 * cli._CHUNK_ROWS, 16, 3
+        q, b = normal_matrix(n, r, seed=60), normal_matrix(r, m, seed=61)
+        x = q @ b + 1e-3 * normal_matrix(n, m, seed=62)
+        source = rdmd.ArrayRowBlockSource(x, 2)
+        blocks = (
+            (start, source.read_block(i)) for i, (start, _) in enumerate(source.block_ranges)
+        )
+        tracemalloc.start()
+        try:
+            error = cli._relative_residual(
+                blocks, lambda start, rows: q[start : start + rows.shape[0]] @ b
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        chunk = cli._CHUNK_ROWS * m * 8
+        assert peak <= 2 * chunk
+        dense = np.linalg.norm(x - q @ b) / np.linalg.norm(x)
+        assert error == pytest.approx(dense, rel=1e-12)
 
     @pytest.mark.parametrize("noisy, reads", [(True, 4), (False, 8)], ids=["noisy", "clean"])
     def test_blocked_decompose_reads_blocks_again_only_on_fallback(

@@ -520,6 +520,23 @@ class TestRowBlocks:
         assert max(growth) <= 2 * block_bytes
         assert released <= 0.5 * block_bytes
 
+    def test_without_page_release_only_a_one_block_read_is_mapped(
+        self, tmp_path, monkeypatch
+    ):
+        # where MADV_DONTNEED is missing, a mapped block could not be
+        # released, so several blocks are copied; one block is the whole
+        # file either way, so `read_sms` still maps it
+        monkeypatch.setattr(datasets, "_CAN_RELEASE", False)
+        x = normal_matrix(12, 5, seed=24)
+        path = tmp_path / "x.sms"
+        write_sms(x, path)
+        whole = read_sms(path)
+        assert not whole.flags.writeable and not whole.flags.owndata
+        with open_row_blocks(path, 2) as src:
+            blocks = [src.read_block(i) for i in range(2)]
+        assert all(b.flags.writeable and b.flags.owndata for b in blocks)
+        assert np.array_equal(whole, x) and np.array_equal(np.vstack(blocks), x)
+
     def test_version_1_and_2_blocked_runs_agree_bitwise(self, tmp_path):
         x = normal_matrix(300, 40, seed=22)
         write_v1_sms(tmp_path / "v1.sms", x)
