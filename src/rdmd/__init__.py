@@ -1,13 +1,7 @@
 """Randomized dynamic mode decomposition with out-of-core blocked sketching."""
 
-from .blocked import (
-    BlockedQB,
-    apply_q,
-    blocked_randomized_qb,
-    partition_rows,
-)
+from .blocked import ArrayRowBlockSource, partition_rows
 from .datasets import (
-    ArrayRowBlockSource,
     ModeSpec,
     SmsRowBlockSource,
     SyntheticTruth,
@@ -50,7 +44,9 @@ from .sketch import (
     QBFactorization,
     SamplingOperator,
     SketchConfig,
+    apply_q,
     apply_sampling,
+    blocked_randomized_qb,
     expected_error_bound,
     gaussian_test_matrix,
     identity_sampling_operator,

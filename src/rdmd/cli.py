@@ -369,7 +369,7 @@ def _cmd_qb(args) -> int:
     with stage(timing, "qb"):
         qb = randomized_qb(data, cfg)
     # ||X - QB||^2 = ||X||^2 - ||B||^2, the sketch residual
-    data_sq_norm = frobenius_sq(data)
+    data_sq_norm = qb.data_sq_norm
     _require_finite(data, data_sq_norm)
     rel_error = _identity_or_streamed(
         data_sq_norm, data_sq_norm - frobenius_sq(qb.b), 0.0, [(0, data)],

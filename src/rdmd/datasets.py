@@ -360,25 +360,6 @@ def read_sms(path) -> np.ndarray:
 # --- row-block sources ------------------------------------------------------
 
 
-class ArrayRowBlockSource:
-    """Row-block view over an in-memory matrix: its single-block run is the
-    in-memory randomized path. Blocks are views in the matrix's own memory
-    order, so a Fortran-ordered matrix is not copied."""
-
-    def __init__(self, x, block_count: int):
-        self._x = _as_matrix(x)
-        self.rows, self.cols = self._x.shape
-        self.block_count = block_count
-        self.block_ranges = partition_rows(self.rows, block_count)
-
-    def read_block(self, i: int) -> np.ndarray:
-        start, count = self.block_ranges[i]
-        return self._x[start : start + count]
-
-    def release_block(self) -> None:
-        """Nothing to release: the matrix stays the caller's."""
-
-
 # MADV_DONTNEED drops a shared file map's pages from the process; where the
 # platform lacks it, a mapped block would stay resident, so blocks are
 # copied unless there is only one
@@ -389,14 +370,16 @@ class SmsRowBlockSource:
     """Row-block reader over an SMS file, and the library's one SMS reader.
 
     Each block is one contiguous byte range, readable in any order and
-    repeatedly. A version 2 file is mapped once, read-only and shared, and a
-    block is a read-only view of the map. Reading a block first releases
-    the pages of the block read before it (`release_block`), so the process
-    holds one block of file pages at a time; a released view stays valid
-    and reads its pages back from the file if touched again. A version 1
-    payload is misaligned, so there (and, with more than one block, on a
-    platform without MADV_DONTNEED) each block is read into a new array
-    through the one file handle (one seek/read at a time).
+    repeatedly. The source holds the block read last: reading it again
+    returns the same array and reads nothing, and reading another block
+    first releases it (`release_block`), so the process holds one block at
+    a time. A version 2 file is mapped once, read-only and shared, and a
+    block is a read-only view of the map whose pages the release drops; a
+    released view stays valid and reads its pages back from the file if
+    touched again. A version 1 payload is misaligned, so there (and, with
+    more than one block, on a platform without MADV_DONTNEED) each block
+    is read into a new array through the one file handle (one seek/read at
+    a time).
 
     A mapped file must not be truncated in place while the source or a view
     of it is in use: touching a page past the new end raises SIGBUS.
@@ -405,7 +388,7 @@ class SmsRowBlockSource:
     def __init__(self, path, block_count: int):
         self._path = path
         self._map = self._payload = None  # the map and its payload view
-        self._held = None  # the block whose mapped pages may be resident
+        self._held = self._block = None  # the block read last, and its array
         try:
             with contextlib.ExitStack() as on_error:
                 self._fh = on_error.enter_context(open(path, "rb"))
@@ -428,9 +411,14 @@ class SmsRowBlockSource:
     def read_block(self, i: int) -> np.ndarray:
         start, count = self.block_ranges[i]
         memguard.note(count * self.cols * 8)
-        if self._payload is not None:
+        if i != self._held:
             self.release_block()
-            self._held = i if _CAN_RELEASE else None
+            self._block = self._read(i, start, count)
+            self._held = i
+        return self._block
+
+    def _read(self, i: int, start: int, count: int) -> np.ndarray:
+        if self._payload is not None:
             block = self._payload[start : start + count]
         else:
             # straight into one new array, with no intermediate bytes object
@@ -447,13 +435,16 @@ class SmsRowBlockSource:
         return block.astype(np.float64, copy=False)
 
     def release_block(self) -> None:
-        """Drop the resident pages of the mapped block read last: the
-        page-aligned inside of its byte range, so the pages it shares with
-        its neighbours stay. A no-op for copied blocks."""
+        """Let go of the block read last. A mapped block's resident pages
+        are dropped: the page-aligned inside of its byte range, so the
+        pages it shares with its neighbours stay. A copied block is only
+        dereferenced."""
         if self._held is None:
             return
         start, count = self.block_ranges[self._held]
-        self._held = None
+        self._held = self._block = None
+        if self._payload is None or not _CAN_RELEASE:
+            return
         row_bytes = self.cols * 8
         page = mmap.PAGESIZE
         lo = -(-(self._offset + start * row_bytes) // page) * page

@@ -36,8 +36,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import memguard
-from .blocked import apply_q, blocked_randomized_qb
-from .datasets import ArrayRowBlockSource
 from .errors import (
     DegenerateData,
     EmptyInput,
@@ -67,8 +65,11 @@ from .memguard import stage
 from .sketch import (
     SamplingOperator,
     SketchConfig,
+    apply_q,
     apply_sampling,
+    blocked_randomized_qb,
     gaussian_compress,
+    randomized_qb,
     uniform_sampling_operator,
 )
 
@@ -422,30 +423,40 @@ def dmd_deterministic(x, cfg: DmdConfig) -> DmdResult:
 def dmd_randomized(x, cfg: DmdConfig) -> DmdResult:
     """Randomized decomposition: QB sketch, low-dimensional DMD, recovery.
 
-    This is the single-block run of `dmd_randomized_blocked`: the one block
-    is a view of x, not a copy.
+    `randomized_qb` is the range finder's one-block call, so this is the
+    single-block run of `dmd_randomized_blocked`, bit for bit.
     """
-    return dmd_randomized_blocked(ArrayRowBlockSource(x, 1), cfg)
+    a = _as_matrix(x)
+    return _randomized(a.shape[1], lambda: randomized_qb(a, cfg.sketch), cfg, 1)
 
 
 def dmd_randomized_blocked(source, cfg: DmdConfig) -> DmdResult:
     """Randomized decomposition over a row-block source (out-of-core path).
 
-    Consumes the source through the blocked QB; mode recovery streams
-    through the per-block bases, so no n x m buffer is ever materialized.
-    With one block this is `dmd_randomized`.
+    The range finder streams the source's blocks once per product with X;
+    the modes are lifted through its one n x l basis, so no n x m buffer is
+    ever materialized. Any block count gives the in-memory result to
+    rounding, and one block gives it bit for bit.
     """
-    _require_snapshots(source.cols)
+    return _randomized(
+        source.cols, lambda: blocked_randomized_qb(source, cfg.sketch), cfg,
+        source.block_count,
+    )
+
+
+def _randomized(cols, sketch, cfg: DmdConfig, blocks: int) -> DmdResult:
+    """The randomized variant's pipeline on the QB `sketch()` of a sequence
+    with `cols` columns, read in `blocks` row blocks."""
+    _require_snapshots(cols)
     timings = {}
     with stage(timings, "sketch"):
-        blocked = blocked_randomized_qb(source, cfg.sketch)
+        qb = sketch()
     return _pipeline(
-        split_snapshots(blocked.b), cfg, "randomized", timings, blocked.b,
+        split_snapshots(qb.b), cfg, "randomized", timings, qb.b,
         lambda op: (
-            (lambda m: apply_q(blocked, m)), op.right_projected, blocked.b,
-            blocked.data_sq_norm,
+            (lambda m: apply_q(qb, m)), op.right_projected, qb.b, qb.data_sq_norm,
         ),
-        blocks=blocked.block_count,
+        blocks=blocks,
     )
 
 

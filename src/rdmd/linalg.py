@@ -91,18 +91,21 @@ def economic_svd(x) -> SvdFactors:
 _CHUNK_ROWS = 4096
 
 
-def _non_finite_error(a: np.ndarray) -> NonFiniteInput:
+def _non_finite_error(a: np.ndarray, first_row: int = 0) -> NonFiniteInput:
     """The error for a NaN or Inf in a buffer formed from `a`: names the
     first entry of `a` that is NaN or Inf, scanning a few thousand rows at a
     time, or, with `row` None, says that a product of the finite `a`
-    overflowed."""
+    overflowed. Rows are counted from `first_row`, the row of a larger
+    matrix that `a` starts at."""
     step = _CHUNK_ROWS
     for start in range(0, a.shape[0], step):
         finite = np.isfinite(a[start : start + step])
         if not finite.all():
             bad = np.argwhere(~finite)
             row, col = start + int(bad[0, 0]), int(bad[0, 1])
-            return NonFiniteInput(f"row {row}, column {col} is {a[row, col]}", row=row)
+            return NonFiniteInput(
+                f"row {first_row + row}, column {col} is {a[row, col]}", row=first_row + row
+            )
     return NonFiniteInput("a product of the finite input overflowed")
 
 
@@ -145,15 +148,20 @@ def _row_products(a: np.ndarray, m: np.ndarray):
         yield slice(start, stop), np.matmul(a[start:stop], m, out=buf[: stop - start])
 
 
-def _tall_product(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _tall_product(a: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """a @ w for an n-row a and a small w, computed as (w^T a^T)^T, so the
     result is Fortran-ordered. For a row-major a OpenBLAS runs this layout
     without packing a copy of the n-row operand, which it does for `a @ w`:
     for U_k at 200000 x 200, k = 5 (OpenBLAS 0.3.31, 2-core Xeon) the
     high-water mark rose by 16 MB instead of 48 MB, each with the 8 MB
     result. It equals `a @ w` to rounding, and gave the same bytes on the
-    benchmark's data."""
-    return (w.T @ a.T).T
+    benchmark's data. Given `out`, an n x c view whose columns are
+    contiguous (rows of a Fortran-ordered array), the product is written
+    there and no result is allocated."""
+    if out is None:
+        return (w.T @ a.T).T
+    np.matmul(w.T, a.T, out=out.T)
+    return out
 
 
 def _lift(q: np.ndarray, m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -275,13 +283,16 @@ def truncated_svd(x, k: int) -> SvdFactors:
     return SvdFactors(f.u[:, :k], f.singular_values[:k], f.v[:, :k])
 
 
-def thin_qr_q(x) -> np.ndarray:
-    """Orthonormal factor Q of the thin QR decomposition (rows >= cols).
+def thin_qr_q(x, out: np.ndarray | None = None) -> np.ndarray:
+    """Orthonormal factor Q of the thin QR decomposition (rows >= cols),
+    written into `out` (an n x cols float64 array, which may be x itself)
+    when given.
 
     Inputs with rows >= 2 * cols run guarded CholeskyQR2 (see
     `_cholesky_qr2`) and write Q = (A_i R1^-1) R2^-1 into the n x cols
-    output one `_CHUNK_ROWS`-row chunk A_i at a time, so the only other
-    n-row buffer is the input: the guard ||Q1^T Q1 - I||_2 <= 1/2 keeps the
+    output one `_CHUNK_ROWS`-row chunk A_i at a time, after those rows of
+    the input were read, so the only other n-row buffer is the input, and
+    Q may overwrite it: the guard ||Q1^T Q1 - I||_2 <= 1/2 keeps the
     second pass's input within kappa <= sqrt(3), where CholeskyQR2 is
     orthogonal to the order of rounding, as Householder QR is (Yamamoto,
     Nakatsukasa, Yanagisawa & Fukaya, 2015). Every other input, and every
@@ -303,14 +314,17 @@ def thin_qr_q(x) -> np.ndarray:
         if factors is not None:
             _, r1_inv, r2 = factors
             r2_inv = np.linalg.inv(r2)
-            q = np.empty((n, c))
+            q = np.empty((n, c)) if out is None else out
             for rows, q1 in _row_products(a, r1_inv):
                 np.matmul(q1, r2_inv, out=q[rows])
             return q
     q = np.linalg.qr(a, mode="reduced")[0]
     if n < 2 * c:  # a tall input has passed the Gram check of `_cholesky_qr2`
         _require_finite(a, q)
-    return q
+    if out is None:
+        return q
+    out[...] = q
+    return out
 
 
 def singular_values_of_rows(blocks) -> np.ndarray:

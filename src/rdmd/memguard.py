@@ -1,7 +1,7 @@
 """Opt-in accounting of the library's large array allocations.
 
 The out-of-core code path promises that no single dense buffer it creates
-exceeds one row block plus the stacked sketch. Allocation sites of
+exceeds one row block or the sketch's one n x l basis. Allocation sites of
 block-scale buffers call `note(nbytes)` before allocating; inside a
 `session(...)` context those sizes are recorded (largest wins) and, when a
 cap is set, oversized requests raise MemoryCapExceeded instead of

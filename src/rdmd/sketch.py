@@ -1,11 +1,14 @@
 """Randomized range finding.
 
-The central routine is `randomized_qb`: sample the range of X with a seeded
-Gaussian test matrix, optionally sharpen the spectrum with stabilized power
-iterations, orthonormalize, and project. The factorization X ~ Q B (Q with
-l = k + p orthonormal columns, B = Q^T X) is what every downstream consumer
-works with. Also here: the expected-error bound for the Gaussian sketch and
-the sparse row-sampling operator used by the compressed decomposition.
+The central routine is `blocked_randomized_qb`, the one range finder: sample
+the range of X with a seeded Gaussian test matrix, optionally sharpen the
+spectrum with stabilized power iterations, orthonormalize, and project,
+reading X block by block from a row-block source (see `blocked`).
+`randomized_qb` is its one-block call on an in-memory matrix. The
+factorization X ~ Q B (Q with l = k + p orthonormal columns, B = Q^T X) is
+what every downstream consumer works with. Also here: the expected-error
+bound for the Gaussian sketch and the sparse row-sampling operator used by
+the compressed decomposition.
 """
 
 from __future__ import annotations
@@ -16,13 +19,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import memguard
+from .blocked import ArrayRowBlockSource
 from .errors import (
     InvalidDistribution,
     InvalidOversampling,
     RankOutOfRange,
     ShapeMismatch,
 )
-from .linalg import _as_matrix, _require_finite, _tall_product, thin_qr_q
+from .linalg import (
+    _as_matrix,
+    _lift,
+    _non_finite_error,
+    _tall_product,
+    frobenius_sq,
+    thin_qr_q,
+)
 from .rng import normal_columns_into, normal_matrix, uniforms
 
 
@@ -57,10 +68,12 @@ class SketchConfig:
 
 @dataclass(frozen=True)
 class QBFactorization:
-    """x ~ q @ b with q (n x l) orthonormal and b = q.T @ x (l x m)."""
+    """x ~ q @ b with q (n x l) orthonormal and b = q.T @ x (l x m);
+    data_sq_norm is ||x||_F^2, summed in the range finder's first pass."""
 
     q: np.ndarray
     b: np.ndarray
+    data_sq_norm: float
 
 
 @dataclass(frozen=True)
@@ -115,43 +128,88 @@ def gaussian_compress(x, rows: int, seed: int) -> np.ndarray:
     return out
 
 
-def randomized_qb(x, cfg: SketchConfig) -> QBFactorization:
-    """Randomized QB factorization with oversampling and power iterations.
+def blocked_randomized_qb(source, cfg: SketchConfig) -> QBFactorization:
+    """Randomized QB factorization of the matrix X whose row blocks
+    `source` hands out, with oversampling and power iterations.
 
     Draws an m x l Gaussian test matrix (l = k + p), forms Y = X Omega, runs
-    cfg.power_iters stabilized power iterations (each re-orthonormalizes Y,
+    cfg.power_iters stabilized power iterations (each orthonormalizes Y,
     orthonormalizes X^T Q, and resamples Y = X Z; the naive (X X^T)^q X
     product is numerically unstable), then orthonormalizes once more and
-    projects B = Q^T X. All 2q + 1 orthonormalizations are `thin_qr_q`.
+    projects B = Q^T X (Halko, Martinsson & Tropp, 2011, sec. 4.5). All
+    2q + 1 orthonormalizations are `thin_qr_q`.
 
-    A sketch holding NaN or Inf raises NonFiniteInput naming the first bad
-    entry of X before any orthonormalization; on finite data that check
-    reads only Y, not X.
+    Each product with X is one pass over the blocks, 2q + 2 in all: rows i
+    of X W are `_tall_product`(X_i, W), and Q^T X is the sum of Q_i^T X_i,
+    X^T Q being taken as (Q^T X)^T, the faster BLAS layout for a row-major
+    X. The block count changes the result only at the level of rounding,
+    and the sketch size is bounded by min(n, m) of the whole matrix alone.
+    Y and Q share one Fortran-ordered n x l buffer: every X W is written
+    into it and `thin_qr_q` orthonormalizes it in place. The source's last
+    block is released after the last pass.
 
-    The n x l products X Omega and X Z run through `linalg._tall_product`,
-    and X^T Q as (Q^T X)^T: the faster BLAS layout for a row-major X.
+    The first pass also sums ||X||_F^2 and checks each block's rows of Y:
+    NaN or Inf there raises NonFiniteInput naming the first bad entry of X
+    by its row in X, or, where X is finite, saying that a product
+    overflowed.
     """
-    a = _as_matrix(x)
-    n, m = a.shape
+    n, m = source.rows, source.cols
     l = cfg.sketch_size
     if l > min(n, m):
         raise RankOutOfRange(
             f"sketch size {l} (k={cfg.target_rank} + p={cfg.oversampling}) "
-            f"exceeds min{a.shape} = {min(n, m)}"
+            f"exceeds min{(n, m)} = {min(n, m)}"
         )
     omega = gaussian_test_matrix(m, l, cfg.seed)
     memguard.note(n * l * 8)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked right below
-        y = _tall_product(a, omega)
-    _require_finite(a, y)
+    y = np.empty((l, n)).T
+    data_sq_norm = 0.0
+    error = None
+    for i, (start, count) in enumerate(source.block_ranges):
+        block = source.read_block(i)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked right below
+            rows = _tall_product(block, omega, out=y[start : start + count])
+        if not np.isfinite(rows).all():
+            error = _non_finite_error(block, start)
+            if error.row is not None:
+                raise error
+        data_sq_norm += frobenius_sq(block)
+        del block  # a copied block is freed before the next one is read
+    if error is not None:  # no entry of X is NaN or Inf: a product overflowed
+        raise error
     for _ in range(cfg.power_iters):
-        z = thin_qr_q((thin_qr_q(y).T @ a).T)
-        memguard.note(n * l * 8)
-        y = _tall_product(a, z)
-    q = thin_qr_q(y)
-    memguard.note(l * m * 8)
-    b = q.T @ a
-    return QBFactorization(q=q, b=b)
+        z = thin_qr_q(_project(source, thin_qr_q(y, out=y)).T)
+        for i, (start, count) in enumerate(source.block_ranges):
+            _tall_product(source.read_block(i), z, out=y[start : start + count])
+    q = thin_qr_q(y, out=y)
+    b = _project(source, q)
+    source.release_block()
+    return QBFactorization(q=q, b=b, data_sq_norm=data_sq_norm)
+
+
+def _project(source, q: np.ndarray) -> np.ndarray:
+    """Q^T X for the n x l basis q, summed block by block as Q_i^T X_i."""
+    memguard.note(q.shape[1] * source.cols * 8)
+    parts = (
+        q[start : start + count].T @ source.read_block(i)
+        for i, (start, count) in enumerate(source.block_ranges)
+    )
+    out = next(parts)
+    for part in parts:
+        out += part
+    return out
+
+
+def randomized_qb(x, cfg: SketchConfig) -> QBFactorization:
+    """Randomized QB factorization of an in-memory matrix: the one-block
+    call of `blocked_randomized_qb`, whose one block is a view of x."""
+    return blocked_randomized_qb(ArrayRowBlockSource(x, 1), cfg)
+
+
+def apply_q(qb: QBFactorization, v) -> np.ndarray:
+    """Q @ v for an l x c matrix v, without casting Q to complex (see
+    `linalg._lift`)."""
+    return _lift(qb.q, np.asarray(v))
 
 
 def expected_error_bound(

@@ -189,9 +189,9 @@ def test_c5_blocked_equivalence(tmp_path):
 def test_c6_out_of_core_memory_contract(tmp_path):
     with criterion(6, "out-of-core memory contract", 30.0):
         # file: 640 x 1024 float64 = 5_242_880 bytes
-        # blocked resident set: block (80*1024*8 = 655_360) and
-        # K (8 blocks * sketch 8 * 1024 * 8 = 524_288); cap covers their sum
-        # but is under a quarter of the file
+        # largest blocked buffer: one block (80*1024*8 = 655_360); the
+        # n x l basis is 640*8*8 = 40_960; the cap covers their sum but is
+        # under a quarter of the file
         cap = 1_250_000
         res = run_cli(
             "synth", "--rows", "640", "--snapshots", "1024",

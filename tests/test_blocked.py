@@ -1,18 +1,21 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from rdmd import (
     ArrayRowBlockSource,
+    DmdConfig,
+    ModeSpec,
     SketchConfig,
+    add_noise,
     apply_q,
     blocked_randomized_qb,
+    dmd_randomized_blocked,
     partition_rows,
     randomized_qb,
+    synth_linear_dynamics,
 )
 from rdmd import memguard
-from rdmd.errors import InvalidBlockCount, NonFiniteInput, RankOutOfRange
+from rdmd.errors import InvalidBlockCount, NonFiniteInput
 from rdmd.rng import normal_matrix
 
 from conftest import matrix_with_spectrum
@@ -34,8 +37,8 @@ class CountingSource:
 
 
 def dense_q(result):
-    """The n x l basis of a blocked QB, formed as Q @ I."""
-    return apply_q(result, np.eye(result.sketch_size))
+    """The n x l basis of a QB, formed through `apply_q` as Q @ I."""
+    return apply_q(result, np.eye(result.q.shape[1]))
 
 
 class TestPartitionRows:
@@ -74,13 +77,14 @@ class TestBlockedQb:
         assert np.array_equal(dense_q(blocked), plain.q)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_non_finite_entry_names_block_and_global_row(self, value):
+    def test_non_finite_entry_names_global_row(self, value):
         x = normal_matrix(90, 20, seed=27)
         x[67, 3] = value  # block 2 of 3 holds rows 60..89
-        with pytest.raises(NonFiniteInput, match="block 2: row 7, column 3") as info:
-            blocked_randomized_qb(ArrayRowBlockSource(x, 3), SketchConfig(3, 3, 1, seed=28))
-        assert "global row 67" in str(info.value)
-        assert info.value.row == 67
+        for b in (1, 3):
+            with pytest.raises(NonFiniteInput) as info:
+                blocked_randomized_qb(ArrayRowBlockSource(x, b), SketchConfig(3, 3, 1, seed=28))
+            assert str(info.value) == f"row 67, column 3 is {value}"
+            assert info.value.row == 67
 
     def test_low_rank_capture(self):
         x = normal_matrix(200, 3, seed=2) @ normal_matrix(3, 40, seed=3)
@@ -98,22 +102,6 @@ class TestBlockedQb:
         l = cfg.sketch_size
         assert np.linalg.norm(q.T @ q - np.eye(l)) <= 1e-10 * np.sqrt(l)
 
-    def test_block_rows_depend_only_on_own_block(self):
-        x = normal_matrix(30, 12, seed=7)
-        cfg = SketchConfig(3, 2, 0, seed=8)
-        result = blocked_randomized_qb(ArrayRowBlockSource(x, 3), cfg)
-        q = dense_q(result)
-        zeroed = replace(
-            result,
-            block_bases=[
-                b if i == 1 else np.zeros_like(b)
-                for i, b in enumerate(result.block_bases)
-            ],
-        )
-        q_zeroed = dense_q(zeroed)
-        start, count = result.block_ranges[1]
-        assert np.array_equal(q[start : start + count], q_zeroed[start : start + count])
-
     def test_streaming_apply_matches_assembled(self):
         x = normal_matrix(50, 14, seed=9)
         cfg = SketchConfig(3, 3, 1, seed=10)
@@ -123,20 +111,28 @@ class TestBlockedQb:
         resid_stream = np.linalg.norm(x - apply_q(result, result.b))
         assert abs(resid_dense - resid_stream) <= 1e-12
 
-    def test_thin_block_is_hard_error(self):
-        x = normal_matrix(12, 10, seed=11)
-        cfg = SketchConfig(4, 4, 0, seed=12)  # l = 8 > 12/4 rows per block
-        with pytest.raises(RankOutOfRange):
-            blocked_randomized_qb(ArrayRowBlockSource(x, 4), cfg)
+    @pytest.mark.parametrize("b", [2, 4, 8, 40])
+    def test_block_count_does_not_change_the_answer(self, b):
+        # b = 40 leaves 3 rows per block, fewer than the 13 sketch columns
+        specs = [ModeSpec(0.99 * np.exp(0.3j)), ModeSpec(0.9)]
+        truth = synth_linear_dynamics(120, 40, specs, seed=25)
+        x = add_noise(truth.clean_data, 10.0, seed=26)
+        cfg = DmdConfig(target_rank=3, method="randomized", seed=27)
+        one = dmd_randomized_blocked(ArrayRowBlockSource(x, 1), cfg)
+        many = dmd_randomized_blocked(ArrayRowBlockSource(x, b), cfg)
+        assert many.diagnostics["config"]["blocks"] == b
+        assert np.abs(many.eigenvalues - one.eigenvalues).max() <= (
+            1e-12 * np.abs(one.eigenvalues).max()
+        )
 
-    def test_one_read_per_block(self):
+    def test_two_q_plus_two_reads_per_block(self):
         x = normal_matrix(48, 16, seed=13)
         for q_iters in (0, 2):
             src = CountingSource(ArrayRowBlockSource(x, 4))
             blocked_randomized_qb(src, SketchConfig(3, 3, q_iters, seed=14))
-            # blocks are held in memory during their own QB, so the per-block
-            # stage reads each exactly once regardless of power iterations
-            assert src.reads == [1, 1, 1, 1]
+            # X Omega, then Q^T X and X Z per power iteration, then Q^T X:
+            # each product with X is one pass over the blocks
+            assert src.reads == [2 * q_iters + 2] * 4
 
     def test_accuracy_parity_with_unblocked(self):
         x = matrix_with_spectrum(256, 128, 2.0 ** -np.arange(1, 129), seed=15)
@@ -158,8 +154,8 @@ class TestBlockedQb:
         rel = np.linalg.norm(x - apply_q(res, res.b)) / np.linalg.norm(x)
         assert rel <= 1e-8
 
-    def test_last_block_is_released_before_the_merge(self, monkeypatch):
-        import rdmd.blocked
+    def test_last_block_is_released_after_the_sketch_before_the_lift(self, monkeypatch):
+        import rdmd.dmd
 
         calls = []
 
@@ -171,22 +167,23 @@ class TestBlockedQb:
             def release_block(self):
                 calls.append("release")
 
-        def recording_qb(a, cfg):
-            calls.append("qb")
-            return randomized_qb(a, cfg)
+        def recording_apply_q(qb, v):
+            calls.append("lift")
+            return apply_q(qb, v)
 
-        monkeypatch.setattr(rdmd.blocked, "randomized_qb", recording_qb)
-        blocked_randomized_qb(Recording(normal_matrix(60, 20, seed=23), 3),
-                              SketchConfig(3, 2, 1, seed=24))
-        assert calls == ["read 0", "qb", "read 1", "qb", "read 2", "qb", "release", "qb"]
+        monkeypatch.setattr(rdmd.dmd, "apply_q", recording_apply_q)
+        dmd_randomized_blocked(Recording(normal_matrix(60, 20, seed=23), 3),
+                               DmdConfig(target_rank=3, oversampling=2, power_iters=1))
+        assert calls == ["read 0", "read 1", "read 2"] * 4 + ["release", "lift"]
 
     def test_determinism(self):
         x = normal_matrix(40, 18, seed=19)
         cfg = SketchConfig(4, 2, 1, seed=20)
         a = blocked_randomized_qb(ArrayRowBlockSource(x, 4), cfg)
         b = blocked_randomized_qb(ArrayRowBlockSource(x, 4), cfg)
+        assert np.array_equal(a.q, b.q)
         assert np.array_equal(a.b, b.b)
-        assert all(np.array_equal(p, q) for p, q in zip(a.block_bases, b.block_bases))
+        assert a.data_sq_norm == b.data_sq_norm
 
 
 def test_memory_contract_tracked_allocations(tmp_path):
@@ -199,10 +196,10 @@ def test_memory_contract_tracked_allocations(tmp_path):
     cfg = SketchConfig(5, 3, 1, seed=22)  # l = 8
     l = cfg.sketch_size
     block_bytes = (n // b) * m * 8
-    k_bytes = b * l * m * 8
+    basis_bytes = n * l * 8
     src = open_row_blocks(path, b)
     with memguard.session() as guard:
         res = blocked_randomized_qb(src, cfg)
     src.close()
-    assert guard.largest_bytes <= max(block_bytes, k_bytes)
+    assert guard.largest_bytes <= max(block_bytes, basis_bytes)
     assert res.b.shape == (l, m)

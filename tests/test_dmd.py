@@ -761,10 +761,10 @@ class TestTallPeakMemory:
 
 
     # A blocked run holds one block (a view of the map for a version 2
-    # file, a copy for a version 1 file), the n x l block bases, a block's
-    # QB temporaries and the n x k complex modes. Measured over 20000-40000
-    # rows, 20-200 columns and b = 1-8 at the default oversampling, the peak
-    # was 0.16-1.49 x (block + bases).
+    # file, a copy for a version 1 file), the one n x l sketch basis and
+    # the n x k complex modes. Measured over 20000-40000 rows, 20-200
+    # columns, b = 1-8 and versions 1 and 2 at the default oversampling, the
+    # peak was 0.12-1.55 x (block + basis).
     @pytest.mark.parametrize("blocks", [1, 4])
     @pytest.mark.parametrize("version", [1, 2])
     def test_blocked_peak_is_block_plus_bases(self, tmp_path, version, blocks):
@@ -853,9 +853,9 @@ class TestPassesOverX:
         inner = rdmd.linalg._tall_product
         rows = []
 
-        def spy(a, w):
+        def spy(a, w, out=None):
             rows.append(a.shape[0])
-            return inner(a, w)
+            return inner(a, w, out=out)
 
         for module in (rdmd.dmd, rdmd.linalg, rdmd.sketch):
             monkeypatch.setattr(module, "_tall_product", spy)
