@@ -20,6 +20,7 @@ from functools import partial
 import numpy as np
 
 from . import memguard
+from .blocked import ArrayRowBlockSource, row_chunks
 from .datasets import (
     ModeSpec,
     add_noise,
@@ -42,7 +43,7 @@ from .dmd import (
     run_dmd,
 )
 from .errors import IoFailure, RdmdError
-from .linalg import _CHUNK_ROWS, _require_finite, frobenius_sq, singular_values_of_rows
+from .linalg import _require_finite, frobenius_sq, singular_values_of_rows
 from .memguard import stage
 from .rng import derive_seed
 from .sketch import SketchConfig, expected_error_bound, randomized_qb
@@ -105,37 +106,30 @@ def _ranged(kind, low, strict=False):
     return parse
 
 
-def _row_chunks(data: np.ndarray):
-    """(start, rows) views of `data` in `_CHUNK_ROWS`-row chunks."""
-    for start in range(0, data.shape[0], _CHUNK_ROWS):
-        yield start, data[start : start + _CHUNK_ROWS]
-
-
-def _relative_residual(blocks, approximate) -> float:
-    """Relative Frobenius error ||X - A|| / ||X|| over (start, block) row
-    blocks of the data X, where approximate(start, rows) returns a fresh
-    array holding those rows of A. Each block is walked in `_row_chunks`,
-    so one chunk's approximation is resident beside the data, whatever the
-    size of the blocks."""
+def _relative_residual(chunks, approximate) -> float:
+    """Relative Frobenius error ||X - A|| / ||X|| over the (start, rows) row
+    chunks of the data X that `blocked.row_chunks` yields, where
+    approximate(start, rows) returns a fresh array holding those rows of A.
+    One chunk's approximation is resident beside the data, and each chunk
+    is dropped before the next is read."""
     num = den = 0.0
-    for offset, block in blocks:
-        for start, chunk in _row_chunks(block):
-            residual = approximate(offset + start, chunk)
-            np.subtract(chunk, residual, out=residual)  # in place: no second buffer
-            num += float(np.vdot(residual, residual))
-            den += float(np.vdot(chunk, chunk))
-            del residual  # before the next chunk's approximation is formed
+    for start, chunk in chunks:
+        residual = approximate(start, chunk)
+        np.subtract(chunk, residual, out=residual)  # in place: no second buffer
+        num += float(np.vdot(residual, residual))
+        den += float(np.vdot(chunk, chunk))
+        del residual, chunk  # before the next chunk (or block) is formed
     return float(np.sqrt(num) / np.sqrt(den)) if den > 0 else 0.0
 
 
-def _identity_or_streamed(data_sq_norm, residual_sq, misfit_sq, blocks, approximate):
+def _identity_or_streamed(data_sq_norm, residual_sq, misfit_sq, chunks, approximate):
     """Relative error sqrt((residual_sq + misfit_sq) / data_sq_norm) of an
     approximation Q C of X from the sketch identity, with the sketch
     residual and the misfit it splits into, each relative to ||X||_F.
 
     The identity is not trusted where the residual ||X||^2 - ||B||^2
     cancelled below zero or the error is below _IDENTITY_MIN_ERROR; the
-    streamed pass `_relative_residual(blocks, approximate)` takes its place
+    streamed pass `_relative_residual(chunks, approximate)` takes its place
     there, with no split to report (None, None).
     """
     if residual_sq >= 0 and data_sq_norm > 0:
@@ -143,7 +137,7 @@ def _identity_or_streamed(data_sq_norm, residual_sq, misfit_sq, blocks, approxim
         error, residual, misfit = (math.sqrt(sq / data_sq_norm) for sq in parts)
         if error >= _IDENTITY_MIN_ERROR:
             return error, residual, misfit
-    return _relative_residual(blocks, approximate), None, None
+    return _relative_residual(chunks, approximate), None, None
 
 
 def _approximate(result: DmdResult, start: int, block) -> np.ndarray:
@@ -153,12 +147,12 @@ def _approximate(result: DmdResult, start: int, block) -> np.ndarray:
     return reconstruct(part, block.shape[1])
 
 
-def _reconstruction_error(result: DmdResult, blocks) -> tuple[float, float | None, float | None]:
+def _reconstruction_error(result: DmdResult, chunks) -> tuple[float, float | None, float | None]:
     """Relative error of the DMD reconstruction of `result` against the data
     X, with the sketch residual and the dynamics misfit it splits into.
 
     The error comes from the result's `SketchFit` in its l-dimensional
-    coordinates, and the (start, block) row blocks of X in `blocks` are
+    coordinates, and the (start, rows) row chunks of X in `chunks` are
     read only where `_identity_or_streamed` falls back to the streamed pass.
     """
     fit = result.sketch
@@ -167,7 +161,7 @@ def _reconstruction_error(result: DmdResult, blocks) -> tuple[float, float | Non
     )
     return _identity_or_streamed(
         fit.data_sq_norm, fit.data_sq_norm - frobenius_sq(fit.data), misfit_sq,
-        blocks, partial(_approximate, result),
+        chunks, partial(_approximate, result),
     )
 
 
@@ -180,15 +174,15 @@ def _load_truth(path):
         raise IoFailure(f"reading truth file {path}: {exc}") from exc
 
 
-def _run(decompose, blocks, truth, timings):
+def _run(decompose, chunks, truth, timings):
     """One decomposition as `decompose` and `bench` run it: `decompose()`,
-    then its reconstruction error over the row blocks of the data (see
+    then its reconstruction error over the row chunks of the data (see
     `_reconstruction_error`) and, given truth eigenvalues, its eigen-match
     error. Returns (result, errors, match error or None)."""
     with stage(timings, "decompose"):
         result = decompose()
     with stage(timings, "diagnostics"):
-        errors = _reconstruction_error(result, blocks)
+        errors = _reconstruction_error(result, chunks)
         match = None if truth is None else float(eigen_match_error(truth, result.eigenvalues))
     return result, errors, match
 
@@ -257,11 +251,8 @@ def _cmd_decompose(args) -> int:
                 else (lambda: run_dmd(source.read_block(0), cfg))
             )
             # lazy: the blocks are read again only by a streamed pass
-            blocks = (
-                (start, source.read_block(i))
-                for i, (start, _) in enumerate(source.block_ranges)
-            )
-            result, errors, match_error = _run(decompose, blocks, truth, timings)
+            chunks = row_chunks(source)
+            result, errors, match_error = _run(decompose, chunks, truth, timings)
         recon_error, sketch_residual, dynamics_misfit = errors
 
         with stage(timings, "write"):
@@ -321,7 +312,8 @@ def _cmd_bench(args) -> int:
                     seed=derive_seed(args.seed, trial), compress_dim=compress_dim,
                 )
                 _, (recon, _, _), match = _run(
-                    lambda: run_dmd(data, cfg), [(0, data)], truth, timing
+                    lambda: run_dmd(data, cfg), row_chunks(ArrayRowBlockSource(data, 1)),
+                    truth, timing,
                 )
                 dt = timing["decompose"]
             match_text = "" if match is None else f"{match:.17g}"
@@ -371,12 +363,13 @@ def _cmd_qb(args) -> int:
     # ||X - QB||^2 = ||X||^2 - ||B||^2, the sketch residual
     data_sq_norm = qb.data_sq_norm
     _require_finite(data, data_sq_norm)
+    whole = ArrayRowBlockSource(data, 1)
     rel_error = _identity_or_streamed(
-        data_sq_norm, data_sq_norm - frobenius_sq(qb.b), 0.0, [(0, data)],
-        lambda start, block: qb.q[start : start + block.shape[0]] @ qb.b,
+        data_sq_norm, data_sq_norm - frobenius_sq(qb.b), 0.0, row_chunks(whole),
+        lambda start, rows: qb.q[start : start + rows.shape[0]] @ qb.b,
     )[0]
     # sigma_{k+1} from the R factors of the row chunks: no n x m buffer
-    sigma = singular_values_of_rows(block for _, block in _row_chunks(data))
+    sigma = singular_values_of_rows(rows for _, rows in row_chunks(whole))
     sigma_next = float(sigma[args.rank]) if args.rank < sigma.size else 0.0
     bound = None
     if cfg.oversampling >= 2:

@@ -374,12 +374,13 @@ class SmsRowBlockSource:
     returns the same array and reads nothing, and reading another block
     first releases it (`release_block`), so the process holds one block at
     a time. A version 2 file is mapped once, read-only and shared, and a
-    block is a read-only view of the map whose pages the release drops; a
-    released view stays valid and reads its pages back from the file if
-    touched again. A version 1 payload is misaligned, so there (and, with
-    more than one block, on a platform without MADV_DONTNEED) each block
-    is read into a new array through the one file handle (one seek/read at
-    a time).
+    block is a read-only view of the map whose pages the release drops;
+    `release_rows` drops those of any rows, which the range finder does
+    chunk by chunk (`blocked.row_chunks`). A released view stays valid and
+    reads its pages back from the file if touched again. A version 1
+    payload is misaligned, so there (and, with more than one block, on a
+    platform without MADV_DONTNEED) each block is read into a new array
+    through the one file handle (one seek/read at a time).
 
     A mapped file must not be truncated in place while the source or a view
     of it is in use: touching a page past the new end raises SIGBUS.
@@ -435,14 +436,20 @@ class SmsRowBlockSource:
         return block.astype(np.float64, copy=False)
 
     def release_block(self) -> None:
-        """Let go of the block read last. A mapped block's resident pages
-        are dropped: the page-aligned inside of its byte range, so the
-        pages it shares with its neighbours stay. A copied block is only
-        dereferenced."""
+        """Let go of the block read last and drop its pages (`release_rows`).
+        A copied block is only dereferenced."""
         if self._held is None:
             return
         start, count = self.block_ranges[self._held]
         self._held = self._block = None
+        self.release_rows(start, count)
+
+    def release_rows(self, start: int, count: int) -> None:
+        """Drop the resident pages of rows start..start + count of a mapped
+        file: the page-aligned inside of their byte range, so the pages they
+        share with their neighbours stay. Views of the rows stay valid and
+        read their pages back from the file if touched again. A no-op where
+        blocks are copied."""
         if self._payload is None or not _CAN_RELEASE:
             return
         row_bytes = self.cols * 8

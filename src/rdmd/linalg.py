@@ -86,8 +86,9 @@ def economic_svd(x) -> SvdFactors:
 
 
 # Rows per chunk of the passes that walk a tall matrix a few thousand rows
-# at a time (`_row_products`, `_non_finite_error`, and the CLI's error
-# passes): at 200 columns one chunk is 6.6 MB.
+# at a time (`_row_products`, `_non_finite_error`, `_lift`, and
+# `blocked.row_chunks`, the range finder's and the CLI's passes over X): at
+# 200 columns one chunk is 6.6 MB.
 _CHUNK_ROWS = 4096
 
 
@@ -170,16 +171,19 @@ def _lift(q: np.ndarray, m: np.ndarray, out: np.ndarray | None = None) -> np.nda
     q to complex. The real view of a complex n x c array is n x 2c with the
     real and imaginary part of each column side by side, so one real GEMM of
     q with the same interleave of m fills it: per entry, q @ m.real and
-    q @ m.imag."""
+    q @ m.imag. The GEMM runs over `_CHUNK_ROWS`-row chunks of q, so BLAS
+    touches chunk-sized pack buffers, not n-row ones."""
     if out is None:
         dtype = np.result_type(np.float64, m.dtype)
         memguard.note(q.shape[0] * m.shape[1] * dtype.itemsize)
         out = np.empty((q.shape[0], m.shape[1]), dtype=dtype)
+    target = out
     if np.iscomplexobj(out):
-        pairs = np.stack([m.real, m.imag], axis=-1).reshape(m.shape[0], -1)
-        np.matmul(q, pairs, out=out.view(np.float64))
-    else:
-        np.matmul(q, m, out=out)
+        m = np.stack([m.real, m.imag], axis=-1).reshape(m.shape[0], -1)
+        target = out.view(np.float64)
+    for start in range(0, q.shape[0], _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        np.matmul(q[rows], m, out=target[rows])
     return out
 
 

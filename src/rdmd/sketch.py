@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import memguard
-from .blocked import ArrayRowBlockSource
+from .blocked import ArrayRowBlockSource, row_chunks
 from .errors import (
     InvalidDistribution,
     InvalidOversampling,
@@ -139,16 +139,18 @@ def blocked_randomized_qb(source, cfg: SketchConfig) -> QBFactorization:
     projects B = Q^T X (Halko, Martinsson & Tropp, 2011, sec. 4.5). All
     2q + 1 orthonormalizations are `thin_qr_q`.
 
-    Each product with X is one pass over the blocks, 2q + 2 in all: rows i
-    of X W are `_tall_product`(X_i, W), and Q^T X is the sum of Q_i^T X_i,
-    X^T Q being taken as (Q^T X)^T, the faster BLAS layout for a row-major
-    X. The block count changes the result only at the level of rounding,
-    and the sketch size is bounded by min(n, m) of the whole matrix alone.
-    Y and Q share one Fortran-ordered n x l buffer: every X W is written
-    into it and `thin_qr_q` orthonormalizes it in place. The source's last
-    block is released after the last pass.
+    Each product with X is one pass over the blocks, 2q + 2 in all, and
+    each pass one `row_chunks` walk, so a mapped file's pages are released
+    chunk by chunk: rows i of X W are `_tall_product`(X_i, W) for each chunk
+    X_i, and Q^T X is the sum of Q_i^T X_i, X^T Q being taken as
+    (Q^T X)^T, the faster BLAS layout for a row-major X. The block count
+    changes the result only at the level of rounding, and the sketch size
+    is bounded by min(n, m) of the whole matrix alone. Y and Q share one
+    Fortran-ordered n x l buffer: every X W is written into it and
+    `thin_qr_q` orthonormalizes it in place. The source's last block is
+    released after the last pass.
 
-    The first pass also sums ||X||_F^2 and checks each block's rows of Y:
+    The first pass also sums ||X||_F^2 and checks each chunk's rows of Y:
     NaN or Inf there raises NonFiniteInput naming the first bad entry of X
     by its row in X, or, where X is finite, saying that a product
     overflowed.
@@ -165,22 +167,22 @@ def blocked_randomized_qb(source, cfg: SketchConfig) -> QBFactorization:
     y = np.empty((l, n)).T
     data_sq_norm = 0.0
     error = None
-    for i, (start, count) in enumerate(source.block_ranges):
-        block = source.read_block(i)
+    for start, rows in row_chunks(source):
         with np.errstate(over="ignore", invalid="ignore"):  # checked right below
-            rows = _tall_product(block, omega, out=y[start : start + count])
-        if not np.isfinite(rows).all():
-            error = _non_finite_error(block, start)
+            sample = _tall_product(rows, omega, out=y[start : start + len(rows)])
+        if not np.isfinite(sample).all():
+            error = _non_finite_error(rows, start)
             if error.row is not None:
                 raise error
-        data_sq_norm += frobenius_sq(block)
-        del block  # a copied block is freed before the next one is read
+        data_sq_norm += frobenius_sq(rows)
+        del rows  # a copied block is freed before the next one is read
     if error is not None:  # no entry of X is NaN or Inf: a product overflowed
         raise error
     for _ in range(cfg.power_iters):
         z = thin_qr_q(_project(source, thin_qr_q(y, out=y)).T)
-        for i, (start, count) in enumerate(source.block_ranges):
-            _tall_product(source.read_block(i), z, out=y[start : start + count])
+        for start, rows in row_chunks(source):
+            _tall_product(rows, z, out=y[start : start + len(rows)])
+            del rows
     q = thin_qr_q(y, out=y)
     b = _project(source, q)
     source.release_block()
@@ -188,15 +190,12 @@ def blocked_randomized_qb(source, cfg: SketchConfig) -> QBFactorization:
 
 
 def _project(source, q: np.ndarray) -> np.ndarray:
-    """Q^T X for the n x l basis q, summed block by block as Q_i^T X_i."""
+    """Q^T X for the n x l basis q, summed chunk by chunk as Q_i^T X_i."""
     memguard.note(q.shape[1] * source.cols * 8)
-    parts = (
-        q[start : start + count].T @ source.read_block(i)
-        for i, (start, count) in enumerate(source.block_ranges)
-    )
-    out = next(parts)
-    for part in parts:
-        out += part
+    out = np.zeros((q.shape[1], source.cols))
+    for start, rows in row_chunks(source):
+        out += q[start : start + len(rows)].T @ rows
+        del rows
     return out
 
 

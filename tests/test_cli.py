@@ -11,6 +11,7 @@ import pytest
 
 import rdmd
 from rdmd import cli
+from rdmd.blocked import _CHUNK_ROWS, row_chunks
 from rdmd.datasets import read_complex_csv, read_complex_matrix
 from rdmd.rng import normal_matrix
 
@@ -27,6 +28,11 @@ def run_cli(*args, env=None):
 
 
 MODES = "1.0,0.995+0.2j:0.5,0.97+0.35j:0.25"  # rank 5 after conjugation
+
+
+def chunks(data):
+    """The (start, rows) chunks of an in-memory matrix."""
+    return row_chunks(rdmd.ArrayRowBlockSource(data, 1))
 
 
 @pytest.fixture(scope="module")
@@ -522,7 +528,7 @@ class TestReconstructionError:
     @staticmethod
     def streamed(result, data):
         return cli._relative_residual(
-            cli._row_chunks(data), partial(cli._approximate, result)
+            chunks(data), partial(cli._approximate, result)
         )
 
     @staticmethod
@@ -553,7 +559,7 @@ class TestReconstructionError:
             result = self.decompose(data, variant)
             streamed = self.streamed(result, data)
             assert streamed < 1e-3
-            assert cli._reconstruction_error(result, cli._row_chunks(data)) == (
+            assert cli._reconstruction_error(result, chunks(data)) == (
                 streamed, None, None,
             )
 
@@ -562,7 +568,7 @@ class TestReconstructionError:
         result = rdmd.run_dmd(data, self.CFG)
         b_sq = float(np.vdot(result.sketch.data, result.sketch.data))
         cancelled = replace(result, sketch=replace(result.sketch, data_sq_norm=0.5 * b_sq))
-        assert cli._reconstruction_error(cancelled, cli._row_chunks(data)) == (
+        assert cli._reconstruction_error(cancelled, chunks(data)) == (
             self.streamed(result, data), None, None,
         )
 
@@ -571,25 +577,55 @@ class TestReconstructionError:
 
         # two blocks of ten chunks each: a block's approximation would be
         # ten chunks' worth
-        n, m, r = 20 * cli._CHUNK_ROWS, 16, 3
+        n, m, r = 20 * _CHUNK_ROWS, 16, 3
         q, b = normal_matrix(n, r, seed=60), normal_matrix(r, m, seed=61)
         x = q @ b + 1e-3 * normal_matrix(n, m, seed=62)
-        source = rdmd.ArrayRowBlockSource(x, 2)
-        blocks = (
-            (start, source.read_block(i)) for i, (start, _) in enumerate(source.block_ranges)
-        )
         tracemalloc.start()
         try:
             error = cli._relative_residual(
-                blocks, lambda start, rows: q[start : start + rows.shape[0]] @ b
+                row_chunks(rdmd.ArrayRowBlockSource(x, 2)),
+                lambda start, rows: q[start : start + rows.shape[0]] @ b,
             )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        chunk = cli._CHUNK_ROWS * m * 8
+        chunk = _CHUNK_ROWS * m * 8
         assert peak <= 2 * chunk
         dense = np.linalg.norm(x - q @ b) / np.linalg.norm(x)
         assert error == pytest.approx(dense, rel=1e-12)
+
+    def test_streamed_pass_over_copied_blocks_holds_one_block(self, tmp_path, monkeypatch):
+        import tracemalloc
+
+        # a version 1 file's blocks are copies: the pass must free block i
+        # before it reads block i + 1
+        n, m = 40000, 60
+        truth = rdmd.synth_linear_dynamics(n, m - 1, cli._parse_modes(MODES), seed=63)
+        path = tmp_path / "x.sms"
+        write_v1_sms(path, truth.clean_data)
+        del truth
+        rises = []
+        inner = cli._relative_residual
+
+        def traced(chunk_pairs, approximate):
+            tracemalloc.start()
+            try:
+                error = inner(chunk_pairs, approximate)
+                rises.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            return error
+
+        monkeypatch.setattr(cli, "_relative_residual", traced)
+        assert cli.main([
+            "decompose", "--input", str(path), "--method", "rdmd", "--rank", "5",
+            "--blocks", "2", "--seed", "9", "--out", str(tmp_path / "o"),
+        ]) == 0
+        block, chunk = n // 2 * m * 8, _CHUNK_ROWS * m * 8
+        assert len(rises) == 1  # noise-free data takes the streamed fallback
+        # one block, the chunk's approximation and the temporary of its real
+        # product, and the k x m factors it is formed from (a few kB)
+        assert rises[0] <= block + 2 * chunk + 64 * 1024
 
     # the sketch reads each of the 4 blocks 2q + 2 = 6 times; the streamed
     # error pass of noise-free data reads them once more
@@ -773,7 +809,7 @@ class TestQb:
         report = json.loads(capsys.readouterr().out)
         x = rdmd.read_sms(path)
         qb = rdmd.randomized_qb(x, rdmd.SketchConfig(5, 10, 2, seed=3))
-        streamed = inner(cli._row_chunks(x), lambda s, b: qb.q[s : s + b.shape[0]] @ qb.b)
+        streamed = inner(chunks(x), lambda s, b: qb.q[s : s + b.shape[0]] @ qb.b)
         assert len(streamed_calls) == (0 if noisy else 1)
         if noisy:
             assert streamed >= cli._IDENTITY_MIN_ERROR

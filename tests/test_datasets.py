@@ -1,5 +1,7 @@
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -37,7 +39,7 @@ from rdmd.errors import (
     TruncatedPayload,
     UnsupportedVersion,
 )
-from rdmd.linalg import frobenius_sq
+from rdmd.linalg import _CHUNK_ROWS, frobenius_sq
 from rdmd.rng import CounterStream, normal_matrix, normals
 
 from conftest import OVERSIZED_SHAPES, write_oversized_sms, write_v1_sms
@@ -384,6 +386,33 @@ class TestSmsFormat:
         assert not (tmp_path / "bad.sms").exists()
 
 
+# RssFile (/proc/self/status) and the page release of a shared map
+# (MADV_DONTNEED) are Linux's
+linux_only = pytest.mark.skipif(
+    sys.platform != "linux", reason="reads RssFile from /proc and needs MADV_DONTNEED"
+)
+
+
+# argv[1:] run as `python argv[1:]`, output discarded; prints the exit code
+# and ru_maxrss of that child
+SPAWN_AND_REPORT_PEAK = """
+import os, sys
+pid = os.posix_spawn(
+    sys.executable, [sys.executable, *sys.argv[1:]], os.environ,
+    file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)],
+)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def rss_file():
+    """Resident file-backed bytes of this process."""
+    with open("/proc/self/status") as fh:
+        line = next(line for line in fh if line.startswith("RssFile:"))
+    return int(line.split()[1]) * 1024
+
+
 class TestRowBlocks:
     def test_single_block_equals_full_read(self, tmp_path):
         x = normal_matrix(9, 4, seed=13)
@@ -491,15 +520,8 @@ class TestRowBlocks:
         # closing the source leaves the view valid
         assert np.array_equal(block, x[10000:])
 
-    @pytest.mark.skipif(
-        not os.path.exists("/proc/self/status"), reason="reads RssFile from /proc"
-    )
+    @linux_only
     def test_read_blocks_hold_at_most_two_blocks_of_file_pages(self, tmp_path):
-        def rss_file():
-            with open("/proc/self/status") as fh:
-                line = next(line for line in fh if line.startswith("RssFile:"))
-            return int(line.split()[1]) * 1024
-
         x = normal_matrix(25000, 200, seed=21)  # 40 MB
         path = tmp_path / "x.sms"
         write_sms(x, path)
@@ -533,17 +555,18 @@ class TestRowBlocks:
         assert again is not held and np.array_equal(again, x[20:])
 
     @pytest.mark.skipif(not datasets._CAN_RELEASE, reason="needs MADV_DONTNEED")
-    def test_one_block_run_releases_its_pages_once_after_the_sketch(
+    def test_one_block_run_reads_its_block_once_and_releases_each_chunk_once_per_pass(
         self, tmp_path, monkeypatch
     ):
-        # the sketch reads its one block 2q + 2 times; reading the block a
-        # source holds must not drop and re-fault its pages each time
+        # each of the sketch's 2q + 2 passes reads the one block once (the
+        # held block is not re-read) and releases its chunks in row order,
+        # each once; the whole block is released after the last pass
         events = []
 
         class SpyMap(datasets.mmap.mmap):
-            def madvise(self, *args):
-                events.append("release")
-                return super().madvise(*args)
+            def madvise(self, option, start, length):
+                events.append((start, length))
+                return super().madvise(option, start, length)
 
         inner = datasets.SmsRowBlockSource.read_block
 
@@ -554,10 +577,65 @@ class TestRowBlocks:
         monkeypatch.setattr(datasets.mmap, "mmap", SpyMap)
         monkeypatch.setattr(datasets.SmsRowBlockSource, "read_block", read_block)
         path = tmp_path / "x.sms"
-        write_sms(normal_matrix(2000, 20, seed=25), path)
+        write_sms(normal_matrix(2 * _CHUNK_ROWS + 1000, 20, seed=25), path)
         with open_row_blocks(path, 1) as src:
             blocked_randomized_qb(src, SketchConfig(3, 3, 2, seed=26))
-            assert events == ["read 0"] * 6 + ["release"]
+            one_pass = events[:4]
+            assert events[:-1] == one_pass * 6
+        assert one_pass[0] == "read 0"
+        chunks = one_pass[1:]
+        assert all(a[0] + a[1] <= b[0] for a, b in zip(chunks, chunks[1:]))
+        whole = events[-1]
+        assert whole[0] <= chunks[0][0] and sum(chunks[-1]) <= sum(whole)
+
+    @linux_only
+    def test_one_block_sketch_holds_two_chunks_of_file_pages(self, tmp_path, monkeypatch):
+        x = normal_matrix(25000, 200, seed=28)  # 40 MB
+        path = tmp_path / "x.sms"
+        write_sms(x, path)
+        del x
+        cfg = SketchConfig(5, 10, 2, seed=29)
+        # fault in the BLAS and LAPACK code pages the sketch runs first
+        blocked_randomized_qb(ArrayRowBlockSource(normal_matrix(400, 200, seed=30), 1), cfg)
+        samples = []
+        inner = datasets.SmsRowBlockSource.release_rows
+
+        def sampled(source, start, count):
+            samples.append(rss_file())
+            return inner(source, start, count)
+
+        monkeypatch.setattr(datasets.SmsRowBlockSource, "release_rows", sampled)
+        with open_row_blocks(path, 1) as src:
+            base = rss_file()
+            blocked_randomized_qb(src, cfg)
+        chunk = _CHUNK_ROWS * 200 * 8
+        assert len(samples) == 6 * 7 + 1  # 7 chunks a pass, then the block
+        assert 0.5 * chunk <= max(samples) - base <= 2 * chunk
+
+    @linux_only
+    def test_one_block_decompose_peak_rss_is_far_below_the_file(self, tmp_path):
+        x = normal_matrix(25000, 200, seed=31)  # 40 MB
+        path = tmp_path / "x.sms"
+        write_sms(x, path)
+        del x
+
+        def peak_rss(*args):
+            # a child forked from this large process starts with its
+            # resident set as its high-water mark, so a small Python spawns
+            # the measured child and prints its wait4 peak
+            out = subprocess.run(
+                [sys.executable, "-c", SPAWN_AND_REPORT_PEAK, *args],
+                capture_output=True, text=True, check=True,
+            ).stdout.split()
+            assert out[0] == "0"  # the child's exit code
+            return int(out[1]) * 1024  # ru_maxrss is in kB on Linux
+
+        imported = peak_rss("-c", "import rdmd.cli")
+        run = peak_rss(
+            "-m", "rdmd", "decompose", "--input", str(path), "--method", "rdmd",
+            "--rank", "5", "--blocks", "1", "--seed", "32", "--out", str(tmp_path / "o"),
+        )
+        assert run - imported <= 0.5 * os.path.getsize(path)
 
     def test_without_page_release_only_a_one_block_read_is_mapped(
         self, tmp_path, monkeypatch

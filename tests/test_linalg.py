@@ -244,14 +244,19 @@ class TestLift:
     def test_equals_the_product(self, kind):
         from rdmd.linalg import _lift
 
-        q = normal_matrix(300, 7, seed=46)
         m = normal_matrix(7, 4, seed=47)
         if kind == "complex":
             m = m + 1j * normal_matrix(7, 4, seed=48)
-        got = _lift(q, m)
-        ref = q @ m
-        assert got.dtype == ref.dtype and got.shape == ref.shape
-        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+        # one chunk, and (the lift runs chunk by chunk) several whole chunks
+        # and a partial one of a Fortran-ordered basis, as the finder's is
+        for q in (
+            normal_matrix(300, 7, seed=46),
+            np.asfortranarray(normal_matrix(3 * _CHUNK_ROWS + 5, 7, seed=52)),
+        ):
+            got = _lift(q, m)
+            ref = q @ m
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("kind", ["real", "complex"])
     def test_out_slice_holds_the_fresh_bytes(self, kind):
