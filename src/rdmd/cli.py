@@ -46,7 +46,7 @@ from .errors import IoFailure, RdmdError
 from .linalg import _require_finite, frobenius_sq, singular_values_of_rows
 from .memguard import stage
 from .rng import derive_seed
-from .sketch import SketchConfig, expected_error_bound, randomized_qb
+from .sketch import SketchConfig, blocked_randomized_qb, expected_error_bound
 
 _METHOD_FLAGS = {
     "dmd": "deterministic_projected",
@@ -355,31 +355,31 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_qb(args) -> int:
-    data = read_sms(args.input)
     cfg = SketchConfig(args.rank, args.oversample, args.power_iters, args.seed)
     timing = {}
-    with stage(timing, "qb"):
-        qb = randomized_qb(data, cfg)
-    # ||X - QB||^2 = ||X||^2 - ||B||^2, the sketch residual
-    data_sq_norm = qb.data_sq_norm
-    _require_finite(data, data_sq_norm)
-    whole = ArrayRowBlockSource(data, 1)
-    rel_error = _identity_or_streamed(
-        data_sq_norm, data_sq_norm - frobenius_sq(qb.b), 0.0, row_chunks(whole),
-        lambda start, rows: qb.q[start : start + rows.shape[0]] @ qb.b,
-    )[0]
-    # sigma_{k+1} from the R factors of the row chunks: no n x m buffer
-    sigma = singular_values_of_rows(rows for _, rows in row_chunks(whole))
+    # one block: every pass walks the file in chunks and releases their pages
+    with open_row_blocks(args.input, 1) as source:
+        with stage(timing, "qb"):
+            qb = blocked_randomized_qb(source, cfg)
+        # ||X - QB||^2 = ||X||^2 - ||B||^2, the sketch residual
+        data_sq_norm = qb.data_sq_norm
+        _require_finite(qb.b, data_sq_norm)
+        rel_error = _identity_or_streamed(
+            data_sq_norm, data_sq_norm - frobenius_sq(qb.b), 0.0, row_chunks(source),
+            lambda start, rows: qb.q[start : start + rows.shape[0]] @ qb.b,
+        )[0]
+        # sigma_{k+1} from the R factors of the row chunks: no n x m buffer
+        sigma = singular_values_of_rows(rows for _, rows in row_chunks(source))
     sigma_next = float(sigma[args.rank]) if args.rank < sigma.size else 0.0
     bound = None
     if cfg.oversampling >= 2:
         bound = expected_error_bound(
-            args.rank, cfg.oversampling, cfg.power_iters, data.shape[1], data.shape[0],
+            args.rank, cfg.oversampling, cfg.power_iters, source.cols, source.rows,
             sigma_next,
         ) / math.sqrt(data_sq_norm)
     report = {
-        "rows": data.shape[0],
-        "cols": data.shape[1],
+        "rows": source.rows,
+        "cols": source.cols,
         "rank": args.rank,
         "oversample": cfg.oversampling,
         "power_iters": cfg.power_iters,

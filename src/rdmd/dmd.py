@@ -405,8 +405,9 @@ def dmd_deterministic(x, cfg: DmdConfig) -> DmdResult:
     cfg.method "deterministic_exact" lifts exact modes X_R V_k S_k^{-1} W
     through their orthonormal span; any other method runs the projected
     modes U_k W, whose frame is U_k itself with B = U_k^T X the operator's
-    own product. The projected run reads X five times: the two Gram passes
-    and U_k of the truncated SVD, U_k^T X and ||X||_F^2.
+    own product. The projected run reads X five times: the Gram pass, the
+    Rayleigh-Ritz pass and U_k of the truncated SVD, U_k^T X and
+    ||X||_F^2.
     """
     a = _as_matrix(x)
     if cfg.method == "deterministic_exact":

@@ -187,7 +187,39 @@ def _lift(q: np.ndarray, m: np.ndarray, out: np.ndarray | None = None) -> np.nda
     return out
 
 
-def _cholesky_qr2(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+def _gram(a: np.ndarray) -> np.ndarray:
+    """A^T A for a tall matrix A. A NaN or Inf in A shows in it, which then
+    raises NonFiniteInput naming the first such entry of A; a finite A whose
+    A^T A overflowed gets that non-finite Gram back, and every caller's
+    checks reject it."""
+    # Entries near the float64 range limits overflow A^T A; the checks of
+    # the callers reject the result, so the overflow is not reported.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = a.T @ a
+    if not np.isfinite(gram).all():
+        error = _non_finite_error(a)
+        if error.row is not None:
+            raise error
+    return gram
+
+
+def _near_identity_cholesky(g: np.ndarray) -> np.ndarray | None:
+    """Upper Cholesky factor R of the Gram g = Q1^T Q1 of a basis Q1 meant
+    to be orthonormal, so that Q1 R^-1 is orthonormal to rounding, or None
+    where the factorization fails or ||g - I||_2 > 1/2 (Q1 too far from
+    orthonormal for one more step to repair). Overwrites g."""
+    try:
+        r = np.linalg.cholesky(g).T
+        g[np.diag_indices(g.shape[0])] -= 1.0
+        # written so that a NaN distance also rejects the factor
+        return r if np.linalg.norm(g, 2) <= 0.5 else None
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _cholesky_qr2(
+    a: np.ndarray, gram: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """CholeskyQR2 factors (Fukaya et al., 2014) of a tall matrix, or None
     where they are not accurate.
 
@@ -201,76 +233,158 @@ def _cholesky_qr2(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | 
     worse-conditioned input) yields None. The triangular factors are only
     cols x cols, so callers invert them rather than solve against them.
 
-    A NaN or Inf in A shows in A^T A, which then raises NonFiniteInput
-    naming the first such entry of A; a finite A whose A^T A overflowed
+    `gram` is A^T A where the caller has formed it already (see `_gram`,
+    which otherwise forms it here): a NaN or Inf in A raises NonFiniteInput
+    naming the first such entry of A, a finite A whose A^T A overflowed
     yields None.
     """
     c = a.shape[1]
+    if gram is None:
+        gram = _gram(a)
     try:
-        # Entries near the float64 range limits overflow A^T A; the checks
-        # below then reject the factors, so the overflow is not reported.
         with np.errstate(over="ignore", invalid="ignore"):
-            gram = a.T @ a
-            if not np.isfinite(gram).all():
-                error = _non_finite_error(a)
-                if error.row is not None:
-                    raise error
             r1 = np.linalg.cholesky(gram).T
             r1_inv = np.linalg.inv(r1)
-            gram = np.zeros((c, c))
+            g2 = np.zeros((c, c))
             for _, q1 in _row_products(a, r1_inv):
-                gram += q1.T @ q1
-        r2 = np.linalg.cholesky(gram).T
-        gram[np.diag_indices(c)] -= 1.0
-        # written so that a NaN distance also rejects the factors
-        if not np.linalg.norm(gram, 2) <= 0.5:
-            return None
+                g2 += q1.T @ q1
     except np.linalg.LinAlgError:
         return None
-    return r1, r1_inv, r2
+    r2 = _near_identity_cholesky(g2)
+    return None if r2 is None else (r1, r1_inv, r2)
 
 
-def _cholesky_qr2_svd(a: np.ndarray, k: int) -> SvdFactors | None:
-    """First k singular triplets of a tall matrix from its CholeskyQR2
-    factors and the SVD of the small R factor, or None where
-    `_cholesky_qr2` rejects the input.
+def _left_vectors(a: np.ndarray, w: np.ndarray) -> np.ndarray | None:
+    """U = A W for a cols x k factor W that makes it orthonormal in exact
+    arithmetic, formed as one n x cols x k product (`_tall_product`), or
+    None where its repair below fails.
 
-    With U_R S V^T = svd(R2 R1), U_k = A (R1^-1 R2^-1 U_R[:, :k]), one
-    n x cols x k product, so no n x cols buffer is formed. Folding both
-    inverses into one cols x k factor costs orthogonality in proportion to
-    the condition number (~3e-10 at 3000 x 50, kappa = 1e7), so one k x k
-    CholeskyQR step, U_k <- U_k chol(U_k^T U_k)^-1 applied row chunk by row
-    chunk in place, restores it to rounding level; where that Cholesky
-    factorization fails the result is None as well.
+    A W alone loses orthogonality in proportion to the condition number
+    that W's inverted factors carry (~3e-10 at 3000 x 50, kappa = 1e7), so
+    one k x k CholeskyQR step, U <- U chol(U^T U)^-1 applied row chunk by
+    row chunk in place, restores it to rounding level; where that Cholesky
+    factorization fails the result is None.
     """
-    factors = _cholesky_qr2(a)
-    if factors is None:
-        return None
-    r1, r1_inv, r2 = factors
+    memguard.note(a.shape[0] * w.shape[1] * 8)
+    u = _tall_product(a, w)
     try:
-        u_r, s, vh = np.linalg.svd(r2 @ r1)
-        memguard.note(a.shape[0] * k * 8)
-        u = _tall_product(a, r1_inv @ (np.linalg.inv(r2) @ u_r[:, :k]))
         step = np.linalg.inv(np.linalg.cholesky(u.T @ u).T)
     except np.linalg.LinAlgError:
         return None
     for rows, chunk in _row_products(u, step):
         u[rows] = chunk
-    return SvdFactors(u, s[:k], vh[:k].T)
+    return u
+
+
+# Ritz directions taken beyond the k kept by `_gram_ritz_svd`, the usual
+# oversampling of a randomized range (Halko, Martinsson & Tropp, 2011)
+_RITZ_OVERSAMPLING = 10
+
+
+def _gram_ritz_svd(a: np.ndarray, gram: np.ndarray, k: int) -> SvdFactors | None:
+    """First k singular triplets of a tall matrix A by Rayleigh-Ritz on the
+    range of A V_l, where V_l holds the top l eigenvectors of its Gram
+    matrix G = A^T A (Halko, Martinsson & Tropp, 2011, sec. 5), or None
+    where G does not resolve k directions or the basis is not accurate.
+
+    1. eigh(G), and l = min(cols, k + 10, r), where r counts the
+       eigenvalues above eps * max(rows, cols) * lambda_1, the Gram's
+       resolution; l < k yields None. Noise-free low-rank data has r at
+       its rank, so it stays here while CholeskyQR2 rejects it.
+    2. One pass over the `_CHUNK_ROWS`-row chunks A_i: Q1_i = A_i W for
+       W = V_l Lambda_l^-1/2, and the sums G2 = Q1^T Q1 and C = Q1^T A.
+       Each A_i is copied once into one reused buffer, which both products
+       read, so the pass reads A once.
+    3. R2 = chol(G2) under the guard of `_near_identity_cholesky`
+       (failing it yields None), so Q = Q1 R2^-1 is orthonormal to rounding
+       and B = Q^T A = R2^-T C; Q is never formed.
+    4. U_B S V^T = svd(B), the l x cols Rayleigh-Ritz problem, and
+       U_k = A (W R2^-1 U_B[:, :k]) through `_left_vectors`.
+
+    Besides U_k it holds the copy of one A_i, its l-column product and
+    l x cols factors. Beyond G it costs two n x cols x l products and U_k,
+    where CholeskyQR2 costs two n x cols x cols ones and U_k (at
+    200000 x 200, k = 5: about 19 GFLOP in all against 48).
+    """
+    n, c = a.shape
+    if not np.isfinite(gram).all():
+        return None
+    try:
+        lam, vec = np.linalg.eigh(gram)  # ascending
+    except np.linalg.LinAlgError:
+        return None
+    lam, vec = lam[::-1], vec[:, ::-1]
+    r = int(np.count_nonzero(lam > np.finfo(np.float64).eps * max(n, c) * lam[0]))
+    l = min(c, k + _RITZ_OVERSAMPLING, r)
+    if l < k:
+        return None
+    w = vec[:, :l] / np.sqrt(lam[:l])
+    step = min(n, _CHUNK_ROWS)
+    memguard.note(step * c * 8)
+    chunk = np.empty((step, c))
+    q1_t = np.empty((l, step))
+    g2, proj = np.zeros((l, l)), np.zeros((l, c))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite G2 fails the guard
+        for start in range(0, n, step):
+            a_i = chunk[: min(n - start, step)]
+            np.copyto(a_i, a[start : start + step])
+            q = np.matmul(w.T, a_i.T, out=q1_t[:, : a_i.shape[0]])
+            g2 += q @ q.T
+            proj += q @ a_i
+    del chunk, q1_t  # before U_k is formed
+    r2 = _near_identity_cholesky(g2)
+    if r2 is None:
+        return None
+    try:
+        r2_inv = np.linalg.inv(r2)
+        u_b, s, vh = np.linalg.svd(r2_inv.T @ proj, full_matrices=False)
+    except np.linalg.LinAlgError:
+        return None
+    u = _left_vectors(a, w @ (r2_inv @ u_b[:, :k]))
+    return None if u is None else SvdFactors(u, s[:k], vh[:k].T)
+
+
+def _cholesky_qr2_svd(
+    a: np.ndarray, k: int, gram: np.ndarray | None = None
+) -> SvdFactors | None:
+    """First k singular triplets of a tall matrix from its CholeskyQR2
+    factors and the SVD of the small R factor, or None where
+    `_cholesky_qr2` rejects the input; `gram` is A^T A where it is formed
+    already.
+
+    With U_R S V^T = svd(R2 R1), U_k = A (R1^-1 R2^-1 U_R[:, :k]) through
+    `_left_vectors`, so no n x cols buffer is formed.
+    """
+    factors = _cholesky_qr2(a, gram)
+    if factors is None:
+        return None
+    r1, r1_inv, r2 = factors
+    try:
+        u_r, s, vh = np.linalg.svd(r2 @ r1)
+        w = r1_inv @ (np.linalg.inv(r2) @ u_r[:, :k])
+    except np.linalg.LinAlgError:
+        return None
+    u = _left_vectors(a, w)
+    return None if u is None else SvdFactors(u, s[:k], vh[:k].T)
 
 
 def truncated_svd(x, k: int) -> SvdFactors:
     """First k singular triplets of the economic SVD.
 
-    Tall inputs (rows >= 2 * cols) go through CholeskyQR2 and the SVD of
-    the cols x cols R factor, which forms only the k kept left vectors and,
-    besides them, one `_CHUNK_ROWS` x cols chunk (see `_cholesky_qr2_svd`);
-    when that path is inaccurate and for every other shape, the result is
-    the slice of `economic_svd`.
+    Tall inputs (rows >= 2 * cols) form the Gram matrix X^T X once and take
+    the first of these that accepts them, each forming only the k kept left
+    vectors and, besides them, one `_CHUNK_ROWS`-row chunk:
+    1. Rayleigh-Ritz on the top l = min(cols, k + 10, r) eigenvectors of
+       the Gram (`_gram_ritz_svd`), where r is the numerical rank the Gram
+       resolves; it needs l >= k and a basis that passes its orthogonality
+       guard.
+    2. CholeskyQR2 from the same Gram and the SVD of its cols x cols R
+       factor (`_cholesky_qr2_svd`), for condition numbers up to about 1e8.
+    3. The slice of `economic_svd`, which every other shape takes too.
 
     NaN or Inf in the input raises NonFiniteInput naming its first such
-    entry: tall inputs show it in the Gram matrix of CholeskyQR2, every
-    other shape is checked before LAPACK runs.
+    entry: tall inputs show it in the Gram matrix, every other shape is
+    checked before LAPACK runs.
     """
     a = _as_matrix(x)
     if not 1 <= k <= min(a.shape):
@@ -278,7 +392,10 @@ def truncated_svd(x, k: int) -> SvdFactors:
             f"rank {k} outside [1, {min(a.shape)}] for shape {a.shape}"
         )
     if a.shape[0] >= 2 * a.shape[1]:
-        fast = _cholesky_qr2_svd(a, k)
+        gram = _gram(a)
+        fast = _gram_ritz_svd(a, gram, k)
+        if fast is None:
+            fast = _cholesky_qr2_svd(a, k, gram)
         if fast is not None:
             return fast
     elif not np.isfinite(a).all():

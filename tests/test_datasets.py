@@ -406,6 +406,18 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
 
 
+def child_peak_rss(*args) -> int:
+    """Peak RSS in bytes of `python args`. A child forked from this large
+    process starts with its resident set as its high-water mark, so a small
+    Python spawns the measured child and prints its wait4 peak."""
+    out = subprocess.run(
+        [sys.executable, "-c", SPAWN_AND_REPORT_PEAK, *args],
+        capture_output=True, text=True, check=True,
+    ).stdout.split()
+    assert out[0] == "0"  # the child's exit code
+    return int(out[1]) * 1024  # ru_maxrss is in kB on Linux
+
+
 def rss_file():
     """Resident file-backed bytes of this process."""
     with open("/proc/self/status") as fh:
@@ -618,22 +630,26 @@ class TestRowBlocks:
         path = tmp_path / "x.sms"
         write_sms(x, path)
         del x
-
-        def peak_rss(*args):
-            # a child forked from this large process starts with its
-            # resident set as its high-water mark, so a small Python spawns
-            # the measured child and prints its wait4 peak
-            out = subprocess.run(
-                [sys.executable, "-c", SPAWN_AND_REPORT_PEAK, *args],
-                capture_output=True, text=True, check=True,
-            ).stdout.split()
-            assert out[0] == "0"  # the child's exit code
-            return int(out[1]) * 1024  # ru_maxrss is in kB on Linux
-
-        imported = peak_rss("-c", "import rdmd.cli")
-        run = peak_rss(
+        imported = child_peak_rss("-c", "import rdmd.cli")
+        run = child_peak_rss(
             "-m", "rdmd", "decompose", "--input", str(path), "--method", "rdmd",
             "--rank", "5", "--blocks", "1", "--seed", "32", "--out", str(tmp_path / "o"),
+        )
+        assert run - imported <= 0.5 * os.path.getsize(path)
+
+    @linux_only
+    def test_qb_peak_rss_is_far_below_the_file(self, tmp_path):
+        # `rdmd qb` sketches the file as a one-block source and walks it in
+        # released chunks for the error and sigma_{k+1}, as `decompose` does;
+        # a larger file than above, since a chunk's QR copy and LAPACK's
+        # buffers add a fixed ~15 MB
+        x = normal_matrix(60000, 200, seed=33)  # 96 MB
+        path = tmp_path / "x.sms"
+        write_sms(x, path)
+        del x
+        imported = child_peak_rss("-c", "import rdmd.cli")
+        run = child_peak_rss(
+            "-m", "rdmd", "qb", "--input", str(path), "--rank", "5", "--seed", "34",
         )
         assert run - imported <= 0.5 * os.path.getsize(path)
 

@@ -43,7 +43,7 @@ from rdmd.errors import (
 )
 from rdmd.rng import normal_matrix
 
-from conftest import rotation_sequence, write_v1_sms
+from conftest import matrix_with_spectrum, rotation_sequence, write_v1_sms
 
 
 class TestDmdConfig:
@@ -112,12 +112,13 @@ class TestDeterministic:
     @pytest.mark.parametrize("method", ["deterministic_projected", "deterministic_exact"])
     def test_tall_noisy_input_matches_economic_svd_run(self, method, monkeypatch):
         import rdmd.dmd
-        from rdmd.linalg import SvdFactors, _cholesky_qr2_svd, economic_svd
+        from rdmd.linalg import SvdFactors, _gram, _gram_ritz_svd, economic_svd
 
         specs = [ModeSpec(0.99 * np.exp(0.3j)), ModeSpec(0.9), ModeSpec(0.8 * np.exp(1.2j))]
         truth = synth_linear_dynamics(2000, 40, specs, seed=38)
         x = add_noise(truth.clean_data, 10.0, seed=39)
-        assert _cholesky_qr2_svd(split_snapshots(x).left, 5) is not None
+        left = split_snapshots(x).left
+        assert _gram_ritz_svd(left, _gram(left), 5) is not None  # the Gram path runs
         cfg = DmdConfig(target_rank=5, method=method)
         fast = dmd_deterministic(x, cfg)
 
@@ -837,6 +838,33 @@ class TestPassesOverX:
         assert result.eigenvalues.tobytes() == dmd_deterministic(
             x, DmdConfig(target_rank=5)
         ).eigenvalues.tobytes()
+
+    @pytest.mark.parametrize("case, passes", [
+        # l < k = c: CholeskyQR2 seeded with the Gram, then its G2 pass and U_k
+        ("kappa_1e7", 3),
+        # rank 3 < k: CholeskyQR2 rejects the Gram, and LAPACK's SVD reads X
+        ("rank_below_k", 2),
+    ])
+    def test_truncated_svd_fallback_forms_the_gram_once(self, monkeypatch, case, passes):
+        # the same number of passes as before the Gram Ritz path: the
+        # fallback pays no second Gram pass
+        import rdmd.linalg
+
+        if case == "kappa_1e7":
+            x, k = matrix_with_spectrum(3000, 50, np.logspace(0, -7, 50), seed=19), 50
+        else:
+            x, k = normal_matrix(3000, 3, seed=11) @ normal_matrix(3, 50, seed=12), 5
+        counted = x.view(_ReadCounter)
+        counted.log, counted.base_x = [], x
+        ritz = []
+        inner = rdmd.linalg._gram_ritz_svd
+        monkeypatch.setattr(rdmd.linalg, "_as_matrix", lambda a, name="matrix": a)
+        monkeypatch.setattr(
+            rdmd.linalg, "_gram_ritz_svd", lambda *args: ritz.append(inner(*args)) or ritz[-1]
+        )
+        truncated_svd(counted, k)
+        assert ritz == [None]
+        assert sum(counted.log) == passes * x.shape[0]
 
     @pytest.mark.parametrize("method, products", [
         ("deterministic_projected", 1),  # U_k

@@ -137,7 +137,10 @@ class TestTruncatedSvd:
         assert np.max(np.abs(f.u[:, :5] * signs - ref.u[:, :5])) <= 1e-14
 
     @pytest.mark.parametrize("case", ["rank_deficient", "kappa_3e8", "kappa_1e12"])
-    def test_tall_fallback_is_the_economic_slice(self, case):
+    def test_tall_gram_ritz_accuracy(self, case, monkeypatch):
+        import rdmd.linalg
+        from rdmd.linalg import _cholesky_qr2
+
         if case == "rank_deficient":
             x = normal_matrix(1500, 6, seed=11) @ normal_matrix(6, 50, seed=12)
         elif case == "kappa_3e8":
@@ -145,11 +148,48 @@ class TestTruncatedSvd:
             x = matrix_with_spectrum(1500, 50, np.logspace(0, np.log10(1 / 3e8), 50), seed=13)
         else:
             x = matrix_with_spectrum(1500, 50, np.logspace(0, -12, 50), seed=13)
+        assert _cholesky_qr2(x) is None
+        ref = economic_svd(x)
+        # the fallback must not run: the Gram's top directions hold k = 5
+        monkeypatch.setattr(rdmd.linalg, "economic_svd", None)
+        monkeypatch.setattr(rdmd.linalg, "_cholesky_qr2_svd", None)
+        f = truncated_svd(x, 5)
+        scale = ref.singular_values[0]
+        assert np.max(np.abs(f.singular_values - ref.singular_values[:5])) <= 1e-12 * scale
+        signs = np.sign(np.sum(f.u * ref.u[:, :5], axis=0))
+        assert np.max(np.abs(f.u * signs - ref.u[:, :5])) <= 1e-12
+        assert np.max(np.abs(f.v * signs - ref.v[:, :5])) <= 1e-12
+        assert np.linalg.norm(f.u.T @ f.u - np.eye(5), 2) <= 1e-12
+
+    def test_tall_rank_below_k_is_the_economic_slice(self):
+        # rank 3 < k: the Gram resolves fewer than k directions and
+        # CholeskyQR2 rejects the input, so the slice of the economic SVD
+        # is returned bit for bit
+        x = normal_matrix(1500, 3, seed=11) @ normal_matrix(3, 50, seed=12)
         ref = economic_svd(x)
         f = truncated_svd(x, 5)
         assert np.array_equal(f.singular_values, ref.singular_values[:5])
         assert np.array_equal(f.u, ref.u[:, :5])
         assert np.array_equal(f.v, ref.v[:, :5])
+
+    def test_tall_noise_free_low_rank_stays_on_the_gram_path(self, monkeypatch):
+        import rdmd.linalg
+        from rdmd import ModeSpec, synth_linear_dynamics
+        from rdmd.linalg import _cholesky_qr2
+
+        # the benchmark's five modes, noise-free: X_L has rank 5, so
+        # CholeskyQR2 rejects it, while its Gram resolves the five directions
+        specs = [ModeSpec(1.0), ModeSpec(0.995 + 0.2j, 0.5), ModeSpec(0.97 + 0.35j, 0.25)]
+        left = synth_linear_dynamics(20_000, 60, specs, seed=43).clean_data[:, :-1]
+        assert _cholesky_qr2(left) is None
+        ref = economic_svd(left)
+        monkeypatch.setattr(rdmd.linalg, "economic_svd", None)
+        f = truncated_svd(left, 5)
+        scale = ref.singular_values[0]
+        assert np.max(np.abs(f.singular_values - ref.singular_values[:5])) <= 1e-10 * scale
+        signs = np.sign(np.sum(f.u * ref.u[:, :5], axis=0))
+        assert np.max(np.abs(f.u * signs - ref.u[:, :5])) <= 1e-10
+        assert np.max(np.abs(f.v * signs - ref.v[:, :5])) <= 1e-10
 
 
 class TestThinQr:
