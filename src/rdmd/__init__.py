@@ -18,7 +18,9 @@ from .dmd import (
     SnapshotSplit,
     amplitudes,
     dmd_compressed,
+    dmd_compressed_blocked,
     dmd_deterministic,
+    dmd_deterministic_blocked,
     dmd_randomized,
     dmd_randomized_blocked,
     eigen_match_error,

@@ -1,31 +1,47 @@
-"""Row blocks of a snapshot matrix.
+"""Row blocks of a snapshot matrix, and the one walk over them.
 
-The randomized range finder (`sketch.blocked_randomized_qb`) reads X as b
+Every pass the library makes over an n-row snapshot matrix X reads it as b
 contiguous row blocks from a source: `partition_rows` splits the n rows,
-`ArrayRowBlockSource` hands out views of an in-memory matrix, and
+`ArrayRowBlockSource` hands out views of an in-memory matrix (its one-block
+source is what every in-memory entry point runs on, see `as_source`), and
 `datasets.SmsRowBlockSource` views of a mapped SMS file. A source hands out
 block i with `read_block(i)`, in any order and repeatedly, drops the pages
 of any of its rows with `release_rows(start, count)`, and takes back the
 block it holds with `release_block()`.
 
-Every product of the sketch with X is one pass over the blocks, 2q + 2
-passes for q power iterations, and the block count changes the answer only
-at the level of rounding. Each pass, and the CLI's reconstruction-error
-pass where it runs, is one `row_chunks` walk: it reads each block once and
-hands it out in `_CHUNK_ROWS`-row chunks, releasing each chunk's rows once
-it is used. An SMS file source also releases the block it holds when
-another block is read, and the finder releases the last one after its last
-pass, so a run of any block count holds one chunk of file pages and the
-one n x l sketch basis while it sketches (one block where blocks are
-copied), and no block-sized buffer while the modes are lifted.
+Each pass is one `row_chunks` walk: it reads each block once and hands it
+out in `_CHUNK_ROWS`-row chunks, releasing each chunk's rows once it is
+used. The randomized range finder makes 2q + 2 such passes for q power
+iterations, the projected deterministic decomposition three (the Gram
+matrix, its Rayleigh-Ritz pass, and U_k with U_k^T X), the compressed one
+two (S X with ||X||_F^2, and the exact-style basis), and the CLI's
+reconstruction-error pass one where it runs. An SMS file source also
+releases the block it holds when another block is read, and each method
+releases the last one after its last pass, so a run of any method and any
+block count holds one chunk of file pages and its n x l or n x k bases
+(one block where blocks are copied). The block count changes the answer
+only at the level of rounding.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidBlockCount
-from .linalg import _CHUNK_ROWS, _as_matrix
+from .errors import InvalidBlockCount, ShapeMismatch
+
+# Rows per chunk of the passes that walk a tall matrix a few thousand rows
+# at a time (`row_chunks` and the kernels of `linalg` that read an n-row
+# buffer in chunks): at 200 columns one chunk is 6.6 MB.
+_CHUNK_ROWS = 4096
+
+
+def _as_matrix(x, name: str = "matrix") -> np.ndarray:
+    a = np.asarray(x, dtype=np.float64)
+    if a.ndim != 2:
+        raise ShapeMismatch(f"{name} must be 2-D, got ndim={a.ndim}")
+    if a.shape[0] < 1 or a.shape[1] < 1:
+        raise ShapeMismatch(f"{name} must be nonempty, got shape {a.shape}")
+    return a
 
 
 def partition_rows(n: int, b: int) -> list[tuple[int, int]]:
@@ -48,12 +64,13 @@ def partition_rows(n: int, b: int) -> list[tuple[int, int]]:
 
 class ArrayRowBlockSource:
     """Row-block view over an in-memory matrix: its single-block run is the
-    in-memory randomized path. Blocks are views in the matrix's own memory
-    order, so a Fortran-ordered matrix is not copied."""
+    in-memory path of every method. Blocks are views in the matrix's own
+    memory order, so a Fortran-ordered matrix is not copied."""
 
     def __init__(self, x, block_count: int):
         self._x = _as_matrix(x)
-        self.rows, self.cols = self._x.shape
+        self.shape = self._x.shape
+        self.rows, self.cols = self.shape
         self.block_count = block_count
         self.block_ranges = partition_rows(self.rows, block_count)
 
@@ -66,6 +83,12 @@ class ArrayRowBlockSource:
 
     def release_block(self) -> None:
         """Nothing to release: the matrix stays the caller's."""
+
+
+def as_source(x):
+    """x itself where it is a row-block source (it has `block_ranges`), else
+    the one-block source of the in-memory matrix x."""
+    return x if hasattr(x, "block_ranges") else ArrayRowBlockSource(x, 1)
 
 
 def row_chunks(source):

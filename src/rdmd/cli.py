@@ -17,6 +17,11 @@ import sys
 from dataclasses import replace
 from functools import partial
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 import numpy as np
 
 from . import memguard
@@ -37,7 +42,6 @@ from .datasets import (
 from .dmd import (
     DmdConfig,
     DmdResult,
-    dmd_randomized_blocked,
     eigen_match_error,
     reconstruct,
     run_dmd,
@@ -165,6 +169,16 @@ def _reconstruction_error(result: DmdResult, chunks) -> tuple[float, float | Non
     )
 
 
+def _peak_rss_bytes() -> int | None:
+    """The process's peak resident set so far (`ru_maxrss`, which Linux
+    gives in KiB and macOS in bytes), or None where the platform has no
+    `resource` module."""
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak if sys.platform == "darwin" else peak * 1024
+
+
 def _load_truth(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -234,9 +248,6 @@ def _build_config(args, method: str) -> DmdConfig:
 
 
 def _cmd_decompose(args) -> int:
-    if args.blocks > 1 and args.method != "rdmd":
-        print("error: --blocks > 1 requires --method rdmd", file=sys.stderr)
-        return 2
     os.makedirs(args.out, exist_ok=True)
     cfg = _build_config(args, args.method)
     truth = _load_truth(args.truth) if args.truth else None
@@ -246,13 +257,11 @@ def _cmd_decompose(args) -> int:
         with stage(timings, "load"):
             source = open_row_blocks(args.input, args.blocks)
         with source:
-            decompose = (
-                (lambda: dmd_randomized_blocked(source, cfg)) if args.method == "rdmd"
-                else (lambda: run_dmd(source.read_block(0), cfg))
-            )
             # lazy: the blocks are read again only by a streamed pass
             chunks = row_chunks(source)
-            result, errors, match_error = _run(decompose, chunks, truth, timings)
+            result, errors, match_error = _run(
+                lambda: run_dmd(source, cfg), chunks, truth, timings
+            )
         recon_error, sketch_residual, dynamics_misfit = errors
 
         with stage(timings, "write"):
@@ -275,7 +284,11 @@ def _cmd_decompose(args) -> int:
             "dynamics_misfit": dynamics_misfit,
             "eigenpair_residual": result.diagnostics["eigenpair_residual"],
             "eigen_match_error": match_error,
-            "timings": {**timings, "stages": result.diagnostics.get("timings", {})},
+            "timings": {
+                **timings,
+                "stages": result.diagnostics.get("timings", {}),
+                "peak_rss_bytes": _peak_rss_bytes(),
+            },
             "peak_alloc_bytes": guard.largest_bytes,
         }
     _write_json(os.path.join(args.out, "report.json"), report)

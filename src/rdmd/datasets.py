@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import memguard
-from .blocked import partition_rows
+from .blocked import _CHUNK_ROWS, partition_rows
 from .errors import (
     BadMagic,
     IoFailure,
@@ -407,11 +407,17 @@ class SmsRowBlockSource:
                 on_error.pop_all()  # accepted and mapped: close() owns the handle
         except OSError as exc:
             raise IoFailure(f"opening {path}: {exc}") from exc
+        self.shape = (self.rows, self.cols)
         self.block_count = block_count
+        self._releases_rows = self._payload is not None and _CAN_RELEASE
 
     def read_block(self, i: int) -> np.ndarray:
         start, count = self.block_ranges[i]
-        memguard.note(count * self.cols * 8)
+        # the memory cap is charged what a pass holds: a mapped view whose
+        # rows `row_chunks` releases chunk by chunk holds one chunk of pages,
+        # a copied block all of it
+        resident = min(_CHUNK_ROWS, count) if self._releases_rows else count
+        memguard.note(resident * self.cols * 8)
         if i != self._held:
             self.release_block()
             self._block = self._read(i, start, count)
@@ -450,7 +456,7 @@ class SmsRowBlockSource:
         share with their neighbours stay. Views of the rows stay valid and
         read their pages back from the file if touched again. A no-op where
         blocks are copied."""
-        if self._payload is None or not _CAN_RELEASE:
+        if not self._releases_rows:
             return
         row_bytes = self.cols * 8
         page = mmap.PAGESIZE

@@ -23,6 +23,17 @@ sketch basis, or the thin QR factor of the exact-style basis), so every
 variant fits its amplitudes and keeps its reconstruction data in Q's
 k- or l-dimensional coordinates.
 
+Every variant runs on a row-block source (see `blocked`) and reads X in
+whole `row_chunks` passes, so a mapped file is held one 4096-row chunk at
+a time: the projected deterministic variant three times (the Gram matrix
+of X, the Rayleigh-Ritz pass of its truncated SVD, and U_k with
+B = U_k^T X), the exact modes once more (their basis), the compressed
+variant twice (S X with ||X||_F^2, then its basis), and the randomized one
+2q + 2 times. Each in-memory entry point (`dmd_deterministic`,
+`dmd_compressed`, `dmd_randomized`) is the one-block call of its source
+function, bit for bit, and any block count gives the one-block result to
+rounding.
+
 Every result carries eigenvalues sorted by descending magnitude, modes with
 unit norm and phase pinned (largest entry real positive), and amplitudes
 fitted to the first snapshot, so reconstruction and cross-method
@@ -36,6 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import memguard
+from .blocked import ArrayRowBlockSource, row_chunks
 from .errors import (
     DegenerateData,
     EmptyInput,
@@ -47,9 +59,13 @@ from .errors import (
 from .linalg import (
     FilterSpec,
     _as_matrix,
+    _check_chunk,
+    _cholesky_q,
+    _cholesky_qr2,
     _lift,
     _real_product,
     _require_finite,
+    _streamed_gram,
     _tall_product,
     default_rank_tol,
     divide_where,
@@ -65,6 +81,7 @@ from .memguard import stage
 from .sketch import (
     SamplingOperator,
     SketchConfig,
+    _project,
     apply_q,
     apply_sampling,
     blocked_randomized_qb,
@@ -98,10 +115,10 @@ class SnapshotSplit:
 class LowDimOperator:
     """Rank-k projected propagator and the SVD factors behind it.
 
-    projected is U_k^T D for the split's sequence D (U_k^T D_R for a split
-    without one): the operator is taken from its last m columns, and the
-    projected modes' frame keeps it as B = U_k^T X. right is the split's
-    D_R.
+    projected is U_k^T D for the sequence D (U_k^T D_R for a split without
+    one): the operator is taken from its last m columns, and the projected
+    modes' frame keeps it as B = U_k^T X. right is the split's D_R, and None
+    for an operator taken from a row-block source.
     """
 
     operator: np.ndarray
@@ -109,21 +126,17 @@ class LowDimOperator:
     singular_values: np.ndarray
     right_vectors: np.ndarray
     inv_singular: np.ndarray
-    right: np.ndarray
+    right: np.ndarray | None
     projected: np.ndarray
-
-    def exact_basis(self, right) -> np.ndarray:
-        """right V_k S_k^{-1} for right snapshots `right` (m columns), the
-        basis exact-style modes lift through; n x k for n-row snapshots."""
-        basis = _tall_product(right, self.right_vectors)
-        basis *= self.inv_singular
-        return basis
 
     @property
     def right_projected(self) -> np.ndarray:
-        """D_R V_k S_k^{-1}, formed on each access, so only the variants whose
-        modes lift through it read D_R."""
-        return self.exact_basis(self.right)
+        """D_R V_k S_k^{-1}, the basis exact-style modes lift through, formed
+        on each access, so only the variants whose modes lift through it
+        read D_R."""
+        basis = _tall_product(self.right, self.right_vectors)
+        basis *= self.inv_singular
+        return basis
 
 
 @dataclass
@@ -226,26 +239,62 @@ def low_dim_operator(
     U_k^T D_R is the slice of the one k x (m+1) product U_k^T D with the
     split's sequence, so no d x k product with D_R is formed (see
     `LowDimOperator.right_projected`). The inverted singular values carry
-    the regularization filter: the default is plain truncation at k (1/s_i
-    on the k values kept); a Tikhonov spec replaces 1/s_i by
-    s_i / (s_i^2 + lambda^2). Exact zeros and values at numerical-rank level
-    invert to zero. The all-zero check reads D_L's first row, and the rest
-    only when that row is zero.
+    the regularization filter (see `_operator`). A split of a sequence D is
+    the one-block call of `_source_operator`, the deterministic
+    decomposition's; a split built from two matrices takes the SVD of D_L
+    and U_k^T D_R, and its all-zero check reads D_L's first row, and the
+    rest only when that row is zero.
     """
     left, right = split.left, split.right
     if left.shape != right.shape:
         raise ShapeMismatch(f"left {left.shape} != right {right.shape}")
+    if split.sequence is not None:
+        source = ArrayRowBlockSource(split.sequence, 1)
+        return _source_operator(source, k, regularization, right)[0]
     if not 1 <= k <= min(left.shape):
         raise RankOutOfRange(f"rank {k} outside [1, {min(left.shape)}]")
     if not left[0].any() and not left.any():
         raise DegenerateData("left snapshot matrix is identically zero")
     factors = truncated_svd(left, k)
+    return _operator(factors, factors.u.T @ right, left.shape, regularization, right)
+
+
+def _source_operator(source, k, regularization, right=None):
+    """(LowDimOperator, ||D||_F^2) of the d x (m+1) sequence D whose row
+    blocks `source` hands out, with `right` its D_R where it is in memory.
+
+    1. The (m+1) x (m+1) Gram matrix G of all of D (`_streamed_gram`):
+       D_L's Gram is its leading m x m block, ||D||_F^2 its trace, and a D_L
+       whose Gram has trace 0 is all zero. NaN or Inf in D is named here.
+    2. The truncated SVD of D_L from that Gram (`truncated_svd`, which a
+       tall or blocked D reads in two passes: its Rayleigh-Ritz pass, then
+       the pass that writes U_k and sums U_k^T D), so the operator needs no
+       pass of its own.
+    """
+    n, m = source.rows, source.cols - 1
+    if not 1 <= k <= min(n, m):
+        raise RankOutOfRange(f"rank {k} outside [1, {min(n, m)}]")
+    gram = _streamed_gram(source)
+    data_sq_norm = float(np.trace(gram))
+    _require_finite(source, gram, data_sq_norm)
+    if np.trace(gram[:-1, :-1]) == 0:
+        raise DegenerateData("left snapshot matrix is identically zero")
+    factors = truncated_svd(source, k, m, gram[:-1, :-1], project=True)
+    op = _operator(factors, factors.projected, (n, m), regularization, right)
+    return op, data_sq_norm
+
+
+def _operator(factors, projected, shape, regularization, right=None) -> LowDimOperator:
+    """The LowDimOperator of the truncated SVD `factors` of a d x m D_L and
+    projected = U_k^T D, whose last m columns are U_k^T D_R. The default
+    filter is plain truncation at k (1/s_i on the k values kept); a
+    Tikhonov spec replaces 1/s_i by s_i / (s_i^2 + lambda^2). Exact zeros
+    and values at numerical-rank level invert to zero."""
     s = factors.singular_values
-    tol = default_rank_tol(left.shape, s[0])
+    tol = default_rank_tol(shape, s[0])
     f = 1.0 if regularization is None else filter_factors(s, regularization)
     inv_s = divide_where(f, s, s > tol)
-    projected = factors.u.T @ (right if split.sequence is None else split.sequence)
-    operator = (projected[:, -right.shape[1]:] @ factors.v) * inv_s
+    operator = (projected[:, -shape[1]:] @ factors.v) * inv_s
     return LowDimOperator(
         operator=operator,
         left_vectors=factors.u,
@@ -330,27 +379,54 @@ def _config_echo(cfg: DmdConfig, method: str, blocks: int = 1,
     }
 
 
-def _frame(q, coords, b, a):
-    """The orthonormal frame of an in-memory variant whose modes are
-    q @ coords @ W for the n x k orthonormal q: the lift through q, the
-    coordinates, b = q^T a and ||a||_F^2. The lift is `_lift`, so q is never
+def _frame(q, coords, b, data_sq_norm):
+    """The orthonormal frame of a variant whose modes are q @ coords @ W
+    for the in-memory n x k orthonormal q: the lift through q, the
+    coordinates, b = q^T X and ||X||_F^2. The lift is `_lift`, so q is never
     cast to complex."""
-    return (lambda m: _lift(q, m)), coords, b, frobenius_sq(a)
+    return (lambda m: _lift(q, m)), coords, b, data_sq_norm
 
 
-def _span_frame(a, basis):
-    """`_frame` of modes basis @ W for an n x k basis that is not
-    orthonormal: q = thin_qr_q(basis), coordinates q^T basis. A NaN or Inf
-    in the basis names the first such entry of `a`."""
-    _require_finite(a, basis)
-    q = thin_qr_q(basis)
-    return _frame(q, q.T @ basis, q.T @ a, a)
+def _span_frame(source, v, inv_s, data_sq_norm):
+    """`_frame` of the exact-style modes basis @ W, basis = X_R V S^-1 for
+    the snapshots X of a row-block source, an n x k basis that is not
+    orthonormal.
+
+    One `row_chunks` pass writes the basis chunk by chunk (X_R's rows times
+    V, scaled by inv_s) and sums its Gram matrix and basis^T X while each
+    chunk is cached. CholeskyQR2 of the in-memory basis from that Gram then
+    gives Q (written over the basis) and R = R2 R1 with basis = Q R, so the
+    coordinates are R and Q^T X = R^-T basis^T X needs no pass. Only where
+    CholeskyQR2 rejects the basis (rank below k, or fewer than 2k rows) is
+    Q `thin_qr_q`'s, with coordinates Q^T basis and a pass for Q^T X. A NaN
+    or Inf in the basis names the first such entry of X, or says that a
+    product of the finite X overflowed.
+    """
+    n, k = source.rows, v.shape[1]
+    memguard.note(n * k * 8)
+    basis = np.empty((k, n)).T
+    gram, projected = np.zeros((k, k)), np.zeros((k, source.cols))
+    for start, rows in row_chunks(source):
+        b_i = _tall_product(rows[:, 1:], v, out=basis[start : start + rows.shape[0]])
+        b_i *= inv_s
+        gram += b_i.T @ b_i
+        projected += b_i.T @ rows
+        del rows
+    _require_finite(source, gram)
+    factors = _cholesky_qr2(basis, gram) if n >= 2 * k else None
+    if factors is None:
+        q = thin_qr_q(basis)
+        return _frame(q, q.T @ basis, _project(source, q), data_sq_norm)
+    r = factors[2] @ factors[0]
+    q = _cholesky_q(basis, factors, out=basis)
+    return _frame(q, r, np.linalg.solve(r.T, projected), data_sq_norm)
 
 
-def _pipeline(split, cfg, method, timings, source, frame, **echo):
-    """Low-dimensional DMD of `split`, shared by every variant.
+def _pipeline(operator, cfg, method, timings, source, frame, **echo):
+    """Low-dimensional DMD shared by every variant.
 
-    The variants differ only in the split (X, S X or the sketch B) and in
+    The variants differ only in `operator()`, which returns the
+    LowDimOperator of their snapshots (X, S X or the sketch B), and in
     `frame(op)`, which returns (lift, M, B, ||X||_F^2): the modes are
     lift(M @ W) for the low-dimensional eigenvectors W, where lift maps
     coordinates through an orthonormal n x l basis Q to the state space and
@@ -359,12 +435,12 @@ def _pipeline(split, cfg, method, timings, source, frame, **echo):
     against B[:, 0], and the result keeps (M W, B, ||X||_F^2) as its
     `SketchFit`. NaN or Inf in the low-dimensional operator, M W, B[:, 0]
     or ||X||_F^2 raises NonFiniteInput naming the first such entry of
-    `source`, or saying that a product of the finite input overflowed.
-    `echo` is passed on to `_config_echo`.
+    `source` (a matrix or a row-block source), or saying that a product of
+    the finite input overflowed. `echo` is passed on to `_config_echo`.
     """
     with stage(timings, "svd"):
         with np.errstate(over="ignore", invalid="ignore"):  # checked right below
-            op = low_dim_operator(split, cfg.target_rank, cfg.regularization)
+            op = operator()
         _require_finite(source, op.operator)
     with stage(timings, "eig"):
         pairs = eig_dense(op.operator)
@@ -399,26 +475,55 @@ def _pipeline(split, cfg, method, timings, source, frame, **echo):
     )
 
 
-def dmd_deterministic(x, cfg: DmdConfig) -> DmdResult:
-    """Deterministic decomposition from the full snapshot sequence.
+def _split_operator(d, cfg: DmdConfig):
+    """`_pipeline`'s operator of an in-memory sequence d: `low_dim_operator`
+    of its split."""
+    return lambda: low_dim_operator(split_snapshots(d), cfg.target_rank, cfg.regularization)
 
-    cfg.method "deterministic_exact" lifts exact modes X_R V_k S_k^{-1} W
-    through their orthonormal span; any other method runs the projected
-    modes U_k W, whose frame is U_k itself with B = U_k^T X the operator's
-    own product. The projected run reads X five times: the Gram pass, the
-    Rayleigh-Ritz pass and U_k of the truncated SVD, U_k^T X and
-    ||X||_F^2.
+
+def dmd_deterministic(x, cfg: DmdConfig) -> DmdResult:
+    """Deterministic decomposition from the full in-memory snapshot
+    sequence: the one-block run of `dmd_deterministic_blocked`, bit for
+    bit."""
+    return dmd_deterministic_blocked(ArrayRowBlockSource(x, 1), cfg)
+
+
+def dmd_deterministic_blocked(source, cfg: DmdConfig) -> DmdResult:
+    """Deterministic decomposition of the snapshot sequence X whose row
+    blocks `source` hands out, in `row_chunks` passes over X.
+
+    The operator and ||X||_F^2 come from `_source_operator`: the Gram
+    matrix of X, then the truncated SVD of X_L in two more passes, the
+    second of which sums B = U_k^T X. cfg.method "deterministic_exact" lifts
+    exact modes X_R V_k S_k^{-1} W through their orthonormal span
+    (`_span_frame`, one more pass); any other method runs the projected
+    modes U_k W, whose frame is U_k itself with that B, so the projected
+    run reads X three times. Any block count gives the one-block result to
+    rounding.
     """
-    a = _as_matrix(x)
+    _require_snapshots(source.cols)
+    k = cfg.target_rank
+    data_sq_norm = None
+
+    def operator():
+        nonlocal data_sq_norm
+        op, data_sq_norm = _source_operator(source, k, cfg.regularization)
+        return op
+
     if cfg.method == "deterministic_exact":
-        return _pipeline(
-            split_snapshots(a), cfg, cfg.method, {}, a,
-            lambda op: _span_frame(a, op.right_projected),
-        )
-    return _pipeline(
-        split_snapshots(a), cfg, "deterministic_projected", {}, a,
-        lambda op: _frame(op.left_vectors, np.eye(cfg.target_rank), op.projected, a),
-    )
+        method = cfg.method
+
+        def frame(op):
+            return _span_frame(source, op.right_vectors, op.inv_singular, data_sq_norm)
+    else:
+        method = "deterministic_projected"
+
+        def frame(op):
+            return _frame(op.left_vectors, np.eye(k), op.projected, data_sq_norm)
+
+    result = _pipeline(operator, cfg, method, {}, source, frame, blocks=source.block_count)
+    source.release_block()
+    return result
 
 
 def dmd_randomized(x, cfg: DmdConfig) -> DmdResult:
@@ -453,7 +558,7 @@ def _randomized(cols, sketch, cfg: DmdConfig, blocks: int) -> DmdResult:
     with stage(timings, "sketch"):
         qb = sketch()
     return _pipeline(
-        split_snapshots(qb.b), cfg, "randomized", timings, qb.b,
+        _split_operator(qb.b, cfg), cfg, "randomized", timings, qb.b,
         lambda op: (
             (lambda m: apply_q(qb, m)), op.right_projected, qb.b, qb.data_sq_norm,
         ),
@@ -462,18 +567,35 @@ def _randomized(cols, sketch, cfg: DmdConfig, blocks: int) -> DmdResult:
 
 
 def dmd_compressed(x, cfg: DmdConfig, operator: SamplingOperator | None = None) -> DmdResult:
-    """Compressed decomposition: DMD of S @ X for a random l x n mixer S.
+    """Compressed decomposition of an in-memory snapshot sequence: the
+    one-block run of `dmd_compressed_blocked`, bit for bit."""
+    return dmd_compressed_blocked(ArrayRowBlockSource(x, 1), cfg, operator)
+
+
+def dmd_compressed_blocked(
+    source, cfg: DmdConfig, operator: SamplingOperator | None = None
+) -> DmdResult:
+    """Compressed decomposition: DMD of S @ X for a random l x n mixer S and
+    the snapshots X whose row blocks `source` hands out.
 
     S is a Gaussian test matrix or a rescaled uniform row sampler per
     cfg.sampling, drawn from cfg.seed; pass a SamplingOperator as `operator`
     to pin it, e.g. the identity sampler for an exactness check. Modes are
-    lifted exact-style from the uncompressed right snapshots.
+    lifted exact-style from the uncompressed right snapshots. X is read
+    twice: S X with ||X||_F^2 and the NaN and Inf check (`_check_chunk`),
+    then the basis pass of `_span_frame`.
     """
-    a = _as_matrix(x)
-    split = split_snapshots(a)
-    n = a.shape[0]
+    n, cols = source.rows, source.cols
+    _require_snapshots(cols)
     k = cfg.target_rank
     timings = {}
+    data_sq_norm = 0.0
+
+    def visit(start, rows):
+        nonlocal data_sq_norm
+        part = frobenius_sq(rows)
+        _check_chunk(rows, start, part)
+        data_sq_norm += part
 
     with stage(timings, "compress"):
         if operator is None:
@@ -487,22 +609,27 @@ def dmd_compressed(x, cfg: DmdConfig, operator: SamplingOperator | None = None) 
                     )
                 operator = uniform_sampling_operator(n, l, cfg.seed)
         if operator is not None:
-            compressed = apply_sampling(operator, a)
+            compressed = apply_sampling(operator, source, visit)
         else:
-            compressed = gaussian_compress(a, l, cfg.seed)
-        _require_finite(a, compressed)
+            compressed = gaussian_compress(source, l, cfg.seed, visit)
+        _require_finite(source, compressed)
 
-    return _pipeline(
-        split_snapshots(compressed), cfg, "compressed", timings, a,
-        lambda op: _span_frame(a, op.exact_basis(split.right)),
-        compress_dim=compressed.shape[0],
+    result = _pipeline(
+        _split_operator(compressed, cfg), cfg, "compressed", timings, source,
+        lambda op: _span_frame(source, op.right_vectors, op.inv_singular, data_sq_norm),
+        compress_dim=compressed.shape[0], blocks=source.block_count,
     )
+    source.release_block()
+    return result
 
 
 def run_dmd(x, cfg: DmdConfig) -> DmdResult:
-    """Dispatch an in-memory snapshot sequence to the configured method."""
+    """Dispatch a snapshot sequence to the configured method: an in-memory
+    matrix to the method's in-memory entry point, a row-block source to its
+    source function, of which the in-memory one is the one-block call."""
+    in_memory = not hasattr(x, "block_ranges")
     if cfg.method in ("deterministic_projected", "deterministic_exact"):
-        return dmd_deterministic(x, cfg)
+        return (dmd_deterministic if in_memory else dmd_deterministic_blocked)(x, cfg)
     if cfg.method == "randomized":
-        return dmd_randomized(x, cfg)
-    return dmd_compressed(x, cfg)
+        return (dmd_randomized if in_memory else dmd_randomized_blocked)(x, cfg)
+    return (dmd_compressed if in_memory else dmd_compressed_blocked)(x, cfg)

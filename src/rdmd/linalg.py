@@ -2,7 +2,10 @@
 regularized inverses with filter factors.
 
 Everything here is a pure function of its arguments, backed by LAPACK
-through numpy. Matrices are 2-D float64 ndarrays in row-major order.
+through numpy. Matrices are 2-D float64 ndarrays in row-major order. The tall
+kernels (`truncated_svd` and the Gram and CholeskyQR passes under it) read
+their n-row operand in `blocked.row_chunks` passes, so they take an
+in-memory matrix (as its one-block source) or any row-block source alike.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import memguard
+from .blocked import _CHUNK_ROWS, _as_matrix, as_source, row_chunks
 from .errors import (
     ConvergenceFailure,
     NegativeLambda,
@@ -23,11 +27,14 @@ from .errors import (
 
 @dataclass(frozen=True)
 class SvdFactors:
-    """Economic SVD: x = u @ diag(singular_values) @ v.T."""
+    """Economic SVD: x = u @ diag(singular_values) @ v.T. projected is
+    u.T @ X for every column of the matrix X whose leading columns a
+    `truncated_svd(..., project=True)` factored, and None otherwise."""
 
     u: np.ndarray
     singular_values: np.ndarray
     v: np.ndarray
+    projected: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -66,15 +73,6 @@ class FilterSpec:
         return cls("tikhonov", float(lam))
 
 
-def _as_matrix(x, name: str = "matrix") -> np.ndarray:
-    a = np.asarray(x, dtype=np.float64)
-    if a.ndim != 2:
-        raise ShapeMismatch(f"{name} must be 2-D, got ndim={a.ndim}")
-    if a.shape[0] < 1 or a.shape[1] < 1:
-        raise ShapeMismatch(f"{name} must be nonempty, got shape {a.shape}")
-    return a
-
-
 def economic_svd(x) -> SvdFactors:
     """Economic SVD with r = min(rows, cols) factors."""
     a = _as_matrix(x)
@@ -85,19 +83,19 @@ def economic_svd(x) -> SvdFactors:
     return SvdFactors(u=u, singular_values=s, v=vh.T)
 
 
-# Rows per chunk of the passes that walk a tall matrix a few thousand rows
-# at a time (`_row_products`, `_non_finite_error`, `_lift`, and
-# `blocked.row_chunks`, the range finder's and the CLI's passes over X): at
-# 200 columns one chunk is 6.6 MB.
-_CHUNK_ROWS = 4096
-
-
-def _non_finite_error(a: np.ndarray, first_row: int = 0) -> NonFiniteInput:
+def _non_finite_error(a, first_row: int = 0) -> NonFiniteInput:
     """The error for a NaN or Inf in a buffer formed from `a`: names the
     first entry of `a` that is NaN or Inf, scanning a few thousand rows at a
     time, or, with `row` None, says that a product of the finite `a`
     overflowed. Rows are counted from `first_row`, the row of a larger
-    matrix that `a` starts at."""
+    matrix that `a` starts at. A row-block source is scanned in one
+    `row_chunks` walk."""
+    if hasattr(a, "block_ranges"):
+        for start, rows in row_chunks(a):
+            error = _non_finite_error(rows, start)
+            if error.row is not None:
+                return error
+        return NonFiniteInput("a product of the finite input overflowed")
     step = _CHUNK_ROWS
     for start in range(0, a.shape[0], step):
         finite = np.isfinite(a[start : start + step])
@@ -110,12 +108,24 @@ def _non_finite_error(a: np.ndarray, first_row: int = 0) -> NonFiniteInput:
     return NonFiniteInput("a product of the finite input overflowed")
 
 
-def _require_finite(data: np.ndarray, *buffers: np.ndarray) -> None:
+def _require_finite(data, *buffers: np.ndarray) -> None:
     """Raise `_non_finite_error(data)` when one of `buffers` (arrays or
-    scalars formed from `data`) holds NaN or Inf; `data` itself is read
-    only then."""
+    scalars formed from `data`, a matrix or a row-block source) holds NaN or
+    Inf; `data` itself is read only then."""
     if not all(np.isfinite(b).all() for b in buffers):
         raise _non_finite_error(data)
+
+
+def _check_chunk(rows: np.ndarray, start: int, sq_norm: float) -> None:
+    """The NaN and Inf check of a pass's first walk over X: where the
+    chunk `rows` (row `start` of X onward) has a squared norm sq_norm that
+    is not finite, raise NonFiniteInput naming its first NaN or Inf by its
+    row in X. An overflowed norm of finite rows passes, so that a NaN in a
+    later chunk is still named; the caller's check of the sum rejects it."""
+    if not np.isfinite(sq_norm):
+        error = _non_finite_error(rows, start)
+        if error.row is not None:
+            raise error
 
 
 def frobenius_sq(a: np.ndarray) -> float:
@@ -136,17 +146,20 @@ def _real_product(w: np.ndarray, p: np.ndarray) -> np.ndarray:
     return out
 
 
-def _row_products(a: np.ndarray, m: np.ndarray):
-    """Yield (rows, a[rows] @ m) for consecutive `_CHUNK_ROWS`-row slices of
-    `a`, each product written into one reused buffer, so the n-row product
-    a @ m is never formed. A yielded product is overwritten by the next."""
-    n = a.shape[0]
-    step = min(n, _CHUNK_ROWS)
-    memguard.note(step * m.shape[1] * 8)
-    buf = np.empty((step, m.shape[1]))
-    for start in range(0, n, step):
-        stop = min(n, start + step)
-        yield slice(start, stop), np.matmul(a[start:stop], m, out=buf[: stop - start])
+def _row_products(x, m: np.ndarray):
+    """Yield (rows, a_i @ m) for the `row_chunks` a_i of A, the leading
+    m.shape[0] columns of x (an n-row matrix or a row-block source), rows
+    being the chunk's slice of the n rows. Each product is written into one
+    reused buffer, so the n-row product A @ m is never formed. A yielded
+    product is overwritten by the next."""
+    source = as_source(x)
+    c, width = m.shape
+    step = min(source.rows, _CHUNK_ROWS)
+    memguard.note(step * width * 8)
+    buf = np.empty((step, width))
+    for start, rows in row_chunks(source):
+        count = rows.shape[0]
+        yield slice(start, start + count), np.matmul(rows[:, :c], m, out=buf[:count])
 
 
 def _tall_product(a: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -188,10 +201,10 @@ def _lift(q: np.ndarray, m: np.ndarray, out: np.ndarray | None = None) -> np.nda
 
 
 def _gram(a: np.ndarray) -> np.ndarray:
-    """A^T A for a tall matrix A. A NaN or Inf in A shows in it, which then
-    raises NonFiniteInput naming the first such entry of A; a finite A whose
-    A^T A overflowed gets that non-finite Gram back, and every caller's
-    checks reject it."""
+    """A^T A for an in-memory tall matrix A, as one product (the thin QR's
+    Gram). A NaN or Inf in A shows in it, which then raises NonFiniteInput
+    naming the first such entry of A; a finite A whose A^T A overflowed gets
+    that non-finite Gram back, and every caller's checks reject it."""
     # Entries near the float64 range limits overflow A^T A; the checks of
     # the callers reject the result, so the overflow is not reported.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -200,6 +213,24 @@ def _gram(a: np.ndarray) -> np.ndarray:
         error = _non_finite_error(a)
         if error.row is not None:
             raise error
+    return gram
+
+
+def _streamed_gram(x) -> np.ndarray:
+    """X^T X for x, an n-row matrix or a row-block source, summed over its
+    `row_chunks` X_i in one pass (the truncated SVD's Gram). NaN or Inf in
+    X raises NonFiniteInput naming its first such entry (`_check_chunk` on
+    the trace of each chunk's Gram, ||X_i||_F^2); a finite X whose Gram
+    overflowed gets that non-finite sum back, and every caller's checks
+    reject it."""
+    source = as_source(x)
+    gram = np.zeros((source.cols, source.cols))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked right below
+        for start, rows in row_chunks(source):
+            part = rows.T @ rows
+            _check_chunk(rows, start, np.trace(part))
+            gram += part
+            del rows
     return gram
 
 
@@ -218,29 +249,30 @@ def _near_identity_cholesky(g: np.ndarray) -> np.ndarray | None:
 
 
 def _cholesky_qr2(
-    a: np.ndarray, gram: np.ndarray | None = None
+    a, gram: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """CholeskyQR2 factors (Fukaya et al., 2014) of a tall matrix, or None
+    """CholeskyQR2 factors (Fukaya et al., 2014) of a tall matrix A, or None
     where they are not accurate.
 
     R1 = chol(A^T A) and R2 = chol(Q1^T Q1) for Q1 = A R1^-1; returns
     (R1, R1^-1, R2), so that A = Q R2 R1 with Q = Q1 R2^-1 orthonormal. Q1
-    itself is never formed: Q1^T Q1 is summed over `_CHUNK_ROWS`-row chunks
-    A_i R1^-1, held one at a time in one reused buffer. The second pass
-    restores orthogonality to rounding level as long as Q1 is not far from
-    orthonormal, i.e. for condition numbers up to about 1e8. A failed
+    itself is never formed: Q1^T Q1 is summed over the `_row_products`
+    chunks A_i R1^-1, held one at a time in one reused buffer. The second
+    pass restores orthogonality to rounding level as long as Q1 is not far
+    from orthonormal, i.e. for condition numbers up to about 1e8. A failed
     Cholesky factorization or ||Q1^T Q1 - I||_2 > 1/2 (rank-deficient or
     worse-conditioned input) yields None. The triangular factors are only
     cols x cols, so callers invert them rather than solve against them.
 
-    `gram` is A^T A where the caller has formed it already (see `_gram`,
-    which otherwise forms it here): a NaN or Inf in A raises NonFiniteInput
-    naming the first such entry of A, a finite A whose A^T A overflowed
-    yields None.
+    `gram` is A^T A where the caller has formed it already; A is then the
+    leading gram.shape[0] columns of `a`, an in-memory matrix or a row-block
+    source. Otherwise `a` is an in-memory A whose Gram `_gram` forms here:
+    a NaN or Inf in A raises NonFiniteInput naming the first such entry of
+    A, a finite A whose A^T A overflowed yields None.
     """
-    c = a.shape[1]
     if gram is None:
         gram = _gram(a)
+    c = gram.shape[0]
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             r1 = np.linalg.cholesky(gram).T
@@ -254,26 +286,53 @@ def _cholesky_qr2(
     return None if r2 is None else (r1, r1_inv, r2)
 
 
-def _left_vectors(a: np.ndarray, w: np.ndarray) -> np.ndarray | None:
-    """U = A W for a cols x k factor W that makes it orthonormal in exact
-    arithmetic, formed as one n x cols x k product (`_tall_product`), or
-    None where its repair below fails.
+def _cholesky_q(a: np.ndarray, factors, out: np.ndarray) -> np.ndarray:
+    """Q = (A_i R1^-1) R2^-1 for the `_cholesky_qr2` factors of the
+    in-memory n-row A, written into the n x cols `out` one `_CHUNK_ROWS`-row
+    chunk A_i at a time after those rows of A were read, so `out` may be A
+    itself."""
+    _, r1_inv, r2 = factors
+    r2_inv = np.linalg.inv(r2)
+    for rows, q1 in _row_products(a, r1_inv):
+        np.matmul(q1, r2_inv, out=out[rows])
+    return out
 
-    A W alone loses orthogonality in proportion to the condition number
-    that W's inverted factors carry (~3e-10 at 3000 x 50, kappa = 1e7), so
-    one k x k CholeskyQR step, U <- U chol(U^T U)^-1 applied row chunk by
-    row chunk in place, restores it to rounding level; where that Cholesky
-    factorization fails the result is None.
+
+def _left_vectors(x, w: np.ndarray, project: bool = False):
+    """U = A W for the leading c = w.shape[0] columns A of x (an n-row
+    matrix or a row-block source) and a c x k factor W that makes it
+    orthonormal in exact arithmetic, or None where its repair below fails.
+    Returns (U, U^T X) with project, and (U, None) without.
+
+    U is written in one `row_chunks` pass, each chunk's rows as one
+    `_tall_product`, and the pass sums U^T U and, with project, U^T X over
+    every column of the chunk X_i while it is cached. A W alone loses
+    orthogonality in proportion to the condition number that W's inverted
+    factors carry (~3e-10 at 3000 x 50, kappa = 1e7), so one k x k
+    CholeskyQR step U <- U R^-1, R = chol(U^T U), restores it to rounding
+    level; it is applied row chunk by row chunk in place, and U^T X becomes
+    R^-T U^T X with no pass of its own. Where that Cholesky factorization
+    fails the result is None.
     """
-    memguard.note(a.shape[0] * w.shape[1] * 8)
-    u = _tall_product(a, w)
+    source = as_source(x)
+    n, (c, k) = source.rows, w.shape
+    memguard.note(n * k * 8)
+    u = np.empty((k, n)).T
+    gram = np.zeros((k, k))
+    projected = np.zeros((k, source.cols)) if project else None
+    for start, rows in row_chunks(source):
+        u_i = _tall_product(rows[:, :c], w, out=u[start : start + rows.shape[0]])
+        gram += u_i.T @ u_i
+        if project:
+            projected += u_i.T @ rows
+        del rows
     try:
-        step = np.linalg.inv(np.linalg.cholesky(u.T @ u).T)
+        step = np.linalg.inv(np.linalg.cholesky(gram).T)
     except np.linalg.LinAlgError:
         return None
     for rows, chunk in _row_products(u, step):
         u[rows] = chunk
-    return u
+    return u, None if projected is None else step.T @ projected
 
 
 # Ritz directions taken beyond the k kept by `_gram_ritz_svd`, the usual
@@ -281,32 +340,34 @@ def _left_vectors(a: np.ndarray, w: np.ndarray) -> np.ndarray | None:
 _RITZ_OVERSAMPLING = 10
 
 
-def _gram_ritz_svd(a: np.ndarray, gram: np.ndarray, k: int) -> SvdFactors | None:
-    """First k singular triplets of a tall matrix A by Rayleigh-Ritz on the
-    range of A V_l, where V_l holds the top l eigenvectors of its Gram
-    matrix G = A^T A (Halko, Martinsson & Tropp, 2011, sec. 5), or None
-    where G does not resolve k directions or the basis is not accurate.
+def _gram_ritz_svd(x, gram: np.ndarray, k: int, project: bool = False) -> SvdFactors | None:
+    """First k singular triplets of a tall matrix A, the leading
+    gram.shape[0] columns of x (an n-row matrix or a row-block source), by
+    Rayleigh-Ritz on the range of A V_l, where V_l holds the top l
+    eigenvectors of its Gram matrix G = A^T A (Halko, Martinsson & Tropp,
+    2011, sec. 5), or None where G does not resolve k directions or the
+    basis is not accurate.
 
     1. eigh(G), and l = min(cols, k + 10, r), where r counts the
        eigenvalues above eps * max(rows, cols) * lambda_1, the Gram's
        resolution; l < k yields None. Noise-free low-rank data has r at
        its rank, so it stays here while CholeskyQR2 rejects it.
-    2. One pass over the `_CHUNK_ROWS`-row chunks A_i: Q1_i = A_i W for
-       W = V_l Lambda_l^-1/2, and the sums G2 = Q1^T Q1 and C = Q1^T A.
-       Each A_i is copied once into one reused buffer, which both products
-       read, so the pass reads A once.
+    2. One `row_chunks` pass over the chunks A_i: Q1_i = A_i W for
+       W = V_l Lambda_l^-1/2, and the sums G2 = Q1^T Q1 and C = Q1^T A,
+       both products reading A_i in place while it is cached.
     3. R2 = chol(G2) under the guard of `_near_identity_cholesky`
        (failing it yields None), so Q = Q1 R2^-1 is orthonormal to rounding
        and B = Q^T A = R2^-T C; Q is never formed.
     4. U_B S V^T = svd(B), the l x cols Rayleigh-Ritz problem, and
-       U_k = A (W R2^-1 U_B[:, :k]) through `_left_vectors`.
+       U_k = A (W R2^-1 U_B[:, :k]) through `_left_vectors` (with project,
+       also U_k^T X).
 
-    Besides U_k it holds the copy of one A_i, its l-column product and
-    l x cols factors. Beyond G it costs two n x cols x l products and U_k,
+    Besides U_k it holds one A_i's l-column product and l x cols factors. Beyond G it costs two n x cols x l products and U_k,
     where CholeskyQR2 costs two n x cols x cols ones and U_k (at
     200000 x 200, k = 5: about 19 GFLOP in all against 48).
     """
-    n, c = a.shape
+    source = as_source(x)
+    n, c = source.rows, gram.shape[0]
     if not np.isfinite(gram).all():
         return None
     try:
@@ -320,18 +381,17 @@ def _gram_ritz_svd(a: np.ndarray, gram: np.ndarray, k: int) -> SvdFactors | None
         return None
     w = vec[:, :l] / np.sqrt(lam[:l])
     step = min(n, _CHUNK_ROWS)
-    memguard.note(step * c * 8)
-    chunk = np.empty((step, c))
+    memguard.note(l * step * 8)
     q1_t = np.empty((l, step))
     g2, proj = np.zeros((l, l)), np.zeros((l, c))
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite G2 fails the guard
-        for start in range(0, n, step):
-            a_i = chunk[: min(n - start, step)]
-            np.copyto(a_i, a[start : start + step])
+        for _, rows in row_chunks(source):
+            a_i = rows[:, :c]
             q = np.matmul(w.T, a_i.T, out=q1_t[:, : a_i.shape[0]])
             g2 += q @ q.T
             proj += q @ a_i
-    del chunk, q1_t  # before U_k is formed
+            del rows, a_i
+    del q1_t  # before U_k is formed
     r2 = _near_identity_cholesky(g2)
     if r2 is None:
         return None
@@ -340,22 +400,24 @@ def _gram_ritz_svd(a: np.ndarray, gram: np.ndarray, k: int) -> SvdFactors | None
         u_b, s, vh = np.linalg.svd(r2_inv.T @ proj, full_matrices=False)
     except np.linalg.LinAlgError:
         return None
-    u = _left_vectors(a, w @ (r2_inv @ u_b[:, :k]))
-    return None if u is None else SvdFactors(u, s[:k], vh[:k].T)
+    found = _left_vectors(source, w @ (r2_inv @ u_b[:, :k]), project)
+    return None if found is None else SvdFactors(found[0], s[:k], vh[:k].T, found[1])
 
 
 def _cholesky_qr2_svd(
-    a: np.ndarray, k: int, gram: np.ndarray | None = None
+    x, k: int, gram: np.ndarray, project: bool = False
 ) -> SvdFactors | None:
-    """First k singular triplets of a tall matrix from its CholeskyQR2
-    factors and the SVD of the small R factor, or None where
-    `_cholesky_qr2` rejects the input; `gram` is A^T A where it is formed
-    already.
+    """First k singular triplets of a tall matrix A, the leading
+    gram.shape[0] columns of x (an n-row matrix or a row-block source), from
+    the CholeskyQR2 factors `_cholesky_qr2` takes from its Gram matrix
+    `gram` (one more pass, for Q1^T Q1) and the SVD of the small R factor,
+    or None where `_cholesky_qr2` rejects the input.
 
     With U_R S V^T = svd(R2 R1), U_k = A (R1^-1 R2^-1 U_R[:, :k]) through
-    `_left_vectors`, so no n x cols buffer is formed.
+    `_left_vectors` (with project, also U_k^T X), so no n x cols buffer is
+    formed.
     """
-    factors = _cholesky_qr2(a, gram)
+    factors = _cholesky_qr2(x, gram)
     if factors is None:
         return None
     r1, r1_inv, r2 = factors
@@ -364,44 +426,72 @@ def _cholesky_qr2_svd(
         w = r1_inv @ (np.linalg.inv(r2) @ u_r[:, :k])
     except np.linalg.LinAlgError:
         return None
-    u = _left_vectors(a, w)
-    return None if u is None else SvdFactors(u, s[:k], vh[:k].T)
+    found = _left_vectors(x, w, project)
+    return None if found is None else SvdFactors(found[0], s[:k], vh[:k].T, found[1])
 
 
-def truncated_svd(x, k: int) -> SvdFactors:
-    """First k singular triplets of the economic SVD.
+def truncated_svd(
+    x, k: int, cols: int | None = None, gram: np.ndarray | None = None,
+    project: bool = False,
+) -> SvdFactors:
+    """First k singular triplets of the economic SVD of A, the leading
+    `cols` columns (all by default) of x: an in-memory matrix, which is its
+    one-block source, or a row-block source (see `blocked`), read in
+    `row_chunks` passes. `gram` is A^T A where the caller formed it already;
+    with `project`, the result's `projected` is U_k^T X for all of x's
+    columns, summed in the pass that writes U_k.
 
-    Tall inputs (rows >= 2 * cols) form the Gram matrix X^T X once and take
-    the first of these that accepts them, each forming only the k kept left
-    vectors and, besides them, one `_CHUNK_ROWS`-row chunk:
+    Tall inputs (rows >= 2 * cols) and inputs of more than one block form
+    the Gram matrix A^T A in one pass (`_streamed_gram`, unless given) and
+    take the first of these that accepts them, each forming only the k kept
+    left vectors and, besides them, one `_CHUNK_ROWS`-row chunk:
     1. Rayleigh-Ritz on the top l = min(cols, k + 10, r) eigenvectors of
        the Gram (`_gram_ritz_svd`), where r is the numerical rank the Gram
-       resolves; it needs l >= k and a basis that passes its orthogonality
-       guard.
+       resolves: a pass for Q1^T Q1 and Q1^T A, then one for U_k; it needs
+       l >= k and a basis that passes its orthogonality guard.
     2. CholeskyQR2 from the same Gram and the SVD of its cols x cols R
-       factor (`_cholesky_qr2_svd`), for condition numbers up to about 1e8.
-    3. The slice of `economic_svd`, which every other shape takes too.
+       factor (`_cholesky_qr2_svd`), for condition numbers up to about 1e8:
+       a pass for Q1^T Q1, then one for U_k.
+    3. The slice of `economic_svd` of the held block, which short
+       one-block inputs take too. It needs A in memory, so it is only
+       reached by one block: at more than one, RankOutOfRange says so.
+       Tall inputs reach it only where the Gram resolves fewer than k
+       directions and CholeskyQR2 rejects it, as on data of numerical rank
+       below k, or where the Gram of finite data overflowed.
 
-    NaN or Inf in the input raises NonFiniteInput naming its first such
-    entry: tall inputs show it in the Gram matrix, every other shape is
-    checked before LAPACK runs.
+    NaN or Inf in A raises NonFiniteInput naming its first such entry: the
+    Gram pass shows it (a `gram` passed in was checked by its caller),
+    every other input is checked before LAPACK runs.
     """
-    a = _as_matrix(x)
-    if not 1 <= k <= min(a.shape):
-        raise RankOutOfRange(
-            f"rank {k} outside [1, {min(a.shape)}] for shape {a.shape}"
-        )
-    if a.shape[0] >= 2 * a.shape[1]:
-        gram = _gram(a)
-        fast = _gram_ritz_svd(a, gram, k)
+    source = as_source(x)
+    n, c = source.rows, source.cols if cols is None else cols
+    if not 1 <= k <= min(n, c):
+        raise RankOutOfRange(f"rank {k} outside [1, {min(n, c)}] for shape {(n, c)}")
+    streamed = n >= 2 * c or source.block_count > 1
+    if streamed:
+        if gram is None:
+            gram = _streamed_gram(source)[:c, :c]
+        fast = _gram_ritz_svd(source, gram, k, project)
         if fast is None:
-            fast = _cholesky_qr2_svd(a, k, gram)
+            fast = _cholesky_qr2_svd(source, k, gram, project)
         if fast is not None:
             return fast
-    elif not np.isfinite(a).all():
+        if source.block_count > 1:
+            raise RankOutOfRange(
+                f"rank {k}: the Gram matrix of the {n} x {c} input resolves fewer "
+                f"than {k} directions, and the exact SVD it then takes needs the "
+                f"input as one block, not {source.block_count}"
+            )
+    block = source.read_block(0)
+    a = block[:, :c]
+    if not streamed and not np.isfinite(a).all():
         raise _non_finite_error(a)
+    memguard.note(n * c * 8)  # LAPACK's U
     f = economic_svd(a)
-    return SvdFactors(f.u[:, :k], f.singular_values[:k], f.v[:, :k])
+    u = f.u[:, :k]
+    return SvdFactors(
+        u, f.singular_values[:k], f.v[:, :k], u.T @ block if project else None
+    )
 
 
 def thin_qr_q(x, out: np.ndarray | None = None) -> np.ndarray:
@@ -411,13 +501,13 @@ def thin_qr_q(x, out: np.ndarray | None = None) -> np.ndarray:
 
     Inputs with rows >= 2 * cols run guarded CholeskyQR2 (see
     `_cholesky_qr2`) and write Q = (A_i R1^-1) R2^-1 into the n x cols
-    output one `_CHUNK_ROWS`-row chunk A_i at a time, after those rows of
-    the input were read, so the only other n-row buffer is the input, and
-    Q may overwrite it: the guard ||Q1^T Q1 - I||_2 <= 1/2 keeps the
-    second pass's input within kappa <= sqrt(3), where CholeskyQR2 is
-    orthogonal to the order of rounding, as Householder QR is (Yamamoto,
-    Nakatsukasa, Yanagisawa & Fukaya, 2015). Every other input, and every
-    input the guard rejects, is one LAPACK Householder call.
+    output one `_CHUNK_ROWS`-row chunk A_i at a time (`_cholesky_q`), so the
+    only other n-row buffer is the input, and Q may overwrite it: the guard
+    ||Q1^T Q1 - I||_2 <= 1/2 keeps the second pass's input within
+    kappa <= sqrt(3), where CholeskyQR2 is orthogonal to the order of
+    rounding, as Householder QR is (Yamamoto, Nakatsukasa, Yanagisawa &
+    Fukaya, 2015). Every other input, and every input the guard rejects, is
+    one LAPACK Householder call.
 
     NaN or Inf in the input raises NonFiniteInput naming its first such
     entry: tall inputs show it in the Gram matrix of CholeskyQR2, every
@@ -433,12 +523,7 @@ def thin_qr_q(x, out: np.ndarray | None = None) -> np.ndarray:
     if n >= 2 * c:
         factors = _cholesky_qr2(a)
         if factors is not None:
-            _, r1_inv, r2 = factors
-            r2_inv = np.linalg.inv(r2)
-            q = np.empty((n, c)) if out is None else out
-            for rows, q1 in _row_products(a, r1_inv):
-                np.matmul(q1, r2_inv, out=q[rows])
-            return q
+            return _cholesky_q(a, factors, np.empty((n, c)) if out is None else out)
     q = np.linalg.qr(a, mode="reduced")[0]
     if n < 2 * c:  # a tall input has passed the Gram check of `_cholesky_qr2`
         _require_finite(a, q)
@@ -452,11 +537,16 @@ def singular_values_of_rows(blocks) -> np.ndarray:
     """Singular values of the matrix whose row blocks, top to bottom, are
     `blocks`, at the accuracy of a Householder QR.
 
-    X = diag(Q_i) [R_1; ...; R_b] for the Householder factors X_i = Q_i R_i
-    of the blocks, so X has the singular values of the stacked R_i; one
-    block's factorization is resident at a time.
+    X = Q R for a QR factorization folded block by block: R starts as the
+    R factor of the first block, and each further block X_i folds in as
+    R <- R factor of [R; X_i], so X has the singular values of the last R.
+    One cols x cols R and one block's factorization are resident at a time,
+    not every block's R factor.
     """
-    r = np.vstack([np.linalg.qr(_as_matrix(block), mode="r") for block in blocks])
+    r = None
+    for block in blocks:
+        a = _as_matrix(block)
+        r = np.linalg.qr(a if r is None else np.vstack([r, a]), mode="r")
     return np.linalg.svd(r, compute_uv=False)
 
 

@@ -7,8 +7,10 @@ reading X block by block from a row-block source (see `blocked`).
 `randomized_qb` is its one-block call on an in-memory matrix. The
 factorization X ~ Q B (Q with l = k + p orthonormal columns, B = Q^T X) is
 what every downstream consumer works with. Also here: the expected-error
-bound for the Gaussian sketch and the sparse row-sampling operator used by
-the compressed decomposition.
+bound for the Gaussian sketch, and the compressed decomposition's S X,
+Gaussian (`gaussian_compress`, with S drawn in tiles) or row-sampled
+(`apply_sampling`), each formed in one `row_chunks` pass over an n-row
+matrix or a row-block source.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import memguard
-from .blocked import ArrayRowBlockSource, row_chunks
+from .blocked import ArrayRowBlockSource, as_source, row_chunks
 from .errors import (
     InvalidDistribution,
     InvalidOversampling,
@@ -27,7 +29,6 @@ from .errors import (
     ShapeMismatch,
 )
 from .linalg import (
-    _as_matrix,
     _lift,
     _non_finite_error,
     _tall_product,
@@ -104,27 +105,44 @@ def gaussian_test_matrix(rows: int, cols: int, seed: int) -> np.ndarray:
     return normal_matrix(rows, cols, seed)
 
 
-def gaussian_compress(x, rows: int, seed: int) -> np.ndarray:
-    """S @ x for S = gaussian_test_matrix(rows, n, seed), without forming S.
+def gaussian_compress(x, rows: int, seed: int, visit=None) -> np.ndarray:
+    """S @ X for S = gaussian_test_matrix(rows, n, seed), without forming S,
+    in one `row_chunks` pass over x, an n-row matrix X or a row-block
+    source of it.
 
-    Sums S[:, tile] @ x[tile] over row tiles of x, drawing each tile's
-    columns of S into one reused rows x tile buffer, so S costs that buffer
-    rather than rows x n. The sum equals the one-GEMM product to rounding.
-    NaN or Inf in x propagates to the result silently; the caller checks.
+    Sums S[:, chunk] @ X_i over the chunks X_i, the columns of S being
+    drawn a tile of `_COMPRESS_TILE_ROWS` rows of X at a time into one
+    reused rows x tile buffer, so S costs that buffer rather than rows x n;
+    a chunk that straddles two tiles is split between them. S's entries
+    depend only on their row and column (`normal_columns_into`), so S does
+    not depend on the blocks, and the sum equals the one-GEMM product to
+    rounding. `visit(start, X_i)`, where given, is called on each chunk
+    after its product, in the same pass. NaN or Inf in X propagates to the
+    result silently; the caller checks.
     """
-    a = _as_matrix(x)
-    n, m = a.shape
+    source = as_source(x)
+    n, m = source.rows, source.cols
     if rows < 1:
         raise ShapeMismatch(f"test matrix needs positive dims, got {rows}x{n}")
     tile = min(n, _COMPRESS_TILE_ROWS)
     memguard.note(rows * tile * 8)
     block = np.empty((rows, tile))
+    lo = hi = 0  # the rows of X whose columns of S the block holds
     out = np.zeros((rows, m))
     with np.errstate(over="ignore", invalid="ignore"):  # the caller checks
-        for start in range(0, n, tile):
-            stop = min(n, start + tile)
-            s = normal_columns_into(block[:, : stop - start], n, start, seed)
-            out += s @ a[start:stop]
+        for start, chunk in row_chunks(source):
+            stop = start + chunk.shape[0]
+            at = start
+            while at < stop:
+                if at >= hi:
+                    lo, hi = at, min(n, at + tile)
+                    normal_columns_into(block[:, : hi - lo], n, lo, seed)
+                end = min(stop, hi)
+                out += block[:, at - lo : end - lo] @ chunk[at - start : end - start]
+                at = end
+            if visit is not None:
+                visit(start, chunk)
+            del chunk
     return out
 
 
@@ -275,12 +293,25 @@ def identity_sampling_operator(n: int) -> SamplingOperator:
     )
 
 
-def apply_sampling(op: SamplingOperator, x) -> np.ndarray:
-    """Gather and rescale the sampled rows; the sparse operator is never
-    materialized as a dense matrix."""
-    a = _as_matrix(x)
-    if a.shape[0] != op.source_dim:
+def apply_sampling(op: SamplingOperator, x, visit=None) -> np.ndarray:
+    """Gather and rescale the sampled rows of x, an n-row matrix X or a
+    row-block source of it, in one `row_chunks` pass: each chunk fills the
+    sampled rows it holds. The sparse operator is never materialized as a
+    dense matrix. `visit(start, X_i)`, where given, is called on each chunk
+    X_i in the same pass."""
+    source = as_source(x)
+    if source.rows != op.source_dim:
         raise ShapeMismatch(
-            f"operator expects {op.source_dim} rows, matrix has {a.shape[0]}"
+            f"operator expects {op.source_dim} rows, matrix has {source.rows}"
         )
-    return a[op.indices] * op.scale_factors[:, None]
+    order = np.argsort(op.indices, kind="stable")
+    picked = op.indices[order]
+    out = np.empty((op.sample_count, source.cols))
+    for start, rows in row_chunks(source):
+        lo, hi = np.searchsorted(picked, [start, start + rows.shape[0]])
+        at = order[lo:hi]
+        out[at] = rows[op.indices[at] - start] * op.scale_factors[at, None]
+        if visit is not None:
+            visit(start, rows)
+        del rows
+    return out

@@ -168,12 +168,38 @@ class TestDecompose:
             recomputed = np.linalg.norm(data - approx) / np.linalg.norm(data)
             assert abs(recomputed - report["relative_reconstruction_error"]) <= 1e-12
 
-    def test_blocked_requires_rdmd(self, workspace, tmp_path):
+    def test_blocked_dmd_runs(self, workspace, tmp_path):
+        # every method runs on the row-block source, so --blocks is no longer
+        # an rdmd flag
         res = run_cli(
             "decompose", "--input", str(workspace / "x.sms"), "--method", "dmd",
-            "--rank", "5", "--blocks", "4", "--out", str(tmp_path / "nope"),
+            "--rank", "5", "--blocks", "4", "--out", str(tmp_path / "blocked"),
         )
-        assert res.returncode == 2
+        assert res.returncode == 0, res.stderr
+        report = json.loads((tmp_path / "blocked" / "report.json").read_text())
+        assert report["config"]["blocks"] == 4
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--method", "dmd"], ["--method", "cdmd", "--sampling", "gaussian"],
+         ["--method", "cdmd", "--sampling", "uniform"]],
+        ids=["dmd", "cdmd-gaussian", "cdmd-uniform"],
+    )
+    def test_blocks_4_equal_blocks_1(self, noisy_workspace, tmp_path, flags):
+        outs = []
+        for blocks in ("1", "4"):
+            out = tmp_path / blocks
+            assert cli.main([
+                "decompose", "--input", str(noisy_workspace / "x.sms"), *flags,
+                "--rank", "5", "--seed", "9", "--blocks", blocks, "--out", str(out),
+            ]) == 0
+            outs.append((
+                read_complex_csv(out / "eigenvalues.csv"),
+                read_complex_csv(out / "amplitudes.csv"),
+                read_complex_matrix(out, "modes"),
+            ))
+        for want, got in zip(*outs):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_reproducibility_byte_identical(self, workspace, tmp_path):
         outputs = []
@@ -257,11 +283,11 @@ class TestErrors:
     @pytest.mark.parametrize(
         "flags",
         [["--method", "rdmd", "--blocks", "1"], ["--method", "rdmd", "--blocks", "2"],
-         ["--method", "dmd", "--blocks", "1"]],
-        ids=["rdmd-1", "rdmd-2", "dmd-1"],
+         ["--method", "dmd", "--blocks", "1"], ["--method", "dmd", "--blocks", "2"],
+         ["--method", "cdmd", "--blocks", "2"]],
+        ids=["rdmd-1", "rdmd-2", "dmd-1", "dmd-2", "cdmd-2"],
     )
     def test_empty_payload_is_shape_mismatch(self, tmp_path, capsys, shape, flags):
-        # --method dmd --blocks 2 is a usage error before the file is read
         from rdmd.datasets import _sms_header
 
         path = tmp_path / "empty.sms"

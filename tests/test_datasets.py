@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import subprocess
@@ -636,6 +637,62 @@ class TestRowBlocks:
             "--rank", "5", "--blocks", "1", "--seed", "32", "--out", str(tmp_path / "o"),
         )
         assert run - imported <= 0.5 * os.path.getsize(path)
+
+    @linux_only
+    @pytest.mark.parametrize("method", ["dmd", "cdmd"])
+    def test_one_block_dmd_and_cdmd_peak_rss_is_far_below_the_file(self, tmp_path, method):
+        # the deterministic and compressed passes are `row_chunks` walks
+        # too, so they hold a chunk of file pages, not the file
+        x = normal_matrix(25000, 200, seed=31)  # 40 MB
+        path = tmp_path / "x.sms"
+        write_sms(x, path)
+        del x
+        imported = child_peak_rss("-c", "import rdmd.cli")
+        run = child_peak_rss(
+            "-m", "rdmd", "decompose", "--input", str(path), "--method", method,
+            "--rank", "5", "--blocks", "1", "--seed", "32", "--out", str(tmp_path / "o"),
+        )
+        assert run - imported <= 0.5 * os.path.getsize(path)
+
+    @linux_only
+    def test_report_states_the_peak_rss(self, tmp_path):
+        # ru_maxrss read as the report is written: the run's peak, which the
+        # write of the outputs does not raise
+        x = normal_matrix(25000, 200, seed=35)  # 40 MB
+        path = tmp_path / "x.sms"
+        write_sms(x, path)
+        del x
+        run = child_peak_rss(
+            "-m", "rdmd", "decompose", "--input", str(path), "--method", "dmd",
+            "--rank", "5", "--out", str(tmp_path / "o"),
+        )
+        report = (tmp_path / "o" / "report.json").read_text()
+        reported = json.loads(report)["timings"]["peak_rss_bytes"]
+        assert isinstance(reported, int) and 0.9 * run <= reported <= run
+
+    @pytest.mark.skipif(not datasets._CAN_RELEASE, reason="needs MADV_DONTNEED")
+    @pytest.mark.parametrize("method", ["rdmd", "dmd", "cdmd"])
+    def test_memory_cap_charges_the_resident_chunk(self, tmp_path, method):
+        # a version 2 file's one block is a mapped view released chunk by
+        # chunk, so the cap is charged a chunk of it; a version 1 file's block
+        # is a copy, charged whole
+        from rdmd import cli
+
+        x = normal_matrix(25000, 200, seed=36)  # 40 MB
+        cap = 20_000_000
+        write_sms(x, tmp_path / "v2.sms")
+        write_v1_sms(tmp_path / "v1.sms", x)
+        del x
+        codes = {}
+        for version in ("v1", "v2"):
+            codes[version] = cli.main([
+                "decompose", "--input", str(tmp_path / f"{version}.sms"), "--method", method,
+                "--rank", "5", "--blocks", "1", "--memory-cap", str(cap), "--seed", "37",
+                "--out", str(tmp_path / version),
+            ])
+        assert codes == {"v1": 1, "v2": 0}
+        report = json.loads((tmp_path / "v2" / "report.json").read_text())
+        assert report["peak_alloc_bytes"] <= cap
 
     @linux_only
     def test_qb_peak_rss_is_far_below_the_file(self, tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import warnings
 
@@ -14,6 +15,7 @@ from rdmd import (
     amplitudes,
     dmd_compressed,
     dmd_deterministic,
+    dmd_deterministic_blocked,
     dmd_randomized,
     dmd_randomized_blocked,
     eigen_match_error,
@@ -111,8 +113,8 @@ class TestDeterministic:
 
     @pytest.mark.parametrize("method", ["deterministic_projected", "deterministic_exact"])
     def test_tall_noisy_input_matches_economic_svd_run(self, method, monkeypatch):
-        import rdmd.dmd
-        from rdmd.linalg import SvdFactors, _gram, _gram_ritz_svd, economic_svd
+        import rdmd.linalg
+        from rdmd.linalg import _gram, _gram_ritz_svd
 
         specs = [ModeSpec(0.99 * np.exp(0.3j)), ModeSpec(0.9), ModeSpec(0.8 * np.exp(1.2j))]
         truth = synth_linear_dynamics(2000, 40, specs, seed=38)
@@ -121,12 +123,10 @@ class TestDeterministic:
         assert _gram_ritz_svd(left, _gram(left), 5) is not None  # the Gram path runs
         cfg = DmdConfig(target_rank=5, method=method)
         fast = dmd_deterministic(x, cfg)
-
-        def economic_slice(a, k):
-            f = economic_svd(a)
-            return SvdFactors(f.u[:, :k], f.singular_values[:k], f.v[:, :k])
-
-        monkeypatch.setattr(rdmd.dmd, "truncated_svd", economic_slice)
+        # both Gram paths declined, the one-block SVD falls back to the
+        # slice of the economic SVD of the held block
+        monkeypatch.setattr(rdmd.linalg, "_gram_ritz_svd", lambda *args: None)
+        monkeypatch.setattr(rdmd.linalg, "_cholesky_qr2_svd", lambda *args: None)
         ref = dmd_deterministic(x, cfg)
         scale = np.abs(ref.eigenvalues)
         assert np.max(np.abs(fast.eigenvalues - ref.eigenvalues) / scale) <= 1e-10
@@ -269,9 +269,11 @@ class TestRecoverModes:
         assert np.abs(np.linalg.norm(fit.modes, axis=0) - 1.0).max() <= 1e-13
         np.testing.assert_allclose(result.amplitudes, amplitudes(result, x[:, 0]), rtol=1e-10)
         if method == "projected":
-            u = truncated_svd(x[:, :-1], 3).u
-            assert np.array_equal(fit.data, u.T @ x)
-            assert np.abs(u @ fit.modes - result.modes).max() <= 1e-14
+            # B = U_k^T X as the pass that writes U_k sums it
+            f = truncated_svd(x, 3, x.shape[1] - 1, project=True)
+            assert np.array_equal(fit.data, f.projected)
+            np.testing.assert_allclose(fit.data, f.u.T @ x, rtol=1e-12, atol=1e-14)
+            assert np.abs(f.u @ fit.modes - result.modes).max() <= 1e-14
         if method == "randomized":
             qb = randomized_qb(x, _RANDOMIZED.sketch)
             assert np.array_equal(fit.data, qb.b)
@@ -809,6 +811,114 @@ class _ReadCounter(np.ndarray):
         return self._call(func, args, kwargs)
 
 
+class _CountingSource(ArrayRowBlockSource):
+    """An in-memory row-block source that logs the block of every read."""
+
+    def __init__(self, x, block_count):
+        super().__init__(x, block_count)
+        self.reads = []
+
+    def read_block(self, i):
+        self.reads.append(i)
+        return super().read_block(i)
+
+
+class TestSourceWalk:
+    """Every method runs on a row-block source, reads it in whole passes,
+    and gives the one-block result at any block count."""
+
+    N, M = 10_000, 41
+    CASES = {
+        "projected": DmdConfig(target_rank=5),
+        "exact": DmdConfig(target_rank=5, method="deterministic_exact"),
+        "compressed_gaussian": DmdConfig(target_rank=5, method="compressed", seed=3),
+        "compressed_uniform": DmdConfig(
+            target_rank=5, method="compressed", sampling="uniform_rows", compress_dim=400,
+            seed=3,
+        ),
+        "randomized": DmdConfig(target_rank=5, method="randomized", power_iters=2, seed=3),
+    }
+
+    # passes per block: the Gram, Ritz and U_k passes (and the exact basis);
+    # S X with ||X||^2, then the basis; 2q + 2 for the range finder
+    @pytest.mark.parametrize("case, passes", [
+        ("projected", 3), ("exact", 4), ("compressed_gaussian", 2),
+        ("compressed_uniform", 2), ("randomized", 6),
+    ])
+    def test_reads_per_block(self, case, passes):
+        source = _CountingSource(TestPassesOverX.noisy(self.N, self.M), 4)
+        run_dmd(source, self.CASES[case])
+        assert source.reads == [0, 1, 2, 3] * passes
+
+    @pytest.mark.parametrize("case", ["projected", "exact", "compressed_gaussian",
+                                      "compressed_uniform"])
+    def test_in_memory_run_is_the_one_block_call(self, case):
+        x = TestPassesOverX.noisy(2000, self.M)
+        cfg = self.CASES[case]
+        plain = run_dmd(x, cfg)
+        one = run_dmd(ArrayRowBlockSource(x, 1), cfg)
+        for name in ("eigenvalues", "modes", "amplitudes", "low_dim_eigvecs"):
+            assert getattr(plain, name).tobytes() == getattr(one, name).tobytes()
+        assert plain.sketch.data.tobytes() == one.sketch.data.tobytes()
+
+    # blocks of 2500 rows cut the 4096-row chunks and the 16384-row tiles of
+    # the Gaussian S off their one-block positions
+    @pytest.mark.parametrize("case", ["projected", "exact", "compressed_gaussian",
+                                      "compressed_uniform"])
+    def test_blocked_equals_one_block(self, case):
+        x = TestPassesOverX.noisy(self.N, self.M)
+        cfg = self.CASES[case]
+        one = run_dmd(ArrayRowBlockSource(x, 1), cfg)
+        four = run_dmd(ArrayRowBlockSource(x, 4), cfg)
+        assert four.diagnostics["config"]["blocks"] == 4
+        for name in ("eigenvalues", "modes", "amplitudes"):
+            want, got = getattr(one, name), getattr(four, name)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_late_non_finite_entry_named_alike_at_any_block_count(self, case):
+        x = TestPassesOverX.noisy(self.N, self.M)
+        x[9000, 17] = np.nan  # in the last chunk of block 3 of 4
+        for blocks in (1, 4):
+            with pytest.raises(NonFiniteInput) as info:
+                run_dmd(ArrayRowBlockSource(x, blocks), self.CASES[case])
+            assert str(info.value) == "row 9000, column 17 is nan"
+            assert info.value.row == 9000
+
+    @pytest.mark.parametrize("sampling", ["gaussian", "uniform_rows"])
+    def test_rank_deficient_basis_takes_householder_and_a_projection_pass(self, sampling):
+        # noise-free rank 2 at k = 3: S X's third singular value inverts to
+        # zero, so the exact-style basis has a zero column, CholeskyQR2
+        # rejects it, and Q^T X takes a pass of its own
+        x = rotation_sequence(4000, 30, theta=0.4, seed=3)
+        source = _CountingSource(x, 4)
+        cfg = DmdConfig(target_rank=3, method="compressed", sampling=sampling,
+                        compress_dim=20, seed=2)
+        result = run_dmd(source, cfg)
+        assert source.reads == [0, 1, 2, 3] * 3
+        expected = [np.exp(0.4j), np.exp(-0.4j)]
+        assert eigen_match_error(expected, result.eigenvalues) <= 1e-8
+        # B is Q^T X: the reconstruction error from the coordinates is the
+        # dense one
+        fit = result.sketch
+        steps = x.shape[1]
+        coords = reconstruct(dataclasses.replace(result, modes=fit.modes), steps)
+        identity = fit.data_sq_norm - np.sum(fit.data**2) + np.sum((fit.data - coords) ** 2)
+        dense = np.sum((x - reconstruct(result, steps)) ** 2)
+        assert abs(identity - dense) <= 1e-10 * fit.data_sq_norm
+
+    def test_rank_below_k_takes_the_held_block_or_says_it_needs_one(self):
+        # rank 3 < k: the Gram resolves fewer than k directions and
+        # CholeskyQR2 rejects it, so the SVD is LAPACK's of the held block,
+        # which more than one block cannot give
+        x = normal_matrix(3000, 3, seed=11) @ normal_matrix(3, 41, seed=12)
+        cfg = DmdConfig(target_rank=5)
+        one = run_dmd(ArrayRowBlockSource(x, 1), cfg)
+        assert one.eigenvalues.tobytes() == dmd_deterministic(x, cfg).eigenvalues.tobytes()
+        with pytest.raises(RankOutOfRange, match="needs the input as one block, not 4"):
+            run_dmd(ArrayRowBlockSource(x, 4), cfg)
+
+
 class TestPassesOverX:
     """How often each variant reads the n-row data, and which n-row products
     it forms."""
@@ -820,21 +930,15 @@ class TestPassesOverX:
         specs = [ModeSpec(0.99 * np.exp(0.3j)), ModeSpec(0.9), ModeSpec(0.8 * np.exp(1.2j))]
         return add_noise(synth_linear_dynamics(n, m - 1, specs, seed=72).clean_data, 10.0, seed=73)
 
-    def test_projected_deterministic_reads_x_five_times(self, monkeypatch):
-        # the Gram pass, the G2 pass and U_k of the truncated SVD, U_k^T X and
-        # ||X||_F^2; the all-zero check reads one row of X_L, and D_R V_k is
-        # not formed
-        import rdmd.dmd
-        import rdmd.linalg
-
+    def test_projected_deterministic_reads_x_three_times(self):
+        # the Gram pass, the Rayleigh-Ritz pass, and the pass that writes U_k
+        # and sums U_k^T X; ||X||_F^2 is the Gram's trace, and the all-zero
+        # check reads the Gram. Each pass is one `row_chunks` walk, which
+        # reads the one block once.
         x = self.noisy(self.N, self.M)
-        counted = x.view(_ReadCounter)
-        counted.log, counted.base_x = [], x
-        for module in (rdmd.dmd, rdmd.linalg):
-            monkeypatch.setattr(module, "_as_matrix", lambda a, name="matrix": a)
-        result = dmd_deterministic(counted, DmdConfig(target_rank=5))
-        assert sum(counted.log) == 5 * self.N + 1
-        monkeypatch.undo()
+        source = _CountingSource(x, 1)
+        result = dmd_deterministic_blocked(source, DmdConfig(target_rank=5))
+        assert source.reads == [0, 0, 0]
         assert result.eigenvalues.tobytes() == dmd_deterministic(
             x, DmdConfig(target_rank=5)
         ).eigenvalues.tobytes()
@@ -848,6 +952,7 @@ class TestPassesOverX:
     def test_truncated_svd_fallback_forms_the_gram_once(self, monkeypatch, case, passes):
         # the same number of passes as before the Gram Ritz path: the
         # fallback pays no second Gram pass
+        import rdmd.blocked
         import rdmd.linalg
 
         if case == "kappa_1e7":
@@ -858,7 +963,9 @@ class TestPassesOverX:
         counted.log, counted.base_x = [], x
         ritz = []
         inner = rdmd.linalg._gram_ritz_svd
-        monkeypatch.setattr(rdmd.linalg, "_as_matrix", lambda a, name="matrix": a)
+        # the counting view reaches the passes through the one-block source
+        for module in (rdmd.blocked, rdmd.linalg):
+            monkeypatch.setattr(module, "_as_matrix", lambda a, name="matrix": a)
         monkeypatch.setattr(
             rdmd.linalg, "_gram_ritz_svd", lambda *args: ritz.append(inner(*args)) or ritz[-1]
         )

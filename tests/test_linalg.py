@@ -229,10 +229,12 @@ class TestThinQr:
 
         x = normal_matrix(10_000, 20, seed=54)
         chunk_bytes = 4096 * 20 * 8
-        # the n x c factor A R1^-1 is never allocated, so never noted
+        # the n x c factor A R1^-1 is never allocated, so never noted; the
+        # truncated SVD's largest buffer is its Ritz pass's chunk of
+        # l = k + 10 = 13 columns, as it reads the chunks of A in place
         for run, largest in [
             (lambda: _cholesky_qr2(x), chunk_bytes),
-            (lambda: truncated_svd(x, 3), chunk_bytes),
+            (lambda: truncated_svd(x, 3), 4096 * 13 * 8),
             (lambda: thin_qr_q(x), x.nbytes),
         ]:
             with memguard.session() as guard:
@@ -337,6 +339,27 @@ class TestSingularValuesOfRows:
         blocks = (x[i : i + rows] for i in range(0, 300, rows))
         ref = economic_svd(x).singular_values
         assert np.max(np.abs(singular_values_of_rows(blocks) - ref)) <= 1e-14
+
+    def test_folds_one_r_factor_not_all(self):
+        # 40 chunks of 512 x 100: every chunk's R factor and their stacked
+        # copy would be 2 x 40 x 80 kB; the fold holds one R factor and one
+        # chunk's factorization, [R; X_i] and its copy
+        import tracemalloc
+
+        from rdmd.linalg import singular_values_of_rows
+
+        rows, cols = 512, 100
+        x = matrix_with_spectrum(40 * rows, cols, np.logspace(0, -2, cols), seed=20)
+        tracemalloc.start()
+        try:
+            got = singular_values_of_rows(x[i : i + rows] for i in range(0, x.shape[0], rows))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ref = np.linalg.svd(x, compute_uv=False)
+        assert np.max(np.abs(got - ref) / ref) <= 1e-12
+        # [R; X_i], the copy the QR takes of it, and R and its workspace
+        assert peak <= 3 * (rows + cols) * cols * 8
 
 
 class TestPseudoinverse:
