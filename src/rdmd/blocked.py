@@ -18,21 +18,75 @@ two (S X with ||X||_F^2, and the exact-style basis), and the CLI's
 reconstruction-error pass one where it runs. An SMS file source also
 releases the block it holds when another block is read, and each method
 releases the last one after its last pass, so a run of any method and any
-block count holds one chunk of file pages and its n x l or n x k bases
+block count holds one chunk of file pages and its one n x l or n x k basis
 (one block where blocks are copied). The block count changes the answer
 only at the level of rounding.
+
+That basis (the sketch's Y and Q, the truncated SVD's U_k, the exact-style
+modes' basis) is an `empty_basis`: its pages are an anonymous map of its
+own, so the mode lift hands each chunk of it back (`release_basis_rows`)
+once those rows of the modes are written, and the modes take its place
+instead of being added to it. A run therefore peaks at its pass peak: the
+imports, one basis and one chunk.
 """
 
 from __future__ import annotations
 
+import mmap
+
 import numpy as np
 
+from . import memguard
 from .errors import InvalidBlockCount, ShapeMismatch
 
 # Rows per chunk of the passes that walk a tall matrix a few thousand rows
 # at a time (`row_chunks` and the kernels of `linalg` that read an n-row
 # buffer in chunks): at 200 columns one chunk is 6.6 MB.
 _CHUNK_ROWS = 4096
+
+
+# MADV_DONTNEED hands a private anonymous map's pages back to the system
+# (touched again, they read as zeros; a shared map's would stay in memory);
+# where the platform lacks it, a basis is numpy's and stays resident until
+# it is freed
+_CAN_RELEASE = hasattr(mmap, "MADV_DONTNEED") and hasattr(mmap, "MAP_PRIVATE")
+
+
+def empty_basis(n: int, c: int) -> np.ndarray:
+    """An uninitialised Fortran-ordered n x c float64 array whose pages are
+    a private anonymous map of its own, unmapped when the last view of it
+    goes, so that `release_basis_rows` can hand rows of it back before
+    that; numpy's array where the platform cannot release pages. The memory
+    cap is charged all of it (`memguard.note`)."""
+    memguard.note(n * c * 8)
+    if not _CAN_RELEASE:
+        return np.empty((c, n)).T
+    pages = mmap.mmap(-1, n * c * 8, flags=mmap.MAP_PRIVATE)
+    return np.frombuffer(pages, dtype=np.float64).reshape(c, n).T
+
+
+def release_basis_rows(a: np.ndarray, start: int, stop: int) -> None:
+    """Hand back the pages of rows start..stop of every column of `a`, an
+    `empty_basis` array its owner has finished with below row `stop`: the
+    page a column's row `start` shares with the rows above it goes too, the
+    one its row `stop` shares with the rows below stays, and so does a
+    column's first page where it holds the previous column's last rows.
+    Those rows read as zeros afterwards. A no-op for any other array, and
+    where the platform cannot release pages."""
+    root = a
+    while isinstance(root.base, np.ndarray):
+        root = root.base
+    if not (isinstance(root.base, memoryview) and isinstance(root.base.obj, mmap.mmap)
+            and a.strides[0] == 8):
+        return
+    page, stop = mmap.PAGESIZE, min(stop, a.shape[0])
+    first = a.__array_interface__["data"][0] - root.__array_interface__["data"][0]
+    for j in range(a.shape[1]):
+        column = first + j * a.strides[1]
+        lo = max(-(-column // page), (column + start * 8) // page) * page
+        hi = (column + stop * 8) // page * page
+        if hi > lo:
+            root.base.obj.madvise(mmap.MADV_DONTNEED, lo, hi - lo)
 
 
 def _as_matrix(x, name: str = "matrix") -> np.ndarray:

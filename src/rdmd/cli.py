@@ -25,7 +25,7 @@ except ImportError:  # not on Windows
 import numpy as np
 
 from . import memguard
-from .blocked import ArrayRowBlockSource, row_chunks
+from .blocked import _CHUNK_ROWS, ArrayRowBlockSource, row_chunks
 from .datasets import (
     ModeSpec,
     add_noise,
@@ -38,6 +38,7 @@ from .datasets import (
     write_complex_csv,
     write_complex_matrix,
     write_sms,
+    write_sms_rows,
 )
 from .dmd import (
     DmdConfig,
@@ -419,8 +420,14 @@ def _cmd_reconstruct(args) -> int:
         amplitudes=amplitudes,
         method="deterministic_projected",
     )
-    write_sms(reconstruct(result, args.steps), args.out)
-    print(f"wrote {modes.shape[0]}x{args.steps} reconstruction to {args.out}")
+    # one row chunk of the modes at a time: the n x steps output is never
+    # whole in memory
+    n = modes.shape[0]
+    write_sms_rows(args.out, (n, args.steps), (
+        reconstruct(replace(result, modes=modes[lo : lo + _CHUNK_ROWS]), args.steps)
+        for lo in range(0, n, _CHUNK_ROWS)
+    ))
+    print(f"wrote {n}x{args.steps} reconstruction to {args.out}")
     return 0
 
 

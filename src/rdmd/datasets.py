@@ -286,20 +286,26 @@ def add_noise(x, snr: float, seed: int, out=None) -> np.ndarray:
 
 
 def write_atomic(path, *chunks) -> None:
-    """Write the chunks (bytes, or C-contiguous arrays, written from their
-    own buffer) to `path` through `<path>.tmp.<pid>` and a rename, so no
-    reader sees a partial file. On any OSError the temp file is removed and
-    IoFailure raised."""
+    """Write the chunks to `path` through `<path>.tmp.<pid>` and a rename,
+    so no reader sees a partial file. A chunk is bytes, a C-contiguous
+    array (written from its own buffer), or an iterator of those, consumed
+    one at a time as it is written. On any exception, an error a chunk
+    iterator raises partway or a KeyboardInterrupt included, the temp file
+    is removed; an OSError is raised as IoFailure, anything else as
+    itself."""
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "wb") as fh:
             for chunk in chunks:
-                fh.write(chunk)
+                for part in (chunk,) if isinstance(chunk, (bytes, np.ndarray)) else chunk:
+                    fh.write(part)
         os.replace(tmp, path)
-    except OSError as exc:
+    except BaseException as exc:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
-        raise IoFailure(f"writing {path}: {exc}") from exc
+        if isinstance(exc, OSError):
+            raise IoFailure(f"writing {path}: {exc}") from exc
+        raise
 
 
 def _sms_header(rows: int, cols: int) -> bytes:
@@ -310,14 +316,43 @@ def _sms_header(rows: int, cols: int) -> bytes:
 
 
 def write_sms(x, path) -> None:
-    """Write a matrix to `path` in SMS format (atomic: temp file + rename)."""
-    a = np.ascontiguousarray(_as_matrix(x), dtype=np.float64)
-    # scanned a row chunk at a time, so no n x m bool array is formed
-    err = _non_finite_error(a)
-    if err.row is not None:
-        raise NonFiniteInput(f"refusing to write non-finite values: {err}", row=err.row)
-    # the array's own buffer is written: no bytes copy of the payload
-    write_atomic(path, _sms_header(*a.shape), a.astype("<f8", copy=False))
+    """Write a matrix to `path` in SMS format (atomic: temp file + rename),
+    by `write_sms_rows` in `_CHUNK_ROWS`-row chunks: a C-contiguous float64
+    matrix from its own buffer, any other (the real part of a complex
+    matrix, a Fortran-ordered one) through one chunk-sized copy at a time,
+    so no copy of the whole matrix is made."""
+    a = _as_matrix(x)
+    n = a.shape[0]
+    write_sms_rows(path, a.shape, (a[lo : lo + _CHUNK_ROWS] for lo in range(0, n, _CHUNK_ROWS)))
+
+
+def write_sms_rows(path, shape, blocks) -> None:
+    """Write the rows x cols matrix whose consecutive row blocks, top to
+    bottom, the iterable `blocks` yields to `path` in SMS format (atomic:
+    temp file + rename), one block at a time, so the matrix need never be
+    whole in memory. Each block is scanned a few thousand rows at a time
+    before it is written: NaN or Inf raises NonFiniteInput naming its row
+    in the matrix, and blocks that do not add up to `shape` raise
+    ShapeMismatch; either way nothing is left at `path` or its temp name."""
+    rows, cols = shape
+
+    def payload():
+        start = 0
+        for block in blocks:
+            if block.ndim != 2 or block.shape[1] != cols or start + len(block) > rows:
+                raise ShapeMismatch(
+                    f"block of shape {block.shape} at row {start} of a {rows} x {cols} matrix"
+                )
+            err = _non_finite_error(block, start)
+            if err.row is not None:
+                raise NonFiniteInput(f"refusing to write non-finite values: {err}", row=err.row)
+            # a view of a little-endian float64 C-contiguous block; else a copy
+            yield np.ascontiguousarray(block, dtype="<f8")
+            start += len(block)
+        if start != rows:
+            raise ShapeMismatch(f"blocks hold {start} of the matrix's {rows} rows")
+
+    write_atomic(path, _sms_header(rows, cols), payload())
 
 
 def _read_header(fh, path) -> tuple[int, int, int]:

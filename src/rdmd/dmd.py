@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import memguard
-from .blocked import ArrayRowBlockSource, row_chunks
+from .blocked import ArrayRowBlockSource, empty_basis, row_chunks
 from .errors import (
     DegenerateData,
     EmptyInput,
@@ -381,16 +381,17 @@ def _config_echo(cfg: DmdConfig, method: str, blocks: int = 1,
 
 def _frame(q, coords, b, data_sq_norm):
     """The orthonormal frame of a variant whose modes are q @ coords @ W
-    for the in-memory n x k orthonormal q: the lift through q, the
-    coordinates, b = q^T X and ||X||_F^2. The lift is `_lift`, so q is never
-    cast to complex."""
-    return (lambda m: _lift(q, m)), coords, b, data_sq_norm
+    for the n x k orthonormal basis q, which nothing reads after the lift:
+    the lift through q, the coordinates, b = q^T X and ||X||_F^2. The lift
+    is `_lift`, so q is never cast to complex, and it hands q back chunk by
+    chunk as it writes the modes (release_q)."""
+    return (lambda m: _lift(q, m, release_q=True)), coords, b, data_sq_norm
 
 
 def _span_frame(source, v, inv_s, data_sq_norm):
     """`_frame` of the exact-style modes basis @ W, basis = X_R V S^-1 for
-    the snapshots X of a row-block source, an n x k basis that is not
-    orthonormal.
+    the snapshots X of a row-block source, an n x k `empty_basis` that is
+    not orthonormal.
 
     One `row_chunks` pass writes the basis chunk by chunk (X_R's rows times
     V, scaled by inv_s) and sums its Gram matrix and basis^T X while each
@@ -403,8 +404,7 @@ def _span_frame(source, v, inv_s, data_sq_norm):
     product of the finite X overflowed.
     """
     n, k = source.rows, v.shape[1]
-    memguard.note(n * k * 8)
-    basis = np.empty((k, n)).T
+    basis = empty_basis(n, k)
     gram, projected = np.zeros((k, k)), np.zeros((k, source.cols))
     for start, rows in row_chunks(source):
         b_i = _tall_product(rows[:, 1:], v, out=basis[start : start + rows.shape[0]])
@@ -430,7 +430,11 @@ def _pipeline(operator, cfg, method, timings, source, frame, **echo):
     `frame(op)`, which returns (lift, M, B, ||X||_F^2): the modes are
     lift(M @ W) for the low-dimensional eigenvectors W, where lift maps
     coordinates through an orthonormal n x l basis Q to the state space and
-    B = Q^T X holds the snapshots in those coordinates. Since
+    B = Q^T X holds the snapshots in those coordinates. Q is the variant's
+    own basis, which nothing reads after the lift, so the lift hands each
+    chunk of it back once it has written those rows of the modes
+    (`_lift` with release_q): the modes replace Q rather than being added
+    to it. Since
     pinv(Q N) = pinv(N) Q^T, the amplitudes are fitted in coordinates,
     against B[:, 0], and the result keeps (M W, B, ||X||_F^2) as its
     `SketchFit`. NaN or Inf in the low-dimensional operator, M W, B[:, 0]
@@ -452,10 +456,12 @@ def _pipeline(operator, cfg, method, timings, source, frame, **echo):
         with np.errstate(over="ignore", invalid="ignore"):  # checked right below
             lift, coords, data, data_sq_norm = frame(op)
             small = coords @ w
+        del op  # an exact-style frame leaves U_k unread
         _require_finite(source, small, data[:, 0], data_sq_norm)
         # the lift is a fresh complex array, so it is normalized in place;
         # `small` is scaled by the same factors into the coordinates
         modes = lift(small)
+        del lift  # and the basis it holds
         factors = normalize_phase_in_place(modes)
     with stage(timings, "amplitudes"):
         sketch = SketchFit(small * factors, data, data_sq_norm)
@@ -560,7 +566,8 @@ def _randomized(cols, sketch, cfg: DmdConfig, blocks: int) -> DmdResult:
     return _pipeline(
         _split_operator(qb.b, cfg), cfg, "randomized", timings, qb.b,
         lambda op: (
-            (lambda m: apply_q(qb, m)), op.right_projected, qb.b, qb.data_sq_norm,
+            (lambda m: apply_q(qb, m, release_q=True)), op.right_projected, qb.b,
+            qb.data_sq_norm,
         ),
         blocks=blocks,
     )

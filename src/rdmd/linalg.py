@@ -15,7 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import memguard
-from .blocked import _CHUNK_ROWS, _as_matrix, as_source, row_chunks
+from .blocked import (
+    _CHUNK_ROWS,
+    _as_matrix,
+    as_source,
+    empty_basis,
+    release_basis_rows,
+    row_chunks,
+)
 from .errors import (
     ConvergenceFailure,
     NegativeLambda,
@@ -178,14 +185,22 @@ def _tall_product(a: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -
     return out
 
 
-def _lift(q: np.ndarray, m: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _lift(
+    q: np.ndarray, m: np.ndarray, out: np.ndarray | None = None, release_q: bool = False
+) -> np.ndarray:
     """q @ m for a real n x l q and a real or complex l x c m, written into
     `out` (a fresh n x c array of m's result type when None) without casting
     q to complex. The real view of a complex n x c array is n x 2c with the
     real and imaginary part of each column side by side, so one real GEMM of
     q with the same interleave of m fills it: per entry, q @ m.real and
     q @ m.imag. The GEMM runs over `_CHUNK_ROWS`-row chunks of q, so BLAS
-    touches chunk-sized pack buffers, not n-row ones."""
+    touches chunk-sized pack buffers, not n-row ones.
+
+    With release_q, for a q that nothing reads after the lift, each chunk
+    of q is handed back once its rows of the result are written
+    (`blocked.release_basis_rows`, a no-op unless q is an `empty_basis`),
+    so the result replaces q instead of being added to it. q must then be
+    no other array's input: its released rows read as zeros."""
     if out is None:
         dtype = np.result_type(np.float64, m.dtype)
         memguard.note(q.shape[0] * m.shape[1] * dtype.itemsize)
@@ -197,6 +212,8 @@ def _lift(q: np.ndarray, m: np.ndarray, out: np.ndarray | None = None) -> np.nda
     for start in range(0, q.shape[0], _CHUNK_ROWS):
         rows = slice(start, start + _CHUNK_ROWS)
         np.matmul(q[rows], m, out=target[rows])
+        if release_q:
+            release_basis_rows(q, start, start + _CHUNK_ROWS)
     return out
 
 
@@ -304,7 +321,8 @@ def _left_vectors(x, w: np.ndarray, project: bool = False):
     orthonormal in exact arithmetic, or None where its repair below fails.
     Returns (U, U^T X) with project, and (U, None) without.
 
-    U is written in one `row_chunks` pass, each chunk's rows as one
+    U is an `empty_basis`, so a lift can hand it back (see `_lift`). It is
+    written in one `row_chunks` pass, each chunk's rows as one
     `_tall_product`, and the pass sums U^T U and, with project, U^T X over
     every column of the chunk X_i while it is cached. A W alone loses
     orthogonality in proportion to the condition number that W's inverted
@@ -316,8 +334,7 @@ def _left_vectors(x, w: np.ndarray, project: bool = False):
     """
     source = as_source(x)
     n, (c, k) = source.rows, w.shape
-    memguard.note(n * k * 8)
-    u = np.empty((k, n)).T
+    u = empty_basis(n, k)
     gram = np.zeros((k, k))
     projected = np.zeros((k, source.cols)) if project else None
     for start, rows in row_chunks(source):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import memguard
-from .blocked import ArrayRowBlockSource, as_source, row_chunks
+from .blocked import ArrayRowBlockSource, as_source, empty_basis, row_chunks
 from .errors import (
     InvalidDistribution,
     InvalidOversampling,
@@ -164,9 +164,10 @@ def blocked_randomized_qb(source, cfg: SketchConfig) -> QBFactorization:
     (Q^T X)^T, the faster BLAS layout for a row-major X. The block count
     changes the result only at the level of rounding, and the sketch size
     is bounded by min(n, m) of the whole matrix alone. Y and Q share one
-    Fortran-ordered n x l buffer: every X W is written into it and
-    `thin_qr_q` orthonormalizes it in place. The source's last block is
-    released after the last pass.
+    Fortran-ordered n x l `empty_basis`: every X W is written into it,
+    `thin_qr_q` orthonormalizes it in place, and the pipeline's mode lift
+    hands it back chunk by chunk (see `linalg._lift`). The source's last
+    block is released after the last pass.
 
     The first pass also sums ||X||_F^2 and checks each chunk's rows of Y:
     NaN or Inf there raises NonFiniteInput naming the first bad entry of X
@@ -181,8 +182,7 @@ def blocked_randomized_qb(source, cfg: SketchConfig) -> QBFactorization:
             f"exceeds min{(n, m)} = {min(n, m)}"
         )
     omega = gaussian_test_matrix(m, l, cfg.seed)
-    memguard.note(n * l * 8)
-    y = np.empty((l, n)).T
+    y = empty_basis(n, l)
     data_sq_norm = 0.0
     error = None
     for start, rows in row_chunks(source):
@@ -223,10 +223,12 @@ def randomized_qb(x, cfg: SketchConfig) -> QBFactorization:
     return blocked_randomized_qb(ArrayRowBlockSource(x, 1), cfg)
 
 
-def apply_q(qb: QBFactorization, v) -> np.ndarray:
+def apply_q(qb: QBFactorization, v, *, release_q: bool = False) -> np.ndarray:
     """Q @ v for an l x c matrix v, without casting Q to complex (see
-    `linalg._lift`)."""
-    return _lift(qb.q, np.asarray(v))
+    `linalg._lift`). qb.q is left as it is unless release_q is set, which
+    only a caller that owns qb and has no further use for qb.q may do: the
+    lift then hands qb.q back chunk by chunk, its rows reading as zeros."""
+    return _lift(qb.q, np.asarray(v), release_q=release_q)
 
 
 def expected_error_bound(

@@ -82,3 +82,15 @@ def write_v1_sms(path, x) -> None:
 def dyadic_spectrum_matrix():
     """100 x 80 test matrix with singular values 2^-1 ... 2^-80."""
     return matrix_with_spectrum(100, 80, 2.0 ** -np.arange(1, 81), seed=1234)
+
+
+@pytest.fixture
+def numpy_bases(monkeypatch):
+    """Make every `blocked.empty_basis` a numpy array, as on a platform
+    without MADV_DONTNEED, so that tracemalloc, which sees only numpy's
+    allocator, counts the basis in a test's peak. The lift's release is
+    then a no-op, so a peak measured this way holds the basis through the
+    lift."""
+    from rdmd import blocked
+
+    monkeypatch.setattr(blocked, "_CAN_RELEASE", False)

@@ -167,9 +167,9 @@ class TestBlockedQb:
             def release_block(self):
                 calls.append("release")
 
-        def recording_apply_q(qb, v):
+        def recording_apply_q(qb, v, **kwargs):
             calls.append("lift")
-            return apply_q(qb, v)
+            return apply_q(qb, v, **kwargs)
 
         monkeypatch.setattr(rdmd.dmd, "apply_q", recording_apply_q)
         dmd_randomized_blocked(Recording(normal_matrix(60, 20, seed=23), 3),

@@ -417,6 +417,38 @@ class TestVersion1Files:
         for name in ("eigenvalues.csv", "amplitudes.csv", "modes_re.sms", "modes_im.sms"):
             assert (tmp_path / "v1" / name).read_bytes() == (tmp_path / "v2" / name).read_bytes()
 
+    def test_reconstruct_is_the_product_by_row_chunks(self, tmp_path):
+        # the output is written one 4096-row chunk of the modes at a time:
+        # bit for bit each chunk's own product, and the one-GEMM product of
+        # all the modes to rounding
+        n = 2 * _CHUNK_ROWS + 7
+        x = normal_matrix(n, 3, seed=64) @ normal_matrix(3, 12, seed=65)
+        rdmd.write_sms(x, tmp_path / "x.sms")
+        dec = tmp_path / "dec"
+        assert cli.main([
+            "decompose", "--input", str(tmp_path / "x.sms"), "--method", "dmd",
+            "--rank", "3", "--out", str(dec),
+        ]) == 0
+        assert cli.main([
+            "reconstruct", "--modes", str(dec), "--steps", "30",
+            "--out", str(tmp_path / "r.sms"),
+        ]) == 0
+        result = rdmd.DmdResult(
+            eigenvalues=read_complex_csv(dec / "eigenvalues.csv"),
+            modes=read_complex_matrix(dec, "modes"),
+            low_dim_eigvecs=np.eye(3, dtype=np.complex128),
+            amplitudes=read_complex_csv(dec / "amplitudes.csv"),
+            method="deterministic_projected",
+        )
+        got = rdmd.read_sms(tmp_path / "r.sms")
+        chunked = np.vstack([
+            rdmd.reconstruct(replace(result, modes=result.modes[lo : lo + _CHUNK_ROWS]), 30)
+            for lo in range(0, n, _CHUNK_ROWS)
+        ])
+        assert got.tobytes() == chunked.tobytes()
+        dense = rdmd.reconstruct(result, 30)
+        assert np.max(np.abs(got - dense)) <= 1e-15 * np.max(np.abs(dense))
+
     def test_reconstruct_version_1_modes(self, workspace, tmp_path):
         dec = tmp_path / "dec"
         res = run_cli(
@@ -793,8 +825,9 @@ class TestQb:
         assert abs(report["expected_error_bound_relative"] - relative) <= 1e-14 * relative
 
     def test_relative_error_matches_dense_without_n_by_m_temporaries(
-        self, tmp_path, capsys
+        self, tmp_path, capsys, numpy_bases
     ):
+        # the sketch basis Q is counted (`numpy_bases`)
         import tracemalloc
 
         x = normal_matrix(20000, 5, seed=40) @ normal_matrix(5, 201, seed=41)

@@ -655,6 +655,58 @@ class TestRowBlocks:
         assert run - imported <= 0.5 * os.path.getsize(path)
 
     @linux_only
+    @pytest.mark.parametrize("method", ["rdmd", "dmd"])
+    def test_one_block_decompose_holds_its_basis_or_its_modes(self, tmp_path, method):
+        # 200000 x 31 at rank 10: rdmd's n x 20 sketch basis is 32 MB,
+        # dmd's n x 10 U_k 16 MB, and the complex n x 10 modes 32 MB. The
+        # lift hands the basis back as it writes the modes, and the modes
+        # are written by row chunks, so a run peaks at the larger of the
+        # two, not at their sum. Measured over a 2000-row run of the same
+        # method, which holds the libraries' code and buffers: rdmd rose
+        # 35 MB and dmd 32 MB (65 and 48 MB when both were held).
+        n, cols, k = 200_000, 31, 10
+        for rows, name in ((n, "big.sms"), (2000, "small.sms")):
+            x = normal_matrix(rows, k, seed=38) @ normal_matrix(k, cols, seed=39)
+            x += 0.1 * normal_matrix(rows, cols, seed=40)
+            write_sms(x, tmp_path / name)
+            del x
+        small, big = (
+            child_peak_rss(
+                "-m", "rdmd", "decompose", "--input", str(tmp_path / name),
+                "--method", method, "--rank", str(k), "--blocks", "1", "--seed", "41",
+                "--out", str(tmp_path / "o"),
+            )
+            for name in ("small.sms", "big.sms")
+        )
+        modes = n * k * 16
+        basis = n * (k + 10 if method == "rdmd" else k) * 8
+        assert big - small <= max(basis, modes) + 0.5 * min(basis, modes)
+
+    @linux_only
+    def test_reconstruct_writes_by_row_chunks(self, tmp_path):
+        # a 50000 x 201 output is 80 MB; the run holds the n x 5 modes and
+        # one 4096-row chunk of the output and its product's temporary,
+        # where the whole output and a temporary of its size peaked at
+        # 2.1 x the output
+        x = normal_matrix(50_000, 5, seed=42) @ normal_matrix(5, 21, seed=43)
+        write_sms(x, tmp_path / "x.sms")
+        del x
+        from rdmd import cli
+
+        assert cli.main([
+            "decompose", "--input", str(tmp_path / "x.sms"), "--method", "dmd",
+            "--rank", "5", "--out", str(tmp_path / "dec"),
+        ]) == 0
+        imported = child_peak_rss("-c", "import rdmd.cli")
+        run = child_peak_rss(
+            "-m", "rdmd", "reconstruct", "--modes", str(tmp_path / "dec"),
+            "--steps", "201", "--out", str(tmp_path / "r.sms"),
+        )
+        output = os.path.getsize(tmp_path / "r.sms")
+        assert output == 32 + 50_000 * 201 * 8
+        assert run - imported <= 0.5 * output
+
+    @linux_only
     def test_report_states_the_peak_rss(self, tmp_path):
         # ru_maxrss read as the report is written: the run's peak, which the
         # write of the outputs does not raise
@@ -772,3 +824,53 @@ class TestExporters:
         with pytest.raises(IoFailure):
             write(target)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+    @pytest.mark.parametrize(
+        "error", [NonFiniteInput("row 7 is nan", row=7), KeyboardInterrupt()],
+        ids=["NonFiniteInput", "KeyboardInterrupt"],
+    )
+    def test_a_chunk_source_raising_partway_leaves_no_temp(self, tmp_path, error):
+        def chunks():
+            yield np.zeros(4096)
+            raise error
+
+        with pytest.raises(type(error)) as raised:
+            write_atomic(tmp_path / "x.bin", b"header", chunks())
+        assert raised.value is error
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_finite_row_in_a_later_chunk_leaves_no_temp(self, tmp_path):
+        x = normal_matrix(3 * _CHUNK_ROWS, 4, seed=20)
+        x[2 * _CHUNK_ROWS + 5, 3] = np.inf
+        with pytest.raises(NonFiniteInput, match=f"row {2 * _CHUNK_ROWS + 5}, column 3 is inf"):
+            write_sms(x, tmp_path / "x.sms")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sms_rows_must_add_up_to_the_shape(self, tmp_path):
+        from rdmd.datasets import write_sms_rows
+
+        x = normal_matrix(10, 3, seed=21)
+        for blocks in ([x[:4], x[4:8]], [x, x[:1]], [x[:, :2]]):
+            with pytest.raises(ShapeMismatch):
+                write_sms_rows(tmp_path / "x.sms", x.shape, iter(blocks))
+        assert list(tmp_path.iterdir()) == []
+        write_sms_rows(tmp_path / "x.sms", x.shape, iter([x[:4], x[4:]]))
+        assert read_sms(tmp_path / "x.sms").tobytes() == x.tobytes()
+
+    def test_complex_matrix_parts_are_written_without_a_whole_copy(self, tmp_path):
+        # modes.real and modes.imag are strided views: each is written a
+        # row chunk at a time, not through an n x k contiguous copy
+        import tracemalloc
+
+        n, k = 10 * _CHUNK_ROWS + 3, 5
+        w = normal_matrix(n, k, seed=22) + 1j * normal_matrix(n, k, seed=23)
+        tracemalloc.start()
+        try:
+            write_complex_matrix(tmp_path, "modes", w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * _CHUNK_ROWS * k * 8  # a whole part would be 10 chunks
+        for part, values in (("re", w.real), ("im", w.imag)):
+            raw = (tmp_path / f"modes_{part}.sms").read_bytes()
+            assert raw[SMS_HEADER_BYTES:] == np.ascontiguousarray(values).tobytes()

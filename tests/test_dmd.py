@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import sys
 import warnings
 
 import numpy as np
@@ -439,9 +440,10 @@ class TestCompressed:
         expected = [np.exp(0.5j), np.exp(-0.5j)]
         assert eigen_match_error(expected, result.eigenvalues) <= 1e-6
 
-    def test_gaussian_compression_peak_memory_stays_near_the_input(self):
+    def test_gaussian_compression_peak_memory_stays_near_the_input(self, numpy_bases):
         # S (50 x n) is drawn a tile at a time, so the peak is the pipeline's
-        # n x k buffers, not the 50 x n mixer and its draw temporaries
+        # n x k buffers, not the 50 x n mixer and its draw temporaries; the
+        # exact-style basis is counted (`numpy_bases`)
         import tracemalloc
 
         x = normal_matrix(100_000, 3, seed=34) @ normal_matrix(3, 41, seed=35)
@@ -728,8 +730,13 @@ class TestCrossMethodInvariants:
 
 class TestTallPeakMemory:
     # 20000 x 100: an n x c intermediate (16 MB) would dwarf what the tall
-    # paths need, the n x k result, one 4096-row chunk and c x c factors
+    # paths need, the n x k result, one 4096-row chunk and c x c factors.
+    # Every basis is counted (`numpy_bases`), and held through the lift.
     N, C, K = 20_000, 100, 5
+
+    @pytest.fixture(autouse=True)
+    def _count_bases(self, numpy_bases):
+        pass
 
     @staticmethod
     def traced_peak(run) -> int:
@@ -782,6 +789,45 @@ class TestTallPeakMemory:
             block = source.block_ranges[0][1] * source.cols * 8
             peak = self.traced_peak(lambda: dmd_randomized_blocked(source, cfg))
         assert peak <= 2 * (block + self.N * cfg.sketch.sketch_size * 8)
+
+
+class TestReleasingLift:
+    """The pipeline hands its basis back chunk by chunk as it lifts the
+    modes (`_lift` with release_q); that must not change a bit of them."""
+
+    # several chunks and a partial one, and 32 blocks thinner than a chunk
+    N = 3 * 4096 + 1000
+
+    @pytest.mark.parametrize("blocks", [1, 32])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_equals_the_plain_lift(self, monkeypatch, method, blocks):
+        from rdmd import linalg
+
+        x = normal_matrix(self.N, 3, seed=80) @ normal_matrix(3, 24, seed=81)
+        x += 0.1 * normal_matrix(self.N, 24, seed=82)
+        cfg = DmdConfig(target_rank=3, method=method, compress_dim=12, seed=83)
+        released = []
+        inner = linalg.release_basis_rows
+
+        def recording(a, start, stop):
+            released.append((a, start, stop))
+            inner(a, start, stop)
+
+        monkeypatch.setattr(linalg, "release_basis_rows", recording)
+        got = run_dmd(ArrayRowBlockSource(x, blocks), cfg)
+        monkeypatch.setattr(linalg, "release_basis_rows", lambda a, start, stop: None)
+        plain = run_dmd(ArrayRowBlockSource(x, blocks), cfg)
+        for field in ("eigenvalues", "modes", "amplitudes"):
+            assert getattr(got, field).tobytes() == getattr(plain, field).tobytes()
+        assert got.sketch.modes.tobytes() == plain.sketch.modes.tobytes()
+        # one basis, handed back a chunk at a time, all of it
+        basis = released[0][0]
+        assert all(a is basis for a, _, _ in released)
+        assert [(lo, hi) for _, lo, hi in released] == [
+            (lo, lo + 4096) for lo in range(0, self.N, 4096)
+        ]
+        if sys.platform == "linux":  # MADV_DONTNEED zero-fills there
+            assert not basis[4096 : 3 * 4096].any()
 
 
 class _ReadCounter(np.ndarray):

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -313,6 +315,45 @@ class TestLift:
         assert np.shares_memory(returned, out)
         assert out[40:160].tobytes() == _lift(q, m).tobytes()
         assert not out[:40].any() and not out[160:].any()
+
+    @staticmethod
+    def mapped_basis(n, c, seed):
+        from rdmd.blocked import empty_basis
+
+        q = empty_basis(n, c)
+        q[...] = normal_matrix(n, c, seed=seed)
+        return q
+
+    def test_leaves_q_as_it_is(self):
+        # q is an `empty_basis` over several chunks and a partial one: the
+        # public lift reads it and never hands its pages back
+        from rdmd.linalg import _lift
+
+        q = self.mapped_basis(3 * _CHUNK_ROWS + 5, 7, seed=53)
+        before = q.copy()
+        m = normal_matrix(7, 4, seed=54) + 1j * normal_matrix(7, 4, seed=55)
+        _lift(q, m)
+        assert q.tobytes() == before.tobytes()
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="MADV_DONTNEED zero-fills on Linux")
+    def test_release_q_hands_each_lifted_chunk_back(self):
+        from rdmd.linalg import _lift
+
+        q = self.mapped_basis(3 * _CHUNK_ROWS + 5, 7, seed=53)
+        m = normal_matrix(7, 4, seed=54) + 1j * normal_matrix(7, 4, seed=55)
+        plain = _lift(q, m)
+        assert _lift(q, m, release_q=True).tobytes() == plain.tobytes()
+        # but for a column's first and last page, which it may share with
+        # its neighbours
+        assert not q[_CHUNK_ROWS : 2 * _CHUNK_ROWS].any()
+
+    def test_release_q_leaves_a_numpy_array_as_it_is(self):
+        from rdmd.linalg import _lift
+
+        q = np.asfortranarray(normal_matrix(2 * _CHUNK_ROWS + 5, 7, seed=56))
+        before = q.copy()
+        _lift(q, normal_matrix(7, 3, seed=57), release_q=True)
+        assert q.tobytes() == before.tobytes()
 
 
 class TestTallProduct:

@@ -84,6 +84,20 @@ class TestRandomizedQb:
         rel = np.linalg.norm(x - qb.q @ qb.b) / np.linalg.norm(x)
         assert rel <= 1e-10
 
+    def test_apply_q_leaves_q_as_it_is(self):
+        # qb.q is the finder's `empty_basis`, over several chunks and a
+        # partial one: only the pipeline, which owns its qb, releases it
+        from rdmd import apply_q
+        from rdmd.linalg import _CHUNK_ROWS
+
+        x = normal_matrix(3 * _CHUNK_ROWS + 5, 3, seed=8) @ normal_matrix(3, 12, seed=9)
+        qb = randomized_qb(x, SketchConfig(3, 2, 1, seed=10))
+        before = qb.q.copy()
+        v = normal_matrix(5, 4, seed=11) + 1j * normal_matrix(5, 4, seed=12)
+        lifted = apply_q(qb, v)
+        assert qb.q.tobytes() == before.tobytes()
+        assert np.max(np.abs(lifted - before @ v)) <= 1e-14 * np.max(np.abs(lifted))
+
     def test_power_iterations_reduce_mean_error(self):
         x = matrix_with_spectrum(100, 60, 0.95 ** np.arange(1, 61), seed=5)
         def mean_error(q_iters):
