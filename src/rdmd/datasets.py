@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import memguard
-from .blocked import _CHUNK_ROWS, partition_rows
+from .blocked import _CHUNK_ROWS, partition_rows, row_chunks
 from .errors import (
     BadMagic,
     IoFailure,
@@ -556,10 +556,17 @@ def write_complex_matrix(directory, base: str, w) -> None:
 
 
 def read_complex_matrix(directory, base: str) -> np.ndarray:
-    re_part = read_sms(os.path.join(directory, f"{base}_re.sms"))
-    im_part = read_sms(os.path.join(directory, f"{base}_im.sms"))
-    if re_part.shape != im_part.shape:
-        raise ShapeMismatch(
-            f"{base}_re.sms {re_part.shape} != {base}_im.sms {im_part.shape}"
-        )
-    return re_part + 1j * im_part
+    """The complex matrix `write_complex_matrix` wrote, its parts copied
+    into one complex128 array chunk by chunk (`row_chunks`), so a -0.0 part
+    keeps its sign and of each mapped file one chunk's pages are held."""
+    re_path, im_path = (os.path.join(directory, f"{base}_{p}.sms") for p in ("re", "im"))
+    with open_row_blocks(re_path, 1) as re_part, open_row_blocks(im_path, 1) as im_part:
+        if re_part.shape != im_part.shape:
+            raise ShapeMismatch(
+                f"{base}_re.sms {re_part.shape} != {base}_im.sms {im_part.shape}"
+            )
+        out = np.empty(re_part.shape, dtype=np.complex128)
+        for target, source in ((out.real, re_part), (out.imag, im_part)):
+            for start, rows in row_chunks(source):
+                target[start : start + rows.shape[0]] = rows
+    return out

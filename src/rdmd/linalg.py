@@ -2,10 +2,12 @@
 regularized inverses with filter factors.
 
 Everything here is a pure function of its arguments, backed by LAPACK
-through numpy. Matrices are 2-D float64 ndarrays in row-major order. The tall
-kernels (`truncated_svd` and the Gram and CholeskyQR passes under it) read
-their n-row operand in `blocked.row_chunks` passes, so they take an
-in-memory matrix (as its one-block source) or any row-block source alike.
+through numpy. Matrices are 2-D float64 ndarrays in row-major order.
+`truncated_svd` and the Gram and Rayleigh-Ritz passes under it read their
+n-row operand in `blocked.row_chunks` passes, so they take an in-memory
+matrix (as its one-block source) or any row-block source alike. The
+CholeskyQR2 under `thin_qr_q` and `dmd`'s exact-style basis takes
+in-memory matrices only.
 """
 
 from __future__ import annotations
@@ -153,20 +155,18 @@ def _real_product(w: np.ndarray, p: np.ndarray) -> np.ndarray:
     return out
 
 
-def _row_products(x, m: np.ndarray):
-    """Yield (rows, a_i @ m) for the `row_chunks` a_i of A, the leading
-    m.shape[0] columns of x (an n-row matrix or a row-block source), rows
-    being the chunk's slice of the n rows. Each product is written into one
-    reused buffer, so the n-row product A @ m is never formed. A yielded
-    product is overwritten by the next."""
-    source = as_source(x)
-    c, width = m.shape
-    step = min(source.rows, _CHUNK_ROWS)
+def _row_products(a: np.ndarray, m: np.ndarray):
+    """Yield (rows, a_i @ m) for the `_CHUNK_ROWS`-row chunks a_i of the
+    in-memory n-row matrix a, rows being the chunk's slice of the n rows.
+    Each product is written into one reused buffer, so the n-row product
+    a @ m is never formed. A yielded product is overwritten by the next."""
+    n, width = a.shape[0], m.shape[1]
+    step = min(n, _CHUNK_ROWS)
     memguard.note(step * width * 8)
     buf = np.empty((step, width))
-    for start, rows in row_chunks(source):
-        count = rows.shape[0]
-        yield slice(start, start + count), np.matmul(rows[:, :c], m, out=buf[:count])
+    for start in range(0, n, _CHUNK_ROWS):
+        a_i = a[start : start + _CHUNK_ROWS]
+        yield slice(start, start + a_i.shape[0]), np.matmul(a_i, m, out=buf[: a_i.shape[0]])
 
 
 def _tall_product(a: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -185,26 +185,23 @@ def _tall_product(a: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -
     return out
 
 
-def _lift(
-    q: np.ndarray, m: np.ndarray, out: np.ndarray | None = None, release_q: bool = False
-) -> np.ndarray:
-    """q @ m for a real n x l q and a real or complex l x c m, written into
-    `out` (a fresh n x c array of m's result type when None) without casting
-    q to complex. The real view of a complex n x c array is n x 2c with the
-    real and imaginary part of each column side by side, so one real GEMM of
-    q with the same interleave of m fills it: per entry, q @ m.real and
-    q @ m.imag. The GEMM runs over `_CHUNK_ROWS`-row chunks of q, so BLAS
-    touches chunk-sized pack buffers, not n-row ones.
+def _lift(q: np.ndarray, m: np.ndarray, release_q: bool = False) -> np.ndarray:
+    """q @ m for a real n x l q and a real or complex l x c m, as a fresh
+    n x c array of m's result type, without casting q to complex. The real
+    view of a complex n x c array is n x 2c with the real and imaginary
+    part of each column side by side, so one real GEMM of q with the same
+    interleave of m fills it: per entry, q @ m.real and q @ m.imag. The
+    GEMM runs over `_CHUNK_ROWS`-row chunks of q, so BLAS touches
+    chunk-sized pack buffers, not n-row ones.
 
     With release_q, for a q that nothing reads after the lift, each chunk
     of q is handed back once its rows of the result are written
     (`blocked.release_basis_rows`, a no-op unless q is an `empty_basis`),
     so the result replaces q instead of being added to it. q must then be
     no other array's input: its released rows read as zeros."""
-    if out is None:
-        dtype = np.result_type(np.float64, m.dtype)
-        memguard.note(q.shape[0] * m.shape[1] * dtype.itemsize)
-        out = np.empty((q.shape[0], m.shape[1]), dtype=dtype)
+    dtype = np.result_type(np.float64, m.dtype)
+    memguard.note(q.shape[0] * m.shape[1] * dtype.itemsize)
+    out = np.empty((q.shape[0], m.shape[1]), dtype=dtype)
     target = out
     if np.iscomplexobj(out):
         m = np.stack([m.real, m.imag], axis=-1).reshape(m.shape[0], -1)
@@ -266,10 +263,12 @@ def _near_identity_cholesky(g: np.ndarray) -> np.ndarray | None:
 
 
 def _cholesky_qr2(
-    a, gram: np.ndarray | None = None
+    a: np.ndarray, gram: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """CholeskyQR2 factors (Fukaya et al., 2014) of a tall matrix A, or None
-    where they are not accurate.
+    """CholeskyQR2 factors (Fukaya et al., 2014) of the in-memory tall
+    matrix A = a, or None where they are not accurate. It is the thin QR
+    of `thin_qr_q` and of the exact-style basis of `dmd`; the truncated SVD
+    does not use it.
 
     R1 = chol(A^T A) and R2 = chol(Q1^T Q1) for Q1 = A R1^-1; returns
     (R1, R1^-1, R2), so that A = Q R2 R1 with Q = Q1 R2^-1 orthonormal. Q1
@@ -281,11 +280,10 @@ def _cholesky_qr2(
     worse-conditioned input) yields None. The triangular factors are only
     cols x cols, so callers invert them rather than solve against them.
 
-    `gram` is A^T A where the caller has formed it already; A is then the
-    leading gram.shape[0] columns of `a`, an in-memory matrix or a row-block
-    source. Otherwise `a` is an in-memory A whose Gram `_gram` forms here:
-    a NaN or Inf in A raises NonFiniteInput naming the first such entry of
-    A, a finite A whose A^T A overflowed yields None.
+    `gram` is A^T A where the caller has formed it already; otherwise
+    `_gram` forms it here: a NaN or Inf in A raises NonFiniteInput naming
+    the first such entry of A, a finite A whose A^T A overflowed yields
+    None.
     """
     if gram is None:
         gram = _gram(a)
@@ -362,26 +360,31 @@ def _gram_ritz_svd(x, gram: np.ndarray, k: int, project: bool = False) -> SvdFac
     gram.shape[0] columns of x (an n-row matrix or a row-block source), by
     Rayleigh-Ritz on the range of A V_l, where V_l holds the top l
     eigenvectors of its Gram matrix G = A^T A (Halko, Martinsson & Tropp,
-    2011, sec. 5), or None where G does not resolve k directions or the
-    basis is not accurate.
+    2011, sec. 5), or None where G does not admit A or the basis is not
+    accurate.
 
-    1. eigh(G), and l = min(cols, k + 10, r), where r counts the
-       eigenvalues above eps * max(rows, cols) * lambda_1, the Gram's
-       resolution; l < k yields None. Noise-free low-rank data has r at
-       its rank, so it stays here while CholeskyQR2 rejects it.
+    1. eigh(G). Where fewer than k eigenvalues lie above the Gram's
+       resolution eps * max(rows, cols) * lambda_1, G must pass a
+       Cholesky factorization, as full-rank data does and data of rank
+       below k does not. l = min(cols, k + 10) directions of positive
+       eigenvalue.
     2. One `row_chunks` pass over the chunks A_i: Q1_i = A_i W for
        W = V_l Lambda_l^-1/2, and the sums G2 = Q1^T Q1 and C = Q1^T A,
        both products reading A_i in place while it is cached.
-    3. R2 = chol(G2) under the guard of `_near_identity_cholesky`
-       (failing it yields None), so Q = Q1 R2^-1 is orthonormal to rounding
-       and B = Q^T A = R2^-T C; Q is never formed.
-    4. U_B S V^T = svd(B), the l x cols Rayleigh-Ritz problem, and
+    3. R2 = chol(G2) of the widest leading l' >= k columns that pass the
+       guard of `_near_identity_cholesky` (none yields None), so
+       Q = Q1 R2^-1 is orthonormal to rounding and B = Q^T A = R2^-T C; Q is
+       never formed. The guard drops directions below the Gram's
+       resolution where A has no rank for them (or, past condition numbers
+       of about 1e8, too little), so full-rank data keeps the oversampling
+       its trailing kept triplets need.
+    4. U_B S V^T = svd(B), the l' x cols Rayleigh-Ritz problem, and
        U_k = A (W R2^-1 U_B[:, :k]) through `_left_vectors` (with project,
        also U_k^T X).
 
-    Besides U_k it holds one A_i's l-column product and l x cols factors. Beyond G it costs two n x cols x l products and U_k,
-    where CholeskyQR2 costs two n x cols x cols ones and U_k (at
-    200000 x 200, k = 5: about 19 GFLOP in all against 48).
+    Besides U_k it holds one A_i's l-column product and l x cols factors.
+    Beyond G it costs two n x cols x l products and U_k (at 200000 x 200,
+    k = 5: about 19 GFLOP in all, against 48 for CholeskyQR2).
     """
     source = as_source(x)
     n, c = source.rows, gram.shape[0]
@@ -392,8 +395,12 @@ def _gram_ritz_svd(x, gram: np.ndarray, k: int, project: bool = False) -> SvdFac
     except np.linalg.LinAlgError:
         return None
     lam, vec = lam[::-1], vec[:, ::-1]
-    r = int(np.count_nonzero(lam > np.finfo(np.float64).eps * max(n, c) * lam[0]))
-    l = min(c, k + _RITZ_OVERSAMPLING, r)
+    if np.count_nonzero(lam > np.finfo(np.float64).eps * max(n, c) * lam[0]) < k:
+        try:
+            np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            return None
+    l = min(c, k + _RITZ_OVERSAMPLING, int(np.count_nonzero(lam > 0)))
     if l < k:
         return None
     w = vec[:, :l] / np.sqrt(lam[:l])
@@ -409,41 +416,19 @@ def _gram_ritz_svd(x, gram: np.ndarray, k: int, project: bool = False) -> SvdFac
             proj += q @ a_i
             del rows, a_i
     del q1_t  # before U_k is formed
-    r2 = _near_identity_cholesky(g2)
-    if r2 is None:
+    for l in range(l, k - 1, -1):  # the widest basis that passes the guard
+        r2 = _near_identity_cholesky(g2[:l, :l].copy())
+        if r2 is not None:
+            break
+    else:
         return None
+    w, proj = w[:, :l], proj[:l]
     try:
         r2_inv = np.linalg.inv(r2)
         u_b, s, vh = np.linalg.svd(r2_inv.T @ proj, full_matrices=False)
     except np.linalg.LinAlgError:
         return None
     found = _left_vectors(source, w @ (r2_inv @ u_b[:, :k]), project)
-    return None if found is None else SvdFactors(found[0], s[:k], vh[:k].T, found[1])
-
-
-def _cholesky_qr2_svd(
-    x, k: int, gram: np.ndarray, project: bool = False
-) -> SvdFactors | None:
-    """First k singular triplets of a tall matrix A, the leading
-    gram.shape[0] columns of x (an n-row matrix or a row-block source), from
-    the CholeskyQR2 factors `_cholesky_qr2` takes from its Gram matrix
-    `gram` (one more pass, for Q1^T Q1) and the SVD of the small R factor,
-    or None where `_cholesky_qr2` rejects the input.
-
-    With U_R S V^T = svd(R2 R1), U_k = A (R1^-1 R2^-1 U_R[:, :k]) through
-    `_left_vectors` (with project, also U_k^T X), so no n x cols buffer is
-    formed.
-    """
-    factors = _cholesky_qr2(x, gram)
-    if factors is None:
-        return None
-    r1, r1_inv, r2 = factors
-    try:
-        u_r, s, vh = np.linalg.svd(r2 @ r1)
-        w = r1_inv @ (np.linalg.inv(r2) @ u_r[:, :k])
-    except np.linalg.LinAlgError:
-        return None
-    found = _left_vectors(x, w, project)
     return None if found is None else SvdFactors(found[0], s[:k], vh[:k].T, found[1])
 
 
@@ -460,21 +445,18 @@ def truncated_svd(
 
     Tall inputs (rows >= 2 * cols) and inputs of more than one block form
     the Gram matrix A^T A in one pass (`_streamed_gram`, unless given) and
-    take the first of these that accepts them, each forming only the k kept
-    left vectors and, besides them, one `_CHUNK_ROWS`-row chunk:
-    1. Rayleigh-Ritz on the top l = min(cols, k + 10, r) eigenvectors of
-       the Gram (`_gram_ritz_svd`), where r is the numerical rank the Gram
-       resolves: a pass for Q1^T Q1 and Q1^T A, then one for U_k; it needs
-       l >= k and a basis that passes its orthogonality guard.
-    2. CholeskyQR2 from the same Gram and the SVD of its cols x cols R
-       factor (`_cholesky_qr2_svd`), for condition numbers up to about 1e8:
-       a pass for Q1^T Q1, then one for U_k.
-    3. The slice of `economic_svd` of the held block, which short
+    take one of two tiers:
+    1. Rayleigh-Ritz on the top l eigenvectors of the Gram
+       (`_gram_ritz_svd`): a pass for Q1^T Q1 and Q1^T A, then one for U_k,
+       forming only the k kept left vectors and, besides them, one
+       `_CHUNK_ROWS`-row chunk. It takes full-rank inputs up to condition
+       numbers of about 1e8 and inputs whose Gram resolves k directions.
+    2. The slice of `economic_svd` of the held block, which short
        one-block inputs take too. It needs A in memory, so it is only
        reached by one block: at more than one, RankOutOfRange says so.
-       Tall inputs reach it only where the Gram resolves fewer than k
-       directions and CholeskyQR2 rejects it, as on data of numerical rank
-       below k, or where the Gram of finite data overflowed.
+       Tall inputs reach it only where Rayleigh-Ritz rejects them, as on
+       data of numerical rank below k, or where the Gram of finite data
+       overflowed.
 
     NaN or Inf in A raises NonFiniteInput naming its first such entry: the
     Gram pass shows it (a `gram` passed in was checked by its caller),
@@ -489,8 +471,6 @@ def truncated_svd(
         if gram is None:
             gram = _streamed_gram(source)[:c, :c]
         fast = _gram_ritz_svd(source, gram, k, project)
-        if fast is None:
-            fast = _cholesky_qr2_svd(source, k, gram, project)
         if fast is not None:
             return fast
         if source.block_count > 1:

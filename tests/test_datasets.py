@@ -809,6 +809,50 @@ class TestExporters:
         write_complex_matrix(tmp_path, "modes", w)
         assert np.array_equal(read_complex_matrix(tmp_path, "modes"), w)
 
+    def test_complex_matrix_keeps_the_sign_of_a_zero_part(self, tmp_path):
+        w = np.array(
+            [[complex(1.0, -0.0), complex(-0.0, 2.0)], [complex(-0.0, -0.0), complex(3.0, 0.0)]]
+        )
+        write_complex_matrix(tmp_path, "modes", w)
+        assert read_complex_matrix(tmp_path, "modes").tobytes() == w.tobytes()
+
+    def test_complex_matrix_read_holds_only_the_result(self, tmp_path):
+        # the parts are mapped, which tracemalloc does not see; a complex
+        # temporary such as re + 1j * im would double the peak
+        import tracemalloc
+
+        n, k = 10 * _CHUNK_ROWS + 3, 5
+        write_complex_matrix(
+            tmp_path, "modes", normal_matrix(n, k, seed=24) + 1j * normal_matrix(n, k, seed=25)
+        )
+        tracemalloc.start()
+        try:
+            got = read_complex_matrix(tmp_path, "modes")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * got.nbytes
+
+    def test_complex_matrix_read_releases_each_chunk_of_the_parts(self, tmp_path, monkeypatch):
+        # each part file is copied a row chunk at a time and the chunk's
+        # mapped pages dropped, so the two files are never resident beside
+        # the result
+        n, k = 2 * _CHUNK_ROWS + 3, 5
+        w = normal_matrix(n, k, seed=26) + 1j * normal_matrix(n, k, seed=27)
+        write_complex_matrix(tmp_path, "modes", w)
+        released = []
+        inner = datasets.SmsRowBlockSource.release_rows
+
+        def spy(self, start, count):
+            released.append((start, count))
+            inner(self, start, count)
+
+        monkeypatch.setattr(datasets.SmsRowBlockSource, "release_rows", spy)
+        assert read_complex_matrix(tmp_path, "modes").tobytes() == w.tobytes()
+        # each part's chunks in turn, then each file's whole block as it closes
+        chunks = [(0, _CHUNK_ROWS), (_CHUNK_ROWS, _CHUNK_ROWS), (2 * _CHUNK_ROWS, 3)]
+        assert released == 2 * chunks + 2 * [(0, n)]
+
     @pytest.mark.parametrize(
         "write",
         [

@@ -18,15 +18,20 @@ from rdmd import (
     SketchConfig,
     dmd_randomized,
     dmd_randomized_blocked,
+    economic_svd,
     eigen_match_error,
     partition_rows,
     randomized_qb,
     read_sms,
     synth_linear_dynamics,
+    truncated_svd,
     write_sms,
 )
 from rdmd.datasets import _VARIANCE_LEAF, _variance
+from rdmd.errors import RankOutOfRange
 from rdmd.rng import normal_matrix, normals
+
+from conftest import matrix_with_spectrum
 
 
 @settings(max_examples=20, deadline=None, database=None)
@@ -142,3 +147,44 @@ def test_streamed_variance_is_np_var_bit_for_bit(rows, cols, fortran, offset, se
     if fortran:
         x = np.asfortranarray(x)
     assert _variance(x).tobytes() == np.var(x).tobytes()
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(
+    rows=st.integers(min_value=60, max_value=3000),
+    cols=st.integers(min_value=1, max_value=30),
+    log_kappa=st.floats(min_value=0.0, max_value=7.0),
+    rank=st.none() | st.integers(min_value=1, max_value=30),  # None: full rank
+    k=st.integers(min_value=1, max_value=30),
+    blocks=st.sampled_from([1, 3]),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+# kappa = 1e7 at k = cols: the Gram resolves fewer than k directions
+@example(rows=3000, cols=30, log_kappa=7.0, rank=None, k=30, blocks=3, seed=19)
+# k is the Gram's last resolved direction: Rayleigh-Ritz needs the unresolved
+# ones as well to get it to rounding level
+@example(rows=550, cols=12, log_kappa=6.865165171620757, rank=None, k=11, blocks=1,
+         seed=1475490189)
+# rank below k at more than one block
+@example(rows=1500, cols=20, log_kappa=0.0, rank=3, k=5, blocks=3, seed=1)
+def test_tall_truncated_svd_matches_the_economic_svd(
+    rows, cols, log_kappa, rank, k, blocks, seed
+):
+    rank = cols if rank is None else min(rank, cols)
+    k = min(k, cols)
+    x = matrix_with_spectrum(rows, cols, np.logspace(0, -log_kappa, rank), seed)
+    sigma = economic_svd(x).singular_values
+    try:
+        f = truncated_svd(ArrayRowBlockSource(x, blocks), k)
+    except RankOutOfRange:
+        # the one exact fallback needs the input as one block; the Gram
+        # cannot tell data of rank below k from rank-deficient data whose
+        # k-th singular value lies below its resolution (with a factor 2 of
+        # slack for the computed eigenvalues), so either may be refused
+        resolution = 2 * np.sqrt(np.finfo(np.float64).eps * rows) * sigma[0]
+        assert blocks > 1 and rank < cols and np.count_nonzero(sigma > resolution) < k
+        return
+    assert np.max(np.abs(f.singular_values - sigma[:k])) <= 1e-12 * sigma[0]
+    assert np.linalg.norm(f.u.T @ f.u - np.eye(k), 2) <= 1e-12
+    resid = np.linalg.norm(x @ f.v - f.u * f.singular_values)
+    assert resid <= 1e-12 * np.linalg.norm(x)
