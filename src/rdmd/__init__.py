@@ -18,11 +18,8 @@ from .dmd import (
     SnapshotSplit,
     amplitudes,
     dmd_compressed,
-    dmd_compressed_blocked,
     dmd_deterministic,
-    dmd_deterministic_blocked,
     dmd_randomized,
-    dmd_randomized_blocked,
     eigen_match_error,
     low_dim_operator,
     reconstruct,

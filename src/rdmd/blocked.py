@@ -2,12 +2,14 @@
 
 Every pass the library makes over an n-row snapshot matrix X reads it as b
 contiguous row blocks from a source: `partition_rows` splits the n rows,
-`ArrayRowBlockSource` hands out views of an in-memory matrix (its one-block
-source is what every in-memory entry point runs on, see `as_source`), and
-`datasets.SmsRowBlockSource` views of a mapped SMS file. A source hands out
-block i with `read_block(i)`, in any order and repeatedly, drops the pages
-of any of its rows with `release_rows(start, count)`, and takes back the
-block it holds with `release_block()`.
+`ArrayRowBlockSource` hands out views of an in-memory matrix, and
+`datasets.SmsRowBlockSource` views of a mapped SMS file. Each DMD
+variant's one entry point, the truncated SVD and the compressions take a
+matrix or a source through `as_source`, which runs a matrix as its own
+one-block source. A source hands out block i with `read_block(i)`, in any
+order and repeatedly, drops the pages of any of its rows with
+`release_rows(start, count)`, and takes back the block it holds with
+`release_block()`.
 
 Each pass is one `row_chunks` walk: it reads each block once and hands it
 out in `_CHUNK_ROWS`-row chunks, releasing each chunk's rows once it is

@@ -25,14 +25,14 @@ except ImportError:  # not on Windows
 import numpy as np
 
 from . import memguard
-from .blocked import _CHUNK_ROWS, ArrayRowBlockSource, row_chunks
+from .blocked import _CHUNK_ROWS, row_chunks
 from .datasets import (
     ModeSpec,
     add_noise,
     open_row_blocks,
     read_complex_csv,
     read_complex_matrix,
-    read_sms,
+    read_sms,  # no caller: perfbench/traced.py's datasets.read_sms site
     synth_linear_dynamics,
     write_atomic,
     write_complex_csv,
@@ -249,7 +249,6 @@ def _build_config(args, method: str) -> DmdConfig:
 
 
 def _cmd_decompose(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
     cfg = _build_config(args, args.method)
     truth = _load_truth(args.truth) if args.truth else None
 
@@ -265,6 +264,7 @@ def _cmd_decompose(args) -> int:
             )
         recon_error, sketch_residual, dynamics_misfit = errors
 
+        os.makedirs(args.out, exist_ok=True)  # only now: a failed run leaves none
         with stage(timings, "write"):
             write_complex_csv(os.path.join(args.out, "eigenvalues.csv"), result.eigenvalues)
             write_complex_csv(os.path.join(args.out, "amplitudes.csv"), result.amplitudes)
@@ -301,43 +301,41 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
-    data = read_sms(args.input)
     truth = _load_truth(args.truth) if args.truth else None
     base = _build_config(args, "rdmd")
-    # An equal-sketch-size comparison: cdmd compresses to k + p rows unless told.
-    compress_dim = (
-        args.compress_dim
-        if args.compress_dim is not None
-        else min(data.shape[0], base.sketch.sketch_size)
-    )
-
     rows = []
     summary = {}
     timing = {}
-    for method in ("dmd", "rdmd", "cdmd"):
-        runs = []
-        for trial in range(args.seeds):
-            # the deterministic method ignores the seed, so its first run
-            # stands for every trial
-            if method != "dmd" or trial == 0:
-                cfg = replace(
-                    base, method=_METHOD_FLAGS[method],
-                    seed=derive_seed(args.seed, trial), compress_dim=compress_dim,
-                )
-                _, (recon, _, _), match = _run(
-                    lambda: run_dmd(data, cfg), row_chunks(ArrayRowBlockSource(data, 1)),
-                    truth, timing,
-                )
-                dt = timing["decompose"]
-            match_text = "" if match is None else f"{match:.17g}"
-            rows.append([method, trial, match_text, f"{recon:.17g}", f"{dt:.6f}"])
-            runs.append((match, recon, dt))
-        summary[method] = {
-            "eigen_match_error": _mean_std([r[0] for r in runs if r[0] is not None]),
-            "reconstruction_error": _mean_std([r[1] for r in runs]),
-            "time_s": _mean_std([r[2] for r in runs]),
-        }
+    # one block, as in decompose: every pass walks the file in chunks
+    with open_row_blocks(args.input, 1) as source:
+        # An equal-sketch-size comparison: cdmd compresses to k + p rows unless told.
+        compress_dim = (
+            args.compress_dim
+            if args.compress_dim is not None
+            else min(source.rows, base.sketch.sketch_size)
+        )
+        for method in ("dmd", "rdmd", "cdmd"):
+            runs = []
+            for trial in range(args.seeds):
+                # the deterministic method ignores the seed, so its first run
+                # stands for every trial
+                if method != "dmd" or trial == 0:
+                    cfg = replace(
+                        base, method=_METHOD_FLAGS[method],
+                        seed=derive_seed(args.seed, trial), compress_dim=compress_dim,
+                    )
+                    _, (recon, _, _), match = _run(
+                        lambda: run_dmd(source, cfg), row_chunks(source), truth, timing
+                    )
+                    dt = timing["decompose"]
+                match_text = "" if match is None else f"{match:.17g}"
+                rows.append([method, trial, match_text, f"{recon:.17g}", f"{dt:.6f}"])
+                runs.append((match, recon, dt))
+            summary[method] = {
+                "eigen_match_error": _mean_std([r[0] for r in runs if r[0] is not None]),
+                "reconstruction_error": _mean_std([r[1] for r in runs]),
+                "time_s": _mean_std([r[2] for r in runs]),
+            }
 
     report = {
         "config": {
@@ -352,6 +350,7 @@ def _cmd_bench(args) -> int:
         },
         "methods": summary,
     }
+    os.makedirs(args.out, exist_ok=True)
     _write_json(os.path.join(args.out, "bench_report.json"), report)
     header = "method,trial,eigen_match_error,reconstruction_error,time_s\n"
     lines = "".join(",".join(str(c) for c in row) + "\n" for row in rows)
@@ -449,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="master seed (default: $RDMD_SEED, else 0)")
     sketched = argparse.ArgumentParser(add_help=False, parents=[seeded])
     sketched.add_argument("--input", required=True)
-    sketched.add_argument("--rank", type=int, required=True)
+    sketched.add_argument("--rank", type=_ranged(int, 1), required=True)
     sketched.add_argument("--oversample", type=_ranged(int, 0),
                           default=SketchConfig.oversampling)
     sketched.add_argument("--power-iters", type=_ranged(int, 0),
@@ -458,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     def compared(sampling: str) -> argparse.ArgumentParser:
         # one parser per default of --sampling: parents share their actions
         p = argparse.ArgumentParser(add_help=False, parents=[sketched])
-        p.add_argument("--compress-dim", type=int, default=None)
+        p.add_argument("--compress-dim", type=_ranged(int, 1), default=None)
         p.add_argument("--sampling", choices=("uniform", "gaussian"), default=sampling)
         p.add_argument("--truth", default=None, help="ground truth JSON from synth")
         return p
@@ -479,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run one decomposition method")
     p.add_argument("--method", choices=sorted(_METHOD_FLAGS), required=True)
     p.add_argument("--blocks", type=_ranged(int, 1), default=1)
-    p.add_argument("--memory-cap", type=int, default=None,
+    p.add_argument("--memory-cap", type=_ranged(int, 0), default=None,
                    help="fail if any single tracked allocation exceeds this many bytes")
     p.add_argument("--out", default="rdmd-out")
     p.set_defaults(func=_cmd_decompose)

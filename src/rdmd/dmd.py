@@ -23,16 +23,16 @@ sketch basis, or the thin QR factor of the exact-style basis), so every
 variant fits its amplitudes and keeps its reconstruction data in Q's
 k- or l-dimensional coordinates.
 
-Every variant runs on a row-block source (see `blocked`) and reads X in
-whole `row_chunks` passes, so a mapped file is held one 4096-row chunk at
-a time: the projected deterministic variant three times (the Gram matrix
-of X, the Rayleigh-Ritz pass of its truncated SVD, and U_k with
-B = U_k^T X), the exact modes once more (their basis), the compressed
-variant twice (S X with ||X||_F^2, then its basis), and the randomized one
-2q + 2 times. Each in-memory entry point (`dmd_deterministic`,
-`dmd_compressed`, `dmd_randomized`) is the one-block call of its source
-function, bit for bit, and any block count gives the one-block result to
-rounding.
+Each variant has one entry point (`dmd_deterministic`, `dmd_compressed`,
+`dmd_randomized`), which takes an n-row matrix or a row-block source (see
+`blocked.as_source`; a matrix is the one-block source of itself) and reads
+X in whole `row_chunks` passes, so a mapped file is held one 4096-row
+chunk at a time: the projected deterministic variant three times (the
+Gram matrix of X, the Rayleigh-Ritz pass of its truncated SVD, and U_k
+with B = U_k^T X), the exact modes once more (their basis), the
+compressed variant twice (S X with ||X||_F^2, then its basis), and the
+randomized one 2q + 2 times. Any block count gives the one-block result
+to rounding.
 
 Every result carries eigenvalues sorted by descending magnitude, modes with
 unit norm and phase pinned (largest entry real positive), and amplitudes
@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import memguard
-from .blocked import ArrayRowBlockSource, empty_basis, row_chunks
+from .blocked import ArrayRowBlockSource, as_source, empty_basis, row_chunks
 from .errors import (
     DegenerateData,
     EmptyInput,
@@ -86,7 +86,7 @@ from .sketch import (
     apply_sampling,
     blocked_randomized_qb,
     gaussian_compress,
-    randomized_qb,
+    randomized_qb,  # no caller: perfbench/traced.py's sketch.randomized_qb site
     uniform_sampling_operator,
 )
 
@@ -218,8 +218,7 @@ class DmdResult:
 
 def _require_snapshots(cols: int) -> None:
     """TooFewSnapshots unless a sequence has the 2 columns a split needs;
-    the randomized paths check it before their sketch, so the in-memory
-    and blocked ones fail alike."""
+    each entry point checks it before its first pass over X."""
     if cols < 2:
         raise TooFewSnapshots(f"need at least 2 snapshot columns, got {cols}")
 
@@ -488,15 +487,8 @@ def _split_operator(d, cfg: DmdConfig):
 
 
 def dmd_deterministic(x, cfg: DmdConfig) -> DmdResult:
-    """Deterministic decomposition from the full in-memory snapshot
-    sequence: the one-block run of `dmd_deterministic_blocked`, bit for
-    bit."""
-    return dmd_deterministic_blocked(ArrayRowBlockSource(x, 1), cfg)
-
-
-def dmd_deterministic_blocked(source, cfg: DmdConfig) -> DmdResult:
-    """Deterministic decomposition of the snapshot sequence X whose row
-    blocks `source` hands out, in `row_chunks` passes over X.
+    """Deterministic decomposition of the snapshot sequence X, an n-row
+    matrix or a row-block source, in `row_chunks` passes over X.
 
     The operator and ||X||_F^2 come from `_source_operator`: the Gram
     matrix of X, then the truncated SVD of X_L in two more passes, the
@@ -507,6 +499,7 @@ def dmd_deterministic_blocked(source, cfg: DmdConfig) -> DmdResult:
     run reads X three times. Any block count gives the one-block result to
     rounding.
     """
+    source = as_source(x)
     _require_snapshots(source.cols)
     k = cfg.target_rank
     data_sq_norm = None
@@ -533,57 +526,32 @@ def dmd_deterministic_blocked(source, cfg: DmdConfig) -> DmdResult:
 
 
 def dmd_randomized(x, cfg: DmdConfig) -> DmdResult:
-    """Randomized decomposition: QB sketch, low-dimensional DMD, recovery.
+    """Randomized decomposition of the snapshot sequence X, an n-row matrix
+    or a row-block source: QB sketch, low-dimensional DMD, recovery.
 
-    `randomized_qb` is the range finder's one-block call, so this is the
-    single-block run of `dmd_randomized_blocked`, bit for bit.
+    The range finder (`blocked_randomized_qb`) reads X once per product
+    with X; the modes are lifted through its one n x l basis, so no n x m
+    buffer is ever materialized. Any block count gives the one-block result
+    to rounding.
     """
-    a = _as_matrix(x)
-    return _randomized(a.shape[1], lambda: randomized_qb(a, cfg.sketch), cfg, 1)
-
-
-def dmd_randomized_blocked(source, cfg: DmdConfig) -> DmdResult:
-    """Randomized decomposition over a row-block source (out-of-core path).
-
-    The range finder streams the source's blocks once per product with X;
-    the modes are lifted through its one n x l basis, so no n x m buffer is
-    ever materialized. Any block count gives the in-memory result to
-    rounding, and one block gives it bit for bit.
-    """
-    return _randomized(
-        source.cols, lambda: blocked_randomized_qb(source, cfg.sketch), cfg,
-        source.block_count,
-    )
-
-
-def _randomized(cols, sketch, cfg: DmdConfig, blocks: int) -> DmdResult:
-    """The randomized variant's pipeline on the QB `sketch()` of a sequence
-    with `cols` columns, read in `blocks` row blocks."""
-    _require_snapshots(cols)
+    source = as_source(x)
+    _require_snapshots(source.cols)
     timings = {}
     with stage(timings, "sketch"):
-        qb = sketch()
+        qb = blocked_randomized_qb(source, cfg.sketch)
     return _pipeline(
         _split_operator(qb.b, cfg), cfg, "randomized", timings, qb.b,
         lambda op: (
             (lambda m: apply_q(qb, m, release_q=True)), op.right_projected, qb.b,
             qb.data_sq_norm,
         ),
-        blocks=blocks,
+        blocks=source.block_count,
     )
 
 
 def dmd_compressed(x, cfg: DmdConfig, operator: SamplingOperator | None = None) -> DmdResult:
-    """Compressed decomposition of an in-memory snapshot sequence: the
-    one-block run of `dmd_compressed_blocked`, bit for bit."""
-    return dmd_compressed_blocked(ArrayRowBlockSource(x, 1), cfg, operator)
-
-
-def dmd_compressed_blocked(
-    source, cfg: DmdConfig, operator: SamplingOperator | None = None
-) -> DmdResult:
     """Compressed decomposition: DMD of S @ X for a random l x n mixer S and
-    the snapshots X whose row blocks `source` hands out.
+    the snapshot sequence X, an n-row matrix or a row-block source.
 
     S is a Gaussian test matrix or a rescaled uniform row sampler per
     cfg.sampling, drawn from cfg.seed; pass a SamplingOperator as `operator`
@@ -592,6 +560,7 @@ def dmd_compressed_blocked(
     twice: S X with ||X||_F^2 and the NaN and Inf check (`_check_chunk`),
     then the basis pass of `_span_frame`.
     """
+    source = as_source(x)
     n, cols = source.rows, source.cols
     _require_snapshots(cols)
     k = cfg.target_rank
@@ -631,12 +600,10 @@ def dmd_compressed_blocked(
 
 
 def run_dmd(x, cfg: DmdConfig) -> DmdResult:
-    """Dispatch a snapshot sequence to the configured method: an in-memory
-    matrix to the method's in-memory entry point, a row-block source to its
-    source function, of which the in-memory one is the one-block call."""
-    in_memory = not hasattr(x, "block_ranges")
-    if cfg.method in ("deterministic_projected", "deterministic_exact"):
-        return (dmd_deterministic if in_memory else dmd_deterministic_blocked)(x, cfg)
+    """Run cfg.method on the snapshot sequence x, an n-row matrix or a
+    row-block source."""
     if cfg.method == "randomized":
-        return (dmd_randomized if in_memory else dmd_randomized_blocked)(x, cfg)
-    return (dmd_compressed if in_memory else dmd_compressed_blocked)(x, cfg)
+        return dmd_randomized(x, cfg)
+    if cfg.method == "compressed":
+        return dmd_compressed(x, cfg)
+    return dmd_deterministic(x, cfg)

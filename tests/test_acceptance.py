@@ -24,7 +24,6 @@ from rdmd import (
     dmd_compressed,
     dmd_deterministic,
     dmd_randomized,
-    dmd_randomized_blocked,
     economic_svd,
     eigen_match_error,
     expected_error_bound,
@@ -175,10 +174,10 @@ def test_c5_blocked_equivalence(tmp_path):
         )
         for b in (2, 4, 8):
             with open_row_blocks(path, b) as source:
-                result = dmd_randomized_blocked(source, cfg)
+                result = dmd_randomized(source, cfg)
             assert eigen_match_error(truth.eigenvalues, result.eigenvalues) <= 1e-6
         with open_row_blocks(path, 1) as source:
-            single = dmd_randomized_blocked(source, cfg)
+            single = dmd_randomized(source, cfg)
         unblocked = dmd_randomized(rdmd.read_sms(path), cfg)
         assert np.array_equal(single.eigenvalues, unblocked.eigenvalues)
         assert np.array_equal(single.modes, unblocked.modes)

@@ -9,7 +9,7 @@ from rdmd import (
     add_noise,
     apply_q,
     blocked_randomized_qb,
-    dmd_randomized_blocked,
+    dmd_randomized,
     partition_rows,
     randomized_qb,
     synth_linear_dynamics,
@@ -118,8 +118,8 @@ class TestBlockedQb:
         truth = synth_linear_dynamics(120, 40, specs, seed=25)
         x = add_noise(truth.clean_data, 10.0, seed=26)
         cfg = DmdConfig(target_rank=3, method="randomized", seed=27)
-        one = dmd_randomized_blocked(ArrayRowBlockSource(x, 1), cfg)
-        many = dmd_randomized_blocked(ArrayRowBlockSource(x, b), cfg)
+        one = dmd_randomized(ArrayRowBlockSource(x, 1), cfg)
+        many = dmd_randomized(ArrayRowBlockSource(x, b), cfg)
         assert many.diagnostics["config"]["blocks"] == b
         assert np.abs(many.eigenvalues - one.eigenvalues).max() <= (
             1e-12 * np.abs(one.eigenvalues).max()
@@ -172,8 +172,8 @@ class TestBlockedQb:
             return apply_q(qb, v, **kwargs)
 
         monkeypatch.setattr(rdmd.dmd, "apply_q", recording_apply_q)
-        dmd_randomized_blocked(Recording(normal_matrix(60, 20, seed=23), 3),
-                               DmdConfig(target_rank=3, oversampling=2, power_iters=1))
+        dmd_randomized(Recording(normal_matrix(60, 20, seed=23), 3),
+                       DmdConfig(target_rank=3, oversampling=2, power_iters=1))
         assert calls == ["read 0", "read 1", "read 2"] * 4 + ["release", "lift"]
 
     def test_determinism(self):

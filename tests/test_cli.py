@@ -13,7 +13,7 @@ import rdmd
 from rdmd import cli
 from rdmd.blocked import _CHUNK_ROWS, row_chunks
 from rdmd.datasets import read_complex_csv, read_complex_matrix
-from rdmd.rng import normal_matrix
+from rdmd.rng import derive_seed, normal_matrix
 
 from conftest import OVERSIZED_SHAPES, write_oversized_sms, write_v1_sms
 
@@ -247,6 +247,27 @@ class TestErrors:
         )
         assert res.returncode == 1
         assert "IoFailure" in res.stderr
+
+    @pytest.mark.parametrize("fault", ["missing", "nan"])
+    @pytest.mark.parametrize("command", [["decompose", "--method", "dmd"],
+                                         ["bench", "--seeds", "1"]],
+                             ids=["decompose", "bench"])
+    def test_failed_run_leaves_no_output_directory(self, workspace, tmp_path, command,
+                                                   fault):
+        from rdmd.datasets import SMS_HEADER_BYTES
+
+        path = tmp_path / "x.sms"
+        if fault == "nan":
+            cols = rdmd.read_sms(workspace / "x.sms").shape[1]
+            path.write_bytes((workspace / "x.sms").read_bytes())
+            with open(path, "r+b") as fh:
+                fh.seek(SMS_HEADER_BYTES + 8 * (250 * cols + 11))
+                fh.write(np.array([np.nan], "<f8").tobytes())
+        res = run_cli(*command, "--input", str(path), "--rank", "2",
+                      "--out", str(tmp_path / "o"))
+        assert res.returncode == 1
+        assert ("IoFailure" if fault == "missing" else "NonFiniteInput") in res.stderr
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("shape", OVERSIZED_SHAPES, ids=["1e9x1e9", "2^40x2^30"])
     @pytest.mark.parametrize("command", ["decompose", "reconstruct"])
@@ -496,6 +517,10 @@ class TestUsageErrors:
         ("decompose", ["--oversample", "-1"], None),
         ("bench", ["--oversample", "-1"], None),
         ("qb", ["--oversample", "-1"], None),
+        ("decompose", ["--rank", "0"], None),
+        ("qb", ["--rank", "0"], None),
+        ("bench", ["--compress-dim", "0"], None),
+        ("decompose", ["--memory-cap", "-1"], None),
         ("synth", [], "abc"),
         ("decompose", [], "abc"),
         ("bench", [], "abc"),
@@ -597,7 +622,7 @@ class TestReconstructionError:
     @classmethod
     def decompose(cls, data, variant):
         if variant == "blocked":
-            return rdmd.dmd_randomized_blocked(rdmd.ArrayRowBlockSource(data, 4), cls.CFG)
+            return rdmd.dmd_randomized(rdmd.ArrayRowBlockSource(data, 4), cls.CFG)
         return rdmd.run_dmd(data, replace(cls.CFG, **cls.VARIANTS[variant]))
 
     @pytest.mark.parametrize("variant", list(VARIANTS))
@@ -762,6 +787,28 @@ class TestBench:
         lines = (out / "bench_runs.csv").read_text().strip().splitlines()
         assert lines[0] == "method,trial,eigen_match_error,reconstruction_error,time_s"
         assert len(lines) == 1 + 3 * 3
+
+    @pytest.mark.parametrize("method", ["dmd", "rdmd", "cdmd"])
+    def test_trial_is_a_decompose_run(self, workspace, noisy_workspace, tmp_path, method,
+                                      capsys):
+        # a trial runs the method on the input's one-block source, as
+        # decompose does, with the trial's derived seed and, for cdmd,
+        # bench's default compress_dim k + p and uniform sampling; the noisy
+        # data has the noise-free workspace's dynamics and truth
+        common = ["--input", str(noisy_workspace / "x.sms"), "--rank", "5",
+                  "--truth", str(workspace / "truth.json")]
+        assert cli.main(["bench", *common, "--seeds", "1", "--seed", "9",
+                         "--out", str(tmp_path / "b")]) == 0
+        assert cli.main([
+            "decompose", *common, "--method", method, "--seed", str(derive_seed(9, 0)),
+            "--compress-dim", "15", "--sampling", "uniform", "--out", str(tmp_path / "d"),
+        ]) == 0
+        capsys.readouterr()
+        lines = (tmp_path / "b" / "bench_runs.csv").read_text().splitlines()
+        row = next(line.split(",") for line in lines if line.startswith(f"{method},"))
+        report = json.loads((tmp_path / "d" / "report.json").read_text())
+        assert float(row[2]) == report["eigen_match_error"]
+        assert float(row[3]) == report["relative_reconstruction_error"]
 
     def test_bench_without_truth_is_strict_json(self, workspace, tmp_path):
         out = tmp_path / "bench-nt"

@@ -15,7 +15,7 @@ from rdmd import (
     add_noise,
     blocked_randomized_qb,
     dmd_deterministic,
-    dmd_randomized_blocked,
+    dmd_randomized,
     eigen_match_error,
     open_row_blocks,
     read_sms,
@@ -639,18 +639,21 @@ class TestRowBlocks:
         assert run - imported <= 0.5 * os.path.getsize(path)
 
     @linux_only
-    @pytest.mark.parametrize("method", ["dmd", "cdmd"])
+    @pytest.mark.parametrize("method", ["dmd", "cdmd", "bench"])
     def test_one_block_dmd_and_cdmd_peak_rss_is_far_below_the_file(self, tmp_path, method):
         # the deterministic and compressed passes are `row_chunks` walks
-        # too, so they hold a chunk of file pages, not the file
+        # too, so they hold a chunk of file pages, not the file; so does
+        # bench, which runs all three methods on one source
         x = normal_matrix(25000, 200, seed=31)  # 40 MB
         path = tmp_path / "x.sms"
         write_sms(x, path)
         del x
         imported = child_peak_rss("-c", "import rdmd.cli")
+        command = (["bench", "--seeds", "1"] if method == "bench"
+                   else ["decompose", "--method", method, "--blocks", "1"])
         run = child_peak_rss(
-            "-m", "rdmd", "decompose", "--input", str(path), "--method", method,
-            "--rank", "5", "--blocks", "1", "--seed", "32", "--out", str(tmp_path / "o"),
+            "-m", "rdmd", *command, "--input", str(path),
+            "--rank", "5", "--seed", "32", "--out", str(tmp_path / "o"),
         )
         assert run - imported <= 0.5 * os.path.getsize(path)
 
@@ -787,7 +790,7 @@ class TestRowBlocks:
         results = []
         for name in ("v1.sms", "v2.sms"):
             with open_row_blocks(tmp_path / name, 3) as src:
-                results.append(dmd_randomized_blocked(src, cfg))
+                results.append(dmd_randomized(src, cfg))
         v1, v2 = results
         for field in ("eigenvalues", "modes", "amplitudes"):
             assert getattr(v1, field).tobytes() == getattr(v2, field).tobytes()

@@ -16,9 +16,7 @@ from rdmd import (
     amplitudes,
     dmd_compressed,
     dmd_deterministic,
-    dmd_deterministic_blocked,
     dmd_randomized,
-    dmd_randomized_blocked,
     eigen_match_error,
     identity_sampling_operator,
     low_dim_operator,
@@ -201,7 +199,7 @@ _MODES_BY_METHOD = {
                   sampling="uniform_rows", seed=12),
     ),
     "randomized": lambda x: dmd_randomized(x, _RANDOMIZED),
-    "blocked-3": lambda x: dmd_randomized_blocked(ArrayRowBlockSource(x, 3), _RANDOMIZED),
+    "blocked-3": lambda x: dmd_randomized(ArrayRowBlockSource(x, 3), _RANDOMIZED),
 }
 
 
@@ -304,7 +302,7 @@ class TestMethodLabel:
 
     @pytest.mark.parametrize("run, cfg, method", [
         (dmd_randomized, DmdConfig(target_rank=3), "randomized"),
-        (lambda x, cfg: dmd_randomized_blocked(ArrayRowBlockSource(x, 2), cfg),
+        (lambda x, cfg: dmd_randomized(ArrayRowBlockSource(x, 2), cfg),
          DmdConfig(target_rank=3), "randomized"),
         (dmd_compressed, DmdConfig(target_rank=3, compress_dim=30), "compressed"),
         (dmd_deterministic, DmdConfig(target_rank=3, method="randomized"),
@@ -400,7 +398,7 @@ class TestRandomized:
         outcomes = []
         for run in (
             lambda: dmd_randomized(x, cfg),
-            lambda: dmd_randomized_blocked(ArrayRowBlockSource(x, 1), cfg),
+            lambda: dmd_randomized(ArrayRowBlockSource(x, 1), cfg),
         ):
             try:
                 outcomes.append(run())
@@ -533,7 +531,7 @@ class TestReadOnlyInput:
     def test_outputs_equal_those_of_a_writable_copy(self, method):
         def run(x):
             if method == "blocked":
-                return dmd_randomized_blocked(ArrayRowBlockSource(x, 3), DmdConfig(target_rank=2))
+                return dmd_randomized(ArrayRowBlockSource(x, 3), DmdConfig(target_rank=2))
             return run_dmd(x, DmdConfig(target_rank=2, method=method, compress_dim=30))
 
         frozen = self.X.copy()
@@ -786,7 +784,7 @@ class TestTallPeakMemory:
         cfg = DmdConfig(target_rank=self.K, method="randomized")
         with open_row_blocks(path, blocks) as source:
             block = source.block_ranges[0][1] * source.cols * 8
-            peak = self.traced_peak(lambda: dmd_randomized_blocked(source, cfg))
+            peak = self.traced_peak(lambda: dmd_randomized(source, cfg))
         assert peak <= 2 * (block + self.N * cfg.sketch.sketch_size * 8)
 
 
@@ -955,7 +953,7 @@ class TestPassesOverX:
         # reads the one block once.
         x = self.noisy(self.N, self.M)
         source = _CountingSource(x, 1)
-        result = dmd_deterministic_blocked(source, DmdConfig(target_rank=5))
+        result = dmd_deterministic(source, DmdConfig(target_rank=5))
         assert source.reads == [0, 0, 0]
         assert result.eigenvalues.tobytes() == dmd_deterministic(
             x, DmdConfig(target_rank=5)

@@ -17,7 +17,6 @@ from rdmd import (
     ModeSpec,
     SketchConfig,
     dmd_randomized,
-    dmd_randomized_blocked,
     economic_svd,
     eigen_match_error,
     partition_rows,
@@ -87,7 +86,7 @@ _RANK5 = synth_linear_dynamics(
 def test_blocked_randomized_dmd_recovers_the_spectrum_for_any_block_count(blocks, seed):
     x = _RANK5.clean_data
     cfg = DmdConfig(target_rank=5, method="randomized", seed=seed)
-    blocked = dmd_randomized_blocked(ArrayRowBlockSource(x, blocks), cfg)
+    blocked = dmd_randomized(ArrayRowBlockSource(x, blocks), cfg)
     assert eigen_match_error(_RANK5.eigenvalues, blocked.eigenvalues) <= 1e-6
     if blocks == 1:
         plain = dmd_randomized(x, cfg)
