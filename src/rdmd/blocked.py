@@ -26,9 +26,9 @@ only at the level of rounding.
 
 That basis (the sketch's Y and Q, the truncated SVD's U_k, the exact-style
 modes' basis) is an `empty_basis`: its pages are an anonymous map of its
-own, so the mode lift hands each chunk of it back (`release_basis_rows`)
-once those rows of the modes are written, and the modes take its place
-instead of being added to it. A run therefore peaks at its pass peak: the
+own, so the mode lift, `sketch.apply_q` for every variant, hands each
+chunk of it back (`release_basis_rows`) once those rows of the modes are
+written, and the modes take its place instead of being added to it. A run therefore peaks at its pass peak: the
 imports, one basis and one chunk.
 """
 

@@ -376,7 +376,7 @@ def _cmd_qb(args) -> int:
             qb = blocked_randomized_qb(source, cfg)
         # ||X - QB||^2 = ||X||^2 - ||B||^2, the sketch residual
         data_sq_norm = qb.data_sq_norm
-        _require_finite(qb.b, data_sq_norm)
+        _require_finite(data_sq_norm)
         rel_error = _identity_or_streamed(
             data_sq_norm, data_sq_norm - frobenius_sq(qb.b), 0.0, row_chunks(source),
             lambda start, rows: qb.q[start : start + rows.shape[0]] @ qb.b,

@@ -21,7 +21,11 @@ eigenvectors are lifted back to the full state space:
 Each variant's modes lie in the span of an orthonormal basis Q (U_k, the
 sketch basis, or the thin QR factor of the exact-style basis), so every
 variant fits its amplitudes and keeps its reconstruction data in Q's
-k- or l-dimensional coordinates.
+k- or l-dimensional coordinates. Each hands the shared pipeline that frame
+as a `QBFactorization` (Q, Q^T X, ||X||_F^2), and the pipeline lifts every
+variant's modes through `apply_q`. U_k and the exact-style Q each come
+from one `linalg._orthonormal_basis` pass, which writes the n x k product
+and sums what its CholeskyQR2 and Q^T X need.
 
 Each variant has one entry point (`dmd_deterministic`, `dmd_compressed`,
 `dmd_randomized`), which takes an n-row matrix or a row-block source (see
@@ -47,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import memguard
-from .blocked import ArrayRowBlockSource, as_source, empty_basis, row_chunks
+from .blocked import ArrayRowBlockSource, as_source
 from .errors import (
     DegenerateData,
     EmptyInput,
@@ -60,9 +64,8 @@ from .linalg import (
     FilterSpec,
     _as_matrix,
     _check_chunk,
-    _cholesky_q,
-    _cholesky_qr2,
-    _lift,
+    _non_finite_error,
+    _orthonormal_basis,
     _real_product,
     _require_finite,
     _streamed_gram,
@@ -79,6 +82,7 @@ from .linalg import (
 )
 from .memguard import stage
 from .sketch import (
+    QBFactorization,
     SamplingOperator,
     SketchConfig,
     _project,
@@ -242,7 +246,9 @@ def low_dim_operator(
     the one-block call of `_source_operator`, the deterministic
     decomposition's; a split built from two matrices takes the SVD of D_L
     and U_k^T D_R, and its all-zero check reads D_L's first row, and the
-    rest only when that row is zero.
+    rest only when that row is zero. NaN or Inf in either half raises
+    NonFiniteInput naming its first such entry (D_R is scanned only where
+    U_k^T D_R is not finite).
     """
     left, right = split.left, split.right
     if left.shape != right.shape:
@@ -255,7 +261,11 @@ def low_dim_operator(
     if not left[0].any() and not left.any():
         raise DegenerateData("left snapshot matrix is identically zero")
     factors = truncated_svd(left, k)
-    return _operator(factors, factors.u.T @ right, left.shape, regularization, right)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked right below
+        projected = factors.u.T @ right
+    if not np.isfinite(projected).all():  # a NaN or Inf of D_R shows here
+        raise _non_finite_error(right)
+    return _operator(factors, projected, left.shape, regularization, right)
 
 
 def _source_operator(source, k, regularization, right=None):
@@ -275,10 +285,10 @@ def _source_operator(source, k, regularization, right=None):
         raise RankOutOfRange(f"rank {k} outside [1, {min(n, m)}]")
     gram = _streamed_gram(source)
     data_sq_norm = float(np.trace(gram))
-    _require_finite(source, gram, data_sq_norm)
+    _require_finite(gram, data_sq_norm)
     if np.trace(gram[:-1, :-1]) == 0:
         raise DegenerateData("left snapshot matrix is identically zero")
-    factors = truncated_svd(source, k, m, gram[:-1, :-1], project=True)
+    factors = truncated_svd(source, k, m, gram[:-1, :-1])
     op = _operator(factors, factors.projected, (n, m), regularization, right)
     return op, data_sq_norm
 
@@ -378,73 +388,48 @@ def _config_echo(cfg: DmdConfig, method: str, blocks: int = 1,
     }
 
 
-def _frame(q, coords, b, data_sq_norm):
-    """The orthonormal frame of a variant whose modes are q @ coords @ W
-    for the n x k orthonormal basis q, which nothing reads after the lift:
-    the lift through q, the coordinates, b = q^T X and ||X||_F^2. The lift
-    is `_lift`, so q is never cast to complex, and it hands q back chunk by
-    chunk as it writes the modes (release_q)."""
-    return (lambda m: _lift(q, m, release_q=True)), coords, b, data_sq_norm
-
-
-def _span_frame(source, v, inv_s, data_sq_norm):
-    """`_frame` of the exact-style modes basis @ W, basis = X_R V S^-1 for
-    the snapshots X of a row-block source, an n x k `empty_basis` that is
-    not orthonormal.
-
-    One `row_chunks` pass writes the basis chunk by chunk (X_R's rows times
-    V, scaled by inv_s) and sums its Gram matrix and basis^T X while each
-    chunk is cached. CholeskyQR2 of the in-memory basis from that Gram then
-    gives Q (written over the basis) and R = R2 R1 with basis = Q R, so the
-    coordinates are R and Q^T X = R^-T basis^T X needs no pass. Only where
-    CholeskyQR2 rejects the basis (rank below k, or fewer than 2k rows) is
-    Q `thin_qr_q`'s, with coordinates Q^T basis and a pass for Q^T X. A NaN
-    or Inf in the basis names the first such entry of X, or says that a
-    product of the finite X overflowed.
+def _span_frame(source, op, data_sq_norm):
+    """`_pipeline`'s frame of the exact-style modes basis @ W for
+    basis = X_R V S^-1 (V and S^-1 those of the LowDimOperator op), X
+    being the snapshots of a row-block source:
+    (QBFactorization(Q, Q^T X, ||X||_F^2), R) for basis = Q R. The basis,
+    its CholeskyQR2 and Q^T X come from one pass (`_orthonormal_basis`).
+    Only where CholeskyQR2 rejects the basis (rank below k) is Q
+    `thin_qr_q`'s, with coordinates Q^T basis and a pass for Q^T X.
     """
-    n, k = source.rows, v.shape[1]
-    basis = empty_basis(n, k)
-    gram, projected = np.zeros((k, k)), np.zeros((k, source.cols))
-    for start, rows in row_chunks(source):
-        b_i = _tall_product(rows[:, 1:], v, out=basis[start : start + rows.shape[0]])
-        b_i *= inv_s
-        gram += b_i.T @ b_i
-        projected += b_i.T @ rows
-        del rows
-    _require_finite(source, gram)
-    factors = _cholesky_qr2(basis, gram) if n >= 2 * k else None
-    if factors is None:
+    q, r, projected = _orthonormal_basis(
+        source, slice(1, None), op.right_vectors * op.inv_singular
+    )
+    if r is None:
+        basis = q
         q = thin_qr_q(basis)
-        return _frame(q, q.T @ basis, _project(source, q), data_sq_norm)
-    r = factors[2] @ factors[0]
-    q = _cholesky_q(basis, factors, out=basis)
-    return _frame(q, r, np.linalg.solve(r.T, projected), data_sq_norm)
+        r, projected = q.T @ basis, _project(source, q)
+    return QBFactorization(q, projected, data_sq_norm), r
 
 
-def _pipeline(operator, cfg, method, timings, source, frame, **echo):
+def _pipeline(operator, cfg, method, timings, frame, **echo):
     """Low-dimensional DMD shared by every variant.
 
     The variants differ only in `operator()`, which returns the
     LowDimOperator of their snapshots (X, S X or the sketch B), and in
-    `frame(op)`, which returns (lift, M, B, ||X||_F^2): the modes are
-    lift(M @ W) for the low-dimensional eigenvectors W, where lift maps
-    coordinates through an orthonormal n x l basis Q to the state space and
-    B = Q^T X holds the snapshots in those coordinates. Q is the variant's
-    own basis, which nothing reads after the lift, so the lift hands each
-    chunk of it back once it has written those rows of the modes
-    (`_lift` with release_q): the modes replace Q rather than being added
-    to it. Since
+    `frame(op)`, which returns (QBFactorization(Q, B, ||X||_F^2), M): the
+    modes are Q M W for the low-dimensional eigenvectors W, Q being an
+    orthonormal n x l basis and B = Q^T X the snapshots in its
+    coordinates. Q is the variant's own basis, which nothing reads after
+    the lift, so every variant lifts through `apply_q` with release_q: each
+    chunk of Q is handed back once those rows of the modes are written,
+    and the modes replace Q rather than being added to it. Since
     pinv(Q N) = pinv(N) Q^T, the amplitudes are fitted in coordinates,
     against B[:, 0], and the result keeps (M W, B, ||X||_F^2) as its
-    `SketchFit`. NaN or Inf in the low-dimensional operator, M W, B[:, 0]
-    or ||X||_F^2 raises NonFiniteInput naming the first such entry of
-    `source` (a matrix or a row-block source), or saying that a product of
-    the finite input overflowed. `echo` is passed on to `_config_echo`.
+    `SketchFit`. Each variant's first pass over X names any NaN or Inf of
+    X, so NaN or Inf in the low-dimensional operator, M W, B[:, 0] or
+    ||X||_F^2 raises NonFiniteInput saying that a product of the finite
+    input overflowed. `echo` is passed on to `_config_echo`.
     """
     with stage(timings, "svd"):
         with np.errstate(over="ignore", invalid="ignore"):  # checked right below
             op = operator()
-        _require_finite(source, op.operator)
+        _require_finite(op.operator)
     with stage(timings, "eig"):
         pairs = eig_dense(op.operator)
         w = pairs.eigenvectors
@@ -453,14 +438,15 @@ def _pipeline(operator, cfg, method, timings, source, frame, **echo):
         )
     with stage(timings, "modes"):
         with np.errstate(over="ignore", invalid="ignore"):  # checked right below
-            lift, coords, data, data_sq_norm = frame(op)
+            basis, coords = frame(op)
             small = coords @ w
-        del op  # an exact-style frame leaves U_k unread
-        _require_finite(source, small, data[:, 0], data_sq_norm)
+        del op, coords  # an exact-style frame leaves U_k unread
+        data, data_sq_norm = basis.b, basis.data_sq_norm
+        _require_finite(small, data[:, 0], data_sq_norm)
         # the lift is a fresh complex array, so it is normalized in place;
         # `small` is scaled by the same factors into the coordinates
-        modes = lift(small)
-        del lift  # and the basis it holds
+        modes = apply_q(basis, small, release_q=True)
+        del basis  # and the Q it handed back
         factors = normalize_phase_in_place(modes)
     with stage(timings, "amplitudes"):
         sketch = SketchFit(small * factors, data, data_sq_norm)
@@ -513,14 +499,14 @@ def dmd_deterministic(x, cfg: DmdConfig) -> DmdResult:
         method = cfg.method
 
         def frame(op):
-            return _span_frame(source, op.right_vectors, op.inv_singular, data_sq_norm)
+            return _span_frame(source, op, data_sq_norm)
     else:
         method = "deterministic_projected"
 
         def frame(op):
-            return _frame(op.left_vectors, np.eye(k), op.projected, data_sq_norm)
+            return QBFactorization(op.left_vectors, op.projected, data_sq_norm), np.eye(k)
 
-    result = _pipeline(operator, cfg, method, {}, source, frame, blocks=source.block_count)
+    result = _pipeline(operator, cfg, method, {}, frame, blocks=source.block_count)
     source.release_block()
     return result
 
@@ -540,12 +526,8 @@ def dmd_randomized(x, cfg: DmdConfig) -> DmdResult:
     with stage(timings, "sketch"):
         qb = blocked_randomized_qb(source, cfg.sketch)
     return _pipeline(
-        _split_operator(qb.b, cfg), cfg, "randomized", timings, qb.b,
-        lambda op: (
-            (lambda m: apply_q(qb, m, release_q=True)), op.right_projected, qb.b,
-            qb.data_sq_norm,
-        ),
-        blocks=source.block_count,
+        _split_operator(qb.b, cfg), cfg, "randomized", timings,
+        lambda op: (qb, op.right_projected), blocks=source.block_count,
     )
 
 
@@ -588,11 +570,11 @@ def dmd_compressed(x, cfg: DmdConfig, operator: SamplingOperator | None = None) 
             compressed = apply_sampling(operator, source, visit)
         else:
             compressed = gaussian_compress(source, l, cfg.seed, visit)
-        _require_finite(source, compressed)
+        _require_finite(compressed)
 
     result = _pipeline(
-        _split_operator(compressed, cfg), cfg, "compressed", timings, source,
-        lambda op: _span_frame(source, op.right_vectors, op.inv_singular, data_sq_norm),
+        _split_operator(compressed, cfg), cfg, "compressed", timings,
+        lambda op: _span_frame(source, op, data_sq_norm),
         compress_dim=compressed.shape[0], blocks=source.block_count,
     )
     source.release_block()

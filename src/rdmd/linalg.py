@@ -3,11 +3,14 @@ regularized inverses with filter factors.
 
 Everything here is a pure function of its arguments, backed by LAPACK
 through numpy. Matrices are 2-D float64 ndarrays in row-major order.
-`truncated_svd` and the Gram and Rayleigh-Ritz passes under it read their
-n-row operand in `blocked.row_chunks` passes, so they take an in-memory
-matrix (as its one-block source) or any row-block source alike. The
-CholeskyQR2 under `thin_qr_q` and `dmd`'s exact-style basis takes
-in-memory matrices only.
+`truncated_svd` and the passes under it read their n-row operand in
+`blocked.row_chunks` passes, so they take an in-memory matrix (as its
+one-block source) or any row-block source alike. Every n-row product of
+such an operand with a small matrix W outside the range finder is one
+`_basis_pass`: the Rayleigh-Ritz pass's, and, through the CholeskyQR2 of
+`_orthonormal_basis`, the truncated SVD's U_k and `dmd`'s exact-style
+basis. CholeskyQR2 itself (`_cholesky_qr2`, also under `thin_qr_q`)
+takes in-memory matrices only.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .errors import (
 class SvdFactors:
     """Economic SVD: x = u @ diag(singular_values) @ v.T. projected is
     u.T @ X for every column of the matrix X whose leading columns a
-    `truncated_svd(..., project=True)` factored, and None otherwise."""
+    `truncated_svd` factored, and None on an `economic_svd`."""
 
     u: np.ndarray
     singular_values: np.ndarray
@@ -92,19 +95,16 @@ def economic_svd(x) -> SvdFactors:
     return SvdFactors(u=u, singular_values=s, v=vh.T)
 
 
+# The NonFiniteInput message where X is finite but a product of it is not
+_OVERFLOWED = "a product of the finite input overflowed"
+
+
 def _non_finite_error(a, first_row: int = 0) -> NonFiniteInput:
-    """The error for a NaN or Inf in a buffer formed from `a`: names the
-    first entry of `a` that is NaN or Inf, scanning a few thousand rows at a
-    time, or, with `row` None, says that a product of the finite `a`
-    overflowed. Rows are counted from `first_row`, the row of a larger
-    matrix that `a` starts at. A row-block source is scanned in one
-    `row_chunks` walk."""
-    if hasattr(a, "block_ranges"):
-        for start, rows in row_chunks(a):
-            error = _non_finite_error(rows, start)
-            if error.row is not None:
-                return error
-        return NonFiniteInput("a product of the finite input overflowed")
+    """The error for a NaN or Inf in a buffer formed from the in-memory `a`:
+    names the first entry of `a` that is NaN or Inf, scanning a few
+    thousand rows at a time, or, with `row` None, says that a product of
+    the finite `a` overflowed. Rows are counted from `first_row`, the row
+    of a larger matrix that `a` starts at."""
     step = _CHUNK_ROWS
     for start in range(0, a.shape[0], step):
         finite = np.isfinite(a[start : start + step])
@@ -114,15 +114,16 @@ def _non_finite_error(a, first_row: int = 0) -> NonFiniteInput:
             return NonFiniteInput(
                 f"row {first_row + row}, column {col} is {a[row, col]}", row=first_row + row
             )
-    return NonFiniteInput("a product of the finite input overflowed")
+    return NonFiniteInput(_OVERFLOWED)
 
 
-def _require_finite(data, *buffers: np.ndarray) -> None:
-    """Raise `_non_finite_error(data)` when one of `buffers` (arrays or
-    scalars formed from `data`, a matrix or a row-block source) holds NaN or
-    Inf; `data` itself is read only then."""
+def _require_finite(*buffers) -> None:
+    """Raise NonFiniteInput saying that a product of the finite input
+    overflowed when one of `buffers` (arrays or scalars formed from X)
+    holds NaN or Inf. Every caller's first pass over X has named any NaN or
+    Inf of X itself, so X is not read again."""
     if not all(np.isfinite(b).all() for b in buffers):
-        raise _non_finite_error(data)
+        raise NonFiniteInput(_OVERFLOWED)
 
 
 def _check_chunk(rows: np.ndarray, start: int, sq_norm: float) -> None:
@@ -265,10 +266,10 @@ def _near_identity_cholesky(g: np.ndarray) -> np.ndarray | None:
 def _cholesky_qr2(
     a: np.ndarray, gram: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """CholeskyQR2 factors (Fukaya et al., 2014) of the in-memory tall
-    matrix A = a, or None where they are not accurate. It is the thin QR
-    of `thin_qr_q` and of the exact-style basis of `dmd`; the truncated SVD
-    does not use it.
+    """CholeskyQR2 factors (Fukaya et al., 2014) of the in-memory matrix
+    A = a (rows >= cols), or None where they are not accurate. It is the thin QR
+    of `thin_qr_q` and of `_orthonormal_basis` (the truncated SVD's U_k and
+    `dmd`'s exact-style basis).
 
     R1 = chol(A^T A) and R2 = chol(Q1^T Q1) for Q1 = A R1^-1; returns
     (R1, R1^-1, R2), so that A = Q R2 R1 with Q = Q1 R2^-1 orthonormal. Q1
@@ -313,41 +314,56 @@ def _cholesky_q(a: np.ndarray, factors, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _left_vectors(x, w: np.ndarray, project: bool = False):
-    """U = A W for the leading c = w.shape[0] columns A of x (an n-row
-    matrix or a row-block source) and a c x k factor W that makes it
-    orthonormal in exact arithmetic, or None where its repair below fails.
-    Returns (U, U^T X) with project, and (U, None) without.
+def _basis_pass(x, cols: slice, w: np.ndarray, out: np.ndarray | None = None):
+    """(Y^T Y, Y^T X) for Y = A W, A being the columns `cols` of x (an
+    n-row matrix or a row-block source) and W = w a small matrix, in one
+    `row_chunks` pass. Each chunk's rows Y_i = X_i[:, cols] W are one
+    `_tall_product`, written into those rows of `out` (an n x c
+    `empty_basis`) or, without it, into one reused chunk buffer, and both
+    sums read X_i in place while it is cached. Overflow is not reported: a
+    non-finite sum is the caller's to check."""
+    source = as_source(x)
+    c = w.shape[1]
+    if out is None:
+        step = min(source.rows, _CHUNK_ROWS)
+        memguard.note(step * c * 8)
+        chunk = np.empty((c, step)).T
+    gram, projected = np.zeros((c, c)), np.zeros((c, source.cols))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start, rows in row_chunks(source):
+            stop = start + rows.shape[0]
+            y_i = _tall_product(
+                rows[:, cols], w, out=chunk[: stop - start] if out is None else out[start:stop]
+            )
+            gram += y_i.T @ y_i
+            projected += y_i.T @ rows
+            del rows
+    return gram, projected
 
-    U is an `empty_basis`, so a lift can hand it back (see `_lift`). It is
-    written in one `row_chunks` pass, each chunk's rows as one
-    `_tall_product`, and the pass sums U^T U and, with project, U^T X over
-    every column of the chunk X_i while it is cached. A W alone loses
-    orthogonality in proportion to the condition number that W's inverted
-    factors carry (~3e-10 at 3000 x 50, kappa = 1e7), so one k x k
-    CholeskyQR step U <- U R^-1, R = chol(U^T U), restores it to rounding
-    level; it is applied row chunk by row chunk in place, and U^T X becomes
-    R^-T U^T X with no pass of its own. Where that Cholesky factorization
-    fails the result is None.
+
+def _orthonormal_basis(x, cols: slice, w: np.ndarray):
+    """(Q, R, Q^T X) for the thin QR Q R = A W of the n x c product of A,
+    the columns `cols` of x (an n-row matrix or a row-block source), and a
+    small w; (A W, None, None) where CholeskyQR2 rejects A W (rank below c,
+    or a condition number past about 1e8).
+
+    One `_basis_pass` writes A W into an `empty_basis` and sums its Gram
+    matrix and (A W)^T X. `_cholesky_qr2` from that Gram gives R = R2 R1,
+    Q is written over A W (`_cholesky_q`), and Q^T X = R^-T (A W)^T X needs
+    no pass. Q stays an `empty_basis`, so a lift can hand it back (see
+    `_lift`). A NaN or Inf in the sums raises NonFiniteInput saying that a
+    product of the finite X overflowed: each caller's first pass has named
+    any NaN or Inf of X.
     """
     source = as_source(x)
-    n, (c, k) = source.rows, w.shape
-    u = empty_basis(n, k)
-    gram = np.zeros((k, k))
-    projected = np.zeros((k, source.cols)) if project else None
-    for start, rows in row_chunks(source):
-        u_i = _tall_product(rows[:, :c], w, out=u[start : start + rows.shape[0]])
-        gram += u_i.T @ u_i
-        if project:
-            projected += u_i.T @ rows
-        del rows
-    try:
-        step = np.linalg.inv(np.linalg.cholesky(gram).T)
-    except np.linalg.LinAlgError:
-        return None
-    for rows, chunk in _row_products(u, step):
-        u[rows] = chunk
-    return u, None if projected is None else step.T @ projected
+    basis = empty_basis(source.rows, w.shape[1])
+    gram, projected = _basis_pass(source, cols, w, basis)
+    _require_finite(gram, projected)
+    factors = _cholesky_qr2(basis, gram)
+    if factors is None:
+        return basis, None, None
+    r = factors[2] @ factors[0]
+    return _cholesky_q(basis, factors, out=basis), r, np.linalg.solve(r.T, projected)
 
 
 # Ritz directions taken beyond the k kept by `_gram_ritz_svd`, the usual
@@ -355,22 +371,21 @@ def _left_vectors(x, w: np.ndarray, project: bool = False):
 _RITZ_OVERSAMPLING = 10
 
 
-def _gram_ritz_svd(x, gram: np.ndarray, k: int, project: bool = False) -> SvdFactors | None:
+def _gram_ritz_svd(x, gram: np.ndarray, k: int) -> SvdFactors | None:
     """First k singular triplets of a tall matrix A, the leading
     gram.shape[0] columns of x (an n-row matrix or a row-block source), by
     Rayleigh-Ritz on the range of A V_l, where V_l holds the top l
     eigenvectors of its Gram matrix G = A^T A (Halko, Martinsson & Tropp,
-    2011, sec. 5), or None where G does not admit A or the basis is not
-    accurate.
+    2011, sec. 5), or None where G does not admit A or a basis is not
+    accurate. `projected` is U_k^T X for every column of x.
 
     1. eigh(G). Where fewer than k eigenvalues lie above the Gram's
        resolution eps * max(rows, cols) * lambda_1, G must pass a
        Cholesky factorization, as full-rank data does and data of rank
        below k does not. l = min(cols, k + 10) directions of positive
        eigenvalue.
-    2. One `row_chunks` pass over the chunks A_i: Q1_i = A_i W for
-       W = V_l Lambda_l^-1/2, and the sums G2 = Q1^T Q1 and C = Q1^T A,
-       both products reading A_i in place while it is cached.
+    2. The Ritz pass (`_basis_pass`) over the chunks A_i: Q1_i = A_i W for
+       W = V_l Lambda_l^-1/2, and the sums G2 = Q1^T Q1 and C = Q1^T A.
     3. R2 = chol(G2) of the widest leading l' >= k columns that pass the
        guard of `_near_identity_cholesky` (none yields None), so
        Q = Q1 R2^-1 is orthonormal to rounding and B = Q^T A = R2^-T C; Q is
@@ -379,12 +394,14 @@ def _gram_ritz_svd(x, gram: np.ndarray, k: int, project: bool = False) -> SvdFac
        of about 1e8, too little), so full-rank data keeps the oversampling
        its trailing kept triplets need.
     4. U_B S V^T = svd(B), the l' x cols Rayleigh-Ritz problem, and
-       U_k = A (W R2^-1 U_B[:, :k]) through `_left_vectors` (with project,
-       also U_k^T X).
+       U_k with U_k^T X from the U pass: `_orthonormal_basis` of
+       A (W R2^-1 U_B[:, :k]), whose CholeskyQR2 restores the
+       orthogonality that W's inverted factors cost (~3e-10 at 3000 x 50,
+       kappa = 1e7) to rounding level.
 
     Besides U_k it holds one A_i's l-column product and l x cols factors.
     Beyond G it costs two n x cols x l products and U_k (at 200000 x 200,
-    k = 5: about 19 GFLOP in all, against 48 for CholeskyQR2).
+    k = 5: about 19 GFLOP in all, against 48 for CholeskyQR2 of A).
     """
     source = as_source(x)
     n, c = source.rows, gram.shape[0]
@@ -404,53 +421,41 @@ def _gram_ritz_svd(x, gram: np.ndarray, k: int, project: bool = False) -> SvdFac
     if l < k:
         return None
     w = vec[:, :l] / np.sqrt(lam[:l])
-    step = min(n, _CHUNK_ROWS)
-    memguard.note(l * step * 8)
-    q1_t = np.empty((l, step))
-    g2, proj = np.zeros((l, l)), np.zeros((l, c))
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite G2 fails the guard
-        for _, rows in row_chunks(source):
-            a_i = rows[:, :c]
-            q = np.matmul(w.T, a_i.T, out=q1_t[:, : a_i.shape[0]])
-            g2 += q @ q.T
-            proj += q @ a_i
-            del rows, a_i
-    del q1_t  # before U_k is formed
+    g2, proj = _basis_pass(source, slice(0, c), w)  # a non-finite G2 fails the guard
     for l in range(l, k - 1, -1):  # the widest basis that passes the guard
         r2 = _near_identity_cholesky(g2[:l, :l].copy())
         if r2 is not None:
             break
     else:
         return None
-    w, proj = w[:, :l], proj[:l]
+    w, proj = w[:, :l], proj[:l, :c]
     try:
         r2_inv = np.linalg.inv(r2)
         u_b, s, vh = np.linalg.svd(r2_inv.T @ proj, full_matrices=False)
     except np.linalg.LinAlgError:
         return None
-    found = _left_vectors(source, w @ (r2_inv @ u_b[:, :k]), project)
-    return None if found is None else SvdFactors(found[0], s[:k], vh[:k].T, found[1])
+    u, r, projected = _orthonormal_basis(source, slice(0, c), w @ (r2_inv @ u_b[:, :k]))
+    return None if r is None else SvdFactors(u, s[:k], vh[:k].T, projected)
 
 
 def truncated_svd(
-    x, k: int, cols: int | None = None, gram: np.ndarray | None = None,
-    project: bool = False,
+    x, k: int, cols: int | None = None, gram: np.ndarray | None = None
 ) -> SvdFactors:
     """First k singular triplets of the economic SVD of A, the leading
     `cols` columns (all by default) of x: an in-memory matrix, which is its
     one-block source, or a row-block source (see `blocked`), read in
-    `row_chunks` passes. `gram` is A^T A where the caller formed it already;
-    with `project`, the result's `projected` is U_k^T X for all of x's
-    columns, summed in the pass that writes U_k.
+    `row_chunks` passes. `gram` is A^T A where the caller formed it already.
+    The result's `projected` is U_k^T X for all of x's columns.
 
     Tall inputs (rows >= 2 * cols) and inputs of more than one block form
     the Gram matrix A^T A in one pass (`_streamed_gram`, unless given) and
     take one of two tiers:
     1. Rayleigh-Ritz on the top l eigenvectors of the Gram
-       (`_gram_ritz_svd`): a pass for Q1^T Q1 and Q1^T A, then one for U_k,
-       forming only the k kept left vectors and, besides them, one
-       `_CHUNK_ROWS`-row chunk. It takes full-rank inputs up to condition
-       numbers of about 1e8 and inputs whose Gram resolves k directions.
+       (`_gram_ritz_svd`): a pass for Q1^T Q1 and Q1^T A, then one for U_k
+       and U_k^T X, forming only the k kept left vectors and, besides them,
+       one `_CHUNK_ROWS`-row chunk. It takes full-rank inputs up to
+       condition numbers of about 1e8 and inputs whose Gram resolves k
+       directions.
     2. The slice of `economic_svd` of the held block, which short
        one-block inputs take too. It needs A in memory, so it is only
        reached by one block: at more than one, RankOutOfRange says so.
@@ -470,7 +475,7 @@ def truncated_svd(
     if streamed:
         if gram is None:
             gram = _streamed_gram(source)[:c, :c]
-        fast = _gram_ritz_svd(source, gram, k, project)
+        fast = _gram_ritz_svd(source, gram, k)
         if fast is not None:
             return fast
         if source.block_count > 1:
@@ -486,9 +491,7 @@ def truncated_svd(
     memguard.note(n * c * 8)  # LAPACK's U
     f = economic_svd(a)
     u = f.u[:, :k]
-    return SvdFactors(
-        u, f.singular_values[:k], f.v[:, :k], u.T @ block if project else None
-    )
+    return SvdFactors(u, f.singular_values[:k], f.v[:, :k], u.T @ block)
 
 
 def thin_qr_q(x, out: np.ndarray | None = None) -> np.ndarray:
@@ -522,8 +525,9 @@ def thin_qr_q(x, out: np.ndarray | None = None) -> np.ndarray:
         if factors is not None:
             return _cholesky_q(a, factors, np.empty((n, c)) if out is None else out)
     q = np.linalg.qr(a, mode="reduced")[0]
-    if n < 2 * c:  # a tall input has passed the Gram check of `_cholesky_qr2`
-        _require_finite(a, q)
+    # a tall input has passed the Gram check of `_cholesky_qr2`
+    if n < 2 * c and not np.isfinite(q).all():
+        raise _non_finite_error(a)
     if out is None:
         return q
     out[...] = q

@@ -31,6 +31,7 @@ from .errors import (
 from .linalg import (
     _lift,
     _non_finite_error,
+    _require_finite,
     _tall_product,
     frobenius_sq,
     thin_qr_q,
@@ -172,7 +173,7 @@ def blocked_randomized_qb(source, cfg: SketchConfig) -> QBFactorization:
     The first pass also sums ||X||_F^2 and checks each chunk's rows of Y:
     NaN or Inf there raises NonFiniteInput naming the first bad entry of X
     by its row in X, or, where X is finite, saying that a product
-    overflowed.
+    overflowed, as `_project` says of a Q^T X that overflowed.
     """
     n, m = source.rows, source.cols
     l = cfg.sketch_size
@@ -208,12 +209,16 @@ def blocked_randomized_qb(source, cfg: SketchConfig) -> QBFactorization:
 
 
 def _project(source, q: np.ndarray) -> np.ndarray:
-    """Q^T X for the n x l basis q, summed chunk by chunk as Q_i^T X_i."""
+    """Q^T X for the n x l basis q, summed chunk by chunk as Q_i^T X_i. An
+    earlier pass has named any NaN or Inf of X, so a non-finite sum raises
+    NonFiniteInput saying that a product of the finite X overflowed."""
     memguard.note(q.shape[1] * source.cols * 8)
     out = np.zeros((q.shape[1], source.cols))
-    for start, rows in row_chunks(source):
-        out += q[start : start + len(rows)].T @ rows
-        del rows
+    with np.errstate(over="ignore", invalid="ignore"):  # checked right below
+        for start, rows in row_chunks(source):
+            out += q[start : start + len(rows)].T @ rows
+            del rows
+    _require_finite(out)
     return out
 
 

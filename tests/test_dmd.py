@@ -161,6 +161,14 @@ class TestLowDimOperator:
         oracle = op.left_vectors.T @ (right @ np.linalg.pinv(left)) @ op.left_vectors
         assert np.linalg.norm(op.operator - oracle) <= 1e-8
 
+    @pytest.mark.parametrize("half", ["left", "right"])
+    def test_names_a_bad_entry_of_either_half(self, half):
+        halves = {"left": normal_matrix(10, 12, seed=8), "right": normal_matrix(10, 12, seed=9)}
+        halves[half][4, 7] = np.nan
+        with pytest.raises(NonFiniteInput, match="^row 4, column 7 is nan$") as info:
+            low_dim_operator(SnapshotSplit(**halves), 3)
+        assert info.value.row == 4
+
     def test_degenerate(self):
         with pytest.raises(DegenerateData):
             low_dim_operator(
@@ -268,7 +276,7 @@ class TestRecoverModes:
         np.testing.assert_allclose(result.amplitudes, amplitudes(result, x[:, 0]), rtol=1e-10)
         if method == "projected":
             # B = U_k^T X as the pass that writes U_k sums it
-            f = truncated_svd(x, 3, x.shape[1] - 1, project=True)
+            f = truncated_svd(x, 3, x.shape[1] - 1)
             assert np.array_equal(fit.data, f.projected)
             np.testing.assert_allclose(fit.data, f.u.T @ x, rtol=1e-12, atol=1e-14)
             assert np.abs(f.u @ fit.modes - result.modes).max() <= 1e-14
@@ -511,15 +519,23 @@ class TestNonFiniteInput:
     ])
     def test_overflowed_norm_of_finite_input(self, method):
         # every entry is finite, but ||X||_F^2 is above the float64 range
-        x = 1e300 * np.tile(np.linspace(1.0, 2.0, 20), (50, 1))
-        cfg = DmdConfig(target_rank=2, method=method, compress_dim=10)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(
-                NonFiniteInput, match="^a product of the finite input overflowed$"
-            ) as info:
-                run_dmd(x, cfg)
-        assert info.value.row is None
+        uniform = 1e300 * np.tile(np.linspace(1.0, 2.0, 20), (50, 1))
+        # one column of 1e307: X Omega stays finite, but the sketch's
+        # B = Q^T X overflows, and B's entries are not the input's
+        column = normal_matrix(2000, 21, seed=53)
+        column[:, 3] = 1e307
+        runs = [(uniform, 2, 2), (column, 3, 2)]
+        if method == "randomized":
+            runs.append((column, 3, 0))
+        for x, k, q in runs:
+            cfg = DmdConfig(target_rank=k, method=method, power_iters=q, compress_dim=10)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(
+                    NonFiniteInput, match="^a product of the finite input overflowed$"
+                ) as info:
+                    run_dmd(x, cfg)
+            assert info.value.row is None
 
 
 class TestReadOnlyInput:
@@ -790,7 +806,7 @@ class TestTallPeakMemory:
 
 class TestReleasingLift:
     """The pipeline hands its basis back chunk by chunk as it lifts the
-    modes (`_lift` with release_q); that must not change a bit of them."""
+    modes (`apply_q` with release_q); that must not change a bit of them."""
 
     # several chunks and a partial one, and 32 blocks thinner than a chunk
     N = 3 * 4096 + 1000
@@ -825,6 +841,28 @@ class TestReleasingLift:
         ]
         if sys.platform == "linux":  # MADV_DONTNEED zero-fills there
             assert not basis[4096 : 3 * 4096].any()
+
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_every_variant_lifts_through_apply_q(self, monkeypatch, method):
+        # one lift per run, through the one function that lifts a frame
+        import rdmd.dmd
+
+        calls = []
+        inner = rdmd.dmd.apply_q
+
+        def spy(qb, v, **kwargs):
+            calls.append((qb.q.shape, v.shape, kwargs))
+            return inner(qb, v, **kwargs)
+
+        monkeypatch.setattr(rdmd.dmd, "apply_q", spy)
+        x = normal_matrix(500, 3, seed=80) @ normal_matrix(3, 24, seed=81)
+        x += 0.1 * normal_matrix(500, 24, seed=82)
+        cfg = DmdConfig(target_rank=3, method=method, compress_dim=12, seed=83)
+        result = run_dmd(x, cfg)
+        l = cfg.sketch.sketch_size if method == "randomized" else 3
+        assert calls == [((500, l), (l, 3), {"release_q": True})]
+        assert result.modes.shape == (500, 3)
 
 
 class _CountingSource(ArrayRowBlockSource):
@@ -988,8 +1026,8 @@ class TestPassesOverX:
         assert source.reads == [0] * passes
 
     @pytest.mark.parametrize("method, products", [
-        ("deterministic_projected", 1),  # U_k
-        ("deterministic_exact", 2),  # U_k and X_R V_k S_k^-1
+        ("deterministic_projected", 2),  # the Ritz pass's Q1 and U_k
+        ("deterministic_exact", 3),  # Q1, U_k and X_R V_k S_k^-1
         ("compressed", 1),  # X_R V_k S_k^-1
         ("randomized", 3),  # X Omega and X Z for each of q = 2 power iterations
     ])

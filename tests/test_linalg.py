@@ -166,6 +166,22 @@ class TestTruncatedSvd:
         assert np.max(np.abs(f.v * signs - ref.v[:, :5])) <= 1e-12
         assert np.linalg.norm(f.u.T @ f.u - np.eye(5), 2) <= 1e-12
 
+    @pytest.mark.parametrize("rows, blocks", [(8, 2), (9, 3)])
+    def test_short_input_of_several_blocks(self, rows, blocks):
+        # more than one block takes the Gram path whatever the shape, and
+        # the CholeskyQR2 of U_k needs no rows >= 2 k
+        from rdmd import ArrayRowBlockSource
+
+        x = normal_matrix(rows, 6, seed=15)
+        f = truncated_svd(ArrayRowBlockSource(x, blocks), 5)
+        u, s, vh = np.linalg.svd(x, full_matrices=False)
+        assert np.max(np.abs(f.singular_values - s[:5])) <= 1e-13 * s[0]
+        signs = np.sign(np.sum(f.u * u[:, :5], axis=0))
+        assert np.max(np.abs(f.u * signs - u[:, :5])) <= 1e-12
+        assert np.max(np.abs(f.v * signs - vh[:5].T)) <= 1e-12
+        assert np.linalg.norm(f.u.T @ f.u - np.eye(5), 2) <= 1e-14
+        np.testing.assert_allclose(f.projected, f.u.T @ x, atol=1e-13)
+
     def test_tall_rank_below_k_is_the_economic_slice(self):
         # rank 3 < k: the Gram resolves fewer than k directions and its
         # Cholesky factorization fails, so Rayleigh-Ritz rejects the input
