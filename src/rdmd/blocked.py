@@ -13,7 +13,7 @@ order and repeatedly, drops the pages of any of its rows with
 
 Each pass is one `row_chunks` walk: it reads each block once and hands it
 out in `_CHUNK_ROWS`-row chunks, releasing each chunk's rows once it is
-used. The randomized range finder makes 2q + 2 such passes for q power
+used. The randomized range finder makes q + 1 such passes for q power
 iterations, the projected deterministic decomposition three (the Gram
 matrix, its Rayleigh-Ritz pass, and U_k with U_k^T X), the compressed one
 two (S X with ||X||_F^2, and the exact-style basis), and the CLI's
@@ -24,12 +24,14 @@ block count holds one chunk of file pages and its one n x l or n x k basis
 (one block where blocks are copied). The block count changes the answer
 only at the level of rounding.
 
-That basis (the sketch's Y and Q, the truncated SVD's U_k, the exact-style
-modes' basis) is an `empty_basis`: its pages are an anonymous map of its
-own, so the mode lift, `sketch.apply_q` for every variant, hands each
-chunk of it back (`release_basis_rows`) once those rows of the modes are
-written, and the modes take its place instead of being added to it. A run therefore peaks at its pass peak: the
-imports, one basis and one chunk.
+That basis (each sketch's Y and Q, the truncated SVD's U_k, the
+exact-style modes' basis) is an `empty_basis`: its pages are an anonymous
+map of its own, so the mode lift, `sketch.apply_q` for every variant,
+hands each chunk of it back (`release_basis_rows`) once those rows of the
+modes are written, and the modes take its place instead of being added to
+it. The range finder drops each power iteration's basis before the next
+pass writes its own. A run therefore peaks at its pass peak: the imports,
+one basis and one chunk.
 """
 
 from __future__ import annotations

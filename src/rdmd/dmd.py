@@ -23,9 +23,10 @@ sketch basis, or the thin QR factor of the exact-style basis), so every
 variant fits its amplitudes and keeps its reconstruction data in Q's
 k- or l-dimensional coordinates. Each hands the shared pipeline that frame
 as a `QBFactorization` (Q, Q^T X, ||X||_F^2), and the pipeline lifts every
-variant's modes through `apply_q`. U_k and the exact-style Q each come
-from one `linalg._orthonormal_basis` pass, which writes the n x k product
-and sums what its CholeskyQR2 and Q^T X need.
+variant's modes through `apply_q`. The sketch basis, U_k and the
+exact-style Q each come from `linalg._orthonormal_basis` passes, each of
+which writes an n x l or n x k product and sums what its CholeskyQR2 and
+Q^T X need.
 
 Each variant has one entry point (`dmd_deterministic`, `dmd_compressed`,
 `dmd_randomized`), which takes an n-row matrix or a row-block source (see
@@ -35,7 +36,7 @@ chunk at a time: the projected deterministic variant three times (the
 Gram matrix of X, the Rayleigh-Ritz pass of its truncated SVD, and U_k
 with B = U_k^T X), the exact modes once more (their basis), the
 compressed variant twice (S X with ||X||_F^2, then its basis), and the
-randomized one 2q + 2 times. Any block count gives the one-block result
+randomized one q + 1 times. Any block count gives the one-block result
 to rounding.
 
 Every result carries eigenvalues sorted by descending magnitude, modes with
@@ -63,10 +64,9 @@ from .errors import (
 from .linalg import (
     FilterSpec,
     _as_matrix,
-    _check_chunk,
     _non_finite_error,
-    _orthonormal_basis,
     _real_product,
+    _SquaredNorm,
     _require_finite,
     _streamed_gram,
     _tall_product,
@@ -74,10 +74,8 @@ from .linalg import (
     divide_where,
     eig_dense,
     filter_factors,
-    frobenius_sq,
     normalize_phase_in_place,
     sort_eigenpairs,
-    thin_qr_q,
     truncated_svd,
 )
 from .memguard import stage
@@ -85,11 +83,11 @@ from .sketch import (
     QBFactorization,
     SamplingOperator,
     SketchConfig,
-    _project,
     apply_q,
     apply_sampling,
     blocked_randomized_qb,
     gaussian_compress,
+    orthonormal_frame,
     randomized_qb,  # no caller: perfbench/traced.py's sketch.randomized_qb site
     uniform_sampling_operator,
 )
@@ -392,18 +390,12 @@ def _span_frame(source, op, data_sq_norm):
     """`_pipeline`'s frame of the exact-style modes basis @ W for
     basis = X_R V S^-1 (V and S^-1 those of the LowDimOperator op), X
     being the snapshots of a row-block source:
-    (QBFactorization(Q, Q^T X, ||X||_F^2), R) for basis = Q R. The basis,
-    its CholeskyQR2 and Q^T X come from one pass (`_orthonormal_basis`).
-    Only where CholeskyQR2 rejects the basis (rank below k) is Q
-    `thin_qr_q`'s, with coordinates Q^T basis and a pass for Q^T X.
+    (QBFactorization(Q, Q^T X, ||X||_F^2), R) for basis = Q R, from one
+    `orthonormal_frame` pass (two where the basis has rank below k).
     """
-    q, r, projected = _orthonormal_basis(
+    q, r, projected = orthonormal_frame(
         source, slice(1, None), op.right_vectors * op.inv_singular
     )
-    if r is None:
-        basis = q
-        q = thin_qr_q(basis)
-        r, projected = q.T @ basis, _project(source, q)
     return QBFactorization(q, projected, data_sq_norm), r
 
 
@@ -515,10 +507,10 @@ def dmd_randomized(x, cfg: DmdConfig) -> DmdResult:
     """Randomized decomposition of the snapshot sequence X, an n-row matrix
     or a row-block source: QB sketch, low-dimensional DMD, recovery.
 
-    The range finder (`blocked_randomized_qb`) reads X once per product
-    with X; the modes are lifted through its one n x l basis, so no n x m
-    buffer is ever materialized. Any block count gives the one-block result
-    to rounding.
+    The range finder (`blocked_randomized_qb`) reads X q + 1 times, once
+    per sketch, each read giving that sketch's basis and B; the modes are
+    lifted through its last n x l basis, so no n x m buffer is ever
+    materialized. Any block count gives the one-block result to rounding.
     """
     source = as_source(x)
     _require_snapshots(source.cols)
@@ -539,21 +531,15 @@ def dmd_compressed(x, cfg: DmdConfig, operator: SamplingOperator | None = None) 
     cfg.sampling, drawn from cfg.seed; pass a SamplingOperator as `operator`
     to pin it, e.g. the identity sampler for an exactness check. Modes are
     lifted exact-style from the uncompressed right snapshots. X is read
-    twice: S X with ||X||_F^2 and the NaN and Inf check (`_check_chunk`),
-    then the basis pass of `_span_frame`.
+    twice: S X with ||X||_F^2 and the NaN and Inf check
+    (`linalg._SquaredNorm`), then the basis pass of `_span_frame`.
     """
     source = as_source(x)
     n, cols = source.rows, source.cols
     _require_snapshots(cols)
     k = cfg.target_rank
     timings = {}
-    data_sq_norm = 0.0
-
-    def visit(start, rows):
-        nonlocal data_sq_norm
-        part = frobenius_sq(rows)
-        _check_chunk(rows, start, part)
-        data_sq_norm += part
+    norm = _SquaredNorm()
 
     with stage(timings, "compress"):
         if operator is None:
@@ -567,14 +553,14 @@ def dmd_compressed(x, cfg: DmdConfig, operator: SamplingOperator | None = None) 
                     )
                 operator = uniform_sampling_operator(n, l, cfg.seed)
         if operator is not None:
-            compressed = apply_sampling(operator, source, visit)
+            compressed = apply_sampling(operator, source, norm)
         else:
-            compressed = gaussian_compress(source, l, cfg.seed, visit)
+            compressed = gaussian_compress(source, l, cfg.seed, norm)
         _require_finite(compressed)
 
     result = _pipeline(
         _split_operator(compressed, cfg), cfg, "compressed", timings,
-        lambda op: _span_frame(source, op, data_sq_norm),
+        lambda op: _span_frame(source, op, norm.total),
         compress_dim=compressed.shape[0], blocks=source.block_count,
     )
     source.release_block()

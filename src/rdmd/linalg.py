@@ -6,11 +6,11 @@ through numpy. Matrices are 2-D float64 ndarrays in row-major order.
 `truncated_svd` and the passes under it read their n-row operand in
 `blocked.row_chunks` passes, so they take an in-memory matrix (as its
 one-block source) or any row-block source alike. Every n-row product of
-such an operand with a small matrix W outside the range finder is one
-`_basis_pass`: the Rayleigh-Ritz pass's, and, through the CholeskyQR2 of
-`_orthonormal_basis`, the truncated SVD's U_k and `dmd`'s exact-style
-basis. CholeskyQR2 itself (`_cholesky_qr2`, also under `thin_qr_q`)
-takes in-memory matrices only.
+such an operand with a small matrix W is one `_basis_pass`: the
+Rayleigh-Ritz pass's, and, through the CholeskyQR2 of
+`_orthonormal_basis`, the range finder's sketches, the truncated SVD's
+U_k and `dmd`'s exact-style basis. CholeskyQR2 itself (`_cholesky_qr2`,
+also under `thin_qr_q`) takes in-memory matrices only.
 """
 
 from __future__ import annotations
@@ -138,6 +138,20 @@ def _check_chunk(rows: np.ndarray, start: int, sq_norm: float) -> None:
             raise error
 
 
+class _SquaredNorm:
+    """The `visit(start, rows)` hook of a method's first pass over X: sums
+    ||X||_F^2 into `total` chunk by chunk and names the first NaN or Inf
+    of X by its row (`_check_chunk`)."""
+
+    def __init__(self):
+        self.total = 0.0
+
+    def __call__(self, start: int, rows: np.ndarray) -> None:
+        part = frobenius_sq(rows)
+        _check_chunk(rows, start, part)
+        self.total += part
+
+
 def frobenius_sq(a: np.ndarray) -> float:
     """||a||_F^2 as one dot product in the array's memory order, so a C- or
     Fortran-ordered matrix is not copied. A sum that overflows is inf,
@@ -215,29 +229,14 @@ def _lift(q: np.ndarray, m: np.ndarray, release_q: bool = False) -> np.ndarray:
     return out
 
 
-def _gram(a: np.ndarray) -> np.ndarray:
-    """A^T A for an in-memory tall matrix A, as one product (the thin QR's
-    Gram). A NaN or Inf in A shows in it, which then raises NonFiniteInput
-    naming the first such entry of A; a finite A whose A^T A overflowed gets
-    that non-finite Gram back, and every caller's checks reject it."""
-    # Entries near the float64 range limits overflow A^T A; the checks of
-    # the callers reject the result, so the overflow is not reported.
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = a.T @ a
-    if not np.isfinite(gram).all():
-        error = _non_finite_error(a)
-        if error.row is not None:
-            raise error
-    return gram
-
-
 def _streamed_gram(x) -> np.ndarray:
     """X^T X for x, an n-row matrix or a row-block source, summed over its
-    `row_chunks` X_i in one pass (the truncated SVD's Gram). NaN or Inf in
-    X raises NonFiniteInput naming its first such entry (`_check_chunk` on
-    the trace of each chunk's Gram, ||X_i||_F^2); a finite X whose Gram
-    overflowed gets that non-finite sum back, and every caller's checks
-    reject it."""
+    `row_chunks` X_i in one pass: the truncated SVD's Gram, and that of
+    CholeskyQR2 where no pass summed it (up to `_CHUNK_ROWS` rows, one
+    GEMM). NaN or Inf in X raises NonFiniteInput naming its first such
+    entry (`_check_chunk` on the trace of each chunk's Gram, ||X_i||_F^2);
+    a finite X whose Gram overflowed gets that non-finite sum back, and
+    every caller's checks reject it."""
     source = as_source(x)
     gram = np.zeros((source.cols, source.cols))
     with np.errstate(over="ignore", invalid="ignore"):  # checked right below
@@ -268,8 +267,8 @@ def _cholesky_qr2(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """CholeskyQR2 factors (Fukaya et al., 2014) of the in-memory matrix
     A = a (rows >= cols), or None where they are not accurate. It is the thin QR
-    of `thin_qr_q` and of `_orthonormal_basis` (the truncated SVD's U_k and
-    `dmd`'s exact-style basis).
+    of `thin_qr_q` and of `_orthonormal_basis` (the range finder's
+    sketches, the truncated SVD's U_k and `dmd`'s exact-style basis).
 
     R1 = chol(A^T A) and R2 = chol(Q1^T Q1) for Q1 = A R1^-1; returns
     (R1, R1^-1, R2), so that A = Q R2 R1 with Q = Q1 R2^-1 orthonormal. Q1
@@ -282,12 +281,12 @@ def _cholesky_qr2(
     cols x cols, so callers invert them rather than solve against them.
 
     `gram` is A^T A where the caller has formed it already; otherwise
-    `_gram` forms it here: a NaN or Inf in A raises NonFiniteInput naming
-    the first such entry of A, a finite A whose A^T A overflowed yields
-    None.
+    `_streamed_gram` forms it here: a NaN or Inf in A raises NonFiniteInput
+    naming the first such entry of A, a finite A whose A^T A overflowed
+    yields None.
     """
     if gram is None:
-        gram = _gram(a)
+        gram = _streamed_gram(a)
     c = gram.shape[0]
     try:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -314,14 +313,15 @@ def _cholesky_q(a: np.ndarray, factors, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _basis_pass(x, cols: slice, w: np.ndarray, out: np.ndarray | None = None):
+def _basis_pass(x, cols: slice, w: np.ndarray, out: np.ndarray | None = None, visit=None):
     """(Y^T Y, Y^T X) for Y = A W, A being the columns `cols` of x (an
     n-row matrix or a row-block source) and W = w a small matrix, in one
     `row_chunks` pass. Each chunk's rows Y_i = X_i[:, cols] W are one
     `_tall_product`, written into those rows of `out` (an n x c
     `empty_basis`) or, without it, into one reused chunk buffer, and both
-    sums read X_i in place while it is cached. Overflow is not reported: a
-    non-finite sum is the caller's to check."""
+    sums read X_i in place while it is cached, as does `visit(start, X_i)`
+    where given (`_SquaredNorm` in a method's first pass). Overflow is not
+    reported: a non-finite sum is the caller's to check."""
     source = as_source(x)
     c = w.shape[1]
     if out is None:
@@ -337,11 +337,13 @@ def _basis_pass(x, cols: slice, w: np.ndarray, out: np.ndarray | None = None):
             )
             gram += y_i.T @ y_i
             projected += y_i.T @ rows
+            if visit is not None:
+                visit(start, rows)
             del rows
     return gram, projected
 
 
-def _orthonormal_basis(x, cols: slice, w: np.ndarray):
+def _orthonormal_basis(x, cols: slice, w: np.ndarray, visit=None):
     """(Q, R, Q^T X) for the thin QR Q R = A W of the n x c product of A,
     the columns `cols` of x (an n-row matrix or a row-block source), and a
     small w; (A W, None, None) where CholeskyQR2 rejects A W (rank below c,
@@ -351,13 +353,14 @@ def _orthonormal_basis(x, cols: slice, w: np.ndarray):
     matrix and (A W)^T X. `_cholesky_qr2` from that Gram gives R = R2 R1,
     Q is written over A W (`_cholesky_q`), and Q^T X = R^-T (A W)^T X needs
     no pass. Q stays an `empty_basis`, so a lift can hand it back (see
-    `_lift`). A NaN or Inf in the sums raises NonFiniteInput saying that a
-    product of the finite X overflowed: each caller's first pass has named
-    any NaN or Inf of X.
+    `_lift`). `visit` is the pass's (`_basis_pass`). A NaN or Inf in the
+    sums raises NonFiniteInput saying that a product of the finite X
+    overflowed: the caller's first pass, this one's `visit` or an earlier
+    one, has named any NaN or Inf of X.
     """
     source = as_source(x)
     basis = empty_basis(source.rows, w.shape[1])
-    gram, projected = _basis_pass(source, cols, w, basis)
+    gram, projected = _basis_pass(source, cols, w, basis, visit)
     _require_finite(gram, projected)
     factors = _cholesky_qr2(basis, gram)
     if factors is None:
@@ -494,16 +497,13 @@ def truncated_svd(
     return SvdFactors(u, f.singular_values[:k], f.v[:, :k], u.T @ block)
 
 
-def thin_qr_q(x, out: np.ndarray | None = None) -> np.ndarray:
-    """Orthonormal factor Q of the thin QR decomposition (rows >= cols),
-    written into `out` (an n x cols float64 array, which may be x itself)
-    when given.
+def thin_qr_q(x) -> np.ndarray:
+    """Orthonormal factor Q of the thin QR decomposition (rows >= cols).
 
     Inputs with rows >= 2 * cols run guarded CholeskyQR2 (see
     `_cholesky_qr2`) and write Q = (A_i R1^-1) R2^-1 into the n x cols
-    output one `_CHUNK_ROWS`-row chunk A_i at a time (`_cholesky_q`), so the
-    only other n-row buffer is the input, and Q may overwrite it: the guard
-    ||Q1^T Q1 - I||_2 <= 1/2 keeps the second pass's input within
+    output one `_CHUNK_ROWS`-row chunk A_i at a time (`_cholesky_q`): the
+    guard ||Q1^T Q1 - I||_2 <= 1/2 keeps the second pass's input within
     kappa <= sqrt(3), where CholeskyQR2 is orthogonal to the order of
     rounding, as Householder QR is (Yamamoto, Nakatsukasa, Yanagisawa &
     Fukaya, 2015). Every other input, and every input the guard rejects, is
@@ -523,15 +523,12 @@ def thin_qr_q(x, out: np.ndarray | None = None) -> np.ndarray:
     if n >= 2 * c:
         factors = _cholesky_qr2(a)
         if factors is not None:
-            return _cholesky_q(a, factors, np.empty((n, c)) if out is None else out)
+            return _cholesky_q(a, factors, np.empty((n, c)))
     q = np.linalg.qr(a, mode="reduced")[0]
     # a tall input has passed the Gram check of `_cholesky_qr2`
     if n < 2 * c and not np.isfinite(q).all():
         raise _non_finite_error(a)
-    if out is None:
-        return q
-    out[...] = q
-    return out
+    return q
 
 
 def singular_values_of_rows(blocks) -> np.ndarray:

@@ -2,15 +2,16 @@
 
 The central routine is `blocked_randomized_qb`, the one range finder: sample
 the range of X with a seeded Gaussian test matrix, optionally sharpen the
-spectrum with stabilized power iterations, orthonormalize, and project,
-reading X block by block from a row-block source (see `blocked`).
-`randomized_qb` is its one-block call on an in-memory matrix. The
-factorization X ~ Q B (Q with l = k + p orthonormal columns, B = Q^T X) is
-what every downstream consumer works with. Also here: the expected-error
-bound for the Gaussian sketch, and the compressed decomposition's S X,
-Gaussian (`gaussian_compress`, with S drawn in tiles) or row-sampled
-(`apply_sampling`), each formed in one `row_chunks` pass over an n-row
-matrix or a row-block source.
+spectrum with stabilized power iterations, each sketch orthonormalized and
+projected in the one pass that forms it (`orthonormal_frame`, also the
+exact-style modes' basis), reading X block by block from a row-block
+source (see `blocked`). `randomized_qb` is its one-block call on an
+in-memory matrix. The factorization X ~ Q B (Q with l = k + p orthonormal
+columns, B = Q^T X) is what every downstream consumer works with. Also
+here: the expected-error bound for the Gaussian sketch, and the compressed
+decomposition's S X, Gaussian (`gaussian_compress`, with S drawn in tiles)
+or row-sampled (`apply_sampling`), each formed in one `row_chunks` pass
+over an n-row matrix or a row-block source.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import memguard
-from .blocked import ArrayRowBlockSource, as_source, empty_basis, row_chunks
+from .blocked import ArrayRowBlockSource, as_source, row_chunks
 from .errors import (
     InvalidDistribution,
     InvalidOversampling,
@@ -29,11 +30,10 @@ from .errors import (
     ShapeMismatch,
 )
 from .linalg import (
+    _SquaredNorm,
     _lift,
-    _non_finite_error,
+    _orthonormal_basis,
     _require_finite,
-    _tall_product,
-    frobenius_sq,
     thin_qr_q,
 )
 from .rng import normal_columns_into, normal_matrix, uniforms
@@ -151,29 +151,22 @@ def blocked_randomized_qb(source, cfg: SketchConfig) -> QBFactorization:
     """Randomized QB factorization of the matrix X whose row blocks
     `source` hands out, with oversampling and power iterations.
 
-    Draws an m x l Gaussian test matrix (l = k + p), forms Y = X Omega, runs
-    cfg.power_iters stabilized power iterations (each orthonormalizes Y,
-    orthonormalizes X^T Q, and resamples Y = X Z; the naive (X X^T)^q X
-    product is numerically unstable), then orthonormalizes once more and
-    projects B = Q^T X (Halko, Martinsson & Tropp, 2011, sec. 4.5). All
-    2q + 1 orthonormalizations are `thin_qr_q`.
+    Stabilized subspace iteration (Halko, Martinsson & Tropp, 2011, sec.
+    4.5; the naive (X X^T)^q X product is numerically unstable) in
+    q + 1 = cfg.power_iters + 1 passes over X, each one `orthonormal_frame`:
+    pass j writes Y_j = X Z_j, from Z_0 = Omega, an m x l Gaussian test
+    matrix (l = k + p), and gives its orthonormal Q_j and B_j = Q_j^T X
+    with no further pass. For j < q, Q_j is dropped before the next pass
+    writes its basis, and Z_{j+1} = `thin_qr_q`(B_j^T), the orthonormalized
+    X^T Q_j. The last pass's (Q_q, B_q) is the factorization.
 
-    Each product with X is one pass over the blocks, 2q + 2 in all, and
-    each pass one `row_chunks` walk, so a mapped file's pages are released
-    chunk by chunk: rows i of X W are `_tall_product`(X_i, W) for each chunk
-    X_i, and Q^T X is the sum of Q_i^T X_i, X^T Q being taken as
-    (Q^T X)^T, the faster BLAS layout for a row-major X. The block count
-    changes the result only at the level of rounding, and the sketch size
-    is bounded by min(n, m) of the whole matrix alone. Y and Q share one
-    Fortran-ordered n x l `empty_basis`: every X W is written into it,
-    `thin_qr_q` orthonormalizes it in place, and the pipeline's mode lift
-    hands it back chunk by chunk (see `linalg._lift`). The source's last
-    block is released after the last pass.
-
-    The first pass also sums ||X||_F^2 and checks each chunk's rows of Y:
-    NaN or Inf there raises NonFiniteInput naming the first bad entry of X
-    by its row in X, or, where X is finite, saying that a product
-    overflowed, as `_project` says of a Q^T X that overflowed.
+    The first pass also sums ||X||_F^2 and names the first NaN or Inf of X
+    by its row (`linalg._SquaredNorm`). The block count changes the result
+    only at the level of rounding, and the sketch size is bounded by
+    min(n, m) of the whole matrix alone. Q is an `empty_basis`, which the
+    pipeline's mode lift hands back chunk by chunk (see `linalg._lift`),
+    unless CholeskyQR2 rejected the last sketch. The source's last block is
+    released after the last pass.
     """
     n, m = source.rows, source.cols
     l = cfg.sketch_size
@@ -182,30 +175,30 @@ def blocked_randomized_qb(source, cfg: SketchConfig) -> QBFactorization:
             f"sketch size {l} (k={cfg.target_rank} + p={cfg.oversampling}) "
             f"exceeds min{(n, m)} = {min(n, m)}"
         )
-    omega = gaussian_test_matrix(m, l, cfg.seed)
-    y = empty_basis(n, l)
-    data_sq_norm = 0.0
-    error = None
-    for start, rows in row_chunks(source):
-        with np.errstate(over="ignore", invalid="ignore"):  # checked right below
-            sample = _tall_product(rows, omega, out=y[start : start + len(rows)])
-        if not np.isfinite(sample).all():
-            error = _non_finite_error(rows, start)
-            if error.row is not None:
-                raise error
-        data_sq_norm += frobenius_sq(rows)
-        del rows  # a copied block is freed before the next one is read
-    if error is not None:  # no entry of X is NaN or Inf: a product overflowed
-        raise error
+    z = gaussian_test_matrix(m, l, cfg.seed)
+    norm = visit = _SquaredNorm()
     for _ in range(cfg.power_iters):
-        z = thin_qr_q(_project(source, thin_qr_q(y, out=y)).T)
-        for start, rows in row_chunks(source):
-            _tall_product(rows, z, out=y[start : start + len(rows)])
-            del rows
-    q = thin_qr_q(y, out=y)
-    b = _project(source, q)
+        b = orthonormal_frame(source, slice(None), z, visit)[2]
+        z, visit = thin_qr_q(b.T), None
+    q, _, b = orthonormal_frame(source, slice(None), z, visit)
     source.release_block()
-    return QBFactorization(q=q, b=b, data_sq_norm=data_sq_norm)
+    return QBFactorization(q=q, b=b, data_sq_norm=norm.total)
+
+
+def orthonormal_frame(source, cols: slice, w: np.ndarray, visit=None):
+    """(Q, R, Q^T X) for the thin QR Q R = A W of the n x c product of A,
+    the columns `cols` of the matrix X whose row blocks `source` hands out,
+    and a small w: the one pass of `linalg._orthonormal_basis`, with
+    `visit` its `_basis_pass` hook. Where CholeskyQR2 rejects A W (rank
+    below c, as a sketch of noise-free data has, or a condition number past
+    about 1e8), Q R is LAPACK's Householder QR of A W, which
+    `_orthonormal_basis` has found finite, and Q^T X takes one more pass
+    (`_project`)."""
+    q, r, projected = _orthonormal_basis(source, cols, w, visit)
+    if r is None:
+        q, r = np.linalg.qr(q)
+        projected = _project(source, q)
+    return q, r, projected
 
 
 def _project(source, q: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ from rdmd import (
     apply_q,
     blocked_randomized_qb,
     dmd_randomized,
+    gaussian_test_matrix,
     partition_rows,
     randomized_qb,
     synth_linear_dynamics,
@@ -125,14 +126,29 @@ class TestBlockedQb:
             1e-12 * np.abs(one.eigenvalues).max()
         )
 
-    def test_two_q_plus_two_reads_per_block(self):
+    def test_q_plus_one_reads_per_block(self):
         x = normal_matrix(48, 16, seed=13)
         for q_iters in (0, 2):
             src = CountingSource(ArrayRowBlockSource(x, 4))
             blocked_randomized_qb(src, SketchConfig(3, 3, q_iters, seed=14))
-            # X Omega, then Q^T X and X Z per power iteration, then Q^T X:
-            # each product with X is one pass over the blocks
-            assert src.reads == [2 * q_iters + 2] * 4
+            # X Omega, then X Z per power iteration: each pass over the
+            # blocks also gives that sketch's Q^T X
+            assert src.reads == [q_iters + 1] * 4
+
+    @pytest.mark.parametrize("b", [1, 4])
+    @pytest.mark.parametrize("q_iters", [0, 1, 2, 3])
+    def test_matches_dense_householder_subspace_iteration(self, q_iters, b):
+        # the reference is Halko, Martinsson & Tropp (2011), Alg. 4.4, with
+        # numpy's Householder QR and dense products
+        x = matrix_with_spectrum(500, 60, 0.8 ** np.arange(60), seed=40)
+        cfg = SketchConfig(5, 5, q_iters, seed=41)
+        ref = np.linalg.qr(x @ gaussian_test_matrix(60, cfg.sketch_size, cfg.seed))[0]
+        for _ in range(q_iters):
+            ref = np.linalg.qr(x @ np.linalg.qr(x.T @ ref)[0])[0]
+        src = CountingSource(ArrayRowBlockSource(x, b))
+        q = dense_q(blocked_randomized_qb(src, cfg))
+        assert np.max(np.abs(q @ q.T - ref @ ref.T)) <= 1e-10
+        assert src.reads == [q_iters + 1] * b
 
     def test_accuracy_parity_with_unblocked(self):
         x = matrix_with_spectrum(256, 128, 2.0 ** -np.arange(1, 129), seed=15)
@@ -174,7 +190,7 @@ class TestBlockedQb:
         monkeypatch.setattr(rdmd.dmd, "apply_q", recording_apply_q)
         dmd_randomized(Recording(normal_matrix(60, 20, seed=23), 3),
                        DmdConfig(target_rank=3, oversampling=2, power_iters=1))
-        assert calls == ["read 0", "read 1", "read 2"] * 4 + ["release", "lift"]
+        assert calls == ["read 0", "read 1", "read 2"] * 2 + ["release", "lift"]
 
     def test_determinism(self):
         x = normal_matrix(40, 18, seed=19)

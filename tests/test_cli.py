@@ -710,9 +710,9 @@ class TestReconstructionError:
         # product, and the k x m factors it is formed from (a few kB)
         assert rises[0] <= block + 2 * chunk + 64 * 1024
 
-    # the sketch reads each of the 4 blocks 2q + 2 = 6 times; the streamed
+    # the sketch reads each of the 4 blocks q + 1 = 3 times; the streamed
     # error pass of noise-free data reads them once more
-    @pytest.mark.parametrize("noisy, reads", [(True, 24), (False, 28)], ids=["noisy", "clean"])
+    @pytest.mark.parametrize("noisy, reads", [(True, 12), (False, 20)], ids=["noisy", "clean"])
     def test_blocked_decompose_reads_blocks_again_only_on_fallback(
         self, workspace, noisy_workspace, tmp_path, monkeypatch, noisy, reads
     ):

@@ -571,7 +571,7 @@ class TestRowBlocks:
     def test_one_block_run_reads_its_block_once_and_releases_each_chunk_once_per_pass(
         self, tmp_path, monkeypatch
     ):
-        # each of the sketch's 2q + 2 passes reads the one block once (the
+        # each of the sketch's q + 1 passes reads the one block once (the
         # held block is not re-read) and releases its chunks in row order,
         # each once; the whole block is released after the last pass
         events = []
@@ -594,7 +594,7 @@ class TestRowBlocks:
         with open_row_blocks(path, 1) as src:
             blocked_randomized_qb(src, SketchConfig(3, 3, 2, seed=26))
             one_pass = events[:4]
-            assert events[:-1] == one_pass * 6
+            assert events[:-1] == one_pass * 3
         assert one_pass[0] == "read 0"
         chunks = one_pass[1:]
         assert all(a[0] + a[1] <= b[0] for a, b in zip(chunks, chunks[1:]))
@@ -622,7 +622,7 @@ class TestRowBlocks:
             base = rss_file()
             blocked_randomized_qb(src, cfg)
         chunk = _CHUNK_ROWS * 200 * 8
-        assert len(samples) == 6 * 7 + 1  # 7 chunks a pass, then the block
+        assert len(samples) == 3 * 7 + 1  # 7 chunks a pass, then the block
         assert 0.5 * chunk <= max(samples) - base <= 2 * chunk
 
     @linux_only

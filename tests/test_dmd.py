@@ -113,13 +113,13 @@ class TestDeterministic:
     @pytest.mark.parametrize("method", ["deterministic_projected", "deterministic_exact"])
     def test_tall_noisy_input_matches_economic_svd_run(self, method, monkeypatch):
         import rdmd.linalg
-        from rdmd.linalg import _gram, _gram_ritz_svd
+        from rdmd.linalg import _gram_ritz_svd, _streamed_gram
 
         specs = [ModeSpec(0.99 * np.exp(0.3j)), ModeSpec(0.9), ModeSpec(0.8 * np.exp(1.2j))]
         truth = synth_linear_dynamics(2000, 40, specs, seed=38)
         x = add_noise(truth.clean_data, 10.0, seed=39)
         left = split_snapshots(x).left
-        assert _gram_ritz_svd(left, _gram(left), 5) is not None  # the Gram path runs
+        assert _gram_ritz_svd(left, _streamed_gram(left), 5) is not None  # the Gram path runs
         cfg = DmdConfig(target_rank=5, method=method)
         fast = dmd_deterministic(x, cfg)
         # the Gram path declined, the one-block SVD falls back to the slice
@@ -894,10 +894,10 @@ class TestSourceWalk:
     }
 
     # passes per block: the Gram, Ritz and U_k passes (and the exact basis);
-    # S X with ||X||^2, then the basis; 2q + 2 for the range finder
+    # S X with ||X||^2, then the basis; q + 1 for the range finder
     @pytest.mark.parametrize("case, passes", [
         ("projected", 3), ("exact", 4), ("compressed_gaussian", 2),
-        ("compressed_uniform", 2), ("randomized", 6),
+        ("compressed_uniform", 2), ("randomized", 3),
     ])
     def test_reads_per_block(self, case, passes):
         source = _CountingSource(TestPassesOverX.noisy(self.N, self.M), 4)
@@ -960,6 +960,27 @@ class TestSourceWalk:
         identity = fit.data_sq_norm - np.sum(fit.data**2) + np.sum((fit.data - coords) ** 2)
         dense = np.sum((x - reconstruct(result, steps)) ** 2)
         assert abs(identity - dense) <= 1e-10 * fit.data_sq_norm
+
+    @pytest.mark.parametrize("method", ["compressed", "randomized"])
+    def test_cholesky_qr2_runs_once_per_basis(self, method, monkeypatch):
+        # noise-free rank 2 at k = 3: CholeskyQR2 rejects the exact-style
+        # basis and the first sketch, which then take LAPACK's Householder
+        # QR rather than a second CholeskyQR2 of the same basis
+        import rdmd.linalg
+
+        seen = []
+        inner = rdmd.linalg._cholesky_qr2
+
+        def spy(a, gram=None):
+            seen.append(a)
+            return inner(a, gram)
+
+        monkeypatch.setattr(rdmd.linalg, "_cholesky_qr2", spy)
+        x = rotation_sequence(4000, 30, theta=0.4, seed=3)
+        cfg = DmdConfig(target_rank=3, method=method, compress_dim=20, seed=2)
+        result = run_dmd(_CountingSource(x, 4), cfg)
+        assert eigen_match_error([np.exp(0.4j), np.exp(-0.4j)], result.eigenvalues) <= 1e-8
+        assert seen and len({id(a) for a in seen}) == len(seen)
 
     def test_rank_below_k_takes_the_held_block_or_says_it_needs_one(self):
         # rank 3 < k: the Gram resolves fewer than k directions and
@@ -1034,7 +1055,6 @@ class TestPassesOverX:
     def test_tall_products_on_n_rows(self, monkeypatch, method, products):
         import rdmd.dmd
         import rdmd.linalg
-        import rdmd.sketch
 
         x = self.noisy(2000, self.M)
         inner = rdmd.linalg._tall_product
@@ -1044,7 +1064,7 @@ class TestPassesOverX:
             rows.append(a.shape[0])
             return inner(a, w, out=out)
 
-        for module in (rdmd.dmd, rdmd.linalg, rdmd.sketch):
+        for module in (rdmd.dmd, rdmd.linalg):
             monkeypatch.setattr(module, "_tall_product", spy)
         run_dmd(x, DmdConfig(target_rank=5, method=method, compress_dim=30, power_iters=2))
         assert rows.count(x.shape[0]) == products

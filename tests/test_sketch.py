@@ -172,8 +172,8 @@ class TestPowerIterationOrthonormalization:
         returned = []
         inner = rdmd.linalg._cholesky_qr2
 
-        def spy(y):
-            factors = inner(y)
+        def spy(a, gram=None):
+            factors = inner(a, gram)
             returned.append(factors)
             return factors
 
@@ -203,7 +203,8 @@ class TestPowerIterationOrthonormalization:
         # (later sketches hold rounding noise there and may pass the guard)
         x = normal_matrix(3000, 5, seed=30) @ normal_matrix(5, 60, seed=31)
         qb = randomized_qb(x, SketchConfig(5, 10, q, seed=32))
-        # every one of the 2q + 1 orthonormalizations tries CholeskyQR2
+        # each of the q + 1 sketches tries CholeskyQR2 once, and so does
+        # each of the q m x l orthonormalizations of X^T Q between them
         assert len(returned) == 2 * q + 1 and returned[0] is None
         assert np.linalg.norm(qb.q.T @ qb.q - np.eye(15)) <= 1e-10 * np.sqrt(15)
         assert np.linalg.norm(x - qb.q @ qb.b) <= 1e-10 * np.linalg.norm(x)
@@ -215,8 +216,9 @@ class TestPowerIterationOrthonormalization:
         cfg = SketchConfig(5, 10, 2, seed=34)
         returned = self.spy_cholesky_qr2(monkeypatch)
         fast = randomized_qb(x, cfg)
+        # 3 sketches and the 2 orthonormalizations of X^T Q between them
         assert len(returned) == 5 and all(f is not None for f in returned)
-        monkeypatch.setattr(rdmd.linalg, "_cholesky_qr2", lambda y: None)
+        monkeypatch.setattr(rdmd.linalg, "_cholesky_qr2", lambda a, gram=None: None)
         ref = randomized_qb(x, cfg)
         signs = np.sign(np.sum(fast.q * ref.q, axis=0))
         assert np.max(np.abs(fast.q * signs - ref.q)) <= 1e-10
