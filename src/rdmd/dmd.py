@@ -36,8 +36,10 @@ chunk at a time: the projected deterministic variant three times (the
 Gram matrix of X, the Rayleigh-Ritz pass of its truncated SVD, and U_k
 with B = U_k^T X), the exact modes once more (their basis), the
 compressed variant twice (S X with ||X||_F^2, then its basis), and the
-randomized one q + 1 times. Any block count gives the one-block result
-to rounding.
+randomized one q + 1 times; the rank rule (`linalg._resolved`) adds one
+pass where it runs. Any block count gives the one-block result to
+rounding. Data that resolves r < k directions gives r eigenvalues (see
+`_operator`).
 
 Every result carries eigenvalues sorted by descending magnitude, modes with
 unit norm and phase pinned (largest entry real positive), and amplitudes
@@ -65,13 +67,13 @@ from .linalg import (
     FilterSpec,
     _as_matrix,
     _non_finite_error,
+    _orthonormal_basis,
     _real_product,
     _SquaredNorm,
     _require_finite,
     _streamed_gram,
     _tall_product,
     default_rank_tol,
-    divide_where,
     eig_dense,
     filter_factors,
     normalize_phase_in_place,
@@ -87,7 +89,6 @@ from .sketch import (
     apply_sampling,
     blocked_randomized_qb,
     gaussian_compress,
-    orthonormal_frame,
     randomized_qb,  # no caller: perfbench/traced.py's sketch.randomized_qb site
     uniform_sampling_operator,
 )
@@ -263,7 +264,7 @@ def low_dim_operator(
         projected = factors.u.T @ right
     if not np.isfinite(projected).all():  # a NaN or Inf of D_R shows here
         raise _non_finite_error(right)
-    return _operator(factors, projected, left.shape, regularization, right)
+    return _operator(factors, projected, left.shape, k, regularization, right)
 
 
 def _source_operator(source, k, regularization, right=None):
@@ -287,29 +288,33 @@ def _source_operator(source, k, regularization, right=None):
     if np.trace(gram[:-1, :-1]) == 0:
         raise DegenerateData("left snapshot matrix is identically zero")
     factors = truncated_svd(source, k, m, gram[:-1, :-1])
-    op = _operator(factors, factors.projected, (n, m), regularization, right)
+    op = _operator(factors, factors.projected, (n, m), k, regularization, right)
     return op, data_sq_norm
 
 
-def _operator(factors, projected, shape, regularization, right=None) -> LowDimOperator:
-    """The LowDimOperator of the truncated SVD `factors` of a d x m D_L and
-    projected = U_k^T D, whose last m columns are U_k^T D_R. The default
-    filter is plain truncation at k (1/s_i on the k values kept); a
-    Tikhonov spec replaces 1/s_i by s_i / (s_i^2 + lambda^2). Exact zeros
-    and values at numerical-rank level invert to zero."""
+def _operator(factors, projected, shape, k, regularization, right=None) -> LowDimOperator:
+    """The LowDimOperator of the rank-k truncated SVD `factors` of a d x m
+    D_L and projected = U_k^T D, whose last m columns are U_k^T D_R. Only
+    the r triplets above eps * max(d, m) * s_1 are kept (the rank rule of
+    `linalg._resolved`), so the operator is r x r. The default filter is
+    plain truncation (1/s_i); a Tikhonov spec replaces 1/s_i by
+    s_i / (s_i^2 + lambda^2). A filter reads k values, zero beyond the
+    triplets given, so tsvd(j) keeps all r where r < j."""
     s = factors.singular_values
-    tol = default_rank_tol(shape, s[0])
-    f = 1.0 if regularization is None else filter_factors(s, regularization)
-    inv_s = divide_where(f, s, s > tol)
-    operator = (projected[:, -shape[1]:] @ factors.v) * inv_s
+    r = int(np.count_nonzero(s > default_rank_tol(shape, s[0])))
+    f = np.ones(r) if regularization is None else filter_factors(
+        np.pad(s, (0, k - s.size)), regularization)[:r]
+    s, u, v = s[:r], factors.u[:, :r], factors.v[:, :r]
+    inv_s = f / s
+    operator = (projected[:r, -shape[1]:] @ v) * inv_s
     return LowDimOperator(
         operator=operator,
-        left_vectors=factors.u,
+        left_vectors=u,
         singular_values=s,
-        right_vectors=factors.v,
+        right_vectors=v,
         inv_singular=inv_s,
         right=right,
-        projected=projected,
+        projected=projected[:r],
     )
 
 
@@ -363,16 +368,18 @@ def eigen_match_error(reference, test) -> float:
     return worst
 
 
-def _config_echo(cfg: DmdConfig, method: str, blocks: int = 1,
+def _config_echo(cfg: DmdConfig, method: str, effective_rank: int, blocks: int = 1,
                  compress_dim: int | None = None) -> dict:
     """The description of a run of `method`: the parameters it reads, None
-    for the rest; compress_dim is the compressed variant's effective l."""
+    for the rest; effective_rank is the number of eigenvalues it kept,
+    compress_dim the compressed variant's effective l."""
     randomized = method == "randomized"
     compressed = method == "compressed"
     reg = cfg.regularization
     return {
         "method": method,
         "target_rank": cfg.target_rank,
+        "effective_rank": effective_rank,
         "oversampling": cfg.oversampling if randomized else None,
         "power_iters": cfg.power_iters if randomized else None,
         "sketch_size": cfg.sketch.sketch_size if randomized else None,
@@ -391,9 +398,10 @@ def _span_frame(source, op, data_sq_norm):
     basis = X_R V S^-1 (V and S^-1 those of the LowDimOperator op), X
     being the snapshots of a row-block source:
     (QBFactorization(Q, Q^T X, ||X||_F^2), R) for basis = Q R, from one
-    `orthonormal_frame` pass (two where the basis has rank below k).
+    `linalg._orthonormal_basis` pass (two where the basis has rank below
+    its width, Q then having that rank's columns).
     """
-    q, r, projected = orthonormal_frame(
+    q, r, projected = _orthonormal_basis(
         source, slice(1, None), op.right_vectors * op.inv_singular
     )
     return QBFactorization(q, projected, data_sq_norm), r
@@ -451,17 +459,11 @@ def _pipeline(operator, cfg, method, timings, frame, **echo):
         method=method,
         diagnostics={
             "timings": timings,
-            "config": _config_echo(cfg, method, **echo),
+            "config": _config_echo(cfg, method, pairs.eigenvalues.size, **echo),
             "eigenpair_residual": eigenpair_residual,
         },
         sketch=sketch,
     )
-
-
-def _split_operator(d, cfg: DmdConfig):
-    """`_pipeline`'s operator of an in-memory sequence d: `low_dim_operator`
-    of its split."""
-    return lambda: low_dim_operator(split_snapshots(d), cfg.target_rank, cfg.regularization)
 
 
 def dmd_deterministic(x, cfg: DmdConfig) -> DmdResult:
@@ -496,7 +498,8 @@ def dmd_deterministic(x, cfg: DmdConfig) -> DmdResult:
         method = "deterministic_projected"
 
         def frame(op):
-            return QBFactorization(op.left_vectors, op.projected, data_sq_norm), np.eye(k)
+            frame = QBFactorization(op.left_vectors, op.projected, data_sq_norm)
+            return frame, np.eye(op.operator.shape[0])
 
     result = _pipeline(operator, cfg, method, {}, frame, blocks=source.block_count)
     source.release_block()
@@ -517,8 +520,10 @@ def dmd_randomized(x, cfg: DmdConfig) -> DmdResult:
     timings = {}
     with stage(timings, "sketch"):
         qb = blocked_randomized_qb(source, cfg.sketch)
+    k = min(cfg.target_rank, qb.b.shape[0])  # B has r rows where X resolves r < l
     return _pipeline(
-        _split_operator(qb.b, cfg), cfg, "randomized", timings,
+        lambda: low_dim_operator(split_snapshots(qb.b), k, cfg.regularization),
+        cfg, "randomized", timings,
         lambda op: (qb, op.right_projected), blocks=source.block_count,
     )
 
@@ -559,7 +564,8 @@ def dmd_compressed(x, cfg: DmdConfig, operator: SamplingOperator | None = None) 
         _require_finite(compressed)
 
     result = _pipeline(
-        _split_operator(compressed, cfg), cfg, "compressed", timings,
+        lambda: low_dim_operator(split_snapshots(compressed), k, cfg.regularization),
+        cfg, "compressed", timings,
         lambda op: _span_frame(source, op, norm.total),
         compress_dim=compressed.shape[0], blocks=source.block_count,
     )

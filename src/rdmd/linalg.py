@@ -10,7 +10,9 @@ such an operand with a small matrix W is one `_basis_pass`: the
 Rayleigh-Ritz pass's, and, through the CholeskyQR2 of
 `_orthonormal_basis`, the range finder's sketches, the truncated SVD's
 U_k and `dmd`'s exact-style basis. CholeskyQR2 itself (`_cholesky_qr2`,
-also under `thin_qr_q`) takes in-memory matrices only.
+also under `thin_qr_q`) takes in-memory matrices only. Where it rejects a
+basis, or Rayleigh-Ritz an input, the one rank rule `_resolved` takes it
+chunk by chunk.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .blocked import (
 )
 from .errors import (
     ConvergenceFailure,
+    DegenerateData,
     NegativeLambda,
     NonFiniteInput,
     RankOutOfRange,
@@ -343,11 +346,10 @@ def _basis_pass(x, cols: slice, w: np.ndarray, out: np.ndarray | None = None, vi
     return gram, projected
 
 
-def _orthonormal_basis(x, cols: slice, w: np.ndarray, visit=None):
-    """(Q, R, Q^T X) for the thin QR Q R = A W of the n x c product of A,
-    the columns `cols` of x (an n-row matrix or a row-block source), and a
-    small w; (A W, None, None) where CholeskyQR2 rejects A W (rank below c,
-    or a condition number past about 1e8).
+def _orthonormal_basis(x, cols: slice, w: np.ndarray, visit=None, _rejected=False):
+    """(Q, R, Q^T X) for Q R = A W, Q orthonormal, A W the n x c product of
+    A, the columns `cols` of x (an n-row matrix or a row-block source), and
+    a small w.
 
     One `_basis_pass` writes A W into an `empty_basis` and sums its Gram
     matrix and (A W)^T X. `_cholesky_qr2` from that Gram gives R = R2 R1,
@@ -355,8 +357,14 @@ def _orthonormal_basis(x, cols: slice, w: np.ndarray, visit=None):
     no pass. Q stays an `empty_basis`, so a lift can hand it back (see
     `_lift`). `visit` is the pass's (`_basis_pass`). A NaN or Inf in the
     sums raises NonFiniteInput saying that a product of the finite X
-    overflowed: the caller's first pass, this one's `visit` or an earlier
-    one, has named any NaN or Inf of X.
+    overflowed: some first pass has named any NaN or Inf of X.
+
+    Where CholeskyQR2 rejects A W (rank below c, as a sketch of noise-free
+    data has, or a condition number past about 1e8), `_resolved` folds the
+    basis's chunks into A W V_r = U_r S_r and the basis is freed. One more
+    pass writes A W V_r S_r^-1, orthonormal to within about eps * kappa,
+    whose CholeskyQR2 accepts it as Q R' (else ConvergenceFailure): Q has
+    r columns and R = R' S_r V_r^T.
     """
     source = as_source(x)
     basis = empty_basis(source.rows, w.shape[1])
@@ -364,7 +372,12 @@ def _orthonormal_basis(x, cols: slice, w: np.ndarray, visit=None):
     _require_finite(gram, projected)
     factors = _cholesky_qr2(basis, gram)
     if factors is None:
-        return basis, None, None
+        if _rejected:
+            raise ConvergenceFailure("CholeskyQR2 rejected the rank-resolved basis")
+        s, v = _resolved((rows for _, rows in row_chunks(as_source(basis))), *basis.shape)
+        del basis
+        q, r, projected = _orthonormal_basis(source, cols, w @ (v / s), _rejected=True)
+        return q, r @ (s[:, None] * v.T), projected
     r = factors[2] @ factors[0]
     return _cholesky_q(basis, factors, out=basis), r, np.linalg.solve(r.T, projected)
 
@@ -437,8 +450,8 @@ def _gram_ritz_svd(x, gram: np.ndarray, k: int) -> SvdFactors | None:
         u_b, s, vh = np.linalg.svd(r2_inv.T @ proj, full_matrices=False)
     except np.linalg.LinAlgError:
         return None
-    u, r, projected = _orthonormal_basis(source, slice(0, c), w @ (r2_inv @ u_b[:, :k]))
-    return None if r is None else SvdFactors(u, s[:k], vh[:k].T, projected)
+    u, _, projected = _orthonormal_basis(source, slice(0, c), w @ (r2_inv @ u_b[:, :k]))
+    return SvdFactors(u, s[:k], vh[:k].T, projected)
 
 
 def truncated_svd(
@@ -447,54 +460,50 @@ def truncated_svd(
     """First k singular triplets of the economic SVD of A, the leading
     `cols` columns (all by default) of x: an in-memory matrix, which is its
     one-block source, or a row-block source (see `blocked`), read in
-    `row_chunks` passes. `gram` is A^T A where the caller formed it already.
-    The result's `projected` is U_k^T X for all of x's columns.
+    `row_chunks` passes. `gram` is A^T A where the caller formed it
+    already. The result's `projected` is U^T X for all of x's columns.
 
-    Tall inputs (rows >= 2 * cols) and inputs of more than one block form
-    the Gram matrix A^T A in one pass (`_streamed_gram`, unless given) and
-    take one of two tiers:
+    A short one-block input (rows < 2 * cols, as B and S X are) is the
+    slice of `economic_svd` of its block. Every other input forms A^T A in
+    one pass (`_streamed_gram`, unless given) and takes one of two tiers:
     1. Rayleigh-Ritz on the top l eigenvectors of the Gram
        (`_gram_ritz_svd`): a pass for Q1^T Q1 and Q1^T A, then one for U_k
        and U_k^T X, forming only the k kept left vectors and, besides them,
        one `_CHUNK_ROWS`-row chunk. It takes full-rank inputs up to
        condition numbers of about 1e8 and inputs whose Gram resolves k
        directions.
-    2. The slice of `economic_svd` of the held block, which short
-       one-block inputs take too. It needs A in memory, so it is only
-       reached by one block: at more than one, RankOutOfRange says so.
-       Tall inputs reach it only where Rayleigh-Ritz rejects them, as on
-       data of numerical rank below k, or where the Gram of finite data
-       overflowed.
+    2. Where Rayleigh-Ritz declines (numerical rank below k, a k-th
+       singular value below the Gram's resolution, or an overflowed Gram),
+       the rank rule: one pass of `_resolved` gives s_r and V_r, and
+       `_orthonormal_basis` of A V_r S_r^-1 gives U_r and U_r^T X, so the
+       result holds min(k, r) triplets.
 
     NaN or Inf in A raises NonFiniteInput naming its first such entry: the
     Gram pass shows it (a `gram` passed in was checked by its caller),
-    every other input is checked before LAPACK runs.
+    a short one-block input is checked before LAPACK runs.
     """
     source = as_source(x)
     n, c = source.rows, source.cols if cols is None else cols
     if not 1 <= k <= min(n, c):
         raise RankOutOfRange(f"rank {k} outside [1, {min(n, c)}] for shape {(n, c)}")
-    streamed = n >= 2 * c or source.block_count > 1
-    if streamed:
-        if gram is None:
-            gram = _streamed_gram(source)[:c, :c]
-        fast = _gram_ritz_svd(source, gram, k)
-        if fast is not None:
-            return fast
-        if source.block_count > 1:
-            raise RankOutOfRange(
-                f"rank {k}: the Gram matrix of the {n} x {c} input resolves fewer "
-                f"than {k} directions, and the exact SVD it then takes needs the "
-                f"input as one block, not {source.block_count}"
-            )
-    block = source.read_block(0)
-    a = block[:, :c]
-    if not streamed and not np.isfinite(a).all():
-        raise _non_finite_error(a)
-    memguard.note(n * c * 8)  # LAPACK's U
-    f = economic_svd(a)
-    u = f.u[:, :k]
-    return SvdFactors(u, f.singular_values[:k], f.v[:, :k], u.T @ block)
+    if n < 2 * c and source.block_count == 1:
+        block = source.read_block(0)
+        a = block[:, :c]
+        if not np.isfinite(a).all():
+            raise _non_finite_error(a)
+        memguard.note(n * c * 8)  # LAPACK's U
+        f = economic_svd(a)
+        u = f.u[:, :k]
+        return SvdFactors(u, f.singular_values[:k], f.v[:, :k], u.T @ block)
+    if gram is None:
+        gram = _streamed_gram(source)[:c, :c]
+    fast = _gram_ritz_svd(source, gram, k)
+    if fast is not None:
+        return fast
+    s, v = _resolved((rows[:, :c] for _, rows in row_chunks(source)), n, c)
+    s, v = s[:k], v[:, :k]
+    u, _, projected = _orthonormal_basis(source, slice(0, c), v / s)
+    return SvdFactors(u, s, v, projected)
 
 
 def thin_qr_q(x) -> np.ndarray:
@@ -531,21 +540,34 @@ def thin_qr_q(x) -> np.ndarray:
     return q
 
 
-def singular_values_of_rows(blocks) -> np.ndarray:
-    """Singular values of the matrix whose row blocks, top to bottom, are
-    `blocks`, at the accuracy of a Householder QR.
-
-    X = Q R for a QR factorization folded block by block: R starts as the
-    R factor of the first block, and each further block X_i folds in as
-    R <- R factor of [R; X_i], so X has the singular values of the last R.
-    One cols x cols R and one block's factorization are resident at a time,
-    not every block's R factor.
-    """
+def _fold_r(blocks) -> np.ndarray:
+    """The R factor of the matrix X whose row blocks, top to bottom, are
+    `blocks`, folded as a flat TSQR tree (Demmel, Grigori, Hoemmen & Langou,
+    2012): R <- Householder R factor of [R; X_i] for each block X_i, so one
+    cols x cols R and one block's factorization are resident at a time."""
     r = None
     for block in blocks:
         a = _as_matrix(block)
         r = np.linalg.qr(a if r is None else np.vstack([r, a]), mode="r")
-    return np.linalg.svd(r, compute_uv=False)
+    return r
+
+
+def singular_values_of_rows(blocks) -> np.ndarray:
+    """Singular values of the matrix whose row blocks, top to bottom, are
+    `blocks`, from its folded R factor (`_fold_r`)."""
+    return np.linalg.svd(_fold_r(blocks), compute_uv=False)
+
+
+def _resolved(blocks, n: int, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """The library's one rank rule: (s_r, V_r), the r singular values above
+    `default_rank_tol` of the n x c matrix A whose row blocks are `blocks`
+    and their right vectors, from the SVD of its folded R (`_fold_r`), at
+    Householder accuracy in one pass. DegenerateData where A is zero."""
+    _, s, vh = np.linalg.svd(_fold_r(blocks), full_matrices=False)
+    r = int(np.count_nonzero(s > default_rank_tol((n, c), s[0])))
+    if r == 0:
+        raise DegenerateData(f"the {n} x {c} matrix is identically zero")
+    return s[:r], vh[:r].T
 
 
 def default_rank_tol(shape: tuple[int, int], sigma_max: float) -> float:

@@ -3,11 +3,12 @@
 The central routine is `blocked_randomized_qb`, the one range finder: sample
 the range of X with a seeded Gaussian test matrix, optionally sharpen the
 spectrum with stabilized power iterations, each sketch orthonormalized and
-projected in the one pass that forms it (`orthonormal_frame`, also the
-exact-style modes' basis), reading X block by block from a row-block
+projected in the one pass that forms it (`linalg._orthonormal_basis`, also
+the exact-style modes' basis), reading X block by block from a row-block
 source (see `blocked`). `randomized_qb` is its one-block call on an
 in-memory matrix. The factorization X ~ Q B (Q with l = k + p orthonormal
-columns, B = Q^T X) is what every downstream consumer works with. Also
+columns, fewer where X resolves fewer directions, and B = Q^T X) is what
+every downstream consumer works with. Also
 here: the expected-error bound for the Gaussian sketch, and the compressed
 decomposition's S X, Gaussian (`gaussian_compress`, with S drawn in tiles)
 or row-sampled (`apply_sampling`), each formed in one `row_chunks` pass
@@ -29,13 +30,7 @@ from .errors import (
     RankOutOfRange,
     ShapeMismatch,
 )
-from .linalg import (
-    _SquaredNorm,
-    _lift,
-    _orthonormal_basis,
-    _require_finite,
-    thin_qr_q,
-)
+from .linalg import _SquaredNorm, _lift, _orthonormal_basis, thin_qr_q
 from .rng import normal_columns_into, normal_matrix, uniforms
 
 
@@ -153,20 +148,24 @@ def blocked_randomized_qb(source, cfg: SketchConfig) -> QBFactorization:
 
     Stabilized subspace iteration (Halko, Martinsson & Tropp, 2011, sec.
     4.5; the naive (X X^T)^q X product is numerically unstable) in
-    q + 1 = cfg.power_iters + 1 passes over X, each one `orthonormal_frame`:
-    pass j writes Y_j = X Z_j, from Z_0 = Omega, an m x l Gaussian test
-    matrix (l = k + p), and gives its orthonormal Q_j and B_j = Q_j^T X
-    with no further pass. For j < q, Q_j is dropped before the next pass
-    writes its basis, and Z_{j+1} = `thin_qr_q`(B_j^T), the orthonormalized
-    X^T Q_j. The last pass's (Q_q, B_q) is the factorization.
+    q + 1 = cfg.power_iters + 1 passes over X, each one
+    `linalg._orthonormal_basis`: pass j writes Y_j = X Z_j, from Z_0 =
+    Omega, an m x l Gaussian test matrix (l = k + p), and gives its
+    orthonormal Q_j and B_j = Q_j^T X with no further pass. For j < q, Q_j
+    is dropped before the next pass writes its basis, and Z_{j+1} =
+    `thin_qr_q`(B_j^T), the orthonormalized X^T Q_j. The last pass's
+    (Q_q, B_q) is the factorization.
 
-    The first pass also sums ||X||_F^2 and names the first NaN or Inf of X
-    by its row (`linalg._SquaredNorm`). The block count changes the result
-    only at the level of rounding, and the sketch size is bounded by
-    min(n, m) of the whole matrix alone. Q is an `empty_basis`, which the
-    pipeline's mode lift hands back chunk by chunk (see `linalg._lift`),
-    unless CholeskyQR2 rejected the last sketch. The source's last block is
-    released after the last pass.
+    A sketch that CholeskyQR2 rejects, as one of noise-free data of rank
+    r < l is, keeps its r resolved directions (`linalg._resolved`) at the
+    cost of one more pass, so Q then has r columns and B r rows, and the
+    later sketches are r wide. The first pass also sums ||X||_F^2 and names
+    the first NaN or Inf of X by its row (`linalg._SquaredNorm`). The block
+    count changes the result only at the level of rounding, and the sketch
+    size is bounded by min(n, m) of the whole matrix alone. Q is an
+    `empty_basis`, which the pipeline's mode lift hands back chunk by chunk
+    (see `linalg._lift`). The source's last block is released after the
+    last pass.
     """
     n, m = source.rows, source.cols
     l = cfg.sketch_size
@@ -178,41 +177,11 @@ def blocked_randomized_qb(source, cfg: SketchConfig) -> QBFactorization:
     z = gaussian_test_matrix(m, l, cfg.seed)
     norm = visit = _SquaredNorm()
     for _ in range(cfg.power_iters):
-        b = orthonormal_frame(source, slice(None), z, visit)[2]
+        b = _orthonormal_basis(source, slice(None), z, visit)[2]
         z, visit = thin_qr_q(b.T), None
-    q, _, b = orthonormal_frame(source, slice(None), z, visit)
+    q, _, b = _orthonormal_basis(source, slice(None), z, visit)
     source.release_block()
     return QBFactorization(q=q, b=b, data_sq_norm=norm.total)
-
-
-def orthonormal_frame(source, cols: slice, w: np.ndarray, visit=None):
-    """(Q, R, Q^T X) for the thin QR Q R = A W of the n x c product of A,
-    the columns `cols` of the matrix X whose row blocks `source` hands out,
-    and a small w: the one pass of `linalg._orthonormal_basis`, with
-    `visit` its `_basis_pass` hook. Where CholeskyQR2 rejects A W (rank
-    below c, as a sketch of noise-free data has, or a condition number past
-    about 1e8), Q R is LAPACK's Householder QR of A W, which
-    `_orthonormal_basis` has found finite, and Q^T X takes one more pass
-    (`_project`)."""
-    q, r, projected = _orthonormal_basis(source, cols, w, visit)
-    if r is None:
-        q, r = np.linalg.qr(q)
-        projected = _project(source, q)
-    return q, r, projected
-
-
-def _project(source, q: np.ndarray) -> np.ndarray:
-    """Q^T X for the n x l basis q, summed chunk by chunk as Q_i^T X_i. An
-    earlier pass has named any NaN or Inf of X, so a non-finite sum raises
-    NonFiniteInput saying that a product of the finite X overflowed."""
-    memguard.note(q.shape[1] * source.cols * 8)
-    out = np.zeros((q.shape[1], source.cols))
-    with np.errstate(over="ignore", invalid="ignore"):  # checked right below
-        for start, rows in row_chunks(source):
-            out += q[start : start + len(rows)].T @ rows
-            del rows
-    _require_finite(out)
-    return out
 
 
 def randomized_qb(x, cfg: SketchConfig) -> QBFactorization:

@@ -146,7 +146,7 @@ class TestDecompose:
         )
         assert config == {
             "input": str(workspace / "x.sms"), "memory_cap": None, "target_rank": 5,
-            "blocks": 1, "regularization": None, **unread, **read,
+            "effective_rank": 5, "blocks": 1, "regularization": None, **unread, **read,
         }
 
     def test_report_fidelity_against_emitted_files(self, workspace, noisy_workspace, tmp_path):
@@ -178,6 +178,22 @@ class TestDecompose:
         assert res.returncode == 0, res.stderr
         report = json.loads((tmp_path / "blocked" / "report.json").read_text())
         assert report["config"]["blocks"] == 4
+
+    @pytest.mark.parametrize("method", ["dmd", "rdmd", "cdmd"])
+    def test_rank_above_the_data_reports_its_effective_rank(self, workspace, tmp_path, method):
+        # noise-free data of rank 5 at --rank 8: every method keeps the 5
+        # directions the data resolves, at one block or several, and the
+        # report says how many it kept
+        out = tmp_path / method
+        assert cli.main([
+            "decompose", "--input", str(workspace / "x.sms"), "--method", method,
+            "--rank", "8", "--blocks", "2", "--seed", "9",
+            "--truth", str(workspace / "truth.json"), "--out", str(out),
+        ]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["config"]["target_rank"] == 8
+        assert report["config"]["effective_rank"] == len(report["eigenvalues"]) == 5
+        assert report["eigen_match_error"] <= 1e-8
 
     @pytest.mark.parametrize(
         "flags",

@@ -658,6 +658,27 @@ class TestRowBlocks:
         assert run - imported <= 0.5 * os.path.getsize(path)
 
     @linux_only
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_noise_free_dmd_above_the_rank_peaks_far_below_the_file(self, tmp_path, blocks):
+        # rank 5 < k = 10: Rayleigh-Ritz declines, and the rank rule folds
+        # the chunks' R factors in a pass of released chunks, so the run
+        # holds a chunk and U_r at any block count, not the file or an
+        # n x c SVD factor of it. The file is as large as `qb`'s below,
+        # since a chunk's QR copies and LAPACK's buffers add a fixed ~15 MB
+        x = normal_matrix(60000, 5, seed=44) @ normal_matrix(5, 200, seed=45)  # 96 MB
+        path = tmp_path / "x.sms"
+        write_sms(x, path)
+        del x
+        imported = child_peak_rss("-c", "import rdmd.cli")
+        run = child_peak_rss(
+            "-m", "rdmd", "decompose", "--input", str(path), "--method", "dmd",
+            "--rank", "10", "--blocks", str(blocks), "--out", str(tmp_path / "o"),
+        )
+        assert run - imported <= 0.5 * os.path.getsize(path)
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert report["config"]["effective_rank"] == len(report["eigenvalues"]) == 5
+
+    @linux_only
     @pytest.mark.parametrize("method", ["rdmd", "dmd"])
     def test_one_block_decompose_holds_its_basis_or_its_modes(self, tmp_path, method):
         # 200000 x 31 at rank 10: rdmd's n x 20 sketch basis is 32 MB,

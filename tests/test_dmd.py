@@ -767,14 +767,23 @@ class TestTallPeakMemory:
         peak = self.traced_peak(lambda: truncated_svd(x, self.K))
         assert peak < 1.5 * (self.N * self.K + 4096 * self.C + self.C**2) * 8
 
-    # a Fortran-ordered input is not copied on its way to the sketch
+    # a Fortran-ordered input is not copied on its way to the sketch; on
+    # noise-free data of rank 3 < k (and < l), the rank rule folds chunks
+    # of X or of the sketch, and no n x c or whole-basis QR buffer is formed
     @pytest.mark.parametrize(
-        "method, order",
-        [("deterministic_projected", "C"), ("randomized", "C"), ("randomized", "F")],
-        ids=["deterministic_projected", "randomized", "randomized-fortran"],
+        "method, order, rank",
+        [("deterministic_projected", "C", None), ("randomized", "C", None),
+         ("randomized", "F", None), ("deterministic_projected", "C", 3),
+         ("randomized", "C", 3)],
+        ids=["deterministic_projected", "randomized", "randomized-fortran",
+             "deterministic_projected-rank_below_k", "randomized-rank_below_l"],
     )
-    def test_dmd_forms_no_n_by_c_buffer(self, method, order):
-        x = np.asarray(normal_matrix(self.N, self.C, seed=53), order=order)
+    def test_dmd_forms_no_n_by_c_buffer(self, method, order, rank):
+        if rank is None:
+            x = normal_matrix(self.N, self.C, seed=53)
+        else:
+            x = normal_matrix(self.N, rank, seed=53) @ normal_matrix(rank, self.C, seed=54)
+        x = np.asarray(x, order=order)
         cfg = DmdConfig(target_rank=self.K, method=method)
         peak = self.traced_peak(lambda: run_dmd(x, cfg))
         assert peak < x.nbytes
@@ -940,17 +949,20 @@ class TestSourceWalk:
             assert info.value.row == 9000
 
     @pytest.mark.parametrize("sampling", ["gaussian", "uniform_rows"])
-    def test_rank_deficient_basis_takes_householder_and_a_projection_pass(self, sampling):
-        # noise-free rank 2 at k = 3: S X's third singular value inverts to
-        # zero, so the exact-style basis has a zero column, CholeskyQR2
-        # rejects it, and Q^T X takes a pass of its own
+    def test_rank_deficient_basis_keeps_the_resolved_rank(self, sampling):
+        # noise-free rank 2 at k = 3: S X's third singular value lies below
+        # the rank tolerance and is dropped, so the operator is 2 x 2, the
+        # exact-style basis has two resolved columns, CholeskyQR2 accepts
+        # it, and X is read twice (S X, then the basis with Q^T X)
         x = rotation_sequence(4000, 30, theta=0.4, seed=3)
         source = _CountingSource(x, 4)
         cfg = DmdConfig(target_rank=3, method="compressed", sampling=sampling,
                         compress_dim=20, seed=2)
         result = run_dmd(source, cfg)
-        assert source.reads == [0, 1, 2, 3] * 3
+        assert source.reads == [0, 1, 2, 3] * 2
         expected = [np.exp(0.4j), np.exp(-0.4j)]
+        assert result.eigenvalues.size == 2
+        assert result.diagnostics["config"]["effective_rank"] == 2
         assert eigen_match_error(expected, result.eigenvalues) <= 1e-8
         # B is Q^T X: the reconstruction error from the coordinates is the
         # dense one
@@ -963,9 +975,10 @@ class TestSourceWalk:
 
     @pytest.mark.parametrize("method", ["compressed", "randomized"])
     def test_cholesky_qr2_runs_once_per_basis(self, method, monkeypatch):
-        # noise-free rank 2 at k = 3: CholeskyQR2 rejects the exact-style
-        # basis and the first sketch, which then take LAPACK's Householder
-        # QR rather than a second CholeskyQR2 of the same basis
+        # noise-free rank 2 at k = 3: CholeskyQR2 rejects the first sketch,
+        # whose resolved directions then take one more basis pass rather
+        # than a second CholeskyQR2 of the same basis; the exact-style
+        # basis keeps only the 2 resolved triplets, so it is accepted
         import rdmd.linalg
 
         seen = []
@@ -982,16 +995,20 @@ class TestSourceWalk:
         assert eigen_match_error([np.exp(0.4j), np.exp(-0.4j)], result.eigenvalues) <= 1e-8
         assert seen and len({id(a) for a in seen}) == len(seen)
 
-    def test_rank_below_k_takes_the_held_block_or_says_it_needs_one(self):
-        # rank 3 < k: the Gram resolves fewer than k directions and
-        # CholeskyQR2 rejects it, so the SVD is LAPACK's of the held block,
-        # which more than one block cannot give
+    def test_rank_below_k_keeps_the_resolved_rank_at_any_block_count(self):
+        # rank 3 < k: the Gram resolves fewer than k directions and its
+        # Cholesky factorization fails, so Rayleigh-Ritz declines and the
+        # R-fold keeps the 3 resolved directions, chunk by chunk at any
+        # block count
         x = normal_matrix(3000, 3, seed=11) @ normal_matrix(3, 41, seed=12)
         cfg = DmdConfig(target_rank=5)
         one = run_dmd(ArrayRowBlockSource(x, 1), cfg)
         assert one.eigenvalues.tobytes() == dmd_deterministic(x, cfg).eigenvalues.tobytes()
-        with pytest.raises(RankOutOfRange, match="needs the input as one block, not 4"):
-            run_dmd(ArrayRowBlockSource(x, 4), cfg)
+        four = run_dmd(ArrayRowBlockSource(x, 4), cfg)
+        for result in (one, four):
+            assert result.eigenvalues.size == result.modes.shape[1] == 3
+            assert result.diagnostics["config"]["effective_rank"] == 3
+        assert eigen_match_error(one.eigenvalues, four.eigenvalues) <= 1e-12
 
 
 class TestPassesOverX:
@@ -1022,14 +1039,14 @@ class TestPassesOverX:
         # r < k = c on full-rank data: Rayleigh-Ritz takes l = c directions,
         # then its Ritz pass and U_k
         ("kappa_1e7", 3),
-        # rank 3 < k: Rayleigh-Ritz rejects the Gram, and LAPACK's SVD reads X
-        ("rank_below_k", 2),
+        # rank 3 < k: Rayleigh-Ritz rejects the Gram, then the R-fold reads
+        # X and U_r takes its pass
+        ("rank_below_k", 3),
     ])
     def test_truncated_svd_fallback_forms_the_gram_once(self, monkeypatch, case, passes):
         # the Gram pass is the only one before Rayleigh-Ritz accepts or
         # rejects the input: the fallback pays no second Gram pass. Each
-        # pass is one `row_chunks` walk, which reads the one block once, and
-        # the fallback's LAPACK SVD reads it once more.
+        # pass is one `row_chunks` walk, which reads the one block once.
         import rdmd.linalg
 
         if case == "kappa_1e7":

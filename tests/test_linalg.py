@@ -182,16 +182,27 @@ class TestTruncatedSvd:
         assert np.linalg.norm(f.u.T @ f.u - np.eye(5), 2) <= 1e-14
         np.testing.assert_allclose(f.projected, f.u.T @ x, atol=1e-13)
 
-    def test_tall_rank_below_k_is_the_economic_slice(self):
+    def test_tall_rank_below_k_is_the_economic_slice(self, monkeypatch):
         # rank 3 < k: the Gram resolves fewer than k directions and its
         # Cholesky factorization fails, so Rayleigh-Ritz rejects the input
-        # and the slice of the economic SVD is returned bit for bit
+        # and the R-fold returns the 3 resolved triplets of the economic
+        # SVD, at any block count
+        import rdmd.linalg
+        from rdmd import ArrayRowBlockSource
+
         x = normal_matrix(1500, 3, seed=11) @ normal_matrix(3, 50, seed=12)
         ref = economic_svd(x)
-        f = truncated_svd(x, 5)
-        assert np.array_equal(f.singular_values, ref.singular_values[:5])
-        assert np.array_equal(f.u, ref.u[:, :5])
-        assert np.array_equal(f.v, ref.v[:, :5])
+        scale = ref.singular_values[0]
+        monkeypatch.setattr(rdmd.linalg, "economic_svd", None)
+        for blocks in (1, 3):
+            f = truncated_svd(ArrayRowBlockSource(x, blocks), 5)
+            assert f.singular_values.size == 3
+            assert np.max(np.abs(f.singular_values - ref.singular_values[:3])) <= 1e-12 * scale
+            signs = np.sign(np.sum(f.u * ref.u[:, :3], axis=0))
+            assert np.max(np.abs(f.u * signs - ref.u[:, :3])) <= 1e-12
+            assert np.max(np.abs(f.v * signs - ref.v[:, :3])) <= 1e-12
+            assert np.linalg.norm(f.u.T @ f.u - np.eye(3), 2) <= 1e-12
+            np.testing.assert_allclose(f.projected, f.u.T @ x, atol=1e-12 * scale)
 
     def test_tall_noise_free_low_rank_stays_on_the_gram_path(self, monkeypatch):
         import rdmd.linalg

@@ -27,7 +27,6 @@ from rdmd import (
     write_sms,
 )
 from rdmd.datasets import _VARIANCE_LEAF, _variance
-from rdmd.errors import RankOutOfRange
 from rdmd.rng import normal_matrix, normals
 
 from conftest import matrix_with_spectrum
@@ -173,17 +172,11 @@ def test_tall_truncated_svd_matches_the_economic_svd(
     k = min(k, cols)
     x = matrix_with_spectrum(rows, cols, np.logspace(0, -log_kappa, rank), seed)
     sigma = economic_svd(x).singular_values
-    try:
-        f = truncated_svd(ArrayRowBlockSource(x, blocks), k)
-    except RankOutOfRange:
-        # the one exact fallback needs the input as one block; the Gram
-        # cannot tell data of rank below k from rank-deficient data whose
-        # k-th singular value lies below its resolution (with a factor 2 of
-        # slack for the computed eigenvalues), so either may be refused
-        resolution = 2 * np.sqrt(np.finfo(np.float64).eps * rows) * sigma[0]
-        assert blocks > 1 and rank < cols and np.count_nonzero(sigma > resolution) < k
-        return
-    assert np.max(np.abs(f.singular_values - sigma[:k])) <= 1e-12 * sigma[0]
-    assert np.linalg.norm(f.u.T @ f.u - np.eye(k), 2) <= 1e-12
+    f = truncated_svd(ArrayRowBlockSource(x, blocks), k)
+    # min(k, r) triplets: only directions at the rank tolerance are dropped
+    j = f.singular_values.size
+    assert 1 <= j <= k and (j == k or sigma[j] <= 1e-12 * sigma[0])
+    assert np.max(np.abs(f.singular_values - sigma[:j])) <= 1e-12 * sigma[0]
+    assert np.linalg.norm(f.u.T @ f.u - np.eye(j), 2) <= 1e-12
     resid = np.linalg.norm(x @ f.v - f.u * f.singular_values)
     assert resid <= 1e-12 * np.linalg.norm(x)

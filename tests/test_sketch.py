@@ -15,6 +15,7 @@ from rdmd import (
     uniform_sampling_operator,
 )
 from rdmd.errors import (
+    ConvergenceFailure,
     InvalidDistribution,
     InvalidOversampling,
     NonFiniteInput,
@@ -86,14 +87,16 @@ class TestRandomizedQb:
 
     def test_apply_q_leaves_q_as_it_is(self):
         # qb.q is the finder's `empty_basis`, over several chunks and a
-        # partial one: only the pipeline, which owns its qb, releases it
+        # partial one: only the pipeline, which owns its qb, releases it.
+        # The data has rank 3, so q keeps 3 of the l = 5 columns
         from rdmd import apply_q
         from rdmd.linalg import _CHUNK_ROWS
 
         x = normal_matrix(3 * _CHUNK_ROWS + 5, 3, seed=8) @ normal_matrix(3, 12, seed=9)
         qb = randomized_qb(x, SketchConfig(3, 2, 1, seed=10))
         before = qb.q.copy()
-        v = normal_matrix(5, 4, seed=11) + 1j * normal_matrix(5, 4, seed=12)
+        l = qb.q.shape[1]
+        v = normal_matrix(l, 4, seed=11) + 1j * normal_matrix(l, 4, seed=12)
         lifted = apply_q(qb, v)
         assert qb.q.tobytes() == before.tobytes()
         assert np.max(np.abs(lifted - before @ v)) <= 1e-14 * np.max(np.abs(lifted))
@@ -199,30 +202,46 @@ class TestPowerIterationOrthonormalization:
     def test_rank_deficient_sketch_falls_back_to_householder(self, q, monkeypatch):
         returned = self.spy_cholesky_qr2(monkeypatch)
         # noise-free rank 5 with l = 15: the first sketch Y = X Omega has 10
-        # numerically zero directions, so its Cholesky step must be rejected
-        # (later sketches hold rounding noise there and may pass the guard)
+        # numerically zero directions, so its Cholesky step must be rejected;
+        # the Householder R-fold of Y's chunks keeps its 5 resolved
+        # directions, whose basis CholeskyQR2 accepts, and every later
+        # sketch is 5 wide
         x = normal_matrix(3000, 5, seed=30) @ normal_matrix(5, 60, seed=31)
         qb = randomized_qb(x, SketchConfig(5, 10, q, seed=32))
-        # each of the q + 1 sketches tries CholeskyQR2 once, and so does
-        # each of the q m x l orthonormalizations of X^T Q between them
-        assert len(returned) == 2 * q + 1 and returned[0] is None
-        assert np.linalg.norm(qb.q.T @ qb.q - np.eye(15)) <= 1e-10 * np.sqrt(15)
+        # the first sketch tries CholeskyQR2 twice (Y, then its resolved
+        # basis), each later one once, and so does each of the q m x 5
+        # orthonormalizations of X^T Q between them
+        assert len(returned) == 2 * q + 2 and returned[0] is None
+        assert all(f is not None for f in returned[1:])
+        assert qb.q.shape == (3000, 5) and qb.b.shape == (5, 60)
+        assert np.linalg.norm(qb.q.T @ qb.q - np.eye(5)) <= 1e-10 * np.sqrt(5)
         assert np.linalg.norm(x - qb.q @ qb.b) <= 1e-10 * np.linalg.norm(x)
 
-    def test_cholesky_qr2_steps_match_householder_steps(self, monkeypatch):
+    def test_rejected_resolved_basis_is_a_convergence_failure(self, monkeypatch):
+        # the basis of the resolved directions is orthonormal to within
+        # eps * kappa, so its rejection ends the run rather than fold again
         import rdmd.linalg
 
+        monkeypatch.setattr(rdmd.linalg, "_cholesky_qr2", lambda a, gram=None: None)
+        with pytest.raises(ConvergenceFailure, match="rank-resolved basis"):
+            randomized_qb(normal_matrix(300, 20, seed=46), SketchConfig(3, 2, 0, seed=47))
+
+    def test_cholesky_qr2_steps_match_householder_steps(self, monkeypatch):
         x = matrix_with_spectrum(3000, 60, 0.9 ** np.arange(60), seed=33)
         cfg = SketchConfig(5, 10, 2, seed=34)
         returned = self.spy_cholesky_qr2(monkeypatch)
         fast = randomized_qb(x, cfg)
         # 3 sketches and the 2 orthonormalizations of X^T Q between them
         assert len(returned) == 5 and all(f is not None for f in returned)
-        monkeypatch.setattr(rdmd.linalg, "_cholesky_qr2", lambda a, gram=None: None)
-        ref = randomized_qb(x, cfg)
-        signs = np.sign(np.sum(fast.q * ref.q, axis=0))
-        assert np.max(np.abs(fast.q * signs - ref.q)) <= 1e-10
-        assert np.max(np.abs(fast.b * signs[:, None] - ref.b)) <= 1e-10 * np.abs(ref.b).max()
+        # the reference is Halko, Martinsson & Tropp (2011), Alg. 4.4, with
+        # numpy's Householder QR and dense products
+        ref = np.linalg.qr(x @ gaussian_test_matrix(60, cfg.sketch_size, cfg.seed))[0]
+        for _ in range(cfg.power_iters):
+            ref = np.linalg.qr(x @ np.linalg.qr(x.T @ ref)[0])[0]
+        ref_b = ref.T @ x
+        signs = np.sign(np.sum(fast.q * ref, axis=0))
+        assert np.max(np.abs(fast.q * signs - ref)) <= 1e-10
+        assert np.max(np.abs(fast.b * signs[:, None] - ref_b)) <= 1e-10 * np.abs(ref_b).max()
 
 
 class TestNonFiniteInput:
