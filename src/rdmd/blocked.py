@@ -24,14 +24,14 @@ block count holds one chunk of file pages and its one n x l or n x k basis
 (one block where blocks are copied). The block count changes the answer
 only at the level of rounding.
 
-That basis (each sketch's Y and Q, the truncated SVD's U_k, the
-exact-style modes' basis) is an `empty_basis`: its pages are an anonymous
-map of its own, so the mode lift, `sketch.apply_q` for every variant,
-hands each chunk of it back (`release_basis_rows`) once those rows of the
-modes are written, and the modes take its place instead of being added to
-it. The range finder drops each power iteration's basis before the next
-pass writes its own. A run therefore peaks at its pass peak: the imports,
-one basis and one chunk.
+That basis (the range finder's last sketch Y and its Q, the truncated
+SVD's U_k, the exact-style modes' basis) is an `empty_basis`: its pages
+are an anonymous map of its own, so the mode lift, `sketch.apply_q` for
+every variant, hands each chunk of it back (`release_basis_rows`) once
+those rows of the modes are written, and the modes take its place instead
+of being added to it. The range finder's power iterations write no basis:
+each forms its sketch one chunk at a time. A run therefore peaks at its
+pass peak: the imports, one basis and one chunk.
 """
 
 from __future__ import annotations

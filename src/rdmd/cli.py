@@ -293,8 +293,10 @@ def _cmd_decompose(args) -> int:
             "peak_alloc_bytes": guard.largest_bytes,
         }
     _write_json(os.path.join(args.out, "report.json"), report)
+    kept = result.eigenvalues.size
+    requested = "" if kept == cfg.target_rank else f" ({cfg.target_rank} requested)"
     print(
-        f"{args.method}: rank {cfg.target_rank}, "
+        f"{args.method}: rank {kept}{requested}, "
         f"relative reconstruction error {recon_error:.3e}"
     )
     return 0

@@ -369,10 +369,13 @@ def eigen_match_error(reference, test) -> float:
 
 
 def _config_echo(cfg: DmdConfig, method: str, effective_rank: int, blocks: int = 1,
-                 compress_dim: int | None = None) -> dict:
+                 compress_dim: int | None = None,
+                 effective_sketch_size: int | None = None) -> dict:
     """The description of a run of `method`: the parameters it reads, None
     for the rest; effective_rank is the number of eigenvalues it kept,
-    compress_dim the compressed variant's effective l."""
+    compress_dim the compressed variant's effective l, and
+    effective_sketch_size the number of columns the randomized variant's Q
+    kept (fewer than sketch_size where X resolves fewer directions)."""
     randomized = method == "randomized"
     compressed = method == "compressed"
     reg = cfg.regularization
@@ -383,6 +386,7 @@ def _config_echo(cfg: DmdConfig, method: str, effective_rank: int, blocks: int =
         "oversampling": cfg.oversampling if randomized else None,
         "power_iters": cfg.power_iters if randomized else None,
         "sketch_size": cfg.sketch.sketch_size if randomized else None,
+        "effective_sketch_size": effective_sketch_size,
         "compress_dim": compress_dim,
         "sampling": cfg.sampling if compressed else None,
         "seed": cfg.seed if randomized or compressed else None,
@@ -511,9 +515,11 @@ def dmd_randomized(x, cfg: DmdConfig) -> DmdResult:
     or a row-block source: QB sketch, low-dimensional DMD, recovery.
 
     The range finder (`blocked_randomized_qb`) reads X q + 1 times, once
-    per sketch, each read giving that sketch's basis and B; the modes are
-    lifted through its last n x l basis, so no n x m buffer is ever
-    materialized. Any block count gives the one-block result to rounding.
+    per sketch: each power iteration's read gives the next test matrix,
+    the last one the n x l basis and B; the modes are lifted through that
+    basis, so no n x m buffer is ever materialized. Any block count gives
+    the one-block result to rounding. The config echo's
+    effective_sketch_size is the number of columns the basis kept.
     """
     source = as_source(x)
     _require_snapshots(source.cols)
@@ -525,6 +531,7 @@ def dmd_randomized(x, cfg: DmdConfig) -> DmdResult:
         lambda: low_dim_operator(split_snapshots(qb.b), k, cfg.regularization),
         cfg, "randomized", timings,
         lambda op: (qb, op.right_projected), blocks=source.block_count,
+        effective_sketch_size=qb.b.shape[0],
     )
 
 

@@ -7,12 +7,13 @@ through numpy. Matrices are 2-D float64 ndarrays in row-major order.
 `blocked.row_chunks` passes, so they take an in-memory matrix (as its
 one-block source) or any row-block source alike. Every n-row product of
 such an operand with a small matrix W is one `_basis_pass`: the
-Rayleigh-Ritz pass's, and, through the CholeskyQR2 of
-`_orthonormal_basis`, the range finder's sketches, the truncated SVD's
-U_k and `dmd`'s exact-style basis. CholeskyQR2 itself (`_cholesky_qr2`,
-also under `thin_qr_q`) takes in-memory matrices only. Where it rejects a
-basis, or Rayleigh-Ritz an input, the one rank rule `_resolved` takes it
-chunk by chunk.
+Rayleigh-Ritz pass's and the range finder's power iterations', and,
+through the CholeskyQR2 of `_orthonormal_basis`, the range finder's last
+sketch, the truncated SVD's U_k and `dmd`'s exact-style basis.
+CholeskyQR2 itself (`_cholesky_qr2`, also under `thin_qr_q`) takes
+in-memory matrices only. Where it rejects a basis or its R shows a rank
+below the basis's width, or Rayleigh-Ritz declines an input, the one rank
+rule `_resolved` takes it chunk by chunk.
 """
 
 from __future__ import annotations
@@ -270,8 +271,8 @@ def _cholesky_qr2(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """CholeskyQR2 factors (Fukaya et al., 2014) of the in-memory matrix
     A = a (rows >= cols), or None where they are not accurate. It is the thin QR
-    of `thin_qr_q` and of `_orthonormal_basis` (the range finder's
-    sketches, the truncated SVD's U_k and `dmd`'s exact-style basis).
+    of `thin_qr_q` and of `_orthonormal_basis` (the range finder's last
+    sketch, the truncated SVD's U_k and `dmd`'s exact-style basis).
 
     R1 = chol(A^T A) and R2 = chol(Q1^T Q1) for Q1 = A R1^-1; returns
     (R1, R1^-1, R2), so that A = Q R2 R1 with Q = Q1 R2^-1 orthonormal. Q1
@@ -316,29 +317,36 @@ def _cholesky_q(a: np.ndarray, factors, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _basis_pass(x, cols: slice, w: np.ndarray, out: np.ndarray | None = None, visit=None):
+def _basis_pass(
+    x, cols: slice, w: np.ndarray, out: np.ndarray | None = None, visit=None,
+    gram: bool = True,
+):
     """(Y^T Y, Y^T X) for Y = A W, A being the columns `cols` of x (an
     n-row matrix or a row-block source) and W = w a small matrix, in one
-    `row_chunks` pass. Each chunk's rows Y_i = X_i[:, cols] W are one
-    `_tall_product`, written into those rows of `out` (an n x c
-    `empty_basis`) or, without it, into one reused chunk buffer, and both
-    sums read X_i in place while it is cached, as does `visit(start, X_i)`
-    where given (`_SquaredNorm` in a method's first pass). Overflow is not
-    reported: a non-finite sum is the caller's to check."""
+    `row_chunks` pass; (None, Y^T X) where gram is false, as for the range
+    finder's power iterations, which only read Y^T X. Each chunk's rows
+    Y_i = X_i[:, cols] W are one `_tall_product`, written into those rows
+    of `out` (an n x c `empty_basis`) or, without it, into one reused
+    chunk buffer, and the sums read X_i in place while it is cached, as
+    does `visit(start, X_i)` where given (`_SquaredNorm` in a method's
+    first pass). Overflow is not reported: a non-finite sum is the
+    caller's to check."""
     source = as_source(x)
     c = w.shape[1]
     if out is None:
         step = min(source.rows, _CHUNK_ROWS)
         memguard.note(step * c * 8)
         chunk = np.empty((c, step)).T
-    gram, projected = np.zeros((c, c)), np.zeros((c, source.cols))
+    gram = np.zeros((c, c)) if gram else None
+    projected = np.zeros((c, source.cols))
     with np.errstate(over="ignore", invalid="ignore"):
         for start, rows in row_chunks(source):
             stop = start + rows.shape[0]
             y_i = _tall_product(
                 rows[:, cols], w, out=chunk[: stop - start] if out is None else out[start:stop]
             )
-            gram += y_i.T @ y_i
+            if gram is not None:
+                gram += y_i.T @ y_i
             projected += y_i.T @ rows
             if visit is not None:
                 visit(start, rows)
@@ -359,27 +367,32 @@ def _orthonormal_basis(x, cols: slice, w: np.ndarray, visit=None, _rejected=Fals
     sums raises NonFiniteInput saying that a product of the finite X
     overflowed: some first pass has named any NaN or Inf of X.
 
-    Where CholeskyQR2 rejects A W (rank below c, as a sketch of noise-free
-    data has, or a condition number past about 1e8), `_resolved` folds the
-    basis's chunks into A W V_r = U_r S_r and the basis is freed. One more
-    pass writes A W V_r S_r^-1, orthonormal to within about eps * kappa,
-    whose CholeskyQR2 accepts it as Q R' (else ConvergenceFailure): Q has
-    r columns and R = R' S_r V_r^T.
+    Where CholeskyQR2 rejects A W (a condition number past about 1e8), or
+    accepts it but the singular values of its c x c R = R2 R1 do not all
+    lie above `default_rank_tol` (rank below c: columns of A W at rounding
+    level, which CholeskyQR2 would normalize, as a sketch of noise-free
+    data has), `_resolved` folds the basis's chunks into
+    A W V_r = U_r S_r and the basis is freed. One more pass writes
+    A W V_r S_r^-1, orthonormal to within about eps * kappa, whose
+    CholeskyQR2 accepts it as Q R' (else ConvergenceFailure): Q has r
+    columns and R = R' S_r V_r^T.
     """
     source = as_source(x)
     basis = empty_basis(source.rows, w.shape[1])
     gram, projected = _basis_pass(source, cols, w, basis, visit)
     _require_finite(gram, projected)
     factors = _cholesky_qr2(basis, gram)
-    if factors is None:
-        if _rejected:
-            raise ConvergenceFailure("CholeskyQR2 rejected the rank-resolved basis")
-        s, v = _resolved((rows for _, rows in row_chunks(as_source(basis))), *basis.shape)
-        del basis
-        q, r, projected = _orthonormal_basis(source, cols, w @ (v / s), _rejected=True)
-        return q, r @ (s[:, None] * v.T), projected
-    r = factors[2] @ factors[0]
-    return _cholesky_q(basis, factors, out=basis), r, np.linalg.solve(r.T, projected)
+    if factors is not None:
+        r = factors[2] @ factors[0]
+        s = np.linalg.svd(r, compute_uv=False)
+        if s[-1] > default_rank_tol(basis.shape, s[0]):
+            return _cholesky_q(basis, factors, out=basis), r, np.linalg.solve(r.T, projected)
+    if _rejected:
+        raise ConvergenceFailure("CholeskyQR2 or its rank check rejected the rank-resolved basis")
+    s, v = _resolved((rows for _, rows in row_chunks(as_source(basis))), *basis.shape)
+    del basis
+    q, r, projected = _orthonormal_basis(source, cols, w @ (v / s), _rejected=True)
+    return q, r @ (s[:, None] * v.T), projected
 
 
 # Ritz directions taken beyond the k kept by `_gram_ritz_svd`, the usual

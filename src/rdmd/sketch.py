@@ -2,17 +2,19 @@
 
 The central routine is `blocked_randomized_qb`, the one range finder: sample
 the range of X with a seeded Gaussian test matrix, optionally sharpen the
-spectrum with stabilized power iterations, each sketch orthonormalized and
-projected in the one pass that forms it (`linalg._orthonormal_basis`, also
-the exact-style modes' basis), reading X block by block from a row-block
-source (see `blocked`). `randomized_qb` is its one-block call on an
-in-memory matrix. The factorization X ~ Q B (Q with l = k + p orthonormal
-columns, fewer where X resolves fewer directions, and B = Q^T X) is what
-every downstream consumer works with. Also
-here: the expected-error bound for the Gaussian sketch, and the compressed
-decomposition's S X, Gaussian (`gaussian_compress`, with S drawn in tiles)
-or row-sampled (`apply_sampling`), each formed in one `row_chunks` pass
-over an n-row matrix or a row-block source.
+spectrum with stabilized power iterations, each of which only hands the
+span of its sketch to the next (one `linalg._basis_pass`, with no n-row
+basis), and orthonormalize and project the last sketch in the one pass
+that forms it (`linalg._orthonormal_basis`, also the exact-style modes'
+basis), reading X block by block from a row-block source (see `blocked`).
+`randomized_qb` is its one-block call on an in-memory matrix. The
+factorization X ~ Q B (Q with l = k + p orthonormal columns, fewer where X
+resolves fewer directions, and B = Q^T X) is what every downstream
+consumer works with. Also here: the expected-error bound for the Gaussian
+sketch, and the compressed decomposition's S X, Gaussian
+(`gaussian_compress`, with S drawn in tiles) or row-sampled
+(`apply_sampling`), each formed in one `row_chunks` pass over an n-row
+matrix or a row-block source.
 """
 
 from __future__ import annotations
@@ -30,7 +32,14 @@ from .errors import (
     RankOutOfRange,
     ShapeMismatch,
 )
-from .linalg import _SquaredNorm, _lift, _orthonormal_basis, thin_qr_q
+from .linalg import (
+    _SquaredNorm,
+    _basis_pass,
+    _lift,
+    _orthonormal_basis,
+    _require_finite,
+    thin_qr_q,
+)
 from .rng import normal_columns_into, normal_matrix, uniforms
 
 
@@ -148,24 +157,27 @@ def blocked_randomized_qb(source, cfg: SketchConfig) -> QBFactorization:
 
     Stabilized subspace iteration (Halko, Martinsson & Tropp, 2011, sec.
     4.5; the naive (X X^T)^q X product is numerically unstable) in
-    q + 1 = cfg.power_iters + 1 passes over X, each one
-    `linalg._orthonormal_basis`: pass j writes Y_j = X Z_j, from Z_0 =
-    Omega, an m x l Gaussian test matrix (l = k + p), and gives its
-    orthonormal Q_j and B_j = Q_j^T X with no further pass. For j < q, Q_j
-    is dropped before the next pass writes its basis, and Z_{j+1} =
-    `thin_qr_q`(B_j^T), the orthonormalized X^T Q_j. The last pass's
-    (Q_q, B_q) is the factorization.
+    q + 1 = cfg.power_iters + 1 passes over X, from Z_0 = Omega, an m x l
+    Gaussian test matrix (l = k + p). For j < q, pass j is one
+    `linalg._basis_pass`: it forms Y_j = X Z_j one chunk at a time in a
+    reused chunk buffer and sums only P_j = Y_j^T X, and Z_{j+1} =
+    `thin_qr_q`(P_j^T). That is the span of Alg. 4.4's
+    `thin_qr_q`(B_j^T) for B_j = Q_j^T X, as Y_j = Q_j R gives
+    B_j^T = P_j^T R^-1 with R upper triangular, so Y_j is never
+    orthonormalized, and no n x l basis is written. The last pass,
+    `linalg._orthonormal_basis` of Z_q, writes Y_q into an n x l basis and
+    gives its orthonormal Q and B = Q^T X with no further pass.
 
-    A sketch that CholeskyQR2 rejects, as one of noise-free data of rank
-    r < l is, keeps its r resolved directions (`linalg._resolved`) at the
-    cost of one more pass, so Q then has r columns and B r rows, and the
-    later sketches are r wide. The first pass also sums ||X||_F^2 and names
-    the first NaN or Inf of X by its row (`linalg._SquaredNorm`). The block
-    count changes the result only at the level of rounding, and the sketch
-    size is bounded by min(n, m) of the whole matrix alone. Q is an
-    `empty_basis`, which the pipeline's mode lift hands back chunk by chunk
-    (see `linalg._lift`). The source's last block is released after the
-    last pass.
+    A last sketch of rank r < l, as one of noise-free data is (the power
+    iterations then hand it l - r columns in X's null space), keeps its r
+    resolved directions (`linalg._resolved`) at the cost of one more pass,
+    so Q then has r columns and B r rows. The first pass also sums
+    ||X||_F^2 and names the first NaN or Inf of X by its row
+    (`linalg._SquaredNorm`). The block count changes the result only at
+    the level of rounding, and the sketch size is bounded by min(n, m) of
+    the whole matrix alone. Q is an `empty_basis`, which the pipeline's
+    mode lift hands back chunk by chunk (see `linalg._lift`). The source's
+    last block is released after the last pass.
     """
     n, m = source.rows, source.cols
     l = cfg.sketch_size
@@ -177,8 +189,9 @@ def blocked_randomized_qb(source, cfg: SketchConfig) -> QBFactorization:
     z = gaussian_test_matrix(m, l, cfg.seed)
     norm = visit = _SquaredNorm()
     for _ in range(cfg.power_iters):
-        b = _orthonormal_basis(source, slice(None), z, visit)[2]
-        z, visit = thin_qr_q(b.T), None
+        projected = _basis_pass(source, slice(None), z, visit=visit, gram=False)[1]
+        _require_finite(projected)
+        z, visit = thin_qr_q(projected.T), None
     q, _, b = _orthonormal_basis(source, slice(None), z, visit)
     source.release_block()
     return QBFactorization(q=q, b=b, data_sq_norm=norm.total)

@@ -127,8 +127,10 @@ class TestDecompose:
             ),
             (
                 ["--method", "rdmd", "--oversample", "4"],
+                # the workspace data is noise-free of rank 5, so Q keeps 5
+                # of the 9 columns
                 {"method": "randomized", "oversampling": 4, "power_iters": 2,
-                 "sketch_size": 9, "seed": 6},
+                 "sketch_size": 9, "effective_sketch_size": 5, "seed": 6},
             ),
         ],
         ids=["dmd", "cdmd", "rdmd"],
@@ -142,7 +144,8 @@ class TestDecompose:
         ]) == 0
         config = json.loads((out / "report.json").read_text())["config"]
         unread = dict.fromkeys(
-            ("oversampling", "power_iters", "sketch_size", "seed", "compress_dim", "sampling")
+            ("oversampling", "power_iters", "sketch_size", "effective_sketch_size", "seed",
+             "compress_dim", "sampling")
         )
         assert config == {
             "input": str(workspace / "x.sms"), "memory_cap": None, "target_rank": 5,
@@ -180,20 +183,37 @@ class TestDecompose:
         assert report["config"]["blocks"] == 4
 
     @pytest.mark.parametrize("method", ["dmd", "rdmd", "cdmd"])
-    def test_rank_above_the_data_reports_its_effective_rank(self, workspace, tmp_path, method):
+    def test_rank_above_the_data_reports_its_effective_rank(
+        self, workspace, tmp_path, method, capsys
+    ):
         # noise-free data of rank 5 at --rank 8: every method keeps the 5
         # directions the data resolves, at one block or several, and the
-        # report says how many it kept
+        # report and the printed line say how many it kept; rdmd's Q keeps
+        # 5 of its 18 columns
         out = tmp_path / method
         assert cli.main([
             "decompose", "--input", str(workspace / "x.sms"), "--method", method,
             "--rank", "8", "--blocks", "2", "--seed", "9",
             "--truth", str(workspace / "truth.json"), "--out", str(out),
         ]) == 0
+        assert capsys.readouterr().out.startswith(f"{method}: rank 5 (8 requested), ")
         report = json.loads((out / "report.json").read_text())
         assert report["config"]["target_rank"] == 8
         assert report["config"]["effective_rank"] == len(report["eigenvalues"]) == 5
+        assert report["config"]["effective_sketch_size"] == (5 if method == "rdmd" else None)
         assert report["eigen_match_error"] <= 1e-8
+
+    def test_noisy_sketch_keeps_every_column(self, noisy_workspace, tmp_path, capsys):
+        # noise resolves every direction: Q keeps all k + p columns, and the
+        # printed rank is the requested one
+        out = tmp_path / "noisy"
+        assert cli.main([
+            "decompose", "--input", str(noisy_workspace / "x.sms"), "--method", "rdmd",
+            "--rank", "5", "--oversample", "7", "--blocks", "2", "--out", str(out),
+        ]) == 0
+        assert capsys.readouterr().out.startswith("rdmd: rank 5, ")
+        config = json.loads((out / "report.json").read_text())["config"]
+        assert config["sketch_size"] == config["effective_sketch_size"] == 12
 
     @pytest.mark.parametrize(
         "flags",

@@ -313,6 +313,37 @@ class TestThinQr:
             assert np.array_equal(q, ref)
 
 
+class TestOrthonormalBasis:
+    def test_accepted_basis_of_lower_rank_keeps_the_resolved_columns(self, monkeypatch):
+        # A has rank 4 and W's 6 trailing columns lie in A's null space, so
+        # those columns of A W are at rounding level; they are nearly
+        # orthogonal to the others, so CholeskyQR2 accepts A W and would
+        # normalize them into Q, but the rank check of its R sends the basis
+        # to the rank rule, whose 4 resolved directions make Q
+        import rdmd.linalg
+        from rdmd.linalg import _orthonormal_basis
+
+        n, m, r, c = 3000, 40, 4, 10
+        a = normal_matrix(n, r, seed=1) @ normal_matrix(r, m, seed=2)
+        null = np.linalg.svd(a)[2][r:c].T
+        w = np.hstack([normal_matrix(m, r, seed=3), null])
+        returned = []
+        inner = rdmd.linalg._cholesky_qr2
+
+        def spy(a, gram=None):
+            returned.append(inner(a, gram))
+            return returned[-1]
+
+        monkeypatch.setattr(rdmd.linalg, "_cholesky_qr2", spy)
+        q, rr, projected = _orthonormal_basis(a, slice(None), w)
+        assert returned[0] is not None  # A W itself is accepted
+        assert q.shape == (n, r)
+        assert np.linalg.norm(q.T @ q - np.eye(r)) <= 1e-12
+        scale = np.linalg.norm(a @ w)
+        assert np.linalg.norm(a @ w - q @ rr) <= 1e-12 * scale
+        np.testing.assert_allclose(projected, q.T @ a, atol=1e-12 * np.linalg.norm(a))
+
+
 class TestLift:
     @pytest.mark.parametrize("kind", ["real", "complex"])
     def test_equals_the_product(self, kind):

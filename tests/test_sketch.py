@@ -201,21 +201,58 @@ class TestPowerIterationOrthonormalization:
     @pytest.mark.parametrize("q", [1, 2])
     def test_rank_deficient_sketch_falls_back_to_householder(self, q, monkeypatch):
         returned = self.spy_cholesky_qr2(monkeypatch)
-        # noise-free rank 5 with l = 15: the first sketch Y = X Omega has 10
-        # numerically zero directions, so its Cholesky step must be rejected;
-        # the Householder R-fold of Y's chunks keeps its 5 resolved
-        # directions, whose basis CholeskyQR2 accepts, and every later
-        # sketch is 5 wide
+        # noise-free rank 5 with l = 15: each power iteration's m x 15
+        # P_j^T = X^T X Z_j has rank 5, so CholeskyQR2 rejects it and
+        # `thin_qr_q` takes one Householder QR, whose 10 completion columns
+        # lie in X's null space; the last sketch Y = X Z_q then has 10
+        # columns at rounding level, and the Householder R-fold of its
+        # chunks keeps its 5 resolved directions, whose basis CholeskyQR2
+        # accepts
         x = normal_matrix(3000, 5, seed=30) @ normal_matrix(5, 60, seed=31)
         qb = randomized_qb(x, SketchConfig(5, 10, q, seed=32))
-        # the first sketch tries CholeskyQR2 twice (Y, then its resolved
-        # basis), each later one once, and so does each of the q m x 5
-        # orthonormalizations of X^T Q between them
-        assert len(returned) == 2 * q + 2 and returned[0] is None
-        assert all(f is not None for f in returned[1:])
+        # one CholeskyQR2 per m x 15 orthonormalization between the passes,
+        # then two for the last sketch (Y, then its resolved basis)
+        assert len(returned) == q + 2
+        assert all(f is None for f in returned[:q]) and returned[-1] is not None
         assert qb.q.shape == (3000, 5) and qb.b.shape == (5, 60)
         assert np.linalg.norm(qb.q.T @ qb.q - np.eye(5)) <= 1e-10 * np.sqrt(5)
         assert np.linalg.norm(x - qb.q @ qb.b) <= 1e-10 * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("noise_free", [False, True], ids=["noisy", "noise_free"])
+    @pytest.mark.parametrize("q", [0, 1, 2])
+    def test_only_the_last_sketch_has_an_n_row_basis(self, q, noise_free, monkeypatch):
+        # the power iterations' sketches go through one reused chunk buffer,
+        # so a call allocates the last sketch's basis and, where the rank
+        # rule runs (noise-free rank 5 < l = 15), the basis of its 5
+        # resolved directions
+        import rdmd.linalg
+
+        allocated = []
+        inner = rdmd.linalg.empty_basis
+
+        def spy(n, c):
+            allocated.append((n, c))
+            return inner(n, c)
+
+        monkeypatch.setattr(rdmd.linalg, "empty_basis", spy)
+        if noise_free:
+            x = normal_matrix(3000, 5, seed=30) @ normal_matrix(5, 60, seed=31)
+        else:
+            x = matrix_with_spectrum(3000, 60, 0.9 ** np.arange(60), seed=33)
+        qb = randomized_qb(x, SketchConfig(5, 10, q, seed=34))
+        assert allocated == ([(3000, 15), (3000, 5)] if noise_free else [(3000, 15)])
+        assert qb.q.shape == allocated[-1]
+
+    @pytest.mark.parametrize("r", [3, 5, 7])
+    @pytest.mark.parametrize("q", [0, 1, 2])
+    def test_noise_free_sketch_keeps_the_data_rank(self, r, q):
+        # the power iterations hand the last sketch l - r columns in X's
+        # null space; the rank check of the accepted basis drops them
+        x = normal_matrix(3000, r, seed=30) @ normal_matrix(r, 60, seed=31)
+        qb = randomized_qb(x, SketchConfig(5, 10, q, seed=32))
+        assert qb.q.shape == (3000, r) and qb.b.shape == (r, 60)
+        assert np.linalg.norm(qb.q.T @ qb.q - np.eye(r)) <= 1e-10 * np.sqrt(r)
+        assert np.linalg.norm(x - qb.q @ qb.b) <= 1e-14 * np.linalg.norm(x)
 
     def test_rejected_resolved_basis_is_a_convergence_failure(self, monkeypatch):
         # the basis of the resolved directions is orthonormal to within
@@ -231,8 +268,9 @@ class TestPowerIterationOrthonormalization:
         cfg = SketchConfig(5, 10, 2, seed=34)
         returned = self.spy_cholesky_qr2(monkeypatch)
         fast = randomized_qb(x, cfg)
-        # 3 sketches and the 2 orthonormalizations of X^T Q between them
-        assert len(returned) == 5 and all(f is not None for f in returned)
+        # the 2 orthonormalizations of X^T Y between the passes and the last
+        # sketch's: the 2 intermediate sketches are not orthonormalized
+        assert len(returned) == 3 and all(f is not None for f in returned)
         # the reference is Halko, Martinsson & Tropp (2011), Alg. 4.4, with
         # numpy's Householder QR and dense products
         ref = np.linalg.qr(x @ gaussian_test_matrix(60, cfg.sketch_size, cfg.seed))[0]
