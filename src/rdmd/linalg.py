@@ -11,9 +11,10 @@ Rayleigh-Ritz pass's and the range finder's power iterations', and,
 through the CholeskyQR2 of `_orthonormal_basis`, the range finder's last
 sketch, the truncated SVD's U_k and `dmd`'s exact-style basis.
 CholeskyQR2 itself (`_cholesky_qr2`, also under `thin_qr_q`) takes
-in-memory matrices only. Where it rejects a basis or its R shows a rank
-below the basis's width, or Rayleigh-Ritz declines an input, the one rank
-rule `_resolved` takes it chunk by chunk.
+in-memory matrices only. Where its R shows a rank below the basis's width,
+the one rank rule `_resolved` takes that R; where it rejects a basis, or
+Rayleigh-Ritz declines an input, `_fold_r` first folds it chunk by chunk
+into a Householder R.
 """
 
 from __future__ import annotations
@@ -367,15 +368,15 @@ def _orthonormal_basis(x, cols: slice, w: np.ndarray, visit=None, _rejected=Fals
     sums raises NonFiniteInput saying that a product of the finite X
     overflowed: some first pass has named any NaN or Inf of X.
 
-    Where CholeskyQR2 rejects A W (a condition number past about 1e8), or
-    accepts it but the singular values of its c x c R = R2 R1 do not all
-    lie above `default_rank_tol` (rank below c: columns of A W at rounding
-    level, which CholeskyQR2 would normalize, as a sketch of noise-free
-    data has), `_resolved` folds the basis's chunks into
-    A W V_r = U_r S_r and the basis is freed. One more pass writes
-    A W V_r S_r^-1, orthonormal to within about eps * kappa, whose
-    CholeskyQR2 accepts it as Q R' (else ConvergenceFailure): Q has r
-    columns and R = R' S_r V_r^T.
+    Where CholeskyQR2 accepts A W but its c x c R = R2 R1 resolves fewer
+    than c directions (`_resolved` of R: columns of A W at rounding level,
+    which CholeskyQR2 would normalize, as a sketch of noise-free data has),
+    the SVD of that R gives A W V_r = U_r S_r. Where CholeskyQR2 rejects
+    A W (a condition number past about 1e8), `_fold_r` folds the basis's
+    chunks into a Householder R for `_resolved` instead. Either way the
+    basis is freed, and one more pass writes A W V_r S_r^-1, orthonormal to
+    within about eps * kappa, whose CholeskyQR2 accepts it as Q R' (else
+    ConvergenceFailure): Q has r columns and R = R' S_r V_r^T.
     """
     source = as_source(x)
     basis = empty_basis(source.rows, w.shape[1])
@@ -384,12 +385,13 @@ def _orthonormal_basis(x, cols: slice, w: np.ndarray, visit=None, _rejected=Fals
     factors = _cholesky_qr2(basis, gram)
     if factors is not None:
         r = factors[2] @ factors[0]
-        s = np.linalg.svd(r, compute_uv=False)
-        if s[-1] > default_rank_tol(basis.shape, s[0]):
+        s, v = _resolved(r, basis.shape)
+        if s.size == r.shape[0]:
             return _cholesky_q(basis, factors, out=basis), r, np.linalg.solve(r.T, projected)
     if _rejected:
         raise ConvergenceFailure("CholeskyQR2 or its rank check rejected the rank-resolved basis")
-    s, v = _resolved((rows for _, rows in row_chunks(as_source(basis))), *basis.shape)
+    if factors is None:
+        s, v = _resolved(_fold_r(rows for _, rows in row_chunks(as_source(basis))), basis.shape)
     del basis
     q, r, projected = _orthonormal_basis(source, cols, w @ (v / s), _rejected=True)
     return q, r @ (s[:, None] * v.T), projected
@@ -487,7 +489,7 @@ def truncated_svd(
        directions.
     2. Where Rayleigh-Ritz declines (numerical rank below k, a k-th
        singular value below the Gram's resolution, or an overflowed Gram),
-       the rank rule: one pass of `_resolved` gives s_r and V_r, and
+       the rank rule: one `_fold_r` pass and `_resolved` give s_r and V_r, and
        `_orthonormal_basis` of A V_r S_r^-1 gives U_r and U_r^T X, so the
        result holds min(k, r) triplets.
 
@@ -513,7 +515,7 @@ def truncated_svd(
     fast = _gram_ritz_svd(source, gram, k)
     if fast is not None:
         return fast
-    s, v = _resolved((rows[:, :c] for _, rows in row_chunks(source)), n, c)
+    s, v = _resolved(_fold_r(rows[:, :c] for _, rows in row_chunks(source)), (n, c))
     s, v = s[:k], v[:, :k]
     u, _, projected = _orthonormal_basis(source, slice(0, c), v / s)
     return SvdFactors(u, s, v, projected)
@@ -571,16 +573,17 @@ def singular_values_of_rows(blocks) -> np.ndarray:
     return np.linalg.svd(_fold_r(blocks), compute_uv=False)
 
 
-def _resolved(blocks, n: int, c: int) -> tuple[np.ndarray, np.ndarray]:
+def _resolved(factor: np.ndarray, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """The library's one rank rule: (s_r, V_r), the r singular values above
-    `default_rank_tol` of the n x c matrix A whose row blocks are `blocks`
-    and their right vectors, from the SVD of its folded R (`_fold_r`), at
-    Householder accuracy in one pass. DegenerateData where A is zero."""
-    _, s, vh = np.linalg.svd(_fold_r(blocks), full_matrices=False)
-    r = int(np.count_nonzero(s > default_rank_tol((n, c), s[0])))
-    if r == 0:
-        raise DegenerateData(f"the {n} x {c} matrix is identically zero")
-    return s[:r], vh[:r].T
+    `default_rank_tol` of a `shape` matrix A = Q R with orthonormal Q, and
+    their right vectors, from the SVD of its c x c factor R = `factor`: the
+    Householder R of `_fold_r` or the one CholeskyQR2 accepted.
+    DegenerateData where A is zero."""
+    _, s, vh = np.linalg.svd(factor, full_matrices=False)
+    rank = int(np.count_nonzero(s > default_rank_tol(shape, s[0])))
+    if rank == 0:
+        raise DegenerateData(f"the {shape[0]} x {shape[1]} matrix is identically zero")
+    return s[:rank], vh[:rank].T
 
 
 def default_rank_tol(shape: tuple[int, int], sigma_max: float) -> float:

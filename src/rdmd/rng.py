@@ -5,8 +5,9 @@ generator) evaluated in counter form: draw ``i`` of the stream keyed by
 ``seed`` is ``mix64(seed + (i + 1) * GAMMA)``, a pure function of
 ``(seed, i)``.  This gives three properties the library relies on:
 
-* the same seed yields the same bits on every platform and numpy version,
-  since only integer arithmetic modulo 2**64 is involved;
+* the same seed yields the same integer stream and the same uniforms on
+  every platform and numpy version, since only integer arithmetic modulo
+  2**64 and exact conversions are involved;
 * any sub-range of a stream can be generated without generating its prefix,
   which lets workers draw disjoint counter ranges of one stream at once
   (`rdmd synth` adds its noise in even-aligned ranges on every CPU through
@@ -16,14 +17,17 @@ generator) evaluated in counter form: draw ``i`` of the stream keyed by
   mapping to the parent seed itself so a single-block run consumes exactly
   the stream the unblocked code path would.
 
-Standard normals use the plain (trigonometric) Box-Muller transform on
-consecutive uniform pairs rather than a rejection method, so the number of
-draws consumed is a deterministic function of the output count.
+Standard normals use the Box-Muller transform on consecutive uniform pairs,
+in half-angle form (one `tan` per pair, no `sin` or `cos`), rather than a
+rejection method, so the number of draws consumed is a deterministic
+function of the output count. Their bits also depend on numpy's `log`,
+`sqrt` and `tan`: a SIMD `tan` and the C library's differ in about 0.5 % of
+values, by at most 1 ulp, so two hosts may differ in the last bit.
 
 One in-place kernel serves every draw: it works through the stream in
-cache-sized chunks with preallocated buffers, in the operation order of the
-textbook formulas, so the values do not depend on the chunking, nor on
-how a draw is split between workers.
+cache-sized chunks with preallocated buffers, in one fixed operation order,
+so on one host the values do not depend on the chunking, nor on how a draw
+is split between workers, and reruns are bit-identical.
 """
 
 from __future__ import annotations
@@ -43,10 +47,21 @@ _TWO_POW_NEG53 = 2.0 ** -53
 
 
 # Uniform pairs per chunk of the stream kernel. One chunk's scratch (three
-# 512 KB buffers and the counter ramp) is small enough to stay in a core's
-# cache, so each elementwise pass over it reads and writes cache, not memory.
+# 512 KB buffers) is small enough to stay in a core's cache, so each
+# elementwise pass over it reads and writes cache, not memory: a 1e7-draw
+# `normals` takes about 17 ns per draw (2-core Xeon, numpy 2.4, SIMD `tan`),
+# against 39-48 ns when each pair took a `sin` and a `cos`, which numpy runs
+# through the C library.
 _CHUNK_PAIRS = 1 << 15
 _CHUNK = 2 * _CHUNK_PAIRS
+
+# i * GAMMA mod 2**64 for i < 8192 (64 KB): the counter part of every
+# 8192-draw piece of the stream, to which `_raw_into` adds the piece's
+# offset. A ramp as long as a chunk was as fast and raised a `cdmd` run's
+# peak RSS by its 512 KB.
+_RAMP = np.arange(1 << 13, dtype=np.uint64)
+_RAMP *= np.uint64(_GAMMA)
+_RAMP.flags.writeable = False
 
 
 def _mix64(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -62,10 +77,13 @@ def _mix64(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
 
 def _raw_into(seed: int, start: int, z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """z[:] = values start .. start+len(z)-1 of the stream keyed by seed,
-    for len(z) <= _CHUNK; tmp is uint64 scratch of z's length."""
-    np.add(np.arange(z.size, dtype=np.uint64), np.uint64((start + 1) & _MASK), out=z)
-    z *= np.uint64(_GAMMA)
-    z += np.uint64(seed & _MASK)
+    for len(z) <= _CHUNK; tmp is uint64 scratch of z's length. The input of
+    draw start + i, seed + (start + i + 1) * GAMMA, is a `_RAMP` entry plus
+    the offset of its piece."""
+    for lo in range(0, z.size, _RAMP.size):
+        piece = z[lo : lo + _RAMP.size]
+        offset = ((start + lo + 1) * _GAMMA + seed) & _MASK
+        np.add(_RAMP[: piece.size], np.uint64(offset), out=piece)
     return _mix64(z, tmp)
 
 
@@ -74,7 +92,8 @@ def _uniforms_into(seed, start, u, z, tmp) -> np.ndarray:
     the uint64 scratch z and tmp of u's length."""
     bits = _raw_into(seed, start, z, tmp)
     bits >>= np.uint64(11)
-    np.add(bits, 1.0, out=u)  # exact: bits + 1 <= 2**53
+    # exact: bits + 1 <= 2**53, and the int64 view of bits < 2**53 is bits
+    np.add(bits.view(np.int64), 1.0, out=u)
     u *= _TWO_POW_NEG53
     return u
 
@@ -114,9 +133,14 @@ def _normals_into(
     (start+2, start+3), ..., less the first `skip` (0 or 1) of them; with a
     `scale`, out += scale * those normals instead.
 
-    Works through the pairs in chunks of _CHUNK_PAIRS with the operations of
-    the textbook form, so every value is bit-identical to it: radius
-    sqrt(-2 log u_even), angle 2 pi u_odd, value pair radius * (cos, sin).
+    The pair of (u_even, u_odd) is r * (cos 2 pi u_odd, sin 2 pi u_odd) with
+    r = sqrt(-2 log u_even), in half-angle form: with t = tan(pi u_odd) and
+    a = r / (1 + t^2), the values are (1 - t^2) a and 2 t a. That is the
+    trigonometric pair up to rounding, for one `tan` in place of a `sin`
+    and a `cos`; at u_odd = 1/2, where t is about 1.6e16, it is (-r, ~0).
+    Works through the pairs in chunks of _CHUNK_PAIRS, each step one
+    elementwise operation in a fixed order, so every value is bit-identical
+    to the unchunked formula in that order.
     """
     total = out.size + skip
     pairs = (total + 1) // 2
@@ -124,23 +148,27 @@ def _normals_into(
     z = np.empty(width, dtype=np.uint64)
     tmp = np.empty(width, dtype=np.uint64)
     u = np.empty(width)
-    # radius, angle and the chunk's values reuse the uint64 scratch, which is
-    # dead once the uniforms are formed
+    # r and t, then the chunk's values, reuse the uint64 scratch, which is
+    # dead once the uniforms are formed; t^2 and a reuse the uniforms
     values = z.view(np.float64)
     polar = tmp.view(np.float64)
     for first, count in _chunks(pairs, _CHUNK_PAIRS):
         w = 2 * count
         uu = _uniforms_into(seed, start + 2 * first, u[:w], z[:w], tmp[:w])
-        radius, angle = polar[:count], polar[count:w]
+        radius, t = polar[:count], polar[count:w]
         np.log(uu[0::2], out=radius)
         radius *= -2.0
         np.sqrt(radius, out=radius)
-        np.multiply(uu[1::2], 2.0 * np.pi, out=angle)
-        cos = uu[:count]  # the uniforms are consumed
-        np.cos(angle, out=cos)
-        np.sin(angle, out=angle)
-        np.multiply(radius, cos, out=values[0:w:2])
-        np.multiply(radius, angle, out=values[1:w:2])
+        np.multiply(uu[1::2], np.pi, out=t)
+        np.tan(t, out=t)  # contiguous, so numpy's SIMD loop where it has one
+        sq, weight = uu[:count], uu[count:w]  # the uniforms are consumed
+        np.multiply(t, t, out=sq)
+        np.add(sq, 1.0, out=weight)
+        np.divide(radius, weight, out=weight)
+        np.subtract(1.0, sq, out=sq)
+        np.multiply(sq, weight, out=values[0:w:2])
+        t += t
+        np.multiply(t, weight, out=values[1:w:2])
         # value 2 * first + j of the pairing lands at out[2 * first + j - skip]
         lo = max(0, skip - 2 * first)
         dst = 2 * first + lo - skip

@@ -91,6 +91,20 @@ class TestSynth:
         assert np.linalg.matrix_rank(a) == 1
         assert np.linalg.matrix_rank(b) > 1
 
+    def test_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # the mode norms and the n x (m + 1) product of the dynamics make no
+        # BLAS call, whose bits change with its thread count at this size
+        files = []
+        for threads in ("1", "2"):
+            files.append(tmp_path / f"threads{threads}.sms")
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            res = run_cli(
+                "synth", "--rows", "20000", "--snapshots", "11", "--modes", MODES,
+                "--seed", "7", "--snr", "10", "--out", str(files[-1]), env=env,
+            )
+            assert res.returncode == 0, res.stderr
+        assert files[0].read_bytes() == files[1].read_bytes()
+
 
 class TestDecompose:
     def test_deterministic_recovers_truth(self, workspace, tmp_path):

@@ -343,6 +343,34 @@ class TestOrthonormalBasis:
         assert np.linalg.norm(a @ w - q @ rr) <= 1e-12 * scale
         np.testing.assert_allclose(projected, q.T @ a, atol=1e-12 * np.linalg.norm(a))
 
+    @pytest.mark.parametrize("case", ["noise_free_sketch", "rejected"])
+    def test_only_a_rejected_basis_is_folded(self, case, monkeypatch):
+        # an accepted basis of lower rank takes the rank rule on the R that
+        # CholeskyQR2 gave; only a rejected one is read again by `_fold_r`
+        import rdmd.linalg
+        from rdmd import SketchConfig, randomized_qb
+        from rdmd.linalg import _orthonormal_basis
+
+        folds = []
+        inner = rdmd.linalg._fold_r
+
+        def spy(blocks):
+            folds.append(inner(blocks))
+            return folds[-1]
+
+        monkeypatch.setattr(rdmd.linalg, "_fold_r", spy)
+        if case == "noise_free_sketch":
+            x = normal_matrix(3000, 5, seed=30) @ normal_matrix(5, 60, seed=31)
+            qb = randomized_qb(x, SketchConfig(5, 10, 2, seed=32))
+            assert qb.q.shape == (3000, 5) and folds == []
+        else:
+            # kappa 1e12: CholeskyQR2 rejects A, whose 15 directions resolve
+            x = matrix_with_spectrum(3000, 15, np.logspace(0, -12, 15), seed=17)
+            q, r, _ = _orthonormal_basis(x, slice(None), np.eye(15))
+            assert q.shape == (3000, 15) and len(folds) == 1
+            assert np.linalg.norm(q.T @ q - np.eye(15)) <= 1e-10
+            assert np.linalg.norm(x - q @ r) <= 1e-12 * np.linalg.norm(x)
+
 
 class TestLift:
     @pytest.mark.parametrize("kind", ["real", "complex"])

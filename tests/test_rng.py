@@ -120,7 +120,7 @@ def test_counter_stream_tracks_offsets():
 
 
 class TestChunkedKernel:
-    """The chunked in-place kernel against the unchunked textbook formulas."""
+    """The chunked in-place kernel against the unchunked formulas."""
 
     @staticmethod
     def reference_uniforms(seed, start, count):
@@ -133,13 +133,17 @@ class TestChunkedKernel:
 
     @classmethod
     def reference_normals(cls, seed, start, count):
+        # half-angle Box-Muller in the kernel's operation order: with
+        # t = tan(pi u_odd) and a = r / (1 + t^2), the pair (1 - t^2) a, 2 t a
         pairs = (count + 1) // 2
         u = cls.reference_uniforms(seed, start, 2 * pairs)
-        radius = np.sqrt(-2.0 * np.log(u[0::2]))
-        angle = (2.0 * np.pi) * u[1::2]
+        radius = np.sqrt(np.log(u[0::2]) * -2.0)
+        t = np.tan(u[1::2] * np.pi)
+        sq = t * t
+        a = radius / (sq + 1.0)
         out = np.empty(2 * pairs)
-        out[0::2] = radius * np.cos(angle)
-        out[1::2] = radius * np.sin(angle)
+        out[0::2] = (1.0 - sq) * a
+        out[1::2] = (t + t) * a
         return out[:count]
 
     CHUNK = 2 * rng._CHUNK_PAIRS  # uniforms per chunk
@@ -176,6 +180,43 @@ class TestChunkedKernel:
         for draw in (raw_stream, uniforms, normals):
             with pytest.raises(ValueError):
                 draw(1, 0, -1)
+
+
+def _trigonometric_normals(u):
+    """Textbook Box-Muller of the uniform pairs (u[2j], u[2j + 1])."""
+    radius = np.sqrt(-2.0 * np.log(u[0::2]))
+    angle = (2.0 * np.pi) * u[1::2]
+    out = np.empty(u.size)
+    out[0::2] = radius * np.cos(angle)
+    out[1::2] = radius * np.sin(angle)
+    return out
+
+
+class TestHalfAngleTransform:
+    """The half-angle pair against trigonometric Box-Muller."""
+
+    def test_within_rounding_of_the_trigonometric_pair(self):
+        count = 2_000_000
+        got = normals(2**63 + 11, 0, count)
+        want = _trigonometric_normals(uniforms(2**63 + 11, 0, count))
+        assert np.abs(got - want).max() < 1e-14
+
+    @pytest.mark.parametrize("u_odd", [0.5, 1.0, 2.0**-53])
+    @pytest.mark.parametrize("u_even", [2.0**-53, 0.3, 1.0])
+    def test_edge_pairs(self, monkeypatch, u_even, u_odd):
+        # the kernel's uniforms replaced by the pair (u_even, u_odd)
+        def pair(seed, start, u, z, tmp):
+            u[0::2], u[1::2] = u_even, u_odd
+            return u
+
+        monkeypatch.setattr(rng, "_uniforms_into", pair)
+        got = normals(1, 0, 2)
+        want = _trigonometric_normals(np.array([u_even, u_odd]))
+        assert np.isfinite(got).all()
+        assert np.abs(got - want).max() < 1e-14
+        if u_odd == 0.5:  # tan(pi / 2) is about 1.6e16: the pair is (-r, ~0)
+            r = np.sqrt(-2.0 * np.log(u_even))
+            assert got[0] == -r and abs(got[1]) <= 1e-15 * r
 
 
 class TestAddNormalsInto:
