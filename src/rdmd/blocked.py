@@ -9,15 +9,17 @@ matrix or a source through `as_source`, which runs a matrix as its own
 one-block source. A source hands out block i with `read_block(i)`, in any
 order and repeatedly, drops the pages of any of its rows with
 `release_rows(start, count)`, and takes back the block it holds with
-`release_block()`.
+`release_block()`. Its `passes` counts the walks made over it.
 
 Each pass is one `row_chunks` walk: it reads each block once and hands it
 out in `_CHUNK_ROWS`-row chunks, releasing each chunk's rows once it is
 used. The randomized range finder makes q + 1 such passes for q power
-iterations, the projected deterministic decomposition three (the Gram
-matrix, its Rayleigh-Ritz pass, and U_k with U_k^T X), the compressed one
-two (S X with ||X||_F^2, and the exact-style basis), and the CLI's
-reconstruction-error pass one where it runs. An SMS file source also
+iterations, the projected deterministic decomposition two (the Gram
+matrix, then U_k with U_k^T X) where the Gram resolves its k directions
+and three where its truncated SVD needs a Rayleigh-Ritz pass between them,
+the compressed one two (S X with ||X||_F^2, and the exact-style basis),
+and the CLI's reconstruction-error pass one where it runs; the CLI reports
+the count as `passes_over_x`. An SMS file source also
 releases the block it holds when another block is read, and each method
 releases the last one after its last pass, so a run of any method and any
 block count holds one chunk of file pages and its one n x l or n x k basis
@@ -131,6 +133,7 @@ class ArrayRowBlockSource:
         self.rows, self.cols = self.shape
         self.block_count = block_count
         self.block_ranges = partition_rows(self.rows, block_count)
+        self.passes = 0  # `row_chunks` walks
 
     def read_block(self, i: int) -> np.ndarray:
         start, count = self.block_ranges[i]
@@ -156,7 +159,9 @@ def row_chunks(source):
     chunk's rows are released (`source.release_rows`) when the next chunk
     is asked for, and the walk drops a block before it reads the next. A
     consumer that deletes its chunk before asking for the next therefore
-    holds one chunk of a mapped file's pages, or one copied block."""
+    holds one chunk of a mapped file's pages, or one copied block. The walk
+    adds one to `source.passes` when its first chunk is asked for."""
+    source.passes += 1
     for i, (start, count) in enumerate(source.block_ranges):
         block = source.read_block(i)
         for lo in range(0, count, _CHUNK_ROWS):

@@ -279,6 +279,7 @@ def _cmd_decompose(args) -> int:
             },
             "rows": source.rows,
             "cols": source.cols,
+            "passes_over_x": source.passes,
             "eigenvalues": _complex_pairs(result.eigenvalues),
             "relative_reconstruction_error": recon_error,
             "sketch_residual": sketch_residual,

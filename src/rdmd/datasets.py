@@ -457,6 +457,7 @@ class SmsRowBlockSource:
             raise IoFailure(f"opening {path}: {exc}") from exc
         self.shape = (self.rows, self.cols)
         self.block_count = block_count
+        self.passes = 0  # `blocked.row_chunks` walks
         self._releases_rows = self._payload is not None and _CAN_RELEASE
 
     def read_block(self, i: int) -> np.ndarray:

@@ -32,9 +32,10 @@ Each variant has one entry point (`dmd_deterministic`, `dmd_compressed`,
 `dmd_randomized`), which takes an n-row matrix or a row-block source (see
 `blocked.as_source`; a matrix is the one-block source of itself) and reads
 X in whole `row_chunks` passes, so a mapped file is held one 4096-row
-chunk at a time: the projected deterministic variant three times (the
-Gram matrix of X, the Rayleigh-Ritz pass of its truncated SVD, and U_k
-with B = U_k^T X), the exact modes once more (their basis), the
+chunk at a time: the projected deterministic variant twice (the Gram
+matrix of X, then U_k with B = U_k^T X) where the Gram resolves its k
+directions and three times where its truncated SVD needs a Rayleigh-Ritz
+pass between them, the exact modes once more (their basis), the
 compressed variant twice (S X with ||X||_F^2, then its basis), and the
 randomized one q + 1 times; the rank rule (`linalg._resolved`) adds one
 pass where it runs. Any block count gives the one-block result to
@@ -275,8 +276,9 @@ def _source_operator(source, k, regularization, right=None):
        D_L's Gram is its leading m x m block, ||D||_F^2 its trace, and a D_L
        whose Gram has trace 0 is all zero. NaN or Inf in D is named here.
     2. The truncated SVD of D_L from that Gram (`truncated_svd`, which a
-       tall or blocked D reads in two passes: its Rayleigh-Ritz pass, then
-       the pass that writes U_k and sums U_k^T D), so the operator needs no
+       tall or blocked D reads once more where the Gram resolves its k
+       directions, in the pass that writes U_k and sums U_k^T D, and twice
+       where a Rayleigh-Ritz pass comes first), so the operator needs no
        pass of its own.
     """
     n, m = source.rows, source.cols - 1
@@ -475,13 +477,15 @@ def dmd_deterministic(x, cfg: DmdConfig) -> DmdResult:
     matrix or a row-block source, in `row_chunks` passes over X.
 
     The operator and ||X||_F^2 come from `_source_operator`: the Gram
-    matrix of X, then the truncated SVD of X_L in two more passes, the
-    second of which sums B = U_k^T X. cfg.method "deterministic_exact" lifts
-    exact modes X_R V_k S_k^{-1} W through their orthonormal span
+    matrix of X, then the truncated SVD of X_L in one more pass, which
+    writes U_k and sums B = U_k^T X, where the Gram's resolution over its
+    k-th eigenvalue gap is at most `linalg._GAP_BOUND`, and in two (a
+    Rayleigh-Ritz pass first) elsewhere. cfg.method "deterministic_exact"
+    lifts exact modes X_R V_k S_k^{-1} W through their orthonormal span
     (`_span_frame`, one more pass); any other method runs the projected
     modes U_k W, whose frame is U_k itself with that B, so the projected
-    run reads X three times. Any block count gives the one-block result to
-    rounding.
+    run reads X twice on such data, and three times elsewhere. Any block
+    count gives the one-block result to rounding.
     """
     source = as_source(x)
     _require_snapshots(source.cols)

@@ -401,6 +401,17 @@ def _orthonormal_basis(x, cols: slice, w: np.ndarray, visit=None, _rejected=Fals
 # oversampling of a randomized range (Halko, Martinsson & Tropp, 2011)
 _RITZ_OVERSAMPLING = 10
 
+# The largest error bound of the Gram's top k eigenvectors, its resolution
+# over its k-th gap, eps * max(rows, cols) * lambda_1 / (lambda_k -
+# lambda_{k+1}), at which `_gram_ritz_svd` skips its Ritz pass. By Davis &
+# Kahan (1970) range(A V_k) is then within about that angle of U_k, so the
+# Rayleigh-Ritz step on it is off by the square of the angle in s (1e-12 *
+# sigma_1 at 1e-6) and by the angle in U_k and V_k: over random spectra at
+# 60 to 3000 rows the angle stayed within 0.39 times the bound, at most
+# 8.6e-10, where the Ritz pass reached 1.1e-11. 1e-6 keeps the benchmark's
+# input (200000 x 200 at k = 5, a bound of 1.8e-7) on two passes.
+_GAP_BOUND = 1e-6
+
 
 def _gram_ritz_svd(x, gram: np.ndarray, k: int) -> SvdFactors | None:
     """First k singular triplets of a tall matrix A, the leading
@@ -415,24 +426,34 @@ def _gram_ritz_svd(x, gram: np.ndarray, k: int) -> SvdFactors | None:
        Cholesky factorization, as full-rank data does and data of rank
        below k does not. l = min(cols, k + 10) directions of positive
        eigenvalue.
-    2. The Ritz pass (`_basis_pass`) over the chunks A_i: Q1_i = A_i W for
-       W = V_l Lambda_l^-1/2, and the sums G2 = Q1^T Q1 and C = Q1^T A.
-    3. R2 = chol(G2) of the widest leading l' >= k columns that pass the
+    2. Where k < l and the resolution over the gap lambda_k - lambda_{k+1}
+       is at most `_GAP_BOUND`, G has resolved its top k directions, and
+       the U pass alone is the Rayleigh-Ritz step: `_orthonormal_basis` of
+       A V_k Lambda_k^-1/2 gives Q and Q^T X, the k x cols SVD
+       U_B S V^T of Q^T A gives s and V, and U_k = Q U_B is rotated in
+       place chunk by chunk. A is read once here, and steps 3 to 5 are
+       skipped.
+    3. Otherwise the Ritz pass (`_basis_pass`) over the chunks A_i:
+       Q1_i = A_i W for W = V_l Lambda_l^-1/2, and the sums G2 = Q1^T Q1
+       and C = Q1^T A.
+    4. R2 = chol(G2) of the widest leading l' >= k columns that pass the
        guard of `_near_identity_cholesky` (none yields None), so
        Q = Q1 R2^-1 is orthonormal to rounding and B = Q^T A = R2^-T C; Q is
        never formed. The guard drops directions below the Gram's
        resolution where A has no rank for them (or, past condition numbers
        of about 1e8, too little), so full-rank data keeps the oversampling
        its trailing kept triplets need.
-    4. U_B S V^T = svd(B), the l' x cols Rayleigh-Ritz problem, and
+    5. U_B S V^T = svd(B), the l' x cols Rayleigh-Ritz problem, and
        U_k with U_k^T X from the U pass: `_orthonormal_basis` of
        A (W R2^-1 U_B[:, :k]), whose CholeskyQR2 restores the
        orthogonality that W's inverted factors cost (~3e-10 at 3000 x 50,
        kappa = 1e7) to rounding level.
 
-    Besides U_k it holds one A_i's l-column product and l x cols factors.
-    Beyond G it costs two n x cols x l products and U_k (at 200000 x 200,
-    k = 5: about 19 GFLOP in all, against 48 for CholeskyQR2 of A).
+    Besides U_k it holds one A_i's l-column product (a k-column chunk on
+    the two-pass path) and l x cols factors. Beyond G the Ritz pass costs
+    two n x cols x l products and U_k two of k columns (at 200000 x 200,
+    k = 5: about 19 GFLOP in all with the Ritz pass and 17 without it,
+    against 48 for CholeskyQR2 of A); skipping it saves a read of A.
     """
     source = as_source(x)
     n, c = source.rows, gram.shape[0]
@@ -443,7 +464,8 @@ def _gram_ritz_svd(x, gram: np.ndarray, k: int) -> SvdFactors | None:
     except np.linalg.LinAlgError:
         return None
     lam, vec = lam[::-1], vec[:, ::-1]
-    if np.count_nonzero(lam > np.finfo(np.float64).eps * max(n, c) * lam[0]) < k:
+    resolution = np.finfo(np.float64).eps * max(n, c) * lam[0]
+    if np.count_nonzero(lam > resolution) < k:
         try:
             np.linalg.cholesky(gram)
         except np.linalg.LinAlgError:
@@ -451,6 +473,15 @@ def _gram_ritz_svd(x, gram: np.ndarray, k: int) -> SvdFactors | None:
     l = min(c, k + _RITZ_OVERSAMPLING, int(np.count_nonzero(lam > 0)))
     if l < k:
         return None
+    if k < l and resolution <= _GAP_BOUND * (lam[k - 1] - lam[k]):
+        u, _, projected = _orthonormal_basis(source, slice(0, c), vec[:, :k] / np.sqrt(lam[:k]))
+        try:
+            rotation, s, vh = np.linalg.svd(projected[:, :c], full_matrices=False)
+        except np.linalg.LinAlgError:
+            return None
+        for rows, rotated in _row_products(u, rotation):
+            u[rows] = rotated
+        return SvdFactors(u, s, vh.T, rotation.T @ projected)
     w = vec[:, :l] / np.sqrt(lam[:l])
     g2, proj = _basis_pass(source, slice(0, c), w)  # a non-finite G2 fails the guard
     for l in range(l, k - 1, -1):  # the widest basis that passes the guard
@@ -481,12 +512,14 @@ def truncated_svd(
     A short one-block input (rows < 2 * cols, as B and S X are) is the
     slice of `economic_svd` of its block. Every other input forms A^T A in
     one pass (`_streamed_gram`, unless given) and takes one of two tiers:
-    1. Rayleigh-Ritz on the top l eigenvectors of the Gram
-       (`_gram_ritz_svd`): a pass for Q1^T Q1 and Q1^T A, then one for U_k
-       and U_k^T X, forming only the k kept left vectors and, besides them,
-       one `_CHUNK_ROWS`-row chunk. It takes full-rank inputs up to
-       condition numbers of about 1e8 and inputs whose Gram resolves k
-       directions.
+    1. Rayleigh-Ritz on the top eigenvectors of the Gram
+       (`_gram_ritz_svd`), forming only the k kept left vectors and, besides
+       them, one `_CHUNK_ROWS`-row chunk. Where the Gram's resolution over
+       its k-th eigenvalue gap is at most `_GAP_BOUND`, one pass for U_k and
+       U_k^T X is the Rayleigh-Ritz step, so the SVD reads A twice in all;
+       otherwise a Ritz pass over l = k + 10 directions for Q1^T Q1 and
+       Q1^T A comes before it. It takes full-rank inputs up to condition
+       numbers of about 1e8 and inputs whose Gram resolves k directions.
     2. Where Rayleigh-Ritz declines (numerical rank below k, a k-th
        singular value below the Gram's resolution, or an overflowed Gram),
        the rank rule: one `_fold_r` pass and `_resolved` give s_r and V_r, and

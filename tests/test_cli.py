@@ -217,6 +217,26 @@ class TestDecompose:
         assert report["config"]["effective_sketch_size"] == (5 if method == "rdmd" else None)
         assert report["eigen_match_error"] <= 1e-8
 
+    @pytest.mark.parametrize("method, rank, noisy, passes", [
+        # the Gram resolves the noisy data's 5 directions: its pass, then U_k
+        ("dmd", 5, True, 2),
+        ("rdmd", 5, True, 3),  # q + 1 at the default q = 2
+        ("cdmd", 5, True, 2),  # S X with ||X||^2, then the exact-style basis
+        # rank 5 < 8: the Gram, the R-fold and U_r, then the streamed
+        # reconstruction-error pass that noise-free data takes
+        ("dmd", 8, False, 4),
+    ])
+    def test_report_counts_the_passes_over_x(
+        self, workspace, noisy_workspace, tmp_path, method, rank, noisy, passes
+    ):
+        root = noisy_workspace if noisy else workspace
+        out = tmp_path / method
+        assert cli.main([
+            "decompose", "--input", str(root / "x.sms"), "--method", method,
+            "--rank", str(rank), "--blocks", "2", "--seed", "9", "--out", str(out),
+        ]) == 0
+        assert json.loads((out / "report.json").read_text())["passes_over_x"] == passes
+
     def test_noisy_sketch_keeps_every_column(self, noisy_workspace, tmp_path, capsys):
         # noise resolves every direction: Q keeps all k + p columns, and the
         # printed rank is the requested one

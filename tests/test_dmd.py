@@ -902,16 +902,18 @@ class TestSourceWalk:
         "randomized": DmdConfig(target_rank=5, method="randomized", power_iters=2, seed=3),
     }
 
-    # passes per block: the Gram, Ritz and U_k passes (and the exact basis);
-    # S X with ||X||^2, then the basis; q + 1 for the range finder
+    # passes per block: the Gram and U_k passes, the Gram resolving the five
+    # directions (and the exact basis); S X with ||X||^2, then the basis;
+    # q + 1 for the range finder. The source counts each walk as a pass.
     @pytest.mark.parametrize("case, passes", [
-        ("projected", 3), ("exact", 4), ("compressed_gaussian", 2),
+        ("projected", 2), ("exact", 3), ("compressed_gaussian", 2),
         ("compressed_uniform", 2), ("randomized", 3),
     ])
     def test_reads_per_block(self, case, passes):
         source = _CountingSource(TestPassesOverX.noisy(self.N, self.M), 4)
         run_dmd(source, self.CASES[case])
         assert source.reads == [0, 1, 2, 3] * passes
+        assert source.passes == passes
 
     @pytest.mark.parametrize("case", ["projected", "exact", "compressed_gaussian",
                                       "compressed_uniform"])
@@ -1022,15 +1024,16 @@ class TestPassesOverX:
         specs = [ModeSpec(0.99 * np.exp(0.3j)), ModeSpec(0.9), ModeSpec(0.8 * np.exp(1.2j))]
         return add_noise(synth_linear_dynamics(n, m - 1, specs, seed=72).clean_data, 10.0, seed=73)
 
-    def test_projected_deterministic_reads_x_three_times(self):
-        # the Gram pass, the Rayleigh-Ritz pass, and the pass that writes U_k
-        # and sums U_k^T X; ||X||_F^2 is the Gram's trace, and the all-zero
-        # check reads the Gram. Each pass is one `row_chunks` walk, which
-        # reads the one block once.
+    def test_projected_deterministic_reads_x_twice(self):
+        # the Gram pass, and the pass that writes U_k and sums U_k^T X, which
+        # is the Rayleigh-Ritz step where the Gram resolves the k directions,
+        # as it does at SNR 10; ||X||_F^2 is the Gram's trace, and the
+        # all-zero check reads the Gram. Each pass is one `row_chunks` walk,
+        # which reads the one block once.
         x = self.noisy(self.N, self.M)
         source = _CountingSource(x, 1)
         result = dmd_deterministic(source, DmdConfig(target_rank=5))
-        assert source.reads == [0, 0, 0]
+        assert source.reads == [0, 0]
         assert result.eigenvalues.tobytes() == dmd_deterministic(
             x, DmdConfig(target_rank=5)
         ).eigenvalues.tobytes()
@@ -1064,8 +1067,8 @@ class TestPassesOverX:
         assert source.reads == [0] * passes
 
     @pytest.mark.parametrize("method, products", [
-        ("deterministic_projected", 2),  # the Ritz pass's Q1 and U_k
-        ("deterministic_exact", 3),  # Q1, U_k and X_R V_k S_k^-1
+        ("deterministic_projected", 1),  # U_k, the Gram resolving k directions
+        ("deterministic_exact", 2),  # U_k and X_R V_k S_k^-1
         ("compressed", 1),  # X_R V_k S_k^-1
         ("randomized", 3),  # X Omega and X Z for each of q = 2 power iterations
     ])

@@ -166,6 +166,55 @@ class TestTruncatedSvd:
         assert np.max(np.abs(f.v * signs - ref.v[:, :5])) <= 1e-12
         assert np.linalg.norm(f.u.T @ f.u - np.eye(5), 2) <= 1e-12
 
+    @pytest.mark.parametrize("blocks", [1, 3])
+    def test_gapped_tall_input_is_read_twice(self, blocks, monkeypatch):
+        # sigma_5 / sigma_6 = 1.15: the Gram's resolution over its fifth
+        # eigenvalue gap is 8e-12, so the U pass is the Rayleigh-Ritz step
+        # and the Gram pass and the U pass are the only reads of X
+        import rdmd.linalg
+        from rdmd import ArrayRowBlockSource
+
+        x = matrix_with_spectrum(3000, 50, np.logspace(0, -3, 50), seed=10)
+        ref = economic_svd(x)
+        monkeypatch.setattr(rdmd.linalg, "economic_svd", None)
+        source = ArrayRowBlockSource(x, blocks)
+        f = truncated_svd(source, 5)
+        assert source.passes == 2
+        scale = ref.singular_values[0]
+        assert np.max(np.abs(f.singular_values - ref.singular_values[:5])) <= 1e-12 * scale
+        signs = np.sign(np.sum(f.u * ref.u[:, :5], axis=0))
+        assert np.max(np.abs(f.u * signs - ref.u[:, :5])) <= 1e-12
+        assert np.max(np.abs(f.v * signs - ref.v[:, :5])) <= 1e-12
+        assert np.linalg.norm(f.u.T @ f.u - np.eye(5), 2) <= 1e-12
+        # U_k^T X is rotated with U_k
+        np.testing.assert_allclose(f.projected, f.u.T @ x, atol=1e-12 * scale)
+
+    def test_small_gap_keeps_the_ritz_pass(self, monkeypatch):
+        # sigma_6 within 1e-9 of sigma_5: the Gram's resolution over its
+        # fifth gap is 1e-3, far above `_GAP_BOUND`, so the Ritz pass over
+        # l = 15 directions runs between the Gram pass and the U pass. The
+        # fifth pair of vectors is not determined by so small a gap; the
+        # first four, the values and the residual are
+        import rdmd.linalg
+        from rdmd import ArrayRowBlockSource
+
+        sigma = np.logspace(0, -3, 50)
+        sigma[5] = sigma[4] * (1 - 1e-9)
+        x = matrix_with_spectrum(3000, 50, sigma, seed=10)
+        ref = economic_svd(x)
+        monkeypatch.setattr(rdmd.linalg, "economic_svd", None)
+        source = ArrayRowBlockSource(x, 1)
+        f = truncated_svd(source, 5)
+        assert source.passes == 3
+        scale = ref.singular_values[0]
+        assert np.max(np.abs(f.singular_values - ref.singular_values[:5])) <= 1e-12 * scale
+        signs = np.sign(np.sum(f.u[:, :4] * ref.u[:, :4], axis=0))
+        assert np.max(np.abs(f.u[:, :4] * signs - ref.u[:, :4])) <= 1e-12
+        assert np.max(np.abs(f.v[:, :4] * signs - ref.v[:, :4])) <= 1e-12
+        assert np.linalg.norm(f.u.T @ f.u - np.eye(5), 2) <= 1e-12
+        resid = np.linalg.norm(x @ f.v - f.u * f.singular_values)
+        assert resid <= 1e-12 * np.linalg.norm(x)
+
     @pytest.mark.parametrize("rows, blocks", [(8, 2), (9, 3)])
     def test_short_input_of_several_blocks(self, rows, blocks):
         # more than one block takes the Gram path whatever the shape, and
@@ -262,11 +311,12 @@ class TestThinQr:
         x = normal_matrix(10_000, 20, seed=54)
         chunk_bytes = 4096 * 20 * 8
         # the n x c factor A R1^-1 is never allocated, so never noted; the
-        # truncated SVD's largest buffer is its Ritz pass's chunk of
-        # l = k + 10 = 13 columns, as it reads the chunks of A in place
+        # truncated SVD's largest buffer is U_k, n x k: the Gram resolves the
+        # k directions, so no Ritz pass forms chunks of l = k + 10 = 13
+        # columns, and the U pass reads the chunks of A in place
         for run, largest in [
             (lambda: _cholesky_qr2(x), chunk_bytes),
-            (lambda: truncated_svd(x, 3), 4096 * 13 * 8),
+            (lambda: truncated_svd(x, 3), 10_000 * 3 * 8),
             (lambda: thin_qr_q(x), x.nbytes),
         ]:
             with memguard.session() as guard:

@@ -27,6 +27,7 @@ from rdmd import (
     write_sms,
 )
 from rdmd.datasets import _VARIANCE_LEAF, _variance
+from rdmd.linalg import _GAP_BOUND, _streamed_gram
 from rdmd.rng import normal_matrix, normals
 
 from conftest import matrix_with_spectrum
@@ -180,3 +181,45 @@ def test_tall_truncated_svd_matches_the_economic_svd(
     assert np.linalg.norm(f.u.T @ f.u - np.eye(j), 2) <= 1e-12
     resid = np.linalg.norm(x @ f.v - f.u * f.singular_values)
     assert resid <= 1e-12 * np.linalg.norm(x)
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(
+    rows=st.integers(min_value=60, max_value=3000),
+    # the singular values 10^-e, so that ties and near-ties are drawn too
+    exponents=st.lists(st.floats(min_value=0.0, max_value=7.0), min_size=2, max_size=30),
+    k=st.integers(min_value=1, max_value=30),
+    blocks=st.sampled_from([1, 3]),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+# a tie at the k-th gap: the Gram cannot resolve the k-th direction
+@example(rows=500, exponents=[0.0, 0.5, 0.5, 1.0], k=2, blocks=1, seed=3)
+# the benchmark's shape of spectrum, well gapped at k
+@example(rows=3000, exponents=[0.0, 0.1, 0.2, 0.3, 0.4, 1.5, 1.6, 1.7], k=5, blocks=3, seed=4)
+def test_the_gap_rule_picks_two_or_three_passes(rows, exponents, k, blocks, seed):
+    # Davis & Kahan: the Gram's top k eigenvectors are good to its
+    # resolution over its k-th gap, the bound the two-pass rule reads; the
+    # U pass's Rayleigh-Ritz step then gets s to the bound's square and the
+    # k-dimensional spans of U and V to the bound itself
+    sigma = 10.0 ** -np.sort(exponents)
+    cols = sigma.size
+    k = min(k, cols)
+    x = matrix_with_spectrum(rows, cols, sigma, seed)
+    lam = np.linalg.eigh(_streamed_gram(ArrayRowBlockSource(x, blocks)))[0][::-1]
+    gap = lam[k - 1] - lam[k] if k < cols else 0.0
+    bound = np.finfo(np.float64).eps * max(rows, cols) * lam[0] / gap if gap > 0 else np.inf
+    source = ArrayRowBlockSource(x, blocks)
+    f = truncated_svd(source, k)
+    if bound > _GAP_BOUND:
+        assert source.passes == 3  # the Gram, the Ritz pass and U_k
+        return
+    assert source.passes == 2
+    ref = economic_svd(x)
+    scale = ref.singular_values[0]
+    assert np.max(np.abs(f.singular_values - ref.singular_values[:k])) <= 1e-12 * scale
+    assert np.linalg.norm(ref.u[:, k:].T @ f.u, 2) <= bound
+    assert np.linalg.norm(ref.v[:, k:].T @ f.v, 2) <= bound
+    assert np.linalg.norm(f.u.T @ f.u - np.eye(k), 2) <= 1e-12
+    resid = np.linalg.norm(x @ f.v - f.u * f.singular_values)
+    assert resid <= 1e-12 * np.linalg.norm(x)
+    assert np.max(np.abs(f.projected - f.u.T @ x)) <= 1e-12 * scale
