@@ -40,7 +40,10 @@ compressed variant twice (S X with ||X||_F^2, then its basis), and the
 randomized one q + 1 times; the rank rule (`linalg._resolved`) adds one
 pass where it runs. Any block count gives the one-block result to
 rounding. Data that resolves r < k directions gives r eigenvalues (see
-`_operator`).
+`_operator`). Every variant's SVD, with U_k^T D and ||D||_F^2, is
+`linalg.truncated_svd`'s, and only it decides whether a Gram matrix is
+formed: for a tall or blocked X, not for the short B or S X of the
+randomized and compressed variants.
 
 Every result carries eigenvalues sorted by descending magnitude, modes with
 unit norm and phase pinned (largest entry real positive), and amplitudes
@@ -55,7 +58,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import memguard
-from .blocked import ArrayRowBlockSource, as_source
+from .blocked import as_source
 from .errors import (
     DegenerateData,
     EmptyInput,
@@ -72,7 +75,6 @@ from .linalg import (
     _real_product,
     _SquaredNorm,
     _require_finite,
-    _streamed_gram,
     _tall_product,
     default_rank_tol,
     eig_dense,
@@ -242,56 +244,26 @@ def low_dim_operator(
     U_k^T D_R is the slice of the one k x (m+1) product U_k^T D with the
     split's sequence, so no d x k product with D_R is formed (see
     `LowDimOperator.right_projected`). The inverted singular values carry
-    the regularization filter (see `_operator`). A split of a sequence D is
-    the one-block call of `_source_operator`, the deterministic
-    decomposition's; a split built from two matrices takes the SVD of D_L
-    and U_k^T D_R, and its all-zero check reads D_L's first row, and the
-    rest only when that row is zero. NaN or Inf in either half raises
-    NonFiniteInput naming its first such entry (D_R is scanned only where
-    U_k^T D_R is not finite).
+    the regularization filter (see `_operator`). A split of a sequence D
+    takes the `truncated_svd` of D's leading m columns, which gives U_k^T D
+    with it: for a short D (B or S X, d < 2m) the slice of LAPACK's SVD,
+    with no (m+1) x (m+1) Gram matrix formed. A split built from two
+    matrices takes the SVD of D_L and U_k^T D_R. NaN or Inf in either half
+    raises NonFiniteInput naming its first such entry (the D_R of two
+    matrices is scanned only where U_k^T D_R is not finite).
     """
     left, right = split.left, split.right
     if left.shape != right.shape:
         raise ShapeMismatch(f"left {left.shape} != right {right.shape}")
     if split.sequence is not None:
-        source = ArrayRowBlockSource(split.sequence, 1)
-        return _source_operator(source, k, regularization, right)[0]
-    if not 1 <= k <= min(left.shape):
-        raise RankOutOfRange(f"rank {k} outside [1, {min(left.shape)}]")
-    if not left[0].any() and not left.any():
-        raise DegenerateData("left snapshot matrix is identically zero")
+        factors = truncated_svd(split.sequence, k, left.shape[1])
+        return _operator(factors, factors.projected, left.shape, k, regularization, right)
     factors = truncated_svd(left, k)
     with np.errstate(over="ignore", invalid="ignore"):  # checked right below
         projected = factors.u.T @ right
     if not np.isfinite(projected).all():  # a NaN or Inf of D_R shows here
         raise _non_finite_error(right)
     return _operator(factors, projected, left.shape, k, regularization, right)
-
-
-def _source_operator(source, k, regularization, right=None):
-    """(LowDimOperator, ||D||_F^2) of the d x (m+1) sequence D whose row
-    blocks `source` hands out, with `right` its D_R where it is in memory.
-
-    1. The (m+1) x (m+1) Gram matrix G of all of D (`_streamed_gram`):
-       D_L's Gram is its leading m x m block, ||D||_F^2 its trace, and a D_L
-       whose Gram has trace 0 is all zero. NaN or Inf in D is named here.
-    2. The truncated SVD of D_L from that Gram (`truncated_svd`, which a
-       tall or blocked D reads once more where the Gram resolves its k
-       directions, in the pass that writes U_k and sums U_k^T D, and twice
-       where a Rayleigh-Ritz pass comes first), so the operator needs no
-       pass of its own.
-    """
-    n, m = source.rows, source.cols - 1
-    if not 1 <= k <= min(n, m):
-        raise RankOutOfRange(f"rank {k} outside [1, {min(n, m)}]")
-    gram = _streamed_gram(source)
-    data_sq_norm = float(np.trace(gram))
-    _require_finite(gram, data_sq_norm)
-    if np.trace(gram[:-1, :-1]) == 0:
-        raise DegenerateData("left snapshot matrix is identically zero")
-    factors = truncated_svd(source, k, m, gram[:-1, :-1])
-    op = _operator(factors, factors.projected, (n, m), k, regularization, right)
-    return op, data_sq_norm
 
 
 def _operator(factors, projected, shape, k, regularization, right=None) -> LowDimOperator:
@@ -301,9 +273,12 @@ def _operator(factors, projected, shape, k, regularization, right=None) -> LowDi
     `linalg._resolved`), so the operator is r x r. The default filter is
     plain truncation (1/s_i); a Tikhonov spec replaces 1/s_i by
     s_i / (s_i^2 + lambda^2). A filter reads k values, zero beyond the
-    triplets given, so tsvd(j) keeps all r where r < j."""
+    triplets given, so tsvd(j) keeps all r where r < j. r == 0 (an all-zero
+    D_L) raises DegenerateData."""
     s = factors.singular_values
     r = int(np.count_nonzero(s > default_rank_tol(shape, s[0])))
+    if r == 0:
+        raise DegenerateData("left snapshot matrix is identically zero")
     f = np.ones(r) if regularization is None else filter_factors(
         np.pad(s, (0, k - s.size)), regularization)[:r]
     s, u, v = s[:r], factors.u[:, :r], factors.v[:, :r]
@@ -476,26 +451,32 @@ def dmd_deterministic(x, cfg: DmdConfig) -> DmdResult:
     """Deterministic decomposition of the snapshot sequence X, an n-row
     matrix or a row-block source, in `row_chunks` passes over X.
 
-    The operator and ||X||_F^2 come from `_source_operator`: the Gram
-    matrix of X, then the truncated SVD of X_L in one more pass, which
-    writes U_k and sums B = U_k^T X, where the Gram's resolution over its
-    k-th eigenvalue gap is at most `linalg._GAP_BOUND`, and in two (a
-    Rayleigh-Ritz pass first) elsewhere. cfg.method "deterministic_exact"
-    lifts exact modes X_R V_k S_k^{-1} W through their orthonormal span
-    (`_span_frame`, one more pass); any other method runs the projected
-    modes U_k W, whose frame is U_k itself with that B, so the projected
-    run reads X twice on such data, and three times elsewhere. Any block
-    count gives the one-block result to rounding.
+    The operator, B = U_k^T X and ||X||_F^2 come from the `truncated_svd`
+    of X_L: on a tall or blocked X, the Gram matrix of X, then one more
+    pass that writes U_k and sums B where the Gram's resolution over its
+    k-th eigenvalue gap is at most `linalg._GAP_BOUND`, and two (a
+    Rayleigh-Ritz pass first) elsewhere; on a short one-block X, LAPACK's
+    SVD of the block. A finite X whose ||X||_F^2 overflowed raises
+    NonFiniteInput. cfg.method "deterministic_exact" lifts exact modes
+    X_R V_k S_k^{-1} W through their orthonormal span (`_span_frame`, one
+    more pass); any other method runs the projected modes U_k W, whose
+    frame is U_k itself with that B, so the projected run reads a tall X
+    twice on such data, and three times elsewhere. Any block count gives
+    the one-block result to rounding.
     """
     source = as_source(x)
     _require_snapshots(source.cols)
-    k = cfg.target_rank
+    shape = (source.rows, source.cols - 1)
     data_sq_norm = None
 
     def operator():
         nonlocal data_sq_norm
-        op, data_sq_norm = _source_operator(source, k, cfg.regularization)
-        return op
+        factors = truncated_svd(source, cfg.target_rank, shape[1])
+        data_sq_norm = factors.sq_norm
+        _require_finite(data_sq_norm)
+        return _operator(
+            factors, factors.projected, shape, cfg.target_rank, cfg.regularization
+        )
 
     if cfg.method == "deterministic_exact":
         method = cfg.method

@@ -5,7 +5,10 @@ Everything here is a pure function of its arguments, backed by LAPACK
 through numpy. Matrices are 2-D float64 ndarrays in row-major order.
 `truncated_svd` and the passes under it read their n-row operand in
 `blocked.row_chunks` passes, so they take an in-memory matrix (as its
-one-block source) or any row-block source alike. Every n-row product of
+one-block source) or any row-block source alike. `truncated_svd` alone
+decides whether the Gram matrix of an operand is formed (for a tall or
+blocked one, not for a short one-block one), and returns its squared norm
+with its factors, so no caller forms a Gram for it. Every n-row product of
 such an operand with a small matrix W is one `_basis_pass`: the
 Rayleigh-Ritz pass's and the range finder's power iterations', and,
 through the CholeskyQR2 of `_orthonormal_basis`, the range finder's last
@@ -19,7 +22,7 @@ into a Householder R.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,13 +48,15 @@ from .errors import (
 @dataclass(frozen=True)
 class SvdFactors:
     """Economic SVD: x = u @ diag(singular_values) @ v.T. projected is
-    u.T @ X for every column of the matrix X whose leading columns a
-    `truncated_svd` factored, and None on an `economic_svd`."""
+    u.T @ X and sq_norm ||X||_F^2, both over every column of the matrix X
+    whose leading columns a `truncated_svd` factored, and None on an
+    `economic_svd`."""
 
     u: np.ndarray
     singular_values: np.ndarray
     v: np.ndarray
     projected: np.ndarray | None = None
+    sq_norm: float | None = None
 
 
 @dataclass(frozen=True)
@@ -238,11 +243,13 @@ def _streamed_gram(x) -> np.ndarray:
     """X^T X for x, an n-row matrix or a row-block source, summed over its
     `row_chunks` X_i in one pass: the truncated SVD's Gram, and that of
     CholeskyQR2 where no pass summed it (up to `_CHUNK_ROWS` rows, one
-    GEMM). NaN or Inf in X raises NonFiniteInput naming its first such
-    entry (`_check_chunk` on the trace of each chunk's Gram, ||X_i||_F^2);
-    a finite X whose Gram overflowed gets that non-finite sum back, and
-    every caller's checks reject it."""
+    GEMM). The cols x cols Gram is charged to the memory cap
+    (`memguard.note`). NaN or Inf in X raises NonFiniteInput naming its
+    first such entry (`_check_chunk` on the trace of each chunk's Gram,
+    ||X_i||_F^2); a finite X whose Gram overflowed gets that non-finite sum
+    back, and every caller's checks reject it."""
     source = as_source(x)
+    memguard.note(source.cols * source.cols * 8)
     gram = np.zeros((source.cols, source.cols))
     with np.errstate(over="ignore", invalid="ignore"):  # checked right below
         for start, rows in row_chunks(source):
@@ -500,18 +507,19 @@ def _gram_ritz_svd(x, gram: np.ndarray, k: int) -> SvdFactors | None:
     return SvdFactors(u, s[:k], vh[:k].T, projected)
 
 
-def truncated_svd(
-    x, k: int, cols: int | None = None, gram: np.ndarray | None = None
-) -> SvdFactors:
+def truncated_svd(x, k: int, cols: int | None = None) -> SvdFactors:
     """First k singular triplets of the economic SVD of A, the leading
-    `cols` columns (all by default) of x: an in-memory matrix, which is its
-    one-block source, or a row-block source (see `blocked`), read in
-    `row_chunks` passes. `gram` is A^T A where the caller formed it
-    already. The result's `projected` is U^T X for all of x's columns.
+    `cols` columns (all by default) of X = x: an in-memory matrix, which is
+    its one-block source, or a row-block source (see `blocked`), read in
+    `row_chunks` passes. The result's `projected` is U^T X and its
+    `sq_norm` ||X||_F^2, both over all of x's columns.
 
     A short one-block input (rows < 2 * cols, as B and S X are) is the
-    slice of `economic_svd` of its block. Every other input forms A^T A in
-    one pass (`_streamed_gram`, unless given) and takes one of two tiers:
+    slice of `economic_svd` of its block, and forms no Gram matrix; its
+    sq_norm is that of the block. Every other input forms X^T X in
+    one pass (`_streamed_gram`), whose trace is sq_norm and whose leading
+    block is A^T A (Halko, Martinsson & Tropp, 2011, sec. 5), and takes
+    one of two tiers:
     1. Rayleigh-Ritz on the top eigenvectors of the Gram
        (`_gram_ritz_svd`), forming only the k kept left vectors and, besides
        them, one `_CHUNK_ROWS`-row chunk. Where the Gram's resolution over
@@ -524,11 +532,14 @@ def truncated_svd(
        singular value below the Gram's resolution, or an overflowed Gram),
        the rank rule: one `_fold_r` pass and `_resolved` give s_r and V_r, and
        `_orthonormal_basis` of A V_r S_r^-1 gives U_r and U_r^T X, so the
-       result holds min(k, r) triplets.
+       result holds min(k, r) triplets. An all-zero A raises DegenerateData
+       here.
 
-    NaN or Inf in A raises NonFiniteInput naming its first such entry: the
-    Gram pass shows it (a `gram` passed in was checked by its caller),
-    a short one-block input is checked before LAPACK runs.
+    NaN or Inf in X raises NonFiniteInput naming its first such entry: the
+    Gram pass shows it, and a short one-block input is checked before
+    LAPACK runs. A finite X whose ||X||_F^2 overflowed gives a non-finite
+    sq_norm, which the caller checks; where its Gram overflowed, the R-fold
+    raises NonFiniteInput if its R overflowed too.
     """
     source = as_source(x)
     n, c = source.rows, source.cols if cols is None else cols
@@ -536,22 +547,21 @@ def truncated_svd(
         raise RankOutOfRange(f"rank {k} outside [1, {min(n, c)}] for shape {(n, c)}")
     if n < 2 * c and source.block_count == 1:
         block = source.read_block(0)
-        a = block[:, :c]
-        if not np.isfinite(a).all():
-            raise _non_finite_error(a)
+        sq_norm = frobenius_sq(block)
+        _check_chunk(block, 0, sq_norm)
         memguard.note(n * c * 8)  # LAPACK's U
-        f = economic_svd(a)
+        f = economic_svd(block[:, :c])
         u = f.u[:, :k]
-        return SvdFactors(u, f.singular_values[:k], f.v[:, :k], u.T @ block)
-    if gram is None:
-        gram = _streamed_gram(source)[:c, :c]
-    fast = _gram_ritz_svd(source, gram, k)
+        return SvdFactors(u, f.singular_values[:k], f.v[:, :k], u.T @ block, sq_norm)
+    gram = _streamed_gram(source)
+    sq_norm = float(np.trace(gram))
+    fast = _gram_ritz_svd(source, gram[:c, :c], k)
     if fast is not None:
-        return fast
+        return replace(fast, sq_norm=sq_norm)
     s, v = _resolved(_fold_r(rows[:, :c] for _, rows in row_chunks(source)), (n, c))
     s, v = s[:k], v[:, :k]
     u, _, projected = _orthonormal_basis(source, slice(0, c), v / s)
-    return SvdFactors(u, s, v, projected)
+    return SvdFactors(u, s, v, projected, sq_norm)
 
 
 def thin_qr_q(x) -> np.ndarray:
@@ -611,7 +621,9 @@ def _resolved(factor: np.ndarray, shape: tuple[int, int]) -> tuple[np.ndarray, n
     `default_rank_tol` of a `shape` matrix A = Q R with orthonormal Q, and
     their right vectors, from the SVD of its c x c factor R = `factor`: the
     Householder R of `_fold_r` or the one CholeskyQR2 accepted.
-    DegenerateData where A is zero."""
+    DegenerateData where A is zero, and NonFiniteInput where R is not
+    finite: a finite A whose norm overflowed."""
+    _require_finite(factor)
     _, s, vh = np.linalg.svd(factor, full_matrices=False)
     rank = int(np.count_nonzero(s > default_rank_tol(shape, s[0])))
     if rank == 0:

@@ -639,6 +639,22 @@ class TestRowBlocks:
         assert run - imported <= 0.5 * os.path.getsize(path)
 
     @linux_only
+    def test_wide_rdmd_decompose_forms_no_gram(self, tmp_path):
+        # 300 x 4001 (9.6 MB): the sketch B is 15 x 4001, whose SVD is
+        # LAPACK's of B itself; a 4001 x 4001 Gram matrix would be 128 MB
+        x = normal_matrix(300, 5, seed=46) @ normal_matrix(5, 4001, seed=47)
+        x += 0.1 * normal_matrix(300, 4001, seed=48)
+        path = tmp_path / "x.sms"
+        write_sms(x, path)
+        del x
+        imported = child_peak_rss("-c", "import rdmd.cli")
+        run = child_peak_rss(
+            "-m", "rdmd", "decompose", "--input", str(path), "--method", "rdmd",
+            "--rank", "5", "--seed", "49", "--out", str(tmp_path / "o"),
+        )
+        assert run - imported <= 32 * 2**20
+
+    @linux_only
     @pytest.mark.parametrize("method", ["dmd", "cdmd", "bench"])
     def test_one_block_dmd_and_cdmd_peak_rss_is_far_below_the_file(self, tmp_path, method):
         # the deterministic and compressed passes are `row_chunks` walks

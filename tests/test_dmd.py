@@ -175,6 +175,22 @@ class TestLowDimOperator:
                 SnapshotSplit(left=np.zeros((3, 3)), right=np.eye(3)), 2
             )
 
+    def test_short_sequence_forms_no_gram(self):
+        # a 15 x 3001 sketch B takes LAPACK's SVD of its one block: the
+        # step holds a few copies of B (0.36 MB), not a 3001 x 3001 Gram
+        # matrix (72 MB)
+        import tracemalloc
+
+        b = normal_matrix(15, 3001, seed=10)
+        tracemalloc.start()
+        try:
+            op = low_dim_operator(split_snapshots(b), 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * b.nbytes
+        assert op.operator.shape == (5, 5)
+
     def test_tikhonov_filter_damps_inverse(self):
         left = normal_matrix(10, 12, seed=8)
         right = normal_matrix(10, 12, seed=9)

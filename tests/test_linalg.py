@@ -273,6 +273,39 @@ class TestTruncatedSvd:
         assert np.max(np.abs(f.v * signs - ref.v[:, :5])) <= 1e-10
 
 
+    @pytest.mark.parametrize("rows, blocks", [(20, 1), (3000, 1), (3000, 3)])
+    def test_sq_norm_covers_every_column(self, rows, blocks):
+        # the short one-block input sums its block, the others the trace of
+        # the Gram of all columns, not only of the `cols` it factors
+        from rdmd import ArrayRowBlockSource
+
+        x = normal_matrix(rows, 31, seed=16)
+        f = truncated_svd(ArrayRowBlockSource(x, blocks), 5, 30)
+        assert f.sq_norm == pytest.approx(np.sum(x * x), rel=1e-13)
+
+    def test_short_input_names_a_bad_entry_past_its_columns(self):
+        # the trailing column is not factored, but U^T X reads it
+        x = normal_matrix(10, 12, seed=17)
+        x[4, 11] = np.nan
+        with pytest.raises(NonFiniteInput, match="^row 4, column 11 is nan$") as info:
+            truncated_svd(x, 3, 11)
+        assert info.value.row == 4
+
+    def test_memory_cap_charges_the_gram(self):
+        # the 400 x 400 Gram (1.28 MB) outgrows every other buffer of a
+        # 2000 x 400 input held in memory: U_k and the chunks of l columns
+        from rdmd import memguard
+        from rdmd.errors import MemoryCapExceeded
+
+        x = normal_matrix(2000, 400, seed=18)
+        with memguard.session() as guard:
+            truncated_svd(x, 5)
+        assert guard.largest_bytes == 400 * 400 * 8
+        with pytest.raises(MemoryCapExceeded):
+            with memguard.session(cap_bytes=1_000_000):
+                truncated_svd(x, 5)
+
+
 class TestThinQr:
     def test_orthonormal_input(self):
         q0 = thin_qr_q(normal_matrix(10, 4, seed=10))
