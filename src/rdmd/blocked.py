@@ -12,19 +12,21 @@ order and repeatedly, drops the pages of any of its rows with
 `release_block()`. Its `passes` counts the walks made over it.
 
 Each pass is one `row_chunks` walk: it reads each block once and hands it
-out in `_CHUNK_ROWS`-row chunks, releasing each chunk's rows once it is
-used. The randomized range finder makes q + 1 such passes for q power
-iterations, the projected deterministic decomposition two (the Gram
-matrix, then U_k with U_k^T X) where the Gram resolves its k directions
-and three where its truncated SVD needs a Rayleigh-Ritz pass between them,
-the compressed one two (S X with ||X||_F^2, and the exact-style basis),
-and the CLI's reconstruction-error pass one where it runs; the CLI reports
-the count as `passes_over_x`. An SMS file source also
-releases the block it holds when another block is read, and each method
-releases the last one after its last pass, so a run of any method and any
-block count holds one chunk of file pages and its one n x l or n x k basis
-(one block where blocks are copied). The block count changes the answer
-only at the level of rounding.
+out in chunks, releasing each chunk's rows once it is used. `row_spans`
+cuts this and every other row walk of the library into chunks of at most
+32 MiB and 4096 rows: 4096 rows up to 1024 float64 columns, fewer beyond.
+The randomized range finder makes q + 1 passes for q power iterations, the
+projected deterministic decomposition two (the Gram matrix, then U_k with
+U_k^T X) where the Gram resolves its k directions and three where its
+truncated SVD needs a Rayleigh-Ritz pass between them, the compressed one
+two (S X with ||X||_F^2, and the exact-style basis), and the CLI's
+reconstruction-error pass one where it runs; the CLI reports the count as
+`passes_over_x`. An SMS file source also releases the block it holds when
+another block is read, and each method releases the last one after its last
+pass, so a run of any method and any block count holds one chunk of file
+pages and its one n x l or n x k basis at any width (one block where blocks
+are copied). The block count changes the answer only at the level of
+rounding.
 
 That basis (the range finder's last sketch Y and its Q, the truncated
 SVD's U_k, the exact-style modes' basis) is an `empty_basis`: its pages
@@ -32,8 +34,8 @@ are an anonymous map of its own, so the mode lift, `sketch.apply_q` for
 every variant, hands each chunk of it back (`release_basis_rows`) once
 those rows of the modes are written, and the modes take its place instead
 of being added to it. The range finder's power iterations write no basis:
-each forms its sketch one chunk at a time. A run therefore peaks at its
-pass peak: the imports, one basis and one chunk.
+each forms its sketch one chunk at a time. A run's resident set is the
+imports, one chunk (at most 32 MiB), the basis and the m x l blocks.
 """
 
 from __future__ import annotations
@@ -45,10 +47,20 @@ import numpy as np
 from . import memguard
 from .errors import InvalidBlockCount, ShapeMismatch
 
-# Rows per chunk of the passes that walk a tall matrix a few thousand rows
-# at a time (`row_chunks` and the kernels of `linalg` that read an n-row
-# buffer in chunks): at 200 columns one chunk is 6.6 MB.
+# The one chunk rule of every row walk (`row_spans`): a chunk is at most
+# `_CHUNK_BYTES` of rows and at most `_CHUNK_ROWS` rows, so up to 1024
+# float64 columns it is 4096 rows (6.6 MB at 201 columns), at 10001 columns
+# 419 rows (33.5 MB), and a row wider than the budget is a chunk of its own.
+_CHUNK_BYTES = 32 << 20
 _CHUNK_ROWS = 4096
+
+
+def row_spans(n: int, row_bytes: int) -> list[slice]:
+    """The consecutive slices of n rows of `row_bytes` bytes each, each of
+    max(1, min(`_CHUNK_ROWS`, `_CHUNK_BYTES` // row_bytes)) rows but the
+    last; the first is the longest, so it sizes a buffer for any of them."""
+    step = max(1, min(_CHUNK_ROWS, _CHUNK_BYTES // row_bytes))
+    return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
 
 # MADV_DONTNEED hands a private anonymous map's pages back to the system
@@ -153,19 +165,19 @@ def as_source(x):
 
 
 def row_chunks(source):
-    """Yield (start, rows) for the consecutive `_CHUNK_ROWS`-row chunks of
-    the matrix X whose row blocks `source` hands out, start being the
-    chunk's first row in X. Each block is read once and cut into views; a
-    chunk's rows are released (`source.release_rows`) when the next chunk
-    is asked for, and the walk drops a block before it reads the next. A
-    consumer that deletes its chunk before asking for the next therefore
-    holds one chunk of a mapped file's pages, or one copied block. The walk
-    adds one to `source.passes` when its first chunk is asked for."""
+    """Yield (start, rows) for the consecutive chunks of the matrix X whose
+    row blocks `source` hands out, start being the chunk's first row in X:
+    each block is read once and cut into views by `row_spans` of its rows
+    at X's width, so a one-block file and its in-memory matrix walk the
+    same chunks. A chunk's rows are released (`source.release_rows`) when
+    the next chunk is asked for, and the walk drops a block before it reads
+    the next, so a consumer that deletes its chunk before asking for the
+    next holds one chunk of a mapped file's pages, or one copied block. The
+    walk adds one to `source.passes` when its first chunk is asked for."""
     source.passes += 1
     for i, (start, count) in enumerate(source.block_ranges):
         block = source.read_block(i)
-        for lo in range(0, count, _CHUNK_ROWS):
-            rows = min(_CHUNK_ROWS, count - lo)
-            yield start + lo, block[lo : lo + rows]
-            source.release_rows(start + lo, rows)
+        for span in row_spans(count, source.cols * 8):
+            yield start + span.start, block[span]
+            source.release_rows(start + span.start, span.stop - span.start)
         del block

@@ -25,7 +25,7 @@ except ImportError:  # not on Windows
 import numpy as np
 
 from . import memguard
-from .blocked import _CHUNK_ROWS, row_chunks
+from .blocked import row_chunks, row_spans
 from .datasets import (
     ModeSpec,
     add_noise,
@@ -422,12 +422,12 @@ def _cmd_reconstruct(args) -> int:
         amplitudes=amplitudes,
         method="deterministic_projected",
     )
-    # one row chunk of the modes at a time: the n x steps output is never
-    # whole in memory
+    # one chunk of the output's rows at a time: the n x steps output is
+    # never whole in memory
     n = modes.shape[0]
     write_sms_rows(args.out, (n, args.steps), (
-        reconstruct(replace(result, modes=modes[lo : lo + _CHUNK_ROWS]), args.steps)
-        for lo in range(0, n, _CHUNK_ROWS)
+        reconstruct(replace(result, modes=modes[rows]), args.steps)
+        for rows in row_spans(n, args.steps * 8)
     ))
     print(f"wrote {n}x{args.steps} reconstruction to {args.out}")
     return 0

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import memguard
-from .blocked import _CHUNK_ROWS, partition_rows, row_chunks
+from .blocked import partition_rows, row_chunks, row_spans
 from .errors import (
     BadMagic,
     IoFailure,
@@ -330,23 +330,22 @@ def _sms_header(rows: int, cols: int) -> bytes:
 
 def write_sms(x, path) -> None:
     """Write a matrix to `path` in SMS format (atomic: temp file + rename),
-    by `write_sms_rows` in `_CHUNK_ROWS`-row chunks: a C-contiguous float64
-    matrix from its own buffer, any other (the real part of a complex
-    matrix, a Fortran-ordered one) through one chunk-sized copy at a time,
-    so no copy of the whole matrix is made."""
+    by `write_sms_rows` in chunks (`blocked.row_spans`): a C-contiguous
+    float64 matrix from its own buffer, any other (the real part of a
+    complex matrix, a Fortran-ordered one) through one chunk-sized copy at
+    a time, so no copy of the whole matrix is made."""
     a = _as_matrix(x)
-    n = a.shape[0]
-    write_sms_rows(path, a.shape, (a[lo : lo + _CHUNK_ROWS] for lo in range(0, n, _CHUNK_ROWS)))
+    write_sms_rows(path, a.shape, (a[rows] for rows in row_spans(a.shape[0], a.shape[1] * 8)))
 
 
 def write_sms_rows(path, shape, blocks) -> None:
     """Write the rows x cols matrix whose consecutive row blocks, top to
     bottom, the iterable `blocks` yields to `path` in SMS format (atomic:
     temp file + rename), one block at a time, so the matrix need never be
-    whole in memory. Each block is scanned a few thousand rows at a time
-    before it is written: NaN or Inf raises NonFiniteInput naming its row
-    in the matrix, and blocks that do not add up to `shape` raise
-    ShapeMismatch; either way nothing is left at `path` or its temp name."""
+    whole in memory. Each block is scanned a chunk at a time before it is
+    written: NaN or Inf raises NonFiniteInput naming its row in the matrix,
+    and blocks that do not add up to `shape` raise ShapeMismatch; either
+    way nothing is left at `path` or its temp name."""
     rows, cols = shape
 
     def payload():
@@ -465,7 +464,7 @@ class SmsRowBlockSource:
         # the memory cap is charged what a pass holds: a mapped view whose
         # rows `row_chunks` releases chunk by chunk holds one chunk of pages,
         # a copied block all of it
-        resident = min(_CHUNK_ROWS, count) if self._releases_rows else count
+        resident = row_spans(count, self.cols * 8)[0].stop if self._releases_rows else count
         memguard.note(resident * self.cols * 8)
         if i != self._held:
             self.release_block()

@@ -31,8 +31,8 @@ Q^T X need.
 Each variant has one entry point (`dmd_deterministic`, `dmd_compressed`,
 `dmd_randomized`), which takes an n-row matrix or a row-block source (see
 `blocked.as_source`; a matrix is the one-block source of itself) and reads
-X in whole `row_chunks` passes, so a mapped file is held one 4096-row
-chunk at a time: the projected deterministic variant twice (the Gram
+X in whole `row_chunks` passes, so a mapped file is held one chunk at a
+time: the projected deterministic variant twice (the Gram
 matrix of X, then U_k with B = U_k^T X) where the Gram resolves its k
 directions and three times where its truncated SVD needs a Rayleigh-Ritz
 pass between them, the exact modes once more (their basis), the

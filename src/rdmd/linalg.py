@@ -28,12 +28,12 @@ import numpy as np
 
 from . import memguard
 from .blocked import (
-    _CHUNK_ROWS,
     _as_matrix,
     as_source,
     empty_basis,
     release_basis_rows,
     row_chunks,
+    row_spans,
 )
 from .errors import (
     ConvergenceFailure,
@@ -111,16 +111,15 @@ _OVERFLOWED = "a product of the finite input overflowed"
 
 def _non_finite_error(a, first_row: int = 0) -> NonFiniteInput:
     """The error for a NaN or Inf in a buffer formed from the in-memory `a`:
-    names the first entry of `a` that is NaN or Inf, scanning a few
-    thousand rows at a time, or, with `row` None, says that a product of
+    names the first entry of `a` that is NaN or Inf, scanning it a chunk
+    at a time (`row_spans`), or, with `row` None, says that a product of
     the finite `a` overflowed. Rows are counted from `first_row`, the row
     of a larger matrix that `a` starts at."""
-    step = _CHUNK_ROWS
-    for start in range(0, a.shape[0], step):
-        finite = np.isfinite(a[start : start + step])
+    for span in row_spans(a.shape[0], a.shape[1] * 8):
+        finite = np.isfinite(a[span])
         if not finite.all():
             bad = np.argwhere(~finite)
-            row, col = start + int(bad[0, 0]), int(bad[0, 1])
+            row, col = span.start + int(bad[0, 0]), int(bad[0, 1])
             return NonFiniteInput(
                 f"row {first_row + row}, column {col} is {a[row, col]}", row=first_row + row
             )
@@ -172,26 +171,22 @@ def frobenius_sq(a: np.ndarray) -> float:
 
 
 def _real_product(w: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Re(w @ p) for complex w and p as two real GEMMs, Re w @ Re p minus
-    Im w @ Im p subtracted in place: besides the real result it holds one
-    temporary of the result's size, and never the complex product."""
-    out = w.real @ p.real
-    out -= w.imag @ p.imag
-    return out
+    """Re(w @ p) for complex w and p as one real GEMM [Re w, Im w] @
+    [Re p; -Im p], with no complex product or result-sized temporary."""
+    return np.hstack([w.real, w.imag]) @ np.vstack([p.real, -p.imag])
 
 
 def _row_products(a: np.ndarray, m: np.ndarray):
-    """Yield (rows, a_i @ m) for the `_CHUNK_ROWS`-row chunks a_i of the
-    in-memory n-row matrix a, rows being the chunk's slice of the n rows.
-    Each product is written into one reused buffer, so the n-row product
-    a @ m is never formed. A yielded product is overwritten by the next."""
-    n, width = a.shape[0], m.shape[1]
-    step = min(n, _CHUNK_ROWS)
-    memguard.note(step * width * 8)
-    buf = np.empty((step, width))
-    for start in range(0, n, _CHUNK_ROWS):
-        a_i = a[start : start + _CHUNK_ROWS]
-        yield slice(start, start + a_i.shape[0]), np.matmul(a_i, m, out=buf[: a_i.shape[0]])
+    """Yield (rows, a_i @ m) for the chunks a_i = a[rows] of the in-memory
+    n-row a, cut by `row_spans` of the product's rows. Each product is
+    written into one reused buffer, so the n-row product a @ m is never
+    formed. A yielded product is overwritten by the next."""
+    width = m.shape[1]
+    spans = row_spans(a.shape[0], width * 8)
+    memguard.note(spans[0].stop * width * 8)
+    buf = np.empty((spans[0].stop, width))
+    for rows in spans:
+        yield rows, np.matmul(a[rows], m, out=buf[: rows.stop - rows.start])
 
 
 def _tall_product(a: np.ndarray, w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -216,8 +211,8 @@ def _lift(q: np.ndarray, m: np.ndarray, release_q: bool = False) -> np.ndarray:
     view of a complex n x c array is n x 2c with the real and imaginary
     part of each column side by side, so one real GEMM of q with the same
     interleave of m fills it: per entry, q @ m.real and q @ m.imag. The
-    GEMM runs over `_CHUNK_ROWS`-row chunks of q, so BLAS touches
-    chunk-sized pack buffers, not n-row ones.
+    GEMM runs over chunks of the result's rows (`row_spans`), so BLAS
+    touches chunk-sized pack buffers, not n-row ones.
 
     With release_q, for a q that nothing reads after the lift, each chunk
     of q is handed back once its rows of the result are written
@@ -231,23 +226,21 @@ def _lift(q: np.ndarray, m: np.ndarray, release_q: bool = False) -> np.ndarray:
     if np.iscomplexobj(out):
         m = np.stack([m.real, m.imag], axis=-1).reshape(m.shape[0], -1)
         target = out.view(np.float64)
-    for start in range(0, q.shape[0], _CHUNK_ROWS):
-        rows = slice(start, start + _CHUNK_ROWS)
+    for rows in row_spans(q.shape[0], out.shape[1] * dtype.itemsize):
         np.matmul(q[rows], m, out=target[rows])
         if release_q:
-            release_basis_rows(q, start, start + _CHUNK_ROWS)
+            release_basis_rows(q, rows.start, rows.stop)
     return out
 
 
 def _streamed_gram(x) -> np.ndarray:
     """X^T X for x, an n-row matrix or a row-block source, summed over its
     `row_chunks` X_i in one pass: the truncated SVD's Gram, and that of
-    CholeskyQR2 where no pass summed it (up to `_CHUNK_ROWS` rows, one
-    GEMM). The cols x cols Gram is charged to the memory cap
-    (`memguard.note`). NaN or Inf in X raises NonFiniteInput naming its
-    first such entry (`_check_chunk` on the trace of each chunk's Gram,
-    ||X_i||_F^2); a finite X whose Gram overflowed gets that non-finite sum
-    back, and every caller's checks reject it."""
+    CholeskyQR2 where no pass summed it. The cols x cols Gram is charged to
+    the memory cap (`memguard.note`). NaN or Inf in X raises NonFiniteInput
+    naming its first such entry (`_check_chunk` on the trace of each
+    chunk's Gram, ||X_i||_F^2); a finite X whose Gram overflowed gets that
+    non-finite sum back, and every caller's checks reject it."""
     source = as_source(x)
     memguard.note(source.cols * source.cols * 8)
     gram = np.zeros((source.cols, source.cols))
@@ -315,9 +308,8 @@ def _cholesky_qr2(
 
 def _cholesky_q(a: np.ndarray, factors, out: np.ndarray) -> np.ndarray:
     """Q = (A_i R1^-1) R2^-1 for the `_cholesky_qr2` factors of the
-    in-memory n-row A, written into the n x cols `out` one `_CHUNK_ROWS`-row
-    chunk A_i at a time after those rows of A were read, so `out` may be A
-    itself."""
+    in-memory n-row A, written into the n x cols `out` one chunk A_i at a
+    time after those rows of A were read, so `out` may be A itself."""
     _, r1_inv, r2 = factors
     r2_inv = np.linalg.inv(r2)
     for rows, q1 in _row_products(a, r1_inv):
@@ -341,8 +333,8 @@ def _basis_pass(
     caller's to check."""
     source = as_source(x)
     c = w.shape[1]
-    if out is None:
-        step = min(source.rows, _CHUNK_ROWS)
+    if out is None:  # it takes any `row_chunks` chunk, cut by X's width
+        step = row_spans(source.rows, source.cols * 8)[0].stop
         memguard.note(step * c * 8)
         chunk = np.empty((c, step)).T
     gram = np.zeros((c, c)) if gram else None
@@ -522,9 +514,9 @@ def truncated_svd(x, k: int, cols: int | None = None) -> SvdFactors:
     one of two tiers:
     1. Rayleigh-Ritz on the top eigenvectors of the Gram
        (`_gram_ritz_svd`), forming only the k kept left vectors and, besides
-       them, one `_CHUNK_ROWS`-row chunk. Where the Gram's resolution over
-       its k-th eigenvalue gap is at most `_GAP_BOUND`, one pass for U_k and
-       U_k^T X is the Rayleigh-Ritz step, so the SVD reads A twice in all;
+       them, one chunk. Where the Gram's resolution over its k-th
+       eigenvalue gap is at most `_GAP_BOUND`, one pass for U_k and U_k^T X
+       is the Rayleigh-Ritz step, so the SVD reads A twice in all;
        otherwise a Ritz pass over l = k + 10 directions for Q1^T Q1 and
        Q1^T A comes before it. It takes full-rank inputs up to condition
        numbers of about 1e8 and inputs whose Gram resolves k directions.
@@ -569,12 +561,12 @@ def thin_qr_q(x) -> np.ndarray:
 
     Inputs with rows >= 2 * cols run guarded CholeskyQR2 (see
     `_cholesky_qr2`) and write Q = (A_i R1^-1) R2^-1 into the n x cols
-    output one `_CHUNK_ROWS`-row chunk A_i at a time (`_cholesky_q`): the
-    guard ||Q1^T Q1 - I||_2 <= 1/2 keeps the second pass's input within
-    kappa <= sqrt(3), where CholeskyQR2 is orthogonal to the order of
-    rounding, as Householder QR is (Yamamoto, Nakatsukasa, Yanagisawa &
-    Fukaya, 2015). Every other input, and every input the guard rejects, is
-    one LAPACK Householder call.
+    output one chunk A_i at a time (`_cholesky_q`): the guard
+    ||Q1^T Q1 - I||_2 <= 1/2 keeps the second pass's input within kappa <=
+    sqrt(3), where CholeskyQR2 is orthogonal to the order of rounding, as
+    Householder QR is (Yamamoto, Nakatsukasa, Yanagisawa & Fukaya, 2015).
+    Every other input, and every input the guard rejects, is one LAPACK
+    Householder call.
 
     NaN or Inf in the input raises NonFiniteInput naming its first such
     entry: tall inputs show it in the Gram matrix of CholeskyQR2, every
@@ -721,29 +713,29 @@ def normalize_phase_in_place(w: np.ndarray) -> np.ndarray:
     magnitude, is exactly real after the call; a zero column is left as it
     is.
 
-    Two passes over `_CHUNK_ROWS`-row chunks of all columns: the first sums
-    the columns' squared norms and finds their pivots, the second scales
-    each chunk in place, so the only temporaries are chunk-sized."""
+    Two passes over chunks of all columns (`row_spans`): the first sums the
+    columns' squared norms and finds their pivots, the second scales each
+    chunk in place, so the only temporaries are chunk-sized."""
     n, k = w.shape
+    spans = row_spans(n, k * w.itemsize)
     sq_norms = np.zeros(k)
     peaks = np.full(k, -1.0)
     at = np.zeros(k, dtype=np.intp)
-    for start in range(0, n, _CHUNK_ROWS):
-        mags = np.abs(w[start : start + _CHUNK_ROWS])
-        rows = np.argmax(mags, axis=0)
-        top = mags[rows, np.arange(k)]
+    for rows in spans:
+        mags = np.abs(w[rows])
+        top_rows = np.argmax(mags, axis=0)
+        top = mags[top_rows, np.arange(k)]
         # strictly larger only, so an earlier chunk keeps a tied pivot
         later = top > peaks
         peaks[later] = top[later]
-        at[later] = start + rows[later]
+        at[later] = rows.start + top_rows[later]
         sq_norms += np.square(mags, out=mags).sum(axis=0)
     cols = np.flatnonzero(sq_norms != 0)
     at = at[cols]
     conj = w[at, cols].conjugate()
     scales = peaks[cols] * np.sqrt(sq_norms[cols])
     whole = cols.size == k  # else the zero columns are left out of the pass
-    for start in range(0, n, _CHUNK_ROWS):
-        rows = slice(start, start + _CHUNK_ROWS)
+    for rows in spans:
         chunk = w[rows] if whole else w[rows, cols]
         # multiply by the conjugate first so the pivot's imaginary part
         # cancels, then scale by the (real) magnitude and norm; where the

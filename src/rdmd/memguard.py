@@ -12,9 +12,9 @@ internal temporaries; the blocked routines are written so those stay at or
 below block scale as well. Each method's one n-row basis is charged in
 full, although it lives in a map of its own (`blocked.empty_basis`) that
 the mode lift hands back chunk by chunk as it writes the modes: the modes
-replace the basis, so a run peaks at its pass peak (the imports, one basis
-and one chunk), and no single buffer outgrows the larger of basis and
-modes.
+replace the basis, so a run's resident set is the imports, one chunk of at
+most 32 MiB, the basis and the m x l blocks at any width, and no single
+buffer outgrows the larger of basis and modes.
 
 The open session is context-local (a `contextvars.ContextVar`): a session
 opened in one thread or asyncio task is not seen by `note` in another, and

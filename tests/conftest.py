@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from rdmd import rng
+from rdmd.blocked import row_spans
 from rdmd.rng import normal_matrix
 
 
@@ -20,6 +21,12 @@ def use_workers(monkeypatch):
     yield use
     if used and rng._pool is not None:
         rng._pool[1].shutdown()
+
+
+def chunk_rows(row_bytes: int) -> int:
+    """Rows of a whole chunk of rows of `row_bytes` bytes each: the first of
+    `blocked.row_spans` over more rows than a chunk holds."""
+    return row_spans(1 << 20, row_bytes)[0].stop
 
 
 def matrix_with_spectrum(n: int, m: int, sigmas, seed: int) -> np.ndarray:

@@ -187,6 +187,9 @@ def test_c5_blocked_equivalence(tmp_path):
 
 def test_c6_out_of_core_memory_contract(tmp_path):
     with criterion(6, "out-of-core memory contract", 30.0):
+        # the resident set is one chunk of at most 32 MiB, plus the basis
+        # and the m x l blocks, at any width; the cap bounds the largest
+        # buffer the library notes.
         # file: 640 x 1024 float64 = 5_242_880 bytes
         # largest blocked buffer: one block (80*1024*8 = 655_360); the
         # n x l basis is 640*8*8 = 40_960; the cap covers their sum but is

@@ -15,7 +15,8 @@ from rdmd import (
     randomized_qb,
     synth_linear_dynamics,
 )
-from rdmd import memguard
+from rdmd import memguard, open_row_blocks, write_sms
+from rdmd.blocked import _CHUNK_BYTES, row_chunks, row_spans
 from rdmd.errors import InvalidBlockCount, NonFiniteInput
 from rdmd.rng import normal_matrix
 
@@ -66,6 +67,62 @@ class TestPartitionRows:
     def test_invalid_count(self, b):
         with pytest.raises(InvalidBlockCount):
             partition_rows(10, b)
+
+
+def chunk_cuts(source) -> list[tuple[int, int]]:
+    """(start, rows) of each chunk of a `row_chunks` walk over source."""
+    return [(start, rows.shape[0]) for start, rows in row_chunks(source)]
+
+
+def zero_stride(n: int, cols: int) -> np.ndarray:
+    """An n x cols matrix of ones that takes no memory."""
+    return np.broadcast_to(np.ones(1), (n, cols))
+
+
+class TestRowSpans:
+    """One chunk rule for every row walk: at most `_CHUNK_BYTES` and at
+    most 4096 rows (`blocked.row_spans`)."""
+
+    def test_wide_chunks_fit_the_budget(self):
+        cuts = chunk_cuts(ArrayRowBlockSource(zero_stride(300, 100_000), 1))
+        assert all(rows * 100_000 * 8 <= _CHUNK_BYTES for _, rows in cuts)
+        assert cuts[0][1] == _CHUNK_BYTES // (100_000 * 8)  # 41 rows, 33 MB
+        assert sum(rows for _, rows in cuts) == 300
+
+    def test_chunks_at_201_columns_are_4096_rows(self):
+        # the benchmark's width keeps the cuts of a fixed 4096-row chunk
+        cuts = chunk_cuts(ArrayRowBlockSource(zero_stride(10_000, 201), 1))
+        assert cuts == [(0, 4096), (4096, 4096), (8192, 1808)]
+
+    def test_a_row_wider_than_the_budget_is_a_chunk_of_its_own(self):
+        assert row_spans(3, _CHUNK_BYTES + 8) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+        wide = ArrayRowBlockSource(zero_stride(3, _CHUNK_BYTES // 8 + 1), 1)
+        assert chunk_cuts(wide) == [(0, 1), (1, 1), (2, 1)]
+
+    def test_spans_cover_the_rows_in_order(self):
+        for n, row_bytes in [(1, 8), (4096, 8), (4097, 8), (1000, 200_000)]:
+            spans = row_spans(n, row_bytes)
+            assert spans[0].start == 0 and spans[-1].stop == n
+            assert all(a.stop == b.start for a, b in zip(spans, spans[1:]))
+            assert all(s.stop - s.start <= spans[0].stop for s in spans)
+
+    def test_one_block_file_walks_the_in_memory_cuts(self, tmp_path):
+        # 1100 x 4001 (35 MB): chunks of 1048 rows, not one 4096-row chunk
+        # of the whole matrix; the file and the matrix cut alike, so the
+        # one-block run equals the in-memory one bit for bit (C5) at a
+        # width where a chunk is bounded by its bytes
+        x = normal_matrix(1100, 5, seed=90) @ normal_matrix(5, 4001, seed=91)
+        x += 0.1 * normal_matrix(1100, 4001, seed=92)
+        path = tmp_path / "wide.sms"
+        write_sms(x, path)
+        cfg = DmdConfig(target_rank=5, method="randomized", seed=93)
+        with open_row_blocks(path, 1) as source:
+            assert chunk_cuts(source) == chunk_cuts(ArrayRowBlockSource(x, 1))
+            assert chunk_cuts(source) == [(0, 1048), (1048, 52)]
+            from_file = dmd_randomized(source, cfg)
+        in_memory = dmd_randomized(x, cfg)
+        for name in ("eigenvalues", "modes", "amplitudes", "low_dim_eigvecs"):
+            assert getattr(from_file, name).tobytes() == getattr(in_memory, name).tobytes()
 
 
 class TestBlockedQb:
@@ -203,8 +260,6 @@ class TestBlockedQb:
 
 
 def test_memory_contract_tracked_allocations(tmp_path):
-    from rdmd import open_row_blocks, write_sms
-
     n, m, b = 512, 1024, 8
     x = normal_matrix(n, m, seed=21)
     path = tmp_path / "big.sms"

@@ -11,11 +11,11 @@ import pytest
 
 import rdmd
 from rdmd import cli
-from rdmd.blocked import _CHUNK_ROWS, row_chunks
+from rdmd.blocked import row_chunks, row_spans
 from rdmd.datasets import read_complex_csv, read_complex_matrix
 from rdmd.rng import derive_seed, normal_matrix
 
-from conftest import OVERSIZED_SHAPES, write_oversized_sms, write_v1_sms
+from conftest import OVERSIZED_SHAPES, chunk_rows, write_oversized_sms, write_v1_sms
 
 
 def run_cli(*args, env=None):
@@ -509,10 +509,10 @@ class TestVersion1Files:
             assert (tmp_path / "v1" / name).read_bytes() == (tmp_path / "v2" / name).read_bytes()
 
     def test_reconstruct_is_the_product_by_row_chunks(self, tmp_path):
-        # the output is written one 4096-row chunk of the modes at a time:
-        # bit for bit each chunk's own product, and the one-GEMM product of
-        # all the modes to rounding
-        n = 2 * _CHUNK_ROWS + 7
+        # the output is written one chunk of its rows at a time: bit for bit
+        # each chunk's own product, and the product of all the modes to
+        # rounding
+        n = 2 * chunk_rows(30 * 8) + 7
         x = normal_matrix(n, 3, seed=64) @ normal_matrix(3, 12, seed=65)
         rdmd.write_sms(x, tmp_path / "x.sms")
         dec = tmp_path / "dec"
@@ -533,8 +533,8 @@ class TestVersion1Files:
         )
         got = rdmd.read_sms(tmp_path / "r.sms")
         chunked = np.vstack([
-            rdmd.reconstruct(replace(result, modes=result.modes[lo : lo + _CHUNK_ROWS]), 30)
-            for lo in range(0, n, _CHUNK_ROWS)
+            rdmd.reconstruct(replace(result, modes=result.modes[rows]), 30)
+            for rows in row_spans(n, 30 * 8)
         ])
         assert got.tobytes() == chunked.tobytes()
         dense = rdmd.reconstruct(result, 30)
@@ -730,7 +730,8 @@ class TestReconstructionError:
 
         # two blocks of ten chunks each: a block's approximation would be
         # ten chunks' worth
-        n, m, r = 20 * _CHUNK_ROWS, 16, 3
+        m, r = 16, 3
+        n = 20 * chunk_rows(m * 8)
         q, b = normal_matrix(n, r, seed=60), normal_matrix(r, m, seed=61)
         x = q @ b + 1e-3 * normal_matrix(n, m, seed=62)
         tracemalloc.start()
@@ -742,7 +743,7 @@ class TestReconstructionError:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        chunk = _CHUNK_ROWS * m * 8
+        chunk = chunk_rows(m * 8) * m * 8
         assert peak <= 2 * chunk
         dense = np.linalg.norm(x - q @ b) / np.linalg.norm(x)
         assert error == pytest.approx(dense, rel=1e-12)
@@ -774,10 +775,11 @@ class TestReconstructionError:
             "decompose", "--input", str(path), "--method", "rdmd", "--rank", "5",
             "--blocks", "2", "--seed", "9", "--out", str(tmp_path / "o"),
         ]) == 0
-        block, chunk = n // 2 * m * 8, _CHUNK_ROWS * m * 8
+        block, chunk = n // 2 * m * 8, chunk_rows(m * 8) * m * 8
         assert len(rises) == 1  # noise-free data takes the streamed fallback
-        # one block, the chunk's approximation and the temporary of its real
-        # product, and the k x m factors it is formed from (a few kB)
+        # one block, the chunk's approximation (one chunk; the bound leaves
+        # room for a second), and the k x m factors it is formed from (a few
+        # kB)
         assert rises[0] <= block + 2 * chunk + 64 * 1024
 
     # the sketch reads each of the 4 blocks q + 1 = 3 times; the streamed

@@ -40,10 +40,11 @@ from rdmd.errors import (
     TruncatedPayload,
     UnsupportedVersion,
 )
-from rdmd.linalg import _CHUNK_ROWS, frobenius_sq
+from rdmd.blocked import _CHUNK_BYTES
+from rdmd.linalg import frobenius_sq
 from rdmd.rng import CounterStream, normal_matrix, normals
 
-from conftest import OVERSIZED_SHAPES, write_oversized_sms, write_v1_sms
+from conftest import OVERSIZED_SHAPES, chunk_rows, write_oversized_sms, write_v1_sms
 
 
 class TestSynth:
@@ -590,7 +591,7 @@ class TestRowBlocks:
         monkeypatch.setattr(datasets.mmap, "mmap", SpyMap)
         monkeypatch.setattr(datasets.SmsRowBlockSource, "read_block", read_block)
         path = tmp_path / "x.sms"
-        write_sms(normal_matrix(2 * _CHUNK_ROWS + 1000, 20, seed=25), path)
+        write_sms(normal_matrix(2 * chunk_rows(20 * 8) + 1000, 20, seed=25), path)
         with open_row_blocks(path, 1) as src:
             blocked_randomized_qb(src, SketchConfig(3, 3, 2, seed=26))
             one_pass = events[:4]
@@ -621,7 +622,7 @@ class TestRowBlocks:
         with open_row_blocks(path, 1) as src:
             base = rss_file()
             blocked_randomized_qb(src, cfg)
-        chunk = _CHUNK_ROWS * 200 * 8
+        chunk = chunk_rows(200 * 8) * 200 * 8
         assert len(samples) == 3 * 7 + 1  # 7 chunks a pass, then the block
         assert 0.5 * chunk <= max(samples) - base <= 2 * chunk
 
@@ -725,9 +726,9 @@ class TestRowBlocks:
     @linux_only
     def test_reconstruct_writes_by_row_chunks(self, tmp_path):
         # a 50000 x 201 output is 80 MB; the run holds the n x 5 modes and
-        # one 4096-row chunk of the output and its product's temporary,
-        # where the whole output and a temporary of its size peaked at
-        # 2.1 x the output
+        # a chunk or two of the output (the one written and the next), where
+        # the whole output and a temporary of its size peaked at 2.1 x the
+        # output
         x = normal_matrix(50_000, 5, seed=42) @ normal_matrix(5, 21, seed=43)
         write_sms(x, tmp_path / "x.sms")
         del x
@@ -745,6 +746,30 @@ class TestRowBlocks:
         output = os.path.getsize(tmp_path / "r.sms")
         assert output == 32 + 50_000 * 201 * 8
         assert run - imported <= 0.5 * output
+
+    @linux_only
+    def test_wide_reconstruct_holds_chunks_of_bounded_bytes(self, tmp_path):
+        # a 1200 x 10001 output (96 MB) is written in chunks of 419 rows
+        # (33.5 MB): the run holds the chunk being written and the next
+        # one, where a 4096-row chunk of all 1200 rows and its product's
+        # temporary rose 194 MB. Persistent modes keep lambda^10000 finite
+        modes = [ModeSpec(1.0), ModeSpec(0.8 + 0.6j, amplitude=0.5),
+                 ModeSpec(0.6 + 0.8j, amplitude=0.25)]
+        write_sms(synth_linear_dynamics(1200, 20, modes, seed=50).clean_data,
+                  tmp_path / "x.sms")
+        from rdmd import cli
+
+        assert cli.main([
+            "decompose", "--input", str(tmp_path / "x.sms"), "--method", "dmd",
+            "--rank", "5", "--out", str(tmp_path / "dec"),
+        ]) == 0
+        imported = child_peak_rss("-c", "import rdmd.cli")
+        run = child_peak_rss(
+            "-m", "rdmd", "reconstruct", "--modes", str(tmp_path / "dec"),
+            "--steps", "10001", "--out", str(tmp_path / "r.sms"),
+        )
+        assert os.path.getsize(tmp_path / "r.sms") == 32 + 1200 * 10001 * 8
+        assert run - imported <= 3 * _CHUNK_BYTES
 
     @linux_only
     def test_report_states_the_peak_rss(self, tmp_path):
@@ -785,6 +810,22 @@ class TestRowBlocks:
         assert codes == {"v1": 1, "v2": 0}
         report = json.loads((tmp_path / "v2" / "report.json").read_text())
         assert report["peak_alloc_bytes"] <= cap
+
+    @pytest.mark.skipif(not datasets._CAN_RELEASE, reason="needs MADV_DONTNEED")
+    def test_memory_cap_charges_a_chunk_of_bounded_bytes(self, tmp_path):
+        # 2100 x 4001 (67 MB): a chunk is 1048 rows (33.5 MB), where a
+        # 4096-row chunk was the whole file, so a cap between the two holds
+        from rdmd import cli
+
+        write_sms(normal_matrix(2100, 4001, seed=51), tmp_path / "x.sms")
+        cap = 48 * 2**20
+        assert cli.main([
+            "decompose", "--input", str(tmp_path / "x.sms"), "--method", "rdmd",
+            "--rank", "5", "--memory-cap", str(cap), "--seed", "52",
+            "--out", str(tmp_path / "o"),
+        ]) == 0
+        report = json.loads((tmp_path / "o" / "report.json").read_text())
+        assert 1048 * 4001 * 8 <= report["peak_alloc_bytes"] <= cap
 
     @linux_only
     def test_qb_peak_rss_is_far_below_the_file(self, tmp_path):
@@ -861,7 +902,7 @@ class TestExporters:
         # temporary such as re + 1j * im would double the peak
         import tracemalloc
 
-        n, k = 10 * _CHUNK_ROWS + 3, 5
+        n, k = 10 * chunk_rows(5 * 8) + 3, 5
         write_complex_matrix(
             tmp_path, "modes", normal_matrix(n, k, seed=24) + 1j * normal_matrix(n, k, seed=25)
         )
@@ -877,7 +918,9 @@ class TestExporters:
         # each part file is copied a row chunk at a time and the chunk's
         # mapped pages dropped, so the two files are never resident beside
         # the result
-        n, k = 2 * _CHUNK_ROWS + 3, 5
+        k = 5
+        step = chunk_rows(k * 8)
+        n = 2 * step + 3
         w = normal_matrix(n, k, seed=26) + 1j * normal_matrix(n, k, seed=27)
         write_complex_matrix(tmp_path, "modes", w)
         released = []
@@ -890,7 +933,7 @@ class TestExporters:
         monkeypatch.setattr(datasets.SmsRowBlockSource, "release_rows", spy)
         assert read_complex_matrix(tmp_path, "modes").tobytes() == w.tobytes()
         # each part's chunks in turn, then each file's whole block as it closes
-        chunks = [(0, _CHUNK_ROWS), (_CHUNK_ROWS, _CHUNK_ROWS), (2 * _CHUNK_ROWS, 3)]
+        chunks = [(0, step), (step, step), (2 * step, 3)]
         assert released == 2 * chunks + 2 * [(0, n)]
 
     @pytest.mark.parametrize(
@@ -924,9 +967,10 @@ class TestExporters:
         assert list(tmp_path.iterdir()) == []
 
     def test_non_finite_row_in_a_later_chunk_leaves_no_temp(self, tmp_path):
-        x = normal_matrix(3 * _CHUNK_ROWS, 4, seed=20)
-        x[2 * _CHUNK_ROWS + 5, 3] = np.inf
-        with pytest.raises(NonFiniteInput, match=f"row {2 * _CHUNK_ROWS + 5}, column 3 is inf"):
+        bad = 2 * chunk_rows(4 * 8) + 5
+        x = normal_matrix(bad + 100, 4, seed=20)
+        x[bad, 3] = np.inf
+        with pytest.raises(NonFiniteInput, match=f"row {bad}, column 3 is inf"):
             write_sms(x, tmp_path / "x.sms")
         assert list(tmp_path.iterdir()) == []
 
@@ -946,7 +990,9 @@ class TestExporters:
         # row chunk at a time, not through an n x k contiguous copy
         import tracemalloc
 
-        n, k = 10 * _CHUNK_ROWS + 3, 5
+        k = 5
+        step = chunk_rows(k * 8)
+        n = 10 * step + 3
         w = normal_matrix(n, k, seed=22) + 1j * normal_matrix(n, k, seed=23)
         tracemalloc.start()
         try:
@@ -954,7 +1000,7 @@ class TestExporters:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * _CHUNK_ROWS * k * 8  # a whole part would be 10 chunks
+        assert peak <= 3 * step * k * 8  # a whole part would be 10 chunks
         for part, values in (("re", w.real), ("im", w.imag)):
             raw = (tmp_path / f"modes_{part}.sms").read_bytes()
             assert raw[SMS_HEADER_BYTES:] == np.ascontiguousarray(values).tobytes()

@@ -31,6 +31,7 @@ from rdmd import (
     uniform_sampling_operator,
     write_sms,
 )
+from rdmd.blocked import row_spans
 from rdmd.dmd import METHODS, DmdResult, SnapshotSplit
 from rdmd.errors import (
     DegenerateData,
@@ -44,7 +45,7 @@ from rdmd.errors import (
 )
 from rdmd.rng import normal_matrix
 
-from conftest import matrix_with_spectrum, rotation_sequence, write_v1_sms
+from conftest import chunk_rows, matrix_with_spectrum, rotation_sequence, write_v1_sms
 
 
 class TestDmdConfig:
@@ -759,7 +760,7 @@ class TestCrossMethodInvariants:
 
 class TestTallPeakMemory:
     # 20000 x 100: an n x c intermediate (16 MB) would dwarf what the tall
-    # paths need, the n x k result, one 4096-row chunk and c x c factors.
+    # paths need, the n x k result, one chunk and c x c factors.
     # Every basis is counted (`numpy_bases`), and held through the lift.
     N, C, K = 20_000, 100, 5
 
@@ -781,7 +782,7 @@ class TestTallPeakMemory:
     def test_truncated_svd_holds_one_chunk_besides_u_k(self):
         x = normal_matrix(self.N, self.C, seed=52)
         peak = self.traced_peak(lambda: truncated_svd(x, self.K))
-        assert peak < 1.5 * (self.N * self.K + 4096 * self.C + self.C**2) * 8
+        assert peak < 1.5 * (self.N * self.K + chunk_rows(self.C * 8) * self.C + self.C**2) * 8
 
     # a Fortran-ordered input is not copied on its way to the sketch; on
     # noise-free data of rank 3 < k (and < l), the rank rule folds chunks
@@ -834,7 +835,7 @@ class TestReleasingLift:
     modes (`apply_q` with release_q); that must not change a bit of them."""
 
     # several chunks and a partial one, and 32 blocks thinner than a chunk
-    N = 3 * 4096 + 1000
+    N = 3 * chunk_rows(3 * 16) + 1000  # chunks of the n x 3 complex modes
 
     @pytest.mark.parametrize("blocks", [1, 32])
     @pytest.mark.parametrize("method", METHODS)
@@ -861,11 +862,10 @@ class TestReleasingLift:
         # one basis, handed back a chunk at a time, all of it
         basis = released[0][0]
         assert all(a is basis for a, _, _ in released)
-        assert [(lo, hi) for _, lo, hi in released] == [
-            (lo, lo + 4096) for lo in range(0, self.N, 4096)
-        ]
+        spans = row_spans(self.N, 3 * 16)
+        assert [(lo, hi) for _, lo, hi in released] == [(s.start, s.stop) for s in spans]
         if sys.platform == "linux":  # MADV_DONTNEED zero-fills there
-            assert not basis[4096 : 3 * 4096].any()
+            assert not basis[spans[1].start : spans[2].stop].any()
 
 
     @pytest.mark.parametrize("method", METHODS)
@@ -942,8 +942,8 @@ class TestSourceWalk:
             assert getattr(plain, name).tobytes() == getattr(one, name).tobytes()
         assert plain.sketch.data.tobytes() == one.sketch.data.tobytes()
 
-    # blocks of 2500 rows cut the 4096-row chunks and the 16384-row tiles of
-    # the Gaussian S off their one-block positions
+    # blocks of 2500 rows cut the chunks and the 16384-row tiles of the
+    # Gaussian S off their one-block positions
     @pytest.mark.parametrize("case", ["projected", "exact", "compressed_gaussian",
                                       "compressed_uniform"])
     def test_blocked_equals_one_block(self, case):

@@ -19,10 +19,10 @@ from rdmd.errors import (
     RankOutOfRange,
     ShapeMismatch,
 )
-from rdmd.linalg import _CHUNK_ROWS, normalize_phase_in_place, sort_eigenpairs
+from rdmd.linalg import normalize_phase_in_place, sort_eigenpairs
 from rdmd.rng import normal_matrix
 
-from conftest import matrix_with_spectrum
+from conftest import chunk_rows, matrix_with_spectrum
 
 
 def reconstruction(f):
@@ -342,7 +342,7 @@ class TestThinQr:
         from rdmd.linalg import _cholesky_qr2
 
         x = normal_matrix(10_000, 20, seed=54)
-        chunk_bytes = 4096 * 20 * 8
+        chunk_bytes = chunk_rows(20 * 8) * 20 * 8
         # the n x c factor A R1^-1 is never allocated, so never noted; the
         # truncated SVD's largest buffer is U_k, n x k: the Gram resolves the
         # k directions, so no Ritz pass forms chunks of l = k + 10 = 13
@@ -467,7 +467,7 @@ class TestLift:
         # and a partial one of a Fortran-ordered basis, as the finder's is
         for q in (
             normal_matrix(300, 7, seed=46),
-            np.asfortranarray(normal_matrix(3 * _CHUNK_ROWS + 5, 7, seed=52)),
+            np.asfortranarray(normal_matrix(3 * chunk_rows(4 * 16) + 5, 7, seed=52)),
         ):
             got = _lift(q, m)
             ref = q @ m
@@ -487,7 +487,7 @@ class TestLift:
         # public lift reads it and never hands its pages back
         from rdmd.linalg import _lift
 
-        q = self.mapped_basis(3 * _CHUNK_ROWS + 5, 7, seed=53)
+        q = self.mapped_basis(3 * chunk_rows(4 * 16) + 5, 7, seed=53)
         before = q.copy()
         m = normal_matrix(7, 4, seed=54) + 1j * normal_matrix(7, 4, seed=55)
         _lift(q, m)
@@ -497,18 +497,19 @@ class TestLift:
     def test_release_q_hands_each_lifted_chunk_back(self):
         from rdmd.linalg import _lift
 
-        q = self.mapped_basis(3 * _CHUNK_ROWS + 5, 7, seed=53)
+        step = chunk_rows(4 * 16)  # the lift's chunks are the result's rows
+        q = self.mapped_basis(3 * step + 5, 7, seed=53)
         m = normal_matrix(7, 4, seed=54) + 1j * normal_matrix(7, 4, seed=55)
         plain = _lift(q, m)
         assert _lift(q, m, release_q=True).tobytes() == plain.tobytes()
         # but for a column's first and last page, which it may share with
         # its neighbours
-        assert not q[_CHUNK_ROWS : 2 * _CHUNK_ROWS].any()
+        assert not q[step : 2 * step].any()
 
     def test_release_q_leaves_a_numpy_array_as_it_is(self):
         from rdmd.linalg import _lift
 
-        q = np.asfortranarray(normal_matrix(2 * _CHUNK_ROWS + 5, 7, seed=56))
+        q = np.asfortranarray(normal_matrix(2 * chunk_rows(3 * 8) + 5, 7, seed=56))
         before = q.copy()
         _lift(q, normal_matrix(7, 3, seed=57), release_q=True)
         assert q.tobytes() == before.tobytes()
@@ -702,7 +703,11 @@ def _normalize_phase_by_column(w):
     return factors
 
 
-@pytest.mark.parametrize("n", [7, _CHUNK_ROWS, 3 * _CHUNK_ROWS + 5])
+# the chunk of an n x 4 complex128 array
+_PHASE_CHUNK = chunk_rows(4 * 16)
+
+
+@pytest.mark.parametrize("n", [7, _PHASE_CHUNK, 3 * _PHASE_CHUNK + 5])
 def test_normalize_phase_matches_the_column_reference(n):
     w = normal_matrix(n, 4, seed=31) + 1j * normal_matrix(n, 4, seed=32)
     w[:, 2] = 0.0
@@ -732,4 +737,4 @@ def test_normalize_phase_temporaries_are_chunk_sized():
     finally:
         tracemalloc.stop()
     # the magnitudes of one chunk and numpy's copy of them for the argmax
-    assert peak <= 3 * _CHUNK_ROWS * k * 8
+    assert peak <= 3 * chunk_rows(k * 16) * k * 8

@@ -26,7 +26,7 @@ from rdmd import sketch
 from rdmd.rng import normal_matrix
 from rdmd.sketch import gaussian_compress
 
-from conftest import matrix_with_spectrum
+from conftest import chunk_rows, matrix_with_spectrum
 
 
 class TestGaussianTestMatrix:
@@ -90,9 +90,7 @@ class TestRandomizedQb:
         # partial one: only the pipeline, which owns its qb, releases it.
         # The data has rank 3, so q keeps 3 of the l = 5 columns
         from rdmd import apply_q
-        from rdmd.linalg import _CHUNK_ROWS
-
-        x = normal_matrix(3 * _CHUNK_ROWS + 5, 3, seed=8) @ normal_matrix(3, 12, seed=9)
+        x = normal_matrix(3 * chunk_rows(4 * 16) + 5, 3, seed=8) @ normal_matrix(3, 12, seed=9)
         qb = randomized_qb(x, SketchConfig(3, 2, 1, seed=10))
         before = qb.q.copy()
         l = qb.q.shape[1]
