@@ -9,24 +9,30 @@ matrix or a source through `as_source`, which runs a matrix as its own
 one-block source. A source hands out block i with `read_block(i)`, in any
 order and repeatedly, drops the pages of any of its rows with
 `release_rows(start, count)`, and takes back the block it holds with
-`release_block()`. Its `passes` counts the walks made over it.
+`release_block()`. Its `passes` counts the walks made over it, and its
+`sq_norm`, 0.0 on a new source, is set by the first.
 
 Each pass is one `row_chunks` walk: it reads each block once and hands it
-out in chunks, releasing each chunk's rows once it is used. `row_spans`
-cuts this and every other row walk of the library into chunks of at most
-32 MiB and 4096 rows: 4096 rows up to 1024 float64 columns, fewer beyond.
-The randomized range finder makes q + 1 passes for q power iterations, the
-projected deterministic decomposition two (the Gram matrix, then U_k with
-U_k^T X) where the Gram resolves its k directions and three where its
-truncated SVD needs a Rayleigh-Ritz pass between them, the compressed one
-two (S X with ||X||_F^2, and the exact-style basis), and the CLI's
-reconstruction-error pass one where it runs; the CLI reports the count as
-`passes_over_x`. An SMS file source also releases the block it holds when
-another block is read, and each method releases the last one after its last
-pass, so a run of any method and any block count holds one chunk of file
-pages and its one n x l or n x k basis at any width (one block where blocks
-are copied). The block count changes the answer only at the level of
-rounding.
+out in chunks, releasing each chunk's rows once it is used. A source's
+first walk, whichever method's pass it is, is also the one check of X: it
+names the first NaN or Inf of X by its row and sums ||X||_F^2 into
+`sq_norm` (`frobenius_sq` of each chunk), the norm every method's sketch
+identity reads, so several methods run on one source check and sum X once.
+`row_spans` cuts this and every other row walk of the library into chunks
+of at most 32 MiB and 4096 rows: 4096 rows up to 1024 float64 columns,
+fewer beyond. The randomized range finder makes q + 1 passes for q power
+iterations, the projected deterministic decomposition two (the Gram
+matrix, then U_k with U_k^T X) where the Gram resolves its k directions
+and three where its truncated SVD needs a Rayleigh-Ritz pass between them,
+or one on a short one-block X (a walk, then LAPACK's SVD of the block),
+the compressed one two (S X with ||X||_F^2, and the exact-style basis),
+and the CLI's reconstruction-error pass one where it runs; the CLI reports
+the count as `passes_over_x`. An SMS file source also releases the block
+it holds when another block is read, and each method releases the last one
+after its last pass, so a run of any method and any block count holds one
+chunk of file pages and its one n x l or n x k basis at any width (one
+block where blocks are copied). The block count changes the answer only at
+the level of rounding.
 
 That basis (the range finder's last sketch Y and its Q, the truncated
 SVD's U_k, the exact-style modes' basis) is an `empty_basis`: its pages
@@ -45,7 +51,7 @@ import mmap
 import numpy as np
 
 from . import memguard
-from .errors import InvalidBlockCount, ShapeMismatch
+from .errors import InvalidBlockCount, NonFiniteInput, ShapeMismatch
 
 # The one chunk rule of every row walk (`row_spans`): a chunk is at most
 # `_CHUNK_BYTES` of rows and at most `_CHUNK_ROWS` rows, so up to 1024
@@ -61,6 +67,36 @@ def row_spans(n: int, row_bytes: int) -> list[slice]:
     last; the first is the longest, so it sizes a buffer for any of them."""
     step = max(1, min(_CHUNK_ROWS, _CHUNK_BYTES // row_bytes))
     return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
+def frobenius_sq(a: np.ndarray) -> float:
+    """||a||_F^2 as one dot product in the array's memory order, so a C- or
+    Fortran-ordered matrix is not copied. A sum that overflows is inf,
+    without a warning; the caller decides whether that is an error."""
+    flat = a.ravel(order="K")
+    with np.errstate(over="ignore"):
+        return float(np.dot(flat, flat))
+
+
+# The NonFiniteInput message where X is finite but a product of it is not
+_OVERFLOWED = "a product of the finite input overflowed"
+
+
+def _non_finite_error(a, first_row: int = 0) -> NonFiniteInput:
+    """The error for a NaN or Inf in a buffer formed from the in-memory `a`:
+    names the first entry of `a` that is NaN or Inf, scanning it a chunk
+    at a time (`row_spans`), or, with `row` None, says that a product of
+    the finite `a` overflowed. Rows are counted from `first_row`, the row
+    of a larger matrix that `a` starts at."""
+    for span in row_spans(a.shape[0], a.shape[1] * 8):
+        finite = np.isfinite(a[span])
+        if not finite.all():
+            bad = np.argwhere(~finite)
+            row, col = span.start + int(bad[0, 0]), int(bad[0, 1])
+            return NonFiniteInput(
+                f"row {first_row + row}, column {col} is {a[row, col]}", row=first_row + row
+            )
+    return NonFiniteInput(_OVERFLOWED)
 
 
 # MADV_DONTNEED hands a private anonymous map's pages back to the system
@@ -146,6 +182,7 @@ class ArrayRowBlockSource:
         self.block_count = block_count
         self.block_ranges = partition_rows(self.rows, block_count)
         self.passes = 0  # `row_chunks` walks
+        self.sq_norm = 0.0  # ||X||_F^2, summed by the first walk
 
     def read_block(self, i: int) -> np.ndarray:
         start, count = self.block_ranges[i]
@@ -173,11 +210,29 @@ def row_chunks(source):
     the next chunk is asked for, and the walk drops a block before it reads
     the next, so a consumer that deletes its chunk before asking for the
     next holds one chunk of a mapped file's pages, or one copied block. The
-    walk adds one to `source.passes` when its first chunk is asked for."""
+    walk adds one to `source.passes` when its first chunk is asked for.
+
+    The source's first walk (`passes` 0 as it starts) is the one check of
+    X: before it hands out a chunk X_i it adds ||X_i||_F^2 to
+    `source.sq_norm` and, where that is not finite, raises NonFiniteInput
+    naming the chunk's first NaN or Inf by its row in X. An overflowed norm
+    of finite rows passes, so that a NaN in a later chunk is still named;
+    a reader of the non-finite sq_norm rejects it. Later walks, those of
+    other methods on the same source included, read X as checked."""
+    first = source.passes == 0
     source.passes += 1
     for i, (start, count) in enumerate(source.block_ranges):
         block = source.read_block(i)
         for span in row_spans(count, source.cols * 8):
-            yield start + span.start, block[span]
+            rows = block[span]
+            if first:
+                part = frobenius_sq(rows)
+                if not np.isfinite(part):
+                    error = _non_finite_error(rows, start + span.start)
+                    if error.row is not None:
+                        raise error
+                source.sq_norm += part
+            yield start + span.start, rows
+            del rows  # so that the block goes before the next is read
             source.release_rows(start + span.start, span.stop - span.start)
         del block

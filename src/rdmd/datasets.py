@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import memguard
-from .blocked import partition_rows, row_chunks, row_spans
+from .blocked import _as_matrix, _non_finite_error, partition_rows, row_chunks, row_spans
 from .errors import (
     BadMagic,
     IoFailure,
@@ -43,7 +43,6 @@ from .errors import (
     TruncatedPayload,
     UnsupportedVersion,
 )
-from .linalg import _as_matrix, _non_finite_error
 from .rng import CounterStream, add_normals_into, derive_seed, parallel_map
 
 SMS_MAGIC = b"RDMD"
@@ -302,16 +301,17 @@ def write_atomic(path, *chunks) -> None:
     """Write the chunks to `path` through `<path>.tmp.<pid>` and a rename,
     so no reader sees a partial file. A chunk is bytes, a C-contiguous
     array (written from its own buffer), or an iterator of those, consumed
-    one at a time as it is written. On any exception, an error a chunk
-    iterator raises partway or a KeyboardInterrupt included, the temp file
-    is removed; an OSError is raised as IoFailure, anything else as
-    itself."""
+    one at a time, each dropped once written, before the next is formed.
+    On any exception, an error a chunk iterator raises partway or a
+    KeyboardInterrupt included, the temp file is removed; an OSError is
+    raised as IoFailure, anything else as itself."""
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "wb") as fh:
             for chunk in chunks:
                 for part in (chunk,) if isinstance(chunk, (bytes, np.ndarray)) else chunk:
                     fh.write(part)
+                    del part
         os.replace(tmp, path)
     except BaseException as exc:
         with contextlib.suppress(OSError):
@@ -341,11 +341,12 @@ def write_sms(x, path) -> None:
 def write_sms_rows(path, shape, blocks) -> None:
     """Write the rows x cols matrix whose consecutive row blocks, top to
     bottom, the iterable `blocks` yields to `path` in SMS format (atomic:
-    temp file + rename), one block at a time, so the matrix need never be
-    whole in memory. Each block is scanned a chunk at a time before it is
-    written: NaN or Inf raises NonFiniteInput naming its row in the matrix,
-    and blocks that do not add up to `shape` raise ShapeMismatch; either
-    way nothing is left at `path` or its temp name."""
+    temp file + rename), one block at a time, each dropped once it is
+    written, so the matrix need never be whole in memory and no block is
+    held while `blocks` forms the next. Each block is scanned a chunk at a
+    time before it is written: NaN or Inf raises NonFiniteInput naming its
+    row in the matrix, and blocks that do not add up to `shape` raise
+    ShapeMismatch; either way nothing is left at `path` or its temp name."""
     rows, cols = shape
 
     def payload():
@@ -358,9 +359,10 @@ def write_sms_rows(path, shape, blocks) -> None:
             err = _non_finite_error(block, start)
             if err.row is not None:
                 raise NonFiniteInput(f"refusing to write non-finite values: {err}", row=err.row)
+            start += len(block)
             # a view of a little-endian float64 C-contiguous block; else a copy
             yield np.ascontiguousarray(block, dtype="<f8")
-            start += len(block)
+            del block
         if start != rows:
             raise ShapeMismatch(f"blocks hold {start} of the matrix's {rows} rows")
 
@@ -457,6 +459,7 @@ class SmsRowBlockSource:
         self.shape = (self.rows, self.cols)
         self.block_count = block_count
         self.passes = 0  # `blocked.row_chunks` walks
+        self.sq_norm = 0.0  # ||X||_F^2, summed by the first walk
         self._releases_rows = self._payload is not None and _CAN_RELEASE
 
     def read_block(self, i: int) -> np.ndarray:

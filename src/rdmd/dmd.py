@@ -40,7 +40,9 @@ compressed variant twice (S X with ||X||_F^2, then its basis), and the
 randomized one q + 1 times; the rank rule (`linalg._resolved`) adds one
 pass where it runs. Any block count gives the one-block result to
 rounding. Data that resolves r < k directions gives r eigenvalues (see
-`_operator`). Every variant's SVD, with U_k^T D and ||D||_F^2, is
+`_operator`). The first of these passes names any NaN or Inf of X and
+sums ||X||_F^2, the source's `sq_norm`, which every variant's frame reads
+(`blocked.row_chunks`). Every variant's SVD, with U_k^T D, is
 `linalg.truncated_svd`'s, and only it decides whether a Gram matrix is
 formed: for a tall or blocked X, not for the short B or S X of the
 randomized and compressed variants.
@@ -73,7 +75,6 @@ from .linalg import (
     _non_finite_error,
     _orthonormal_basis,
     _real_product,
-    _SquaredNorm,
     _require_finite,
     _tall_product,
     default_rank_tol,
@@ -374,7 +375,7 @@ def _config_echo(cfg: DmdConfig, method: str, effective_rank: int, blocks: int =
     }
 
 
-def _span_frame(source, op, data_sq_norm):
+def _span_frame(source, op):
     """`_pipeline`'s frame of the exact-style modes basis @ W for
     basis = X_R V S^-1 (V and S^-1 those of the LowDimOperator op), X
     being the snapshots of a row-block source:
@@ -385,7 +386,7 @@ def _span_frame(source, op, data_sq_norm):
     q, r, projected = _orthonormal_basis(
         source, slice(1, None), op.right_vectors * op.inv_singular
     )
-    return QBFactorization(q, projected, data_sq_norm), r
+    return QBFactorization(q, projected, source.sq_norm), r
 
 
 def _pipeline(operator, cfg, method, timings, frame, **echo):
@@ -451,29 +452,27 @@ def dmd_deterministic(x, cfg: DmdConfig) -> DmdResult:
     """Deterministic decomposition of the snapshot sequence X, an n-row
     matrix or a row-block source, in `row_chunks` passes over X.
 
-    The operator, B = U_k^T X and ||X||_F^2 come from the `truncated_svd`
-    of X_L: on a tall or blocked X, the Gram matrix of X, then one more
-    pass that writes U_k and sums B where the Gram's resolution over its
-    k-th eigenvalue gap is at most `linalg._GAP_BOUND`, and two (a
-    Rayleigh-Ritz pass first) elsewhere; on a short one-block X, LAPACK's
-    SVD of the block. A finite X whose ||X||_F^2 overflowed raises
-    NonFiniteInput. cfg.method "deterministic_exact" lifts exact modes
-    X_R V_k S_k^{-1} W through their orthonormal span (`_span_frame`, one
-    more pass); any other method runs the projected modes U_k W, whose
-    frame is U_k itself with that B, so the projected run reads a tall X
-    twice on such data, and three times elsewhere. Any block count gives
-    the one-block result to rounding.
+    The operator and B = U_k^T X come from the `truncated_svd` of X_L: on
+    a tall or blocked X, the Gram matrix of X, then one more pass that
+    writes U_k and sums B where the Gram's resolution over its k-th
+    eigenvalue gap is at most `linalg._GAP_BOUND`, and two (a
+    Rayleigh-Ritz pass first) elsewhere; on a short one-block X, one walk
+    and LAPACK's SVD of the block. The source's first walk names any NaN
+    or Inf of X and sums ||X||_F^2 (`blocked.row_chunks`); a finite X
+    whose ||X||_F^2 overflowed raises NonFiniteInput. cfg.method
+    "deterministic_exact" lifts exact modes X_R V_k S_k^{-1} W through
+    their orthonormal span (`_span_frame`, one more pass); any other
+    method runs the projected modes U_k W, whose frame is U_k itself with
+    that B, so the projected run reads a tall X twice on such data, and
+    three times elsewhere. Any block count gives the one-block result to
+    rounding.
     """
     source = as_source(x)
     _require_snapshots(source.cols)
     shape = (source.rows, source.cols - 1)
-    data_sq_norm = None
 
     def operator():
-        nonlocal data_sq_norm
         factors = truncated_svd(source, cfg.target_rank, shape[1])
-        data_sq_norm = factors.sq_norm
-        _require_finite(data_sq_norm)
         return _operator(
             factors, factors.projected, shape, cfg.target_rank, cfg.regularization
         )
@@ -482,12 +481,12 @@ def dmd_deterministic(x, cfg: DmdConfig) -> DmdResult:
         method = cfg.method
 
         def frame(op):
-            return _span_frame(source, op, data_sq_norm)
+            return _span_frame(source, op)
     else:
         method = "deterministic_projected"
 
         def frame(op):
-            frame = QBFactorization(op.left_vectors, op.projected, data_sq_norm)
+            frame = QBFactorization(op.left_vectors, op.projected, source.sq_norm)
             return frame, np.eye(op.operator.shape[0])
 
     result = _pipeline(operator, cfg, method, {}, frame, blocks=source.block_count)
@@ -528,15 +527,15 @@ def dmd_compressed(x, cfg: DmdConfig, operator: SamplingOperator | None = None) 
     cfg.sampling, drawn from cfg.seed; pass a SamplingOperator as `operator`
     to pin it, e.g. the identity sampler for an exactness check. Modes are
     lifted exact-style from the uncompressed right snapshots. X is read
-    twice: S X with ||X||_F^2 and the NaN and Inf check
-    (`linalg._SquaredNorm`), then the basis pass of `_span_frame`.
+    twice: S X, in the first walk, which names any NaN or Inf of X and
+    sums ||X||_F^2 (`blocked.row_chunks`), then the basis pass of
+    `_span_frame`.
     """
     source = as_source(x)
     n, cols = source.rows, source.cols
     _require_snapshots(cols)
     k = cfg.target_rank
     timings = {}
-    norm = _SquaredNorm()
 
     with stage(timings, "compress"):
         if operator is None:
@@ -550,15 +549,15 @@ def dmd_compressed(x, cfg: DmdConfig, operator: SamplingOperator | None = None) 
                     )
                 operator = uniform_sampling_operator(n, l, cfg.seed)
         if operator is not None:
-            compressed = apply_sampling(operator, source, norm)
+            compressed = apply_sampling(operator, source)
         else:
-            compressed = gaussian_compress(source, l, cfg.seed, norm)
+            compressed = gaussian_compress(source, l, cfg.seed)
         _require_finite(compressed)
 
     result = _pipeline(
         lambda: low_dim_operator(split_snapshots(compressed), k, cfg.regularization),
         cfg, "compressed", timings,
-        lambda op: _span_frame(source, op, norm.total),
+        lambda op: _span_frame(source, op),
         compress_dim=compressed.shape[0], blocks=source.block_count,
     )
     source.release_block()

@@ -5,10 +5,10 @@ Everything here is a pure function of its arguments, backed by LAPACK
 through numpy. Matrices are 2-D float64 ndarrays in row-major order.
 `truncated_svd` and the passes under it read their n-row operand in
 `blocked.row_chunks` passes, so they take an in-memory matrix (as its
-one-block source) or any row-block source alike. `truncated_svd` alone
+one-block source) or any row-block source alike; a source's first walk
+checks it for NaN and Inf and sums its squared norm. `truncated_svd` alone
 decides whether the Gram matrix of an operand is formed (for a tall or
-blocked one, not for a short one-block one), and returns its squared norm
-with its factors, so no caller forms a Gram for it. Every n-row product of
+blocked one, not for a short one-block one). Every n-row product of
 such an operand with a small matrix W is one `_basis_pass`: the
 Rayleigh-Ritz pass's and the range finder's power iterations', and,
 through the CholeskyQR2 of `_orthonormal_basis`, the range finder's last
@@ -22,15 +22,19 @@ into a Householder R.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import memguard
+# frobenius_sq and _non_finite_error are `blocked`'s, and importable from here
 from .blocked import (
+    _OVERFLOWED,
     _as_matrix,
+    _non_finite_error,
     as_source,
     empty_basis,
+    frobenius_sq,
     release_basis_rows,
     row_chunks,
     row_spans,
@@ -48,15 +52,13 @@ from .errors import (
 @dataclass(frozen=True)
 class SvdFactors:
     """Economic SVD: x = u @ diag(singular_values) @ v.T. projected is
-    u.T @ X and sq_norm ||X||_F^2, both over every column of the matrix X
-    whose leading columns a `truncated_svd` factored, and None on an
-    `economic_svd`."""
+    u.T @ X over every column of the matrix X whose leading columns a
+    `truncated_svd` factored, and None on an `economic_svd`."""
 
     u: np.ndarray
     singular_values: np.ndarray
     v: np.ndarray
     projected: np.ndarray | None = None
-    sq_norm: float | None = None
 
 
 @dataclass(frozen=True)
@@ -105,27 +107,6 @@ def economic_svd(x) -> SvdFactors:
     return SvdFactors(u=u, singular_values=s, v=vh.T)
 
 
-# The NonFiniteInput message where X is finite but a product of it is not
-_OVERFLOWED = "a product of the finite input overflowed"
-
-
-def _non_finite_error(a, first_row: int = 0) -> NonFiniteInput:
-    """The error for a NaN or Inf in a buffer formed from the in-memory `a`:
-    names the first entry of `a` that is NaN or Inf, scanning it a chunk
-    at a time (`row_spans`), or, with `row` None, says that a product of
-    the finite `a` overflowed. Rows are counted from `first_row`, the row
-    of a larger matrix that `a` starts at."""
-    for span in row_spans(a.shape[0], a.shape[1] * 8):
-        finite = np.isfinite(a[span])
-        if not finite.all():
-            bad = np.argwhere(~finite)
-            row, col = span.start + int(bad[0, 0]), int(bad[0, 1])
-            return NonFiniteInput(
-                f"row {first_row + row}, column {col} is {a[row, col]}", row=first_row + row
-            )
-    return NonFiniteInput(_OVERFLOWED)
-
-
 def _require_finite(*buffers) -> None:
     """Raise NonFiniteInput saying that a product of the finite input
     overflowed when one of `buffers` (arrays or scalars formed from X)
@@ -133,41 +114,6 @@ def _require_finite(*buffers) -> None:
     Inf of X itself, so X is not read again."""
     if not all(np.isfinite(b).all() for b in buffers):
         raise NonFiniteInput(_OVERFLOWED)
-
-
-def _check_chunk(rows: np.ndarray, start: int, sq_norm: float) -> None:
-    """The NaN and Inf check of a pass's first walk over X: where the
-    chunk `rows` (row `start` of X onward) has a squared norm sq_norm that
-    is not finite, raise NonFiniteInput naming its first NaN or Inf by its
-    row in X. An overflowed norm of finite rows passes, so that a NaN in a
-    later chunk is still named; the caller's check of the sum rejects it."""
-    if not np.isfinite(sq_norm):
-        error = _non_finite_error(rows, start)
-        if error.row is not None:
-            raise error
-
-
-class _SquaredNorm:
-    """The `visit(start, rows)` hook of a method's first pass over X: sums
-    ||X||_F^2 into `total` chunk by chunk and names the first NaN or Inf
-    of X by its row (`_check_chunk`)."""
-
-    def __init__(self):
-        self.total = 0.0
-
-    def __call__(self, start: int, rows: np.ndarray) -> None:
-        part = frobenius_sq(rows)
-        _check_chunk(rows, start, part)
-        self.total += part
-
-
-def frobenius_sq(a: np.ndarray) -> float:
-    """||a||_F^2 as one dot product in the array's memory order, so a C- or
-    Fortran-ordered matrix is not copied. A sum that overflows is inf,
-    without a warning; the caller decides whether that is an error."""
-    flat = a.ravel(order="K")
-    with np.errstate(over="ignore"):
-        return float(np.dot(flat, flat))
 
 
 def _real_product(w: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -238,17 +184,15 @@ def _streamed_gram(x) -> np.ndarray:
     `row_chunks` X_i in one pass: the truncated SVD's Gram, and that of
     CholeskyQR2 where no pass summed it. The cols x cols Gram is charged to
     the memory cap (`memguard.note`). NaN or Inf in X raises NonFiniteInput
-    naming its first such entry (`_check_chunk` on the trace of each
-    chunk's Gram, ||X_i||_F^2); a finite X whose Gram overflowed gets that
-    non-finite sum back, and every caller's checks reject it."""
+    naming its first such entry where this is the source's first walk,
+    which checks X (`row_chunks`); a finite X whose Gram overflowed gets
+    that non-finite sum back, and every caller's checks reject it."""
     source = as_source(x)
     memguard.note(source.cols * source.cols * 8)
     gram = np.zeros((source.cols, source.cols))
-    with np.errstate(over="ignore", invalid="ignore"):  # checked right below
-        for start, rows in row_chunks(source):
-            part = rows.T @ rows
-            _check_chunk(rows, start, np.trace(part))
-            gram += part
+    with np.errstate(over="ignore", invalid="ignore"):  # the callers check
+        for _, rows in row_chunks(source):
+            gram += rows.T @ rows
             del rows
     return gram
 
@@ -317,20 +261,15 @@ def _cholesky_q(a: np.ndarray, factors, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _basis_pass(
-    x, cols: slice, w: np.ndarray, out: np.ndarray | None = None, visit=None,
-    gram: bool = True,
-):
+def _basis_pass(x, cols: slice, w: np.ndarray, out: np.ndarray | None = None, gram: bool = True):
     """(Y^T Y, Y^T X) for Y = A W, A being the columns `cols` of x (an
     n-row matrix or a row-block source) and W = w a small matrix, in one
     `row_chunks` pass; (None, Y^T X) where gram is false, as for the range
     finder's power iterations, which only read Y^T X. Each chunk's rows
     Y_i = X_i[:, cols] W are one `_tall_product`, written into those rows
     of `out` (an n x c `empty_basis`) or, without it, into one reused
-    chunk buffer, and the sums read X_i in place while it is cached, as
-    does `visit(start, X_i)` where given (`_SquaredNorm` in a method's
-    first pass). Overflow is not reported: a non-finite sum is the
-    caller's to check."""
+    chunk buffer, and the sums read X_i in place while it is cached.
+    Overflow is not reported: a non-finite sum is the caller's to check."""
     source = as_source(x)
     c = w.shape[1]
     if out is None:  # it takes any `row_chunks` chunk, cut by X's width
@@ -348,13 +287,11 @@ def _basis_pass(
             if gram is not None:
                 gram += y_i.T @ y_i
             projected += y_i.T @ rows
-            if visit is not None:
-                visit(start, rows)
             del rows
     return gram, projected
 
 
-def _orthonormal_basis(x, cols: slice, w: np.ndarray, visit=None, _rejected=False):
+def _orthonormal_basis(x, cols: slice, w: np.ndarray, _rejected=False):
     """(Q, R, Q^T X) for Q R = A W, Q orthonormal, A W the n x c product of
     A, the columns `cols` of x (an n-row matrix or a row-block source), and
     a small w.
@@ -363,9 +300,9 @@ def _orthonormal_basis(x, cols: slice, w: np.ndarray, visit=None, _rejected=Fals
     matrix and (A W)^T X. `_cholesky_qr2` from that Gram gives R = R2 R1,
     Q is written over A W (`_cholesky_q`), and Q^T X = R^-T (A W)^T X needs
     no pass. Q stays an `empty_basis`, so a lift can hand it back (see
-    `_lift`). `visit` is the pass's (`_basis_pass`). A NaN or Inf in the
-    sums raises NonFiniteInput saying that a product of the finite X
-    overflowed: some first pass has named any NaN or Inf of X.
+    `_lift`). A NaN or Inf in the sums raises NonFiniteInput saying that a
+    product of the finite X overflowed: the source's first walk has named
+    any NaN or Inf of X (`row_chunks`).
 
     Where CholeskyQR2 accepts A W but its c x c R = R2 R1 resolves fewer
     than c directions (`_resolved` of R: columns of A W at rounding level,
@@ -379,7 +316,7 @@ def _orthonormal_basis(x, cols: slice, w: np.ndarray, visit=None, _rejected=Fals
     """
     source = as_source(x)
     basis = empty_basis(source.rows, w.shape[1])
-    gram, projected = _basis_pass(source, cols, w, basis, visit)
+    gram, projected = _basis_pass(source, cols, w, basis)
     _require_finite(gram, projected)
     factors = _cholesky_qr2(basis, gram)
     if factors is not None:
@@ -503,15 +440,15 @@ def truncated_svd(x, k: int, cols: int | None = None) -> SvdFactors:
     """First k singular triplets of the economic SVD of A, the leading
     `cols` columns (all by default) of X = x: an in-memory matrix, which is
     its one-block source, or a row-block source (see `blocked`), read in
-    `row_chunks` passes. The result's `projected` is U^T X and its
-    `sq_norm` ||X||_F^2, both over all of x's columns.
+    `row_chunks` passes. The result's `projected` is U^T X, over all of x's
+    columns.
 
-    A short one-block input (rows < 2 * cols, as B and S X are) is the
-    slice of `economic_svd` of its block, and forms no Gram matrix; its
-    sq_norm is that of the block. Every other input forms X^T X in
-    one pass (`_streamed_gram`), whose trace is sq_norm and whose leading
-    block is A^T A (Halko, Martinsson & Tropp, 2011, sec. 5), and takes
-    one of two tiers:
+    A short one-block input (rows < 2 * cols, as B and S X are) is walked
+    once, which checks it and sums its ||X||_F^2 where the walk is its
+    first, and is then the slice of `economic_svd` of its block: it forms
+    no Gram matrix. Every other input forms X^T X in one pass
+    (`_streamed_gram`), whose leading block is A^T A (Halko, Martinsson &
+    Tropp, 2011, sec. 5), and takes one of two tiers:
     1. Rayleigh-Ritz on the top eigenvectors of the Gram
        (`_gram_ritz_svd`), forming only the k kept left vectors and, besides
        them, one chunk. Where the Gram's resolution over its k-th
@@ -527,33 +464,32 @@ def truncated_svd(x, k: int, cols: int | None = None) -> SvdFactors:
        result holds min(k, r) triplets. An all-zero A raises DegenerateData
        here.
 
-    NaN or Inf in X raises NonFiniteInput naming its first such entry: the
-    Gram pass shows it, and a short one-block input is checked before
-    LAPACK runs. A finite X whose ||X||_F^2 overflowed gives a non-finite
-    sq_norm, which the caller checks; where its Gram overflowed, the R-fold
-    raises NonFiniteInput if its R overflowed too.
+    NaN or Inf in X raises NonFiniteInput naming its first such entry
+    where the SVD's first pass is the source's first walk (`row_chunks`),
+    before LAPACK runs. A finite X whose ||X||_F^2 overflowed leaves a
+    non-finite `source.sq_norm`, which the caller checks; where its Gram
+    overflowed, the R-fold raises NonFiniteInput if its R overflowed too.
     """
     source = as_source(x)
     n, c = source.rows, source.cols if cols is None else cols
     if not 1 <= k <= min(n, c):
         raise RankOutOfRange(f"rank {k} outside [1, {min(n, c)}] for shape {(n, c)}")
     if n < 2 * c and source.block_count == 1:
+        for _ in row_chunks(source):  # the check of X, where it is the first walk
+            pass
         block = source.read_block(0)
-        sq_norm = frobenius_sq(block)
-        _check_chunk(block, 0, sq_norm)
         memguard.note(n * c * 8)  # LAPACK's U
         f = economic_svd(block[:, :c])
         u = f.u[:, :k]
-        return SvdFactors(u, f.singular_values[:k], f.v[:, :k], u.T @ block, sq_norm)
+        return SvdFactors(u, f.singular_values[:k], f.v[:, :k], u.T @ block)
     gram = _streamed_gram(source)
-    sq_norm = float(np.trace(gram))
     fast = _gram_ritz_svd(source, gram[:c, :c], k)
     if fast is not None:
-        return replace(fast, sq_norm=sq_norm)
+        return fast
     s, v = _resolved(_fold_r(rows[:, :c] for _, rows in row_chunks(source)), (n, c))
     s, v = s[:k], v[:, :k]
     u, _, projected = _orthonormal_basis(source, slice(0, c), v / s)
-    return SvdFactors(u, s, v, projected, sq_norm)
+    return SvdFactors(u, s, v, projected)
 
 
 def thin_qr_q(x) -> np.ndarray:
@@ -569,8 +505,8 @@ def thin_qr_q(x) -> np.ndarray:
     Householder call.
 
     NaN or Inf in the input raises NonFiniteInput naming its first such
-    entry: tall inputs show it in the Gram matrix of CholeskyQR2, every
-    other shape in the Householder Q.
+    entry: tall inputs in the first walk of CholeskyQR2's Gram pass (see
+    `blocked.row_chunks`), every other shape in the Householder Q.
     """
     a = _as_matrix(x)
     n, c = a.shape

@@ -33,7 +33,6 @@ from .errors import (
     ShapeMismatch,
 )
 from .linalg import (
-    _SquaredNorm,
     _basis_pass,
     _lift,
     _orthonormal_basis,
@@ -75,7 +74,8 @@ class SketchConfig:
 @dataclass(frozen=True)
 class QBFactorization:
     """x ~ q @ b with q (n x l) orthonormal and b = q.T @ x (l x m);
-    data_sq_norm is ||x||_F^2, summed in the range finder's first pass."""
+    data_sq_norm is ||x||_F^2, the `sq_norm` of x's source, which the
+    source's first walk sums (`blocked.row_chunks`)."""
 
     q: np.ndarray
     b: np.ndarray
@@ -110,7 +110,7 @@ def gaussian_test_matrix(rows: int, cols: int, seed: int) -> np.ndarray:
     return normal_matrix(rows, cols, seed)
 
 
-def gaussian_compress(x, rows: int, seed: int, visit=None) -> np.ndarray:
+def gaussian_compress(x, rows: int, seed: int) -> np.ndarray:
     """S @ X for S = gaussian_test_matrix(rows, n, seed), without forming S,
     in one `row_chunks` pass over x, an n-row matrix X or a row-block
     source of it.
@@ -121,9 +121,9 @@ def gaussian_compress(x, rows: int, seed: int, visit=None) -> np.ndarray:
     a chunk that straddles two tiles is split between them. S's entries
     depend only on their row and column (`normal_columns_into`), so S does
     not depend on the blocks, and the sum equals the one-GEMM product to
-    rounding. `visit(start, X_i)`, where given, is called on each chunk
-    after its product, in the same pass. NaN or Inf in X propagates to the
-    result silently; the caller checks.
+    rounding. Where the pass is the source's first walk, it names any NaN
+    or Inf of X (`row_chunks`); elsewhere NaN or Inf in X propagates to the
+    result silently, and the caller checks.
     """
     source = as_source(x)
     n, m = source.rows, source.cols
@@ -145,8 +145,6 @@ def gaussian_compress(x, rows: int, seed: int, visit=None) -> np.ndarray:
                 end = min(stop, hi)
                 out += block[:, at - lo : end - lo] @ chunk[at - start : end - start]
                 at = end
-            if visit is not None:
-                visit(start, chunk)
             del chunk
     return out
 
@@ -171,11 +169,11 @@ def blocked_randomized_qb(source, cfg: SketchConfig) -> QBFactorization:
     A last sketch of rank r < l, as one of noise-free data is (the power
     iterations then hand it l - r columns in X's null space), keeps its r
     resolved directions (`linalg._resolved`) at the cost of one more pass,
-    so Q then has r columns and B r rows. The first pass also sums
-    ||X||_F^2 and names the first NaN or Inf of X by its row
-    (`linalg._SquaredNorm`). The block count changes the result only at
-    the level of rounding, and the sketch size is bounded by min(n, m) of
-    the whole matrix alone. Q is an `empty_basis`, which the pipeline's
+    so Q then has r columns and B r rows. The source's first walk names
+    the first NaN or Inf of X by its row and sums ||X||_F^2, the result's
+    data_sq_norm (`blocked.row_chunks`). The block count changes the
+    result only at the level of rounding, and the sketch size is bounded
+    by min(n, m) of the whole matrix alone. Q is an `empty_basis`, which the pipeline's
     mode lift hands back chunk by chunk (see `linalg._lift`). The source's
     last block is released after the last pass.
     """
@@ -187,14 +185,13 @@ def blocked_randomized_qb(source, cfg: SketchConfig) -> QBFactorization:
             f"exceeds min{(n, m)} = {min(n, m)}"
         )
     z = gaussian_test_matrix(m, l, cfg.seed)
-    norm = visit = _SquaredNorm()
     for _ in range(cfg.power_iters):
-        projected = _basis_pass(source, slice(None), z, visit=visit, gram=False)[1]
+        projected = _basis_pass(source, slice(None), z, gram=False)[1]
         _require_finite(projected)
-        z, visit = thin_qr_q(projected.T), None
-    q, _, b = _orthonormal_basis(source, slice(None), z, visit)
+        z = thin_qr_q(projected.T)
+    q, _, b = _orthonormal_basis(source, slice(None), z)
     source.release_block()
-    return QBFactorization(q=q, b=b, data_sq_norm=norm.total)
+    return QBFactorization(q, b, source.sq_norm)
 
 
 def randomized_qb(x, cfg: SketchConfig) -> QBFactorization:
@@ -275,12 +272,11 @@ def identity_sampling_operator(n: int) -> SamplingOperator:
     )
 
 
-def apply_sampling(op: SamplingOperator, x, visit=None) -> np.ndarray:
+def apply_sampling(op: SamplingOperator, x) -> np.ndarray:
     """Gather and rescale the sampled rows of x, an n-row matrix X or a
     row-block source of it, in one `row_chunks` pass: each chunk fills the
     sampled rows it holds. The sparse operator is never materialized as a
-    dense matrix. `visit(start, X_i)`, where given, is called on each chunk
-    X_i in the same pass."""
+    dense matrix."""
     source = as_source(x)
     if source.rows != op.source_dim:
         raise ShapeMismatch(
@@ -293,7 +289,5 @@ def apply_sampling(op: SamplingOperator, x, visit=None) -> np.ndarray:
         lo, hi = np.searchsorted(picked, [start, start + rows.shape[0]])
         at = order[lo:hi]
         out[at] = rows[op.indices[at] - start] * op.scale_factors[at, None]
-        if visit is not None:
-            visit(start, rows)
         del rows
     return out

@@ -217,23 +217,29 @@ class TestDecompose:
         assert report["config"]["effective_sketch_size"] == (5 if method == "rdmd" else None)
         assert report["eigen_match_error"] <= 1e-8
 
-    @pytest.mark.parametrize("method, rank, noisy, passes", [
+    @pytest.mark.parametrize("method, rank, data, blocks, passes", [
         # the Gram resolves the noisy data's 5 directions: its pass, then U_k
-        ("dmd", 5, True, 2),
-        ("rdmd", 5, True, 3),  # q + 1 at the default q = 2
-        ("cdmd", 5, True, 2),  # S X with ||X||^2, then the exact-style basis
+        ("dmd", 5, "noisy", 2, 2),
+        ("rdmd", 5, "noisy", 2, 3),  # q + 1 at the default q = 2
+        ("cdmd", 5, "noisy", 2, 2),  # S X with ||X||^2, then the exact-style basis
         # rank 5 < 8: the Gram, the R-fold and U_r, then the streamed
         # reconstruction-error pass that noise-free data takes
-        ("dmd", 8, False, 4),
+        ("dmd", 8, "clean", 2, 4),
+        # a short one-block X (100 < 2 x 79 rows) forms no Gram: one walk
+        # checks it and sums ||X||^2, then LAPACK takes the block
+        ("dmd", 5, "short", 1, 1),
     ])
     def test_report_counts_the_passes_over_x(
-        self, workspace, noisy_workspace, tmp_path, method, rank, noisy, passes
+        self, workspace, noisy_workspace, tmp_path, method, rank, data, blocks, passes
     ):
-        root = noisy_workspace if noisy else workspace
+        path = (workspace if data == "clean" else noisy_workspace) / "x.sms"
+        if data == "short":
+            rdmd.write_sms(rdmd.read_sms(path)[:100], tmp_path / "short.sms")
+            path = tmp_path / "short.sms"
         out = tmp_path / method
         assert cli.main([
-            "decompose", "--input", str(root / "x.sms"), "--method", method,
-            "--rank", str(rank), "--blocks", "2", "--seed", "9", "--out", str(out),
+            "decompose", "--input", str(path), "--method", method, "--rank", str(rank),
+            "--blocks", str(blocks), "--seed", "9", "--out", str(out),
         ]) == 0
         assert json.loads((out / "report.json").read_text())["passes_over_x"] == passes
 

@@ -931,6 +931,25 @@ class TestSourceWalk:
         assert source.reads == [0, 1, 2, 3] * passes
         assert source.passes == passes
 
+    def test_a_source_walked_before_gives_the_fresh_result(self):
+        # as in `rdmd bench`, which runs every method on one source: its
+        # first walk (here the Gram pass of dmd) checks X and sums ||X||^2
+        # for all of them, and the q + 1 walks of rdmd sum nothing more
+        x = TestPassesOverX.noisy(self.N, self.M)
+        cfg = self.CASES["randomized"]
+        fresh = ArrayRowBlockSource(x, 4)
+        want = run_dmd(fresh, cfg)
+        shared = ArrayRowBlockSource(x, 4)
+        run_dmd(shared, self.CASES["projected"])
+        summed = shared.sq_norm
+        got = run_dmd(shared, cfg)
+        assert shared.passes == 2 + 3
+        assert shared.sq_norm == summed == fresh.sq_norm
+        assert got.sketch.data_sq_norm == want.sketch.data_sq_norm == fresh.sq_norm
+        for name in ("eigenvalues", "modes", "amplitudes", "low_dim_eigvecs"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert got.sketch.data.tobytes() == want.sketch.data.tobytes()
+
     @pytest.mark.parametrize("case", ["projected", "exact", "compressed_gaussian",
                                       "compressed_uniform"])
     def test_in_memory_run_is_the_one_block_call(self, case):

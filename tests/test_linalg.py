@@ -275,13 +275,15 @@ class TestTruncatedSvd:
 
     @pytest.mark.parametrize("rows, blocks", [(20, 1), (3000, 1), (3000, 3)])
     def test_sq_norm_covers_every_column(self, rows, blocks):
-        # the short one-block input sums its block, the others the trace of
-        # the Gram of all columns, not only of the `cols` it factors
+        # the SVD's first pass is the source's first walk, which sums the
+        # norm of all columns, not only of the `cols` it factors: the short
+        # one-block input's walk before LAPACK runs, the others' Gram pass
         from rdmd import ArrayRowBlockSource
 
         x = normal_matrix(rows, 31, seed=16)
-        f = truncated_svd(ArrayRowBlockSource(x, blocks), 5, 30)
-        assert f.sq_norm == pytest.approx(np.sum(x * x), rel=1e-13)
+        source = ArrayRowBlockSource(x, blocks)
+        truncated_svd(source, 5, 30)
+        assert source.sq_norm == pytest.approx(np.sum(x * x), rel=1e-13)
 
     def test_short_input_names_a_bad_entry_past_its_columns(self):
         # the trailing column is not factored, but U^T X reads it
