@@ -3,8 +3,11 @@
 Subcommands: synth (generate data), decompose (run one method), bench
 (compare all three), qb (range finder only), reconstruct (replay modes).
 Reports are JSON, series are CSV; every output is written atomically.
-Exit codes: 0 success, 1 runtime failure (error class named on stderr),
-2 usage error, which includes every numeric flag out of its range.
+The reconstruction error of decompose, bench and qb comes from one
+routine, `_relative_error`. Exit codes: 0 success, 1 runtime failure
+(error class named on stderr; an output that cannot be written or an
+--out that cannot be a directory is IoFailure), 2 usage error, which
+includes every numeric flag out of its range.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import math
 import os
 import sys
 from dataclasses import replace
-from functools import partial
 
 try:
     import resource
@@ -111,63 +113,49 @@ def _ranged(kind, low, strict=False):
     return parse
 
 
-def _relative_residual(chunks, approximate) -> float:
-    """Relative Frobenius error ||X - A|| / ||X|| over the (start, rows) row
-    chunks of the data X that `blocked.row_chunks` yields, where
-    approximate(start, rows) returns a fresh array holding those rows of A.
-    One chunk's approximation is resident beside the data, and each chunk
-    is dropped before the next is read."""
-    num = den = 0.0
-    for start, chunk in chunks:
-        residual = approximate(start, chunk)
-        np.subtract(chunk, residual, out=residual)  # in place: no second buffer
-        num += float(np.vdot(residual, residual))
-        den += float(np.vdot(chunk, chunk))
-        del residual, chunk  # before the next chunk (or block) is formed
-    return float(np.sqrt(num) / np.sqrt(den)) if den > 0 else 0.0
+def _relative_error(source, data_sq_norm, b, c, approximate):
+    """Relative error ||X - Q C||_F / ||X||_F of an approximation Q C of the
+    data X whose row blocks `source` hands out, with the sketch residual and
+    the misfit it splits into, each relative to ||X||_F. For B = Q^T X and
+    data_sq_norm = ||X||_F^2 the sketch identity
 
+        ||X - Q C||_F^2 = (||X||_F^2 - ||B||_F^2) + ||B - C||_F^2
 
-def _identity_or_streamed(data_sq_norm, residual_sq, misfit_sq, chunks, approximate):
-    """Relative error sqrt((residual_sq + misfit_sq) / data_sq_norm) of an
-    approximation Q C of X from the sketch identity, with the sketch
-    residual and the misfit it splits into, each relative to ||X||_F.
+    (Halko, Martinsson & Tropp, 2011, sec. 4) gives all three from the
+    l x m matrices B and C, without reading X.
 
-    The identity is not trusted where the residual ||X||^2 - ||B||^2
-    cancelled below zero or the error is below _IDENTITY_MIN_ERROR; the
-    streamed pass `_relative_residual(chunks, approximate)` takes its place
-    there, with no split to report (None, None).
+    The identity is not trusted where ||X||^2 - ||B||^2 cancelled below
+    zero or the error is below _IDENTITY_MIN_ERROR. There one `row_chunks`
+    walk sums ||X_i - A_i||^2 over the chunks X_i of X, approximate(start,
+    X_i) returning a fresh array of the same rows of A = Q C, and divides
+    by data_sq_norm, with no split to report (None, None). One chunk's
+    approximation is resident beside the data, and each chunk is dropped
+    before the next is read.
     """
+    residual_sq = data_sq_norm - frobenius_sq(b)
     if residual_sq >= 0 and data_sq_norm > 0:
+        misfit_sq = frobenius_sq(b - c)
         parts = residual_sq + misfit_sq, residual_sq, misfit_sq
         error, residual, misfit = (math.sqrt(sq / data_sq_norm) for sq in parts)
         if error >= _IDENTITY_MIN_ERROR:
             return error, residual, misfit
-    return _relative_residual(chunks, approximate), None, None
+    num = 0.0
+    for start, chunk in row_chunks(source):
+        residual = approximate(start, chunk)
+        np.subtract(chunk, residual, out=residual)  # in place: no second buffer
+        num += float(np.vdot(residual, residual))
+        del residual, chunk  # before the next chunk (or block) is formed
+    error = float(np.sqrt(num) / np.sqrt(data_sq_norm)) if data_sq_norm > 0 else 0.0
+    return error, None, None
 
 
-def _approximate(result: DmdResult, start: int, block) -> np.ndarray:
-    """Rows start.. of the DMD reconstruction of `result`, for a chunk of
-    rows of the data."""
-    part = replace(result, modes=result.modes[start : start + block.shape[0]])
-    return reconstruct(part, block.shape[1])
-
-
-def _reconstruction_error(result: DmdResult, chunks) -> tuple[float, float | None, float | None]:
-    """Relative error of the DMD reconstruction of `result` against the data
-    X, with the sketch residual and the dynamics misfit it splits into.
-
-    The error comes from the result's `SketchFit` in its l-dimensional
-    coordinates, and the (start, rows) row chunks of X in `chunks` are
-    read only where `_identity_or_streamed` falls back to the streamed pass.
-    """
-    fit = result.sketch
-    misfit_sq = frobenius_sq(
-        fit.data - reconstruct(replace(result, modes=fit.modes), fit.data.shape[1])
-    )
-    return _identity_or_streamed(
-        fit.data_sq_norm, fit.data_sq_norm - frobenius_sq(fit.data), misfit_sq,
-        chunks, partial(_approximate, result),
-    )
+def _make_out_dir(path) -> None:
+    """Create the output directory `path` if it is not there; an OSError,
+    such as `path` or a parent being a file, is raised as IoFailure."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"creating directory {path}: {exc}") from exc
 
 
 def _peak_rss_bytes() -> int | None:
@@ -189,15 +177,24 @@ def _load_truth(path):
         raise IoFailure(f"reading truth file {path}: {exc}") from exc
 
 
-def _run(decompose, chunks, truth, timings):
-    """One decomposition as `decompose` and `bench` run it: `decompose()`,
-    then its reconstruction error over the row chunks of the data (see
-    `_reconstruction_error`) and, given truth eigenvalues, its eigen-match
-    error. Returns (result, errors, match error or None)."""
+def _run(source, cfg, truth, timings):
+    """One decomposition as `decompose` and `bench` run it: `run_dmd` of the
+    source, then its reconstruction error from the result's `SketchFit`
+    (see `_relative_error`, whose fallback walks the source again) and,
+    given truth eigenvalues, its eigen-match error. Returns (result,
+    (error, sketch residual, dynamics misfit), match error or None)."""
     with stage(timings, "decompose"):
-        result = decompose()
+        result = run_dmd(source, cfg)
     with stage(timings, "diagnostics"):
-        errors = _reconstruction_error(result, chunks)
+        fit = result.sketch
+        errors = _relative_error(
+            source, fit.data_sq_norm, fit.data,
+            reconstruct(replace(result, modes=fit.modes), fit.data.shape[1]),
+            lambda start, rows: reconstruct(
+                replace(result, modes=result.modes[start : start + rows.shape[0]]),
+                rows.shape[1],
+            ),
+        )
         match = None if truth is None else float(eigen_match_error(truth, result.eigenvalues))
     return result, errors, match
 
@@ -257,14 +254,10 @@ def _cmd_decompose(args) -> int:
         with stage(timings, "load"):
             source = open_row_blocks(args.input, args.blocks)
         with source:
-            # lazy: the blocks are read again only by a streamed pass
-            chunks = row_chunks(source)
-            result, errors, match_error = _run(
-                lambda: run_dmd(source, cfg), chunks, truth, timings
-            )
+            result, errors, match_error = _run(source, cfg, truth, timings)
         recon_error, sketch_residual, dynamics_misfit = errors
 
-        os.makedirs(args.out, exist_ok=True)  # only now: a failed run leaves none
+        _make_out_dir(args.out)  # only now: a failed run leaves none
         with stage(timings, "write"):
             write_complex_csv(os.path.join(args.out, "eigenvalues.csv"), result.eigenvalues)
             write_complex_csv(os.path.join(args.out, "amplitudes.csv"), result.amplitudes)
@@ -327,9 +320,7 @@ def _cmd_bench(args) -> int:
                         base, method=_METHOD_FLAGS[method],
                         seed=derive_seed(args.seed, trial), compress_dim=compress_dim,
                     )
-                    _, (recon, _, _), match = _run(
-                        lambda: run_dmd(source, cfg), row_chunks(source), truth, timing
-                    )
+                    _, (recon, _, _), match = _run(source, cfg, truth, timing)
                     dt = timing["decompose"]
                 match_text = "" if match is None else f"{match:.17g}"
                 rows.append([method, trial, match_text, f"{recon:.17g}", f"{dt:.6f}"])
@@ -353,7 +344,7 @@ def _cmd_bench(args) -> int:
         },
         "methods": summary,
     }
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     _write_json(os.path.join(args.out, "bench_report.json"), report)
     header = "method,trial,eigen_match_error,reconstruction_error,time_s\n"
     lines = "".join(",".join(str(c) for c in row) + "\n" for row in rows)
@@ -377,11 +368,11 @@ def _cmd_qb(args) -> int:
     with open_row_blocks(args.input, 1) as source:
         with stage(timing, "qb"):
             qb = blocked_randomized_qb(source, cfg)
-        # ||X - QB||^2 = ||X||^2 - ||B||^2, the sketch residual
         data_sq_norm = qb.data_sq_norm
         _require_finite(data_sq_norm)
-        rel_error = _identity_or_streamed(
-            data_sq_norm, data_sq_norm - frobenius_sq(qb.b), 0.0, row_chunks(source),
+        # C = B: ||X - QB||^2 = ||X||^2 - ||B||^2, the sketch residual
+        rel_error = _relative_error(
+            source, data_sq_norm, qb.b, qb.b,
             lambda start, rows: qb.q[start : start + rows.shape[0]] @ qb.b,
         )[0]
         # sigma_{k+1} from the R factors of the row chunks: no n x m buffer

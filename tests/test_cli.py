@@ -4,14 +4,13 @@ import re
 import subprocess
 import sys
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 import pytest
 
 import rdmd
 from rdmd import cli
-from rdmd.blocked import row_chunks, row_spans
+from rdmd.blocked import frobenius_sq, row_chunks, row_spans
 from rdmd.datasets import read_complex_csv, read_complex_matrix
 from rdmd.rng import derive_seed, normal_matrix
 
@@ -33,6 +32,20 @@ MODES = "1.0,0.995+0.2j:0.5,0.97+0.35j:0.25"  # rank 5 after conjugation
 def chunks(data):
     """The (start, rows) chunks of an in-memory matrix."""
     return row_chunks(rdmd.ArrayRowBlockSource(data, 1))
+
+
+def streamed_error(data, approximate):
+    """||X - A||_F / ||X||_F summed chunk by chunk, numerator and
+    denominator alike, where approximate(start, rows) returns those rows of
+    A: the reference for the streamed fallback of `cli._relative_error`,
+    which divides by the ||X||^2 the source's first walk summed over the
+    same chunks."""
+    num = den = 0.0
+    for start, rows in chunks(data):
+        residual = rows - approximate(start, rows)
+        num += float(np.vdot(residual, residual))
+        den += float(np.vdot(rows, rows))
+    return float(np.sqrt(num) / np.sqrt(den))
 
 
 @pytest.fixture(scope="module")
@@ -344,6 +357,21 @@ class TestErrors:
         assert res.returncode == 1
         assert ("IoFailure" if fault == "missing" else "NonFiniteInput") in res.stderr
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+    @pytest.mark.parametrize("command", [["decompose", "--method", "dmd"],
+                                         ["bench", "--seeds", "1"]],
+                             ids=["decompose", "bench"])
+    def test_out_that_cannot_be_a_directory_is_runtime_error(self, workspace, tmp_path,
+                                                              command, under):
+        (tmp_path / "afile").write_text("kept")
+        out = tmp_path / "afile" / "sub" if under else tmp_path / "afile"
+        res = run_cli(*command, "--input", str(workspace / "x.sms"), "--rank", "2",
+                      "--out", str(out))
+        assert res.returncode == 1
+        assert res.stderr.startswith("IoFailure:") and str(out) in res.stderr
+        assert len(res.stderr.splitlines()) == 1 and "Traceback" not in res.stderr
+        assert (tmp_path / "afile").read_text() == "kept"
 
     @pytest.mark.parametrize("shape", OVERSIZED_SHAPES, ids=["1e9x1e9", "2^40x2^30"])
     @pytest.mark.parametrize("command", ["decompose", "reconstruct"])
@@ -671,7 +699,7 @@ class TestUsageErrors:
 
 
 class TestReconstructionError:
-    """`cli._reconstruction_error`: the identity in every result's sketch
+    """`cli._relative_error`: the identity in every result's sketch
     coordinates, the streamed pass only as its fallback."""
 
     CFG = rdmd.DmdConfig(target_rank=5, method="randomized", seed=9)
@@ -685,27 +713,40 @@ class TestReconstructionError:
     }
 
     @staticmethod
-    def streamed(result, data):
-        return cli._relative_residual(
-            chunks(data), partial(cli._approximate, result)
+    def approximate(result):
+        """approximate(start, rows): those rows of the result's reconstruction."""
+        return lambda start, rows: rdmd.reconstruct(
+            replace(result, modes=result.modes[start : start + rows.shape[0]]), rows.shape[1]
         )
 
-    @staticmethod
-    def unread():
-        raise AssertionError("the data was read again")
-        yield
+    @classmethod
+    def streamed(cls, result, data):
+        return streamed_error(data, cls.approximate(result))
+
+    @classmethod
+    def error(cls, source, result, data_sq_norm=None, b=None):
+        """`cli._relative_error` of the result as `cli._run` calls it, with
+        ||X||^2 and B optionally replaced."""
+        fit = result.sketch
+        c = rdmd.reconstruct(replace(result, modes=fit.modes), fit.data.shape[1])
+        return cli._relative_error(
+            source, fit.data_sq_norm if data_sq_norm is None else data_sq_norm,
+            fit.data if b is None else b, c, cls.approximate(result),
+        )
 
     @classmethod
     def decompose(cls, data, variant):
-        if variant == "blocked":
-            return rdmd.dmd_randomized(rdmd.ArrayRowBlockSource(data, 4), cls.CFG)
-        return rdmd.run_dmd(data, replace(cls.CFG, **cls.VARIANTS[variant]))
+        """(source, result): the variant's run over a source of the data."""
+        source = rdmd.ArrayRowBlockSource(data, 4 if variant == "blocked" else 1)
+        return source, rdmd.run_dmd(source, replace(cls.CFG, **cls.VARIANTS[variant]))
 
     @pytest.mark.parametrize("variant", list(VARIANTS))
     def test_identity_matches_streamed_pass(self, noisy_workspace, variant):
         data = rdmd.read_sms(noisy_workspace / "x.sms")
-        result = self.decompose(data, variant)
-        error, residual, misfit = cli._reconstruction_error(result, self.unread())
+        source, result = self.decompose(data, variant)
+        passes = source.passes
+        error, residual, misfit = self.error(source, result)
+        assert source.passes == passes, "the data was read again"
         streamed = self.streamed(result, data)
         assert streamed >= 1e-3
         assert error == pytest.approx(streamed, rel=1e-8)
@@ -715,21 +756,31 @@ class TestReconstructionError:
     def test_fallback_on_clean_data(self, workspace):
         data = rdmd.read_sms(workspace / "x.sms")
         for variant in ("randomized", "projected"):
-            result = self.decompose(data, variant)
+            source, result = self.decompose(data, variant)
             streamed = self.streamed(result, data)
             assert streamed < 1e-3
-            assert cli._reconstruction_error(result, chunks(data)) == (
-                streamed, None, None,
-            )
+            assert self.error(source, result) == (streamed, None, None)
 
     def test_fallback_on_negative_sketch_residual(self, noisy_workspace):
         data = rdmd.read_sms(noisy_workspace / "x.sms")
-        result = rdmd.run_dmd(data, self.CFG)
-        b_sq = float(np.vdot(result.sketch.data, result.sketch.data))
-        cancelled = replace(result, sketch=replace(result.sketch, data_sq_norm=0.5 * b_sq))
-        assert cli._reconstruction_error(cancelled, chunks(data)) == (
+        source, result = self.decompose(data, "randomized")
+        inflated = 2 * result.sketch.data
+        assert frobenius_sq(inflated) > result.sketch.data_sq_norm  # cancels below 0
+        assert self.error(source, result, b=inflated) == (
             self.streamed(result, data), None, None,
         )
+
+    def test_fallback_divides_by_the_given_norm(self, workspace):
+        # the fallback sums only the residual, over one walk, and divides by
+        # the ||X||^2 it is given: a quarter of it doubles the error exactly
+        data = rdmd.read_sms(workspace / "x.sms")
+        source, result = self.decompose(data, "randomized")
+        passes = source.passes
+        quarter = result.sketch.data_sq_norm / 4
+        assert self.error(source, result, data_sq_norm=quarter) == (
+            2 * self.streamed(result, data), None, None,
+        )
+        assert source.passes == passes + 1
 
     def test_streamed_pass_is_chunk_scale_at_any_block_count(self):
         import tracemalloc
@@ -738,12 +789,16 @@ class TestReconstructionError:
         # ten chunks' worth
         m, r = 16, 3
         n = 20 * chunk_rows(m * 8)
-        q, b = normal_matrix(n, r, seed=60), normal_matrix(r, m, seed=61)
-        x = q @ b + 1e-3 * normal_matrix(n, m, seed=62)
+        factor = normal_matrix(n, r, seed=60)
+        x = factor @ normal_matrix(r, m, seed=61) + 1e-3 * normal_matrix(n, m, seed=62)
+        q = np.linalg.qr(factor)[0]
+        b = q.T @ x  # the identity's error is below its floor: the fallback runs
+        data_sq_norm = frobenius_sq(x)
+        source = rdmd.ArrayRowBlockSource(x, 2)
         tracemalloc.start()
         try:
-            error = cli._relative_residual(
-                row_chunks(rdmd.ArrayRowBlockSource(x, 2)),
+            error = cli._relative_error(
+                source, data_sq_norm, b, b,
                 lambda start, rows: q[start : start + rows.shape[0]] @ b,
             )
             peak = tracemalloc.get_traced_memory()[1]
@@ -752,7 +807,7 @@ class TestReconstructionError:
         chunk = chunk_rows(m * 8) * m * 8
         assert peak <= 2 * chunk
         dense = np.linalg.norm(x - q @ b) / np.linalg.norm(x)
-        assert error == pytest.approx(dense, rel=1e-12)
+        assert error == (pytest.approx(dense, rel=1e-12), None, None)
 
     def test_streamed_pass_over_copied_blocks_holds_one_block(self, tmp_path, monkeypatch):
         import tracemalloc
@@ -765,26 +820,28 @@ class TestReconstructionError:
         write_v1_sms(path, truth.clean_data)
         del truth
         rises = []
-        inner = cli._relative_residual
+        inner = cli._relative_error
 
-        def traced(chunk_pairs, approximate):
+        def traced(*args):
             tracemalloc.start()
             try:
-                error = inner(chunk_pairs, approximate)
+                errors = inner(*args)
                 rises.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-            return error
+            return errors
 
-        monkeypatch.setattr(cli, "_relative_residual", traced)
+        monkeypatch.setattr(cli, "_relative_error", traced)
         assert cli.main([
             "decompose", "--input", str(path), "--method", "rdmd", "--rank", "5",
             "--blocks", "2", "--seed", "9", "--out", str(tmp_path / "o"),
         ]) == 0
         block, chunk = n // 2 * m * 8, chunk_rows(m * 8) * m * 8
-        assert len(rises) == 1  # noise-free data takes the streamed fallback
+        assert len(rises) == 1
+        # noise-free data takes the streamed fallback
+        assert json.loads((tmp_path / "o" / "report.json").read_text())["sketch_residual"] is None
         # one block, the chunk's approximation (one chunk; the bound leaves
-        # room for a second), and the k x m factors it is formed from (a few
+        # room for a second), and the l x m matrices it is formed from (a few
         # kB)
         assert rises[0] <= block + 2 * chunk + 64 * 1024
 
@@ -980,21 +1037,23 @@ class TestQb:
     ):
         # ||X - QB||^2 = ||X||^2 - ||B||^2 on noisy data; the streamed pass
         # only on noise-free data, whose error is below the identity's floor
-        streamed_calls = []
-        inner = cli._relative_residual
+        walks = []
+        inner = cli._relative_error
 
-        def counting(blocks, approximate):
-            streamed_calls.append(1)
-            return inner(blocks, approximate)
+        def counting(source, *args):
+            passes = source.passes
+            errors = inner(source, *args)
+            walks.append(source.passes - passes)
+            return errors
 
-        monkeypatch.setattr(cli, "_relative_residual", counting)
+        monkeypatch.setattr(cli, "_relative_error", counting)
         path = (noisy_workspace if noisy else workspace) / "x.sms"
         assert cli.main(["qb", "--input", str(path), "--rank", "5", "--seed", "3"]) == 0
         report = json.loads(capsys.readouterr().out)
         x = rdmd.read_sms(path)
         qb = rdmd.randomized_qb(x, rdmd.SketchConfig(5, 10, 2, seed=3))
-        streamed = inner(chunks(x), lambda s, b: qb.q[s : s + b.shape[0]] @ qb.b)
-        assert len(streamed_calls) == (0 if noisy else 1)
+        streamed = streamed_error(x, lambda s, b: qb.q[s : s + b.shape[0]] @ qb.b)
+        assert walks == [0 if noisy else 1]
         if noisy:
             assert streamed >= cli._IDENTITY_MIN_ERROR
             assert report["relative_error"] == pytest.approx(streamed, rel=1e-8)
