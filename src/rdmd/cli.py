@@ -6,8 +6,9 @@ Reports are JSON, series are CSV; every output is written atomically.
 The reconstruction error of decompose, bench and qb comes from one
 routine, `_relative_error`. Exit codes: 0 success, 1 runtime failure
 (error class named on stderr; an output that cannot be written or an
---out that cannot be a directory is IoFailure), 2 usage error, which
-includes every numeric flag out of its range.
+--out that cannot be a directory is IoFailure, the latter raised before
+the input is opened), 2 usage error, which includes every numeric flag out
+of its range.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ except ImportError:  # not on Windows
 import numpy as np
 
 from . import memguard
-from .blocked import row_chunks, row_spans
+from .blocked import frobenius_sq, row_chunks, row_spans
 from .datasets import (
     ModeSpec,
     add_noise,
@@ -50,7 +51,7 @@ from .dmd import (
     run_dmd,
 )
 from .errors import IoFailure, RdmdError
-from .linalg import _require_finite, frobenius_sq, singular_values_of_rows
+from .linalg import _require_finite, singular_values_of_rows
 from .memguard import stage
 from .rng import derive_seed
 from .sketch import SketchConfig, blocked_randomized_qb, expected_error_bound
@@ -147,6 +148,17 @@ def _relative_error(source, data_sq_norm, b, c, approximate):
         del residual, chunk  # before the next chunk (or block) is formed
     error = float(np.sqrt(num) / np.sqrt(data_sq_norm)) if data_sq_norm > 0 else 0.0
     return error, None, None
+
+
+def _check_out_dir(path) -> None:
+    """Raise the IoFailure of `_make_out_dir` before any work where `path`
+    cannot be a directory: it, or its nearest existing ancestor, is not
+    one. Nothing is created: a failed run leaves no directory."""
+    there = os.path.abspath(path)
+    while not os.path.exists(there):
+        there = os.path.dirname(there)
+    if not os.path.isdir(there):
+        raise IoFailure(f"creating directory {path}: {there} is not a directory")
 
 
 def _make_out_dir(path) -> None:
@@ -246,6 +258,7 @@ def _build_config(args, method: str) -> DmdConfig:
 
 
 def _cmd_decompose(args) -> int:
+    _check_out_dir(args.out)
     cfg = _build_config(args, args.method)
     truth = _load_truth(args.truth) if args.truth else None
 
@@ -297,6 +310,7 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    _check_out_dir(args.out)
     truth = _load_truth(args.truth) if args.truth else None
     base = _build_config(args, "rdmd")
     rows = []

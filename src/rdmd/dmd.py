@@ -307,11 +307,18 @@ def amplitudes(result: DmdResult, x0) -> np.ndarray:
 
 
 def reconstruct(result: DmdResult, steps: int) -> np.ndarray:
-    """Real snapshot sequence Re(modes @ diag(lambda^j) @ a), j = 0..steps-1."""
+    """Real snapshot sequence Re(modes @ diag(lambda^j) @ a), j = 0..steps-1.
+    ShapeMismatch where the modes, eigenvalues and amplitudes differ in
+    number, as the files of different runs can."""
     if result.amplitudes is None:
         raise MissingAmplitudes("result carries no amplitudes")
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    k, values = result.modes.shape[1], result.eigenvalues.size
+    if not k == values == result.amplitudes.size:
+        raise ShapeMismatch(
+            f"{k} modes, {values} eigenvalues and {result.amplitudes.size} amplitudes"
+        )
     scaled = result.amplitudes[:, None] * (
         result.eigenvalues[:, None] ** np.arange(steps)[None, :]
     )

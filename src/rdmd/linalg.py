@@ -8,16 +8,19 @@ through numpy. Matrices are 2-D float64 ndarrays in row-major order.
 one-block source) or any row-block source alike; a source's first walk
 checks it for NaN and Inf and sums its squared norm. `truncated_svd` alone
 decides whether the Gram matrix of an operand is formed (for a tall or
-blocked one, not for a short one-block one). Every n-row product of
-such an operand with a small matrix W is one `_basis_pass`: the
-Rayleigh-Ritz pass's and the range finder's power iterations', and,
-through the CholeskyQR2 of `_orthonormal_basis`, the range finder's last
-sketch, the truncated SVD's U_k and `dmd`'s exact-style basis.
+blocked one, not for a short one-block one). On a tall or blocked operand
+it chooses a small test basis W (from the Gram, after a Ritz pass where
+the Gram alone does not resolve the k directions, or from the R-fold),
+then finishes every choice alike: one U pass and one Rayleigh-Ritz step.
+Every n-row product of such an operand with a small matrix W is one
+`_basis_pass`: the Ritz pass's and the range finder's power iterations',
+and, through the CholeskyQR2 of `_orthonormal_basis`, the range finder's
+last sketch, the truncated SVD's U pass and `dmd`'s exact-style basis.
 CholeskyQR2 itself (`_cholesky_qr2`, also under `thin_qr_q`) takes
 in-memory matrices only. Where its R shows a rank below the basis's width,
 the one rank rule `_resolved` takes that R; where it rejects a basis, or
-Rayleigh-Ritz declines an input, `_fold_r` first folds it chunk by chunk
-into a Householder R.
+the Gram declines an input, `_fold_r` first folds it chunk by chunk into a
+Householder R.
 """
 
 from __future__ import annotations
@@ -27,14 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import memguard
-# frobenius_sq and _non_finite_error are `blocked`'s, and importable from here
 from .blocked import (
     _OVERFLOWED,
     _as_matrix,
     _non_finite_error,
     as_source,
     empty_basis,
-    frobenius_sq,
     release_basis_rows,
     row_chunks,
     row_spans,
@@ -333,13 +334,13 @@ def _orthonormal_basis(x, cols: slice, w: np.ndarray, _rejected=False):
     return q, r @ (s[:, None] * v.T), projected
 
 
-# Ritz directions taken beyond the k kept by `_gram_ritz_svd`, the usual
+# Ritz directions taken beyond the k kept by `_gram_directions`, the usual
 # oversampling of a randomized range (Halko, Martinsson & Tropp, 2011)
 _RITZ_OVERSAMPLING = 10
 
 # The largest error bound of the Gram's top k eigenvectors, its resolution
 # over its k-th gap, eps * max(rows, cols) * lambda_1 / (lambda_k -
-# lambda_{k+1}), at which `_gram_ritz_svd` skips its Ritz pass. By Davis &
+# lambda_{k+1}), at which `_gram_directions` skips its Ritz pass. By Davis &
 # Kahan (1970) range(A V_k) is then within about that angle of U_k, so the
 # Rayleigh-Ritz step on it is off by the square of the angle in s (1e-12 *
 # sigma_1 at 1e-6) and by the angle in U_k and V_k: over random spectra at
@@ -349,13 +350,13 @@ _RITZ_OVERSAMPLING = 10
 _GAP_BOUND = 1e-6
 
 
-def _gram_ritz_svd(x, gram: np.ndarray, k: int) -> SvdFactors | None:
-    """First k singular triplets of a tall matrix A, the leading
-    gram.shape[0] columns of x (an n-row matrix or a row-block source), by
-    Rayleigh-Ritz on the range of A V_l, where V_l holds the top l
-    eigenvectors of its Gram matrix G = A^T A (Halko, Martinsson & Tropp,
-    2011, sec. 5), or None where G does not admit A or a basis is not
-    accurate. `projected` is U_k^T X for every column of x.
+def _gram_directions(x, gram: np.ndarray, k: int) -> np.ndarray | None:
+    """The cols x k test basis W whose range(A W) `truncated_svd` takes for
+    the top k left singular vectors of a tall matrix A, the leading
+    gram.shape[0] columns of x (an n-row matrix or a row-block source),
+    chosen from the top eigenvectors V_l of its Gram matrix G = A^T A
+    (Halko, Martinsson & Tropp, 2011, sec. 5); None where G does not admit
+    A or the Ritz basis is not accurate.
 
     1. eigh(G). Where fewer than k eigenvalues lie above the Gram's
        resolution eps * max(rows, cols) * lambda_1, G must pass a
@@ -363,15 +364,11 @@ def _gram_ritz_svd(x, gram: np.ndarray, k: int) -> SvdFactors | None:
        below k does not. l = min(cols, k + 10) directions of positive
        eigenvalue.
     2. Where k < l and the resolution over the gap lambda_k - lambda_{k+1}
-       is at most `_GAP_BOUND`, G has resolved its top k directions, and
-       the U pass alone is the Rayleigh-Ritz step: `_orthonormal_basis` of
-       A V_k Lambda_k^-1/2 gives Q and Q^T X, the k x cols SVD
-       U_B S V^T of Q^T A gives s and V, and U_k = Q U_B is rotated in
-       place chunk by chunk. A is read once here, and steps 3 to 5 are
-       skipped.
+       is at most `_GAP_BOUND`, G has resolved its top k directions:
+       W = V_k Lambda_k^-1/2, and A is not read here.
     3. Otherwise the Ritz pass (`_basis_pass`) over the chunks A_i:
-       Q1_i = A_i W for W = V_l Lambda_l^-1/2, and the sums G2 = Q1^T Q1
-       and C = Q1^T A.
+       Q1_i = A_i W_l for W_l = V_l Lambda_l^-1/2, and the sums
+       G2 = Q1^T Q1 and C = Q1^T A.
     4. R2 = chol(G2) of the widest leading l' >= k columns that pass the
        guard of `_near_identity_cholesky` (none yields None), so
        Q = Q1 R2^-1 is orthonormal to rounding and B = Q^T A = R2^-T C; Q is
@@ -379,17 +376,11 @@ def _gram_ritz_svd(x, gram: np.ndarray, k: int) -> SvdFactors | None:
        resolution where A has no rank for them (or, past condition numbers
        of about 1e8, too little), so full-rank data keeps the oversampling
        its trailing kept triplets need.
-    5. U_B S V^T = svd(B), the l' x cols Rayleigh-Ritz problem, and
-       U_k with U_k^T X from the U pass: `_orthonormal_basis` of
-       A (W R2^-1 U_B[:, :k]), whose CholeskyQR2 restores the
-       orthogonality that W's inverted factors cost (~3e-10 at 3000 x 50,
-       kappa = 1e7) to rounding level.
+    5. U_B = the left singular vectors of B, the l' x cols Rayleigh-Ritz
+       problem, and W = W_l' R2^-1 U_B[:, :k], so A W = Q U_B[:, :k].
 
-    Besides U_k it holds one A_i's l-column product (a k-column chunk on
-    the two-pass path) and l x cols factors. Beyond G the Ritz pass costs
-    two n x cols x l products and U_k two of k columns (at 200000 x 200,
-    k = 5: about 19 GFLOP in all with the Ritz pass and 17 without it,
-    against 48 for CholeskyQR2 of A); skipping it saves a read of A.
+    The Ritz pass holds one A_i's l-column product and l x cols sums, and
+    costs two n x cols x l products; it is one read of A.
     """
     source = as_source(x)
     n, c = source.rows, gram.shape[0]
@@ -410,14 +401,7 @@ def _gram_ritz_svd(x, gram: np.ndarray, k: int) -> SvdFactors | None:
     if l < k:
         return None
     if k < l and resolution <= _GAP_BOUND * (lam[k - 1] - lam[k]):
-        u, _, projected = _orthonormal_basis(source, slice(0, c), vec[:, :k] / np.sqrt(lam[:k]))
-        try:
-            rotation, s, vh = np.linalg.svd(projected[:, :c], full_matrices=False)
-        except np.linalg.LinAlgError:
-            return None
-        for rows, rotated in _row_products(u, rotation):
-            u[rows] = rotated
-        return SvdFactors(u, s, vh.T, rotation.T @ projected)
+        return vec[:, :k] / np.sqrt(lam[:k])
     w = vec[:, :l] / np.sqrt(lam[:l])
     g2, proj = _basis_pass(source, slice(0, c), w)  # a non-finite G2 fails the guard
     for l in range(l, k - 1, -1):  # the widest basis that passes the guard
@@ -426,14 +410,12 @@ def _gram_ritz_svd(x, gram: np.ndarray, k: int) -> SvdFactors | None:
             break
     else:
         return None
-    w, proj = w[:, :l], proj[:l, :c]
     try:
         r2_inv = np.linalg.inv(r2)
-        u_b, s, vh = np.linalg.svd(r2_inv.T @ proj, full_matrices=False)
+        u_b = np.linalg.svd(r2_inv.T @ proj[:l, :c], full_matrices=False)[0]
     except np.linalg.LinAlgError:
         return None
-    u, _, projected = _orthonormal_basis(source, slice(0, c), w @ (r2_inv @ u_b[:, :k]))
-    return SvdFactors(u, s[:k], vh[:k].T, projected)
+    return w[:, :l] @ (r2_inv @ u_b[:, :k])
 
 
 def truncated_svd(x, k: int, cols: int | None = None) -> SvdFactors:
@@ -446,23 +428,29 @@ def truncated_svd(x, k: int, cols: int | None = None) -> SvdFactors:
     A short one-block input (rows < 2 * cols, as B and S X are) is walked
     once, which checks it and sums its ||X||_F^2 where the walk is its
     first, and is then the slice of `economic_svd` of its block: it forms
-    no Gram matrix. Every other input forms X^T X in one pass
-    (`_streamed_gram`), whose leading block is A^T A (Halko, Martinsson &
-    Tropp, 2011, sec. 5), and takes one of two tiers:
-    1. Rayleigh-Ritz on the top eigenvectors of the Gram
-       (`_gram_ritz_svd`), forming only the k kept left vectors and, besides
-       them, one chunk. Where the Gram's resolution over its k-th
-       eigenvalue gap is at most `_GAP_BOUND`, one pass for U_k and U_k^T X
-       is the Rayleigh-Ritz step, so the SVD reads A twice in all;
-       otherwise a Ritz pass over l = k + 10 directions for Q1^T Q1 and
-       Q1^T A comes before it. It takes full-rank inputs up to condition
+    no Gram matrix. Every other input is Rayleigh-Ritz on range(A W) for a
+    small cols x k test basis W (Halko, Martinsson & Tropp, 2011, sec. 5):
+    choose W, then one U pass and one Rayleigh-Ritz step. X^T X is formed
+    in one pass (`_streamed_gram`), and W is chosen from its leading block
+    A^T A:
+    1. `_gram_directions`: the Gram's top k eigenvectors scaled by
+       Lambda_k^-1/2 where the Gram's resolution over its k-th eigenvalue
+       gap is at most `_GAP_BOUND`, so the SVD reads A twice in all;
+       otherwise the k leading Ritz directions of a Ritz pass over
+       l = k + 10 directions. It takes full-rank inputs up to condition
        numbers of about 1e8 and inputs whose Gram resolves k directions.
-    2. Where Rayleigh-Ritz declines (numerical rank below k, a k-th
+    2. Where `_gram_directions` declines (numerical rank below k, a k-th
        singular value below the Gram's resolution, or an overflowed Gram),
-       the rank rule: one `_fold_r` pass and `_resolved` give s_r and V_r, and
-       `_orthonormal_basis` of A V_r S_r^-1 gives U_r and U_r^T X, so the
-       result holds min(k, r) triplets. An all-zero A raises DegenerateData
-       here.
+       the rank rule: one `_fold_r` pass and `_resolved` give s_r and V_r,
+       and W = V_r S_r^-1 for the first min(k, r) of them. An all-zero A
+       raises DegenerateData here.
+    Then the U pass: `_orthonormal_basis` of A W gives Q and Q^T X, its
+    CholeskyQR2 restoring the orthogonality that W's inverted factors cost
+    (~3e-10 at 3000 x 50, kappa = 1e7) to rounding level; the SVD
+    U_B S V^T of (Q^T X)[:, :cols] is the Rayleigh-Ritz step, giving s and
+    V, and U = Q U_B is rotated in place chunk by chunk; U^T X =
+    U_B^T Q^T X needs no pass. Besides U it holds one chunk and small
+    factors.
 
     NaN or Inf in X raises NonFiniteInput naming its first such entry
     where the SVD's first pass is the source's first walk (`row_chunks`),
@@ -482,14 +470,18 @@ def truncated_svd(x, k: int, cols: int | None = None) -> SvdFactors:
         f = economic_svd(block[:, :c])
         u = f.u[:, :k]
         return SvdFactors(u, f.singular_values[:k], f.v[:, :k], u.T @ block)
-    gram = _streamed_gram(source)
-    fast = _gram_ritz_svd(source, gram[:c, :c], k)
-    if fast is not None:
-        return fast
-    s, v = _resolved(_fold_r(rows[:, :c] for _, rows in row_chunks(source)), (n, c))
-    s, v = s[:k], v[:, :k]
-    u, _, projected = _orthonormal_basis(source, slice(0, c), v / s)
-    return SvdFactors(u, s, v, projected)
+    w = _gram_directions(source, _streamed_gram(source)[:c, :c], k)
+    if w is None:
+        s, v = _resolved(_fold_r(rows[:, :c] for _, rows in row_chunks(source)), (n, c))
+        w = v[:, :k] / s[:k]
+    u, _, projected = _orthonormal_basis(source, slice(0, c), w)
+    try:
+        rotation, s, vh = np.linalg.svd(projected[:, :c], full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"SVD failed: {exc}") from exc
+    for rows, rotated in _row_products(u, rotation):
+        u[rows] = rotated
+    return SvdFactors(u, s, vh.T, rotation.T @ projected)
 
 
 def thin_qr_q(x) -> np.ndarray:

@@ -373,6 +373,34 @@ class TestErrors:
         assert len(res.stderr.splitlines()) == 1 and "Traceback" not in res.stderr
         assert (tmp_path / "afile").read_text() == "kept"
 
+    @pytest.mark.parametrize("command", [["decompose", "--method", "dmd"],
+                                         ["bench", "--seeds", "1"]],
+                             ids=["decompose", "bench"])
+    def test_out_is_checked_before_the_run(self, workspace, tmp_path, capsys, monkeypatch,
+                                           command):
+        # an --out that cannot be a directory fails before the input is
+        # opened, and a usable one is still made only after the run
+        def no_run(*args):
+            raise AssertionError("run_dmd was called")
+
+        (tmp_path / "afile").write_text("kept")
+        args = [*command, "--input", str(workspace / "x.sms"), "--rank", "2", "--out"]
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "run_dmd", no_run)
+            for out in (tmp_path / "afile", tmp_path / "afile" / "sub"):
+                capsys.readouterr()
+                assert cli.main([*args, str(out)]) == 1
+                err = capsys.readouterr().err
+                assert err.startswith(f"IoFailure: creating directory {out}: ")
+                assert len(err.splitlines()) == 1
+            assert (tmp_path / "afile").read_text() == "kept"
+            # a fresh nested --out passes the check and is not made yet
+            with pytest.raises(AssertionError, match="run_dmd was called"):
+                cli.main([*args, str(tmp_path / "new" / "nested")])
+            assert not (tmp_path / "new").exists()
+        assert cli.main([*args, str(tmp_path / "new" / "nested")]) == 0
+        assert (tmp_path / "new" / "nested").is_dir()
+
     @pytest.mark.parametrize("shape", OVERSIZED_SHAPES, ids=["1e9x1e9", "2^40x2^30"])
     @pytest.mark.parametrize("command", ["decompose", "reconstruct"])
     def test_header_larger_than_the_file_is_runtime_error(self, workspace, tmp_path,
@@ -1104,3 +1132,26 @@ class TestReconstruct:
         )
         assert res.returncode == 1
         assert "IoFailure" in res.stderr and "line 7" in res.stderr
+
+    @pytest.mark.parametrize("name, keep, counts", [
+        ("eigenvalues.csv", 1, "3 modes, 1 eigenvalues and 3 amplitudes"),
+        ("amplitudes.csv", 2, "3 modes, 3 eigenvalues and 2 amplitudes"),
+        ("eigenvalues.csv", 0, "3 modes, 0 eigenvalues and 3 amplitudes"),
+    ], ids=["one-eigenvalue", "two-amplitudes", "header-only"])
+    def test_reconstruct_rejects_mismatched_files(self, workspace, tmp_path, capsys,
+                                                  name, keep, counts):
+        dec = tmp_path / "dec"
+        assert cli.main([
+            "decompose", "--input", str(workspace / "x.sms"), "--method", "dmd",
+            "--rank", "3", "--out", str(dec),
+        ]) == 0
+        lines = (dec / name).read_text().splitlines()
+        assert len(lines) == 4
+        (dec / name).write_text("\n".join(lines[: 1 + keep]) + "\n")
+        capsys.readouterr()
+        assert cli.main([
+            "reconstruct", "--modes", str(dec), "--steps", "30",
+            "--out", str(tmp_path / "r.sms"),
+        ]) == 1
+        assert capsys.readouterr().err == f"ShapeMismatch: {counts}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dec"]

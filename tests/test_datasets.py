@@ -40,8 +40,7 @@ from rdmd.errors import (
     TruncatedPayload,
     UnsupportedVersion,
 )
-from rdmd.blocked import _CHUNK_BYTES
-from rdmd.linalg import frobenius_sq
+from rdmd.blocked import _CHUNK_BYTES, frobenius_sq
 from rdmd.rng import CounterStream, normal_matrix, normals
 
 from conftest import OVERSIZED_SHAPES, chunk_rows, write_oversized_sms, write_v1_sms

@@ -41,6 +41,7 @@ from rdmd.errors import (
     NonFiniteInput,
     RankOutOfRange,
     RdmdError,
+    ShapeMismatch,
     TooFewSnapshots,
 )
 from rdmd.rng import normal_matrix
@@ -114,18 +115,17 @@ class TestDeterministic:
     @pytest.mark.parametrize("method", ["deterministic_projected", "deterministic_exact"])
     def test_tall_noisy_input_matches_economic_svd_run(self, method, monkeypatch):
         import rdmd.linalg
-        from rdmd.linalg import _gram_ritz_svd, _streamed_gram
+        from rdmd.linalg import _gram_directions, _streamed_gram
 
         specs = [ModeSpec(0.99 * np.exp(0.3j)), ModeSpec(0.9), ModeSpec(0.8 * np.exp(1.2j))]
         truth = synth_linear_dynamics(2000, 40, specs, seed=38)
         x = add_noise(truth.clean_data, 10.0, seed=39)
         left = split_snapshots(x).left
-        assert _gram_ritz_svd(left, _streamed_gram(left), 5) is not None  # the Gram path runs
+        assert _gram_directions(left, _streamed_gram(left), 5) is not None  # the Gram path runs
         cfg = DmdConfig(target_rank=5, method=method)
         fast = dmd_deterministic(x, cfg)
-        # the Gram path declined, the one-block SVD falls back to the slice
-        # of the economic SVD of the held block
-        monkeypatch.setattr(rdmd.linalg, "_gram_ritz_svd", lambda *args: None)
+        # the Gram path declined, the test basis comes from the R-fold
+        monkeypatch.setattr(rdmd.linalg, "_gram_directions", lambda *args: None)
         ref = dmd_deterministic(x, cfg)
         scale = np.abs(ref.eigenvalues)
         assert np.max(np.abs(fast.eigenvalues - ref.eigenvalues) / scale) <= 1e-10
@@ -626,6 +626,17 @@ class TestAmplitudesAndReconstruct:
         with pytest.raises(MissingAmplitudes):
             reconstruct(result, 3)
 
+    @pytest.mark.parametrize("eigs, amps, counts", [
+        ([0.9], [1.0, 2.0, 3.0], "3 modes, 1 eigenvalues and 3 amplitudes"),
+        ([0.9, 0.8, 0.7], [1.0, 2.0], "3 modes, 3 eigenvalues and 2 amplitudes"),
+        ([], [1.0, 2.0, 3.0], "3 modes, 0 eigenvalues and 3 amplitudes"),
+    ], ids=["one-eigenvalue", "two-amplitudes", "no-eigenvalues"])
+    def test_reconstruct_rejects_mismatched_counts(self, eigs, amps, counts):
+        # one eigenvalue would broadcast over the three modes
+        result = self._result(np.eye(4)[:, :3], eigs, amps=amps)
+        with pytest.raises(ShapeMismatch, match=f"^{counts}$"):
+            reconstruct(result, 3)
+
     def test_noise_free_training_window_reconstruction(self):
         x = rotation_sequence(30, 40, theta=0.45, seed=30)
         result = dmd_deterministic(x, DmdConfig(target_rank=2))
@@ -1093,9 +1104,9 @@ class TestPassesOverX:
             x, k = normal_matrix(3000, 3, seed=11) @ normal_matrix(3, 50, seed=12), 5
         source = _CountingSource(x, 1)
         ritz = []
-        inner = rdmd.linalg._gram_ritz_svd
+        inner = rdmd.linalg._gram_directions
         monkeypatch.setattr(
-            rdmd.linalg, "_gram_ritz_svd", lambda *args: ritz.append(inner(*args)) or ritz[-1]
+            rdmd.linalg, "_gram_directions", lambda *args: ritz.append(inner(*args)) or ritz[-1]
         )
         truncated_svd(source, k)
         assert len(ritz) == 1 and (ritz[0] is None) == (case == "rank_below_k")

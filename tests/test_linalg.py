@@ -215,6 +215,31 @@ class TestTruncatedSvd:
         resid = np.linalg.norm(x @ f.v - f.u * f.singular_values)
         assert resid <= 1e-12 * np.linalg.norm(x)
 
+    @pytest.mark.parametrize("blocks", [1, 3])
+    @pytest.mark.parametrize("tier, passes", [("two_pass", 2), ("ritz", 3), ("r_fold", 3)])
+    def test_every_tall_tier_ends_in_one_rayleigh_ritz_step(self, tier, passes, blocks):
+        # each tier only picks the test basis W; the U pass and the SVD of
+        # U^T A that follow are shared, so U^T A is diag(s) V^T on each
+        from rdmd import ArrayRowBlockSource
+
+        sigma = np.logspace(0, -3, 50)
+        if tier == "ritz":  # a fifth gap far below the Gram's resolution
+            sigma[5] = sigma[4] * (1 - 1e-9)
+        if tier == "r_fold":  # rank 3 < k: the Gram declines
+            x = normal_matrix(3000, 3, seed=11) @ normal_matrix(3, 50, seed=12)
+        else:
+            x = matrix_with_spectrum(3000, 50, sigma, seed=10)
+        x = np.hstack([x, normal_matrix(3000, 1, seed=13)])  # a column past cols
+        source = ArrayRowBlockSource(x, blocks)
+        f = truncated_svd(source, 5, 50)
+        assert source.passes == passes
+        assert f.singular_values.size == (3 if tier == "r_fold" else 5)
+        scale = f.singular_values[0]
+        np.testing.assert_allclose(
+            f.projected[:, :50], f.singular_values[:, None] * f.v.T, rtol=0, atol=1e-12 * scale
+        )
+        np.testing.assert_allclose(f.projected, f.u.T @ x, rtol=0, atol=1e-12 * scale)
+
     @pytest.mark.parametrize("rows, blocks", [(8, 2), (9, 3)])
     def test_short_input_of_several_blocks(self, rows, blocks):
         # more than one block takes the Gram path whatever the shape, and
