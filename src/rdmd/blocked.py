@@ -29,10 +29,11 @@ the compressed one two (S X with ||X||_F^2, and the exact-style basis),
 and the CLI's reconstruction-error pass one where it runs; the CLI reports
 the count as `passes_over_x`. An SMS file source also releases the block
 it holds when another block is read, and each method releases the last one
-after its last pass, so a run of any method and any block count holds one
-chunk of file pages and its one n x l or n x k basis at any width (one
-block where blocks are copied). The block count changes the answer only at
-the level of rounding.
+after its last pass, before the mode lift (`dmd._pipeline`, right after
+the frame), so a run of any method and any block count holds one chunk of
+file pages and its one n x l or n x k basis at any width (one block where
+blocks are copied), and no file pages while the modes are lifted. The
+block count changes the answer only at the level of rounding.
 
 That basis (the range finder's last sketch Y and its Q, the truncated
 SVD's U_k, the exact-style modes' basis) is an `empty_basis`: its pages

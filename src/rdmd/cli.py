@@ -14,6 +14,7 @@ of its range.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
@@ -46,11 +47,12 @@ from .datasets import (
 from .dmd import (
     DmdConfig,
     DmdResult,
+    _require_finite_entries,
     eigen_match_error,
     reconstruct,
     run_dmd,
 )
-from .errors import IoFailure, RdmdError
+from .errors import EmptyInput, IoFailure, RdmdError
 from .linalg import _require_finite, singular_values_of_rows
 from .memguard import stage
 from .rng import derive_seed
@@ -79,8 +81,8 @@ def _complex_pairs(values) -> list:
 
 def _parse_modes(text: str) -> list[ModeSpec]:
     """Mode list syntax: comma-separated EIGENVALUE[:AMPLITUDE], each a
-    Python complex literal, e.g. '0.9,0.95+0.2j:1.5'. Conjugate partners of
-    non-real eigenvalues are implied."""
+    finite Python complex literal, e.g. '0.9,0.95+0.2j:1.5'. Conjugate
+    partners of non-real eigenvalues are implied."""
     specs = []
     for item in text.split(","):
         item = item.strip()
@@ -94,6 +96,8 @@ def _parse_modes(text: str) -> list[ModeSpec]:
             amp = complex(parts[1]) if len(parts) == 2 else 1.0 + 0.0j
         except ValueError as exc:
             raise argparse.ArgumentTypeError(f"bad mode entry {item!r}: {exc}")
+        if not (cmath.isfinite(eig) and cmath.isfinite(amp)):
+            raise argparse.ArgumentTypeError(f"bad mode entry {item!r}: not finite")
         specs.append(ModeSpec(eigenvalue=eig, amplitude=amp))
     if not specs:
         raise argparse.ArgumentTypeError("empty mode list")
@@ -181,12 +185,19 @@ def _peak_rss_bytes() -> int | None:
 
 
 def _load_truth(path):
+    """The eigenvalues of a truth file (synth's --truth JSON). An empty
+    list is EmptyInput and a NaN or Inf NonFiniteInput, each naming the
+    file, so `decompose` and `bench` reject it before opening the input."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        return np.array([complex(re, im) for re, im in data["eigenvalues"]])
+        truth = np.array([complex(re, im) for re, im in data["eigenvalues"]])
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise IoFailure(f"reading truth file {path}: {exc}") from exc
+    if truth.size == 0:
+        raise EmptyInput(f"truth file {path} lists no eigenvalues")
+    _require_finite_entries(f"truth file {path}: eigenvalue", truth)
+    return truth
 
 
 def _run(source, cfg, truth, timings):

@@ -21,12 +21,15 @@ eigenvectors are lifted back to the full state space:
 Each variant's modes lie in the span of an orthonormal basis Q (U_k, the
 sketch basis, or the thin QR factor of the exact-style basis), so every
 variant fits its amplitudes and keeps its reconstruction data in Q's
-k- or l-dimensional coordinates. Each hands the shared pipeline that frame
-as a `QBFactorization` (Q, Q^T X, ||X||_F^2), and the pipeline lifts every
-variant's modes through `apply_q`. The sketch basis, U_k and the
-exact-style Q each come from `linalg._orthonormal_basis` passes, each of
-which writes an n x l or n x k product and sums what its CholeskyQR2 and
-Q^T X need.
+k- or l-dimensional coordinates. Each hands the shared pipeline
+(`_pipeline`) two things: its snapshots D, from which the pipeline takes
+the rank-k operator (`_sequence_operator`), and a frame (Q, B, M) with
+B = Q^T X, its modes being Q M W. The pipeline reads ||X||_F^2 and the
+block count from the source, releases the source's held block after the
+frame, every variant's last pass, and lifts every variant's modes through
+`apply_q`. The sketch basis, U_k and the exact-style Q each come from
+`linalg._orthonormal_basis` passes, each of which writes an n x l or
+n x k product and sums what its CholeskyQR2 and Q^T X need.
 
 Each variant has one entry point (`dmd_deterministic`, `dmd_compressed`,
 `dmd_randomized`), which takes an n-row matrix or a row-block source (see
@@ -41,7 +44,7 @@ randomized one q + 1 times; the rank rule (`linalg._resolved`) adds one
 pass where it runs. Any block count gives the one-block result to
 rounding. Data that resolves r < k directions gives r eigenvalues (see
 `_operator`). The first of these passes names any NaN or Inf of X and
-sums ||X||_F^2, the source's `sq_norm`, which every variant's frame reads
+sums ||X||_F^2, the source's `sq_norm`, which the pipeline reads
 (`blocked.row_chunks`). Every variant's SVD, with U_k^T D, is
 `linalg.truncated_svd`'s, and only it decides whether a Gram matrix is
 formed: for a tall or blocked X, not for the short B or S X of the
@@ -65,6 +68,7 @@ from .errors import (
     DegenerateData,
     EmptyInput,
     MissingAmplitudes,
+    NonFiniteInput,
     RankOutOfRange,
     ShapeMismatch,
     TooFewSnapshots,
@@ -125,7 +129,7 @@ class LowDimOperator:
     projected is U_k^T D for the sequence D (U_k^T D_R for a split without
     one): the operator is taken from its last m columns, and the projected
     modes' frame keeps it as B = U_k^T X. right is the split's D_R, and None
-    for an operator taken from a row-block source.
+    for the operators `_pipeline` takes, whose frames read no D_R.
     """
 
     operator: np.ndarray
@@ -139,8 +143,8 @@ class LowDimOperator:
     @property
     def right_projected(self) -> np.ndarray:
         """D_R V_k S_k^{-1}, the basis exact-style modes lift through, formed
-        on each access, so only the variants whose modes lift through it
-        read D_R."""
+        on each access (the randomized frame forms the same product from
+        B_R)."""
         basis = _tall_product(self.right, self.right_vectors)
         basis *= self.inv_singular
         return basis
@@ -257,26 +261,36 @@ def low_dim_operator(
     if left.shape != right.shape:
         raise ShapeMismatch(f"left {left.shape} != right {right.shape}")
     if split.sequence is not None:
-        factors = truncated_svd(split.sequence, k, left.shape[1])
-        return _operator(factors, factors.projected, left.shape, k, regularization, right)
+        return _sequence_operator(split.sequence, k, regularization, right)
     factors = truncated_svd(left, k)
     with np.errstate(over="ignore", invalid="ignore"):  # checked right below
         projected = factors.u.T @ right
     if not np.isfinite(projected).all():  # a NaN or Inf of D_R shows here
         raise _non_finite_error(right)
-    return _operator(factors, projected, left.shape, k, regularization, right)
+    return _operator(factors, projected, k, regularization, right)
 
 
-def _operator(factors, projected, shape, k, regularization, right=None) -> LowDimOperator:
+def _sequence_operator(d, k, regularization, right=None) -> LowDimOperator:
+    """The LowDimOperator of the snapshot sequence D, an n x (m+1) matrix or
+    row-block source: the rank-k `truncated_svd` of its leading m columns
+    D_L, whose U_k^T D comes with it (see `_operator`). right is D_R where
+    the operator keeps it (`LowDimOperator.right_projected`)."""
+    source = as_source(d)
+    factors = truncated_svd(source, k, source.cols - 1)
+    return _operator(factors, factors.projected, k, regularization, right)
+
+
+def _operator(factors, projected, k, regularization, right=None) -> LowDimOperator:
     """The LowDimOperator of the rank-k truncated SVD `factors` of a d x m
-    D_L and projected = U_k^T D, whose last m columns are U_k^T D_R. Only
-    the r triplets above eps * max(d, m) * s_1 are kept (the rank rule of
+    D_L (d and m the rows of U_k and V_k) and projected = U_k^T D, whose
+    last m columns are U_k^T D_R. Only the r triplets above
+    eps * max(d, m) * s_1 are kept (the rank rule of
     `linalg._resolved`), so the operator is r x r. The default filter is
     plain truncation (1/s_i); a Tikhonov spec replaces 1/s_i by
     s_i / (s_i^2 + lambda^2). A filter reads k values, zero beyond the
     triplets given, so tsvd(j) keeps all r where r < j. r == 0 (an all-zero
     D_L) raises DegenerateData."""
-    s = factors.singular_values
+    s, shape = factors.singular_values, (factors.u.shape[0], factors.v.shape[0])
     r = int(np.count_nonzero(s > default_rank_tol(shape, s[0])))
     if r == 0:
         raise DegenerateData("left snapshot matrix is identically zero")
@@ -306,22 +320,37 @@ def amplitudes(result: DmdResult, x0) -> np.ndarray:
     return np.linalg.pinv(result.modes) @ x0
 
 
+def _require_finite_entries(label: str, values: np.ndarray) -> None:
+    """NonFiniteInput naming the first NaN or Inf of the 1-D `values` as
+    `label`, its index and its value, e.g. "eigenvalue 1 is (nan+0j)"."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise NonFiniteInput(f"{label} {bad[0]} is {values[bad[0]]}")
+
+
 def reconstruct(result: DmdResult, steps: int) -> np.ndarray:
     """Real snapshot sequence Re(modes @ diag(lambda^j) @ a), j = 0..steps-1.
     ShapeMismatch where the modes, eigenvalues and amplitudes differ in
-    number, as the files of different runs can."""
+    number, as the files of different runs can. NonFiniteInput, before
+    any product with the modes, where an eigenvalue or amplitude is NaN or
+    Inf (naming it), or where a weight a_i lambda_i^j overflows float64."""
     if result.amplitudes is None:
         raise MissingAmplitudes("result carries no amplitudes")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    k, values = result.modes.shape[1], result.eigenvalues.size
-    if not k == values == result.amplitudes.size:
-        raise ShapeMismatch(
-            f"{k} modes, {values} eigenvalues and {result.amplitudes.size} amplitudes"
+    lam, amp = result.eigenvalues, result.amplitudes
+    k, values = result.modes.shape[1], lam.size
+    if not k == values == amp.size:
+        raise ShapeMismatch(f"{k} modes, {values} eigenvalues and {amp.size} amplitudes")
+    _require_finite_entries("eigenvalue", lam)
+    _require_finite_entries("amplitude", amp)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked right below
+        scaled = amp[:, None] * (lam[:, None] ** np.arange(steps)[None, :])
+    if not np.isfinite(scaled).all():
+        raise NonFiniteInput(
+            f"the dynamics overflow float64 within {steps - 1} steps "
+            f"(largest |eigenvalue| {np.abs(lam).max():.6g})"
         )
-    scaled = result.amplitudes[:, None] * (
-        result.eigenvalues[:, None] ** np.arange(steps)[None, :]
-    )
     n = result.modes.shape[0]
     memguard.note(n * steps * 8)
     return _real_product(result.modes, scaled)
@@ -333,12 +362,16 @@ def eigen_match_error(reference, test) -> float:
     Both lists are sorted by the library eigenvalue order and truncated to
     the shorter length; reference values are then matched greedily in order
     of descending magnitude, each taking the nearest still-unused test
-    value. Deterministic by construction.
+    value. Deterministic by construction. NaN or Inf in either spectrum
+    raises NonFiniteInput naming the spectrum and the entry's index: a NaN
+    distance would otherwise never be the worst.
     """
     ref = np.asarray(reference, dtype=np.complex128).ravel()
     tst = np.asarray(test, dtype=np.complex128).ravel()
     if ref.size == 0 or tst.size == 0:
         raise EmptyInput("cannot match empty spectra")
+    _require_finite_entries("reference spectrum entry", ref)
+    _require_finite_entries("test spectrum entry", tst)
     n = min(ref.size, tst.size)
     ref = sort_eigenpairs(ref)[0][:n]
     tst = sort_eigenpairs(tst)[0][:n]
@@ -353,7 +386,7 @@ def eigen_match_error(reference, test) -> float:
     return worst
 
 
-def _config_echo(cfg: DmdConfig, method: str, effective_rank: int, blocks: int = 1,
+def _config_echo(cfg: DmdConfig, method: str, effective_rank: int, blocks: int,
                  compress_dim: int | None = None,
                  effective_sketch_size: int | None = None) -> dict:
     """The description of a run of `method`: the parameters it reads, None
@@ -383,41 +416,51 @@ def _config_echo(cfg: DmdConfig, method: str, effective_rank: int, blocks: int =
 
 
 def _span_frame(source, op):
-    """`_pipeline`'s frame of the exact-style modes basis @ W for
+    """`_pipeline`'s frame (Q, B, M) of the exact-style modes basis @ W for
     basis = X_R V S^-1 (V and S^-1 those of the LowDimOperator op), X
-    being the snapshots of a row-block source:
-    (QBFactorization(Q, Q^T X, ||X||_F^2), R) for basis = Q R, from one
-    `linalg._orthonormal_basis` pass (two where the basis has rank below
-    its width, Q then having that rank's columns).
+    being the snapshots of a row-block source: basis = Q M for Q
+    orthonormal, and B = Q^T X, from one `linalg._orthonormal_basis` pass
+    (two where the basis has rank below its width, Q then having that
+    rank's columns).
     """
-    q, r, projected = _orthonormal_basis(
+    q, m, b = _orthonormal_basis(
         source, slice(1, None), op.right_vectors * op.inv_singular
     )
-    return QBFactorization(q, projected, source.sq_norm), r
+    return q, b, m
 
 
-def _pipeline(operator, cfg, method, timings, frame, **echo):
-    """Low-dimensional DMD shared by every variant.
+def _projected_frame(op):
+    """`_pipeline`'s frame (U_k, U_k^T X, I) of the projected modes U_k W,
+    from the deterministic variant's LowDimOperator op."""
+    return op.left_vectors, op.projected, np.eye(op.operator.shape[0])
 
-    The variants differ only in `operator()`, which returns the
-    LowDimOperator of their snapshots (X, S X or the sketch B), and in
-    `frame(op)`, which returns (QBFactorization(Q, B, ||X||_F^2), M): the
-    modes are Q M W for the low-dimensional eigenvectors W, Q being an
-    orthonormal n x l basis and B = Q^T X the snapshots in its
-    coordinates. Q is the variant's own basis, which nothing reads after
-    the lift, so every variant lifts through `apply_q` with release_q: each
-    chunk of Q is handed back once those rows of the modes are written,
-    and the modes replace Q rather than being added to it. Since
-    pinv(Q N) = pinv(N) Q^T, the amplitudes are fitted in coordinates,
-    against B[:, 0], and the result keeps (M W, B, ||X||_F^2) as its
-    `SketchFit`. Each variant's first pass over X names any NaN or Inf of
-    X, so NaN or Inf in the low-dimensional operator, M W, B[:, 0] or
-    ||X||_F^2 raises NonFiniteInput saying that a product of the finite
-    input overflowed. `echo` is passed on to `_config_echo`.
+
+def _pipeline(source, snapshots, k, cfg, method, timings, frame, **echo):
+    """Low-dimensional DMD shared by every variant, of the snapshots X
+    whose row-block source is `source`.
+
+    The variants differ only in their snapshots D, from which the rank-k
+    operator is taken (`_sequence_operator`: X itself, S X or the sketch
+    B), and in `frame(op)`, which returns (Q, B, M): the modes are Q M W
+    for the low-dimensional eigenvectors W, Q being an orthonormal n x l
+    basis and B = Q^T X the snapshots in its coordinates. The frame is
+    every variant's last pass over X, so the source's held block is
+    released (`release_block`) right after it, before the lift. Q is the
+    variant's own basis, which nothing reads after the lift, so every
+    variant lifts through `apply_q` with release_q: each chunk of Q is
+    handed back once those rows of the modes are written, and the modes
+    replace Q rather than being added to it. Since pinv(Q N) =
+    pinv(N) Q^T, the amplitudes are fitted in coordinates, against
+    B[:, 0], and the result keeps (M W, B, ||X||_F^2) as its `SketchFit`,
+    ||X||_F^2 being the source's `sq_norm`. Each variant's first pass over
+    X names any NaN or Inf of X, so NaN or Inf in the low-dimensional
+    operator, M W, B[:, 0] or ||X||_F^2 raises NonFiniteInput saying that
+    a product of the finite input overflowed. `echo` is passed on to
+    `_config_echo`, with the source's block count.
     """
     with stage(timings, "svd"):
         with np.errstate(over="ignore", invalid="ignore"):  # checked right below
-            op = operator()
+            op = _sequence_operator(snapshots, k, cfg.regularization)
         _require_finite(op.operator)
     with stage(timings, "eig"):
         pairs = eig_dense(op.operator)
@@ -427,15 +470,16 @@ def _pipeline(operator, cfg, method, timings, frame, **echo):
         )
     with stage(timings, "modes"):
         with np.errstate(over="ignore", invalid="ignore"):  # checked right below
-            basis, coords = frame(op)
+            q, data, coords = frame(op)
+            source.release_block()  # after the last pass, before the lift
             small = coords @ w
         del op, coords  # an exact-style frame leaves U_k unread
-        data, data_sq_norm = basis.b, basis.data_sq_norm
+        data_sq_norm = source.sq_norm
         _require_finite(small, data[:, 0], data_sq_norm)
         # the lift is a fresh complex array, so it is normalized in place;
         # `small` is scaled by the same factors into the coordinates
-        modes = apply_q(basis, small, release_q=True)
-        del basis  # and the Q it handed back
+        modes = apply_q(QBFactorization(q, data, data_sq_norm), small, release_q=True)
+        del q  # whose chunks the lift handed back
         factors = normalize_phase_in_place(modes)
     with stage(timings, "amplitudes"):
         sketch = SketchFit(small * factors, data, data_sq_norm)
@@ -448,7 +492,8 @@ def _pipeline(operator, cfg, method, timings, frame, **echo):
         method=method,
         diagnostics={
             "timings": timings,
-            "config": _config_echo(cfg, method, pairs.eigenvalues.size, **echo),
+            "config": _config_echo(cfg, method, pairs.eigenvalues.size, source.block_count,
+                                   **echo),
             "eigenpair_residual": eigenpair_residual,
         },
         sketch=sketch,
@@ -459,46 +504,28 @@ def dmd_deterministic(x, cfg: DmdConfig) -> DmdResult:
     """Deterministic decomposition of the snapshot sequence X, an n-row
     matrix or a row-block source, in `row_chunks` passes over X.
 
-    The operator and B = U_k^T X come from the `truncated_svd` of X_L: on
-    a tall or blocked X, the Gram matrix of X, then one more pass that
-    writes U_k and sums B where the Gram's resolution over its k-th
-    eigenvalue gap is at most `linalg._GAP_BOUND`, and two (a
-    Rayleigh-Ritz pass first) elsewhere; on a short one-block X, one walk
-    and LAPACK's SVD of the block. The source's first walk names any NaN
-    or Inf of X and sums ||X||_F^2 (`blocked.row_chunks`); a finite X
-    whose ||X||_F^2 overflowed raises NonFiniteInput. cfg.method
-    "deterministic_exact" lifts exact modes X_R V_k S_k^{-1} W through
-    their orthonormal span (`_span_frame`, one more pass); any other
-    method runs the projected modes U_k W, whose frame is U_k itself with
-    that B, so the projected run reads a tall X twice on such data, and
-    three times elsewhere. Any block count gives the one-block result to
-    rounding.
+    The snapshots D are X itself: the operator and B = U_k^T X come from
+    the `truncated_svd` of X_L, on a tall or blocked X the Gram matrix of
+    X, then one more pass that writes U_k and sums B where the Gram's
+    resolution over its k-th eigenvalue gap is at most
+    `linalg._GAP_BOUND`, and two (a Rayleigh-Ritz pass first) elsewhere;
+    on a short one-block X, one walk and LAPACK's SVD of the block. The
+    source's first walk names any NaN or Inf of X and sums ||X||_F^2
+    (`blocked.row_chunks`); a finite X whose ||X||_F^2 overflowed raises
+    NonFiniteInput. cfg.method "deterministic_exact" lifts exact modes
+    X_R V_k S_k^{-1} W through the frame of their orthonormal span
+    (`_span_frame`, one more pass); any other method runs the projected
+    modes U_k W, whose frame is (U_k, B, I), so the projected run reads a
+    tall X twice on such data, and three times elsewhere. Any block count
+    gives the one-block result to rounding.
     """
     source = as_source(x)
     _require_snapshots(source.cols)
-    shape = (source.rows, source.cols - 1)
-
-    def operator():
-        factors = truncated_svd(source, cfg.target_rank, shape[1])
-        return _operator(
-            factors, factors.projected, shape, cfg.target_rank, cfg.regularization
-        )
-
     if cfg.method == "deterministic_exact":
-        method = cfg.method
-
-        def frame(op):
-            return _span_frame(source, op)
+        method, frame = cfg.method, lambda op: _span_frame(source, op)
     else:
-        method = "deterministic_projected"
-
-        def frame(op):
-            frame = QBFactorization(op.left_vectors, op.projected, source.sq_norm)
-            return frame, np.eye(op.operator.shape[0])
-
-    result = _pipeline(operator, cfg, method, {}, frame, blocks=source.block_count)
-    source.release_block()
-    return result
+        method, frame = "deterministic_projected", _projected_frame
+    return _pipeline(source, source, cfg.target_rank, cfg, method, {}, frame)
 
 
 def dmd_randomized(x, cfg: DmdConfig) -> DmdResult:
@@ -507,10 +534,11 @@ def dmd_randomized(x, cfg: DmdConfig) -> DmdResult:
 
     The range finder (`blocked_randomized_qb`) reads X q + 1 times, once
     per sketch: each power iteration's read gives the next test matrix,
-    the last one the n x l basis and B; the modes are lifted through that
-    basis, so no n x m buffer is ever materialized. Any block count gives
-    the one-block result to rounding. The config echo's
-    effective_sketch_size is the number of columns the basis kept.
+    the last one the n x l basis Q and B = Q^T X. The snapshots D are B,
+    and the frame is (Q, B, B_R V S^-1), so the modes are lifted through Q
+    and no n x m buffer is ever materialized. Any block count gives the
+    one-block result to rounding. The config echo's effective_sketch_size
+    is the number of columns the basis kept.
     """
     source = as_source(x)
     _require_snapshots(source.cols)
@@ -519,24 +547,24 @@ def dmd_randomized(x, cfg: DmdConfig) -> DmdResult:
         qb = blocked_randomized_qb(source, cfg.sketch)
     k = min(cfg.target_rank, qb.b.shape[0])  # B has r rows where X resolves r < l
     return _pipeline(
-        lambda: low_dim_operator(split_snapshots(qb.b), k, cfg.regularization),
-        cfg, "randomized", timings,
-        lambda op: (qb, op.right_projected), blocks=source.block_count,
+        source, qb.b, k, cfg, "randomized", timings,
+        lambda op: (qb.q, qb.b, _tall_product(qb.b[:, 1:], op.right_vectors) * op.inv_singular),
         effective_sketch_size=qb.b.shape[0],
     )
 
 
 def dmd_compressed(x, cfg: DmdConfig, operator: SamplingOperator | None = None) -> DmdResult:
-    """Compressed decomposition: DMD of S @ X for a random l x n mixer S and
-    the snapshot sequence X, an n-row matrix or a row-block source.
+    """Compressed decomposition: DMD of the snapshots D = S @ X for a random
+    l x n mixer S and the snapshot sequence X, an n-row matrix or a
+    row-block source.
 
     S is a Gaussian test matrix or a rescaled uniform row sampler per
     cfg.sampling, drawn from cfg.seed; pass a SamplingOperator as `operator`
     to pin it, e.g. the identity sampler for an exactness check. Modes are
-    lifted exact-style from the uncompressed right snapshots. X is read
-    twice: S X, in the first walk, which names any NaN or Inf of X and
-    sums ||X||_F^2 (`blocked.row_chunks`), then the basis pass of
-    `_span_frame`.
+    lifted exact-style from the uncompressed right snapshots, through the
+    frame of their span (`_span_frame`). X is read twice: S X, in the
+    first walk, which names any NaN or Inf of X and sums ||X||_F^2
+    (`blocked.row_chunks`), then the frame's basis pass.
     """
     source = as_source(x)
     n, cols = source.rows, source.cols
@@ -561,14 +589,10 @@ def dmd_compressed(x, cfg: DmdConfig, operator: SamplingOperator | None = None) 
             compressed = gaussian_compress(source, l, cfg.seed)
         _require_finite(compressed)
 
-    result = _pipeline(
-        lambda: low_dim_operator(split_snapshots(compressed), k, cfg.regularization),
-        cfg, "compressed", timings,
-        lambda op: _span_frame(source, op),
-        compress_dim=compressed.shape[0], blocks=source.block_count,
+    return _pipeline(
+        source, compressed, k, cfg, "compressed", timings,
+        lambda op: _span_frame(source, op), compress_dim=compressed.shape[0],
     )
-    source.release_block()
-    return result
 
 
 def run_dmd(x, cfg: DmdConfig) -> DmdResult:

@@ -13,6 +13,7 @@ from rdmd import (
     gaussian_test_matrix,
     partition_rows,
     randomized_qb,
+    run_dmd,
     synth_linear_dynamics,
 )
 from rdmd import memguard, open_row_blocks, write_sms
@@ -227,7 +228,18 @@ class TestBlockedQb:
         rel = np.linalg.norm(x - apply_q(res, res.b)) / np.linalg.norm(x)
         assert rel <= 1e-8
 
-    def test_last_block_is_released_after_the_sketch_before_the_lift(self, monkeypatch):
+    # each variant's passes over the three blocks, then the release of the
+    # held block after the last pass and before the lift; the randomized
+    # range finder releases it itself, so the pipeline's call reads nothing
+    @pytest.mark.parametrize("method, passes, releases", [
+        ("randomized", 2, 2),
+        ("deterministic_projected", 2, 1),
+        ("deterministic_exact", 3, 1),
+        ("compressed", 2, 1),
+    ], ids=["rdmd", "dmd-projected", "dmd-exact", "cdmd"])
+    def test_last_block_is_released_after_the_sketch_before_the_lift(
+        self, monkeypatch, method, passes, releases
+    ):
         import rdmd.dmd
 
         calls = []
@@ -245,9 +257,10 @@ class TestBlockedQb:
             return apply_q(qb, v, **kwargs)
 
         monkeypatch.setattr(rdmd.dmd, "apply_q", recording_apply_q)
-        dmd_randomized(Recording(normal_matrix(60, 20, seed=23), 3),
-                       DmdConfig(target_rank=3, oversampling=2, power_iters=1))
-        assert calls == ["read 0", "read 1", "read 2"] * 2 + ["release", "lift"]
+        cfg = DmdConfig(target_rank=3, method=method, oversampling=2, power_iters=1,
+                        compress_dim=10)
+        run_dmd(Recording(normal_matrix(60, 20, seed=23), 3), cfg)
+        assert calls == ["read 0", "read 1", "read 2"] * passes + ["release"] * releases + ["lift"]
 
     def test_determinism(self):
         x = normal_matrix(40, 18, seed=19)

@@ -401,6 +401,29 @@ class TestErrors:
         assert cli.main([*args, str(tmp_path / "new" / "nested")]) == 0
         assert (tmp_path / "new" / "nested").is_dir()
 
+    @pytest.mark.parametrize("eigenvalues, error", [
+        ("[[NaN, 0]]", "NonFiniteInput: truth file {}: eigenvalue 0 is (nan+0j)"),
+        ("[[0.9, 0], [1, Infinity]]", "NonFiniteInput: truth file {}: eigenvalue 1 is (1+infj)"),
+        ("[]", "EmptyInput: truth file {} lists no eigenvalues"),
+    ], ids=["nan", "inf", "empty"])
+    @pytest.mark.parametrize("command", [["decompose", "--method", "dmd"],
+                                         ["bench", "--seeds", "1"]],
+                             ids=["decompose", "bench"])
+    def test_unusable_truth_is_rejected_before_the_run(self, workspace, tmp_path, capsys,
+                                                       monkeypatch, command, eigenvalues,
+                                                       error):
+        # a NaN truth would score every run as a perfect match
+        def no_run(*args):
+            raise AssertionError("run_dmd was called")
+
+        truth = tmp_path / "truth.json"
+        truth.write_text(f'{{"eigenvalues": {eigenvalues}}}')
+        monkeypatch.setattr(cli, "run_dmd", no_run)
+        assert cli.main([*command, "--input", str(workspace / "x.sms"), "--rank", "2",
+                         "--truth", str(truth), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == error.format(truth) + "\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["truth.json"]
+
     @pytest.mark.parametrize("shape", OVERSIZED_SHAPES, ids=["1e9x1e9", "2^40x2^30"])
     @pytest.mark.parametrize("command", ["decompose", "reconstruct"])
     def test_header_larger_than_the_file_is_runtime_error(self, workspace, tmp_path,
@@ -685,6 +708,18 @@ class TestUsageErrors:
         assert (flags[0] if flags else "--seed") in res.stderr
         assert "Traceback" not in res.stderr
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("modes, entry", [
+        ("nan", "nan"), ("0.9:inf", "0.9:inf"), ("0.9, 0.5+nanj:2", "0.5+nanj:2"),
+    ], ids=["nan-eigenvalue", "inf-amplitude", "nan-imaginary-part"])
+    def test_non_finite_mode_is_usage_error(self, tmp_path, modes, entry):
+        res = run_cli("synth", "--rows", "40", "--snapshots", "10", "--modes", modes,
+                      "--out", str(tmp_path / "x.sms"))
+        assert res.returncode == 2
+        assert res.stderr.splitlines()[-1].endswith(
+            f"argument --modes: bad mode entry {entry!r}: not finite"
+        )
+        assert list(tmp_path.iterdir()) == []
 
     SHARED = {"--seed", "--input", "--rank", "--oversample", "--power-iters"}
     COMPARED = SHARED | {"--compress-dim", "--sampling", "--truth"}
@@ -1132,6 +1167,28 @@ class TestReconstruct:
         )
         assert res.returncode == 1
         assert "IoFailure" in res.stderr and "line 7" in res.stderr
+
+    @pytest.mark.parametrize("name, value, steps, error", [
+        ("eigenvalues.csv", "2.0,0", "2000", "the dynamics overflow float64 within 1999 "
+         "steps (largest |eigenvalue| 2)"),
+        ("eigenvalues.csv", "nan,0", "30", "eigenvalue 0 is (nan+0j)"),
+        ("amplitudes.csv", "inf,0", "30", "amplitude 0 is (inf+0j)"),
+    ], ids=["overflow", "nan-eigenvalue", "inf-amplitude"])
+    def test_reconstruct_names_a_non_finite_spectrum(self, workspace, tmp_path, name,
+                                                     value, steps, error):
+        # the spectrum is named, not the output, with no numpy warning
+        dec = tmp_path / "dec"
+        assert cli.main([
+            "decompose", "--input", str(workspace / "x.sms"), "--method", "dmd",
+            "--rank", "3", "--out", str(dec),
+        ]) == 0
+        lines = (dec / name).read_text().splitlines()
+        (dec / name).write_text("\n".join([lines[0], value, *lines[2:]]) + "\n")
+        res = run_cli("reconstruct", "--modes", str(dec), "--steps", steps,
+                      "--out", str(tmp_path / "r.sms"))
+        assert res.returncode == 1
+        assert res.stderr == f"NonFiniteInput: {error}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dec"]
 
     @pytest.mark.parametrize("name, keep, counts", [
         ("eigenvalues.csv", 1, "3 modes, 1 eigenvalues and 3 amplitudes"),

@@ -637,6 +637,20 @@ class TestAmplitudesAndReconstruct:
         with pytest.raises(ShapeMismatch, match=f"^{counts}$"):
             reconstruct(result, 3)
 
+    @pytest.mark.parametrize("eigs, amps, steps, message", [
+        ([0.9, 2.0], [1.0, 1.0], 2000,
+         r"the dynamics overflow float64 within 1999 steps \(largest \|eigenvalue\| 2\)"),
+        ([0.9, np.nan], [1.0, 1.0], 3, r"eigenvalue 1 is \(nan\+0j\)"),
+        ([0.9, 0.5], [np.inf, 1.0], 3, r"amplitude 0 is \(inf\+0j\)"),
+    ], ids=["overflow", "nan-eigenvalue", "inf-amplitude"])
+    def test_reconstruct_rejects_non_finite_weights(self, eigs, amps, steps, message):
+        # named before any product with the modes, and without a warning
+        result = self._result(np.eye(3)[:, :2], eigs, amps=amps)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteInput, match=f"^{message}$"):
+                reconstruct(result, steps)
+
     def test_noise_free_training_window_reconstruction(self):
         x = rotation_sequence(30, 40, theta=0.45, seed=30)
         result = dmd_deterministic(x, DmdConfig(target_rank=2))
@@ -662,6 +676,16 @@ class TestEigenMatchError:
     def test_empty_rejected(self):
         with pytest.raises(EmptyInput):
             eigen_match_error([], [1.0])
+
+    @pytest.mark.parametrize("ref, tst, message", [
+        ([np.nan, 0.5], [0.9, 0.5], r"reference spectrum entry 0 is \(nan\+0j\)"),
+        ([0.9, 0.5], [0.5, np.nan], r"test spectrum entry 1 is \(nan\+0j\)"),
+        ([0.9, 0.5], [0.5, complex(0.9, np.inf)], r"test spectrum entry 1 is \(0\.9\+infj\)"),
+    ], ids=["nan-reference", "nan-test", "inf-test"])
+    def test_non_finite_spectrum_rejected(self, ref, tst, message):
+        # a NaN distance never wins max(), so it would score as a match
+        with pytest.raises(NonFiniteInput, match=f"^{message}$"):
+            eigen_match_error(ref, tst)
 
     def test_greedy_vs_brute_force(self):
         def brute_force(ref, tst):
