@@ -32,17 +32,18 @@ from . import memguard
 from .blocked import frobenius_sq, row_chunks, row_spans
 from .datasets import (
     ModeSpec,
-    add_noise,
+    add_noise,  # no caller: a perfbench/traced.py site
     open_row_blocks,
     read_complex_csv,
     read_complex_matrix,
     read_sms,  # no caller: perfbench/traced.py's datasets.read_sms site
-    synth_linear_dynamics,
+    synth_linear_dynamics,  # no caller: a perfbench/traced.py site
     write_atomic,
     write_complex_csv,
     write_complex_matrix,
-    write_sms,
+    write_sms,  # no caller: a perfbench/traced.py site
     write_sms_rows,
+    write_synth_sms,
 )
 from .dmd import (
     DmdConfig,
@@ -233,12 +234,11 @@ def _mean_std(values) -> dict:
 
 
 def _cmd_synth(args) -> int:
-    truth = synth_linear_dynamics(args.rows, args.snapshots - 1, args.modes, args.seed)
-    data = truth.clean_data
-    if args.snr is not None:
-        # the clean matrix is not read again: the noise goes into it in place
-        data = add_noise(data, args.snr, derive_seed(args.seed, 2**32), out=data)
-    write_sms(data, args.out)
+    # formed in place in the output file, a row chunk at a time
+    truth = write_synth_sms(
+        args.out, args.rows, args.snapshots - 1, args.modes, args.seed,
+        args.snr, derive_seed(args.seed, 2**32),
+    )
     if args.truth:
         _write_json(
             args.truth,

@@ -24,6 +24,7 @@ contiguous range of bytes, which is what the blocks rely on.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import mmap
 import os
@@ -87,7 +88,7 @@ class SyntheticTruth:
     eigenvalues: np.ndarray
     modes: np.ndarray
     amplitudes: np.ndarray
-    clean_data: np.ndarray
+    clean_data: np.ndarray | None  # None where it went straight to a file
 
 
 def _harmonics(n: int, count: int = 8) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -100,64 +101,91 @@ def _harmonics(n: int, count: int = 8) -> list[tuple[np.ndarray, np.ndarray]]:
     ]
 
 
-def _smooth_field(harmonics, stream: CounterStream) -> np.ndarray:
-    """Random smooth profile: low-frequency Fourier series with 1/f decay."""
+def _smooth_field(harmonics, stream: CounterStream, out: np.ndarray, terms: np.ndarray):
+    """Random smooth profile: low-frequency Fourier series with 1/f decay,
+    summed term by term into `out` through the 2 x n scratch `terms`."""
     coeffs = stream.normals(2 * len(harmonics))
-    field = np.zeros(harmonics[0][0].size)
+    out[...] = 0.0
+    cos_part, sin_part = terms
     for f, (cos, sin) in enumerate(harmonics, start=1):
-        a, b = coeffs[2 * f - 2], coeffs[2 * f - 1]
-        field += (a * cos + b * sin) / f
-    return field
+        # (a * cos + b * sin) / f, one operation at a time
+        np.multiply(coeffs[2 * f - 2], cos, out=cos_part)
+        np.multiply(coeffs[2 * f - 1], sin, out=sin_part)
+        cos_part += sin_part
+        cos_part /= f
+        out += cos_part
+    return out
 
 
-def _mode_profile(n: int, spec: ModeSpec, is_complex: bool, stream: CounterStream, harmonics):
+def _mode_column(phi, spec: ModeSpec, is_complex: bool, stream: CounterStream, harmonics,
+                 scratch) -> bool:
+    """Write the unit-norm profile of `spec` into the contiguous complex
+    column `phi` through the 4 x n scratch, with the bits of forming it as
+    a new array, dividing it by its norm and converting it to complex.
+    False, with `phi` undefined, where the profile's norm is 0."""
+    n = phi.size
     if spec.profile == "harmonic":
-        t = (np.arange(n) + 0.5) / n
-        phase = 2.0 * np.pi * spec.frequency * t
-        if is_complex:
-            return np.cos(phase) + 1j * np.sin(phase)
-        return np.sin(phase)
-    if is_complex:
-        return _smooth_field(harmonics, stream) + 1j * _smooth_field(harmonics, stream)
-    return _smooth_field(harmonics, stream)
+        phase = 2.0 * np.pi * spec.frequency * ((np.arange(n) + 0.5) / n)
+        re, im = (np.cos(phase), np.sin(phase)) if is_complex else (np.sin(phase), None)
+    else:
+        re = _smooth_field(harmonics, stream, scratch[0], scratch[2:])
+        im = _smooth_field(harmonics, stream, scratch[1], scratch[2:]) if is_complex else None
+    square = scratch[2]
+    if im is None:
+        # numpy sums, not np.linalg.norm, whose BLAS dot product has bits
+        # that depend on its thread count
+        nrm = np.sqrt(np.sum(np.multiply(re, re, out=square)))
+        if nrm == 0:
+            return False
+        np.divide(re, nrm, out=phi.real)  # a real division, then + 0j
+        phi.imag[...] = 0.0
+        return True
+    np.multiply(im, 1j, out=phi)  # re + 1j * im
+    np.add(re, phi, out=phi)
+    nrm = np.sqrt(np.sum(np.multiply(phi.real, phi.real, out=square))
+                  + np.sum(np.multiply(phi.imag, phi.imag, out=square)))
+    if nrm == 0:
+        return False
+    phi /= nrm  # numpy's complex division, as of the array by its norm
+    return True
+
+
+def _mode_columns(modes: np.ndarray, specs: list[ModeSpec], stream: CounterStream) -> int:
+    """Draw the unit-norm profile of each spec, and its conjugate for a
+    non-real eigenvalue, into the next columns of `modes`; the number of
+    columns written, fewer than modes has where a profile's norm was 0.
+    The harmonics and the scratch go when it returns."""
+    n = modes.shape[0]
+    harmonics = _harmonics(n) if any(s.profile == "smooth" for s in specs) else None
+    scratch = np.empty((4, n))
+    j = 0
+    for s in specs:
+        is_complex = abs(complex(s.eigenvalue).imag) != 0
+        if _mode_column(modes[:, j], s, is_complex, stream, harmonics, scratch):
+            if is_complex:
+                np.conjugate(modes[:, j], out=modes[:, j + 1])
+            j += 2 if is_complex else 1
+    return j
 
 
 def _draw_modes(n: int, specs: list[ModeSpec], count: int, seed: int) -> np.ndarray:
     """The n x count unit-norm mode matrix, profiles redrawn from the stream
-    until they are not near-collinear."""
+    until they are not near-collinear. Its columns are contiguous (it is
+    Fortran-ordered), so each is formed in place, and the SVD that checks
+    them runs once the harmonics are gone."""
     stream = CounterStream(derive_seed(seed, 1))
-    harmonics = _harmonics(n) if any(s.profile == "smooth" for s in specs) else None
+    modes = np.empty((count, n), dtype=np.complex128).T
     for _attempt in range(64):
-        columns = []
-        for s in specs:
-            is_complex = abs(complex(s.eigenvalue).imag) != 0
-            phi = _mode_profile(n, s, is_complex, stream, harmonics)
-            # numpy sums, not np.linalg.norm, whose BLAS dot product has bits
-            # that depend on its thread count
-            nrm = np.sqrt(np.sum(phi.real * phi.real) + np.sum(phi.imag * phi.imag))
-            if nrm == 0:
-                continue
-            phi = phi / nrm
-            columns.append(phi.astype(np.complex128))
-            if is_complex:
-                columns.append(phi.conjugate())
-        if len(columns) == count:
-            modes = np.column_stack(columns)
-            if np.linalg.svd(modes, compute_uv=False)[-1] >= 1e-6:
-                return modes
+        if (_mode_columns(modes, specs, stream) == count
+                and np.linalg.svd(modes, compute_uv=False)[-1] >= 1e-6):
+            return modes
     raise TooManyModes("could not draw linearly independent mode profiles")
 
 
-def synth_linear_dynamics(
-    n: int, m: int, specs: list[ModeSpec], seed: int
-) -> SyntheticTruth:
-    """Generate an n x (m+1) real snapshot sequence with a known spectrum.
-
-    Column j is exactly Re(modes @ diag(eigenvalues**j) @ amplitudes), so the
-    sequence evolves under a rank-r linear propagator whose eigenpairs are
-    the returned truth. Profiles are redrawn (deterministically) if the mode
-    matrix comes out near-collinear.
-    """
+def _dynamics(n: int, m: int, specs: list[ModeSpec], seed: int):
+    """(eigenvalues, amplitudes, modes, weights) of the synthetic sequence:
+    row i of its data is `_dynamics_rows` of modes[i] and the 2r x (m + 1)
+    real weights [Re W; Im W], W = diag(amplitudes) eigenvalues**j."""
     if not specs:
         raise TooManyModes("need at least one mode spec")
     count = sum(1 if abs(s.eigenvalue.imag) == 0 else 2 for s in specs)
@@ -191,21 +219,39 @@ def synth_linear_dynamics(
             f"the dynamics overflow float64 within {m} steps "
             f"(largest |eigenvalue| {np.abs(eigenvalues).max():.6g})"
         )
-
     modes = _draw_modes(n, specs, count, seed)
+    return eigenvalues, amplitudes, modes, np.vstack([weights.real, weights.imag])
+
+
+def _dynamics_rows(modes: np.ndarray, weights: np.ndarray, rows: slice, out: np.ndarray) -> None:
+    """out[:] = rows `rows` of the data, Re(modes @ W), as one real product
+    [Re modes, -Im modes] @ [Re W; Im W] over 2r terms, summed by einsum in
+    a fixed order: a BLAS GEMM's bits depend on its thread count, so the
+    file would differ between one CPU and several. Each row's sum is the
+    same in any chunk of rows, so the chunks of any walk give the bytes of
+    the whole product. Into a given output it ran at twice the speed of an
+    einsum that allocates its own."""
+    part = modes[rows]
+    np.einsum("ik,kj->ij", np.hstack([part.real, -part.imag]), weights, out=out)
+
+
+def synth_linear_dynamics(
+    n: int, m: int, specs: list[ModeSpec], seed: int
+) -> SyntheticTruth:
+    """Generate an n x (m+1) real snapshot sequence with a known spectrum.
+
+    Column j is exactly Re(modes @ diag(eigenvalues**j) @ amplitudes), so the
+    sequence evolves under a rank-r linear propagator whose eigenpairs are
+    the returned truth. Profiles are redrawn (deterministically) if the mode
+    matrix comes out near-collinear. The data are formed a row chunk
+    (`blocked.row_spans`) per `rng.parallel_map` job into the row-major
+    result, as `write_synth_sms` forms them in its file.
+    """
+    eigenvalues, amplitudes, modes, weights = _dynamics(n, m, specs, seed)
     memguard.note(n * (m + 1) * 8)
-    # Re(modes @ weights) as one real product over 2 * count terms, summed by
-    # einsum in a fixed order: a BLAS GEMM's bits depend on its thread count,
-    # so the file would differ between one CPU and several. It forms no
-    # temporary of the result's size, and the result is row-major, as the
-    # data contract needs. Into `np.empty` it ran at twice the speed of an
-    # einsum that allocates its own output.
     clean = np.empty((n, m + 1))
-    np.einsum(
-        "ik,kj->ij",
-        np.hstack([modes.real, -modes.imag]),
-        np.vstack([weights.real, weights.imag]),
-        out=clean,
+    parallel_map(
+        lambda rows: _dynamics_rows(modes, weights, rows, clean[rows]), row_spans(n, (m + 1) * 8)
     )
     return SyntheticTruth(
         eigenvalues=eigenvalues,
@@ -215,41 +261,107 @@ def synth_linear_dynamics(
     )
 
 
-# Values per leaf of `_variance`'s summation tree: a leaf's squared
-# deviations fill one reused 512 KB buffer and are summed by numpy.
+# Values per leaf of the summation trees of `_TreeSum`, which numpy sums
+# whole: a leaf of squared deviations is formed in one 512 KB buffer. At
+# least 128, numpy's own unsplit run.
 _VARIANCE_LEAF = 1 << 16
+
+
+def _split(n: int) -> int:
+    """Where numpy's pairwise summation splits a run of n values: after
+    n // 2 values rounded down to a multiple of 8."""
+    return n // 2 - (n // 2) % 8
+
+
+class _TreeSum:
+    """numpy's pairwise sum of `leaf(run)` over the 1-D `flat`, summed as
+    walks over `flat` pass its runs.
+
+    numpy sums an array along a tree that splits each run of more than 128
+    values at `_split`. The runs of at most `_VARIANCE_LEAF` values that
+    this tree ends in are the leaves: `within(lo, hi)` sums, by `leaf`,
+    each leaf that lies wholly inside values lo..hi, and `total` sums the
+    rest and adds the leaves' sums in the tree's order. With np.add.reduce
+    as the leaf that is the bits of np.add.reduce(flat). Calls on disjoint
+    ranges may run on several threads at once. Overflow is not warned of:
+    the caller checks the total.
+    """
+
+    def __init__(self, flat: np.ndarray, leaf):
+        self._flat, self._leaf = flat, leaf
+        self._bounds = [0]  # leaf i is values bounds[i]..bounds[i + 1]
+
+        def cut(lo, n):
+            if n <= _VARIANCE_LEAF:
+                self._bounds.append(lo + n)
+            else:
+                cut(lo, _split(n))
+                cut(lo + _split(n), n - _split(n))
+
+        cut(0, flat.size)
+        self._sums = [None] * (len(self._bounds) - 1)
+
+    def within(self, lo: int, hi: int) -> None:
+        bounds = self._bounds
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(bisect.bisect_left(bounds, lo), len(self._sums)):
+                if bounds[i + 1] > hi:
+                    break
+                if self._sums[i] is None:
+                    self._sums[i] = self._leaf(self._flat[bounds[i] : bounds[i + 1]])
+
+    def total(self) -> np.float64:
+        self.within(0, self._flat.size)
+        sums = iter(self._sums)
+
+        def add(n):
+            if n <= _VARIANCE_LEAF:
+                return next(sums)
+            return add(_split(n)) + add(n - _split(n))
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            return add(self._flat.size)
+
+
+def _squared_deviations(flat: np.ndarray, mu) -> _TreeSum:
+    """The `_TreeSum` of (flat - mu)**2, each leaf's deviations formed in a
+    leaf-sized buffer of the thread that sums it."""
+
+    def leaf(run):
+        d = np.subtract(run, mu)
+        return np.add.reduce(np.multiply(d, d, out=d))
+
+    return _TreeSum(flat, leaf)
 
 
 def _variance(a: np.ndarray) -> np.float64:
     """np.var(a), bit for bit, without np.var's temporary of a's size.
 
-    np.var sums the squared deviations from mu = sum(a) / N over a's memory
-    order with numpy's pairwise summation, which splits a run of n > 128
-    values after n // 2 values rounded down to a multiple of 8 and adds the
-    two halves' sums. This walks the same tree down to runs of at most
-    `_VARIANCE_LEAF` values, has numpy sum each run's squared deviations in
-    one reused buffer, and adds the runs' sums in the tree's order.
+    np.var takes the mean mu = sum(a) / N and then sums the squared
+    deviations from mu over a's memory order, both by numpy's pairwise
+    summation; here both sums are `_TreeSum`s over that order.
     """
-    mu = np.add.reduce(a, axis=None) / a.size
     # a view of a C- or Fortran-ordered a; any other a is copied, as np.var
     # copies it into its temporary
     flat = a.ravel(order="K")
-    buf = np.empty(min(flat.size, _VARIANCE_LEAF))
-
-    def tree_sum(lo, n):
-        if n <= _VARIANCE_LEAF:
-            d = np.subtract(flat[lo : lo + n], mu, out=buf[:n])
-            return np.add.reduce(np.multiply(d, d, out=d))
-        half = n // 2 - (n // 2) % 8
-        return tree_sum(lo, half) + tree_sum(lo + half, n - half)
-
-    return tree_sum(0, flat.size) / a.size
+    mu = _TreeSum(flat, np.add.reduce).total() / flat.size
+    return _squared_deviations(flat, mu).total() / flat.size
 
 
-# Values per job of `add_noise`: even, so every job starts a Box-Muller pair,
-# and 32 chunks of the stream kernel, so a job's ufunc calls are large
-# enough for the threads to scale.
-_NOISE_JOB = 1 << 20
+def _noise_scale(variance, snr: float):
+    """sqrt(variance / snr), the noise's standard deviation; NonFiniteInput
+    where it overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma = np.sqrt(variance / snr)
+    if not np.isfinite(sigma):
+        raise NonFiniteInput(f"the noise scale overflows: sqrt(var(X) / snr) = {sigma}")
+    return sigma
+
+
+def _noise_rows(out: np.ndarray, rows: slice, sigma, seed: int) -> None:
+    """Add sigma times the draws of the Gaussian stream `seed` that fall on
+    rows `rows` of the C-contiguous `out`, draw i being out's flat value i."""
+    add_normals_into(out[rows].reshape(-1), sigma, seed, rows.start * out.shape[1])
 
 
 def add_noise(x, snr: float, seed: int, out=None) -> np.ndarray:
@@ -261,9 +373,9 @@ def add_noise(x, snr: float, seed: int, out=None) -> np.ndarray:
     result is x + sigma * normals(seed, 0, x.size) in row-major order,
     written into `out` (a writable C-contiguous float64 array of x's shape,
     which may be x itself) or, when None, into a new array. The noise is drawn on
-    every CPU in the affinity mask (`rng.parallel_map`), in even-aligned
-    ranges of the flattened output, with the same bytes for any number of
-    workers.
+    every CPU in the affinity mask (`rng.parallel_map`), a row chunk of the
+    output (`blocked.row_spans`) at a time, with the same bytes for any
+    number of workers.
     """
     a = _as_matrix(x)
     if not snr > 0:
@@ -277,19 +389,14 @@ def add_noise(x, snr: float, seed: int, out=None) -> np.ndarray:
             f"out must be a writable C-contiguous float64 {a.shape} array, "
             f"got {out.dtype} {out.shape}"
         )
-    with np.errstate(over="ignore", invalid="ignore"):
-        sigma = np.sqrt(_variance(a) / snr)
-    if not np.isfinite(sigma):
-        raise NonFiniteInput(f"the noise scale overflows: sqrt(var(X) / snr) = {sigma}")
+    sigma = _noise_scale(_variance(a), snr)
     if out is None:
         memguard.note(a.size * 8)
         out = np.array(a, order="C")
     elif out is not a:
         out[...] = a
-    flat = out.reshape(-1)
     parallel_map(
-        lambda lo: add_normals_into(flat[lo : lo + _NOISE_JOB], sigma, seed, lo),
-        range(0, flat.size, _NOISE_JOB),
+        lambda rows: _noise_rows(out, rows, sigma, seed), row_spans(out.shape[0], out.shape[1] * 8)
     )
     return out
 
@@ -297,21 +404,16 @@ def add_noise(x, snr: float, seed: int, out=None) -> np.ndarray:
 # --- SMS read/write ---------------------------------------------------------
 
 
-def write_atomic(path, *chunks) -> None:
-    """Write the chunks to `path` through `<path>.tmp.<pid>` and a rename,
-    so no reader sees a partial file. A chunk is bytes, a C-contiguous
-    array (written from its own buffer), or an iterator of those, consumed
-    one at a time, each dropped once written, before the next is formed.
-    On any exception, an error a chunk iterator raises partway or a
-    KeyboardInterrupt included, the temp file is removed; an OSError is
-    raised as IoFailure, anything else as itself."""
+@contextlib.contextmanager
+def _replacing(path):
+    """Yield the temp name `<path>.tmp.<pid>` to write `path`'s new content
+    to, and rename it over `path` when the block ends, so no reader sees a
+    partial file. On any exception, a KeyboardInterrupt included, the temp
+    file is removed; an OSError is raised as IoFailure naming `path`,
+    anything else as itself."""
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
-        with open(tmp, "wb") as fh:
-            for chunk in chunks:
-                for part in (chunk,) if isinstance(chunk, (bytes, np.ndarray)) else chunk:
-                    fh.write(part)
-                    del part
+        yield tmp
         os.replace(tmp, path)
     except BaseException as exc:
         with contextlib.suppress(OSError):
@@ -319,6 +421,19 @@ def write_atomic(path, *chunks) -> None:
         if isinstance(exc, OSError):
             raise IoFailure(f"writing {path}: {exc}") from exc
         raise
+
+
+def write_atomic(path, *chunks) -> None:
+    """Write the chunks to `path` through its temp file and a rename
+    (`_replacing`). A chunk is bytes, a C-contiguous array (written from
+    its own buffer), or an iterator of those, consumed one at a time, each
+    dropped once written, before the next is formed; an error an iterator
+    raises partway leaves nothing behind."""
+    with _replacing(path) as tmp, open(tmp, "wb") as fh:
+        for chunk in chunks:
+            for part in (chunk,) if isinstance(chunk, (bytes, np.ndarray)) else chunk:
+                fh.write(part)
+                del part
 
 
 def _sms_header(rows: int, cols: int) -> bytes:
@@ -336,6 +451,14 @@ def write_sms(x, path) -> None:
     a time, so no copy of the whole matrix is made."""
     a = _as_matrix(x)
     write_sms_rows(path, a.shape, (a[rows] for rows in row_spans(a.shape[0], a.shape[1] * 8)))
+
+
+def _require_finite_rows(block: np.ndarray, start: int) -> None:
+    """The writers' check of what they write: NonFiniteInput naming the
+    first NaN or Inf of `block` by its row, counted from `start`."""
+    err = _non_finite_error(block, start)
+    if err.row is not None:
+        raise NonFiniteInput(f"refusing to write non-finite values: {err}", row=err.row)
 
 
 def write_sms_rows(path, shape, blocks) -> None:
@@ -356,9 +479,7 @@ def write_sms_rows(path, shape, blocks) -> None:
                 raise ShapeMismatch(
                     f"block of shape {block.shape} at row {start} of a {rows} x {cols} matrix"
                 )
-            err = _non_finite_error(block, start)
-            if err.row is not None:
-                raise NonFiniteInput(f"refusing to write non-finite values: {err}", row=err.row)
+            _require_finite_rows(block, start)
             start += len(block)
             # a view of a little-endian float64 C-contiguous block; else a copy
             yield np.ascontiguousarray(block, dtype="<f8")
@@ -367,6 +488,122 @@ def write_sms_rows(path, shape, blocks) -> None:
             raise ShapeMismatch(f"blocks hold {start} of the matrix's {rows} rows")
 
     write_atomic(path, _sms_header(rows, cols), payload())
+
+
+# MADV_DONTNEED drops a shared file map's pages from the process; where the
+# platform lacks it, a mapped block would stay resident, so blocks are
+# copied unless there is only one
+_CAN_RELEASE = hasattr(mmap, "MADV_DONTNEED")
+
+
+def _drop_pages(pages: mmap.mmap, lo: int, hi: int) -> None:
+    """Drop the resident pages of the shared file map `pages` that lie
+    wholly inside bytes lo..hi, so the pages they share with their
+    neighbours stay. The file keeps what was written to them, and a view
+    reads them back from it if touched again. A no-op where the platform
+    lacks MADV_DONTNEED."""
+    page = mmap.PAGESIZE
+    lo, hi = -(-lo // page) * page, hi // page * page
+    if _CAN_RELEASE and hi > lo:
+        pages.madvise(mmap.MADV_DONTNEED, lo, hi - lo)
+
+
+@contextlib.contextmanager
+def _mapped_sms(path, rows: int, cols: int):
+    """Yield (payload, release) for a new rows x cols SMS file at `path`:
+    `payload` is a writable C-contiguous float64 view of a shared map of the
+    file's temp name (`_replacing`), and `release(span)` drops the resident
+    pages of payload rows `span` (`_drop_pages`), which keep what was
+    written to them. The file's blocks are reserved before it is mapped
+    (`os.posix_fallocate`), so a full disk is IoFailure here, not a SIGBUS
+    at a page written later; where the platform has no posix_fallocate the
+    file is only extended to its size. The file is renamed into place when
+    the block ends and removed on any exception. The map is dropped, not
+    closed, so views still held stay valid."""
+    size = SMS_HEADER_BYTES + rows * cols * 8
+    with _replacing(path) as tmp, open(tmp, "w+b") as fh:
+        if hasattr(os, "posix_fallocate"):
+            os.posix_fallocate(fh.fileno(), 0, size)
+        else:
+            os.ftruncate(fh.fileno(), size)
+        pages = mmap.mmap(fh.fileno(), size)  # shared, readable and writable
+        pages[:SMS_HEADER_BYTES] = _sms_header(rows, cols)
+        payload = np.frombuffer(
+            pages, dtype="<f8", count=rows * cols, offset=SMS_HEADER_BYTES
+        ).reshape(rows, cols)
+
+        def release(span: slice) -> None:
+            start = SMS_HEADER_BYTES + span.start * cols * 8
+            _drop_pages(pages, start, start + (span.stop - span.start) * cols * 8)
+
+        yield payload, release
+
+
+def write_synth_sms(
+    path, n: int, m: int, specs: list[ModeSpec], seed: int, snr: float | None = None,
+    noise_seed: int = 0,
+) -> SyntheticTruth:
+    """Write `synth_linear_dynamics(n, m, specs, seed)`'s data, with, given
+    an snr, `add_noise(data, snr, noise_seed)`'s noise, to `path` in SMS
+    format: the bytes `write_sms` writes of that matrix, formed in place in
+    the file (`_mapped_sms`) one row chunk (`blocked.row_spans`) at a time,
+    so no n x (m + 1) array and no copy of one for write() exist. Returns
+    the truth, with no clean_data.
+
+    Noisy data take three walks over the chunks, each a `rng.parallel_map`
+    of one job per chunk that drops the chunk's pages once walked: the
+    dynamics (`_dynamics_rows`), summing the leaves of the mean's
+    `_TreeSum` that the chunk holds; the squared deviations from the mean,
+    by the same tree; and the noise (`_noise_rows`) with the writers'
+    finiteness check. The leaves that straddle two chunks are summed after
+    their walk. Noise-free data take one walk, the
+    dynamics and the check. A failure leaves nothing at `path` or its temp
+    name, and an existing file at `path` as it was.
+    """
+    if snr is not None and not snr > 0:
+        raise ValueError(f"snr must be positive, got {snr}")
+    eigenvalues, amplitudes, modes, weights = _dynamics(n, m, specs, seed)
+    cols = m + 1
+    spans = row_spans(n, cols * 8)
+    with _mapped_sms(path, n, cols) as (x, release):
+        flat = x.reshape(-1)
+        mean = _TreeSum(flat, np.add.reduce)
+
+        def total(tree):
+            # the leaves that straddle two chunks, a pair of chunks at a
+            # time, their pages dropped again: read after the walk, a
+            # straddler maps whole 2 MiB folios of the page cache
+            for a, b in zip(spans, spans[1:]):
+                tree.within(a.start * cols, b.stop * cols)
+                release(slice(a.start, b.stop))
+            return tree.total()
+
+        def dynamics(rows):
+            _dynamics_rows(modes, weights, rows, x[rows])
+            if snr is None:
+                _require_finite_rows(x[rows], rows.start)
+            else:
+                mean.within(rows.start * cols, rows.stop * cols)
+            release(rows)
+
+        parallel_map(dynamics, spans)
+        if snr is not None:
+            deviations = _squared_deviations(flat, total(mean) / flat.size)
+
+            def deviate(rows):
+                deviations.within(rows.start * cols, rows.stop * cols)
+                release(rows)
+
+            parallel_map(deviate, spans)
+            sigma = _noise_scale(total(deviations) / flat.size, snr)
+
+            def noise(rows):
+                _noise_rows(x, rows, sigma, noise_seed)
+                _require_finite_rows(x[rows], rows.start)
+                release(rows)
+
+            parallel_map(noise, spans)
+    return SyntheticTruth(eigenvalues, modes, amplitudes, clean_data=None)
 
 
 def _read_header(fh, path) -> tuple[int, int, int]:
@@ -407,12 +644,6 @@ def read_sms(path) -> np.ndarray:
 
 
 # --- row-block sources ------------------------------------------------------
-
-
-# MADV_DONTNEED drops a shared file map's pages from the process; where the
-# platform lacks it, a mapped block would stay resident, so blocks are
-# copied unless there is only one
-_CAN_RELEASE = hasattr(mmap, "MADV_DONTNEED")
 
 
 class SmsRowBlockSource:
@@ -507,14 +738,10 @@ class SmsRowBlockSource:
         share with their neighbours stay. Views of the rows stay valid and
         read their pages back from the file if touched again. A no-op where
         blocks are copied."""
-        if not self._releases_rows:
-            return
-        row_bytes = self.cols * 8
-        page = mmap.PAGESIZE
-        lo = -(-(self._offset + start * row_bytes) // page) * page
-        hi = (self._offset + (start + count) * row_bytes) // page * page
-        if hi > lo:
-            self._map.madvise(mmap.MADV_DONTNEED, lo, hi - lo)
+        if self._releases_rows:
+            row_bytes = self.cols * 8
+            lo = self._offset + start * row_bytes
+            _drop_pages(self._map, lo, lo + count * row_bytes)
 
     def close(self) -> None:
         """Release the last block and close the file. The map is dropped,

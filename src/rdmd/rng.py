@@ -10,9 +10,9 @@ generator) evaluated in counter form: draw ``i`` of the stream keyed by
   2**64 and exact conversions are involved;
 * any sub-range of a stream can be generated without generating its prefix,
   which lets workers draw disjoint counter ranges of one stream at once
-  (`rdmd synth` adds its noise in even-aligned ranges on every CPU through
-  `parallel_map`, and `normal_columns_into` draws a column block of a normal
-  matrix alone);
+  (`rdmd synth` adds its noise one row chunk of its output at a time on
+  every CPU through `parallel_map`, a chunk starting at any draw, and
+  `normal_columns_into` draws a column block of a normal matrix alone);
 * child streams for indexed sub-tasks come from `derive_seed`, with index 0
   mapping to the parent seed itself so a single-block run consumes exactly
   the stream the unblocked code path would.
@@ -195,9 +195,12 @@ def normals(seed: int, start: int, count: int) -> np.ndarray:
 
 
 def add_normals_into(out: np.ndarray, scale: float, seed: int, start: int) -> np.ndarray:
-    """out += scale * normals(seed, start, out.size) for a 1-D out, in place
-    and with the bits of that expression; the serial kernel of one range."""
-    return _normals_into(seed, start, out, scale=scale)
+    """out += scale * normals(seed, 0, start + out.size)[start:] for a 1-D
+    out, in place and with the bits of that expression: draws start onward
+    of the stream that starts at draw 0, the serial kernel of one range. An
+    odd start is drawn from its Box-Muller pair, which starts one draw
+    earlier, less that draw (`_normals_into`'s skip)."""
+    return _normals_into(seed, start - (start & 1), out, skip=start & 1, scale=scale)
 
 
 def normal_matrix(rows: int, cols: int, seed: int) -> np.ndarray:
@@ -238,7 +241,7 @@ def _worker_count() -> int:
 
 
 def _make_pool(workers: int):
-    # Imported here, not at module level: only synth's noise runs in
+    # Imported here, not at module level: only synth's walks run in
     # parallel, and the import costs a decompose run about 7 ms.
     from concurrent.futures import ThreadPoolExecutor
 

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import re
@@ -30,7 +31,7 @@ from rdmd.datasets import (
     write_complex_csv,
     write_complex_matrix,
 )
-from rdmd import datasets, rng
+from rdmd import blocked, datasets, rng
 from rdmd.errors import (
     BadMagic,
     IoFailure,
@@ -83,8 +84,9 @@ class TestSynth:
             assert np.linalg.norm(advanced - col) <= 1e-12 * max(np.linalg.norm(col), 1.0)
 
     def test_evolution_peak_memory(self):
-        # Re(W P) as two real GEMMs, the second subtracted in place: the
-        # output and one temporary of its size, no complex n x (m+1) product
+        # Re(W P) formed a row chunk at a time into the output: the output,
+        # the modes and one chunk's factor, no temporary of the output's
+        # size (1.04 times the output)
         import tracemalloc
 
         specs = [ModeSpec(0.98 * np.exp(0.3j)), ModeSpec(0.9, amplitude=2.0)]
@@ -95,7 +97,7 @@ class TestSynth:
         finally:
             tracemalloc.stop()
         assert truth.clean_data.flags.c_contiguous
-        assert peak <= 2.2 * truth.clean_data.nbytes
+        assert peak <= 1.1 * truth.clean_data.nbytes
 
     def test_harmonic_profiles(self):
         specs = [
@@ -126,7 +128,8 @@ class TestSynth:
         for f in range(1, 9):
             a, b = coeffs[2 * f - 2], coeffs[2 * f - 1]
             expected += (a * np.cos(2.0 * np.pi * f * t) + b * np.sin(2.0 * np.pi * f * t)) / f
-        field = datasets._smooth_field(datasets._harmonics(n), CounterStream(3))
+        field = datasets._smooth_field(datasets._harmonics(n), CounterStream(3), np.empty(n),
+                                       np.empty((2, n)))
         assert field.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize(
@@ -163,26 +166,31 @@ class TestAddNoise:
 
     @pytest.mark.parametrize("workers", [1, 2, 5])
     @pytest.mark.parametrize(
-        "shape, job",
+        "shape, chunk",
         [
-            ((7, 9), 8),  # odd count, several jobs, the last one short
-            ((3, 5), None),  # smaller than one job
-            ((11, 13), 6),  # odd count, not a multiple of the job size
-            ((6, 4), 6),  # a multiple of the job size
-            ((1031, 1021), None),  # odd count just over one job: a short second job
+            ((7, 9), 8),  # odd count, one chunk
+            ((3, 5), None),  # smaller than one chunk
+            ((11, 13), 6),  # odd count, chunks starting at even draws, the last one short
+            ((6, 4), 6),  # one whole chunk
+            ((1031, 1021), None),  # over 2^20 values in one chunk
+            ((7, 9), 3),  # odd count, chunks starting at odd draws, the last one short
+            ((11, 13), 5),  # odd count and odd starts, not a multiple of the chunk
+            ((6, 4), 1),  # one-row chunks
+            ((1031, 1021), 257),  # over 2^20 values, odd starts, a short last chunk
         ],
     )
-    def test_bytes_equal_the_serial_draw(self, monkeypatch, use_workers, workers, shape, job):
-        # job None keeps the module's job size
+    def test_bytes_equal_the_serial_draw(self, monkeypatch, use_workers, workers, shape, chunk):
+        # the noise's jobs are the row chunks of the output; chunk None
+        # keeps the module's chunk rule
         use_workers(workers)
-        if job is not None:
-            monkeypatch.setattr(datasets, "_NOISE_JOB", job)
+        if chunk is not None:
+            monkeypatch.setattr(blocked, "_CHUNK_ROWS", chunk)
         x = normal_matrix(*shape, seed=21) * 2.5
         assert add_noise(x, 4.0, seed=22).tobytes() == self._serial(x, 4.0, 22).tobytes()
 
     def test_input_unchanged_and_out_is_x_gives_the_same_bytes(self, monkeypatch, use_workers):
         use_workers(3)
-        monkeypatch.setattr(datasets, "_NOISE_JOB", 10)
+        monkeypatch.setattr(blocked, "_CHUNK_ROWS", 3)
         x = normal_matrix(9, 7, seed=23)
         before = x.copy()
         fresh = add_noise(x, 2.0, seed=24)
@@ -233,6 +241,209 @@ class TestAddNoise:
         x = 1e300 * np.tile(np.linspace(-1.0, 1.0, 20), (5, 1))
         with pytest.raises(NonFiniteInput, match="noise scale overflows"):
             add_noise(x, 10.0, seed=0)
+
+
+def _modes_from_whole_columns(n, specs, count, seed):
+    """The mode matrix as each profile was first formed: every column a new
+    array, divided by its norm, converted to complex and stacked."""
+    stream = CounterStream(rng.derive_seed(seed, 1))
+    t = np.arange(n) / n
+
+    def field():
+        coeffs = stream.normals(16)
+        out = np.zeros(n)
+        for f in range(1, 9):
+            a, b = coeffs[2 * f - 2], coeffs[2 * f - 1]
+            out += (a * np.cos(2.0 * np.pi * f * t) + b * np.sin(2.0 * np.pi * f * t)) / f
+        return out
+
+    for _attempt in range(64):
+        columns = []
+        for s in specs:
+            is_complex = abs(complex(s.eigenvalue).imag) != 0
+            if s.profile == "harmonic":
+                phase = 2.0 * np.pi * s.frequency * ((np.arange(n) + 0.5) / n)
+                phi = np.cos(phase) + 1j * np.sin(phase) if is_complex else np.sin(phase)
+            else:
+                phi = field() + 1j * field() if is_complex else field()
+            nrm = np.sqrt(np.sum(phi.real * phi.real) + np.sum(phi.imag * phi.imag))
+            phi = phi / nrm
+            columns.append(phi.astype(np.complex128))
+            if is_complex:
+                columns.append(phi.conjugate())
+        modes = np.column_stack(columns)
+        if np.linalg.svd(modes, compute_uv=False)[-1] >= 1e-6:
+            return modes
+    raise AssertionError("no independent draw")
+
+
+def _whole_array_sms(n, m, specs, seed, snr, noise_seed):
+    """The SMS bytes of the synthetic data by the same arithmetic on whole
+    in-memory arrays: one einsum of the n x (m + 1) product, np.var, and
+    one serial draw of the noise."""
+    truth = synth_linear_dynamics(n, m, specs, seed)
+    lam, amp, modes = truth.eigenvalues, truth.amplitudes, truth.modes
+    w = amp[:, None] * lam[:, None] ** np.arange(m + 1)[None, :]
+    x = np.empty((n, m + 1))
+    np.einsum("ik,kj->ij", np.hstack([modes.real, -modes.imag]),
+              np.vstack([w.real, w.imag]), out=x)
+    assert truth.clean_data.tobytes() == x.tobytes()
+    if snr is not None:
+        noise = normals(noise_seed, 0, x.size).reshape(x.shape)
+        noise *= np.sqrt(np.var(x) / snr)
+        x += noise
+    return datasets._sms_header(n, m + 1) + x.tobytes()
+
+
+# the benchmark's --modes "1.0,0.995+0.2j:0.5,0.97+0.35j:0.25"
+_SYNTH_MODES = [ModeSpec(1.0), ModeSpec(0.995 + 0.2j, 0.5), ModeSpec(0.97 + 0.35j, 0.25)]
+
+
+class TestWriteSynthSms:
+    def test_mode_columns_have_the_bits_of_whole_columns(self):
+        specs = [
+            ModeSpec(0.9 * np.exp(0.3j)),
+            ModeSpec(0.8),
+            ModeSpec(np.exp(0.5j), profile="harmonic", frequency=2.0),
+            ModeSpec(0.7, profile="harmonic", frequency=3.0),
+        ]
+        modes = datasets._draw_modes(1001, specs, 6, seed=8)
+        assert modes.tobytes(order="F") == _modes_from_whole_columns(
+            1001, specs, 6, seed=8).tobytes(order="F")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("snr", [None, 10.0], ids=["clean", "snr10"])
+    @pytest.mark.parametrize(
+        "n, m, rule",
+        [
+            # three 4096-row chunks, two tree leaves
+            (10000, 9, None),
+            # 3-row chunks of 7 columns and 128-value leaves: chunks start
+            # at odd values and leaves straddle them
+            (1000, 6, (3, 128)),
+        ],
+        ids=["module-rule", "small-rule"],
+    )
+    def test_cli_bytes_equal_the_whole_array_arithmetic(
+        self, tmp_path, monkeypatch, use_workers, workers, snr, n, m, rule
+    ):
+        from rdmd import cli
+
+        use_workers(workers)
+        if rule is not None:
+            monkeypatch.setattr(blocked, "_CHUNK_ROWS", rule[0])
+            monkeypatch.setattr(datasets, "_VARIANCE_LEAF", rule[1])
+        out = tmp_path / "x.sms"
+        argv = ["synth", "--rows", str(n), "--snapshots", str(m + 1),
+                "--modes", "1.0,0.995+0.2j:0.5,0.97+0.35j:0.25", "--seed", "43",
+                "--out", str(out)]
+        assert cli.main(argv + ([] if snr is None else ["--snr", str(snr)])) == 0
+        expected = _whole_array_sms(n, m, _SYNTH_MODES, 43, snr, rng.derive_seed(43, 2**32))
+        assert out.read_bytes() == expected
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.sms"]
+
+    def test_many_workers_on_the_shared_tree_sums_stress(self, tmp_path, monkeypatch,
+                                                         use_workers):
+        # more workers than cores and a short switch interval: a leaf sum
+        # lost, summed twice or read before it is written would change the
+        # noise scale, and with it every byte
+        import time
+
+        use_workers(8)
+        monkeypatch.setattr(blocked, "_CHUNK_ROWS", 7)
+        monkeypatch.setattr(datasets, "_VARIANCE_LEAF", 128)
+        expected = _whole_array_sms(600, 10, _SYNTH_MODES, 3, 10.0, 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            deadline = time.monotonic() + 30.0
+            for _ in range(3):
+                datasets.write_synth_sms(tmp_path / "x.sms", 600, 10, _SYNTH_MODES, 3, 10.0, 4)
+                assert (tmp_path / "x.sms").read_bytes() == expected
+                assert time.monotonic() < deadline
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_pages_are_dropped_chunk_by_chunk(self, tmp_path, monkeypatch, use_workers):
+        # each of the three walks drops each chunk's pages once walked, and
+        # the mean's and the deviations' straddling leaves drop those of
+        # each pair of chunks they are read from
+        use_workers(2)
+        monkeypatch.setattr(blocked, "_CHUNK_ROWS", 512)
+        dropped = []
+        inner = datasets._drop_pages
+
+        def spy(pages, lo, hi):
+            dropped.append((lo, hi))
+            inner(pages, lo, hi)
+
+        monkeypatch.setattr(datasets, "_drop_pages", spy)
+        datasets.write_synth_sms(tmp_path / "x.sms", 2000, 40, _SYNTH_MODES, 1, 10.0, 2)
+        row = 41 * 8
+        starts = [0, 512, 1024, 1536, 2000]
+        chunks = [(SMS_HEADER_BYTES + a * row, SMS_HEADER_BYTES + b * row)
+                  for a, b in zip(starts, starts[1:])]
+        pairs = [(a[0], b[1]) for a, b in zip(chunks, chunks[1:])]
+        assert sorted(dropped) == sorted(3 * chunks + 2 * pairs)
+
+    @staticmethod
+    def _failing_synth(tmp_path):
+        """An existing output, and the synth run that is to fail on it:
+        (path, the output's bytes, the run's exit code)."""
+        from rdmd import cli
+
+        out = tmp_path / "x.sms"
+        out.write_bytes(b"the previous output")
+        code = cli.main(["synth", "--rows", "2000", "--snapshots", "41", "--modes", "0.9,0.8+0.3j",
+                         "--snr", "10", "--out", str(out)])
+        return out, code
+
+    def test_a_failed_reservation_is_io_failure(self, tmp_path, monkeypatch, capsys):
+        def full(fd, offset, length):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "posix_fallocate", full, raising=False)
+        out, code = self._failing_synth(tmp_path)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"IoFailure: writing {out}: [Errno 28] No space left on device\n"
+        )
+        assert out.read_bytes() == b"the previous output"
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_an_unmappable_output_is_io_failure_naming_it(self, tmp_path, monkeypatch):
+        def unmappable(*args, **kwargs):
+            raise OSError(errno.ENODEV, "No such device")
+
+        monkeypatch.setattr(datasets.mmap, "mmap", unmappable)
+        out = tmp_path / "x.sms"
+        out.write_bytes(b"the previous output")
+        with pytest.raises(IoFailure, match=re.escape(f"writing {out}: [Errno 19]")):
+            datasets.write_synth_sms(out, 100, 10, [ModeSpec(0.9)], 1)
+        assert out.read_bytes() == b"the previous output"
+        assert list(tmp_path.iterdir()) == [out]
+
+    def test_rejects_a_nonpositive_snr_before_writing(self, tmp_path):
+        with pytest.raises(ValueError, match="snr must be positive"):
+            datasets.write_synth_sms(tmp_path / "x.sms", 100, 10, [ModeSpec(0.9)], 1, snr=0.0)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_an_interrupt_in_the_walk_leaves_the_output_as_it_was(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(blocked, "_CHUNK_ROWS", 100)
+        inner, calls = datasets._dynamics_rows, []
+
+        def interrupted(*args):
+            calls.append(1)
+            if len(calls) == 5:
+                raise KeyboardInterrupt
+            inner(*args)
+
+        monkeypatch.setattr(datasets, "_dynamics_rows", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            self._failing_synth(tmp_path)
+        out = tmp_path / "x.sms"
+        assert out.read_bytes() == b"the previous output"
+        assert list(tmp_path.iterdir()) == [out]
 
 
 class TestSmsFormat:

@@ -220,13 +220,14 @@ class TestHalfAngleTransform:
 
 
 class TestAddNormalsInto:
-    @pytest.mark.parametrize("start", [0, 2, 2 * rng._CHUNK_PAIRS - 2])
+    # an odd start draws its first value from the pair of the draw before
+    @pytest.mark.parametrize("start", [0, 1, 2, 2 * rng._CHUNK_PAIRS - 2, 2 * rng._CHUNK_PAIRS - 1])
     @pytest.mark.parametrize("count", [1, 6, 2 * rng._CHUNK_PAIRS + 3])
     def test_bytes_of_the_serial_expression(self, start, count):
         base = normals(4, 0, count)
         out = base.copy()
         assert add_normals_into(out, 1.7, seed=12, start=start) is out
-        expected = normals(12, start, count)
+        expected = normals(12, 0, start + count)[start:]
         expected *= 1.7
         expected += base
         assert out.tobytes() == expected.tobytes()
