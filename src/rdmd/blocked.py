@@ -43,6 +43,13 @@ those rows of the modes are written, and the modes take its place instead
 of being added to it. The range finder's power iterations write no basis:
 each forms its sketch one chunk at a time. A run's resident set is the
 imports, one chunk (at most 32 MiB), the basis and the m x l blocks.
+
+The library's one rule for NaN and Inf lives here too, beside the first
+walk's check: `_non_finite_error` names the first NaN or Inf of a buffer
+by its row, or says that a product of the finite input overflowed, which
+`_require_finite` raises for buffers formed from X; `_require_finite_rows`
+is the writers' check of what they write, and `_require_finite_entries`
+names the first bad entry of a vector (eigenvalues, amplitudes, spectra).
 """
 
 from __future__ import annotations
@@ -98,6 +105,31 @@ def _non_finite_error(a, first_row: int = 0) -> NonFiniteInput:
                 f"row {first_row + row}, column {col} is {a[row, col]}", row=first_row + row
             )
     return NonFiniteInput(_OVERFLOWED)
+
+
+def _require_finite(*buffers) -> None:
+    """Raise NonFiniteInput saying that a product of the finite input
+    overflowed when one of `buffers` (arrays or scalars formed from X)
+    holds NaN or Inf. Every caller's first pass over X has named any NaN or
+    Inf of X itself, so X is not read again."""
+    if not all(np.isfinite(b).all() for b in buffers):
+        raise NonFiniteInput(_OVERFLOWED)
+
+
+def _require_finite_entries(label: str, values: np.ndarray) -> None:
+    """NonFiniteInput naming the first NaN or Inf of the 1-D `values` as
+    `label`, its index and its value, e.g. "eigenvalue 1 is (nan+0j)"."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise NonFiniteInput(f"{label} {bad[0]} is {values[bad[0]]}")
+
+
+def _require_finite_rows(block: np.ndarray, start: int) -> None:
+    """The writers' check of what they write: NonFiniteInput naming the
+    first NaN or Inf of `block` by its row, counted from `start`."""
+    err = _non_finite_error(block, start)
+    if err.row is not None:
+        raise NonFiniteInput(f"refusing to write non-finite values: {err}", row=err.row)
 
 
 # MADV_DONTNEED hands a private anonymous map's pages back to the system

@@ -29,7 +29,7 @@ except ImportError:  # not on Windows
 import numpy as np
 
 from . import memguard
-from .blocked import frobenius_sq, row_chunks, row_spans
+from .blocked import _require_finite, _require_finite_entries, frobenius_sq, row_chunks, row_spans
 from .datasets import (
     ModeSpec,
     add_noise,  # no caller: a perfbench/traced.py site
@@ -48,13 +48,12 @@ from .datasets import (
 from .dmd import (
     DmdConfig,
     DmdResult,
-    _require_finite_entries,
     eigen_match_error,
     reconstruct,
     run_dmd,
 )
 from .errors import EmptyInput, IoFailure, RdmdError
-from .linalg import _require_finite, singular_values_of_rows
+from .linalg import singular_values_of_rows
 from .memguard import stage
 from .rng import derive_seed
 from .sketch import SketchConfig, blocked_randomized_qb, expected_error_bound

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import memguard
-from .blocked import _as_matrix, _non_finite_error, partition_rows, row_chunks, row_spans
+from .blocked import _as_matrix, _require_finite_rows, partition_rows, row_chunks, row_spans
 from .errors import (
     BadMagic,
     IoFailure,
@@ -243,22 +243,14 @@ def synth_linear_dynamics(
     Column j is exactly Re(modes @ diag(eigenvalues**j) @ amplitudes), so the
     sequence evolves under a rank-r linear propagator whose eigenpairs are
     the returned truth. Profiles are redrawn (deterministically) if the mode
-    matrix comes out near-collinear. The data are formed a row chunk
-    (`blocked.row_spans`) per `rng.parallel_map` job into the row-major
-    result, as `write_synth_sms` forms them in its file.
+    matrix comes out near-collinear. The data are formed into the row-major
+    result by the walk that forms `write_synth_sms`'s file (`_synth_walks`).
     """
     eigenvalues, amplitudes, modes, weights = _dynamics(n, m, specs, seed)
     memguard.note(n * (m + 1) * 8)
     clean = np.empty((n, m + 1))
-    parallel_map(
-        lambda rows: _dynamics_rows(modes, weights, rows, clean[rows]), row_spans(n, (m + 1) * 8)
-    )
-    return SyntheticTruth(
-        eigenvalues=eigenvalues,
-        modes=modes,
-        amplitudes=amplitudes,
-        clean_data=clean,
-    )
+    _synth_walks(clean, lambda rows: _dynamics_rows(modes, weights, rows, clean[rows]))
+    return SyntheticTruth(eigenvalues, modes, amplitudes, clean_data=clean)
 
 
 # Values per leaf of the summation trees of `_TreeSum`, which numpy sums
@@ -323,45 +315,71 @@ class _TreeSum:
             return add(self._flat.size)
 
 
-def _squared_deviations(flat: np.ndarray, mu) -> _TreeSum:
-    """The `_TreeSum` of (flat - mu)**2, each leaf's deviations formed in a
-    leaf-sized buffer of the thread that sums it."""
+def _synth_walks(x: np.ndarray, fill, snr: float | None = None, seed: int = 0,
+                 release=lambda rows: None) -> None:
+    """Form the synthetic data in the C-contiguous n x c float64 `x`, one
+    row chunk (`blocked.row_spans`) per `rng.parallel_map` job, with the
+    same bytes for any number of workers: `fill(rows)` writes rows `rows`
+    of the data, and, given an snr, the walks add sigma times the draws of
+    the Gaussian stream `seed` that fall on them, draw i being x's flat
+    value i, with sigma = sqrt(np.var(x) / snr) by np.var's bits.
 
-    def leaf(run):
+    Noisy data take three walks: the fill, summing the leaves of the mean's
+    `_TreeSum` that the chunk holds; the squared deviations from the mean,
+    by the same tree, each leaf's formed in a leaf-sized buffer of the
+    thread that sums it; and the noise with the writers' finiteness check
+    (`blocked._require_finite_rows`). Noise-free data take one walk, the
+    fill and the check. Each job ends with `release(rows)`, and the leaves
+    that straddle two chunks are summed after their walk, a pair of chunks
+    at a time, each pair released again."""
+    n, cols = x.shape
+    spans = row_spans(n, cols * 8)
+    flat = x.reshape(-1)
+    mean = _TreeSum(flat, np.add.reduce)
+
+    def walk(step):
+        def job(rows):
+            step(rows)
+            release(rows)
+
+        parallel_map(job, spans)
+
+    def average(tree):
+        # read after the walk, a straddler of a mapped file maps whole
+        # 2 MiB folios of the page cache, so its pages go again
+        for a, b in zip(spans, spans[1:]):
+            tree.within(a.start * cols, b.stop * cols)
+            release(slice(a.start, b.stop))
+        return tree.total() / flat.size
+
+    def first(rows):
+        fill(rows)
+        if snr is None:
+            _require_finite_rows(x[rows], rows.start)
+        else:
+            mean.within(rows.start * cols, rows.stop * cols)
+
+    walk(first)
+    if snr is None:
+        return
+    mu = average(mean)
+
+    def squared_deviations(run):
         d = np.subtract(run, mu)
         return np.add.reduce(np.multiply(d, d, out=d))
 
-    return _TreeSum(flat, leaf)
-
-
-def _variance(a: np.ndarray) -> np.float64:
-    """np.var(a), bit for bit, without np.var's temporary of a's size.
-
-    np.var takes the mean mu = sum(a) / N and then sums the squared
-    deviations from mu over a's memory order, both by numpy's pairwise
-    summation; here both sums are `_TreeSum`s over that order.
-    """
-    # a view of a C- or Fortran-ordered a; any other a is copied, as np.var
-    # copies it into its temporary
-    flat = a.ravel(order="K")
-    mu = _TreeSum(flat, np.add.reduce).total() / flat.size
-    return _squared_deviations(flat, mu).total() / flat.size
-
-
-def _noise_scale(variance, snr: float):
-    """sqrt(variance / snr), the noise's standard deviation; NonFiniteInput
-    where it overflows."""
+    deviations = _TreeSum(flat, squared_deviations)
+    walk(lambda rows: deviations.within(rows.start * cols, rows.stop * cols))
     with np.errstate(over="ignore", invalid="ignore"):
-        sigma = np.sqrt(variance / snr)
+        sigma = np.sqrt(average(deviations) / snr)
     if not np.isfinite(sigma):
         raise NonFiniteInput(f"the noise scale overflows: sqrt(var(X) / snr) = {sigma}")
-    return sigma
 
+    def noise(rows):
+        add_normals_into(x[rows].reshape(-1), sigma, seed, rows.start * cols)
+        _require_finite_rows(x[rows], rows.start)
 
-def _noise_rows(out: np.ndarray, rows: slice, sigma, seed: int) -> None:
-    """Add sigma times the draws of the Gaussian stream `seed` that fall on
-    rows `rows` of the C-contiguous `out`, draw i being out's flat value i."""
-    add_normals_into(out[rows].reshape(-1), sigma, seed, rows.start * out.shape[1])
+    walk(noise)
 
 
 def add_noise(x, snr: float, seed: int, out=None) -> np.ndarray:
@@ -369,13 +387,12 @@ def add_noise(x, snr: float, seed: int, out=None) -> np.ndarray:
 
     SNR is the variance ratio var(X)/var(E): noise entries are i.i.d.
     N(0, var(X)/snr) with var(X) the elementwise variance of the data,
-    np.var's value streamed without a full-size temporary (`_variance`). The
-    result is x + sigma * normals(seed, 0, x.size) in row-major order,
+    np.var of the row-major data, bit for bit, with no full-size temporary.
+    The result is x + sigma * normals(seed, 0, x.size) in row-major order,
     written into `out` (a writable C-contiguous float64 array of x's shape,
-    which may be x itself) or, when None, into a new array. The noise is drawn on
-    every CPU in the affinity mask (`rng.parallel_map`), a row chunk of the
-    output (`blocked.row_spans`) at a time, with the same bytes for any
-    number of workers.
+    which may be x itself) or, when None, into a new array, by the walk
+    that forms `write_synth_sms`'s file (`_synth_walks`): x is copied into
+    `out` a row chunk at a time, unless it is `out`.
     """
     a = _as_matrix(x)
     if not snr > 0:
@@ -389,15 +406,10 @@ def add_noise(x, snr: float, seed: int, out=None) -> np.ndarray:
             f"out must be a writable C-contiguous float64 {a.shape} array, "
             f"got {out.dtype} {out.shape}"
         )
-    sigma = _noise_scale(_variance(a), snr)
     if out is None:
         memguard.note(a.size * 8)
-        out = np.array(a, order="C")
-    elif out is not a:
-        out[...] = a
-    parallel_map(
-        lambda rows: _noise_rows(out, rows, sigma, seed), row_spans(out.shape[0], out.shape[1] * 8)
-    )
+        out = np.empty(a.shape)
+    _synth_walks(out, lambda rows: None if out is a else np.copyto(out[rows], a[rows]), snr, seed)
     return out
 
 
@@ -451,14 +463,6 @@ def write_sms(x, path) -> None:
     a time, so no copy of the whole matrix is made."""
     a = _as_matrix(x)
     write_sms_rows(path, a.shape, (a[rows] for rows in row_spans(a.shape[0], a.shape[1] * 8)))
-
-
-def _require_finite_rows(block: np.ndarray, start: int) -> None:
-    """The writers' check of what they write: NonFiniteInput naming the
-    first NaN or Inf of `block` by its row, counted from `start`."""
-    err = _non_finite_error(block, start)
-    if err.row is not None:
-        raise NonFiniteInput(f"refusing to write non-finite values: {err}", row=err.row)
 
 
 def write_sms_rows(path, shape, blocks) -> None:
@@ -546,70 +550,30 @@ def write_synth_sms(
     """Write `synth_linear_dynamics(n, m, specs, seed)`'s data, with, given
     an snr, `add_noise(data, snr, noise_seed)`'s noise, to `path` in SMS
     format: the bytes `write_sms` writes of that matrix, formed in place in
-    the file (`_mapped_sms`) one row chunk (`blocked.row_spans`) at a time,
-    so no n x (m + 1) array and no copy of one for write() exist. Returns
-    the truth, with no clean_data.
-
-    Noisy data take three walks over the chunks, each a `rng.parallel_map`
-    of one job per chunk that drops the chunk's pages once walked: the
-    dynamics (`_dynamics_rows`), summing the leaves of the mean's
-    `_TreeSum` that the chunk holds; the squared deviations from the mean,
-    by the same tree; and the noise (`_noise_rows`) with the writers'
-    finiteness check. The leaves that straddle two chunks are summed after
-    their walk. Noise-free data take one walk, the
-    dynamics and the check. A failure leaves nothing at `path` or its temp
-    name, and an existing file at `path` as it was.
+    the file (`_mapped_sms`) by the walk of both (`_synth_walks`), which
+    drops each row chunk's pages once walked, so no n x (m + 1) array and
+    no copy of one for write() exist. Returns the truth, with no
+    clean_data. A failure leaves nothing at `path` or its temp name, and an
+    existing file at `path` as it was.
     """
     if snr is not None and not snr > 0:
         raise ValueError(f"snr must be positive, got {snr}")
     eigenvalues, amplitudes, modes, weights = _dynamics(n, m, specs, seed)
-    cols = m + 1
-    spans = row_spans(n, cols * 8)
-    with _mapped_sms(path, n, cols) as (x, release):
-        flat = x.reshape(-1)
-        mean = _TreeSum(flat, np.add.reduce)
-
-        def total(tree):
-            # the leaves that straddle two chunks, a pair of chunks at a
-            # time, their pages dropped again: read after the walk, a
-            # straddler maps whole 2 MiB folios of the page cache
-            for a, b in zip(spans, spans[1:]):
-                tree.within(a.start * cols, b.stop * cols)
-                release(slice(a.start, b.stop))
-            return tree.total()
-
-        def dynamics(rows):
-            _dynamics_rows(modes, weights, rows, x[rows])
-            if snr is None:
-                _require_finite_rows(x[rows], rows.start)
-            else:
-                mean.within(rows.start * cols, rows.stop * cols)
-            release(rows)
-
-        parallel_map(dynamics, spans)
-        if snr is not None:
-            deviations = _squared_deviations(flat, total(mean) / flat.size)
-
-            def deviate(rows):
-                deviations.within(rows.start * cols, rows.stop * cols)
-                release(rows)
-
-            parallel_map(deviate, spans)
-            sigma = _noise_scale(total(deviations) / flat.size, snr)
-
-            def noise(rows):
-                _noise_rows(x, rows, sigma, noise_seed)
-                _require_finite_rows(x[rows], rows.start)
-                release(rows)
-
-            parallel_map(noise, spans)
+    with _mapped_sms(path, n, m + 1) as (x, release):
+        _synth_walks(
+            x, lambda rows: _dynamics_rows(modes, weights, rows, x[rows]), snr, noise_seed, release
+        )
     return SyntheticTruth(eigenvalues, modes, amplitudes, clean_data=None)
 
 
 def _read_header(fh, path) -> tuple[int, int, int]:
     """(rows, cols, payload offset) of an SMS file open at offset 0, read
-    and validated. The payload must be nonempty and the file must hold it,
-    so nothing is mapped or allocated for a size that is not there."""
+    and validated. The payload must be nonempty and the file must be the
+    header and the payload, no more and no less: a short file is
+    TruncatedPayload, so nothing is mapped or allocated for a size that is
+    not there, and a long one IoFailure, as a payload read from the wrong
+    offset (a version 2 file whose version reads 1) would be finite
+    garbage."""
     raw = fh.read(_HEADER.size)
     if len(raw) < _HEADER.size:
         raise TruncatedPayload(f"{path}: file shorter than the {_HEADER.size}-byte header")
@@ -627,6 +591,8 @@ def _read_header(fh, path) -> tuple[int, int, int]:
     expected = offset + rows * cols * 8
     if size < expected:
         raise TruncatedPayload(f"{path}: {size} bytes, expected {expected}")
+    if size > expected:
+        raise IoFailure(f"{path}: {size} bytes, expected {expected}: bytes past the payload")
     return rows, cols, offset
 
 

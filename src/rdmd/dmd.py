@@ -63,7 +63,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import memguard
-from .blocked import as_source
+from .blocked import _non_finite_error, _require_finite, _require_finite_entries, as_source
 from .errors import (
     DegenerateData,
     EmptyInput,
@@ -76,10 +76,8 @@ from .errors import (
 from .linalg import (
     FilterSpec,
     _as_matrix,
-    _non_finite_error,
     _orthonormal_basis,
     _real_product,
-    _require_finite,
     _tall_product,
     default_rank_tol,
     eig_dense,
@@ -318,14 +316,6 @@ def amplitudes(result: DmdResult, x0) -> np.ndarray:
             f"x0 has {x0.size} entries, modes have {result.modes.shape[0]} rows"
         )
     return np.linalg.pinv(result.modes) @ x0
-
-
-def _require_finite_entries(label: str, values: np.ndarray) -> None:
-    """NonFiniteInput naming the first NaN or Inf of the 1-D `values` as
-    `label`, its index and its value, e.g. "eigenvalue 1 is (nan+0j)"."""
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise NonFiniteInput(f"{label} {bad[0]} is {values[bad[0]]}")
 
 
 def reconstruct(result: DmdResult, steps: int) -> np.ndarray:

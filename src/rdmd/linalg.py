@@ -31,9 +31,9 @@ import numpy as np
 
 from . import memguard
 from .blocked import (
-    _OVERFLOWED,
     _as_matrix,
     _non_finite_error,
+    _require_finite,
     as_source,
     empty_basis,
     release_basis_rows,
@@ -44,7 +44,6 @@ from .errors import (
     ConvergenceFailure,
     DegenerateData,
     NegativeLambda,
-    NonFiniteInput,
     RankOutOfRange,
     ShapeMismatch,
 )
@@ -106,15 +105,6 @@ def economic_svd(x) -> SvdFactors:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"SVD failed: {exc}") from exc
     return SvdFactors(u=u, singular_values=s, v=vh.T)
-
-
-def _require_finite(*buffers) -> None:
-    """Raise NonFiniteInput saying that a product of the finite input
-    overflowed when one of `buffers` (arrays or scalars formed from X)
-    holds NaN or Inf. Every caller's first pass over X has named any NaN or
-    Inf of X itself, so X is not read again."""
-    if not all(np.isfinite(b).all() for b in buffers):
-        raise NonFiniteInput(_OVERFLOWED)
 
 
 def _real_product(w: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import memguard
-from .blocked import ArrayRowBlockSource, as_source, row_chunks
+from .blocked import ArrayRowBlockSource, _require_finite, as_source, row_chunks
 from .errors import (
     InvalidDistribution,
     InvalidOversampling,
@@ -36,7 +36,6 @@ from .linalg import (
     _basis_pass,
     _lift,
     _orthonormal_basis,
-    _require_finite,
     thin_qr_q,
 )
 from .rng import normal_columns_into, normal_matrix, uniforms

@@ -447,6 +447,25 @@ class TestErrors:
         assert not (tmp_path / "o").is_file()
         assert not (tmp_path / "o" / "report.json").exists()
 
+    def test_a_payload_of_the_wrong_size_is_runtime_error(self, workspace, tmp_path):
+        # a short file is TruncatedPayload, a long one IoFailure naming both
+        # sizes; neither writes an output
+        raw = (workspace / "x.sms").read_bytes()
+        for name, data, error in [
+            ("short", raw[:-8], "TruncatedPayload"),
+            ("long", raw + bytes(8), "IoFailure"),
+        ]:
+            path = tmp_path / f"{name}.sms"
+            path.write_bytes(data)
+            res = run_cli("decompose", "--input", str(path), "--method", "rdmd", "--rank", "5",
+                          "--out", str(tmp_path / name))
+            assert res.returncode == 1
+            assert res.stderr == (
+                f"{error}: {path}: {len(data)} bytes, expected {len(raw)}"
+                + (": bytes past the payload\n" if name == "long" else "\n")
+            )
+            assert not (tmp_path / name / "report.json").exists()
+
     def test_rank_error_is_runtime_error(self, workspace, tmp_path):
         res = run_cli(
             "decompose", "--input", str(workspace / "x.sms"), "--method", "dmd",

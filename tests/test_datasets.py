@@ -205,6 +205,25 @@ class TestAddNoise:
         assert noisy.flags.c_contiguous
         assert noisy.tobytes() == self._serial(x, 3.0, 26).tobytes()
 
+    @pytest.mark.parametrize("workers", [1, 2, 5])
+    @pytest.mark.parametrize("case", ["C", "F", "out=x"])
+    def test_leaves_straddling_chunks_give_the_serial_bytes(self, monkeypatch, use_workers,
+                                                             workers, case):
+        # 5-row chunks of 7 columns start at odd values, and 128-value
+        # leaves of the mean's and the deviations' trees straddle them
+        use_workers(workers)
+        monkeypatch.setattr(blocked, "_CHUNK_ROWS", 5)
+        monkeypatch.setattr(datasets, "_VARIANCE_LEAF", 128)
+        x = normal_matrix(301, 7, seed=29) * 1.5 + 4.0
+        noise = normals(30, 0, x.size).reshape(x.shape)
+        noise *= np.sqrt(np.var(x) / 6.0)
+        expected = (x + noise).tobytes()
+        if case == "F":
+            x = np.asfortranarray(x)
+        noisy = add_noise(x, 6.0, seed=30, out=x if case == "out=x" else None)
+        assert noisy.tobytes() == expected
+        assert (noisy is x) == (case == "out=x")
+
     @staticmethod
     def _read_only(shape):
         out = np.zeros(shape)
@@ -573,6 +592,26 @@ class TestSmsFormat:
         path.write_bytes(raw[: len(raw) - 8])
         with pytest.raises(TruncatedPayload):
             read_sms(path)
+
+    @pytest.mark.parametrize("reader", [read_sms, lambda path: open_row_blocks(path, 2)],
+                             ids=["read_sms", "open_row_blocks"])
+    def test_the_file_must_be_exactly_the_header_and_the_payload(self, tmp_path, reader):
+        path = tmp_path / "x.sms"
+        write_sms(np.arange(1.0, 13.0).reshape(3, 4), path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-1])
+        short = f"{path}: 127 bytes, expected 128"
+        with pytest.raises(TruncatedPayload, match=f"^{re.escape(short)}$"):
+            reader(path)
+        # trailing bytes, and a version 2 file whose version field reads 1,
+        # whose payload would be read 4 bytes off as finite garbage
+        long = f"{path}: {{}} bytes, expected {{}}: bytes past the payload"
+        for data, expected in [(raw + b"\0", long.format(129, 128)),
+                               (raw[:4] + b"\1" + raw[5:], long.format(128, 124))]:
+            path.write_bytes(data)
+            with pytest.raises(IoFailure, match=f"^{re.escape(expected)}$") as err:
+                reader(path)
+            assert type(err.value) is IoFailure
 
     @pytest.mark.parametrize("shape", OVERSIZED_SHAPES, ids=["1e9x1e9", "2^40x2^30"])
     @pytest.mark.parametrize("reader", ["read_sms", "open_row_blocks"])

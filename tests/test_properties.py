@@ -16,6 +16,7 @@ from rdmd import (
     DmdConfig,
     ModeSpec,
     SketchConfig,
+    add_noise,
     dmd_randomized,
     economic_svd,
     eigen_match_error,
@@ -26,7 +27,7 @@ from rdmd import (
     truncated_svd,
     write_sms,
 )
-from rdmd.datasets import _VARIANCE_LEAF, _variance
+from rdmd.datasets import _VARIANCE_LEAF
 from rdmd.linalg import _GAP_BOUND, _streamed_gram
 from rdmd.rng import normal_matrix, normals
 
@@ -142,10 +143,15 @@ def test_sms_round_trip_is_bit_exact(x, fortran):
 @example(rows=_VARIANCE_LEAF + 1, cols=1, fortran=True, offset=3.0, seed=1)
 @example(rows=1200, cols=300, fortran=False, offset=-7.5, seed=2)
 def test_streamed_variance_is_np_var_bit_for_bit(rows, cols, fortran, offset, seed):
+    # add_noise's sigma is sqrt(np.var / snr) of the row-major data, the
+    # order its noise is drawn in, whatever x's memory order
     x = normal_matrix(rows, cols, seed) * 2.5 + offset
     if fortran:
         x = np.asfortranarray(x)
-    assert _variance(x).tobytes() == np.var(x).tobytes()
+    expected = normals(seed + 1, 0, x.size).reshape(x.shape)
+    expected *= np.sqrt(np.var(np.ascontiguousarray(x)) / 3.0)
+    expected += x
+    assert add_noise(x, 3.0, seed + 1).tobytes() == expected.tobytes()
 
 
 @settings(max_examples=25, deadline=None, database=None)
