@@ -132,10 +132,10 @@ def _require_finite_rows(block: np.ndarray, start: int) -> None:
         raise NonFiniteInput(f"refusing to write non-finite values: {err}", row=err.row)
 
 
-# MADV_DONTNEED hands a private anonymous map's pages back to the system
-# (touched again, they read as zeros; a shared map's would stay in memory);
-# where the platform lacks it, a basis is numpy's and stays resident until
-# it is freed
+# MADV_DONTNEED drops a map's pages: a private anonymous map's go back to
+# the system (zeros if touched again), a shared file map's are read back
+# from the file. Where the platform lacks it, a basis is numpy's, and
+# `datasets.SmsRowBlockSource` copies its blocks unless there is only one
 _CAN_RELEASE = hasattr(mmap, "MADV_DONTNEED") and hasattr(mmap, "MAP_PRIVATE")
 
 

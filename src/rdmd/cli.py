@@ -53,7 +53,7 @@ from .dmd import (
     run_dmd,
 )
 from .errors import EmptyInput, IoFailure, RdmdError
-from .linalg import singular_values_of_rows
+from .linalg import truncated_svd
 from .memguard import stage
 from .rng import derive_seed
 from .sketch import SketchConfig, blocked_randomized_qb, expected_error_bound
@@ -399,8 +399,9 @@ def _cmd_qb(args) -> int:
             source, data_sq_norm, qb.b, qb.b,
             lambda start, rows: qb.q[start : start + rows.shape[0]] @ qb.b,
         )[0]
-        # sigma_{k+1} from the R factors of the row chunks: no n x m buffer
-        sigma = singular_values_of_rows(rows for _, rows in row_chunks(source))
+        del qb  # the n x l basis goes before the SVD's U is formed
+        # none where the data resolves at most k directions (the rank rule)
+        sigma = truncated_svd(source, min(args.rank + 1, source.rows, source.cols)).singular_values
     sigma_next = float(sigma[args.rank]) if args.rank < sigma.size else 0.0
     bound = None
     if cfg.oversampling >= 2:

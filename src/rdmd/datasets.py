@@ -33,8 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import memguard
+from . import blocked, memguard
 from .blocked import _as_matrix, _require_finite_rows, partition_rows, row_chunks, row_spans
+from .dmd import _dynamics_weights
 from .errors import (
     BadMagic,
     IoFailure,
@@ -185,17 +186,10 @@ def _draw_modes(n: int, specs: list[ModeSpec], count: int, seed: int) -> np.ndar
 def _dynamics(n: int, m: int, specs: list[ModeSpec], seed: int):
     """(eigenvalues, amplitudes, modes, weights) of the synthetic sequence:
     row i of its data is `_dynamics_rows` of modes[i] and the 2r x (m + 1)
-    real weights [Re W; Im W], W = diag(amplitudes) eigenvalues**j."""
+    real weights [Re W; Im W] of `dmd._dynamics_weights`' W."""
     if not specs:
         raise TooManyModes("need at least one mode spec")
-    count = sum(1 if abs(s.eigenvalue.imag) == 0 else 2 for s in specs)
-    if count > min(n, m):
-        raise TooManyModes(
-            f"{count} modes after conjugate completion exceed min(n, m) = {min(n, m)}"
-        )
-
-    eigenvalues = []
-    amplitudes = []
+    eigenvalues, amplitudes = [], []
     for s in specs:
         lam = complex(s.eigenvalue)
         if lam.imag == 0:
@@ -204,21 +198,14 @@ def _dynamics(n: int, m: int, specs: list[ModeSpec], seed: int):
         else:
             eigenvalues.extend([lam, lam.conjugate()])
             amplitudes.extend([complex(s.amplitude), complex(s.amplitude).conjugate()])
+    count = len(eigenvalues)
+    if count > min(n, m):
+        raise TooManyModes(
+            f"{count} modes after conjugate completion exceed min(n, m) = {min(n, m)}"
+        )
     eigenvalues = np.array(eigenvalues, dtype=np.complex128)
     amplitudes = np.array(amplitudes, dtype=np.complex128)
-
-    # Mode columns have unit norm, so no entry of the n-row product exceeds
-    # its weight column's sum of moduli: a finite sum rules out overflow
-    # before the n x (m+1) product is formed.
-    with np.errstate(over="ignore", invalid="ignore"):
-        powers = eigenvalues[:, None] ** np.arange(m + 1)[None, :]
-        weights = amplitudes[:, None] * powers
-        bound = np.abs(weights).sum(axis=0)
-    if not np.isfinite(bound).all():
-        raise NonFiniteInput(
-            f"the dynamics overflow float64 within {m} steps "
-            f"(largest |eigenvalue| {np.abs(eigenvalues).max():.6g})"
-        )
+    weights = _dynamics_weights(eigenvalues, amplitudes, m + 1)
     modes = _draw_modes(n, specs, count, seed)
     return eigenvalues, amplitudes, modes, np.vstack([weights.real, weights.imag])
 
@@ -331,7 +318,8 @@ def _synth_walks(x: np.ndarray, fill, snr: float | None = None, seed: int = 0,
     (`blocked._require_finite_rows`). Noise-free data take one walk, the
     fill and the check. Each job ends with `release(rows)`, and the leaves
     that straddle two chunks are summed after their walk, a pair of chunks
-    at a time, each pair released again."""
+    at a time, each pair released again. A sigma that is not finite names
+    the data's first NaN or Inf, scanning x on that error path only."""
     n, cols = x.shape
     spans = row_spans(n, cols * 8)
     flat = x.reshape(-1)
@@ -373,7 +361,10 @@ def _synth_walks(x: np.ndarray, fill, snr: float | None = None, seed: int = 0,
     with np.errstate(over="ignore", invalid="ignore"):
         sigma = np.sqrt(average(deviations) / snr)
     if not np.isfinite(sigma):
-        raise NonFiniteInput(f"the noise scale overflows: sqrt(var(X) / snr) = {sigma}")
+        error = blocked._non_finite_error(x)
+        if error.row is None:
+            error = NonFiniteInput(f"the noise scale overflows: sqrt(var(X) / snr) = {sigma}")
+        raise error
 
     def noise(rows):
         add_normals_into(x[rows].reshape(-1), sigma, seed, rows.start * cols)
@@ -494,12 +485,6 @@ def write_sms_rows(path, shape, blocks) -> None:
     write_atomic(path, _sms_header(rows, cols), payload())
 
 
-# MADV_DONTNEED drops a shared file map's pages from the process; where the
-# platform lacks it, a mapped block would stay resident, so blocks are
-# copied unless there is only one
-_CAN_RELEASE = hasattr(mmap, "MADV_DONTNEED")
-
-
 def _drop_pages(pages: mmap.mmap, lo: int, hi: int) -> None:
     """Drop the resident pages of the shared file map `pages` that lie
     wholly inside bytes lo..hi, so the pages they share with their
@@ -508,7 +493,7 @@ def _drop_pages(pages: mmap.mmap, lo: int, hi: int) -> None:
     lacks MADV_DONTNEED."""
     page = mmap.PAGESIZE
     lo, hi = -(-lo // page) * page, hi // page * page
-    if _CAN_RELEASE and hi > lo:
+    if blocked._CAN_RELEASE and hi > lo:
         pages.madvise(mmap.MADV_DONTNEED, lo, hi - lo)
 
 
@@ -641,7 +626,7 @@ class SmsRowBlockSource:
                 self._fh = on_error.enter_context(open(path, "rb"))
                 self.rows, self.cols, self._offset = _read_header(self._fh, path)
                 self.block_ranges = partition_rows(self.rows, block_count)
-                if self._offset % 8 == 0 and (_CAN_RELEASE or block_count == 1):
+                if self._offset % 8 == 0 and (blocked._CAN_RELEASE or block_count == 1):
                     # shared (ACCESS_READ): MADV_DONTNEED zero-fills the
                     # pages of a private map, where a shared one reads them
                     # back from the file
@@ -657,7 +642,7 @@ class SmsRowBlockSource:
         self.block_count = block_count
         self.passes = 0  # `blocked.row_chunks` walks
         self.sq_norm = 0.0  # ||X||_F^2, summed by the first walk
-        self._releases_rows = self._payload is not None and _CAN_RELEASE
+        self._releases_rows = self._payload is not None and blocked._CAN_RELEASE
 
     def read_block(self, i: int) -> np.ndarray:
         start, count = self.block_ranges[i]

@@ -318,32 +318,41 @@ def amplitudes(result: DmdResult, x0) -> np.ndarray:
     return np.linalg.pinv(result.modes) @ x0
 
 
+def _dynamics_weights(eigenvalues: np.ndarray, amplitudes: np.ndarray, steps: int) -> np.ndarray:
+    """W = diag(amplitudes) eigenvalues**j, j = 0..steps-1, of `reconstruct`
+    and synth (`datasets._dynamics`). NonFiniteInput names a NaN or Inf
+    entry, or says that the dynamics overflow where a column's sum of
+    moduli, which bounds that column of modes @ W for unit-norm modes,
+    overflows float64."""
+    _require_finite_entries("eigenvalue", eigenvalues)
+    _require_finite_entries("amplitude", amplitudes)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked right below
+        weights = amplitudes[:, None] * (eigenvalues[:, None] ** np.arange(steps)[None, :])
+        bound = np.abs(weights).sum(axis=0)
+    if not np.isfinite(bound).all():
+        raise NonFiniteInput(
+            f"the dynamics overflow float64 within {steps - 1} steps "
+            f"(largest |eigenvalue| {np.abs(eigenvalues).max():.6g})"
+        )
+    return weights
+
+
 def reconstruct(result: DmdResult, steps: int) -> np.ndarray:
     """Real snapshot sequence Re(modes @ diag(lambda^j) @ a), j = 0..steps-1.
     ShapeMismatch where the modes, eigenvalues and amplitudes differ in
     number, as the files of different runs can. NonFiniteInput, before
     any product with the modes, where an eigenvalue or amplitude is NaN or
-    Inf (naming it), or where a weight a_i lambda_i^j overflows float64."""
+    Inf or the dynamics overflow (`_dynamics_weights`)."""
     if result.amplitudes is None:
         raise MissingAmplitudes("result carries no amplitudes")
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    lam, amp = result.eigenvalues, result.amplitudes
-    k, values = result.modes.shape[1], lam.size
-    if not k == values == amp.size:
-        raise ShapeMismatch(f"{k} modes, {values} eigenvalues and {amp.size} amplitudes")
-    _require_finite_entries("eigenvalue", lam)
-    _require_finite_entries("amplitude", amp)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked right below
-        scaled = amp[:, None] * (lam[:, None] ** np.arange(steps)[None, :])
-    if not np.isfinite(scaled).all():
-        raise NonFiniteInput(
-            f"the dynamics overflow float64 within {steps - 1} steps "
-            f"(largest |eigenvalue| {np.abs(lam).max():.6g})"
-        )
-    n = result.modes.shape[0]
-    memguard.note(n * steps * 8)
-    return _real_product(result.modes, scaled)
+    lam, amp, k = result.eigenvalues, result.amplitudes, result.modes.shape[1]
+    if not k == lam.size == amp.size:
+        raise ShapeMismatch(f"{k} modes, {lam.size} eigenvalues and {amp.size} amplitudes")
+    weights = _dynamics_weights(lam, amp, steps)
+    memguard.note(result.modes.shape[0] * steps * 8)
+    return _real_product(result.modes, weights)
 
 
 def eigen_match_error(reference, test) -> float:

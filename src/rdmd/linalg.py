@@ -520,12 +520,6 @@ def _fold_r(blocks) -> np.ndarray:
     return r
 
 
-def singular_values_of_rows(blocks) -> np.ndarray:
-    """Singular values of the matrix whose row blocks, top to bottom, are
-    `blocks`, from its folded R factor (`_fold_r`)."""
-    return np.linalg.svd(_fold_r(blocks), compute_uv=False)
-
-
 def _resolved(factor: np.ndarray, shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """The library's one rank rule: (s_r, V_r), the r singular values above
     `default_rank_tol` of a `shape` matrix A = Q R with orthonormal Q, and

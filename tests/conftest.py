@@ -97,7 +97,8 @@ def numpy_bases(monkeypatch):
     without MADV_DONTNEED, so that tracemalloc, which sees only numpy's
     allocator, counts the basis in a test's peak. The lift's release is
     then a no-op, so a peak measured this way holds the basis through the
-    lift."""
+    lift; an SMS file source, as on such a platform, drops no pages and
+    copies its blocks unless there is only one."""
     from rdmd import blocked
 
     monkeypatch.setattr(blocked, "_CAN_RELEASE", False)

@@ -11,7 +11,12 @@ import pytest
 import rdmd
 from rdmd import cli
 from rdmd.blocked import frobenius_sq, row_chunks, row_spans
-from rdmd.datasets import read_complex_csv, read_complex_matrix
+from rdmd.datasets import (
+    read_complex_csv,
+    read_complex_matrix,
+    write_complex_csv,
+    write_complex_matrix,
+)
 from rdmd.rng import derive_seed, normal_matrix
 
 from conftest import OVERSIZED_SHAPES, chunk_rows, write_oversized_sms, write_v1_sms
@@ -1142,6 +1147,35 @@ class TestQb:
         else:
             assert report["relative_error"] == streamed < cli._IDENTITY_MIN_ERROR
 
+    def test_sigma_next_of_noisy_data_takes_no_r_fold(self, noisy_workspace, monkeypatch,
+                                                       capsys):
+        # sigma_{k+1} is the truncated SVD's, whose Gram resolves noisy data:
+        # no pass folds its chunks into a Householder R
+        import rdmd.linalg
+
+        folds = []
+        inner = rdmd.linalg._fold_r
+
+        def spy(blocks):
+            folds.append(inner(blocks))
+            return folds[-1]
+
+        monkeypatch.setattr(rdmd.linalg, "_fold_r", spy)
+        path = noisy_workspace / "x.sms"
+        assert cli.main(["qb", "--input", str(path), "--rank", "5", "--seed", "3"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert folds == []
+        sigma = rdmd.economic_svd(rdmd.read_sms(path)).singular_values
+        assert report["sigma_next"] == pytest.approx(sigma[5], rel=1e-12)
+
+    @pytest.mark.parametrize("rank", [5, 8])
+    def test_sigma_next_of_noise_free_data_is_zero(self, workspace, capsys, rank):
+        # the data resolves 5 directions, so the truncated SVD's rank rule
+        # keeps no sigma_{k+1} for k >= 5
+        path = workspace / "x.sms"
+        assert cli.main(["qb", "--input", str(path), "--rank", str(rank), "--seed", "3"]) == 0
+        assert json.loads(capsys.readouterr().out)["sigma_next"] == 0.0
+
     def test_bound_omitted_below_minimum_oversampling(self, workspace):
         res = run_cli(
             "qb", "--input", str(workspace / "x.sms"), "--rank", "5",
@@ -1207,6 +1241,22 @@ class TestReconstruct:
                       "--out", str(tmp_path / "r.sms"))
         assert res.returncode == 1
         assert res.stderr == f"NonFiniteInput: {error}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dec"]
+
+    def test_reconstruct_rejects_finite_weights_whose_sums_overflow(self, tmp_path):
+        # every weight is finite, but a row of the output would overflow:
+        # one line, no numpy warning, and nothing written
+        s = 1 / np.sqrt(2)
+        dec = tmp_path / "dec"
+        dec.mkdir()
+        write_complex_matrix(dec, "modes", np.array([[s, s], [s, -s]]))
+        write_complex_csv(dec / "eigenvalues.csv", [1.0, 1.0])
+        write_complex_csv(dec / "amplitudes.csv", [1.5e308, 1.5e308])
+        res = run_cli("reconstruct", "--modes", str(dec), "--steps", "10",
+                      "--out", str(tmp_path / "r.sms"))
+        assert res.returncode == 1
+        assert res.stderr == ("NonFiniteInput: the dynamics overflow float64 within 9 steps "
+                              "(largest |eigenvalue| 1)\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["dec"]
 
     @pytest.mark.parametrize("name, keep, counts", [

@@ -140,6 +140,11 @@ class TestSynth:
         with pytest.raises(NonFiniteInput, match="overflow float64 within 200 steps"):
             synth_linear_dynamics(10, 200, specs, seed=1)
 
+    def test_nan_eigenvalue_is_named(self):
+        # reconstruct's check: the entry is named, not taken for an overflow
+        with pytest.raises(NonFiniteInput, match=r"^eigenvalue 0 is \(nan\+0j\)$"):
+            synth_linear_dynamics(50, 10, [ModeSpec(float("nan"))], 1)
+
 
 class TestAddNoise:
     def test_variance_ratio(self):
@@ -260,6 +265,15 @@ class TestAddNoise:
         x = 1e300 * np.tile(np.linspace(-1.0, 1.0, 20), (5, 1))
         with pytest.raises(NonFiniteInput, match="noise scale overflows"):
             add_noise(x, 10.0, seed=0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_entry_is_named(self, value):
+        # as every other entry point names it, not as a noise scale
+        x = np.arange(12.0).reshape(4, 3)
+        x[2, 1] = value
+        with pytest.raises(NonFiniteInput, match=f"^row 2, column 1 is {value}$") as info:
+            add_noise(x, 10.0, seed=0)
+        assert info.value.row == 2
 
 
 def _modes_from_whole_columns(n, specs, count, seed):
@@ -817,7 +831,7 @@ class TestRowBlocks:
             again = src.read_block(1)
         assert again is not held and np.array_equal(again, x[20:])
 
-    @pytest.mark.skipif(not datasets._CAN_RELEASE, reason="needs MADV_DONTNEED")
+    @pytest.mark.skipif(not blocked._CAN_RELEASE, reason="needs MADV_DONTNEED")
     def test_one_block_run_reads_its_block_once_and_releases_each_chunk_once_per_pass(
         self, tmp_path, monkeypatch
     ):
@@ -1038,7 +1052,7 @@ class TestRowBlocks:
         reported = json.loads(report)["timings"]["peak_rss_bytes"]
         assert isinstance(reported, int) and 0.9 * run <= reported <= run
 
-    @pytest.mark.skipif(not datasets._CAN_RELEASE, reason="needs MADV_DONTNEED")
+    @pytest.mark.skipif(not blocked._CAN_RELEASE, reason="needs MADV_DONTNEED")
     @pytest.mark.parametrize("method", ["rdmd", "dmd", "cdmd"])
     def test_memory_cap_charges_the_resident_chunk(self, tmp_path, method):
         # a version 2 file's one block is a mapped view released chunk by
@@ -1062,7 +1076,7 @@ class TestRowBlocks:
         report = json.loads((tmp_path / "v2" / "report.json").read_text())
         assert report["peak_alloc_bytes"] <= cap
 
-    @pytest.mark.skipif(not datasets._CAN_RELEASE, reason="needs MADV_DONTNEED")
+    @pytest.mark.skipif(not blocked._CAN_RELEASE, reason="needs MADV_DONTNEED")
     def test_memory_cap_charges_a_chunk_of_bounded_bytes(self, tmp_path):
         # 2100 x 4001 (67 MB): a chunk is 1048 rows (33.5 MB), where a
         # 4096-row chunk was the whole file, so a cap between the two holds
@@ -1100,7 +1114,7 @@ class TestRowBlocks:
         # where MADV_DONTNEED is missing, a mapped block could not be
         # released, so several blocks are copied; one block is the whole
         # file either way, so `read_sms` still maps it
-        monkeypatch.setattr(datasets, "_CAN_RELEASE", False)
+        monkeypatch.setattr(blocked, "_CAN_RELEASE", False)
         x = normal_matrix(12, 5, seed=24)
         path = tmp_path / "x.sms"
         write_sms(x, path)

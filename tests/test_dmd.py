@@ -651,6 +651,20 @@ class TestAmplitudesAndReconstruct:
             with pytest.raises(NonFiniteInput, match=f"^{message}$"):
                 reconstruct(result, steps)
 
+    def test_reconstruct_rejects_finite_weights_whose_sums_overflow(self):
+        # every weight is finite, but row 0 of the product, s * (a + a),
+        # is above the float64 range: each column's sum of moduli is the
+        # bound, as in synth
+        s = 1 / np.sqrt(2)
+        result = self._result([[s, s], [s, -s]], [1.0, 1.0], amps=[1.5e308, 1.5e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                NonFiniteInput,
+                match=r"^the dynamics overflow float64 within 9 steps \(largest \|eigenvalue\| 1\)$",
+            ):
+                reconstruct(result, 10)
+
     def test_noise_free_training_window_reconstruction(self):
         x = rotation_sequence(30, 40, theta=0.45, seed=30)
         result = dmd_deterministic(x, DmdConfig(target_rank=2))
